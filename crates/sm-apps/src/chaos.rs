@@ -1,13 +1,14 @@
 //! Seeded chaos harness over the ZooKeeper-backed control plane.
 //!
-//! A [`ChaosWorld`] wires the HA control plane ([`HaControlPlane`]),
+//! The [`Chaos`] scenario wires the HA control plane ([`HaControlPlane`]),
 //! leased KV application servers, and live client traffic into one
 //! discrete-event simulation, then injects a seeded fault schedule
 //! ([`sm_sim::faults::fault_plan`]): mini-SM crashes, server crashes,
 //! bare ZK session expiries, network partitions (symmetric and
 //! asymmetric), and lossy-net windows, each with a paired recovery.
 //!
-//! Every inter-process message travels through a [`SimNet`]: client
+//! Every inter-process message travels through the kit's
+//! [`sm_sim::net::SimNet`]: client
 //! requests, forwards, control-plane RPCs and their acks, server
 //! heartbeats and registrations. A partitioned server therefore
 //! experiences real silence — its heartbeats stop arriving, ZooKeeper
@@ -18,8 +19,8 @@
 //! can promote a replacement. The safety rule is
 //! `self_fence_timeout + heartbeat_interval < zk_session_timeout`.
 //!
-//! The paper's safety claims are checked continuously by an
-//! [`Oracle`]: at most one unfenced willing primary per shard (checked
+//! The paper's safety claims are checked continuously by the
+//! [`sm_sim::Oracle`]: at most one unfenced willing primary per shard (checked
 //! at every served request and on periodic sweeps), no
 //! acknowledged-then-lost request or stale read (every write is tagged
 //! with a monotone counter; every read must observe its key's latest
@@ -32,18 +33,17 @@
 //! over to ids. The whole run is a pure function of `(config, plan)`:
 //! same seed and plan, byte-identical trace.
 
+use crate::kit::{self, Outcome, Params, Plan, Report, Resolution, Scenario, Wire};
 use crate::kv::{ExternalStore, KvServer};
 use crate::AppResponse;
-use sm_allocator::{AllocConfig, MoveCaps};
+use sm_core::exchange::Host as RpcHost;
 use sm_core::ha::{paths, HaControlPlane, HaStats, SelfFenceTimer, ServerLease};
-use sm_core::{ApplicationManager, OrchCommand, OrchestratorConfig, Partition, ServerRpc};
+use sm_core::{ApplicationManager, OrchCommand, Partition, ServerRpc};
 use sm_sim::faults::{fault_plan, Fault, FaultPlanConfig, FaultProfile};
-use sm_sim::net::{Endpoint, NetStats, SimNet};
-use sm_sim::oracle::{Oracle, OracleViolation};
-use sm_sim::{Ctx, LatencyModel, QueueKind, SimDuration, SimTime, Simulation, TraceLog, World};
+use sm_sim::net::Endpoint;
+use sm_sim::{QueueKind, SimDuration, SimTime};
 use sm_types::{
-    AppId, AppKey, AppPolicy, LoadVector, Location, MachineId, Metric, MiniSmId, RegionId,
-    ServerId, ShardId, ShardingSpec,
+    AppId, AppKey, AppPolicy, LoadVector, Metric, MiniSmId, ServerId, ShardId, ShardingSpec,
 };
 use sm_zk::{WatchEvent, ZkStore};
 use std::cell::RefCell;
@@ -53,7 +53,7 @@ use std::rc::Rc;
 /// Shape of one chaos run. The fault schedule is derived from `seed`
 /// (via [`FaultPlanConfig::covering`] or `profile`), so the whole run
 /// is reproducible from this config alone.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Seed for traffic, fault schedule, and every other random draw.
     pub seed: u64,
@@ -97,7 +97,8 @@ pub struct ChaosConfig {
     pub key_space: u64,
     /// DST mutation switch: disables §3.2 self-fencing so the oracle
     /// can demonstrate it catches the resulting dual primaries and
-    /// stale reads. Never set outside `tests/dst.rs`.
+    /// stale reads. Never set outside `tests/dst.rs` and the swarm's
+    /// `--mutate`.
     pub disable_self_fencing: bool,
 }
 
@@ -131,23 +132,14 @@ impl ChaosConfig {
     /// to explore many seeds per profile.
     pub fn dst(seed: u64, profile: FaultProfile) -> Self {
         Self {
-            seed,
             servers: 10,
             shards: 32,
             clients: 3,
-            request_interval: SimDuration::from_millis(100),
-            rpc_latency: SimDuration::from_millis(10),
-            retry_delay: SimDuration::from_millis(500),
-            max_attempts: 120,
             traffic_end: SimTime::from_secs(140),
             end: SimTime::from_secs(160),
             profile: Some(profile),
-            heartbeat_interval: SimDuration::from_secs(1),
-            self_fence_timeout: SimDuration::from_secs(5),
-            zk_session_timeout: SimDuration::from_secs(8),
-            rpc_timeout: SimDuration::from_secs(2),
             key_space: 512,
-            disable_self_fencing: false,
+            ..Self::covering(seed)
         }
     }
 }
@@ -172,7 +164,8 @@ pub struct Req {
     pub sent_at: SimTime,
 }
 
-/// Event alphabet of the chaos world.
+/// Event alphabet of the chaos scenario (the kit carries RPCs, fault
+/// hits, and timeouts).
 #[derive(Debug)]
 pub enum ChaosEvent {
     /// Client `i` issues its next request.
@@ -191,36 +184,9 @@ pub enum ChaosEvent {
         /// The request, attempts already incremented.
         req: Req,
     },
-    /// A control-plane RPC reaches its server.
-    RpcSend {
-        /// Correlation id for timeout/duplicate handling.
-        id: u64,
-        /// Target server.
-        server: ServerId,
-        /// The RPC payload.
-        rpc: ServerRpc,
-    },
-    /// The server's ack (or failure) reaches the control plane.
-    RpcResult {
-        /// Correlation id; late or duplicate results are ignored.
-        id: u64,
-        /// Answering server.
-        server: ServerId,
-        /// The RPC being answered.
-        rpc: ServerRpc,
-        /// Whether the server applied it.
-        ok: bool,
-    },
-    /// The control plane gives up on an unanswered RPC.
-    RpcTimeout {
-        /// Correlation id; a no-op if the result already arrived.
-        id: u64,
-    },
     /// A ZooKeeper watch notification is delivered (ordered session
     /// channel: never dropped, never reordered).
     ZkNotify(WatchEvent),
-    /// The i-th entry of the fault plan fires.
-    FaultHit(usize),
     /// Clients re-read the shard map (service discovery refresh).
     RouterRefresh,
     /// Server `i` runs its heartbeat step: self-fence check, beat,
@@ -266,6 +232,24 @@ pub struct ChaosStats {
     pub rpc_timeouts: u64,
 }
 
+/// What a chaos run reports beyond the common [`Report`] fields.
+#[derive(Clone, Debug, Default)]
+pub struct ChaosExtra {
+    /// Control-plane counters (failovers, restores, fenced writes).
+    pub ha: HaStats,
+    /// Mini-SM ids crashed at least once.
+    pub crashed_minisms: BTreeSet<u32>,
+    /// Servers whose bare session expiry was injected.
+    pub expired_sessions: BTreeSet<u32>,
+    /// Completed control-plane recoveries, milliseconds each.
+    pub recoveries_ms: Vec<f64>,
+    /// Mini-SMs the plan targets (coverage denominator).
+    pub initial_minisms: usize,
+}
+
+/// Outcome of one chaos run.
+pub type ChaosReport = Report<ChaosStats, ChaosExtra>;
+
 /// One application server process: its KV state, its ZK liveness
 /// session, and its *server-side* view of the fencing contract.
 ///
@@ -291,98 +275,348 @@ impl Host {
     }
 }
 
-/// The chaos simulation world.
-pub struct ChaosWorld {
+/// What the chaos scenario's handlers work through.
+type Cx<'a, 'c> = kit::Cx<'a, 'c, ChaosEvent>;
+
+/// The chaos scenario.
+pub struct Chaos {
     cfg: ChaosConfig,
     zk: ZkStore,
     cp: HaControlPlane,
     spec: Rc<ShardingSpec>,
     hosts: BTreeMap<ServerId, Host>,
     partitions: Vec<Partition>,
-    plan: Vec<(SimTime, Fault)>,
-    net: SimNet,
-    oracle: Oracle,
     /// Client-visible shard→primary map, refreshed periodically.
     router: BTreeMap<ShardId, ServerId>,
     /// ZooKeeper's view of each server's last heartbeat.
     last_beat: BTreeMap<ServerId, SimTime>,
-    /// Correlation ids of control-plane RPCs awaiting an answer.
-    outstanding: BTreeMap<u64, (ServerId, ServerRpc)>,
-    /// Correlation ids already executed at a server, with the recorded
-    /// outcome. A duplicated request copy must answer from here instead
-    /// of re-dispatching (exactly-once apply per command attempt): a
-    /// late duplicate of an `AddShard` landing after a subsequent
-    /// `DropShard` would otherwise re-create hosting state the
-    /// orchestrator believes is gone.
-    rpc_applied: BTreeMap<u64, bool>,
-    next_rpc: u64,
     next_req: u64,
     /// Monotone write counter: the value stored for every put and the
     /// tag the oracle checks reads against.
     write_tag: u64,
-    /// Counters.
-    pub stats: ChaosStats,
-    /// Recorded time series (placement, traffic, failures).
-    pub trace: TraceLog,
-    /// Mini-SM ids crashed at least once.
-    pub crashed_minisms: BTreeSet<u32>,
-    /// Server ids whose bare session expiry was injected.
-    pub expired_sessions: BTreeSet<u32>,
-    /// Completed control-plane recoveries, in milliseconds.
-    pub recoveries_ms: Vec<f64>,
+    stats: ChaosStats,
+    extra: ChaosExtra,
     /// Start of the oldest unfinished recovery, if any.
     recovering_since: Option<SimTime>,
 }
 
-fn loc(s: u32) -> Location {
-    Location {
-        region: RegionId(0),
-        datacenter: 0,
-        rack: s,
-        machine: MachineId(s),
+/// Mini-SM ids a plan crashes at least once.
+fn targeted_minisms(plan: &[(SimTime, Fault)]) -> BTreeSet<u32> {
+    plan.iter()
+        .filter_map(|(_, f)| match f {
+            Fault::MiniSmCrash(m) => Some(*m),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Queues watch notifications for delivery over the ordered session
+/// channel — a real ZK client's event thread never drops or reorders
+/// notifications while the session lives.
+fn dispatch_zk(events: Vec<WatchEvent>, cx: &mut Cx<'_, '_>) {
+    let delay = cx.net.ordered_delay(Endpoint::Zk, Endpoint::ControlPlane);
+    for event in events {
+        cx.schedule_in(delay, ChaosEvent::ZkNotify(event));
     }
 }
 
-fn orch_config() -> OrchestratorConfig {
-    OrchestratorConfig {
-        graceful_migration: true,
-        move_caps: MoveCaps::default(),
-        alloc: AllocConfig::new(vec![Metric::ShardCount.id()]),
-        skip_cutover_ack: false,
+impl Chaos {
+    fn refresh_router(&mut self) {
+        let partitions = self.partitions.clone();
+        for p in &partitions {
+            if let Some(orch) = self.cp.orchestrator(p.id) {
+                for &shard in &p.shards {
+                    match orch.assignment().primary_of(shard) {
+                        Some(server) => {
+                            self.router.insert(shard, server);
+                        }
+                        None => {
+                            self.router.remove(&shard);
+                        }
+                    }
+                }
+            }
+        }
     }
-}
 
-impl ChaosWorld {
-    /// Builds the world with its plan derived from the config: the
-    /// covering plan when `cfg.profile` is `None`, the profile's DST
-    /// plan otherwise.
-    pub fn new(cfg: ChaosConfig) -> Self {
-        let mut world = Self::bootstrap(cfg);
-        let n_minisms = world.cp.running_minisms().len() as u32;
-        world.plan = match cfg.profile {
-            None => fault_plan(&FaultPlanConfig::covering(cfg.seed, cfg.servers, n_minisms)),
-            Some(p) => fault_plan(&p.config(cfg.seed, cfg.servers, n_minisms)),
+    /// Sends `event` from server `s` to ZooKeeper (or back) through the
+    /// net: one scheduled arrival per delivered copy.
+    fn beat(
+        cx: &mut Cx<'_, '_>,
+        src: Endpoint,
+        dst: Endpoint,
+        event: fn(u32) -> ChaosEvent,
+        s: u32,
+    ) {
+        for d in cx.net.transmit(src, dst).copies {
+            cx.schedule_in(d, event(s));
+        }
+    }
+
+    fn client_tick(&mut self, client: u32, cx: &mut Cx<'_, '_>) {
+        if cx.now() < self.cfg.traffic_end {
+            cx.schedule_in(self.cfg.request_interval, ChaosEvent::ClientTick(client));
+        }
+        let key = if self.cfg.key_space > 0 {
+            cx.rng().range_u64(0, self.cfg.key_space)
+        } else {
+            cx.rng().next_u64()
         };
-        world
+        let write = cx.rng().chance(0.5);
+        let Some(shard) = self.spec.shard_for(&AppKey::from_u64(key)) else {
+            return;
+        };
+        self.next_req += 1;
+        let req = Req {
+            id: self.next_req,
+            client,
+            key,
+            write,
+            shard,
+            attempts: 1,
+            sent_at: cx.now(),
+        };
+        cx.oracle.request_issued(req.id);
+        self.route(req, cx);
     }
 
-    /// Builds the world with an explicit fault plan — the replay/shrink
-    /// path, where the plan is an edited copy rather than a fresh
-    /// derivation from the seed.
-    pub fn new_with_plan(cfg: ChaosConfig, plan: Vec<(SimTime, Fault)>) -> Self {
-        let mut world = Self::bootstrap(cfg);
-        world.plan = plan;
-        world
+    /// Routes (or re-routes) a request via the client-visible map and
+    /// transmits it; a message the net eats surfaces as a client-side
+    /// timeout and retry.
+    fn route(&mut self, req: Req, cx: &mut Cx<'_, '_>) {
+        if cx.oracle.already_served(req.id) {
+            return; // a duplicated copy already completed this request
+        }
+        match self.router.get(&req.shard).copied() {
+            Some(target) => self.transmit(req, Endpoint::Client(req.client), target, 0, cx),
+            None => self.fail_or_retry(req, cx),
+        }
+    }
+
+    /// Puts one hop of `req` on the wire toward `target`.
+    fn transmit(
+        &mut self,
+        req: Req,
+        src: Endpoint,
+        target: ServerId,
+        hops: u8,
+        cx: &mut Cx<'_, '_>,
+    ) {
+        let t = cx.net.transmit(src, Endpoint::Server(target.raw()));
+        if t.copies.is_empty() {
+            self.fail_or_retry(req, cx);
+        }
+        for d in t.copies {
+            cx.schedule_in(d, ChaosEvent::Deliver { req, target, hops });
+        }
+    }
+
+    fn fail_or_retry(&mut self, req: Req, cx: &mut Cx<'_, '_>) {
+        if cx.oracle.already_served(req.id) {
+            return;
+        }
+        if req.attempts < self.cfg.max_attempts {
+            self.stats.retries += 1;
+            let req = Req {
+                attempts: req.attempts + 1,
+                ..req
+            };
+            cx.schedule_in(self.cfg.retry_delay, ChaosEvent::Retry { req });
+        } else {
+            self.stats.dropped += 1;
+            let now = cx.now();
+            cx.oracle.request_dropped(now, req.id);
+        }
+    }
+
+    /// Servers that would serve an unforwarded request for `shard`
+    /// right now. Process-up is the only qualifier — a zombie whose ZK
+    /// session expired behind a partition still counts, which is
+    /// exactly what self-fencing must prevent.
+    fn willing_count(&self, shard: ShardId) -> usize {
+        self.hosts
+            .values()
+            .filter(|h| h.process_up && h.kv.admit(shard, false) == AppResponse::Serve)
+            .count()
+    }
+
+    fn deliver(&mut self, req: Req, target: ServerId, hops: u8, cx: &mut Cx<'_, '_>) {
+        if cx.oracle.already_served(req.id) {
+            return;
+        }
+        let response = match self.hosts.get(&target) {
+            Some(h) if h.serving() => h.kv.admit(req.shard, hops > 0),
+            _ => AppResponse::NotMine,
+        };
+        match response {
+            AppResponse::Serve => self.serve(req, target, cx),
+            AppResponse::Forward(next) if hops < 4 => {
+                self.stats.forwards += 1;
+                let src = Endpoint::Server(target.raw());
+                self.transmit(req, src, next, hops + 1, cx);
+            }
+            AppResponse::Forward(_) | AppResponse::NotMine => self.fail_or_retry(req, cx),
+        }
+    }
+
+    fn serve(&mut self, req: Req, target: ServerId, cx: &mut Cx<'_, '_>) {
+        let now = cx.now();
+        // The §3.2 invariant is checked at the moment it matters: when
+        // a request is actually served.
+        let willing = self.willing_count(req.shard);
+        cx.oracle.primaries_observed(now, req.shard.raw(), willing);
+        let app_key = AppKey::from_u64(req.key);
+        if req.write {
+            self.write_tag += 1;
+            let tag = self.write_tag;
+            if let Some(host) = self.hosts.get_mut(&target) {
+                host.kv.put(req.shard, app_key, tag.to_be_bytes().to_vec());
+            }
+            cx.oracle.write_acked(req.key, tag);
+        } else {
+            let observed = self
+                .hosts
+                .get_mut(&target)
+                .and_then(|h| h.kv.get(req.shard, &app_key))
+                .and_then(|v| <[u8; 8]>::try_from(v.as_slice()).ok())
+                .map(u64::from_be_bytes);
+            cx.oracle.read_served(now, req.key, observed);
+        }
+        cx.oracle.request_served(req.id);
+        self.stats.served += 1;
+        let latency_ms = now.since(req.sent_at).as_millis_f64();
+        cx.trace.record("latency_ms", now, latency_ms);
+    }
+
+    /// One server-side heartbeat step: check the self-fence deadline,
+    /// then beat / resign / re-register as the state demands. All
+    /// outbound messages go through the net, so a partitioned server's
+    /// beats genuinely vanish.
+    fn heartbeat_tick(&mut self, s: u32, cx: &mut Cx<'_, '_>) {
+        if cx.now() < self.cfg.end {
+            cx.schedule_in(self.cfg.heartbeat_interval, ChaosEvent::HeartbeatTick(s));
+        }
+        let now = cx.now();
+        let Some(host) = self.hosts.get_mut(&ServerId(s)) else {
+            return;
+        };
+        if !host.process_up {
+            return;
+        }
+        let leased = host.lease.is_some();
+        // §3.2: heartbeat acks stopped long enough ago that a
+        // replacement primary may be imminent — wipe now, ask questions
+        // later. The DST mutation keeps serving instead, which the
+        // oracle must catch.
+        if !host.fenced && leased && host.fence.must_fence(now) && !self.cfg.disable_self_fencing {
+            host.kv.restart();
+            host.fenced = true;
+            self.stats.self_fences += 1;
+            cx.state_changed();
+            return;
+        }
+        // Unfenced servers beat while their session lives. Fenced ones
+        // resign the still-live session so failover can start without
+        // waiting out the ZK timeout, or re-register once the old
+        // session is gone. All three can be eaten by a partition; the
+        // next tick retries.
+        let arrival = match (host.fenced, leased) {
+            (false, true) => ChaosEvent::BeatArrive,
+            (false, false) => return,
+            (true, true) => ChaosEvent::ResignArrive,
+            (true, false) => ChaosEvent::RegisterArrive,
+        };
+        Self::beat(cx, Endpoint::Server(s), Endpoint::Zk, arrival, s);
+    }
+
+    fn beat_arrive(&mut self, s: u32, cx: &mut Cx<'_, '_>) {
+        let server = ServerId(s);
+        if self.hosts.get(&server).is_none_or(|h| h.lease.is_none()) {
+            return; // stale beat from a session ZK already expired
+        }
+        self.last_beat.insert(server, cx.now());
+        let ack = ChaosEvent::BeatAck;
+        Self::beat(cx, Endpoint::Zk, Endpoint::Server(s), ack, s);
+    }
+
+    /// Registers a fresh session for up-but-unleased server `s` and
+    /// lifts its fence. False when the server is not in that state
+    /// (crashed, or something else already re-registered it) or ZK
+    /// still holds its old session.
+    fn reregister(&mut self, s: ServerId, cx: &mut Cx<'_, '_>) -> bool {
+        let now = cx.now();
+        let Some(host) = self.hosts.get_mut(&s) else {
+            return false;
+        };
+        if !host.process_up || host.lease.is_some() {
+            return false;
+        }
+        let Ok((lease, events)) = ServerLease::register(&mut self.zk, s) else {
+            return false;
+        };
+        host.lease = Some(lease);
+        host.fenced = false;
+        host.fence.ack(now);
+        self.last_beat.insert(s, now);
+        dispatch_zk(events, cx);
+        true
+    }
+
+    /// Expires `s`'s session at ZooKeeper; false if it holds none.
+    fn expire_lease(&mut self, s: ServerId, cx: &mut Cx<'_, '_>) -> bool {
+        let Some(lease) = self.hosts.get_mut(&s).and_then(|h| h.lease.take()) else {
+            return false;
+        };
+        let events = lease.expire(&mut self.zk);
+        dispatch_zk(events, cx);
+        true
+    }
+}
+
+impl Scenario for Chaos {
+    const WORLD: &'static str = "chaos";
+    const MUTATION: &'static str = "disable_self_fencing";
+    // Periodic events stop at `end`; whatever remains is in-flight
+    // requests and timers draining against a healthy fleet.
+    const DRAINS: bool = true;
+    type Config = ChaosConfig;
+    type Event = ChaosEvent;
+    type Host = KvServer;
+    type Stats = ChaosStats;
+    type Extra = ChaosExtra;
+
+    fn params(cfg: &ChaosConfig) -> Params {
+        Params {
+            seed: cfg.seed,
+            servers: cfg.servers,
+            rpc_latency: cfg.rpc_latency,
+            rpc_timeout: cfg.rpc_timeout,
+            end: cfg.end,
+        }
+    }
+
+    fn cell(seed: u64, profile: FaultProfile, mutate: bool) -> ChaosConfig {
+        ChaosConfig {
+            disable_self_fencing: mutate,
+            ..ChaosConfig::dst(seed, profile)
+        }
+    }
+
+    fn key(cfg: &ChaosConfig) -> (&'static str, bool) {
+        // A covering-shaped run is not a DST cell: its document names a
+        // profile that does not parse back.
+        let profile = cfg.profile.map_or("covering", |p| p.name());
+        (profile, cfg.disable_self_fencing)
     }
 
     /// Control plane, leased servers, deployed partitions. Watch events
     /// raised during setup are delivered synchronously (the world is
     /// not running yet, so there is no one to race with).
-    fn bootstrap(cfg: ChaosConfig) -> Self {
+    fn build(cfg: ChaosConfig) -> Self {
         let mut zk = ZkStore::new();
         let (mut cp, setup_events) = HaControlPlane::new(
             &mut zk,
-            orch_config(),
+            kit::default_orch_config(),
             LoadVector::single(Metric::ShardCount.id(), 1000.0),
             4,
         )
@@ -396,7 +630,7 @@ impl ChaosWorld {
         let mut pending = setup_events;
         let server_ids: Vec<ServerId> = (0..cfg.servers).map(ServerId).collect();
         for &s in &server_ids {
-            cp.register_server(&mut zk, s, loc(s.raw()));
+            cp.register_server(&mut zk, s, kit::loc(s.raw()));
             let (lease, events) =
                 ServerLease::register(&mut zk, s).expect("fresh session registers");
             pending.extend(events);
@@ -425,11 +659,15 @@ impl ChaosWorld {
         // re-armed before the event loop starts, then settle the
         // initial placement (deploy completes before the experiment).
         let mut guard = 0;
-        while let Some(e) = pending.pop() {
-            guard += 1;
-            assert!(guard < 10_000, "setup watch storm");
-            pending.extend(cp.handle_event(&mut zk, &e));
-        }
+        let mut drain =
+            |pending: &mut Vec<WatchEvent>, cp: &mut HaControlPlane, zk: &mut ZkStore| {
+                while let Some(e) = pending.pop() {
+                    guard += 1;
+                    assert!(guard < 10_000, "setup watch storm");
+                    pending.extend(cp.handle_event(zk, &e));
+                }
+            };
+        drain(&mut pending, &mut cp, &mut zk);
         for _round in 0..200 {
             let cmds = cp.take_commands();
             if cmds.is_empty() {
@@ -439,8 +677,7 @@ impl ChaosWorld {
                 if let OrchCommand::Rpc { server, rpc } = cmd {
                     let ok = hosts
                         .get_mut(&server)
-                        .map(|h| rpc.dispatch(&mut h.kv).is_ok())
-                        .unwrap_or(false);
+                        .is_some_and(|h| rpc.dispatch(&mut h.kv).is_ok());
                     let acks = if ok {
                         cp.rpc_acked(&mut zk, server, rpc)
                     } else {
@@ -449,14 +686,9 @@ impl ChaosWorld {
                     pending.extend(acks);
                 }
             }
-            while let Some(e) = pending.pop() {
-                guard += 1;
-                assert!(guard < 10_000, "setup watch storm");
-                pending.extend(cp.handle_event(&mut zk, &e));
-            }
+            drain(&mut pending, &mut cp, &mut zk);
         }
 
-        let latency_ms = cfg.rpc_latency.as_millis_f64();
         let last_beat = server_ids.iter().map(|&s| (s, SimTime::ZERO)).collect();
         let mut world = Self {
             cfg,
@@ -465,453 +697,117 @@ impl ChaosWorld {
             spec,
             hosts,
             partitions,
-            plan: Vec::new(),
-            net: SimNet::new(LatencyModel::uniform(1, latency_ms, latency_ms), cfg.seed),
-            oracle: Oracle::new(),
             router: BTreeMap::new(),
             last_beat,
-            outstanding: BTreeMap::new(),
-            rpc_applied: BTreeMap::new(),
-            next_rpc: 0,
             next_req: 0,
             write_tag: 0,
             stats: ChaosStats::default(),
-            trace: TraceLog::new(),
-            crashed_minisms: BTreeSet::new(),
-            expired_sessions: BTreeSet::new(),
-            recoveries_ms: Vec::new(),
+            extra: ChaosExtra::default(),
             recovering_since: None,
         };
         world.refresh_router();
         world
     }
 
-    /// Number of mini-SM processes currently running.
-    pub fn running_minisms(&self) -> usize {
-        self.cp.running_minisms().len()
+    /// The covering plan when `cfg.profile` is `None`, the profile's
+    /// DST plan otherwise.
+    fn default_plan(&self) -> Plan {
+        let (cfg, n_minisms) = (&self.cfg, self.cp.running_minisms().len() as u32);
+        fault_plan(&match cfg.profile {
+            None => FaultPlanConfig::covering(cfg.seed, cfg.servers, n_minisms),
+            Some(p) => p.config(cfg.seed, cfg.servers, n_minisms),
+        })
     }
 
-    /// Control-plane activity counters.
-    pub fn ha_stats(&self) -> HaStats {
-        self.cp.stats()
+    fn script(&self) -> Vec<(SimTime, ChaosEvent)> {
+        let clients =
+            (0..self.cfg.clients).map(|c| (SimTime::from_secs(5), ChaosEvent::ClientTick(c)));
+        // Staggered start so the fleet's heartbeats don't all land on
+        // the same instant.
+        let beats = (0..self.cfg.servers).map(|s| {
+            let at = SimTime::from_millis(1_000 + 7 * u64::from(s));
+            (at, ChaosEvent::HeartbeatTick(s))
+        });
+        clients
+            .chain([(SimTime::from_secs(1), ChaosEvent::RouterRefresh)])
+            .chain(beats)
+            .collect()
     }
 
-    /// The invariant oracle's current state.
-    pub fn oracle(&self) -> &Oracle {
-        &self.oracle
-    }
-
-    /// True when every shard has a primary and no migration is stuck.
-    pub fn converged(&mut self) -> bool {
-        self.cp.fully_placed() && self.cp.in_flight_total() == 0
-    }
-
-    /// Shards currently missing a primary (diagnostics).
-    pub fn unplaced_count(&mut self) -> usize {
-        self.cp.unplaced().len()
-    }
-
-    fn refresh_router(&mut self) {
-        let partitions = self.partitions.clone();
-        for p in &partitions {
-            if let Some(orch) = self.cp.orchestrator(p.id) {
-                for &shard in &p.shards {
-                    match orch.assignment().primary_of(shard) {
-                        Some(server) => {
-                            self.router.insert(shard, server);
-                        }
-                        None => {
-                            self.router.remove(&shard);
-                        }
-                    }
+    fn handle(&mut self, cx: &mut Cx<'_, '_>, event: ChaosEvent) {
+        match event {
+            ChaosEvent::ClientTick(c) => self.client_tick(c, cx),
+            ChaosEvent::Deliver { req, target, hops } => self.deliver(req, target, hops, cx),
+            ChaosEvent::Retry { req } => {
+                // Re-route via the freshest map the client can see.
+                self.refresh_router();
+                self.route(req, cx);
+            }
+            ChaosEvent::ZkNotify(watch) => {
+                let events = self.cp.handle_event(&mut self.zk, &watch);
+                dispatch_zk(events, cx);
+                cx.flush(self.take_commands());
+                cx.state_changed();
+            }
+            ChaosEvent::RouterRefresh => {
+                if cx.now() < self.cfg.end {
+                    cx.schedule_in(SimDuration::from_millis(1000), ChaosEvent::RouterRefresh);
+                }
+                self.refresh_router();
+            }
+            ChaosEvent::HeartbeatTick(s) => self.heartbeat_tick(s, cx),
+            ChaosEvent::BeatArrive(s) => self.beat_arrive(s, cx),
+            ChaosEvent::BeatAck(s) => {
+                if let Some(host) = self.hosts.get_mut(&ServerId(s)) {
+                    host.fence.ack(cx.now());
+                }
+            }
+            ChaosEvent::ResignArrive(s) => {
+                // A no-op if ZK's own expiry won the race.
+                if self.expire_lease(ServerId(s), cx) {
+                    cx.state_changed();
+                }
+            }
+            ChaosEvent::RegisterArrive(s) => {
+                // A no-op if it raced a planned SessionRestore, or the
+                // server crashed meanwhile.
+                if self.reregister(ServerId(s), cx) {
+                    cx.state_changed();
                 }
             }
         }
     }
 
-    /// Queues watch notifications for delivery over the ordered session
-    /// channel — a real ZK client's event thread never drops or
-    /// reorders notifications while the session lives.
-    fn dispatch_zk(&mut self, events: Vec<WatchEvent>, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let delay = self.net.ordered_delay(Endpoint::Zk, Endpoint::ControlPlane);
-        for event in events {
-            ctx.schedule_in(delay, ChaosEvent::ZkNotify(event));
+    fn take_commands(&mut self) -> impl Iterator<Item = OrchCommand> {
+        let cmds = self.cp.take_commands();
+        cmds.into_iter().map(|(_pid, cmd)| cmd)
+    }
+
+    /// A dead process never applies anything; a self-fenced server
+    /// refuses shard placements (§3.2) until it re-registers. Either
+    /// way the connection attempt fails fast and the failure travels
+    /// back through the net like any other message.
+    fn host(&mut self, server: ServerId, _rpc: &ServerRpc) -> RpcHost<'_, KvServer> {
+        match self.hosts.get_mut(&server) {
+            Some(h) if h.serving() => RpcHost::Serving(&mut h.kv),
+            _ => RpcHost::Fenced,
         }
     }
 
-    /// Sends freshly minted orchestrator commands out as RPCs through
-    /// the net, each with a correlation id and a give-up timer.
-    fn flush_commands(&mut self, ctx: &mut Ctx<'_, ChaosEvent>) {
-        for (_pid, cmd) in self.cp.take_commands() {
-            if let OrchCommand::Rpc { server, rpc } = cmd {
-                self.next_rpc += 1;
-                let id = self.next_rpc;
-                self.outstanding.insert(id, (server, rpc));
-                let t = self
-                    .net
-                    .transmit(Endpoint::ControlPlane, Endpoint::Server(server.raw()));
-                for d in t.copies {
-                    ctx.schedule_in(d, ChaosEvent::RpcSend { id, server, rpc });
-                }
-                ctx.schedule_in(self.cfg.rpc_timeout, ChaosEvent::RpcTimeout { id });
+    fn resolved(&mut self, cx: &mut Cx<'_, '_>, server: ServerId, rpc: ServerRpc, how: Resolution) {
+        let events = match how {
+            Resolution::Ack => self.cp.rpc_acked(&mut self.zk, server, rpc),
+            Resolution::Nack => self.cp.rpc_failed(&mut self.zk, server, rpc),
+            Resolution::GaveUp => {
+                self.stats.rpc_timeouts += 1;
+                self.cp.rpc_failed(&mut self.zk, server, rpc)
             }
-        }
-    }
-
-    fn client_tick(&mut self, client: u32, ctx: &mut Ctx<'_, ChaosEvent>) {
-        if ctx.now() < self.cfg.traffic_end {
-            ctx.schedule_in(self.cfg.request_interval, ChaosEvent::ClientTick(client));
-        }
-        let key = if self.cfg.key_space > 0 {
-            ctx.rng().range_u64(0, self.cfg.key_space)
-        } else {
-            ctx.rng().next_u64()
         };
-        let write = ctx.rng().chance(0.5);
-        let Some(shard) = self.spec.shard_for(&AppKey::from_u64(key)) else {
-            return;
-        };
-        self.next_req += 1;
-        let req = Req {
-            id: self.next_req,
-            client,
-            key,
-            write,
-            shard,
-            attempts: 1,
-            sent_at: ctx.now(),
-        };
-        self.oracle.request_issued(req.id);
-        self.route(req, ctx);
+        dispatch_zk(events, cx);
+        cx.flush(self.take_commands());
     }
 
-    /// Routes (or re-routes) a request via the client-visible map and
-    /// transmits it; a message the net eats surfaces as a client-side
-    /// timeout and retry.
-    fn route(&mut self, req: Req, ctx: &mut Ctx<'_, ChaosEvent>) {
-        if self.oracle.already_served(req.id) {
-            return; // a duplicated copy already completed this request
-        }
-        let Some(target) = self.router.get(&req.shard).copied() else {
-            self.fail_or_retry(req, ctx);
-            return;
-        };
-        let t = self
-            .net
-            .transmit(Endpoint::Client(req.client), Endpoint::Server(target.raw()));
-        if t.copies.is_empty() {
-            self.fail_or_retry(req, ctx);
-            return;
-        }
-        for d in t.copies {
-            ctx.schedule_in(
-                d,
-                ChaosEvent::Deliver {
-                    req,
-                    target,
-                    hops: 0,
-                },
-            );
-        }
-    }
-
-    fn fail_or_retry(&mut self, req: Req, ctx: &mut Ctx<'_, ChaosEvent>) {
-        if self.oracle.already_served(req.id) {
-            return;
-        }
-        if req.attempts < self.cfg.max_attempts {
-            self.stats.retries += 1;
-            ctx.schedule_in(
-                self.cfg.retry_delay,
-                ChaosEvent::Retry {
-                    req: Req {
-                        attempts: req.attempts + 1,
-                        ..req
-                    },
-                },
-            );
-        } else {
-            self.stats.dropped += 1;
-            self.oracle.request_dropped(ctx.now(), req.id);
-        }
-    }
-
-    /// Servers that would serve an unforwarded request for `shard`
-    /// right now. Process-up is the only qualifier — a zombie whose ZK
-    /// session expired behind a partition still counts, which is
-    /// exactly what self-fencing must prevent.
-    fn willing_count(&self, shard: ShardId) -> usize {
-        self.hosts
-            .values()
-            .filter(|h| h.process_up && h.kv.admit(shard, false) == AppResponse::Serve)
-            .count()
-    }
-
-    fn deliver(&mut self, req: Req, target: ServerId, hops: u8, ctx: &mut Ctx<'_, ChaosEvent>) {
-        if self.oracle.already_served(req.id) {
-            return;
-        }
-        let serving = self.hosts.get(&target).map(Host::serving).unwrap_or(false);
-        if !serving {
-            self.fail_or_retry(req, ctx);
-            return;
-        }
-        let response = self
-            .hosts
-            .get(&target)
-            .map(|h| h.kv.admit(req.shard, hops > 0))
-            .unwrap_or(AppResponse::NotMine);
-        match response {
-            AppResponse::Serve => self.serve(req, target, ctx),
-            AppResponse::Forward(next) if hops < 4 => {
-                self.stats.forwards += 1;
-                let t = self
-                    .net
-                    .transmit(Endpoint::Server(target.raw()), Endpoint::Server(next.raw()));
-                if t.copies.is_empty() {
-                    self.fail_or_retry(req, ctx);
-                    return;
-                }
-                for d in t.copies {
-                    ctx.schedule_in(
-                        d,
-                        ChaosEvent::Deliver {
-                            req,
-                            target: next,
-                            hops: hops + 1,
-                        },
-                    );
-                }
-            }
-            AppResponse::Forward(_) | AppResponse::NotMine => {
-                self.fail_or_retry(req, ctx);
-            }
-        }
-    }
-
-    fn serve(&mut self, req: Req, target: ServerId, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let now = ctx.now();
-        // The §3.2 invariant is checked at the moment it matters: when
-        // a request is actually served.
-        let willing = self.willing_count(req.shard);
-        self.oracle
-            .primaries_observed(now, req.shard.raw(), willing);
-        let app_key = AppKey::from_u64(req.key);
-        if req.write {
-            self.write_tag += 1;
-            let tag = self.write_tag;
-            if let Some(host) = self.hosts.get_mut(&target) {
-                host.kv.put(req.shard, app_key, tag.to_be_bytes().to_vec());
-            }
-            self.oracle.write_acked(req.key, tag);
-        } else {
-            let observed = self
-                .hosts
-                .get_mut(&target)
-                .and_then(|h| h.kv.get(req.shard, &app_key))
-                .and_then(|v| <[u8; 8]>::try_from(v.as_slice()).ok())
-                .map(u64::from_be_bytes);
-            self.oracle.read_served(now, req.key, observed);
-        }
-        self.oracle.request_served(req.id);
-        self.stats.served += 1;
-        let latency_ms = now.since(req.sent_at).as_millis_f64();
-        self.trace.record("latency_ms", now, latency_ms);
-    }
-
-    fn rpc_send(
-        &mut self,
-        id: u64,
-        server: ServerId,
-        rpc: ServerRpc,
-        ctx: &mut Ctx<'_, ChaosEvent>,
-    ) {
-        // A dead process never applies anything; a self-fenced server
-        // refuses shard placements (§3.2) until it re-registers. Either
-        // way the connection attempt fails fast and the failure travels
-        // back through the net like any other message. A duplicated
-        // copy of an already-executed command answers with the recorded
-        // outcome instead of re-dispatching (exactly-once apply per
-        // command attempt, as a request id gives a real RPC layer).
-        let ok = if let Some(&ok) = self.rpc_applied.get(&id) {
-            ok
-        } else {
-            let ok = match self.hosts.get_mut(&server) {
-                Some(h) if h.serving() => rpc.dispatch(&mut h.kv).is_ok(),
-                _ => false,
-            };
-            self.rpc_applied.insert(id, ok);
-            if ok {
-                // The server's hosted-shard set just changed — the
-                // instant a dual primary can first exist. Sweep now,
-                // not at the next poll.
-                ctx.state_changed();
-            }
-            ok
-        };
-        let t = self
-            .net
-            .transmit(Endpoint::Server(server.raw()), Endpoint::ControlPlane);
-        for d in t.copies {
-            ctx.schedule_in(
-                d,
-                ChaosEvent::RpcResult {
-                    id,
-                    server,
-                    rpc,
-                    ok,
-                },
-            );
-        }
-    }
-
-    fn rpc_result(
-        &mut self,
-        id: u64,
-        server: ServerId,
-        rpc: ServerRpc,
-        ok: bool,
-        ctx: &mut Ctx<'_, ChaosEvent>,
-    ) {
-        if self.outstanding.remove(&id).is_none() {
-            return; // duplicate copy or a result the timeout already reaped
-        }
-        let events = if ok {
-            self.cp.rpc_acked(&mut self.zk, server, rpc)
-        } else {
-            self.cp.rpc_failed(&mut self.zk, server, rpc)
-        };
-        self.dispatch_zk(events, ctx);
-        self.flush_commands(ctx);
-        ctx.state_changed();
-    }
-
-    fn rpc_timeout(&mut self, id: u64, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let Some((server, rpc)) = self.outstanding.remove(&id) else {
-            return; // answered in time
-        };
-        self.stats.rpc_timeouts += 1;
-        let events = self.cp.rpc_failed(&mut self.zk, server, rpc);
-        self.dispatch_zk(events, ctx);
-        self.flush_commands(ctx);
-        ctx.state_changed();
-    }
-
-    /// One server-side heartbeat step: check the self-fence deadline,
-    /// then beat / resign / re-register as the state demands. All
-    /// outbound messages go through the net, so a partitioned server's
-    /// beats genuinely vanish.
-    fn heartbeat_tick(&mut self, s: u32, ctx: &mut Ctx<'_, ChaosEvent>) {
-        if ctx.now() < self.cfg.end {
-            ctx.schedule_in(self.cfg.heartbeat_interval, ChaosEvent::HeartbeatTick(s));
-        }
-        let server = ServerId(s);
-        let now = ctx.now();
-        let Some(host) = self.hosts.get_mut(&server) else {
-            return;
-        };
-        if !host.process_up {
-            return;
-        }
-        if !host.fenced {
-            if host.lease.is_some() && host.fence.must_fence(now) {
-                // §3.2: heartbeat acks stopped long enough ago that a
-                // replacement primary may be imminent — wipe now, ask
-                // questions later. The DST mutation keeps serving
-                // instead, which the oracle must catch.
-                if self.cfg.disable_self_fencing {
-                    // intentionally broken: stale primary keeps serving
-                } else {
-                    host.kv.restart();
-                    host.fenced = true;
-                    self.stats.self_fences += 1;
-                    ctx.state_changed();
-                    return;
-                }
-            }
-            if host.lease.is_some() {
-                let t = self.net.transmit(Endpoint::Server(s), Endpoint::Zk);
-                for d in t.copies {
-                    ctx.schedule_in(d, ChaosEvent::BeatArrive(s));
-                }
-            }
-            return;
-        }
-        // Fenced: resign the still-live session so failover can start
-        // without waiting out the ZK timeout, or re-register once the
-        // old session is gone. Both can be eaten by a partition; the
-        // next tick retries.
-        if host.lease.is_some() {
-            let t = self.net.transmit(Endpoint::Server(s), Endpoint::Zk);
-            for d in t.copies {
-                ctx.schedule_in(d, ChaosEvent::ResignArrive(s));
-            }
-        } else {
-            let t = self.net.transmit(Endpoint::Server(s), Endpoint::Zk);
-            for d in t.copies {
-                ctx.schedule_in(d, ChaosEvent::RegisterArrive(s));
-            }
-        }
-    }
-
-    fn beat_arrive(&mut self, s: u32, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let server = ServerId(s);
-        let Some(host) = self.hosts.get(&server) else {
-            return;
-        };
-        if host.lease.is_none() {
-            return; // stale beat from a session ZK already expired
-        }
-        self.last_beat.insert(server, ctx.now());
-        let t = self.net.transmit(Endpoint::Zk, Endpoint::Server(s));
-        for d in t.copies {
-            ctx.schedule_in(d, ChaosEvent::BeatAck(s));
-        }
-    }
-
-    fn beat_ack(&mut self, s: u32, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let now = ctx.now();
-        if let Some(host) = self.hosts.get_mut(&ServerId(s)) {
-            host.fence.ack(now);
-        }
-    }
-
-    fn resign_arrive(&mut self, s: u32, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let Some(host) = self.hosts.get_mut(&ServerId(s)) else {
-            return;
-        };
-        let Some(lease) = host.lease.take() else {
-            return; // ZK's own expiry won the race
-        };
-        let events = lease.expire(&mut self.zk);
-        self.dispatch_zk(events, ctx);
-        ctx.state_changed();
-    }
-
-    fn register_arrive(&mut self, s: u32, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let server = ServerId(s);
-        let now = ctx.now();
-        let ready = self
-            .hosts
-            .get(&server)
-            .map(|h| h.process_up && h.lease.is_none())
-            .unwrap_or(false);
-        if !ready {
-            return; // raced a planned SessionRestore, or crashed meanwhile
-        }
-        if let Ok((lease, events)) = ServerLease::register(&mut self.zk, server) {
-            if let Some(host) = self.hosts.get_mut(&server) {
-                host.lease = Some(lease);
-                host.fenced = false;
-                host.fence.ack(now);
-            }
-            self.last_beat.insert(server, now);
-            self.dispatch_zk(events, ctx);
-            ctx.state_changed();
-        }
-    }
-
-    fn apply_fault(&mut self, fault: Fault, ctx: &mut Ctx<'_, ChaosEvent>) {
+    fn fault(&mut self, cx: &mut Cx<'_, '_>, fault: Fault) {
         match fault {
             Fault::ServerCrash(i) => {
                 let s = ServerId(i);
@@ -924,38 +820,26 @@ impl ChaosWorld {
                 host.process_up = false;
                 host.kv.restart();
                 host.fenced = false;
-                let expired = host.lease.take();
                 self.stats.server_crashes += 1;
-                if let Some(lease) = expired {
-                    // The process died; its TCP connection to ZK dies
-                    // with it and the session expires immediately.
-                    let events = lease.expire(&mut self.zk);
-                    self.dispatch_zk(events, ctx);
-                }
+                // The process died; its TCP connection to ZK dies with
+                // it and the session expires immediately.
+                self.expire_lease(s, cx);
             }
             Fault::ServerRestart(i) => {
                 let s = ServerId(i);
-                let up = self.hosts.get(&s).map(|h| h.process_up).unwrap_or(true);
-                if up {
+                let now = cx.now();
+                let Some(host) = self.hosts.get_mut(&s).filter(|h| !h.process_up) else {
                     return;
-                }
-                match ServerLease::register(&mut self.zk, s) {
-                    Ok((lease, events)) => {
-                        let now = ctx.now();
-                        if let Some(host) = self.hosts.get_mut(&s) {
-                            host.process_up = true;
-                            host.lease = Some(lease);
-                            host.fenced = false;
-                            host.fence = SelfFenceTimer::new(now, self.cfg.self_fence_timeout);
-                        }
-                        self.last_beat.insert(s, now);
-                        self.dispatch_zk(events, ctx);
-                    }
-                    Err(_) => {
-                        // Old session still registered; the restart
-                        // retries on the next plan entry (none in the
-                        // covering plan — expiry always precedes this).
-                    }
+                };
+                // (An `Err` means the old session is still registered;
+                // never in practice — expiry always precedes this.)
+                if let Ok((lease, events)) = ServerLease::register(&mut self.zk, s) {
+                    host.process_up = true;
+                    host.lease = Some(lease);
+                    host.fenced = false;
+                    host.fence = SelfFenceTimer::new(now, self.cfg.self_fence_timeout);
+                    self.last_beat.insert(s, now);
+                    dispatch_zk(events, cx);
                 }
             }
             Fault::SessionExpiry(i) => {
@@ -972,34 +856,13 @@ impl ChaosWorld {
                 // plane even observes the expiry.
                 host.kv.restart();
                 host.fenced = true;
-                let expired = host.lease.take();
                 self.stats.session_expiries += 1;
-                self.expired_sessions.insert(i);
-                if let Some(lease) = expired {
-                    let events = lease.expire(&mut self.zk);
-                    self.dispatch_zk(events, ctx);
-                }
+                self.extra.expired_sessions.insert(i);
+                self.expire_lease(s, cx);
             }
             Fault::SessionRestore(i) => {
-                let s = ServerId(i);
-                let needs = self
-                    .hosts
-                    .get(&s)
-                    .map(|h| h.process_up && h.lease.is_none())
-                    .unwrap_or(false);
-                if !needs {
-                    return; // the heartbeat loop already re-registered
-                }
-                if let Ok((lease, events)) = ServerLease::register(&mut self.zk, s) {
-                    let now = ctx.now();
-                    if let Some(host) = self.hosts.get_mut(&s) {
-                        host.lease = Some(lease);
-                        host.fenced = false;
-                        host.fence.ack(now);
-                    }
-                    self.last_beat.insert(s, now);
-                    self.dispatch_zk(events, ctx);
-                }
+                // A no-op when the heartbeat loop already re-registered.
+                self.reregister(ServerId(i), cx);
             }
             Fault::MiniSmCrash(i) => {
                 let id = MiniSmId(i);
@@ -1007,45 +870,31 @@ impl ChaosWorld {
                     return;
                 }
                 self.stats.minism_crashes += 1;
-                self.crashed_minisms.insert(i);
-                if self.recovering_since.is_none() {
-                    self.recovering_since = Some(ctx.now());
-                }
+                self.extra.crashed_minisms.insert(i);
+                self.recovering_since.get_or_insert(cx.now());
                 let events = self.cp.crash_minism(&mut self.zk, id);
-                self.dispatch_zk(events, ctx);
+                dispatch_zk(events, cx);
             }
             Fault::MiniSmRestart(i) => {
-                let id = MiniSmId(i);
-                if let Ok(events) = self.cp.restart_minism(&mut self.zk, id) {
-                    self.dispatch_zk(events, ctx);
+                if let Ok(events) = self.cp.restart_minism(&mut self.zk, MiniSmId(i)) {
+                    dispatch_zk(events, cx);
                 }
             }
-            Fault::PartitionStart(spec) => {
-                self.net.start_partition(spec);
+            Fault::PartitionStart(_) => {
                 self.stats.net_partitions += 1;
-                if self.recovering_since.is_none() {
-                    self.recovering_since = Some(ctx.now());
-                }
+                self.recovering_since.get_or_insert(cx.now());
             }
-            Fault::PartitionHeal => self.net.heal_partition(),
-            Fault::NetDegrade { drop_pct, dup_pct } => self
-                .net
-                .set_degradation(f64::from(drop_pct) / 100.0, f64::from(dup_pct) / 100.0),
-            Fault::NetHeal => self.net.heal_degradation(),
+            Fault::PartitionHeal | Fault::NetDegrade { .. } | Fault::NetHeal => {}
         }
     }
 
-    /// The oracle sweep body, run by the engine (change-driven plus a
-    /// coarse safety net — see [`World::sweep`]): ZK-side session
-    /// expiry, the dual-primary audit, recovery bookkeeping, and trace
-    /// points. Gated to the experiment window: after `end` the periodic
-    /// heartbeats have stopped by design, and sweeping the drain would
-    /// mass-expire healthy sessions that are merely no longer beating.
-    fn scan(&mut self, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let now = ctx.now();
-        if now > self.cfg.end {
-            return;
-        }
+    /// ZK-side session expiry, the dual-primary audit, recovery
+    /// bookkeeping, and trace points. (Not swept past `end`: the
+    /// periodic heartbeats have stopped by design, and sweeping the
+    /// drain would mass-expire healthy sessions that are merely no
+    /// longer beating.)
+    fn scan(&mut self, cx: &mut Cx<'_, '_>) {
+        let now = cx.now();
         // ZooKeeper-side session expiry: a server whose heartbeats
         // stopped arriving (partition, not crash) loses its ephemeral,
         // which is what lets the control plane fail its shards over.
@@ -1058,23 +907,19 @@ impl ChaosWorld {
                     && self
                         .last_beat
                         .get(s)
-                        .map(|&b| now.since(b) > timeout)
-                        .unwrap_or(true)
+                        .is_none_or(|&b| now.since(b) > timeout)
             })
             .map(|(s, _)| *s)
             .collect();
         for s in silent {
-            if let Some(lease) = self.hosts.get_mut(&s).and_then(|h| h.lease.take()) {
-                self.stats.zk_expiries += 1;
-                let events = lease.expire(&mut self.zk);
-                self.dispatch_zk(events, ctx);
-            }
+            self.stats.zk_expiries += 1;
+            self.expire_lease(s, cx);
         }
         // Dual-primary sweep: the continuous per-serve check sees every
         // served request; this sweep also sees shards with no traffic.
         for shard in (0..self.cfg.shards).map(ShardId) {
             let willing = self.willing_count(shard);
-            self.oracle.primaries_observed(now, shard.raw(), willing);
+            cx.oracle.primaries_observed(now, shard.raw(), willing);
             if willing > 1 {
                 self.stats.dual_primary += 1;
             }
@@ -1082,8 +927,9 @@ impl ChaosWorld {
         let unplaced = self.cp.unplaced().len();
         let in_flight = self.cp.in_flight_total();
         if let Some(started) = self.recovering_since {
-            if unplaced == 0 && in_flight == 0 && self.net.partition().is_none() {
-                self.recoveries_ms.push(now.since(started).as_millis_f64());
+            if unplaced == 0 && in_flight == 0 && cx.net.partition().is_none() {
+                let took = now.since(started).as_millis_f64();
+                self.extra.recoveries_ms.push(took);
                 self.recovering_since = None;
             }
         }
@@ -1092,17 +938,18 @@ impl ChaosWorld {
             .values()
             .filter(|h| !h.process_up || h.fenced || h.lease.is_none())
             .count();
-        self.trace.record("unplaced", now, unplaced as f64);
-        self.trace.record("in_flight", now, in_flight as f64);
-        self.trace.record("down_servers", now, down as f64);
-        self.trace
-            .record("served_total", now, self.stats.served as f64);
-        self.trace
-            .record("dropped_total", now, self.stats.dropped as f64);
-        self.trace
-            .record("minisms_up", now, self.cp.running_minisms().len() as f64);
-        self.trace
-            .record("net_blocked", now, self.net.stats().blocked as f64);
+        let minisms_up = self.cp.running_minisms().len();
+        for (series, value) in [
+            ("unplaced", unplaced as f64),
+            ("in_flight", in_flight as f64),
+            ("down_servers", down as f64),
+            ("served_total", self.stats.served as f64),
+            ("dropped_total", self.stats.dropped as f64),
+            ("minisms_up", minisms_up as f64),
+            ("net_blocked", cx.net.stats().blocked as f64),
+        ] {
+            cx.trace.record(series, now, value);
+        }
     }
 
     /// Quiescence checks, run once after the event queue drains: the
@@ -1110,11 +957,11 @@ impl ChaosWorld {
     /// placed with no stuck migrations, the client-visible router (as
     /// last refreshed by its periodic task) must agree with the
     /// assignment, and no request may have silently vanished.
-    fn finalize(&mut self) {
+    fn finish(mut self, wire: &mut Wire) -> Outcome<ChaosStats, ChaosExtra> {
         let at = self.cfg.end;
         let in_memory = self.cp.registry.snapshot();
         let durable = self.zk.get(paths::REGISTRY).ok().map(|(d, _)| d);
-        self.oracle
+        wire.oracle
             .quiescent_registry(at, &in_memory, durable.as_deref());
         let unplaced = self.cp.unplaced().len();
         let in_flight = self.cp.in_flight_total();
@@ -1128,181 +975,24 @@ impl ChaosWorld {
                 }
             }
         }
-        self.oracle
+        wire.oracle
             .convergence_check(at, unplaced, in_flight, divergence);
-        self.oracle.quiescent_drain_check(at);
-    }
-}
-
-impl World for ChaosWorld {
-    type Event = ChaosEvent;
-
-    fn handle(&mut self, ctx: &mut Ctx<'_, ChaosEvent>, event: ChaosEvent) {
-        match event {
-            ChaosEvent::ClientTick(c) => self.client_tick(c, ctx),
-            ChaosEvent::Deliver { req, target, hops } => self.deliver(req, target, hops, ctx),
-            ChaosEvent::Retry { req } => {
-                // Re-route via the freshest map the client can see.
-                self.refresh_router();
-                self.route(req, ctx);
-            }
-            ChaosEvent::RpcSend { id, server, rpc } => self.rpc_send(id, server, rpc, ctx),
-            ChaosEvent::RpcResult {
-                id,
-                server,
-                rpc,
-                ok,
-            } => self.rpc_result(id, server, rpc, ok, ctx),
-            ChaosEvent::RpcTimeout { id } => self.rpc_timeout(id, ctx),
-            ChaosEvent::ZkNotify(watch) => {
-                let events = self.cp.handle_event(&mut self.zk, &watch);
-                self.dispatch_zk(events, ctx);
-                self.flush_commands(ctx);
-                ctx.state_changed();
-            }
-            ChaosEvent::FaultHit(i) => {
-                if let Some((_, fault)) = self.plan.get(i).copied() {
-                    self.apply_fault(fault, ctx);
-                    self.flush_commands(ctx);
-                    ctx.state_changed();
-                }
-            }
-            ChaosEvent::RouterRefresh => {
-                if ctx.now() < self.cfg.end {
-                    ctx.schedule_in(SimDuration::from_millis(1000), ChaosEvent::RouterRefresh);
-                }
-                self.refresh_router();
-            }
-            ChaosEvent::HeartbeatTick(s) => self.heartbeat_tick(s, ctx),
-            ChaosEvent::BeatArrive(s) => self.beat_arrive(s, ctx),
-            ChaosEvent::BeatAck(s) => self.beat_ack(s, ctx),
-            ChaosEvent::ResignArrive(s) => self.resign_arrive(s, ctx),
-            ChaosEvent::RegisterArrive(s) => self.register_arrive(s, ctx),
+        wire.oracle.quiescent_drain_check(at);
+        self.extra.ha = self.cp.stats();
+        self.extra.initial_minisms = targeted_minisms(wire.plan()).len();
+        Outcome {
+            converged: self.cp.fully_placed() && in_flight == 0,
+            unplaced,
+            stats: self.stats,
+            extra: self.extra,
         }
     }
-
-    fn sweep(&mut self, ctx: &mut Ctx<'_, ChaosEvent>) {
-        self.scan(ctx);
-    }
-
-    fn sweep_interval(&self) -> Option<SimDuration> {
-        // Coarse safety net only: the interesting sweeps are the
-        // change-driven ones right after placement- or liveness-
-        // affecting events. ZK session expiry bounds how coarse this
-        // may get — well within a second of the 8s timeout is plenty.
-        Some(SimDuration::from_secs(1))
-    }
-}
-
-/// Outcome of one chaos run — everything the acceptance checks need.
-#[derive(Debug)]
-pub struct ChaosReport {
-    /// Traffic and fault counters.
-    pub stats: ChaosStats,
-    /// Control-plane counters (failovers, restores, fenced writes).
-    pub ha: HaStats,
-    /// Network delivery counters.
-    pub net: NetStats,
-    /// Invariant violations the oracle observed (empty on a safe run).
-    pub violations: Vec<OracleViolation>,
-    /// Total violations, uncapped (the list above is capped).
-    pub total_violations: u64,
-    /// Mini-SM ids crashed at least once.
-    pub crashed_minisms: BTreeSet<u32>,
-    /// Servers whose bare session expiry was injected.
-    pub expired_sessions: BTreeSet<u32>,
-    /// Completed control-plane recoveries, milliseconds each.
-    pub recoveries_ms: Vec<f64>,
-    /// Mini-SMs that existed at deployment (coverage denominator).
-    pub initial_minisms: usize,
-    /// True when, at the end, every shard was placed with no stuck
-    /// migrations.
-    pub converged: bool,
-    /// Shards lacking a primary at the end (diagnostics; 0 expected).
-    pub unplaced: usize,
-    /// The fault plan the run executed (replay/shrink input).
-    pub plan: Vec<(SimTime, Fault)>,
-    /// The run's time-series trace, rendered as CSV (5 s buckets) —
-    /// byte-identical across reruns of the same seed and plan.
-    pub trace_csv: String,
 }
 
 /// Runs one seeded chaos experiment to completion and reports. The
 /// fault plan derives from the config (covering or profile).
 pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
-    run_chaos_queued(cfg, QueueKind::default())
-}
-
-/// [`run_chaos`] on an explicit engine queue implementation — the
-/// differential-testing entry point (both kinds must produce
-/// byte-identical reports).
-pub fn run_chaos_queued(cfg: ChaosConfig, kind: QueueKind) -> ChaosReport {
-    run_world(ChaosWorld::new(cfg), cfg, kind)
-}
-
-/// Runs a chaos experiment with an explicit fault plan — the
-/// replay/shrink path. The plan must be time-sorted.
-pub fn run_chaos_with_plan(cfg: ChaosConfig, plan: Vec<(SimTime, Fault)>) -> ChaosReport {
-    run_chaos_with_plan_queued(cfg, plan, QueueKind::default())
-}
-
-/// [`run_chaos_with_plan`] on an explicit engine queue implementation.
-pub fn run_chaos_with_plan_queued(
-    cfg: ChaosConfig,
-    plan: Vec<(SimTime, Fault)>,
-    kind: QueueKind,
-) -> ChaosReport {
-    run_world(ChaosWorld::new_with_plan(cfg, plan), cfg, kind)
-}
-
-fn run_world(world: ChaosWorld, cfg: ChaosConfig, kind: QueueKind) -> ChaosReport {
-    let plan_times: Vec<SimTime> = world.plan.iter().map(|(at, _)| *at).collect();
-    let mut sim = Simulation::with_queue(world, cfg.seed, kind);
-    for (i, at) in plan_times.iter().enumerate() {
-        sim.schedule_at(*at, ChaosEvent::FaultHit(i));
-    }
-    for c in 0..cfg.clients {
-        sim.schedule_at(SimTime::from_secs(5), ChaosEvent::ClientTick(c));
-    }
-    sim.schedule_at(SimTime::from_secs(1), ChaosEvent::RouterRefresh);
-    for s in 0..cfg.servers {
-        // Staggered start so the fleet's heartbeats don't all land on
-        // the same instant.
-        sim.schedule_at(
-            SimTime::from_millis(1_000 + 7 * u64::from(s)),
-            ChaosEvent::HeartbeatTick(s),
-        );
-    }
-    sim.run_until(cfg.end);
-    // Periodic events stop at `end`; whatever remains is in-flight
-    // requests and timers draining against a healthy fleet.
-    sim.run();
-    let mut world = sim.into_world();
-    world.finalize();
-    let converged = world.converged();
-    ChaosReport {
-        stats: world.stats,
-        ha: world.ha_stats(),
-        net: world.net.stats(),
-        violations: world.oracle.violations().to_vec(),
-        total_violations: world.oracle.total_violations(),
-        crashed_minisms: world.crashed_minisms.clone(),
-        expired_sessions: world.expired_sessions.clone(),
-        recoveries_ms: world.recoveries_ms.clone(),
-        initial_minisms: world
-            .plan
-            .iter()
-            .filter_map(|(_, f)| match f {
-                Fault::MiniSmCrash(m) => Some(*m),
-                _ => None,
-            })
-            .collect::<BTreeSet<u32>>()
-            .len(),
-        converged,
-        unplaced: world.unplaced_count(),
-        plan: world.plan.clone(),
-        trace_csv: world.trace.to_csv(5),
-    }
+    kit::run::<Chaos>(cfg, None, QueueKind::default())
 }
 
 #[cfg(test)]
@@ -1311,34 +1001,30 @@ mod tests {
 
     #[test]
     fn world_bootstraps_fully_placed() {
-        let mut w = ChaosWorld::new(ChaosConfig::covering(1));
+        let mut w = Chaos::build(ChaosConfig::covering(1));
         // Initial placement happens synchronously at deploy; commands
         // are still in flight but every shard has an assignment.
         assert!(w.cp.fully_placed(), "unplaced: {:?}", w.cp.unplaced());
-        assert!(w.running_minisms() >= 2, "want several mini-SMs");
+        assert!(w.cp.running_minisms().len() >= 2, "want several mini-SMs");
         assert_eq!(w.router.len(), w.cfg.shards as usize);
     }
 
     #[test]
     fn plan_targets_every_initial_minism() {
-        let w = ChaosWorld::new(ChaosConfig::covering(7));
-        let targeted: BTreeSet<u32> = w
-            .plan
-            .iter()
-            .filter_map(|(_, f)| match f {
-                Fault::MiniSmCrash(m) => Some(*m),
-                _ => None,
-            })
-            .collect();
+        let w = Chaos::build(ChaosConfig::covering(7));
         let running: BTreeSet<u32> = w.cp.running_minisms().iter().map(|m| m.raw()).collect();
-        assert_eq!(targeted, running, "dense ids let the plan cover all");
+        assert_eq!(
+            targeted_minisms(&w.default_plan()),
+            running,
+            "dense ids let the plan cover all"
+        );
     }
 
     #[test]
     fn dst_profile_plans_inject_their_net_faults() {
-        let w = ChaosWorld::new(ChaosConfig::dst(3, FaultProfile::AsymPartition));
+        let w = Chaos::build(ChaosConfig::dst(3, FaultProfile::AsymPartition));
         let parts = w
-            .plan
+            .default_plan()
             .iter()
             .filter(|(_, f)| matches!(f, Fault::PartitionStart(p) if p.asym))
             .count();

@@ -1,151 +1,18 @@
-//! Deterministic simulation testing: seed swarms, fault-plan
-//! shrinking, and replayable reproducers.
+//! Fault-plan shrinking and the reproducer JSON primitives the world
+//! kit ([`crate::kit`]) builds its `shrink` and codec on.
 //!
-//! A DST run is one seeded chaos experiment ([`crate::run_chaos`]) in
-//! the compact [`ChaosConfig::dst`] shape, judged solely by its
-//! invariant [`sm_sim::Oracle`]. The swarm runner explores a grid of
-//! `(seed, fault profile)` jobs; because every run is a pure function
-//! of its config and plan, results are byte-identical no matter how
-//! many worker threads execute the grid ([`run_swarm`] reorders nothing
-//! — each job's report lands at its input index).
-//!
-//! When a run fails, [`shrink`] reduces its fault plan to a minimal
+//! [`shrink_plan`] reduces a failing fault plan to a minimal
 //! reproducer: ddmin-style binary-search removal of whole fault groups
 //! (a fault and its paired recovery travel together, so every candidate
 //! plan is well-formed), then per-group time-window narrowing that
-//! binary-searches each surviving recovery toward its fault. The result
-//! round-trips through [`repro_to_json`] / [`repro_from_json`] so a
-//! failure found by the swarm binary can be replayed in a test or a
-//! debugger with nothing but the JSON string.
+//! binary-searches each surviving recovery toward its fault. The JSON
+//! half is a hand-rolled value parser plus the [`Fault`] codec — the
+//! workspace is std-only.
 
-use crate::chaos::{run_chaos, run_chaos_queued, run_chaos_with_plan, ChaosConfig, ChaosReport};
-use sm_sim::faults::{Fault, FaultProfile};
+use sm_sim::faults::Fault;
 use sm_sim::net::PartitionSpec;
-use sm_sim::oracle::InvariantKind;
-use sm_sim::QueueKind;
 use sm_sim::SimTime;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// One cell of the swarm grid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DstConfig {
-    /// Seed for the run (traffic, plan, and network draws).
-    pub seed: u64,
-    /// Fault-plan profile to derive the plan from.
-    pub profile: FaultProfile,
-    /// The documented fencing mutation: when set, servers skip the
-    /// §3.2 self-fence and keep serving on stale leases. Used only to
-    /// prove the oracle catches the resulting violations.
-    pub disable_self_fencing: bool,
-}
-
-impl DstConfig {
-    /// A healthy (mutation-free) cell.
-    pub fn new(seed: u64, profile: FaultProfile) -> Self {
-        Self {
-            seed,
-            profile,
-            disable_self_fencing: false,
-        }
-    }
-
-    fn chaos(&self) -> ChaosConfig {
-        let mut cfg = ChaosConfig::dst(self.seed, self.profile);
-        cfg.disable_self_fencing = self.disable_self_fencing;
-        cfg
-    }
-}
-
-/// Outcome of one DST run.
-#[derive(Debug)]
-pub struct DstReport {
-    /// The grid cell that produced this report.
-    pub cfg: DstConfig,
-    /// The underlying chaos run's full report.
-    pub chaos: ChaosReport,
-}
-
-impl DstReport {
-    /// True when the oracle observed at least one invariant violation.
-    pub fn failed(&self) -> bool {
-        self.chaos.total_violations > 0
-    }
-
-    /// The distinct invariant kinds violated.
-    pub fn violated_kinds(&self) -> BTreeSet<InvariantKind> {
-        self.chaos.violations.iter().map(|v| v.kind).collect()
-    }
-
-    /// A canonical one-line-per-violation rendering — two runs have
-    /// "identical oracle verdicts" iff these strings are equal.
-    pub fn verdict(&self) -> String {
-        let mut out = format!("total={}\n", self.chaos.total_violations);
-        for v in &self.chaos.violations {
-            out.push_str(&format!("{} {} {}\n", v.at.0, v.kind.name(), v.detail));
-        }
-        out
-    }
-}
-
-/// Runs one grid cell with its seed-derived fault plan.
-pub fn run_dst(cfg: DstConfig) -> DstReport {
-    DstReport {
-        cfg,
-        chaos: run_chaos(cfg.chaos()),
-    }
-}
-
-/// [`run_dst`] on an explicit engine queue implementation — the
-/// differential-testing entry point (both kinds must produce
-/// byte-identical reports).
-pub fn run_dst_queued(cfg: DstConfig, kind: QueueKind) -> DstReport {
-    DstReport {
-        cfg,
-        chaos: run_chaos_queued(cfg.chaos(), kind),
-    }
-}
-
-/// Runs one grid cell with an explicit (edited) fault plan — the
-/// replay and shrink path.
-pub fn run_dst_with_plan(cfg: DstConfig, plan: Vec<(SimTime, Fault)>) -> DstReport {
-    DstReport {
-        cfg,
-        chaos: run_chaos_with_plan(cfg.chaos(), plan),
-    }
-}
-
-/// Runs every job in the grid and returns reports in input order.
-///
-/// Each run is single-threaded and pure, so `threads` changes only
-/// wall-clock time: report `i` is always the run of `jobs[i]`, and its
-/// trace and verdict are byte-identical whether `threads` is 1 or 16.
-pub fn run_swarm(jobs: &[DstConfig], threads: usize) -> Vec<DstReport> {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(|&cfg| run_dst(cfg)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<DstReport>>> = Mutex::new((0..jobs.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&cfg) = jobs.get(i) else { break };
-                let report = run_dst(cfg);
-                if let Ok(mut slots) = slots.lock() {
-                    slots[i] = Some(report);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_default()
-        .into_iter()
-        .map(|r| r.expect("every job index was claimed by exactly one worker"))
-        .collect()
-}
 
 /// A fault and the recovery that undoes it, kept atomic during
 /// shrinking so every candidate plan stays well-formed (no unhealed
@@ -157,14 +24,13 @@ type FaultGroup = Vec<(SimTime, Fault)>;
 /// target index, for per-server and per-mini-SM faults); anything left
 /// unpaired becomes a singleton group.
 fn group_plan(plan: &[(SimTime, Fault)]) -> Vec<FaultGroup> {
-    let mut used = vec![false; plan.len()];
+    // Indices of recoveries already claimed by an earlier hit.
+    let mut claimed = BTreeSet::new();
     let mut groups = Vec::new();
-    for i in 0..plan.len() {
-        if used[i] {
+    for (i, &(at, fault)) in plan.iter().enumerate() {
+        if claimed.contains(&i) {
             continue;
         }
-        used[i] = true;
-        let (at, fault) = plan[i];
         let recovery = |g: &Fault| match (fault, g) {
             (Fault::ServerCrash(a), Fault::ServerRestart(b)) => a == *b,
             (Fault::SessionExpiry(a), Fault::SessionRestore(b)) => a == *b,
@@ -175,9 +41,11 @@ fn group_plan(plan: &[(SimTime, Fault)]) -> Vec<FaultGroup> {
         };
         let mut group = vec![(at, fault)];
         if fault.is_hit() {
-            if let Some(j) = (i + 1..plan.len()).find(|&j| !used[j] && recovery(&plan[j].1)) {
-                used[j] = true;
-                group.push(plan[j]);
+            let mut later = plan.iter().enumerate().skip(i + 1);
+            let paired = later.find(|(j, (_, g))| !claimed.contains(j) && recovery(g));
+            if let Some((j, &entry)) = paired {
+                claimed.insert(j);
+                group.push(entry);
             }
         }
         groups.push(group);
@@ -191,44 +59,16 @@ fn flatten(groups: &[FaultGroup]) -> Vec<(SimTime, Fault)> {
     plan
 }
 
-/// Whether replaying `plan` still reproduces at least one violation of
-/// one of the originally observed invariant kinds. Requiring a kind
-/// match keeps the shrinker from wandering onto an unrelated failure.
-fn still_fails(cfg: DstConfig, plan: &[(SimTime, Fault)], kinds: &BTreeSet<InvariantKind>) -> bool {
-    let report = run_dst_with_plan(cfg, plan.to_vec());
-    report
-        .chaos
-        .violations
-        .iter()
-        .any(|v| kinds.contains(&v.kind))
-}
-
-/// Shrinks a failing fault plan to a minimal reproducer.
+/// The world-agnostic shrinking core: driven entirely by the caller's
+/// `still_fails` predicate, so any harness that executes a
+/// `(SimTime, Fault)` plan can shrink its failures through it.
 ///
 /// Stage 1 is ddmin-style group removal: fault+recovery pairs are
-/// removed in binary-search-sized chunks, re-running the simulation on
-/// each candidate and keeping any candidate that still violates one of
-/// the original invariant kinds, down to chunks of a single group.
-/// Stage 2 narrows time windows: for each surviving pair, the recovery
-/// time is binary-searched toward the fault (to 1 s resolution), so the
+/// removed in binary-search-sized chunks, keeping any candidate the
+/// predicate accepts, down to chunks of a single group. Stage 2 narrows
+/// time windows: for each surviving pair, the recovery time is
+/// binary-searched toward the fault (to 1 s resolution), so the
 /// reproducer also tells you *how long* the fault must last.
-///
-/// Returns `None` when the original plan does not fail (nothing to
-/// shrink).
-pub fn shrink(cfg: DstConfig, plan: &[(SimTime, Fault)]) -> Option<Vec<(SimTime, Fault)>> {
-    let baseline = run_dst_with_plan(cfg, plan.to_vec());
-    let kinds = baseline.violated_kinds();
-    if kinds.is_empty() {
-        return None;
-    }
-    shrink_plan(plan, |candidate| still_fails(cfg, candidate, &kinds))
-}
-
-/// The world-agnostic shrinking core behind [`shrink`]: ddmin-style
-/// group removal followed by recovery-time narrowing, driven entirely
-/// by the caller's `still_fails` predicate. Any harness that executes a
-/// `(SimTime, Fault)` plan — the chaos world, the reconfiguration world
-/// — can shrink its failures through this one implementation.
 ///
 /// `still_fails` must return true for a candidate plan that still
 /// reproduces the original failure; the shrinker never assumes
@@ -278,23 +118,28 @@ pub fn shrink_plan(
     // earlier while the plan still fails.
     let resolution = 1_000_000; // 1 s in µs
     for gi in 0..groups.len() {
-        if groups[gi].len() != 2 {
+        let Some(&[(hit, _), (recovery, _)]) = groups.get(gi).map(Vec::as_slice) else {
             continue;
-        }
-        let hit = groups[gi][0].0 .0;
-        let mut lo = hit; // known-passing boundary (zero-length fault)
-        let mut hi = groups[gi][1].0 .0; // known-failing recovery time
+        };
+        // Replaying the plan with group `gi`'s recovery moved to `at`.
+        let moved = |groups: &mut [FaultGroup], at: u64| {
+            if let Some((when, _)) = groups.get_mut(gi).and_then(|g| g.get_mut(1)) {
+                *when = SimTime(at);
+            }
+        };
+        let mut lo = hit.0; // known-passing boundary (zero-length fault)
+        let mut hi = recovery.0; // known-failing recovery time
         while hi - lo > resolution {
             let mid = lo + (hi - lo) / 2;
             let mut candidate = groups.clone();
-            candidate[gi][1].0 = SimTime(mid);
+            moved(&mut candidate, mid);
             if still_fails(&flatten(&candidate)) {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
-        groups[gi][1].0 = SimTime(hi);
+        moved(&mut groups, hi);
     }
 
     Some(flatten(&groups))
@@ -323,22 +168,6 @@ pub(crate) fn fault_to_json(fault: Fault) -> String {
         Fault::PartitionHeal | Fault::NetHeal => {}
     }
     format!("{{{fields}}}")
-}
-
-/// Serializes a reproducer — the grid cell plus its (possibly shrunk)
-/// fault plan — as a self-contained JSON document.
-pub fn repro_to_json(cfg: DstConfig, plan: &[(SimTime, Fault)]) -> String {
-    let events: Vec<String> = plan
-        .iter()
-        .map(|(at, f)| format!("    {{\"at_us\":{},\"fault\":{}}}", at.0, fault_to_json(*f)))
-        .collect();
-    format!(
-        "{{\n  \"seed\": {},\n  \"profile\": \"{}\",\n  \"disable_self_fencing\": {},\n  \"plan\": [\n{}\n  ]\n}}\n",
-        cfg.seed,
-        cfg.profile.name(),
-        cfg.disable_self_fencing,
-        events.join(",\n")
-    )
 }
 
 /// A minimal JSON value — just enough for reproducer documents.
@@ -415,7 +244,7 @@ impl<'a> Parser<'a> {
 
     fn lit(&mut self, s: &str) -> Option<()> {
         self.ws();
-        if self.bytes[self.pos..].starts_with(s.as_bytes()) {
+        if self.bytes.get(self.pos..)?.starts_with(s.as_bytes()) {
             self.pos += s.len();
             Some(())
         } else {
@@ -428,7 +257,7 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
+                let s = std::str::from_utf8(self.bytes.get(start..self.pos)?).ok()?;
                 // Reproducer strings are plain identifiers; escapes are
                 // out of scope for this parser.
                 if s.contains('\\') {
@@ -452,7 +281,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        std::str::from_utf8(self.bytes.get(start..self.pos)?)
             .ok()?
             .parse()
             .ok()
@@ -542,85 +371,9 @@ pub(crate) fn fault_from_json(v: &Json) -> Option<Fault> {
     }
 }
 
-/// Parses a reproducer document produced by [`repro_to_json`]. Returns
-/// `None` on any malformed input (never panics).
-pub fn repro_from_json(text: &str) -> Option<(DstConfig, Vec<(SimTime, Fault)>)> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let doc = parser.value()?;
-    let cfg = DstConfig {
-        seed: doc.get("seed")?.as_u64()?,
-        profile: FaultProfile::parse(doc.get("profile")?.as_str()?)?,
-        disable_self_fencing: doc.get("disable_self_fencing")?.as_bool()?,
-    };
-    let Json::Arr(events) = doc.get("plan")? else {
-        return None;
-    };
-    let mut plan = Vec::with_capacity(events.len());
-    for e in events {
-        let at = SimTime(e.get("at_us")?.as_u64()?);
-        plan.push((at, fault_from_json(e.get("fault")?)?));
-    }
-    Some((cfg, plan))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn repro_json_round_trips_every_fault_kind() {
-        let cfg = DstConfig {
-            seed: 42,
-            profile: FaultProfile::Mixed,
-            disable_self_fencing: true,
-        };
-        let plan = vec![
-            (SimTime::from_secs(10), Fault::ServerCrash(3)),
-            (SimTime::from_secs(12), Fault::SessionExpiry(4)),
-            (SimTime::from_secs(13), Fault::MiniSmCrash(1)),
-            (
-                SimTime::from_secs(14),
-                Fault::PartitionStart(PartitionSpec {
-                    lo: 2,
-                    len: 3,
-                    asym: true,
-                }),
-            ),
-            (
-                SimTime::from_secs(15),
-                Fault::NetDegrade {
-                    drop_pct: 5,
-                    dup_pct: 3,
-                },
-            ),
-            (SimTime::from_secs(20), Fault::NetHeal),
-            (SimTime::from_secs(21), Fault::PartitionHeal),
-            (SimTime::from_secs(22), Fault::MiniSmRestart(1)),
-            (SimTime::from_secs(23), Fault::SessionRestore(4)),
-            (SimTime::from_secs(24), Fault::ServerRestart(3)),
-        ];
-        let json = repro_to_json(cfg, &plan);
-        let (cfg2, plan2) = repro_from_json(&json).expect("own output parses");
-        assert_eq!(cfg, cfg2);
-        assert_eq!(plan, plan2);
-    }
-
-    #[test]
-    fn repro_parser_rejects_garbage_without_panicking() {
-        for bad in [
-            "",
-            "{",
-            "[1,2",
-            "{\"seed\": \"x\"}",
-            "{\"seed\":1,\"profile\":\"nope\",\"disable_self_fencing\":false,\"plan\":[]}",
-            "{\"seed\":1,\"profile\":\"mixed\",\"disable_self_fencing\":false,\"plan\":[{\"at_us\":1,\"fault\":{\"kind\":\"warp\"}}]}",
-        ] {
-            assert!(repro_from_json(bad).is_none(), "accepted: {bad}");
-        }
-    }
 
     #[test]
     fn grouping_pairs_hits_with_their_recoveries() {
@@ -643,17 +396,5 @@ mod tests {
         assert_eq!(groups[1].len(), 2, "partition pairs with heal");
         // Flatten restores time order across interleaved groups.
         assert_eq!(flatten(&groups), plan);
-    }
-
-    #[test]
-    fn swarm_reports_land_at_their_input_index() {
-        let jobs = vec![
-            DstConfig::new(11, FaultProfile::CrashOnly),
-            DstConfig::new(12, FaultProfile::CrashOnly),
-        ];
-        let reports = run_swarm(&jobs, 2);
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].cfg.seed, 11);
-        assert_eq!(reports[1].cfg.seed, 12);
     }
 }

@@ -19,12 +19,31 @@
 //! [`harness`] wires applications, the cluster manager, ZooKeeper,
 //! the orchestrator, the TaskController, and service discovery into one
 //! deterministic simulation world.
+//!
+//! The seeded chaos worlds are scenarios on one world kit:
+//!
+//! - [`kit`] — the single copy of the chaos-world plumbing: the
+//!   simulated net, the idempotent control-plane RPC exchange
+//!   ([`sm_core::exchange`]), the fault applier and failure detector,
+//!   the run driver [`run`], [`shrink`], [`run_grid`], the reproducer
+//!   codec, and the [`Report`] — generic over a small, statically
+//!   dispatched [`Scenario`] trait.
+//! - [`chaos`] — the ZooKeeper-backed HA control plane under mini-SM
+//!   crashes, session expiries, partitions and lossy nets (its
+//!   [`ChaosConfig::dst`] shape is the DST swarm's cell).
+//! - [`reconfig`] — joint-consensus membership changes under
+//!   drain/undrain churn.
+//! - [`split`] — adaptive shard splitting and merging under a skew
+//!   storm.
+//! - [`dst`] — the ddmin plan-shrinking core and the JSON primitives
+//!   the kit's `shrink` and codec build on.
 
 pub mod chaos;
 pub mod databus;
 pub mod dst;
 pub mod forwarding;
 pub mod harness;
+pub mod kit;
 pub mod kv;
 pub mod queue;
 pub mod reconfig;
@@ -33,26 +52,14 @@ pub mod replstore;
 pub mod split;
 pub mod stream;
 
-pub use chaos::{
-    run_chaos, run_chaos_queued, run_chaos_with_plan, run_chaos_with_plan_queued, ChaosConfig,
-    ChaosReport, ChaosStats, ChaosWorld,
-};
-pub use dst::{
-    repro_from_json, repro_to_json, run_dst, run_dst_queued, run_dst_with_plan, run_swarm, shrink,
-    shrink_plan, DstConfig, DstReport,
-};
+pub use chaos::{run_chaos, Chaos, ChaosConfig, ChaosReport, ChaosStats};
+pub use dst::shrink_plan;
 pub use forwarding::{AppResponse, ShardHost};
 pub use harness::{ExperimentConfig, SimWorld, WorldEvent, WorldStats};
+pub use kit::{repro_from_json, repro_to_json, run, run_grid, shrink, Report, Scenario};
 pub use kv::{ExternalStore, KvServer};
 pub use queue::QueueServer;
-pub use reconfig::{
-    reconfig_repro_from_json, reconfig_repro_to_json, run_reconfig, run_reconfig_queued,
-    run_reconfig_with_plan, shrink_reconfig, ReconfigConfig, ReconfigReport, ReconfigStats,
-    ReconfigWorld,
-};
+pub use reconfig::{run_reconfig, Reconfig, ReconfigConfig, ReconfigReport, ReconfigStats};
 pub use replstore::ReplStoreServer;
-pub use split::{
-    run_split, run_split_queued, run_split_swarm, run_split_with_plan, shrink_split,
-    split_repro_from_json, split_repro_to_json, SplitConfig, SplitReport, SplitStats, SplitWorld,
-};
+pub use split::{run_split, Split, SplitConfig, SplitReport, SplitStats};
 pub use stream::StreamServer;

@@ -6,11 +6,12 @@
 //! and partitions islands specifically during in-flight
 //! reconfigurations.
 //!
-//! The world wires a bare [`Orchestrator`] (no ZooKeeper: the HA layer
-//! is exercised by [`crate::chaos`]; this world isolates the
-//! replication safety argument) to a fleet of replicated-store servers
-//! sharing per-shard [`ReplicationGroup`]s. Control-plane RPCs travel
-//! through a [`SimNet`] with correlation ids and give-up timers, so a
+//! The [`Reconfig`] scenario wires a bare [`Orchestrator`] (no
+//! ZooKeeper: the HA layer is exercised by [`crate::chaos`]; this world
+//! isolates the replication safety argument) to a fleet of
+//! replicated-store servers sharing per-shard [`ReplicationGroup`]s.
+//! Control-plane RPCs travel through the kit's net with correlation ids
+//! and give-up timers ([`crate::kit`]), so a
 //! partitioned or crashed server produces genuine nacks and timeouts —
 //! which abort migrations mid-flight, exactly the interruptions the
 //! joint-consensus protocol must survive. Network partitions are
@@ -36,18 +37,19 @@
 //! whole run is a pure function of `(config, plan)`: same seed and
 //! plan, identical verdict and stats.
 
-use crate::dst::{fault_from_json, fault_to_json, shrink_plan, Json, Parser};
+use crate::kit::{
+    self, Change, Fleet, FleetState, Outcome, Params, Plan, Report, Resolution, Scenario, Wire,
+};
 use crate::replication::ReplicationGroup;
 use crate::replstore::{shared_groups, ReplStoreServer, SharedGroups};
-use sm_allocator::{AllocConfig, MoveCaps};
-use sm_core::{OrchCommand, Orchestrator, OrchestratorConfig, ServerRpc};
+use sm_allocator::MoveCaps;
+use sm_core::exchange::Host;
+use sm_core::{OrchCommand, Orchestrator, ServerRpc};
 use sm_sim::faults::{fault_plan, Fault, FaultProfile};
-use sm_sim::net::{Endpoint, NetStats, SimNet};
-use sm_sim::oracle::{InvariantKind, Oracle, OracleViolation};
-use sm_sim::{Ctx, LatencyModel, QueueKind, SimDuration, SimTime, Simulation, TraceLog, World};
-use sm_types::{
-    AppId, AppPolicy, LoadVector, Location, MachineId, Metric, RegionId, ServerId, ShardId,
-};
+use sm_sim::net::Endpoint;
+use sm_sim::oracle::Oracle;
+use sm_sim::{QueueKind, SimDuration, SimTime};
+use sm_types::{AppId, AppPolicy, LoadVector, Metric, ServerId, ShardId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Shape of one reconfiguration-chaos run. The fault schedule derives
@@ -88,7 +90,8 @@ pub struct ReconfigConfig {
     pub profile: FaultProfile,
     /// DST mutation switch: replace joint membership changes with
     /// unsafe single-step swaps. Never set outside `tests/reconfig.rs`
-    /// — it exists to prove `ReplicaSetAgreement` has teeth.
+    /// and the swarm's `--mutate` — it exists to prove
+    /// `ReplicaSetAgreement` has teeth.
     pub single_step: bool,
 }
 
@@ -115,7 +118,8 @@ impl ReconfigConfig {
     }
 }
 
-/// Event alphabet of the reconfiguration world.
+/// Event alphabet of the reconfiguration scenario (the kit carries
+/// RPCs, fault hits, timeouts, and the failure detector).
 #[derive(Debug)]
 pub enum ReconfigEvent {
     /// Client `i` issues its next write.
@@ -124,36 +128,6 @@ pub enum ReconfigEvent {
     ReplicateTick,
     /// Drain a random server or welcome the previous one back.
     ChurnTick,
-    /// A control-plane RPC reaches its server.
-    RpcSend {
-        /// Correlation id for timeout/duplicate handling.
-        id: u64,
-        /// Target server.
-        server: ServerId,
-        /// The RPC payload.
-        rpc: ServerRpc,
-    },
-    /// The server's ack (or failure) reaches the control plane.
-    RpcResult {
-        /// Correlation id; late or duplicate results are ignored.
-        id: u64,
-        /// Answering server.
-        server: ServerId,
-        /// The RPC being answered.
-        rpc: ServerRpc,
-        /// Whether the server applied it.
-        ok: bool,
-    },
-    /// The control plane gives up on an unanswered RPC.
-    RpcTimeout {
-        /// Correlation id; a no-op if the result already arrived.
-        id: u64,
-    },
-    /// The control plane's failure detector declares an islanded
-    /// server dead (fires a few seconds into a partition).
-    DetectDown(u32),
-    /// The i-th entry of the fault plan fires.
-    FaultHit(usize),
     /// Retry pacemaker: re-issue nacked or timed-out migration steps
     /// and plan replacements on a fixed 500ms backoff. (The invariant
     /// audit itself is an engine-scheduled sweep, not an event.)
@@ -197,13 +171,8 @@ pub struct ReconfigStats {
     pub net_partitions: u64,
 }
 
-/// One application server process: the replicated store plus process
-/// liveness (its logs — durable storage — live in the shared groups
-/// and survive a crash).
-struct ReplHost {
-    server: ReplStoreServer,
-    up: bool,
-}
+/// Outcome of one reconfiguration-chaos run.
+pub type ReconfigReport = Report<ReconfigStats>;
 
 /// A write appended at a primary, awaiting its commit before the
 /// client may be acked.
@@ -226,44 +195,26 @@ enum Probe {
     Gone,
 }
 
-fn loc(s: u32) -> Location {
-    Location {
-        region: RegionId(0),
-        datacenter: 0,
-        rack: s,
-        machine: MachineId(s),
-    }
+/// One voter-set configuration with ids flattened for the oracle.
+type FlatConfig = Vec<BTreeSet<u64>>;
+
+fn flat(config: Vec<BTreeSet<ServerId>>) -> FlatConfig {
+    let ids = |set: BTreeSet<ServerId>| set.into_iter().map(|id| u64::from(id.raw())).collect();
+    config.into_iter().map(ids).collect()
 }
 
-fn orch_config() -> OrchestratorConfig {
-    OrchestratorConfig {
-        graceful_migration: true,
-        move_caps: MoveCaps {
-            max_total: 1000,
-            max_per_server: 1000,
-            max_per_shard: 1,
-        },
-        alloc: AllocConfig::new(vec![Metric::ShardCount.id()]),
-        skip_cutover_ack: false,
-    }
-}
+/// What the scenario's handlers work through.
+type Cx<'a, 'c> = kit::Cx<'a, 'c, ReconfigEvent>;
 
-/// The reconfiguration-chaos simulation world.
-pub struct ReconfigWorld {
+/// The reconfiguration-chaos scenario. Process liveness lives in the
+/// kit's `FleetState`; a server's logs — durable storage — live in
+/// the shared groups and survive a crash.
+pub struct Reconfig {
     cfg: ReconfigConfig,
     cp: Orchestrator,
     groups: SharedGroups,
-    hosts: BTreeMap<ServerId, ReplHost>,
-    net: SimNet,
-    oracle: Oracle,
-    plan: Vec<(SimTime, Fault)>,
-    /// Correlation ids of control-plane RPCs awaiting an answer.
-    outstanding: BTreeMap<u64, (ServerId, ServerRpc)>,
-    /// Correlation ids already executed at a server, with the recorded
-    /// outcome: duplicated request copies answer from here instead of
-    /// re-running the migration step (see the chaos world's twin field).
-    rpc_applied: BTreeMap<u64, bool>,
-    next_rpc: u64,
+    hosts: BTreeMap<ServerId, ReplStoreServer>,
+    fleet: FleetState,
     /// Monotone write counter: the payload of every write and the tag
     /// the oracle checks the acked set against.
     write_tag: u64,
@@ -275,173 +226,21 @@ pub struct ReconfigWorld {
     chain_lens: BTreeMap<ShardId, usize>,
     /// Server currently being drained by the churn driver.
     draining: Option<ServerId>,
-    /// Servers the failure detector declared down behind a partition.
-    partitioned: BTreeSet<ServerId>,
-    /// True during a lossy-net window.
-    degraded: bool,
     /// Sum of every group's commit watermark at the last replication
     /// round — cheap change detection for the oracle sweep.
     committed_sum: u64,
-    /// Counters.
-    pub stats: ReconfigStats,
-    /// Recorded time series (writes, reconfigurations, interruptions).
-    pub trace: TraceLog,
+    /// The world's own counters (the fleet's are merged in at the end).
+    stats: ReconfigStats,
 }
 
-impl ReconfigWorld {
-    /// Builds the world with its plan derived from `(seed, profile)`.
-    pub fn new(cfg: ReconfigConfig) -> Self {
-        let mut world = Self::bootstrap(cfg);
-        // No mini-SMs in this world: the plan covers servers and the
-        // network only.
-        world.plan = fault_plan(&cfg.profile.config(cfg.seed, cfg.servers, 0));
-        world
-    }
-
-    /// Builds the world with an explicit fault plan — the replay and
-    /// shrink path.
-    pub fn new_with_plan(cfg: ReconfigConfig, plan: Vec<(SimTime, Fault)>) -> Self {
-        let mut world = Self::bootstrap(cfg);
-        world.plan = plan;
-        world
-    }
-
-    /// Registers the fleet, places every shard, and settles the initial
-    /// migration storm synchronously (the experiment starts from a
-    /// fully replicated steady state).
-    fn bootstrap(cfg: ReconfigConfig) -> Self {
-        let mut cp = Orchestrator::new(AppId(0), AppPolicy::primary_secondary(2), orch_config());
-        let groups = shared_groups();
-        let mut hosts = BTreeMap::new();
-        for i in 0..cfg.servers {
-            let id = ServerId(i);
-            cp.register_server(
-                id,
-                loc(i),
-                LoadVector::single(Metric::ShardCount.id(), 1000.0),
-            );
-            hosts.insert(
-                id,
-                ReplHost {
-                    server: ReplStoreServer::new(id, groups.clone()),
-                    up: true,
-                },
-            );
-        }
-        cp.register_shards((0..cfg.shards).map(ShardId));
-        cp.run_emergency();
-        // Settle: dispatch every command synchronously against the
-        // healthy fleet until the orchestrator goes quiet.
-        for _round in 0..200 {
-            let cmds = cp.take_commands();
-            if cmds.is_empty() {
-                break;
-            }
-            for cmd in cmds {
-                if let OrchCommand::Rpc { server, rpc } = cmd {
-                    let ok = hosts
-                        .get_mut(&server)
-                        .map(|h| rpc.dispatch(&mut h.server).is_ok())
-                        .unwrap_or(false);
-                    if ok {
-                        cp.rpc_acked(server, rpc);
-                    } else {
-                        cp.rpc_failed(server, rpc);
-                    }
-                }
-            }
-        }
-        if cfg.single_step {
-            for g in groups.borrow_mut().values_mut() {
-                g.set_single_step(true);
-            }
-        }
-        let latency_ms = cfg.rpc_latency.as_millis_f64();
-        Self {
-            cfg,
-            cp,
-            groups,
-            hosts,
-            net: SimNet::new(LatencyModel::uniform(1, latency_ms, latency_ms), cfg.seed),
-            oracle: Oracle::new(),
-            plan: Vec::new(),
-            outstanding: BTreeMap::new(),
-            rpc_applied: BTreeMap::new(),
-            next_rpc: 0,
-            write_tag: 0,
-            pending: Vec::new(),
-            acked: Vec::new(),
-            acked_keys: BTreeSet::new(),
-            chain_lens: BTreeMap::new(),
-            draining: None,
-            partitioned: BTreeSet::new(),
-            degraded: false,
-            committed_sum: 0,
-            stats: ReconfigStats::default(),
-            trace: TraceLog::new(),
-        }
-    }
-
-    /// The invariant oracle's current state.
-    pub fn oracle(&self) -> &Oracle {
-        &self.oracle
-    }
-
+impl Reconfig {
     /// True when every shard has a primary and no migration is stuck.
-    pub fn converged(&self) -> bool {
-        self.cp.in_flight_migrations() == 0
-            && (0..self.cfg.shards).all(|s| self.cp.assignment().primary_of(ShardId(s)).is_some())
-    }
-
-    /// One line of group + assignment state per shard (diagnostics).
-    pub fn debug_dump(&self) -> String {
-        let mut out = String::new();
-        for (shard, g) in self.groups.borrow().iter() {
-            let assigned: Vec<String> = self
-                .cp
-                .assignment()
-                .replicas(*shard)
-                .iter()
-                .map(|r| format!("{}:{:?}", r.server.raw(), r.role))
-                .collect();
-            let logs: Vec<String> = (0..self.cfg.servers)
-                .map(ServerId)
-                .filter_map(|s| {
-                    g.log(s).map(|l| {
-                        format!(
-                            "{}:c{}/l{}{}{}",
-                            s.raw(),
-                            l.committed(),
-                            l.len(),
-                            if g.is_down(s) { "!down" } else { "" },
-                            match self.hosts.get(&s).and_then(|h| h.server.role_of(*shard)) {
-                                Some(r) => format!("@{r:?}"),
-                                None => String::new(),
-                            }
-                        )
-                    })
-                })
-                .collect();
-            out.push_str(&format!(
-                "{shard:?} epoch={:?} leader={:?} voters={:?} joint={:?} pending={:?} members={:?} assigned={assigned:?} logs={logs:?}\n",
-                g.epoch(),
-                g.leader(),
-                g.voters(),
-                g.joint_old(),
-                g.pending_reconfig(),
-                g.members(),
-            ));
-        }
-        out.push_str(&format!(
-            "in_flight={} draining={:?}\n",
-            self.cp.in_flight_migrations(),
-            self.draining
-        ));
-        out
+    fn converged(&self) -> bool {
+        self.cp.in_flight_migrations() == 0 && self.unplaced_count() == 0
     }
 
     /// Shards currently missing a primary (diagnostics).
-    pub fn unplaced_count(&self) -> usize {
+    fn unplaced_count(&self) -> usize {
         (0..self.cfg.shards)
             .filter(|&s| self.cp.assignment().primary_of(ShardId(s)).is_none())
             .count()
@@ -450,12 +249,6 @@ impl ReconfigWorld {
     /// The oracle key for one write's log slot.
     fn write_key(shard: ShardId, idx: usize) -> u64 {
         shard.raw() * 1_000_000 + idx as u64
-    }
-
-    /// True while the plan has something actively broken — the window
-    /// in which a nacked migration step counts as fault-interrupted.
-    fn fault_active(&self) -> bool {
-        self.degraded || self.net.partition().is_some() || self.hosts.values().any(|h| !h.up)
     }
 
     /// The replica whose log is authoritative for `group` right now:
@@ -501,14 +294,14 @@ impl ReconfigWorld {
     /// Acks every pending write whose slot committed with its payload
     /// intact; writes off slots that were replaced or stalled past the
     /// deadline (legal: those clients were never acked).
-    fn check_pending(&mut self, now: SimTime) {
+    fn check_pending(&mut self, now: SimTime, oracle: &mut Oracle) {
         let pending = std::mem::take(&mut self.pending);
         for w in pending {
             match self.probe_write(w.shard, w.idx) {
                 Probe::Tag(tag) if tag == w.tag => {
                     let key = Self::write_key(w.shard, w.idx);
                     if self.acked_keys.insert(key) {
-                        self.oracle.write_acked(key, w.tag);
+                        oracle.write_acked(key, w.tag);
                         self.acked.push(w);
                         self.stats.writes_acked += 1;
                     }
@@ -522,168 +315,40 @@ impl ReconfigWorld {
         }
     }
 
-    /// Sends freshly minted orchestrator commands out as RPCs through
-    /// the net, each with a correlation id and a give-up timer.
-    fn flush_commands(&mut self, ctx: &mut Ctx<'_, ReconfigEvent>) {
-        for cmd in self.cp.take_commands() {
-            if let OrchCommand::Rpc { server, rpc } = cmd {
-                self.next_rpc += 1;
-                let id = self.next_rpc;
-                self.outstanding.insert(id, (server, rpc));
-                let t = self
-                    .net
-                    .transmit(Endpoint::ControlPlane, Endpoint::Server(server.raw()));
-                for d in t.copies {
-                    ctx.schedule_in(d, ReconfigEvent::RpcSend { id, server, rpc });
-                }
-                ctx.schedule_in(self.cfg.rpc_timeout, ReconfigEvent::RpcTimeout { id });
-            }
+    fn write_tick(&mut self, client: u32, cx: &mut Cx<'_, '_>) {
+        if cx.now() < self.cfg.traffic_end {
+            cx.schedule_in(self.cfg.write_interval, ReconfigEvent::WriteTick(client));
         }
-    }
-
-    fn rpc_send(
-        &mut self,
-        id: u64,
-        server: ServerId,
-        rpc: ServerRpc,
-        ctx: &mut Ctx<'_, ReconfigEvent>,
-    ) {
-        // A dead process never answers — the control plane's give-up
-        // timer reaps the RPC. A live one runs the real migration step,
-        // which fails honestly (bounded replication pump) when the
-        // group cannot commit the membership change. A duplicated copy
-        // of an already-executed step answers with the recorded outcome
-        // instead of re-dispatching (a late duplicate re-running a
-        // promotion after a later drop would resurrect a zombie).
-        let ok = if let Some(&ok) = self.rpc_applied.get(&id) {
-            ok
-        } else {
-            let ok = match self.hosts.get_mut(&server) {
-                Some(h) if h.up => rpc.dispatch(&mut h.server).is_ok(),
-                _ => return,
-            };
-            self.rpc_applied.insert(id, ok);
-            if ok {
-                // A migration step just ran at the server: group
-                // membership or roles changed — audit at this instant.
-                ctx.state_changed();
-            }
-            ok
-        };
-        let t = self
-            .net
-            .transmit(Endpoint::Server(server.raw()), Endpoint::ControlPlane);
-        for d in t.copies {
-            ctx.schedule_in(
-                d,
-                ReconfigEvent::RpcResult {
-                    id,
-                    server,
-                    rpc,
-                    ok,
-                },
-            );
-        }
-    }
-
-    /// Books a nacked or timed-out migration step as fault-interrupted
-    /// when the plan has something actively broken.
-    fn note_interrupted(&mut self, rpc: ServerRpc) {
-        if !self.fault_active() {
-            return;
-        }
-        match rpc {
-            ServerRpc::AddShard { .. }
-            | ServerRpc::DropShard { .. }
-            | ServerRpc::ChangeRole { .. }
-            | ServerRpc::PrepareDropShard { .. } => {
-                self.stats.reconfigs_interrupted += 1;
-                let joint = self
-                    .groups
-                    .borrow()
-                    .get(&rpc.shard())
-                    .is_some_and(|g| g.reconfig_in_flight());
-                if joint {
-                    self.stats.joint_interruptions += 1;
-                }
-            }
-            // The reconfig world's orchestrator never splits or merges.
-            ServerRpc::PrepareAddShard { .. }
-            | ServerRpc::SplitForward { .. }
-            | ServerRpc::MergeForward { .. } => {}
-        }
-    }
-
-    fn rpc_result(
-        &mut self,
-        id: u64,
-        server: ServerId,
-        rpc: ServerRpc,
-        ok: bool,
-        ctx: &mut Ctx<'_, ReconfigEvent>,
-    ) {
-        if self.outstanding.remove(&id).is_none() {
-            return; // duplicate copy or a result the timeout already reaped
-        }
-        if ok {
-            self.cp.rpc_acked(server, rpc);
-            self.flush_commands(ctx);
-        } else {
-            self.stats.rpc_nacks += 1;
-            self.note_interrupted(rpc);
-            self.cp.rpc_failed(server, rpc);
-            // No immediate flush: the re-issued command leaves with the
-            // next retry tick, so a persistently failing step retries on
-            // a 500ms backoff instead of melting into a 2×RTT storm.
-        }
-        ctx.state_changed();
-    }
-
-    fn rpc_timeout(&mut self, id: u64, ctx: &mut Ctx<'_, ReconfigEvent>) {
-        let Some((server, rpc)) = self.outstanding.remove(&id) else {
-            return; // answered in time
-        };
-        self.stats.rpc_timeouts += 1;
-        self.note_interrupted(rpc);
-        self.cp.rpc_failed(server, rpc);
-        // Retry leaves with the next retry tick (see `rpc_result`).
-        ctx.state_changed();
-    }
-
-    fn write_tick(&mut self, client: u32, ctx: &mut Ctx<'_, ReconfigEvent>) {
-        if ctx.now() < self.cfg.traffic_end {
-            ctx.schedule_in(self.cfg.write_interval, ReconfigEvent::WriteTick(client));
-        }
-        let shard = ShardId(ctx.rng().range_u64(0, self.cfg.shards));
+        let shard = ShardId(cx.rng().range_u64(0, self.cfg.shards));
         let Some(primary) = self.cp.assignment().primary_of(shard) else {
             return;
         };
         let Some(host) = self.hosts.get_mut(&primary) else {
             return;
         };
-        if !host.up {
+        if !self.fleet.is_up(primary) {
             return;
         }
         self.write_tag += 1;
         let tag = self.write_tag;
-        match host.server.write(shard, tag.to_be_bytes().to_vec()) {
+        match host.write(shard, tag.to_be_bytes().to_vec()) {
             Ok(idx) => {
                 self.stats.writes_attempted += 1;
                 self.pending.push(PendingWrite {
                     shard,
                     idx,
                     tag,
-                    issued: ctx.now(),
+                    issued: cx.now(),
                 });
             }
             Err(_) => self.stats.writes_rejected += 1,
         }
-        self.check_pending(ctx.now());
+        self.check_pending(cx.now(), &mut cx.oracle);
     }
 
-    fn replicate_tick(&mut self, ctx: &mut Ctx<'_, ReconfigEvent>) {
-        if ctx.now() < self.cfg.end {
-            ctx.schedule_in(self.cfg.replicate_interval, ReconfigEvent::ReplicateTick);
+    fn replicate_tick(&mut self, cx: &mut Cx<'_, '_>) {
+        if cx.now() < self.cfg.end {
+            cx.schedule_in(self.cfg.replicate_interval, ReconfigEvent::ReplicateTick);
         }
         let mut committed_sum = 0u64;
         for g in self.groups.borrow_mut().values_mut() {
@@ -695,18 +360,18 @@ impl ReconfigWorld {
         // worth an oracle sweep.
         if committed_sum != self.committed_sum {
             self.committed_sum = committed_sum;
-            ctx.state_changed();
+            cx.state_changed();
         }
-        self.check_pending(ctx.now());
+        self.check_pending(cx.now(), &mut cx.oracle);
     }
 
     /// The churn driver: alternately drain a random live server (every
     /// replica it hosts starts a graceful 5-step migration) and welcome
     /// the previous one back, so membership changes stay in flight for
     /// the whole run.
-    fn churn_tick(&mut self, ctx: &mut Ctx<'_, ReconfigEvent>) {
-        if ctx.now() < self.cfg.traffic_end {
-            ctx.schedule_in(self.cfg.churn_interval, ReconfigEvent::ChurnTick);
+    fn churn_tick(&mut self, cx: &mut Cx<'_, '_>) {
+        if cx.now() < self.cfg.traffic_end {
+            cx.schedule_in(self.cfg.churn_interval, ReconfigEvent::ChurnTick);
         }
         match self.draining.take() {
             Some(s) => {
@@ -714,532 +379,371 @@ impl ReconfigWorld {
                 self.cp.run_periodic();
             }
             None => {
-                let candidates: Vec<ServerId> = self
-                    .hosts
-                    .iter()
-                    .filter(|(s, h)| h.up && !self.partitioned.contains(s))
-                    .map(|(s, _)| *s)
+                let candidates: Vec<ServerId> = (0..self.cfg.servers)
+                    .map(ServerId)
+                    .filter(|&s| self.fleet.is_up(s) && !self.fleet.is_partitioned(s))
                     .collect();
                 if !candidates.is_empty() {
-                    let pick = candidates[ctx.rng().index(candidates.len())];
+                    let pick = candidates[cx.rng().index(candidates.len())];
                     let started = self.cp.drain_server(pick);
                     self.stats.drains_started += started as u64;
                     self.draining = Some(pick);
                 }
             }
         }
-        self.flush_commands(ctx);
-        ctx.state_changed();
-    }
-
-    /// Marks a server crashed in every group: it stops voting and
-    /// receiving replication, and loses any leadership. Its logs —
-    /// durable storage — survive.
-    fn set_server_down(&mut self, s: ServerId) {
-        for g in self.groups.borrow_mut().values_mut() {
-            g.set_down(s, true);
-            if g.leader() == Some(s) {
-                g.step_down(s);
-            }
-        }
-    }
-
-    fn set_server_up(&mut self, s: ServerId) {
-        for g in self.groups.borrow_mut().values_mut() {
-            g.set_down(s, false);
-        }
-    }
-
-    fn apply_fault(&mut self, fault: Fault, ctx: &mut Ctx<'_, ReconfigEvent>) {
-        match fault {
-            Fault::ServerCrash(i) | Fault::SessionExpiry(i) => {
-                let s = ServerId(i);
-                let up = self.hosts.get(&s).map(|h| h.up).unwrap_or(false);
-                if !up {
-                    return;
-                }
-                if matches!(fault, Fault::ServerCrash(_)) {
-                    self.stats.server_crashes += 1;
-                } else {
-                    self.stats.session_expiries += 1;
-                }
-                if let Some(h) = self.hosts.get_mut(&s) {
-                    h.up = false;
-                }
-                self.set_server_down(s);
-                // The control plane only learns of the death once its
-                // failure detector fires; until then, RPCs to the dead
-                // server time out and migrations stall mid-step.
-                ctx.schedule_in(SimDuration::from_secs(3), ReconfigEvent::DetectDown(i));
-            }
-            Fault::ServerRestart(i) | Fault::SessionRestore(i) => {
-                let s = ServerId(i);
-                let up = self.hosts.get(&s).map(|h| h.up).unwrap_or(true);
-                if up {
-                    return;
-                }
-                if let Some(h) = self.hosts.get_mut(&s) {
-                    h.up = true;
-                }
-                self.set_server_up(s);
-                self.cp.server_up(s);
-                self.cp.reconcile_server(s);
-            }
-            Fault::PartitionStart(spec) => {
-                self.net.start_partition(spec);
-                self.stats.net_partitions += 1;
-                // Mirror the partition into every group's link gates so
-                // replication and elections see the same islands the
-                // RPC plane does.
-                let mut groups = self.groups.borrow_mut();
-                for a in 0..self.cfg.servers {
-                    for b in 0..self.cfg.servers {
-                        if a != b && spec.blocks(Endpoint::Server(a), Endpoint::Server(b)) {
-                            for g in groups.values_mut() {
-                                g.block_link(ServerId(a), ServerId(b));
-                            }
-                        }
-                    }
-                }
-                drop(groups);
-                // The failure detector takes a few seconds to declare
-                // islanded servers dead.
-                for i in 0..self.cfg.servers {
-                    if spec.contains(Endpoint::Server(i)) {
-                        ctx.schedule_in(SimDuration::from_secs(3), ReconfigEvent::DetectDown(i));
-                    }
-                }
-            }
-            Fault::PartitionHeal => {
-                self.net.heal_partition();
-                for g in self.groups.borrow_mut().values_mut() {
-                    g.clear_blocked_links();
-                }
-                let healed = std::mem::take(&mut self.partitioned);
-                for s in healed {
-                    if self.hosts.get(&s).map(|h| h.up).unwrap_or(false) {
-                        self.cp.server_up(s);
-                        self.cp.reconcile_server(s);
-                    }
-                }
-            }
-            Fault::NetDegrade { drop_pct, dup_pct } => {
-                self.degraded = true;
-                self.net
-                    .set_degradation(f64::from(drop_pct) / 100.0, f64::from(dup_pct) / 100.0);
-            }
-            Fault::NetHeal => {
-                self.degraded = false;
-                self.net.heal_degradation();
-            }
-            // No mini-SMs in this world.
-            Fault::MiniSmCrash(_) | Fault::MiniSmRestart(_) => {}
-        }
-    }
-
-    /// The failure detector fires: a server that is (still) dead or
-    /// (still) islanded is declared down, aborting its migrations and
-    /// failing its primaries over.
-    fn detect_down(&mut self, i: u32, ctx: &mut Ctx<'_, ReconfigEvent>) {
-        let s = ServerId(i);
-        let host_up = self.hosts.get(&s).map(|h| h.up).unwrap_or(false);
-        let islanded = self
-            .net
-            .partition()
-            .is_some_and(|spec| spec.contains(Endpoint::Server(i)));
-        if host_up && !islanded {
-            return; // recovered before detection
-        }
-        if host_up && islanded {
-            // Alive but unreachable: remember to welcome it back when
-            // the partition heals.
-            self.partitioned.insert(s);
-        }
-        if self.draining == Some(s) {
-            self.draining = None;
-        }
-        self.cp.server_down(s);
-        self.flush_commands(ctx);
-        ctx.state_changed();
-    }
-
-    /// One shard's committed configuration chain with ids flattened for
-    /// the oracle.
-    fn u64_chain(group: &ReplicationGroup<ServerId>) -> Vec<Vec<BTreeSet<u64>>> {
-        group
-            .committed_config_chain()
-            .into_iter()
-            .map(|config| {
-                config
-                    .into_iter()
-                    .map(|set| set.into_iter().map(|id| u64::from(id.raw())).collect())
-                    .collect()
-            })
-            .collect()
+        cx.flush(self.cp.take_commands());
+        cx.state_changed();
     }
 
     /// The retry pacemaker. Nacked and timed-out migration steps are
-    /// deliberately *not* re-flushed inline (see `rpc_result`): they
-    /// leave here, on a fixed 500ms backoff, alongside replacement
-    /// planning for failed-over shards.
-    fn retry_tick(&mut self, ctx: &mut Ctx<'_, ReconfigEvent>) {
-        let now = ctx.now();
+    /// deliberately *not* re-flushed inline (see
+    /// [`kit::fleet_resolved`]): they leave here, on a fixed 500ms
+    /// backoff, alongside replacement planning for failed-over shards.
+    fn retry_tick(&mut self, cx: &mut Cx<'_, '_>) {
+        let now = cx.now();
         if now < self.cfg.end {
-            ctx.schedule_in(SimDuration::from_millis(500), ReconfigEvent::RetryTick);
+            cx.schedule_in(SimDuration::from_millis(500), ReconfigEvent::RetryTick);
         }
-        self.check_pending(now);
+        self.check_pending(now, &mut cx.oracle);
         self.cp.run_emergency();
-        self.flush_commands(ctx);
+        cx.flush(self.cp.take_commands());
     }
 
-    /// The oracle sweep body, run by the engine (change-driven plus a
-    /// coarse safety net): audit every shard's committed configuration
-    /// chain, count newly committed configuration entries, and record
-    /// trace points.
-    fn scan(&mut self, ctx: &mut Ctx<'_, ReconfigEvent>) {
-        let now = ctx.now();
-        if now > self.cfg.end {
-            return;
-        }
-        // The mutation switch must also corrupt groups (re)created
-        // after bootstrap.
+    /// Audits one shard's committed configuration chain and counts its
+    /// newly committed entries.
+    fn audit_chain(
+        &mut self,
+        at: SimTime,
+        shard: ShardId,
+        chain: &[FlatConfig],
+        oracle: &mut Oracle,
+    ) {
+        let prev = self.chain_lens.insert(shard, chain.len()).unwrap_or(1);
+        self.stats.reconfigs_completed += chain.len().saturating_sub(prev) as u64;
+        oracle.replica_config_chain(at, shard.raw(), chain);
+    }
+
+    /// The mutation switch, (re)applied to every group.
+    fn corrupt_groups(&self) {
         if self.cfg.single_step {
             for g in self.groups.borrow_mut().values_mut() {
                 g.set_single_step(true);
             }
         }
-        let chains: Vec<(ShardId, Vec<Vec<BTreeSet<u64>>>)> = self
+    }
+}
+
+impl Fleet for Reconfig {
+    fn fleet(&mut self) -> (&mut FleetState, &mut Orchestrator) {
+        (&mut self.fleet, &mut self.cp)
+    }
+
+    fn on(&mut self, change: Change) {
+        let mut groups = self.groups.borrow_mut();
+        match change {
+            // A crashed server stops voting and receiving replication
+            // in every group, and loses any leadership.
+            Change::Crashed(s) => {
+                for g in groups.values_mut() {
+                    g.set_down(s, true);
+                    if g.leader() == Some(s) {
+                        g.step_down(s);
+                    }
+                }
+            }
+            Change::Restarted(s) => groups.values_mut().for_each(|g| g.set_down(s, false)),
+            // Mirror the partition into every group's link gates so
+            // replication and elections see the same islands the RPC
+            // plane does.
+            Change::Partitioned(spec) => {
+                let ids = || (0..self.cfg.servers).map(|i| (ServerId(i), Endpoint::Server(i)));
+                for (a, ep_a) in ids() {
+                    for (b, ep_b) in ids().filter(|&(b, _)| b != a) {
+                        if spec.blocks(ep_a, ep_b) {
+                            groups.values_mut().for_each(|g| g.block_link(a, b));
+                        }
+                    }
+                }
+            }
+            Change::Healed => groups.values_mut().for_each(|g| g.clear_blocked_links()),
+            Change::DeclaredDown(s) => {
+                if self.draining == Some(s) {
+                    self.draining = None;
+                }
+            }
+            Change::Interrupted(rpc) => match rpc {
+                ServerRpc::AddShard { .. }
+                | ServerRpc::DropShard { .. }
+                | ServerRpc::ChangeRole { .. }
+                | ServerRpc::PrepareDropShard { .. } => {
+                    self.stats.reconfigs_interrupted += 1;
+                    if groups
+                        .get(&rpc.shard())
+                        .is_some_and(|g| g.reconfig_in_flight())
+                    {
+                        self.stats.joint_interruptions += 1;
+                    }
+                }
+                // The reconfig world's orchestrator never splits or merges.
+                ServerRpc::PrepareAddShard { .. }
+                | ServerRpc::SplitForward { .. }
+                | ServerRpc::MergeForward { .. } => {}
+            },
+            Change::Islanded(_) | Change::Rejoined(_) => {}
+        }
+    }
+}
+
+impl Scenario for Reconfig {
+    const WORLD: &'static str = "reconfig";
+    const MUTATION: &'static str = "single_step";
+    const DRAINS: bool = false;
+    type Config = ReconfigConfig;
+    type Event = ReconfigEvent;
+    type Host = ReplStoreServer;
+    type Stats = ReconfigStats;
+    type Extra = ();
+
+    fn params(cfg: &ReconfigConfig) -> Params {
+        Params {
+            seed: cfg.seed,
+            servers: cfg.servers,
+            rpc_latency: cfg.rpc_latency,
+            rpc_timeout: cfg.rpc_timeout,
+            end: cfg.end,
+        }
+    }
+
+    fn cell(seed: u64, profile: FaultProfile, mutate: bool) -> ReconfigConfig {
+        ReconfigConfig {
+            single_step: mutate,
+            ..ReconfigConfig::dst(seed, profile)
+        }
+    }
+
+    fn key(cfg: &ReconfigConfig) -> (&'static str, bool) {
+        (cfg.profile.name(), cfg.single_step)
+    }
+
+    /// Registers the fleet, places every shard, and settles the initial
+    /// migration storm synchronously (the experiment starts from a
+    /// fully replicated steady state).
+    fn build(cfg: ReconfigConfig) -> Self {
+        let caps = MoveCaps {
+            max_total: 1000,
+            max_per_server: 1000,
+            max_per_shard: 1,
+        };
+        let orch = kit::orch_config(Metric::ShardCount.id(), caps);
+        let mut cp = Orchestrator::new(AppId(0), AppPolicy::primary_secondary(2), orch);
+        let groups = shared_groups();
+        let mut hosts = BTreeMap::new();
+        for id in (0..cfg.servers).map(ServerId) {
+            let capacity = LoadVector::single(Metric::ShardCount.id(), 1000.0);
+            cp.register_server(id, kit::loc(id.raw()), capacity);
+            hosts.insert(id, ReplStoreServer::new(id, groups.clone()));
+        }
+        cp.register_shards((0..cfg.shards).map(ShardId));
+        cp.run_emergency();
+        let apply = |_: &Orchestrator, server: ServerId, rpc: ServerRpc| {
+            let host = hosts.get_mut(&server);
+            host.is_some_and(|h| rpc.dispatch(h).is_ok())
+        };
+        kit::settle(&mut cp, apply, |_, _| true);
+        let world = Self {
+            cfg,
+            cp,
+            groups,
+            hosts,
+            fleet: FleetState::default(),
+            write_tag: 0,
+            pending: Vec::new(),
+            acked: Vec::new(),
+            acked_keys: BTreeSet::new(),
+            chain_lens: BTreeMap::new(),
+            draining: None,
+            committed_sum: 0,
+            stats: ReconfigStats::default(),
+        };
+        world.corrupt_groups();
+        world
+    }
+
+    /// No mini-SMs in this world: the plan covers servers and the
+    /// network only.
+    fn default_plan(&self) -> Plan {
+        let cfg = &self.cfg;
+        fault_plan(&cfg.profile.config(cfg.seed, cfg.servers, 0))
+    }
+
+    fn script(&self) -> Vec<(SimTime, ReconfigEvent)> {
+        let writers = (0..self.cfg.clients).map(|c| {
+            let at = SimTime::from_millis(5_000 + 37 * u64::from(c));
+            (at, ReconfigEvent::WriteTick(c))
+        });
+        writers
+            .chain([
+                (SimTime::from_secs(1), ReconfigEvent::ReplicateTick),
+                (SimTime::from_secs(1), ReconfigEvent::RetryTick),
+                (SimTime::from_secs(10), ReconfigEvent::ChurnTick),
+            ])
+            .collect()
+    }
+
+    fn handle(&mut self, cx: &mut Cx<'_, '_>, event: ReconfigEvent) {
+        match event {
+            ReconfigEvent::WriteTick(c) => self.write_tick(c, cx),
+            ReconfigEvent::ReplicateTick => self.replicate_tick(cx),
+            ReconfigEvent::ChurnTick => self.churn_tick(cx),
+            ReconfigEvent::RetryTick => self.retry_tick(cx),
+        }
+    }
+
+    fn take_commands(&mut self) -> impl Iterator<Item = OrchCommand> {
+        self.cp.take_commands().into_iter()
+    }
+
+    /// A dead process never answers — the control plane's give-up
+    /// timer reaps the RPC. A live one runs the real migration step,
+    /// which fails honestly (bounded replication pump) when the group
+    /// cannot commit the membership change.
+    fn host(&mut self, server: ServerId, _rpc: &ServerRpc) -> Host<'_, ReplStoreServer> {
+        match self.hosts.get_mut(&server) {
+            Some(h) if self.fleet.is_up(server) => Host::Serving(h),
+            _ => Host::Down,
+        }
+    }
+
+    fn resolved(&mut self, cx: &mut Cx<'_, '_>, server: ServerId, rpc: ServerRpc, how: Resolution) {
+        kit::fleet_resolved(self, cx, server, rpc, how);
+    }
+
+    fn fault(&mut self, cx: &mut Cx<'_, '_>, fault: Fault) {
+        kit::fleet_fault(self, cx, fault);
+    }
+
+    fn detect_down(&mut self, cx: &mut Cx<'_, '_>, i: u32) {
+        kit::fleet_detect_down(self, cx, i);
+    }
+
+    /// Audit every shard's committed configuration chain, count newly
+    /// committed configuration entries, and record trace points.
+    fn scan(&mut self, cx: &mut Cx<'_, '_>) {
+        let now = cx.now();
+        // The mutation switch must also corrupt groups (re)created
+        // after bootstrap.
+        self.corrupt_groups();
+        let chains: Vec<(ShardId, Vec<FlatConfig>)> = self
             .groups
             .borrow()
             .iter()
-            .map(|(shard, g)| (*shard, Self::u64_chain(g)))
+            .map(|(shard, g)| (*shard, chain_of(g)))
             .collect();
         for (shard, chain) in chains {
-            let prev = self.chain_lens.insert(shard, chain.len()).unwrap_or(1);
-            self.stats.reconfigs_completed += chain.len().saturating_sub(prev) as u64;
-            self.oracle.replica_config_chain(now, shard.raw(), &chain);
+            self.audit_chain(now, shard, &chain, &mut cx.oracle);
         }
-        self.trace
-            .record("pending_writes", now, self.pending.len() as f64);
-        self.trace
-            .record("acked_total", now, self.stats.writes_acked as f64);
-        self.trace.record(
-            "reconfigs_completed",
-            now,
-            self.stats.reconfigs_completed as f64,
-        );
-        self.trace
-            .record("rpc_nacks", now, self.stats.rpc_nacks as f64);
-        self.trace.record(
-            "in_flight_migrations",
-            now,
-            self.cp.in_flight_migrations() as f64,
-        );
+        for (series, value) in [
+            ("pending_writes", self.pending.len() as u64),
+            ("acked_total", self.stats.writes_acked),
+            ("reconfigs_completed", self.stats.reconfigs_completed),
+            ("rpc_nacks", self.fleet.rpc_nacks),
+            (
+                "in_flight_migrations",
+                self.cp.in_flight_migrations() as u64,
+            ),
+        ] {
+            cx.trace.record(series, now, value as f64);
+        }
     }
 
     /// Quiescence: heal everything, settle the control plane against a
     /// healthy fleet, replicate to convergence, then run the final
     /// audits — config-chain safety, per-replica view agreement, and
     /// the acked-then-lost sweep over every acked write.
-    fn finalize(&mut self) {
+    fn finish(mut self, wire: &mut Wire) -> Outcome<ReconfigStats, ()> {
         let at = self.cfg.end;
         // Defensive heal (the plan pairs every fault with a recovery,
         // but a shrunk plan may have dropped one).
-        self.net.heal_partition();
-        self.net.heal_degradation();
+        wire.net.heal_partition();
+        wire.net.heal_degradation();
         let ids: Vec<ServerId> = self.hosts.keys().copied().collect();
-        for s in &ids {
-            if let Some(h) = self.hosts.get_mut(s) {
-                h.up = true;
-            }
-        }
+        let (_, islanded) = self.fleet.revive_all();
         for g in self.groups.borrow_mut().values_mut() {
             g.clear_blocked_links();
             for s in &ids {
                 g.set_down(*s, false);
             }
         }
-        for s in std::mem::take(&mut self.partitioned) {
+        for s in islanded.into_iter().chain(self.draining.take()).chain(ids) {
             self.cp.server_up(s);
-        }
-        if let Some(s) = self.draining.take() {
-            self.cp.server_up(s);
-        }
-        for s in &ids {
-            self.cp.server_up(*s);
         }
         // Settle the control plane synchronously: every command runs
         // against the healthy fleet until the orchestrator goes quiet.
-        for round in 0..200 {
-            let cmds = self.cp.take_commands();
-            if cmds.is_empty() {
-                if self.cp.run_emergency() == 0 && (round > 0 || self.cp.run_periodic() == 0) {
-                    break;
-                }
-                continue;
-            }
-            for cmd in cmds {
-                if let OrchCommand::Rpc { server, rpc } = cmd {
-                    let ok = self
-                        .hosts
-                        .get_mut(&server)
-                        .map(|h| rpc.dispatch(&mut h.server).is_ok())
-                        .unwrap_or(false);
-                    if ok {
-                        self.cp.rpc_acked(server, rpc);
-                    } else {
-                        self.cp.rpc_failed(server, rpc);
-                    }
-                }
-            }
-        }
+        let hosts = &mut self.hosts;
+        let apply = |_: &Orchestrator, server: ServerId, rpc: ServerRpc| {
+            let host = hosts.get_mut(&server);
+            host.is_some_and(|h| rpc.dispatch(h).is_ok())
+        };
+        kit::settle(&mut self.cp, apply, |cp, round| {
+            cp.run_emergency() == 0 && (round > 0 || cp.run_periodic() == 0)
+        });
         // Replicate to convergence.
         for _ in 0..8 {
             for g in self.groups.borrow_mut().values_mut() {
                 g.pump();
             }
         }
-        self.check_pending(at);
+        self.check_pending(at, &mut wire.oracle);
         // Final audits.
         let shards: Vec<ShardId> = self.groups.borrow().keys().copied().collect();
         for shard in shards {
             let (chain, views) = {
                 let groups = self.groups.borrow();
                 let g = &groups[&shard];
-                let chain = Self::u64_chain(g);
-                let views: Vec<Vec<BTreeSet<u64>>> = (0..self.cfg.servers)
-                    .map(ServerId)
-                    .filter_map(|s| g.committed_config_view(s))
-                    .map(|view| {
-                        view.into_iter()
-                            .map(|set| set.into_iter().map(|id| u64::from(id.raw())).collect())
-                            .collect()
-                    })
+                let views: Vec<FlatConfig> = (0..self.cfg.servers)
+                    .filter_map(|s| g.committed_config_view(ServerId(s)))
+                    .map(flat)
                     .collect();
-                (chain, views)
+                (chain_of(g), views)
             };
-            let prev = self.chain_lens.insert(shard, chain.len()).unwrap_or(1);
-            self.stats.reconfigs_completed += chain.len().saturating_sub(prev) as u64;
-            self.oracle.replica_config_chain(at, shard.raw(), &chain);
-            self.oracle.replica_views_converged(at, shard.raw(), &views);
+            self.audit_chain(at, shard, &chain, &mut wire.oracle);
+            wire.oracle.replica_views_converged(at, shard.raw(), &views);
         }
         // Acked-then-lost: every acked write must still hold its exact
         // payload at the authoritative replica.
-        let acked = std::mem::take(&mut self.acked);
-        for w in &acked {
+        for w in &self.acked {
             let observed = match self.probe_write(w.shard, w.idx) {
                 Probe::Tag(tag) => Some(tag),
                 Probe::NotYet | Probe::Gone => None,
             };
-            self.oracle
-                .read_served(at, Self::write_key(w.shard, w.idx), observed);
+            let key = Self::write_key(w.shard, w.idx);
+            wire.oracle.read_served(at, key, observed);
         }
-        self.acked = acked;
+        Outcome {
+            converged: self.converged(),
+            unplaced: self.unplaced_count(),
+            stats: ReconfigStats {
+                rpc_timeouts: self.fleet.rpc_timeouts,
+                rpc_nacks: self.fleet.rpc_nacks,
+                server_crashes: self.fleet.server_crashes,
+                session_expiries: self.fleet.session_expiries,
+                net_partitions: self.fleet.net_partitions,
+                ..self.stats
+            },
+            extra: (),
+        }
     }
 }
 
-impl World for ReconfigWorld {
-    type Event = ReconfigEvent;
-
-    fn handle(&mut self, ctx: &mut Ctx<'_, ReconfigEvent>, event: ReconfigEvent) {
-        match event {
-            ReconfigEvent::WriteTick(c) => self.write_tick(c, ctx),
-            ReconfigEvent::ReplicateTick => self.replicate_tick(ctx),
-            ReconfigEvent::ChurnTick => self.churn_tick(ctx),
-            ReconfigEvent::RpcSend { id, server, rpc } => self.rpc_send(id, server, rpc, ctx),
-            ReconfigEvent::RpcResult {
-                id,
-                server,
-                rpc,
-                ok,
-            } => self.rpc_result(id, server, rpc, ok, ctx),
-            ReconfigEvent::RpcTimeout { id } => self.rpc_timeout(id, ctx),
-            ReconfigEvent::DetectDown(i) => self.detect_down(i, ctx),
-            ReconfigEvent::FaultHit(i) => {
-                if let Some((_, fault)) = self.plan.get(i).copied() {
-                    self.apply_fault(fault, ctx);
-                    self.flush_commands(ctx);
-                    ctx.state_changed();
-                }
-            }
-            ReconfigEvent::RetryTick => self.retry_tick(ctx),
-        }
-    }
-
-    fn sweep(&mut self, ctx: &mut Ctx<'_, ReconfigEvent>) {
-        self.scan(ctx);
-    }
-
-    fn sweep_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(1))
-    }
-}
-
-/// Outcome of one reconfiguration-chaos run.
-#[derive(Debug)]
-pub struct ReconfigReport {
-    /// Traffic, churn, and fault counters.
-    pub stats: ReconfigStats,
-    /// Network delivery counters.
-    pub net: NetStats,
-    /// Invariant violations the oracle observed (empty on a safe run).
-    pub violations: Vec<OracleViolation>,
-    /// Total violations, uncapped (the list above is capped).
-    pub total_violations: u64,
-    /// True when, at the end, every shard had a primary and no
-    /// migration was stuck.
-    pub converged: bool,
-    /// Shards lacking a primary at the end (diagnostics; 0 expected).
-    pub unplaced: usize,
-    /// The fault plan the run executed (replay/shrink input).
-    pub plan: Vec<(SimTime, Fault)>,
-    /// The run's time-series trace, rendered as CSV (5 s buckets) —
-    /// byte-identical across reruns of the same seed and plan.
-    pub trace_csv: String,
-}
-
-impl ReconfigReport {
-    /// True when the oracle observed at least one invariant violation.
-    pub fn failed(&self) -> bool {
-        self.total_violations > 0
-    }
-
-    /// The distinct invariant kinds violated.
-    pub fn violated_kinds(&self) -> BTreeSet<InvariantKind> {
-        self.violations.iter().map(|v| v.kind).collect()
-    }
-
-    /// A canonical one-line-per-violation rendering — two runs have
-    /// identical oracle verdicts iff these strings are equal.
-    pub fn verdict(&self) -> String {
-        let mut out = format!("total={}\n", self.total_violations);
-        for v in &self.violations {
-            out.push_str(&format!("{} {} {}\n", v.at.0, v.kind.name(), v.detail));
-        }
-        out
-    }
+/// One shard's committed configuration chain, flattened for the oracle.
+fn chain_of(group: &ReplicationGroup<ServerId>) -> Vec<FlatConfig> {
+    let chain = group.committed_config_chain();
+    chain.into_iter().map(flat).collect()
 }
 
 /// Runs one seeded reconfiguration-chaos experiment to completion.
 pub fn run_reconfig(cfg: ReconfigConfig) -> ReconfigReport {
-    run_reconfig_queued(cfg, QueueKind::default())
-}
-
-/// [`run_reconfig`] on an explicit engine queue implementation — the
-/// differential-testing entry point.
-pub fn run_reconfig_queued(cfg: ReconfigConfig, kind: QueueKind) -> ReconfigReport {
-    run_world(ReconfigWorld::new(cfg), cfg, kind)
-}
-
-/// Runs a reconfiguration experiment with an explicit fault plan — the
-/// replay and shrink path. The plan must be time-sorted.
-pub fn run_reconfig_with_plan(cfg: ReconfigConfig, plan: Vec<(SimTime, Fault)>) -> ReconfigReport {
-    run_world(
-        ReconfigWorld::new_with_plan(cfg, plan),
-        cfg,
-        QueueKind::default(),
-    )
-}
-
-/// Shrinks a failing reconfiguration fault plan to a minimal
-/// reproducer, reusing the chaos shrinker's ddmin core: a candidate
-/// counts as still-failing when it violates one of the originally
-/// observed invariant kinds.
-pub fn shrink_reconfig(
-    cfg: ReconfigConfig,
-    plan: &[(SimTime, Fault)],
-) -> Option<Vec<(SimTime, Fault)>> {
-    let kinds = run_reconfig_with_plan(cfg, plan.to_vec()).violated_kinds();
-    if kinds.is_empty() {
-        return None;
-    }
-    shrink_plan(plan, |candidate| {
-        run_reconfig_with_plan(cfg, candidate.to_vec())
-            .violations
-            .iter()
-            .any(|v| kinds.contains(&v.kind))
-    })
-}
-
-fn run_world(world: ReconfigWorld, cfg: ReconfigConfig, kind: QueueKind) -> ReconfigReport {
-    let plan_times: Vec<SimTime> = world.plan.iter().map(|(at, _)| *at).collect();
-    let mut sim = Simulation::with_queue(world, cfg.seed, kind);
-    for (i, at) in plan_times.iter().enumerate() {
-        sim.schedule_at(*at, ReconfigEvent::FaultHit(i));
-    }
-    for c in 0..cfg.clients {
-        sim.schedule_at(
-            SimTime::from_millis(5_000 + 37 * u64::from(c)),
-            ReconfigEvent::WriteTick(c),
-        );
-    }
-    sim.schedule_at(SimTime::from_secs(1), ReconfigEvent::ReplicateTick);
-    sim.schedule_at(SimTime::from_secs(1), ReconfigEvent::RetryTick);
-    sim.schedule_at(SimTime::from_secs(10), ReconfigEvent::ChurnTick);
-    sim.run_until(cfg.end);
-    // Whatever is still in flight at `end` (unanswered RPCs, retry
-    // chains) is abandoned; `finalize` settles the control plane
-    // synchronously against the healed fleet.
-    let mut world = sim.into_world();
-    world.finalize();
-    let converged = world.converged();
-    let unplaced = world.unplaced_count();
-    ReconfigReport {
-        stats: world.stats,
-        net: world.net.stats(),
-        violations: world.oracle.violations().to_vec(),
-        total_violations: world.oracle.total_violations(),
-        converged,
-        unplaced,
-        plan: world.plan.clone(),
-        trace_csv: world.trace.to_csv(5),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Replayable reproducer JSON (shares the fault codec with `dst`).
-// ---------------------------------------------------------------------
-
-/// Serializes a reconfiguration reproducer — the config knobs that
-/// matter plus its (possibly shrunk) fault plan — as a self-contained
-/// JSON document.
-pub fn reconfig_repro_to_json(cfg: &ReconfigConfig, plan: &[(SimTime, Fault)]) -> String {
-    let events: Vec<String> = plan
-        .iter()
-        .map(|(at, f)| format!("    {{\"at_us\":{},\"fault\":{}}}", at.0, fault_to_json(*f)))
-        .collect();
-    format!(
-        "{{\n  \"seed\": {},\n  \"profile\": \"{}\",\n  \"single_step\": {},\n  \"plan\": [\n{}\n  ]\n}}\n",
-        cfg.seed,
-        cfg.profile.name(),
-        cfg.single_step,
-        events.join(",\n")
-    )
-}
-
-/// Parses a reproducer produced by [`reconfig_repro_to_json`] back into
-/// the standard DST-shaped config plus its plan. Returns `None` on any
-/// malformed input (never panics).
-pub fn reconfig_repro_from_json(text: &str) -> Option<(ReconfigConfig, Vec<(SimTime, Fault)>)> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let doc = parser.value()?;
-    let mut cfg = ReconfigConfig::dst(
-        doc.get("seed")?.as_u64()?,
-        FaultProfile::parse(doc.get("profile")?.as_str()?)?,
-    );
-    cfg.single_step = doc.get("single_step")?.as_bool()?;
-    let Json::Arr(events) = doc.get("plan")? else {
-        return None;
-    };
-    let mut plan = Vec::with_capacity(events.len());
-    for e in events {
-        let at = SimTime(e.get("at_us")?.as_u64()?);
-        plan.push((at, fault_from_json(e.get("fault")?)?));
-    }
-    Some((cfg, plan))
+    kit::run::<Reconfig>(cfg, None, QueueKind::default())
 }
 
 #[cfg(test)]
@@ -1248,7 +752,7 @@ mod tests {
 
     #[test]
     fn world_bootstraps_with_replicated_groups() {
-        let w = ReconfigWorld::new(ReconfigConfig::dst(1, FaultProfile::ReconfigChaos));
+        let w = Reconfig::build(ReconfigConfig::dst(1, FaultProfile::ReconfigChaos));
         assert_eq!(w.unplaced_count(), 0, "every shard gets a primary");
         assert!(w.converged());
         let groups = w.groups.borrow();
@@ -1261,7 +765,10 @@ mod tests {
                 "log leader matches the SM primary for {shard}"
             );
         }
-        assert!(!w.plan.is_empty(), "profile derives a fault schedule");
+        assert!(
+            !w.default_plan().is_empty(),
+            "profile derives a fault schedule"
+        );
     }
 
     #[test]
@@ -1270,7 +777,7 @@ mod tests {
         // reconfigurations through the 5-step protocol, commit them,
         // and lose nothing.
         let cfg = ReconfigConfig::dst(7, FaultProfile::ReconfigChaos);
-        let r = run_reconfig_with_plan(cfg, Vec::new());
+        let r = kit::run::<Reconfig>(cfg, Some(Vec::new()), QueueKind::default());
         assert_eq!(r.total_violations, 0, "oracle: {:?}", r.violations);
         assert!(r.converged, "{} unplaced", r.unplaced);
         assert!(
@@ -1280,19 +787,5 @@ mod tests {
         );
         assert!(r.stats.writes_acked > 100, "{:?}", r.stats);
         assert_eq!(r.stats.writes_lost_unacked, 0, "{:?}", r.stats);
-    }
-
-    #[test]
-    fn reconfig_repro_json_round_trips() {
-        let mut cfg = ReconfigConfig::dst(9, FaultProfile::ReconfigChaos);
-        cfg.single_step = true;
-        let plan = vec![
-            (SimTime::from_secs(21), Fault::ServerCrash(2)),
-            (SimTime::from_secs(31), Fault::ServerRestart(2)),
-        ];
-        let json = reconfig_repro_to_json(&cfg, &plan);
-        let (cfg2, plan2) = reconfig_repro_from_json(&json).expect("own output parses");
-        assert_eq!(cfg, cfg2);
-        assert_eq!(plan, plan2);
     }
 }

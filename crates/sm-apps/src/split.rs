@@ -5,8 +5,9 @@
 //! expiries, partitions, and a lossy-net window specifically inside the
 //! prepare/forward/cutover phases of in-flight splits and merges.
 //!
-//! The world wires a bare [`Orchestrator`] with a registered
-//! [`ShardingSpec`] to a fleet of primary-only hosts implementing the
+//! The [`Split`] scenario (run on [`crate::kit`]) wires a bare
+//! [`Orchestrator`] with a registered [`ShardingSpec`] to a fleet of
+//! primary-only hosts ([`SplitHost`], a [`ShardServer`]) implementing the
 //! generalized §4.3 forwarding states: during a split the parent keeps
 //! its data but forwards each request to the prepared child covering
 //! its key; during a merge both sources forward to the prepared target.
@@ -37,21 +38,22 @@
 //! requests. `tests/split.rs` proves the oracle catches it. The whole
 //! run is a pure function of `(config, plan)`.
 
-use crate::dst::{fault_from_json, fault_to_json, shrink_plan, Json, Parser};
-use sm_allocator::{AllocConfig, MoveCaps};
-use sm_core::{
-    OrchCommand, Orchestrator, OrchestratorConfig, ServerRpc, SplitScaler, SplitScalerConfig,
+use crate::kit::{
+    self, Change, Fleet, FleetState, Outcome, Params, Plan, Report, Resolution, Scenario, Wire,
 };
+use sm_allocator::MoveCaps;
+use sm_core::exchange::Host;
+use sm_core::{OrchCommand, Orchestrator, ServerRpc, ShardServer, SplitScaler, SplitScalerConfig};
 use sm_routing::ServiceRouter;
 use sm_sim::faults::{fault_plan, Fault, FaultProfile};
-use sm_sim::net::{Endpoint, NetStats, SimNet};
-use sm_sim::oracle::{InvariantKind, Oracle, OracleViolation};
-use sm_sim::{Ctx, LatencyModel, QueueKind, SimDuration, SimTime, Simulation, TraceLog, World};
+use sm_sim::net::Endpoint;
+use sm_sim::oracle::Oracle;
+use sm_sim::{QueueKind, SimDuration, SimTime};
 use sm_types::{
-    AppId, AppKey, AppPolicy, KeyRange, LoadVector, Location, MachineId, Metric, RegionId,
-    ReplicaRole, ServerId, ShardId, ShardingSpec,
+    AppId, AppKey, AppPolicy, KeyRange, LoadVector, Metric, ReplicaRole, ServerId, ShardId,
+    ShardingSpec, SmError,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// The single application this world runs.
@@ -73,7 +75,8 @@ pub struct SplitConfig {
     pub request_interval: SimDuration,
     /// Backoff before a failed request re-routes and retries.
     pub retry_delay: SimDuration,
-    /// Retry budget; exhausting it is a [`InvariantKind::LostRequest`].
+    /// Retry budget; exhausting it is a
+    /// [`sm_sim::oracle::InvariantKind::LostRequest`].
     pub max_attempts: u32,
     /// One-way network latency.
     pub rpc_latency: SimDuration,
@@ -100,8 +103,8 @@ pub struct SplitConfig {
     pub adaptive: bool,
     /// DST mutation switch: commit the split/merge when the cutover
     /// RPCs are sent instead of acked. Never set outside
-    /// `tests/split.rs` — it exists to prove the availability argument
-    /// has teeth.
+    /// `tests/split.rs` and the swarm's `--mutate` — it exists to prove
+    /// the availability argument has teeth.
     pub skip_cutover_ack: bool,
 }
 
@@ -174,7 +177,8 @@ pub struct Req {
     pub attempts: u32,
 }
 
-/// Event alphabet of the skew-storm world.
+/// Event alphabet of the skew-storm scenario (the kit carries RPCs,
+/// fault hits, timeouts, and the failure detector).
 #[derive(Debug)]
 pub enum SplitEvent {
     /// Client `i` issues its next request.
@@ -195,36 +199,6 @@ pub enum SplitEvent {
         /// The request, attempts already incremented.
         req: Req,
     },
-    /// A control-plane RPC reaches its server.
-    RpcSend {
-        /// Correlation id for timeout/duplicate handling.
-        id: u64,
-        /// Target server.
-        server: ServerId,
-        /// The RPC payload.
-        rpc: ServerRpc,
-    },
-    /// The server's ack (or failure) reaches the control plane.
-    RpcResult {
-        /// Correlation id; late or duplicate results are ignored.
-        id: u64,
-        /// Answering server.
-        server: ServerId,
-        /// The RPC being answered.
-        rpc: ServerRpc,
-        /// Whether the server applied it.
-        ok: bool,
-    },
-    /// The control plane gives up on an unanswered RPC.
-    RpcTimeout {
-        /// Correlation id; a no-op if the result already arrived.
-        id: u64,
-    },
-    /// The control plane's failure detector declares an islanded
-    /// server dead (fires a few seconds into a partition).
-    DetectDown(u32),
-    /// The i-th entry of the fault plan fires.
-    FaultHit(usize),
     /// Retry pacemaker: re-issue nacked or timed-out control steps and
     /// plan replacements on a fixed 500ms backoff.
     RetryTick,
@@ -291,6 +265,9 @@ pub struct SplitStats {
     pub final_shards: u64,
 }
 
+/// Outcome of one skew-storm run.
+pub type SplitReport = Report<SplitStats>;
+
 /// Forwarding rule a host holds for one shard it no longer serves
 /// directly — the generalized step-2/step-5 states of §4.3.
 #[derive(Clone, Debug)]
@@ -318,11 +295,12 @@ enum Decision {
 }
 
 /// One application server: primary-only shard hosting with the
-/// generalized forwarding states, per-shard request counters for load
-/// reports, and process liveness. All state is soft — a restart wipes
-/// it and the orchestrator's reconcile rebuilds the assigned part.
+/// generalized forwarding states and per-shard request counters for
+/// load reports. All state is soft — a restart wipes it and the
+/// orchestrator's reconcile rebuilds the assigned part. (Process
+/// liveness lives in the kit's `FleetState`.)
 #[derive(Default)]
-struct SplitHost {
+pub struct SplitHost {
     shards: BTreeMap<ShardId, ReplicaRole>,
     /// Step-1 state: shard -> owner we expect forwards from.
     pre_add: BTreeMap<ShardId, ServerId>,
@@ -332,30 +310,37 @@ struct SplitHost {
     tomb: BTreeMap<ShardId, Fwd>,
     /// Requests served per shard since the last load report.
     served: BTreeMap<ShardId, u64>,
-    up: bool,
     /// §3.2 self-fenced: the server's session lapsed (it is islanded),
     /// so it has wiped its leases and must refuse control-plane grants
     /// until the session is re-established.
     fenced: bool,
+    /// The spec service's answer for the split about to be delivered:
+    /// `split_forward` carries no split point (the RPC stays tiny), so
+    /// the server fetches it by correlation — here, the world reads the
+    /// orchestrator's pending-split table just before dispatch. `None`
+    /// means the operation was aborted between send and delivery.
+    split_point: Option<AppKey>,
 }
 
-impl SplitHost {
-    fn add_shard(&mut self, shard: ShardId, role: ReplicaRole) {
+impl ShardServer for SplitHost {
+    fn add_shard(&mut self, shard: ShardId, role: ReplicaRole) -> Result<(), SmError> {
         self.pre_add.remove(&shard);
         self.fwd.remove(&shard);
         self.tomb.remove(&shard);
         self.shards.insert(shard, role);
+        Ok(())
     }
 
     /// Idempotent: the orchestrator retries drops whose ack a lossy
     /// network may have eaten, so "ensure not hosting" must converge.
-    fn drop_shard(&mut self, shard: ShardId) {
+    fn drop_shard(&mut self, shard: ShardId) -> Result<(), SmError> {
         self.shards.remove(&shard);
         self.pre_add.remove(&shard);
         self.served.remove(&shard);
         if let Some(rule) = self.fwd.remove(&shard) {
             self.tomb.insert(shard, rule);
         }
+        Ok(())
     }
 
     fn change_role(
@@ -363,133 +348,134 @@ impl SplitHost {
         shard: ShardId,
         current: ReplicaRole,
         new: ReplicaRole,
-    ) -> Result<(), ()> {
+    ) -> Result<(), SmError> {
         match self.shards.get_mut(&shard) {
             Some(role) if *role == current => {
                 *role = new;
                 Ok(())
             }
-            _ => Err(()),
+            _ => Err(SmError::conflict(format!("{shard} is not {current} here"))),
         }
     }
 
-    fn prepare_add_shard(&mut self, shard: ShardId, current_owner: ServerId) {
+    fn prepare_add_shard(
+        &mut self,
+        shard: ShardId,
+        current_owner: ServerId,
+        _role: ReplicaRole,
+    ) -> Result<(), SmError> {
         self.pre_add.insert(shard, current_owner);
         self.tomb.remove(&shard);
-    }
-
-    fn prepare_drop_shard(&mut self, shard: ShardId, new_owner: ServerId) -> Result<(), ()> {
-        if !self.shards.contains_key(&shard) {
-            return Err(());
-        }
-        self.fwd.insert(shard, Fwd::Move(new_owner));
         Ok(())
     }
 
-    /// The split analogue of `prepare_drop_shard`: keep the data, stop
-    /// serving directly, forward each request to the child covering its
-    /// key. The split point arrives out of band (the spec service, by
-    /// correlation) — here, from the orchestrator's pending-split table.
+    fn prepare_drop_shard(
+        &mut self,
+        shard: ShardId,
+        new_owner: ServerId,
+        _role: ReplicaRole,
+    ) -> Result<(), SmError> {
+        self.forward(shard, Fwd::Move(new_owner))
+    }
+
+    fn report_load(&self) -> Vec<(ShardId, LoadVector)> {
+        // Zeros included — merge decisions need evidence of coldness,
+        // not absence of data.
+        let count = |shard| self.served.get(shard).copied().unwrap_or(0) as f64;
+        self.shards
+            .keys()
+            .map(|shard| {
+                (
+                    *shard,
+                    LoadVector::single(Metric::Synthetic.id(), count(shard)),
+                )
+            })
+            .collect()
+    }
+
+    /// Keep the data, stop serving directly, forward each request to
+    /// the child covering its key.
     fn split_forward(
         &mut self,
         parent: ShardId,
-        at: AppKey,
         left: ShardId,
         left_to: ServerId,
         right: ShardId,
         right_to: ServerId,
-    ) -> Result<(), ()> {
-        if !self.shards.contains_key(&parent) {
-            return Err(());
-        }
-        self.fwd.insert(
-            parent,
-            Fwd::Split {
-                at,
-                left,
-                left_to,
-                right,
-                right_to,
-            },
-        );
-        Ok(())
+    ) -> Result<(), SmError> {
+        // No split point: the op was aborted between send and delivery.
+        // Refuse — the orchestrator already moved on.
+        let at = self
+            .split_point
+            .take()
+            .ok_or_else(|| SmError::conflict(format!("split of {parent} was aborted")))?;
+        let rule = Fwd::Split {
+            at,
+            left,
+            left_to,
+            right,
+            right_to,
+        };
+        self.forward(parent, rule)
     }
 
-    /// The merge analogue: stop serving `source` directly and forward
-    /// its requests to the prepared merged shard.
-    fn merge_forward(&mut self, source: ShardId, target: ShardId, to: ServerId) -> Result<(), ()> {
-        if !self.shards.contains_key(&source) {
-            return Err(());
-        }
-        self.fwd.insert(source, Fwd::Merge { target, to });
-        Ok(())
+    /// Stop serving `source` directly and forward its requests to the
+    /// prepared merged shard.
+    fn merge_forward(
+        &mut self,
+        source: ShardId,
+        target: ShardId,
+        target_to: ServerId,
+    ) -> Result<(), SmError> {
+        let to = target_to;
+        self.forward(source, Fwd::Merge { target, to })
     }
+}
 
-    fn rule_decision(rule: &Fwd, key: &AppKey) -> Decision {
-        match rule {
-            Fwd::Move(to) => Decision::Forward {
-                shard: ShardId(u64::MAX), // replaced by caller
-                to: *to,
-            },
-            Fwd::Split {
-                at,
-                left,
-                left_to,
-                right,
-                right_to,
-            } => {
-                if key < at {
-                    Decision::Forward {
-                        shard: *left,
-                        to: *left_to,
-                    }
-                } else {
-                    Decision::Forward {
-                        shard: *right,
-                        to: *right_to,
-                    }
-                }
-            }
-            Fwd::Merge { target, to } => Decision::Forward {
-                shard: *target,
-                to: *to,
-            },
+impl SplitHost {
+    /// Installs a step-2 forwarding rule for a shard this host holds.
+    fn forward(&mut self, shard: ShardId, rule: Fwd) -> Result<(), SmError> {
+        if !self.shards.contains_key(&shard) {
+            return Err(SmError::not_found(shard));
         }
+        self.fwd.insert(shard, rule);
+        Ok(())
     }
 
     /// Admission for a primary-type request addressed to `shard` with
     /// `key`. `forwarded` is true when it came from the previous owner
     /// rather than directly from a client.
     fn admit(&self, shard: ShardId, key: &AppKey, forwarded: bool) -> Decision {
-        for table in [&self.fwd, &self.tomb] {
-            if let Some(rule) = table.get(&shard) {
-                return match Self::rule_decision(rule, key) {
-                    Decision::Forward { shard: s, to } if s == ShardId(u64::MAX) => {
-                        Decision::Forward { shard, to }
-                    }
-                    d => d,
-                };
-            }
-        }
-        if self.pre_add.contains_key(&shard) {
-            return if forwarded {
-                Decision::Serve
-            } else {
-                Decision::NotMine
+        if let Some(rule) = self.fwd.get(&shard).or_else(|| self.tomb.get(&shard)) {
+            let (shard, to) = match rule {
+                Fwd::Move(to) => (shard, *to),
+                Fwd::Split {
+                    at, left, left_to, ..
+                } if key < at => (*left, *left_to),
+                Fwd::Split {
+                    right, right_to, ..
+                } => (*right, *right_to),
+                Fwd::Merge { target, to } => (*target, *to),
             };
+            return Decision::Forward { shard, to };
         }
-        match self.shards.get(&shard) {
-            Some(role) if role.is_primary() => Decision::Serve,
-            _ => Decision::NotMine,
+        let mine = if self.pre_add.contains_key(&shard) {
+            forwarded
+        } else {
+            self.shards.get(&shard).is_some_and(|r| r.is_primary())
+        };
+        if mine {
+            Decision::Serve
+        } else {
+            Decision::NotMine
         }
     }
 
-    /// True when this host would serve a *direct* (unforwarded) request
-    /// for `shard` — the willing-primary predicate the dual-primary
-    /// audit counts.
+    /// True when this (live) host would serve a *direct* (unforwarded)
+    /// request for `shard` — the willing-primary predicate the
+    /// dual-primary audit counts.
     fn willing_direct(&self, shard: ShardId) -> bool {
-        self.up
-            && !self.fenced
+        !self.fenced
             && !self.fwd.contains_key(&shard)
             && self
                 .shards
@@ -497,241 +483,85 @@ impl SplitHost {
                 .is_some_and(|role| role.is_primary())
     }
 
-    /// Process restart: all soft state is lost.
+    /// Process restart or self-fence: all soft state is lost.
     fn wipe(&mut self) {
-        self.shards.clear();
-        self.pre_add.clear();
-        self.fwd.clear();
-        self.tomb.clear();
-        self.served.clear();
+        *self = Self::default();
     }
 }
 
-fn loc(s: u32) -> Location {
-    Location {
-        region: RegionId(0),
-        datacenter: 0,
-        rack: s,
-        machine: MachineId(s),
-    }
-}
+/// What the scenario's handlers work through.
+type Cx<'a, 'c> = kit::Cx<'a, 'c, SplitEvent>;
 
-fn orch_config(cfg: &SplitConfig) -> OrchestratorConfig {
-    OrchestratorConfig {
-        graceful_migration: true,
-        move_caps: MoveCaps {
-            max_total: 1000,
-            max_per_server: 1000,
-            max_per_shard: 1,
-        },
-        alloc: AllocConfig::new(vec![Metric::Synthetic.id()]),
-        skip_cutover_ack: cfg.skip_cutover_ack,
-    }
-}
-
-/// The skew-storm simulation world.
-pub struct SplitWorld {
+/// The skew-storm scenario.
+pub struct Split {
     cfg: SplitConfig,
     cp: Orchestrator,
     scaler: SplitScaler,
     hosts: BTreeMap<ServerId, SplitHost>,
+    fleet: FleetState,
     router: ServiceRouter,
-    net: SimNet,
-    oracle: Oracle,
-    plan: Vec<(SimTime, Fault)>,
-    /// Correlation ids of control-plane RPCs awaiting an answer.
-    outstanding: BTreeMap<u64, (ServerId, ServerRpc)>,
-    /// Correlation ids already executed at a server, with the recorded
-    /// outcome: a duplicated copy answers from here instead of
-    /// re-running the protocol step.
-    rpc_applied: BTreeMap<u64, bool>,
-    next_rpc: u64,
     next_req: u64,
     /// Every shard id ever published with its immutable key range (a
     /// shard's range never changes between mint and removal), for the
     /// per-key willing-primary audit.
     ranges: BTreeMap<ShardId, KeyRange>,
-    /// Servers the failure detector declared down behind a partition.
-    partitioned: BTreeSet<ServerId>,
-    /// True during a lossy-net window.
-    degraded: bool,
-    /// Orchestrator stats at the last scan (for delta counting).
-    last_cp_stats: sm_core::orchestrator::OrchStats,
-    /// Counters.
-    pub stats: SplitStats,
-    /// Recorded time series (shard count, in-flight reshards, drops).
-    pub trace: TraceLog,
+    /// The world's own counters (the fleet's and the orchestrator's are
+    /// merged in by [`Split::sync_stats`]).
+    stats: SplitStats,
 }
 
-impl SplitWorld {
-    /// Builds the world with its plan derived from `(seed, profile)`.
-    pub fn new(cfg: SplitConfig) -> Self {
-        let mut world = Self::bootstrap(cfg);
-        // No mini-SMs in this world: the plan covers servers and the
-        // network only.
-        world.plan = fault_plan(&cfg.profile.config(cfg.seed, cfg.servers, 0));
-        world
-    }
-
-    /// Builds the world with an explicit fault plan — the replay and
-    /// shrink path.
-    pub fn new_with_plan(cfg: SplitConfig, plan: Vec<(SimTime, Fault)>) -> Self {
-        let mut world = Self::bootstrap(cfg);
-        world.plan = plan;
-        world
-    }
-
-    /// Registers the fleet and the initial uniform spec, places every
-    /// shard, and settles the initial placement synchronously.
-    fn bootstrap(cfg: SplitConfig) -> Self {
-        let mut cp = Orchestrator::new(APP, AppPolicy::primary_only(), orch_config(&cfg));
-        let mut hosts = BTreeMap::new();
-        for i in 0..cfg.servers {
-            let id = ServerId(i);
-            cp.register_server(id, loc(i), LoadVector::single(Metric::Synthetic.id(), 1e9));
-            hosts.insert(
-                id,
-                SplitHost {
-                    up: true,
-                    ..SplitHost::default()
-                },
-            );
+impl Split {
+    /// What a control-plane delivery finds at `server`: nothing for a
+    /// dead process (the give-up timer reaps the RPC), a refusal from a
+    /// self-fenced one (its session lapsed, so accepting an `AddShard`
+    /// the control plane sent an instant before declaring it down would
+    /// resurrect an unleased primary — the nack sends the control plane
+    /// back to re-plan), else the host, primed with the split point a
+    /// `SplitForward` will ask the spec service for.
+    fn gate<'a>(
+        hosts: &'a mut BTreeMap<ServerId, SplitHost>,
+        fleet: &FleetState,
+        cp: &Orchestrator,
+        server: ServerId,
+        rpc: &ServerRpc,
+    ) -> Host<'a, SplitHost> {
+        let Some(host) = hosts.get_mut(&server).filter(|_| fleet.is_up(server)) else {
+            return Host::Down;
+        };
+        if host.fenced {
+            return Host::Fenced;
         }
-        let spec = ShardingSpec::uniform_u64(cfg.shards);
-        cp.register_shards((0..cfg.shards).map(ShardId));
-        cp.register_spec(spec.clone());
-        cp.run_emergency();
-        let mut world = Self {
-            cfg,
-            cp,
-            scaler: scaler_for(&cfg),
-            hosts,
-            router: ServiceRouter::new(),
-            net: SimNet::new(
-                LatencyModel::uniform(1, cfg.rpc_latency.as_millis_f64(), {
-                    cfg.rpc_latency.as_millis_f64()
-                }),
-                cfg.seed,
-            ),
-            oracle: Oracle::new(),
-            plan: Vec::new(),
-            outstanding: BTreeMap::new(),
-            rpc_applied: BTreeMap::new(),
-            next_rpc: 0,
-            next_req: 0,
-            ranges: BTreeMap::new(),
-            partitioned: BTreeSet::new(),
-            degraded: false,
-            last_cp_stats: sm_core::orchestrator::OrchStats::default(),
-            stats: SplitStats::default(),
-            trace: TraceLog::new(),
-        };
-        world.settle();
-        world.refresh_router();
-        world
-    }
-
-    /// Dispatches one control-plane RPC at a host, fetching out-of-band
-    /// data (the split point) from the orchestrator's pending tables
-    /// the way a production server would fetch it from the spec
-    /// service. Returns whether the server applied it.
-    fn apply_rpc(&mut self, server: ServerId, rpc: ServerRpc) -> bool {
-        // The split point must be read before borrowing the host.
-        let split_at = match rpc {
-            ServerRpc::SplitForward { parent, .. } => self.cp.pending_split(parent).cloned(),
-            _ => None,
-        };
-        let Some(host) = self.hosts.get_mut(&server) else {
-            return false;
-        };
-        match rpc {
-            ServerRpc::AddShard { shard, role } => {
-                host.add_shard(shard, role);
-                true
-            }
-            ServerRpc::DropShard { shard } => {
-                host.drop_shard(shard);
-                true
-            }
-            ServerRpc::ChangeRole {
-                shard,
-                current,
-                new,
-            } => host.change_role(shard, current, new).is_ok(),
-            ServerRpc::PrepareAddShard {
-                shard,
-                current_owner,
-                ..
-            } => {
-                host.prepare_add_shard(shard, current_owner);
-                true
-            }
-            ServerRpc::PrepareDropShard {
-                shard, new_owner, ..
-            } => host.prepare_drop_shard(shard, new_owner).is_ok(),
-            ServerRpc::SplitForward {
-                parent,
-                left,
-                left_to,
-                right,
-                right_to,
-            } => match split_at {
-                // The op was aborted between send and delivery: refuse,
-                // the orchestrator already moved on.
-                None => false,
-                Some(at) => host
-                    .split_forward(parent, at, left, left_to, right, right_to)
-                    .is_ok(),
-            },
-            ServerRpc::MergeForward {
-                source,
-                target,
-                target_to,
-            } => host.merge_forward(source, target, target_to).is_ok(),
+        if let ServerRpc::SplitForward { parent, .. } = rpc {
+            host.split_point = cp.pending_split(*parent).cloned();
         }
+        Host::Serving(host)
     }
 
-    /// Settles the control plane synchronously against the live fleet:
-    /// every command runs until the orchestrator goes quiet (bootstrap
-    /// and finalize only — during the run commands travel the net).
+    /// Settles the control plane synchronously against the live fleet
+    /// (bootstrap and quiescence only).
     fn settle(&mut self) {
-        for round in 0..200 {
-            let cmds = self.cp.take_commands();
-            if cmds.is_empty() {
-                if self.cp.run_emergency() == 0 && round > 0 {
-                    break;
-                }
-                continue;
-            }
-            for cmd in cmds {
-                if let OrchCommand::Rpc { server, rpc } = cmd {
-                    let ok = self.hosts.get(&server).map(|h| h.up).unwrap_or(false)
-                        && self.apply_rpc(server, rpc);
-                    if ok {
-                        self.cp.rpc_acked(server, rpc);
-                    } else {
-                        self.cp.rpc_failed(server, rpc);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The invariant oracle's current state.
-    pub fn oracle(&self) -> &Oracle {
-        &self.oracle
+        let (hosts, fleet) = (&mut self.hosts, &self.fleet);
+        let apply = |cp: &Orchestrator, server: ServerId, rpc: ServerRpc| match Self::gate(
+            hosts, fleet, cp, server, &rpc,
+        ) {
+            Host::Serving(host) => rpc.dispatch(host).is_ok(),
+            Host::Fenced | Host::Down => false,
+        };
+        kit::settle(&mut self.cp, apply, |cp, round| {
+            cp.run_emergency() == 0 && round > 0
+        });
     }
 
     /// True when every spec shard has a primary and nothing is stuck
     /// mid-migration or mid-reshard.
-    pub fn converged(&self) -> bool {
+    fn converged(&self) -> bool {
         self.cp.in_flight_migrations() == 0
             && self.cp.in_flight_reshards() == 0
             && self.unplaced_count() == 0
     }
 
     /// Spec shards currently missing a primary (diagnostics).
-    pub fn unplaced_count(&self) -> usize {
+    fn unplaced_count(&self) -> usize {
         let Some(spec) = self.cp.sharding_spec() else {
             return 0;
         };
@@ -758,60 +588,6 @@ impl SplitWorld {
             .count()
     }
 
-    /// One line of host + assignment state per spec shard (diagnostics).
-    pub fn debug_dump(&self) -> String {
-        let mut out = String::new();
-        if let Some(spec) = self.cp.sharding_spec() {
-            for (range, shard) in spec.iter() {
-                let hosting: Vec<String> = self
-                    .hosts
-                    .iter()
-                    .filter_map(|(srv, h)| {
-                        let mut tags = Vec::new();
-                        if h.shards.contains_key(shard) {
-                            tags.push("own");
-                        }
-                        if h.pre_add.contains_key(shard) {
-                            tags.push("pre");
-                        }
-                        if h.fwd.contains_key(shard) {
-                            tags.push("fwd");
-                        }
-                        if h.tomb.contains_key(shard) {
-                            tags.push("tomb");
-                        }
-                        (!tags.is_empty()).then(|| {
-                            format!(
-                                "{}:{}{}",
-                                srv.raw(),
-                                tags.join("+"),
-                                if h.up { "" } else { "!down" }
-                            )
-                        })
-                    })
-                    .collect();
-                out.push_str(&format!(
-                    "{shard:?} [{},{:?}) primary={:?} hosts={hosting:?}\n",
-                    range.start,
-                    range.end,
-                    self.cp.assignment().primary_of(*shard),
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "in_flight: migrations={} reshards={}\n",
-            self.cp.in_flight_migrations(),
-            self.cp.in_flight_reshards()
-        ));
-        out
-    }
-
-    /// True while the plan has something actively broken — the window
-    /// in which a nacked protocol step counts as fault-interrupted.
-    fn fault_active(&self) -> bool {
-        self.degraded || self.net.partition().is_some() || self.hosts.values().any(|h| !h.up)
-    }
-
     /// Hosts willing to serve `key` directly, across every shard whose
     /// (immutable) range covers it. More than one is a dual primary:
     /// e.g. a split parent still serving while a committed child also
@@ -822,8 +598,8 @@ impl SplitWorld {
             .filter(|(_, range)| range.contains(key))
             .map(|(shard, _)| {
                 self.hosts
-                    .values()
-                    .filter(|h| h.willing_direct(*shard))
+                    .iter()
+                    .filter(|(s, h)| self.fleet.is_up(**s) && h.willing_direct(*shard))
                     .count()
             })
             .sum()
@@ -842,135 +618,21 @@ impl SplitWorld {
         self.router.install_map(APP, Rc::new(self.cp.current_map()));
     }
 
-    /// Sends freshly minted orchestrator commands out as RPCs through
-    /// the net, each with a correlation id and a give-up timer.
-    fn flush_commands(&mut self, ctx: &mut Ctx<'_, SplitEvent>) {
-        for cmd in self.cp.take_commands() {
-            if let OrchCommand::Rpc { server, rpc } = cmd {
-                self.next_rpc += 1;
-                let id = self.next_rpc;
-                self.outstanding.insert(id, (server, rpc));
-                let t = self
-                    .net
-                    .transmit(Endpoint::ControlPlane, Endpoint::Server(server.raw()));
-                for d in t.copies {
-                    ctx.schedule_in(d, SplitEvent::RpcSend { id, server, rpc });
-                }
-                ctx.schedule_in(self.cfg.rpc_timeout, SplitEvent::RpcTimeout { id });
-            }
-        }
+    /// True inside the viral window.
+    fn stormy(&self, now: SimTime) -> bool {
+        now >= self.cfg.storm_start && now < self.cfg.storm_end
     }
 
-    fn rpc_send(
-        &mut self,
-        id: u64,
-        server: ServerId,
-        rpc: ServerRpc,
-        ctx: &mut Ctx<'_, SplitEvent>,
-    ) {
-        // A dead process never answers — the give-up timer reaps the
-        // RPC. A duplicated copy of an already-executed step answers
-        // with the recorded outcome instead of re-dispatching.
-        let ok = if let Some(&ok) = self.rpc_applied.get(&id) {
-            ok
-        } else {
-            if !self.hosts.get(&server).map(|h| h.up).unwrap_or(false) {
-                return;
-            }
-            // A self-fenced server refuses every grant: its session
-            // lapsed, so accepting an `AddShard` the control plane sent
-            // an instant before declaring it down would resurrect an
-            // unleased primary (a dual). The nack sends the control
-            // plane back to re-plan.
-            let ok = !self.hosts.get(&server).map(|h| h.fenced).unwrap_or(true)
-                && self.apply_rpc(server, rpc);
-            self.rpc_applied.insert(id, ok);
-            if ok {
-                ctx.state_changed();
-            }
-            ok
-        };
-        let t = self
-            .net
-            .transmit(Endpoint::Server(server.raw()), Endpoint::ControlPlane);
-        for d in t.copies {
-            ctx.schedule_in(
-                d,
-                SplitEvent::RpcResult {
-                    id,
-                    server,
-                    rpc,
-                    ok,
-                },
-            );
-        }
-    }
-
-    /// Books a nacked or timed-out resharding step as fault-interrupted
-    /// when the plan has something actively broken. (Plain migration
-    /// steps also flow through here; this world's floors only count the
-    /// resharding protocol's own RPCs.)
-    fn note_interrupted(&mut self, rpc: ServerRpc) {
-        if !self.fault_active() {
-            return;
-        }
-        if matches!(
-            rpc,
-            ServerRpc::PrepareAddShard { .. }
-                | ServerRpc::SplitForward { .. }
-                | ServerRpc::MergeForward { .. }
-        ) {
-            self.stats.reshard_rpc_interrupted += 1;
-        }
-    }
-
-    fn rpc_result(
-        &mut self,
-        id: u64,
-        server: ServerId,
-        rpc: ServerRpc,
-        ok: bool,
-        ctx: &mut Ctx<'_, SplitEvent>,
-    ) {
-        if self.outstanding.remove(&id).is_none() {
-            return; // duplicate copy or a result the timeout already reaped
-        }
-        if ok {
-            self.cp.rpc_acked(server, rpc);
-            self.flush_commands(ctx);
-        } else {
-            self.stats.rpc_nacks += 1;
-            self.note_interrupted(rpc);
-            self.cp.rpc_failed(server, rpc);
-            // No immediate flush: re-issued commands leave with the
-            // next retry tick (500ms backoff, not a 2×RTT storm). The
-            // exception is an abort's compensations, which the next
-            // tick also carries.
-        }
-        ctx.state_changed();
-    }
-
-    fn rpc_timeout(&mut self, id: u64, ctx: &mut Ctx<'_, SplitEvent>) {
-        let Some((server, rpc)) = self.outstanding.remove(&id) else {
-            return; // answered in time
-        };
-        self.stats.rpc_timeouts += 1;
-        self.note_interrupted(rpc);
-        self.cp.rpc_failed(server, rpc);
-        ctx.state_changed();
-    }
-
-    fn client_tick(&mut self, client: u32, ctx: &mut Ctx<'_, SplitEvent>) {
-        let now = ctx.now();
+    fn client_tick(&mut self, client: u32, cx: &mut Cx<'_, '_>) {
+        let now = cx.now();
         if now < self.cfg.traffic_end {
-            ctx.schedule_in(self.cfg.request_interval, SplitEvent::ClientTick(client));
+            cx.schedule_in(self.cfg.request_interval, SplitEvent::ClientTick(client));
         }
         // The viral window: 80% of keys land in one narrow slice.
-        let stormy = now >= self.cfg.storm_start && now < self.cfg.storm_end;
-        let key = if stormy && ctx.rng().chance(0.8) {
-            self.cfg.hot_lo() + ctx.rng().range_u64(0, self.cfg.hot_span())
+        let key = if self.stormy(now) && cx.rng().chance(0.8) {
+            self.cfg.hot_lo() + cx.rng().range_u64(0, self.cfg.hot_span())
         } else {
-            ctx.rng().next_u64()
+            cx.rng().next_u64()
         };
         self.next_req += 1;
         let req = Req {
@@ -979,60 +641,66 @@ impl SplitWorld {
             key,
             attempts: 1,
         };
-        self.oracle.request_issued(req.id);
-        self.route(req, ctx);
+        cx.oracle.request_issued(req.id);
+        self.route(req, cx);
     }
 
     /// Routes (or re-routes) a request through the client's router —
     /// key to shard to primary, on whatever spec + map version the last
     /// refresh pulled.
-    fn route(&mut self, req: Req, ctx: &mut Ctx<'_, SplitEvent>) {
-        if self.oracle.already_served(req.id) {
+    fn route(&mut self, req: Req, cx: &mut Cx<'_, '_>) {
+        if cx.oracle.already_served(req.id) {
             return; // a duplicated copy already completed this request
         }
-        let Ok(decision) = self.router.route(APP, &AppKey::from_u64(req.key)) else {
-            self.fail_or_retry(req, ctx);
-            return;
-        };
-        let t = self.net.transmit(
-            Endpoint::Client(req.client),
-            Endpoint::Server(decision.server.raw()),
-        );
-        if t.copies.is_empty() {
-            self.fail_or_retry(req, ctx);
-            return;
-        }
-        for d in t.copies {
-            ctx.schedule_in(
-                d,
-                SplitEvent::Deliver {
-                    req,
-                    shard: decision.shard,
-                    target: decision.server,
-                    hops: 0,
-                },
-            );
+        match self.router.route(APP, &AppKey::from_u64(req.key)) {
+            Ok(d) => {
+                let src = Endpoint::Client(req.client);
+                self.transmit(req, src, d.shard, d.server, 0, cx)
+            }
+            Err(_) => self.fail_or_retry(req, cx),
         }
     }
 
-    fn fail_or_retry(&mut self, req: Req, ctx: &mut Ctx<'_, SplitEvent>) {
-        if self.oracle.already_served(req.id) {
+    /// Puts one hop of `req` on the wire toward `target`.
+    fn transmit(
+        &mut self,
+        req: Req,
+        src: Endpoint,
+        shard: ShardId,
+        target: ServerId,
+        hops: u8,
+        cx: &mut Cx<'_, '_>,
+    ) {
+        let t = cx.net.transmit(src, Endpoint::Server(target.raw()));
+        if t.copies.is_empty() {
+            self.fail_or_retry(req, cx);
+        }
+        for d in t.copies {
+            let deliver = SplitEvent::Deliver {
+                req,
+                shard,
+                target,
+                hops,
+            };
+            cx.schedule_in(d, deliver);
+        }
+    }
+
+    fn fail_or_retry(&mut self, req: Req, cx: &mut Cx<'_, '_>) {
+        if cx.oracle.already_served(req.id) {
             return;
         }
         if req.attempts < self.cfg.max_attempts {
             self.stats.retries += 1;
-            ctx.schedule_in(
-                self.cfg.retry_delay,
-                SplitEvent::Retry {
-                    req: Req {
-                        attempts: req.attempts + 1,
-                        ..req
-                    },
-                },
-            );
+            let req = Req {
+                attempts: req.attempts + 1,
+                ..req
+            };
+            cx.schedule_in(self.cfg.retry_delay, SplitEvent::Retry { req });
         } else {
             self.stats.dropped += 1;
-            self.oracle.request_dropped(ctx.now(), req.id);
+            let now = cx.now();
+            cx.oracle.request_dropped(now, req.id);
         }
     }
 
@@ -1042,35 +710,28 @@ impl SplitWorld {
         shard: ShardId,
         target: ServerId,
         hops: u8,
-        ctx: &mut Ctx<'_, SplitEvent>,
+        cx: &mut Cx<'_, '_>,
     ) {
-        if self.oracle.already_served(req.id) {
-            return;
-        }
-        if !self.hosts.get(&target).map(|h| h.up).unwrap_or(false) {
-            self.fail_or_retry(req, ctx);
+        if cx.oracle.already_served(req.id) {
             return;
         }
         let key = AppKey::from_u64(req.key);
-        let decision = self
-            .hosts
-            .get(&target)
-            .map(|h| h.admit(shard, &key, hops > 0))
-            .unwrap_or(Decision::NotMine);
+        let decision = match self.hosts.get(&target) {
+            Some(h) if self.fleet.is_up(target) => h.admit(shard, &key, hops > 0),
+            _ => Decision::NotMine,
+        };
         match decision {
             Decision::Serve => {
+                let now = cx.now();
                 // The dual-primary invariant is checked at the moment
                 // it matters: when a request is actually served.
                 let willing = self.willing_for_key(&key);
-                self.oracle
-                    .primaries_observed(ctx.now(), shard.raw(), willing);
-                if self.oracle.request_served(req.id) {
+                cx.oracle.primaries_observed(now, shard.raw(), willing);
+                if cx.oracle.request_served(req.id) {
                     self.stats.served += 1;
-                    let now = ctx.now();
-                    let stormy = now >= self.cfg.storm_start && now < self.cfg.storm_end;
                     let hot = req.key >= self.cfg.hot_lo()
                         && req.key - self.cfg.hot_lo() < self.cfg.hot_span();
-                    if stormy && hot {
+                    if self.stormy(now) && hot {
                         self.stats.storm_served += 1;
                     }
                 }
@@ -1078,249 +739,50 @@ impl SplitWorld {
                     *h.served.entry(shard).or_insert(0) += 1;
                 }
             }
-            Decision::Forward {
-                shard: next_shard,
-                to,
-            } if hops < 6 => {
+            Decision::Forward { shard, to } if hops < 6 => {
                 self.stats.forwards += 1;
-                let t = self
-                    .net
-                    .transmit(Endpoint::Server(target.raw()), Endpoint::Server(to.raw()));
-                if t.copies.is_empty() {
-                    self.fail_or_retry(req, ctx);
-                    return;
-                }
-                for d in t.copies {
-                    ctx.schedule_in(
-                        d,
-                        SplitEvent::Deliver {
-                            req,
-                            shard: next_shard,
-                            target: to,
-                            hops: hops + 1,
-                        },
-                    );
-                }
+                let src = Endpoint::Server(target.raw());
+                self.transmit(req, src, shard, to, hops + 1, cx);
             }
-            Decision::Forward { .. } | Decision::NotMine => {
-                self.fail_or_retry(req, ctx);
-            }
+            Decision::Forward { .. } | Decision::NotMine => self.fail_or_retry(req, cx),
         }
     }
 
     /// Load collection + resharding round: every live host reports its
-    /// per-shard request counts since the last round (zeros included —
-    /// merge decisions need evidence of coldness, not absence of data),
-    /// then the scaler runs against the fresh numbers.
-    fn reshard_tick(&mut self, ctx: &mut Ctx<'_, SplitEvent>) {
-        if ctx.now() < self.cfg.traffic_end {
-            ctx.schedule_in(self.cfg.reshard_interval, SplitEvent::ReshardTick);
+    /// per-shard request counts since the last round, then the scaler
+    /// runs against the fresh numbers.
+    fn reshard_tick(&mut self, cx: &mut Cx<'_, '_>) {
+        if cx.now() < self.cfg.traffic_end {
+            cx.schedule_in(self.cfg.reshard_interval, SplitEvent::ReshardTick);
         }
-        let reports: Vec<(ServerId, Vec<(ShardId, LoadVector)>)> = self
-            .hosts
-            .iter_mut()
-            .filter(|(_, h)| h.up)
-            .map(|(srv, h)| {
-                let loads = h
-                    .shards
-                    .keys()
-                    .map(|&shard| {
-                        let count = h.served.get(&shard).copied().unwrap_or(0);
-                        (
-                            shard,
-                            LoadVector::single(Metric::Synthetic.id(), count as f64),
-                        )
-                    })
-                    .collect();
-                h.served.clear();
-                (*srv, loads)
-            })
-            .collect();
         let mut overloaded = false;
-        for (srv, loads) in reports {
+        for (srv, h) in self.hosts.iter_mut() {
+            if !self.fleet.is_up(*srv) {
+                continue;
+            }
+            let loads = h.report_load();
+            h.served.clear();
             for (_, load) in &loads {
                 let count = load.get(Metric::Synthetic.id()) as u64;
                 self.stats.peak_tick_load = self.stats.peak_tick_load.max(count);
                 overloaded |= count as f64 > self.scaler.config().split_above;
             }
-            self.cp.report_load(srv, loads);
+            self.cp.report_load(*srv, loads);
         }
         self.stats.overload_ticks += u64::from(overloaded);
         if self.cfg.adaptive {
             self.cp.run_reshard(&self.scaler);
         }
         self.stats.orch_errors += self.cp.drain_errors().len() as u64;
-        self.flush_commands(ctx);
-        ctx.state_changed();
-    }
-
-    /// The retry pacemaker: nacked and timed-out protocol steps leave
-    /// here on a fixed 500ms backoff, alongside replacement planning
-    /// for failed-over shards.
-    fn retry_tick(&mut self, ctx: &mut Ctx<'_, SplitEvent>) {
-        if ctx.now() < self.cfg.end {
-            ctx.schedule_in(SimDuration::from_millis(500), SplitEvent::RetryTick);
-        }
-        self.cp.run_emergency();
-        self.flush_commands(ctx);
-    }
-
-    fn router_refresh(&mut self, ctx: &mut Ctx<'_, SplitEvent>) {
-        if ctx.now() < self.cfg.end {
-            ctx.schedule_in(self.cfg.refresh_interval, SplitEvent::RouterRefresh);
-        }
-        self.refresh_router();
-    }
-
-    fn apply_fault(&mut self, fault: Fault, ctx: &mut Ctx<'_, SplitEvent>) {
-        match fault {
-            Fault::ServerCrash(i) | Fault::SessionExpiry(i) => {
-                let s = ServerId(i);
-                let up = self.hosts.get(&s).map(|h| h.up).unwrap_or(false);
-                if !up {
-                    return;
-                }
-                if matches!(fault, Fault::ServerCrash(_)) {
-                    self.stats.server_crashes += 1;
-                } else {
-                    self.stats.session_expiries += 1;
-                }
-                if let Some(h) = self.hosts.get_mut(&s) {
-                    h.up = false;
-                }
-                // The control plane only learns of the death once its
-                // failure detector fires; until then RPCs to the dead
-                // server time out and operations stall mid-step.
-                ctx.schedule_in(SimDuration::from_secs(3), SplitEvent::DetectDown(i));
-            }
-            Fault::ServerRestart(i) | Fault::SessionRestore(i) => {
-                let s = ServerId(i);
-                let up = self.hosts.get(&s).map(|h| h.up).unwrap_or(true);
-                if up {
-                    return;
-                }
-                if let Some(h) = self.hosts.get_mut(&s) {
-                    // A process restart: all soft state (shards held,
-                    // forwarding rules, tombstones) is gone, and the
-                    // new process establishes a fresh session.
-                    h.wipe();
-                    h.fenced = false;
-                    h.up = true;
-                }
-                self.cp.server_up(s);
-                self.cp.reconcile_server(s);
-            }
-            Fault::PartitionStart(spec) => {
-                self.net.start_partition(spec);
-                self.stats.net_partitions += 1;
-                for i in 0..self.cfg.servers {
-                    if spec.contains(Endpoint::Server(i)) {
-                        ctx.schedule_in(SimDuration::from_secs(3), SplitEvent::DetectDown(i));
-                    }
-                }
-            }
-            Fault::PartitionHeal => {
-                self.net.heal_partition();
-                let healed = std::mem::take(&mut self.partitioned);
-                for s in healed {
-                    // The session re-establishes; the (wiped) server
-                    // may accept grants again.
-                    if let Some(h) = self.hosts.get_mut(&s) {
-                        h.fenced = false;
-                    }
-                    if self.hosts.get(&s).map(|h| h.up).unwrap_or(false) {
-                        self.cp.server_up(s);
-                        self.cp.reconcile_server(s);
-                    }
-                }
-            }
-            Fault::NetDegrade { drop_pct, dup_pct } => {
-                self.degraded = true;
-                self.net
-                    .set_degradation(f64::from(drop_pct) / 100.0, f64::from(dup_pct) / 100.0);
-            }
-            Fault::NetHeal => {
-                self.degraded = false;
-                self.net.heal_degradation();
-            }
-            // No mini-SMs in this world.
-            Fault::MiniSmCrash(_) | Fault::MiniSmRestart(_) => {}
-        }
-    }
-
-    /// The failure detector fires: a server that is (still) dead or
-    /// (still) islanded is declared down, aborting its in-flight
-    /// operations and failing its shards over.
-    fn detect_down(&mut self, i: u32, ctx: &mut Ctx<'_, SplitEvent>) {
-        let s = ServerId(i);
-        let host_up = self.hosts.get(&s).map(|h| h.up).unwrap_or(false);
-        let islanded = self
-            .net
-            .partition()
-            .is_some_and(|spec| spec.contains(Endpoint::Server(i)));
-        if host_up && !islanded {
-            return; // recovered before detection
-        }
-        if host_up && islanded {
-            // Alive but unreachable: by the time the control plane's
-            // detector fires, the server's own §3.2 self-fence timer
-            // (strictly shorter than the session timeout) has already
-            // made it wipe its leases — otherwise re-placement would
-            // create a second willing primary. Remember to welcome it
-            // back when the partition heals.
-            if let Some(h) = self.hosts.get_mut(&s) {
-                h.wipe();
-                h.fenced = true;
-            }
-            self.stats.self_fences += 1;
-            self.partitioned.insert(s);
-        }
-        self.cp.server_down(s);
-        self.flush_commands(ctx);
-        ctx.state_changed();
-    }
-
-    /// The oracle sweep body, run by the engine (change-driven plus a
-    /// coarse safety net): audit key-space coverage on the
-    /// authoritative spec, count completed/aborted operations, and
-    /// record trace points.
-    fn scan(&mut self, ctx: &mut Ctx<'_, SplitEvent>) {
-        let now = ctx.now();
-        if now > self.cfg.end {
-            return;
-        }
-        self.audit_coverage(now);
-        let cp = self.cp.stats();
-        self.stats.splits_completed = cp.splits_completed;
-        self.stats.splits_aborted = cp.splits_aborted;
-        self.stats.merges_completed = cp.merges_completed;
-        self.stats.merges_aborted = cp.merges_aborted;
-        let shard_count = self
-            .cp
-            .sharding_spec()
-            .map(|s| s.shard_count() as u64)
-            .unwrap_or(0);
-        self.stats.peak_shards = self.stats.peak_shards.max(shard_count);
-        self.last_cp_stats = cp;
-        self.trace.record("shards", now, shard_count as f64);
-        self.trace
-            .record("splits_completed", now, cp.splits_completed as f64);
-        self.trace
-            .record("merges_completed", now, cp.merges_completed as f64);
-        self.trace.record(
-            "in_flight_reshards",
-            now,
-            self.cp.in_flight_reshards() as f64,
-        );
-        self.trace.record("served", now, self.stats.served as f64);
-        self.trace.record("dropped", now, self.stats.dropped as f64);
+        cx.flush(self.cp.take_commands());
+        cx.state_changed();
     }
 
     /// Audits the coverage invariant on the authoritative spec: its
     /// ranges must partition the key space at every instant — split and
     /// merge commits are atomic spec swaps, so no intermediate state is
     /// ever visible here.
-    fn audit_coverage(&mut self, now: SimTime) {
+    fn audit_coverage(&self, now: SimTime, oracle: &mut Oracle) {
         let Some(spec) = self.cp.sharding_spec() else {
             return;
         };
@@ -1334,319 +796,296 @@ impl SplitWorld {
                 )
             })
             .collect();
-        self.oracle.keyspace_coverage(now, &ranges);
+        oracle.keyspace_coverage(now, &ranges);
+    }
+
+    /// Folds the orchestrator's resharding counters and the current
+    /// shard count into the stats; returns the shard count.
+    fn sync_stats(&mut self) -> u64 {
+        let cp = self.cp.stats();
+        self.stats.splits_completed = cp.splits_completed;
+        self.stats.splits_aborted = cp.splits_aborted;
+        self.stats.merges_completed = cp.merges_completed;
+        self.stats.merges_aborted = cp.merges_aborted;
+        let shards = self
+            .cp
+            .sharding_spec()
+            .map_or(0, |s| s.shard_count() as u64);
+        self.stats.peak_shards = self.stats.peak_shards.max(shards);
+        shards
+    }
+}
+
+impl Fleet for Split {
+    fn fleet(&mut self) -> (&mut FleetState, &mut Orchestrator) {
+        (&mut self.fleet, &mut self.cp)
+    }
+
+    fn on(&mut self, change: Change) {
+        let (s, wipe, fenced) = match change {
+            // A process restart: all soft state (shards held,
+            // forwarding rules, tombstones) is gone, and the new
+            // process establishes a fresh session.
+            Change::Restarted(s) => (s, true, false),
+            // By the time the control plane's detector fires, the
+            // server's own §3.2 self-fence timer (strictly shorter than
+            // the session timeout) has already made it wipe its leases
+            // — otherwise re-placement would create a second willing
+            // primary.
+            Change::Islanded(s) => {
+                self.stats.self_fences += 1;
+                (s, true, true)
+            }
+            // The session re-establishes; the (wiped) server may accept
+            // grants again.
+            Change::Rejoined(s) => (s, false, false),
+            // This world's floors only count the resharding protocol's
+            // own RPCs (plain migration steps also flow through here).
+            Change::Interrupted(
+                ServerRpc::PrepareAddShard { .. }
+                | ServerRpc::SplitForward { .. }
+                | ServerRpc::MergeForward { .. },
+            ) => {
+                self.stats.reshard_rpc_interrupted += 1;
+                return;
+            }
+            _ => return,
+        };
+        if let Some(host) = self.hosts.get_mut(&s) {
+            if wipe {
+                host.wipe();
+            }
+            host.fenced = fenced;
+        }
+    }
+}
+
+impl Scenario for Split {
+    const WORLD: &'static str = "split";
+    const MUTATION: &'static str = "skip_cutover_ack";
+    const DRAINS: bool = false;
+    type Config = SplitConfig;
+    type Event = SplitEvent;
+    type Host = SplitHost;
+    type Stats = SplitStats;
+    type Extra = ();
+
+    fn params(cfg: &SplitConfig) -> Params {
+        Params {
+            seed: cfg.seed,
+            servers: cfg.servers,
+            rpc_latency: cfg.rpc_latency,
+            rpc_timeout: cfg.rpc_timeout,
+            end: cfg.end,
+        }
+    }
+
+    fn cell(seed: u64, profile: FaultProfile, mutate: bool) -> SplitConfig {
+        SplitConfig {
+            skip_cutover_ack: mutate,
+            ..SplitConfig::dst(seed, profile)
+        }
+    }
+
+    fn key(cfg: &SplitConfig) -> (&'static str, bool) {
+        (cfg.profile.name(), cfg.skip_cutover_ack)
+    }
+
+    /// Registers the fleet and the initial uniform spec, places every
+    /// shard, and settles the initial placement synchronously.
+    fn build(cfg: SplitConfig) -> Self {
+        let caps = MoveCaps {
+            max_total: 1000,
+            max_per_server: 1000,
+            max_per_shard: 1,
+        };
+        let mut orch = kit::orch_config(Metric::Synthetic.id(), caps);
+        orch.skip_cutover_ack = cfg.skip_cutover_ack;
+        let mut cp = Orchestrator::new(APP, AppPolicy::primary_only(), orch);
+        let mut hosts = BTreeMap::new();
+        for id in (0..cfg.servers).map(ServerId) {
+            let capacity = LoadVector::single(Metric::Synthetic.id(), 1e9);
+            cp.register_server(id, kit::loc(id.raw()), capacity);
+            hosts.insert(id, SplitHost::default());
+        }
+        cp.register_shards((0..cfg.shards).map(ShardId));
+        cp.register_spec(ShardingSpec::uniform_u64(cfg.shards));
+        cp.run_emergency();
+        let mut world = Self {
+            cfg,
+            cp,
+            scaler: scaler_for(&cfg),
+            hosts,
+            fleet: FleetState::default(),
+            router: ServiceRouter::new(),
+            next_req: 0,
+            ranges: BTreeMap::new(),
+            stats: SplitStats::default(),
+        };
+        world.settle();
+        world.refresh_router();
+        world
+    }
+
+    /// No mini-SMs in this world: the plan covers servers and the
+    /// network only.
+    fn default_plan(&self) -> Plan {
+        let cfg = &self.cfg;
+        fault_plan(&cfg.profile.config(cfg.seed, cfg.servers, 0))
+    }
+
+    fn script(&self) -> Vec<(SimTime, SplitEvent)> {
+        let clients = (0..self.cfg.clients).map(|c| {
+            let at = SimTime::from_millis(5_000 + 37 * u64::from(c));
+            (at, SplitEvent::ClientTick(c))
+        });
+        clients
+            .chain([
+                (SimTime::from_secs(1), SplitEvent::RetryTick),
+                (SimTime::from_secs(2), SplitEvent::ReshardTick),
+                (SimTime::from_millis(700), SplitEvent::RouterRefresh),
+            ])
+            .collect()
+    }
+
+    fn handle(&mut self, cx: &mut Cx<'_, '_>, event: SplitEvent) {
+        match event {
+            SplitEvent::ClientTick(c) => self.client_tick(c, cx),
+            SplitEvent::Deliver {
+                req,
+                shard,
+                target,
+                hops,
+            } => self.deliver(req, shard, target, hops, cx),
+            SplitEvent::Retry { req } => self.route(req, cx),
+            // Nacked and timed-out protocol steps leave here on a fixed
+            // 500ms backoff (see [`kit::fleet_resolved`]), alongside
+            // replacement planning for failed-over shards.
+            SplitEvent::RetryTick => {
+                if cx.now() < self.cfg.end {
+                    cx.schedule_in(SimDuration::from_millis(500), SplitEvent::RetryTick);
+                }
+                self.cp.run_emergency();
+                cx.flush(self.cp.take_commands());
+            }
+            SplitEvent::ReshardTick => self.reshard_tick(cx),
+            SplitEvent::RouterRefresh => {
+                if cx.now() < self.cfg.end {
+                    cx.schedule_in(self.cfg.refresh_interval, SplitEvent::RouterRefresh);
+                }
+                self.refresh_router();
+            }
+        }
+    }
+
+    fn take_commands(&mut self) -> impl Iterator<Item = OrchCommand> {
+        self.cp.take_commands().into_iter()
+    }
+
+    fn host(&mut self, server: ServerId, rpc: &ServerRpc) -> Host<'_, SplitHost> {
+        Self::gate(&mut self.hosts, &self.fleet, &self.cp, server, rpc)
+    }
+
+    fn resolved(&mut self, cx: &mut Cx<'_, '_>, server: ServerId, rpc: ServerRpc, how: Resolution) {
+        kit::fleet_resolved(self, cx, server, rpc, how);
+    }
+
+    fn fault(&mut self, cx: &mut Cx<'_, '_>, fault: Fault) {
+        kit::fleet_fault(self, cx, fault);
+    }
+
+    fn detect_down(&mut self, cx: &mut Cx<'_, '_>, i: u32) {
+        kit::fleet_detect_down(self, cx, i);
+    }
+
+    /// Audit key-space coverage on the authoritative spec, count
+    /// completed/aborted operations, and record trace points.
+    fn scan(&mut self, cx: &mut Cx<'_, '_>) {
+        let now = cx.now();
+        self.audit_coverage(now, &mut cx.oracle);
+        let shards = self.sync_stats();
+        for (series, value) in [
+            ("shards", shards),
+            ("splits_completed", self.stats.splits_completed),
+            ("merges_completed", self.stats.merges_completed),
+            ("in_flight_reshards", self.cp.in_flight_reshards() as u64),
+            ("served", self.stats.served),
+            ("dropped", self.stats.dropped),
+        ] {
+            cx.trace.record(series, now, value as f64);
+        }
     }
 
     /// Quiescence: heal everything, settle the control plane against
     /// the healthy fleet, then run the final audits — coverage,
     /// convergence, router agreement, and the request drain.
-    fn finalize(&mut self) {
+    fn finish(mut self, wire: &mut Wire) -> Outcome<SplitStats, ()> {
         let at = self.cfg.end;
         // Defensive heal (the plan pairs every fault with a recovery,
         // but a shrunk plan may have dropped one).
-        self.net.heal_partition();
-        self.net.heal_degradation();
-        let ids: Vec<ServerId> = self.hosts.keys().copied().collect();
-        for s in &ids {
-            let was_down = self.hosts.get(s).map(|h| !h.up).unwrap_or(false);
-            if was_down {
-                if let Some(h) = self.hosts.get_mut(s) {
-                    h.wipe();
-                    h.up = true;
-                }
-            }
-            if let Some(h) = self.hosts.get_mut(s) {
-                h.fenced = false;
-            }
+        wire.net.heal_partition();
+        wire.net.heal_degradation();
+        let (down, islanded) = self.fleet.revive_all();
+        for (s, h) in self.hosts.iter_mut() {
+            h.fenced = false;
             self.cp.server_up(*s);
-            if was_down {
+            if down.contains(s) {
+                h.wipe();
                 self.cp.reconcile_server(*s);
             }
         }
-        for s in std::mem::take(&mut self.partitioned) {
+        for s in islanded {
             self.cp.server_up(s);
             self.cp.reconcile_server(s);
         }
         self.settle();
         self.refresh_router();
         // Final audits.
-        self.audit_coverage(at);
-        let cp = self.cp.stats();
-        self.stats.splits_completed = cp.splits_completed;
-        self.stats.splits_aborted = cp.splits_aborted;
-        self.stats.merges_completed = cp.merges_completed;
-        self.stats.merges_aborted = cp.merges_aborted;
+        self.audit_coverage(at, &mut wire.oracle);
+        self.stats.final_shards = self.sync_stats();
         self.stats.orch_errors += self.cp.drain_errors().len() as u64;
-        self.stats.final_shards = self
-            .cp
-            .sharding_spec()
-            .map(|s| s.shard_count() as u64)
-            .unwrap_or(0);
-        self.stats.peak_shards = self.stats.peak_shards.max(self.stats.final_shards);
         let unplaced = self.unplaced_count();
         let in_flight = self.cp.in_flight_migrations() + self.cp.in_flight_reshards();
         let divergence = self.router_divergence();
-        self.oracle
+        wire.oracle
             .convergence_check(at, unplaced, in_flight, divergence);
         // Every issued request must have resolved by now: the retry
         // budget (max_attempts × retry_delay) fits inside the post-
         // traffic tail, so anything still outstanding was lost track
         // of — a lost request.
-        self.oracle.quiescent_drain_check(at);
-    }
-}
-
-impl World for SplitWorld {
-    type Event = SplitEvent;
-
-    fn handle(&mut self, ctx: &mut Ctx<'_, SplitEvent>, event: SplitEvent) {
-        match event {
-            SplitEvent::ClientTick(c) => self.client_tick(c, ctx),
-            SplitEvent::Deliver {
-                req,
-                shard,
-                target,
-                hops,
-            } => self.deliver(req, shard, target, hops, ctx),
-            SplitEvent::Retry { req } => self.route(req, ctx),
-            SplitEvent::RpcSend { id, server, rpc } => self.rpc_send(id, server, rpc, ctx),
-            SplitEvent::RpcResult {
-                id,
-                server,
-                rpc,
-                ok,
-            } => self.rpc_result(id, server, rpc, ok, ctx),
-            SplitEvent::RpcTimeout { id } => self.rpc_timeout(id, ctx),
-            SplitEvent::DetectDown(i) => self.detect_down(i, ctx),
-            SplitEvent::FaultHit(i) => {
-                if let Some((_, fault)) = self.plan.get(i).copied() {
-                    self.apply_fault(fault, ctx);
-                    self.flush_commands(ctx);
-                    ctx.state_changed();
-                }
-            }
-            SplitEvent::RetryTick => self.retry_tick(ctx),
-            SplitEvent::ReshardTick => self.reshard_tick(ctx),
-            SplitEvent::RouterRefresh => self.router_refresh(ctx),
+        wire.oracle.quiescent_drain_check(at);
+        Outcome {
+            converged: self.converged(),
+            unplaced,
+            stats: SplitStats {
+                rpc_timeouts: self.fleet.rpc_timeouts,
+                rpc_nacks: self.fleet.rpc_nacks,
+                server_crashes: self.fleet.server_crashes,
+                session_expiries: self.fleet.session_expiries,
+                net_partitions: self.fleet.net_partitions,
+                ..self.stats
+            },
+            extra: (),
         }
-    }
-
-    fn sweep(&mut self, ctx: &mut Ctx<'_, SplitEvent>) {
-        self.scan(ctx);
-    }
-
-    fn sweep_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(1))
-    }
-}
-
-/// Outcome of one skew-storm run.
-#[derive(Debug)]
-pub struct SplitReport {
-    /// Traffic, resharding, and fault counters.
-    pub stats: SplitStats,
-    /// Network delivery counters.
-    pub net: NetStats,
-    /// Invariant violations the oracle observed (empty on a safe run).
-    pub violations: Vec<OracleViolation>,
-    /// Total violations, uncapped (the list above is capped).
-    pub total_violations: u64,
-    /// True when, at the end, every spec shard had a primary and
-    /// nothing was stuck mid-operation.
-    pub converged: bool,
-    /// Spec shards lacking a primary at the end (diagnostics).
-    pub unplaced: usize,
-    /// The fault plan the run executed (replay/shrink input).
-    pub plan: Vec<(SimTime, Fault)>,
-    /// The run's time-series trace, rendered as CSV (5 s buckets) —
-    /// byte-identical across reruns of the same seed and plan.
-    pub trace_csv: String,
-}
-
-impl SplitReport {
-    /// True when the oracle observed at least one invariant violation.
-    pub fn failed(&self) -> bool {
-        self.total_violations > 0
-    }
-
-    /// The distinct invariant kinds violated.
-    pub fn violated_kinds(&self) -> BTreeSet<InvariantKind> {
-        self.violations.iter().map(|v| v.kind).collect()
-    }
-
-    /// A canonical one-line-per-violation rendering — two runs have
-    /// identical oracle verdicts iff these strings are equal.
-    pub fn verdict(&self) -> String {
-        let mut out = format!("total={}\n", self.total_violations);
-        for v in &self.violations {
-            out.push_str(&format!("{} {} {}\n", v.at.0, v.kind.name(), v.detail));
-        }
-        out
     }
 }
 
 /// Runs one seeded skew-storm experiment to completion.
 pub fn run_split(cfg: SplitConfig) -> SplitReport {
-    run_split_queued(cfg, QueueKind::default())
-}
-
-/// [`run_split`] on an explicit engine queue implementation — the
-/// differential-testing entry point.
-pub fn run_split_queued(cfg: SplitConfig, kind: QueueKind) -> SplitReport {
-    run_world(SplitWorld::new(cfg), cfg, kind)
-}
-
-/// Runs a skew-storm experiment with an explicit fault plan — the
-/// replay and shrink path. The plan must be time-sorted.
-pub fn run_split_with_plan(cfg: SplitConfig, plan: Vec<(SimTime, Fault)>) -> SplitReport {
-    run_world(
-        SplitWorld::new_with_plan(cfg, plan),
-        cfg,
-        QueueKind::default(),
-    )
-}
-
-/// Runs every job in the grid and returns reports in input order; each
-/// run is single-threaded and pure, so `threads` changes only
-/// wall-clock time.
-pub fn run_split_swarm(jobs: &[SplitConfig], threads: usize) -> Vec<SplitReport> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(|&cfg| run_split(cfg)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SplitReport>>> =
-        Mutex::new((0..jobs.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&cfg) = jobs.get(i) else { break };
-                let report = run_split(cfg);
-                if let Ok(mut slots) = slots.lock() {
-                    slots[i] = Some(report);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_default()
-        .into_iter()
-        .map(|r| r.expect("every job index was claimed by exactly one worker"))
-        .collect()
-}
-
-/// Shrinks a failing skew-storm fault plan to a minimal reproducer,
-/// reusing the chaos shrinker's ddmin core: a candidate counts as
-/// still-failing when it violates one of the originally observed
-/// invariant kinds.
-pub fn shrink_split(cfg: SplitConfig, plan: &[(SimTime, Fault)]) -> Option<Vec<(SimTime, Fault)>> {
-    let kinds = run_split_with_plan(cfg, plan.to_vec()).violated_kinds();
-    if kinds.is_empty() {
-        return None;
-    }
-    shrink_plan(plan, |candidate| {
-        run_split_with_plan(cfg, candidate.to_vec())
-            .violations
-            .iter()
-            .any(|v| kinds.contains(&v.kind))
-    })
-}
-
-fn run_world(world: SplitWorld, cfg: SplitConfig, kind: QueueKind) -> SplitReport {
-    let plan_times: Vec<SimTime> = world.plan.iter().map(|(at, _)| *at).collect();
-    let mut sim = Simulation::with_queue(world, cfg.seed, kind);
-    for (i, at) in plan_times.iter().enumerate() {
-        sim.schedule_at(*at, SplitEvent::FaultHit(i));
-    }
-    for c in 0..cfg.clients {
-        sim.schedule_at(
-            SimTime::from_millis(5_000 + 37 * u64::from(c)),
-            SplitEvent::ClientTick(c),
-        );
-    }
-    sim.schedule_at(SimTime::from_secs(1), SplitEvent::RetryTick);
-    sim.schedule_at(SimTime::from_secs(2), SplitEvent::ReshardTick);
-    sim.schedule_at(SimTime::from_millis(700), SplitEvent::RouterRefresh);
-    sim.run_until(cfg.end);
-    // Whatever is still in flight at `end` is abandoned; `finalize`
-    // settles the control plane synchronously against the healed fleet.
-    let mut world = sim.into_world();
-    world.finalize();
-    let converged = world.converged();
-    let unplaced = world.unplaced_count();
-    SplitReport {
-        stats: world.stats,
-        net: world.net.stats(),
-        violations: world.oracle.violations().to_vec(),
-        total_violations: world.oracle.total_violations(),
-        converged,
-        unplaced,
-        plan: world.plan.clone(),
-        trace_csv: world.trace.to_csv(5),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Replayable reproducer JSON (shares the fault codec with `dst`).
-// ---------------------------------------------------------------------
-
-/// Serializes a skew-storm reproducer — the config knobs that matter
-/// plus its (possibly shrunk) fault plan — as a self-contained JSON
-/// document.
-pub fn split_repro_to_json(cfg: &SplitConfig, plan: &[(SimTime, Fault)]) -> String {
-    let events: Vec<String> = plan
-        .iter()
-        .map(|(at, f)| format!("    {{\"at_us\":{},\"fault\":{}}}", at.0, fault_to_json(*f)))
-        .collect();
-    format!(
-        "{{\n  \"world\": \"split\",\n  \"seed\": {},\n  \"profile\": \"{}\",\n  \"adaptive\": {},\n  \"skip_cutover_ack\": {},\n  \"plan\": [\n{}\n  ]\n}}\n",
-        cfg.seed,
-        cfg.profile.name(),
-        cfg.adaptive,
-        cfg.skip_cutover_ack,
-        events.join(",\n")
-    )
-}
-
-/// Parses a reproducer produced by [`split_repro_to_json`] back into
-/// the standard DST-shaped config plus its plan. Returns `None` on any
-/// malformed input (never panics).
-pub fn split_repro_from_json(text: &str) -> Option<(SplitConfig, Vec<(SimTime, Fault)>)> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let doc = parser.value()?;
-    if doc.get("world")?.as_str()? != "split" {
-        return None;
-    }
-    let mut cfg = SplitConfig::dst(
-        doc.get("seed")?.as_u64()?,
-        FaultProfile::parse(doc.get("profile")?.as_str()?)?,
-    );
-    cfg.adaptive = doc.get("adaptive")?.as_bool()?;
-    cfg.skip_cutover_ack = doc.get("skip_cutover_ack")?.as_bool()?;
-    let Json::Arr(events) = doc.get("plan")? else {
-        return None;
-    };
-    let mut plan = Vec::with_capacity(events.len());
-    for e in events {
-        let at = SimTime(e.get("at_us")?.as_u64()?);
-        plan.push((at, fault_from_json(e.get("fault")?)?));
-    }
-    Some((cfg, plan))
+    kit::run::<Split>(cfg, None, QueueKind::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn quiet(cfg: SplitConfig) -> SplitReport {
+        kit::run::<Split>(cfg, Some(Vec::new()), QueueKind::default())
+    }
+
     #[test]
     fn world_bootstraps_with_every_shard_placed() {
-        let w = SplitWorld::new(SplitConfig::dst(1, FaultProfile::SplitChaos));
+        let mut w = Split::build(SplitConfig::dst(1, FaultProfile::SplitChaos));
         assert_eq!(w.unplaced_count(), 0, "every shard gets a primary");
         assert!(w.converged());
         assert_eq!(
@@ -1654,9 +1093,11 @@ mod tests {
             Some(8),
             "initial uniform spec registered"
         );
-        assert!(!w.plan.is_empty(), "profile derives a fault schedule");
+        assert!(
+            !w.default_plan().is_empty(),
+            "profile derives a fault schedule"
+        );
         // The client router already agrees with the assignment.
-        let mut w = w;
         assert_eq!(w.router_divergence(), 0);
     }
 
@@ -1665,8 +1106,7 @@ mod tests {
         // No faults at all: the viral window alone must drive real
         // splits through the generalized protocol, the cooldown must
         // drive merges, and nothing may be lost.
-        let cfg = SplitConfig::dst(7, FaultProfile::SplitChaos);
-        let r = run_split_with_plan(cfg, Vec::new());
+        let r = quiet(SplitConfig::dst(7, FaultProfile::SplitChaos));
         assert_eq!(r.total_violations, 0, "oracle: {:?}", r.violations);
         assert!(r.converged, "{} unplaced", r.unplaced);
         assert!(
@@ -1693,33 +1133,9 @@ mod tests {
     fn static_sharding_never_resplits() {
         let mut cfg = SplitConfig::dst(7, FaultProfile::SplitChaos);
         cfg.adaptive = false;
-        let r = run_split_with_plan(cfg, Vec::new());
+        let r = quiet(cfg);
         assert_eq!(r.stats.splits_completed, 0);
         assert_eq!(r.stats.peak_shards, 8);
         assert_eq!(r.total_violations, 0, "static is safe, just overloaded");
-    }
-
-    #[test]
-    fn split_repro_json_round_trips() {
-        let mut cfg = SplitConfig::dst(9, FaultProfile::SplitChaos);
-        cfg.skip_cutover_ack = true;
-        let plan = vec![
-            (SimTime::from_secs(21), Fault::ServerCrash(2)),
-            (
-                SimTime::from_secs(24),
-                Fault::NetDegrade {
-                    drop_pct: 5,
-                    dup_pct: 3,
-                },
-            ),
-            (SimTime::from_secs(31), Fault::ServerRestart(2)),
-            (SimTime::from_secs(34), Fault::NetHeal),
-        ];
-        let json = split_repro_to_json(&cfg, &plan);
-        let (cfg2, plan2) = split_repro_from_json(&json).expect("own output parses");
-        assert_eq!(cfg, cfg2);
-        assert_eq!(plan, plan2);
-        // A reconfig reproducer is not a split reproducer.
-        assert!(split_repro_from_json("{\"seed\": 1}").is_none());
     }
 }

@@ -27,16 +27,21 @@ fn main() {
     let mut total_dual = 0u64;
     for &seed in &seeds {
         let r = run_chaos(ChaosConfig::covering(seed));
-        let mean_ms = if r.recoveries_ms.is_empty() {
+        let mean_ms = if r.extra.recoveries_ms.is_empty() {
             f64::NAN
         } else {
-            r.recoveries_ms.iter().sum::<f64>() / r.recoveries_ms.len() as f64
+            r.extra.recoveries_ms.iter().sum::<f64>() / r.extra.recoveries_ms.len() as f64
         };
-        let max_ms = r.recoveries_ms.iter().copied().fold(f64::NAN, f64::max);
+        let max_ms = r
+            .extra
+            .recoveries_ms
+            .iter()
+            .copied()
+            .fold(f64::NAN, f64::max);
         rows.push(vec![
             seed.to_string(),
             r.stats.minism_crashes.to_string(),
-            r.ha.failovers.to_string(),
+            r.extra.ha.failovers.to_string(),
             format!("{:.0}", mean_ms),
             format!("{:.0}", max_ms),
             r.stats.served.to_string(),
@@ -44,7 +49,7 @@ fn main() {
             r.stats.dual_primary.to_string(),
             if r.converged { "yes" } else { "NO" }.to_string(),
         ]);
-        all_recoveries.extend(r.recoveries_ms.iter().copied());
+        all_recoveries.extend(r.extra.recoveries_ms.iter().copied());
         total_served += r.stats.served;
         total_dropped += r.stats.dropped;
         total_dual += r.stats.dual_primary;

@@ -24,8 +24,9 @@
 //! The simulated workload is seeded — output is byte-identical run to
 //! run.
 
-use sm_apps::{run_split, run_split_with_plan, SplitConfig, SplitReport};
+use sm_apps::{run, run_split, Split, SplitConfig, SplitReport};
 use sm_sim::faults::FaultProfile;
+use sm_sim::QueueKind;
 use std::fmt::Write as _;
 
 /// Seed grid; small because each cell is a full 135s simulated run.
@@ -110,7 +111,7 @@ fn main() {
                 if chaos {
                     run_split(cfg)
                 } else {
-                    run_split_with_plan(cfg, Vec::new())
+                    run::<Split>(cfg, Some(Vec::new()), QueueKind::default())
                 }
             })
             .collect()

@@ -3,17 +3,19 @@
 //! replayable JSON.
 //!
 //! ```text
-//! swarm [--world chaos|split] [--seeds N] [--start-seed S]
+//! swarm [--world chaos|reconfig|split] [--seeds N] [--start-seed S]
 //!       [--profiles a,b,c] [--threads T] [--mutate] [--out DIR]
 //!       [--replay FILE]
 //! ```
 //!
 //! - Default grid: seeds `S..S+N` (N = 8) across every fault profile.
-//! - `--world split` swaps the chaos world for the skew-storm
-//!   adaptive-sharding world (splits and merges under load skew).
+//! - `--world` picks the scenario the kit runs (`sm_apps::kit`): the
+//!   ZooKeeper-backed chaos world (default), the joint-consensus
+//!   reconfiguration world, or the skew-storm adaptive-sharding world.
+//!   Everything below is one generic path over `Scenario`.
 //! - `--mutate` enables the world's documented mutation — disabled
-//!   §3.2 self-fencing for the chaos world, commit-at-cutover-send
-//!   (`skip_cutover_ack`) for the split world — to demonstrate the
+//!   §3.2 self-fencing (chaos), single-step membership swaps
+//!   (reconfig), commit-at-cutover-send (split) — to demonstrate the
 //!   oracle catching real violations and the shrinker reducing them.
 //! - `--replay FILE` re-runs one reproducer JSON (as emitted by a
 //!   failing swarm) and reports its oracle verdict. The file itself
@@ -21,18 +23,15 @@
 //!
 //! Exit status: 0 when every cell is violation-free, 1 otherwise.
 
-use sm_apps::dst::{
-    repro_from_json, repro_to_json, run_dst_with_plan, run_swarm, shrink, DstConfig,
-};
-use sm_apps::split::{
-    run_split_swarm, run_split_with_plan, shrink_split, split_repro_from_json, split_repro_to_json,
-    SplitConfig,
-};
+use sm_apps::kit::{repro_from_json, repro_to_json, run, run_grid, shrink, Scenario};
+use sm_apps::{Chaos, Reconfig, Split};
 use sm_sim::faults::FaultProfile;
+use sm_sim::QueueKind;
+use std::fmt::Debug;
 use std::process::ExitCode;
 
 struct Args {
-    world: WorldKind,
+    world: String,
     seeds: u64,
     start_seed: u64,
     profiles: Vec<FaultProfile>,
@@ -42,15 +41,9 @@ struct Args {
     replay: Option<String>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WorldKind {
-    Chaos,
-    Split,
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        world: WorldKind::Chaos,
+        world: Chaos::WORLD.to_string(),
         seeds: 8,
         start_seed: 0,
         profiles: FaultProfile::ALL.to_vec(),
@@ -63,13 +56,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut val = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
-            "--world" => {
-                args.world = match val("--world")?.as_str() {
-                    "chaos" => WorldKind::Chaos,
-                    "split" => WorldKind::Split,
-                    other => return Err(format!("unknown world: {other}")),
-                }
-            }
+            "--world" => args.world = val("--world")?,
             "--seeds" => args.seeds = val("--seeds")?.parse().map_err(|e| format!("{e}"))?,
             "--start-seed" => {
                 args.start_seed = val("--start-seed")?.parse().map_err(|e| format!("{e}"))?
@@ -90,6 +77,26 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Replays `text` if it is one of `S`'s reproducers.
+fn replay_as<S: Scenario>(text: &str) -> Option<ExitCode> {
+    let (cfg, plan) = repro_from_json::<S>(text)?;
+    let (profile, mutated) = S::key(&cfg);
+    println!(
+        "replaying world={} seed={} profile={profile} mutation={mutated} ({} fault events)",
+        S::WORLD,
+        S::params(&cfg).seed,
+        plan.len()
+    );
+    let report = run::<S>(cfg, Some(plan), QueueKind::default());
+    print!("{}", report.verdict());
+    Some(if report.failed() {
+        ExitCode::FAILURE
+    } else {
+        println!("reproducer no longer fails");
+        ExitCode::SUCCESS
+    })
+}
+
 fn replay(path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -98,176 +105,51 @@ fn replay(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // The reproducer names its world: split reproducers carry
-    // `"world": "split"`, chaos reproducers predate the field.
-    if let Some((cfg, plan)) = split_repro_from_json(&text) {
-        println!(
-            "replaying world=split seed={} profile={} mutation={} ({} fault events)",
-            cfg.seed,
-            cfg.profile.name(),
-            cfg.skip_cutover_ack,
-            plan.len()
-        );
-        let report = run_split_with_plan(cfg, plan);
-        print!("{}", report.verdict());
-        return if report.failed() {
+    // The reproducer names its world (documents older than the tag are
+    // told apart by their mutation flag).
+    replay_as::<Chaos>(&text)
+        .or_else(|| replay_as::<Reconfig>(&text))
+        .or_else(|| replay_as::<Split>(&text))
+        .unwrap_or_else(|| {
+            eprintln!("swarm: {path} is not a reproducer JSON");
             ExitCode::FAILURE
-        } else {
-            println!("reproducer no longer fails");
-            ExitCode::SUCCESS
-        };
-    }
-    let Some((cfg, plan)) = repro_from_json(&text) else {
-        eprintln!("swarm: {path} is not a reproducer JSON");
-        return ExitCode::FAILURE;
-    };
-    println!(
-        "replaying seed={} profile={} mutation={} ({} fault events)",
-        cfg.seed,
-        cfg.profile.name(),
-        cfg.disable_self_fencing,
-        plan.len()
-    );
-    let report = run_dst_with_plan(cfg, plan);
-    print!("{}", report.verdict());
-    if report.failed() {
-        ExitCode::FAILURE
-    } else {
-        println!("reproducer no longer fails");
-        ExitCode::SUCCESS
-    }
+        })
 }
 
-fn chaos_swarm(args: &Args) -> ExitCode {
-    let jobs: Vec<DstConfig> = args
+fn swarm<S: Scenario>(args: &Args) -> ExitCode
+where
+    S::Config: Debug,
+{
+    let seeds = args.start_seed..args.start_seed + args.seeds;
+    let jobs: Vec<S::Config> = args
         .profiles
         .iter()
         .flat_map(|&profile| {
-            (args.start_seed..args.start_seed + args.seeds).map(move |seed| DstConfig {
-                seed,
-                profile,
-                disable_self_fencing: args.mutate,
-            })
+            let cell = move |seed| S::cell(seed, profile, args.mutate);
+            seeds.clone().map(cell)
         })
         .collect();
     println!(
-        "swarm: {} cells ({} seeds x {} profiles), {} threads{}",
+        "swarm: world={}, {} cells ({} seeds x {} profiles), {} threads{}",
+        S::WORLD,
         jobs.len(),
         args.seeds,
         args.profiles.len(),
         args.threads,
         if args.mutate {
-            ", FENCING MUTATION ON"
+            format!(", MUTATION {} ON", S::MUTATION)
         } else {
-            ""
+            String::new()
         }
     );
 
-    let reports = run_swarm(&jobs, args.threads);
-    let mut failures = 0u64;
-    for report in &reports {
-        let tag = format!(
-            "seed={:<4} profile={:<14}",
-            report.cfg.seed,
-            report.cfg.profile.name()
-        );
-        if !report.failed() {
-            println!(
-                "  ok   {tag} served={} fences={} partitions={}",
-                report.chaos.stats.served,
-                report.chaos.stats.self_fences,
-                report.chaos.stats.net_partitions
-            );
-            continue;
-        }
-        failures += 1;
-        println!(
-            "  FAIL {tag} {} violation(s): {:?}",
-            report.chaos.total_violations,
-            report.violated_kinds()
-        );
-        // Shrink the failing plan to a minimal reproducer.
-        let original = &report.chaos.plan;
-        let minimal = shrink(report.cfg, original).unwrap_or_else(|| original.clone());
-        println!(
-            "       shrunk {} -> {} fault events",
-            original.len(),
-            minimal.len()
-        );
-        let json = repro_to_json(report.cfg, &minimal);
-        match &args.out {
-            Some(dir) => {
-                let file = format!(
-                    "{dir}/repro-{}-{}.json",
-                    report.cfg.profile.name(),
-                    report.cfg.seed
-                );
-                if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-                    // Re-verify before writing so the artifact is known
-                    // good.
-                    let check = run_dst_with_plan(report.cfg, minimal.clone());
-                    debug_assert!(check.failed() || !report.failed());
-                    std::fs::write(&file, &json)
-                }) {
-                    eprintln!("swarm: writing {file}: {e}");
-                } else {
-                    println!("       reproducer: {file}");
-                }
-            }
-            None => print!("{json}"),
-        }
-    }
-    println!(
-        "swarm: {}/{} cells violation-free",
-        reports.len() as u64 - failures,
-        reports.len()
-    );
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn split_swarm(args: &Args) -> ExitCode {
-    let jobs: Vec<SplitConfig> = args
-        .profiles
-        .iter()
-        .flat_map(|&profile| {
-            (args.start_seed..args.start_seed + args.seeds).map(move |seed| {
-                let mut cfg = SplitConfig::dst(seed, profile);
-                cfg.skip_cutover_ack = args.mutate;
-                cfg
-            })
-        })
-        .collect();
-    println!(
-        "swarm: world=split, {} cells ({} seeds x {} profiles), {} threads{}",
-        jobs.len(),
-        args.seeds,
-        args.profiles.len(),
-        args.threads,
-        if args.mutate {
-            ", CUTOVER-ACK MUTATION ON"
-        } else {
-            ""
-        }
-    );
-
-    let reports = run_split_swarm(&jobs, args.threads);
-    let mut failures = 0u64;
+    let reports = run_grid::<S>(&jobs, args.threads);
+    let mut failures = 0usize;
     for (cfg, report) in jobs.iter().zip(&reports) {
-        let tag = format!("seed={:<4} profile={:<14}", cfg.seed, cfg.profile.name());
+        let (seed, profile) = (S::params(cfg).seed, S::key(cfg).0);
+        let tag = format!("seed={seed:<4} profile={profile:<14}");
         if !report.failed() {
-            println!(
-                "  ok   {tag} served={} splits={}+{}a merges={}+{}a peak={}",
-                report.stats.served,
-                report.stats.splits_completed,
-                report.stats.splits_aborted,
-                report.stats.merges_completed,
-                report.stats.merges_aborted,
-                report.stats.peak_shards
-            );
+            println!("  ok   {tag} {:?}", report.stats);
             continue;
         }
         failures += 1;
@@ -276,17 +158,18 @@ fn split_swarm(args: &Args) -> ExitCode {
             report.total_violations,
             report.violated_kinds()
         );
+        // Shrink the failing plan to a minimal reproducer.
         let original = &report.plan;
-        let minimal = shrink_split(*cfg, original).unwrap_or_else(|| original.clone());
+        let minimal = shrink::<S>(*cfg, original).unwrap_or_else(|| original.clone());
         println!(
             "       shrunk {} -> {} fault events",
             original.len(),
             minimal.len()
         );
-        let json = split_repro_to_json(cfg, &minimal);
+        let json = repro_to_json::<S>(cfg, &minimal);
         match &args.out {
             Some(dir) => {
-                let file = format!("{dir}/repro-split-{}-{}.json", cfg.profile.name(), cfg.seed);
+                let file = format!("{dir}/repro-{}-{profile}-{seed}.json", S::WORLD);
                 if let Err(e) =
                     std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&file, &json))
                 {
@@ -300,7 +183,7 @@ fn split_swarm(args: &Args) -> ExitCode {
     }
     println!(
         "swarm: {}/{} cells violation-free",
-        reports.len() as u64 - failures,
+        reports.len() - failures,
         reports.len()
     );
     if failures == 0 {
@@ -321,8 +204,13 @@ fn main() -> ExitCode {
     if let Some(path) = &args.replay {
         return replay(path);
     }
-    match args.world {
-        WorldKind::Chaos => chaos_swarm(&args),
-        WorldKind::Split => split_swarm(&args),
+    match args.world.as_str() {
+        Chaos::WORLD => swarm::<Chaos>(&args),
+        Reconfig::WORLD => swarm::<Reconfig>(&args),
+        Split::WORLD => swarm::<Split>(&args),
+        other => {
+            eprintln!("swarm: unknown world: {other}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -16,6 +16,10 @@
 //! - [`control_plane`] — the scale-out architecture (Figure 14):
 //!   application registry, partitioning, partition registry, mini-SM
 //!   bookkeeping, and the read service.
+//! - [`exchange`] — the idempotent control-plane RPC exchange: one
+//!   correlation id per transmission resolved exactly once, host-side
+//!   at-most-once apply with outcome replay, and the §3.2 rule that a
+//!   fenced host refuses every grant.
 //! - [`ha`] — control-plane fault tolerance (§3.2, §6.2): fenced state
 //!   persistence in ZooKeeper znodes, ephemeral-node liveness for
 //!   mini-SMs and servers, watch-driven failure detection, and
@@ -28,6 +32,7 @@
 
 pub mod api;
 pub mod control_plane;
+pub mod exchange;
 pub mod ha;
 pub mod orchestrator;
 pub mod scaler;
@@ -39,6 +44,7 @@ pub use control_plane::{
     ApplicationManager, ApplicationRegistry, Frontend, MiniSm, Partition, PartitionRegistry,
     ReadService,
 };
+pub use exchange::RpcExchange;
 pub use ha::{HaControlPlane, HaMiniSm, HaStats, ServerLease, ZkLease};
 pub use orchestrator::{Orchestrator, OrchestratorConfig, ServerEntry};
 pub use scaler::{ScaleDecision, ShardScaler, ShardScalerConfig};

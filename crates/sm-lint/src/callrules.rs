@@ -20,17 +20,21 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub const P1_CRATES: [&str; 3] = ["sm-core", "sm-zk", "sm-routing"];
 
 /// Individual files whose non-test `pub fn`s are P1 roots regardless
-/// of which crate they sit in: the replicated-log data plane and the
-/// adaptive split/merge scaler. A panic there loses a replica's
-/// availability — the exact failure mode the reconfiguration protocol
-/// exists to survive — or wedges resharding mid-storm, so these paths
-/// must degrade to `SmError`, never to a crash. Listing a file here is
-/// deliberate even when its crate is already in [`P1_CRATES`]: the pin
-/// survives module moves and crate-list changes.
-pub const P1_FILES: [&str; 3] = [
+/// of which crate they sit in: the replicated-log data plane, the
+/// adaptive split/merge scaler, the idempotent control-plane RPC
+/// exchange, and the world kit that drives it. A panic there loses a
+/// replica's availability — the exact failure mode the reconfiguration
+/// protocol exists to survive — wedges resharding mid-storm, drops the
+/// §3.2 dedup/fencing rules on the floor, or turns a chaos verdict into
+/// a crash, so these paths must degrade to `SmError`, never to a crash.
+/// Listing a file here is deliberate even when its crate is already in
+/// [`P1_CRATES`]: the pin survives module moves and crate-list changes.
+pub const P1_FILES: [&str; 5] = [
     "crates/sm-apps/src/replication.rs",
     "crates/sm-apps/src/replstore.rs",
     "crates/sm-core/src/splitter.rs",
+    "crates/sm-core/src/exchange.rs",
+    "crates/sm-apps/src/kit.rs",
 ];
 
 /// True when `f` is a P1 root by crate or by file.

@@ -127,14 +127,10 @@ impl TraceLog {
     /// has no points in a window).
     pub fn to_csv(&self, window_secs: u64) -> String {
         let names: Vec<&String> = self.series.keys().collect();
-        let bucketed: Vec<BTreeMap<u64, f64>> = names
-            .iter()
-            .map(|n| {
-                self.series[*n]
-                    .bucket_mean(window_secs)
-                    .into_iter()
-                    .collect()
-            })
+        let bucketed: Vec<BTreeMap<u64, f64>> = self
+            .series
+            .values()
+            .map(|series| series.bucket_mean(window_secs).into_iter().collect())
             .collect();
         let mut windows: Vec<u64> = bucketed.iter().flat_map(|b| b.keys().copied()).collect();
         windows.sort_unstable();

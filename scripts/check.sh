@@ -43,6 +43,9 @@ fi
 step "sm-lint (determinism & robustness invariants, ratcheted baseline)"
 cargo run -q -p sm-lint -- --json --baseline lint-baseline.json
 
+step "world golden (seeded traces of every kit world, byte-identical)"
+cargo test --release --test world_golden -q
+
 step "chaos gate (control-plane fault tolerance)"
 cargo test --test chaos -q
 
@@ -63,5 +66,8 @@ cargo test --release --test sim_queue_diff -q
 
 step "tests"
 cargo test --workspace -q
+
+step "size ledger (non-test Rust LOC + pub items per crate; trajectory in BENCH_size.json)"
+scripts/loc.sh
 
 printf '\nall checks passed\n'

@@ -11,7 +11,8 @@
 #                                     # run, not an hours-scale one
 #   scripts/swarm.sh 16 --mutate      # demonstrate the oracle catching
 #                                     # the broken-fencing mutation
-#   scripts/swarm.sh 8 --replay out/repro-lossy_net-2.json
+#   scripts/swarm.sh 16 --world split --profiles split_chaos
+#   scripts/swarm.sh 8 --replay target/swarm/repro-chaos-lossy_net-2.json
 #
 # Reproducers land in target/swarm/ and replay with:
 #   cargo run --release -p sm-bench --bin swarm -- --replay <file>

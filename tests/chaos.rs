@@ -15,15 +15,12 @@
 //! - fencing: a zombie mini-SM's write after failover gets an
 //!   [`SmError`] and is provably absent from the znode.
 
-use shard_manager::allocator::{AllocConfig, MoveCaps};
+use shard_manager::apps::kit::{default_orch_config, loc};
 use shard_manager::apps::{run_chaos, AppResponse, ChaosConfig, ExternalStore, KvServer};
 use shard_manager::core::ha::{paths, HaControlPlane, ServerLease};
-use shard_manager::core::{
-    ApplicationManager, OrchCommand, OrchestratorConfig, Partition, ServerRpc,
-};
+use shard_manager::core::{ApplicationManager, OrchCommand, Partition, ServerRpc};
 use shard_manager::types::{
-    AppId, AppPolicy, LoadVector, Location, MachineId, Metric, PartitionId, RegionId, ServerId,
-    ShardId, ShardingSpec, SmError,
+    AppId, AppPolicy, LoadVector, Metric, PartitionId, ServerId, ShardId, ShardingSpec, SmError,
 };
 use shard_manager::zk::{WatchEvent, ZkStore};
 use std::cell::RefCell;
@@ -39,15 +36,15 @@ fn chaos_meets_acceptance_floors() {
 
     // Coverage floors.
     assert!(
-        report.crashed_minisms.len() >= report.initial_minisms,
+        report.extra.crashed_minisms.len() >= report.extra.initial_minisms,
         "every mini-SM must crash at least once: {:?} of {}",
-        report.crashed_minisms,
-        report.initial_minisms
+        report.extra.crashed_minisms,
+        report.extra.initial_minisms
     );
     assert!(
-        report.expired_sessions.len() * 10 >= cfg.servers as usize,
+        report.extra.expired_sessions.len() * 10 >= cfg.servers as usize,
         "at least 10% of server sessions must expire: {:?}",
-        report.expired_sessions
+        report.extra.expired_sessions
     );
     assert!(report.stats.server_crashes > 0, "{:?}", report.stats);
 
@@ -63,13 +60,17 @@ fn chaos_meets_acceptance_floors() {
     // The run did real work and real recovery.
     assert!(report.stats.served > 1_000, "{:?}", report.stats);
     assert!(
-        report.ha.failovers as usize >= report.initial_minisms,
+        report.extra.ha.failovers as usize >= report.extra.initial_minisms,
         "{:?}",
-        report.ha
+        report.extra.ha
     );
-    assert!(report.ha.snapshot_restores > 0, "{:?}", report.ha);
     assert!(
-        !report.recoveries_ms.is_empty(),
+        report.extra.ha.snapshot_restores > 0,
+        "{:?}",
+        report.extra.ha
+    );
+    assert!(
+        !report.extra.recoveries_ms.is_empty(),
         "recovery time must be measured"
     );
 }
@@ -80,8 +81,8 @@ fn chaos_reruns_are_byte_identical_per_seed() {
     let b = run_chaos(ChaosConfig::covering(7));
     assert_eq!(a.trace_csv, b.trace_csv, "same seed must replay exactly");
     assert_eq!(a.stats, b.stats);
-    assert_eq!(a.recoveries_ms, b.recoveries_ms);
-    assert_eq!(a.crashed_minisms, b.crashed_minisms);
+    assert_eq!(a.extra.recoveries_ms, b.extra.recoveries_ms);
+    assert_eq!(a.extra.crashed_minisms, b.extra.crashed_minisms);
 
     let c = run_chaos(ChaosConfig::covering(8));
     assert_ne!(
@@ -99,24 +100,6 @@ struct Rig {
     partitions: Vec<Partition>,
     /// Held so the rig's server sessions never expire.
     _leases: Vec<ServerLease>,
-}
-
-fn orch_config() -> OrchestratorConfig {
-    OrchestratorConfig {
-        graceful_migration: true,
-        move_caps: MoveCaps::default(),
-        alloc: AllocConfig::new(vec![Metric::ShardCount.id()]),
-        skip_cutover_ack: false,
-    }
-}
-
-fn loc(s: u32) -> Location {
-    Location {
-        region: RegionId(0),
-        datacenter: 0,
-        rack: s,
-        machine: MachineId(s),
-    }
 }
 
 /// Delivers pending watch events (and those they generate) to the
@@ -160,7 +143,7 @@ fn rig(n_servers: u32, n_shards: u64) -> Rig {
     let mut zk = ZkStore::new();
     let (mut cp, setup) = HaControlPlane::new(
         &mut zk,
-        orch_config(),
+        default_orch_config(),
         LoadVector::single(Metric::ShardCount.id(), 1000.0),
         4,
     )

@@ -16,16 +16,24 @@
 //!   of at most 5 fault events that still fails when replayed from its
 //!   JSON form;
 //! - reproducer JSON round-trips exactly.
+//!
+//! A DST cell is [`ChaosConfig::dst`]; the swarm, shrinker and codec
+//! are the world kit's generic ones.
 
-use shard_manager::apps::dst::{
-    repro_from_json, repro_to_json, run_dst, run_dst_with_plan, run_swarm, shrink, DstConfig,
-};
-use shard_manager::sim::faults::FaultProfile;
+use shard_manager::apps::kit::{repro_from_json, repro_to_json, run, run_grid, shrink};
+use shard_manager::apps::{run_chaos, Chaos, ChaosConfig, ChaosReport};
+use shard_manager::sim::faults::{Fault, FaultProfile};
 use shard_manager::sim::oracle::InvariantKind;
+use shard_manager::sim::{QueueKind, SimTime};
+
+/// Replays a cell under an explicit (edited) fault plan.
+fn replay(cfg: ChaosConfig, plan: Vec<(SimTime, Fault)>) -> ChaosReport {
+    run::<Chaos>(cfg, Some(plan), QueueKind::default())
+}
 
 /// The fixed smoke grid: 8 seeds across symmetric-partition,
 /// asymmetric-partition, and mixed profiles (24 cells).
-fn smoke_grid() -> Vec<DstConfig> {
+fn smoke_grid() -> Vec<ChaosConfig> {
     let profiles = [
         FaultProfile::SymPartition,
         FaultProfile::AsymPartition,
@@ -33,48 +41,38 @@ fn smoke_grid() -> Vec<DstConfig> {
     ];
     profiles
         .iter()
-        .flat_map(|&profile| (0..8).map(move |seed| DstConfig::new(seed, profile)))
+        .flat_map(|&profile| (0..8).map(move |seed| ChaosConfig::dst(seed, profile)))
         .collect()
 }
 
 #[test]
 fn smoke_swarm_is_violation_free_and_not_vacuous() {
     let jobs = smoke_grid();
-    let reports = run_swarm(&jobs, 4);
+    let reports = run_grid::<Chaos>(&jobs, 4);
     assert_eq!(reports.len(), 24);
 
-    for r in &reports {
-        assert_eq!(
-            r.chaos.total_violations,
-            0,
-            "seed={} profile={}: {:?}",
-            r.cfg.seed,
-            r.cfg.profile.name(),
-            r.chaos.violations
-        );
-        assert!(r.chaos.converged, "seed={} did not converge", r.cfg.seed);
+    for (cfg, r) in jobs.iter().zip(&reports) {
+        let tag = format!("seed={} profile={:?}", cfg.seed, cfg.profile);
+        assert_eq!(r.total_violations, 0, "{tag}: {:?}", r.violations);
+        assert!(r.converged, "{tag} did not converge");
         assert!(
-            r.chaos.stats.served > 1000,
-            "seed={} served only {}",
-            r.cfg.seed,
-            r.chaos.stats.served
+            r.stats.served > 1000,
+            "{tag} served only {}",
+            r.stats.served
         );
-        assert_eq!(r.chaos.stats.dropped, 0, "seed={}", r.cfg.seed);
-    }
+        assert_eq!(r.stats.dropped, 0, "{tag}");
 
-    // Non-vacuity: every partition-profile cell actually partitioned
-    // the network (messages were blocked), made ZooKeeper expire at
-    // least one silent session, and drove at least one server to
-    // self-fence — the §3.2 mechanism under test really ran.
-    for r in reports
-        .iter()
-        .filter(|r| r.cfg.profile != FaultProfile::Mixed)
-    {
-        let tag = format!("seed={} profile={}", r.cfg.seed, r.cfg.profile.name());
-        assert!(r.chaos.stats.net_partitions >= 2, "{tag}: no partitions");
-        assert!(r.chaos.net.blocked > 0, "{tag}: partition blocked nothing");
-        assert!(r.chaos.stats.zk_expiries >= 1, "{tag}: no ZK expiry");
-        assert!(r.chaos.stats.self_fences >= 1, "{tag}: no self-fence");
+        // Non-vacuity: every partition-profile cell actually
+        // partitioned the network (messages were blocked), made
+        // ZooKeeper expire at least one silent session, and drove at
+        // least one server to self-fence — the §3.2 mechanism under
+        // test really ran.
+        if cfg.profile != Some(FaultProfile::Mixed) {
+            assert!(r.stats.net_partitions >= 2, "{tag}: no partitions");
+            assert!(r.net.blocked > 0, "{tag}: partition blocked nothing");
+            assert!(r.stats.zk_expiries >= 1, "{tag}: no ZK expiry");
+            assert!(r.stats.self_fences >= 1, "{tag}: no self-fence");
+        }
     }
 }
 
@@ -83,26 +81,24 @@ fn same_cell_is_byte_identical_across_thread_counts() {
     // One asymmetric-partition cell, run three ways: inside a
     // 4-thread swarm, inside a 2-thread swarm, and alone on the main
     // thread. Every run must produce the same trace and verdict.
-    let cell = DstConfig::new(3, FaultProfile::AsymPartition);
-    let grid: Vec<DstConfig> = (0..4)
-        .map(|s| DstConfig::new(s, FaultProfile::AsymPartition))
+    let grid: Vec<ChaosConfig> = (0..4)
+        .map(|s| ChaosConfig::dst(s, FaultProfile::AsymPartition))
         .collect();
-    let wide = run_swarm(&grid, 4);
-    let narrow = run_swarm(&grid, 2);
-    let solo = run_dst(cell);
+    let wide = run_grid::<Chaos>(&grid, 4);
+    let narrow = run_grid::<Chaos>(&grid, 2);
+    let solo = run_chaos(grid[3]);
 
     let from_wide = &wide[3];
     let from_narrow = &narrow[3];
-    assert_eq!(from_wide.cfg, cell);
-    assert_eq!(from_wide.chaos.trace_csv, from_narrow.chaos.trace_csv);
-    assert_eq!(from_wide.chaos.trace_csv, solo.chaos.trace_csv);
+    assert_eq!(from_wide.trace_csv, from_narrow.trace_csv);
+    assert_eq!(from_wide.trace_csv, solo.trace_csv);
     assert_eq!(from_wide.verdict(), from_narrow.verdict());
     assert_eq!(from_wide.verdict(), solo.verdict());
-    assert_eq!(from_wide.chaos.plan, solo.chaos.plan);
+    assert_eq!(from_wide.plan, solo.plan);
 
     // Different seeds still differ (the comparison above is not
     // trivially comparing empty traces).
-    assert_ne!(wide[2].chaos.trace_csv, wide[3].chaos.trace_csv);
+    assert_ne!(wide[2].trace_csv, wide[3].trace_csv);
 }
 
 /// THE DOCUMENTED MUTATION: `disable_self_fencing` turns off the §3.2
@@ -118,15 +114,15 @@ fn same_cell_is_byte_identical_across_thread_counts() {
 fn broken_fencing_is_caught_shrunk_and_replayable() {
     // Scan seeds until the mutation bites (not every seed's partition
     // windows overlap traffic on a fatal shard).
-    let failing = (0..10)
+    let (cfg, failing) = (0..10)
         .map(|seed| {
-            run_dst(DstConfig {
-                seed,
-                profile: FaultProfile::AsymPartition,
+            let cfg = ChaosConfig {
                 disable_self_fencing: true,
-            })
+                ..ChaosConfig::dst(seed, FaultProfile::AsymPartition)
+            };
+            (cfg, run_chaos(cfg))
         })
-        .find(|r| r.failed())
+        .find(|(_, r)| r.failed())
         .expect("within 10 seeds the broken fencing must cause a violation");
 
     // Caught: the violations are the fencing kind(s) the mutation
@@ -144,8 +140,7 @@ fn broken_fencing_is_caught_shrunk_and_replayable() {
     );
 
     // Shrunk: at most 5 fault events (acceptance bound).
-    let minimal =
-        shrink(failing.cfg, &failing.chaos.plan).expect("a failing plan must be shrinkable");
+    let minimal = shrink::<Chaos>(cfg, &failing.plan).expect("a failing plan must be shrinkable");
     assert!(
         minimal.len() <= 5,
         "reproducer has {} events: {minimal:?}",
@@ -155,30 +150,30 @@ fn broken_fencing_is_caught_shrunk_and_replayable() {
 
     // Replayable: through the JSON form and back, the minimal plan
     // still fails with the same invariant kind(s).
-    let json = repro_to_json(failing.cfg, &minimal);
-    let (cfg2, plan2) = repro_from_json(&json).expect("emitted reproducer JSON parses");
-    assert_eq!(cfg2, failing.cfg);
+    let json = repro_to_json::<Chaos>(&cfg, &minimal);
+    let (cfg2, plan2) = repro_from_json::<Chaos>(&json).expect("emitted reproducer JSON parses");
+    assert_eq!(cfg2, cfg);
     assert_eq!(plan2, minimal);
-    let replay = run_dst_with_plan(cfg2, plan2);
-    assert!(replay.failed(), "minimal reproducer must still fail");
+    let replayed = replay(cfg2, plan2);
+    assert!(replayed.failed(), "minimal reproducer must still fail");
     assert!(
-        replay.violated_kinds().iter().all(|k| kinds.contains(k)),
+        replayed.violated_kinds().iter().all(|k| kinds.contains(k)),
         "replay drifted to different kinds: {:?} vs {kinds:?}",
-        replay.violated_kinds()
+        replayed.violated_kinds()
     );
 
     // And the fix fixes it: the same seed and plan with fencing
     // enabled is clean.
-    let fixed = run_dst_with_plan(
-        DstConfig {
+    let fixed = replay(
+        ChaosConfig {
             disable_self_fencing: false,
-            ..failing.cfg
+            ..cfg
         },
         minimal,
     );
     assert_eq!(
-        fixed.chaos.total_violations, 0,
+        fixed.total_violations, 0,
         "self-fencing must neutralize the reproducer: {:?}",
-        fixed.chaos.violations
+        fixed.violations
     );
 }

@@ -20,12 +20,16 @@
 //! - the fix fixes it: the shrunk plan is clean with joint consensus
 //!   back on.
 
-use shard_manager::apps::reconfig::{
-    reconfig_repro_from_json, reconfig_repro_to_json, run_reconfig, run_reconfig_with_plan,
-    shrink_reconfig, ReconfigConfig,
-};
-use shard_manager::sim::faults::FaultProfile;
+use shard_manager::apps::kit::{repro_from_json, repro_to_json, run, shrink};
+use shard_manager::apps::{run_reconfig, Reconfig, ReconfigConfig, ReconfigReport};
+use shard_manager::sim::faults::{Fault, FaultProfile};
 use shard_manager::sim::oracle::InvariantKind;
+use shard_manager::sim::{QueueKind, SimTime};
+
+/// Replays a cell under an explicit (edited) fault plan.
+fn replay(cfg: ReconfigConfig, plan: Vec<(SimTime, Fault)>) -> ReconfigReport {
+    run::<Reconfig>(cfg, Some(plan), QueueKind::default())
+}
 
 /// The fixed smoke grid: 8 seeds of the reconfiguration-chaos profile.
 fn smoke_grid() -> Vec<ReconfigConfig> {
@@ -129,7 +133,7 @@ fn single_step_membership_change_is_caught_shrunk_and_replayable() {
 
     // Shrunk: the churn loop alone (plus at most a few fault events)
     // reproduces the corruption.
-    let minimal = shrink_reconfig(cfg, &report.plan).expect("a failing plan must be shrinkable");
+    let minimal = shrink::<Reconfig>(cfg, &report.plan).expect("a failing plan must be shrinkable");
     assert!(
         minimal.len() <= 5,
         "reproducer has {} events: {minimal:?}",
@@ -138,21 +142,21 @@ fn single_step_membership_change_is_caught_shrunk_and_replayable() {
 
     // Replayable: through the JSON form and back, the minimal plan
     // still fails with the same invariant kind(s).
-    let json = reconfig_repro_to_json(&cfg, &minimal);
-    let (cfg2, plan2) = reconfig_repro_from_json(&json).expect("emitted reproducer JSON parses");
+    let json = repro_to_json::<Reconfig>(&cfg, &minimal);
+    let (cfg2, plan2) = repro_from_json::<Reconfig>(&json).expect("emitted reproducer JSON parses");
     assert_eq!(cfg2, cfg);
     assert_eq!(plan2, minimal);
-    let replay = run_reconfig_with_plan(cfg2, plan2.clone());
-    assert!(replay.failed(), "minimal reproducer must still fail");
+    let replayed = replay(cfg2, plan2.clone());
+    assert!(replayed.failed(), "minimal reproducer must still fail");
     assert!(
-        replay.violated_kinds().iter().all(|k| kinds.contains(k)),
+        replayed.violated_kinds().iter().all(|k| kinds.contains(k)),
         "replay drifted to different kinds: {:?} vs {kinds:?}",
-        replay.violated_kinds()
+        replayed.violated_kinds()
     );
 
     // And the fix fixes it: the same seed and plan with joint
     // consensus restored is clean.
-    let fixed = run_reconfig_with_plan(
+    let fixed = replay(
         ReconfigConfig {
             single_step: false,
             ..cfg

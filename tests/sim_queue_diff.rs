@@ -8,42 +8,43 @@
 //! up here as a trace or report mismatch long before it could corrupt a
 //! figure or a swarm verdict.
 //!
-//! Coverage: 17 seeded cells across the three DES worlds (chaos, DST
-//! fault profiles, reconfiguration chaos), each run twice — once per
-//! queue kind — and compared on the full trace CSV plus the entire
-//! `Debug`-rendered report (stats, violations, counters).
+//! Coverage: 25 seeded cells across every kit world (chaos, DST fault
+//! profiles, reconfiguration chaos, the skew-storm split world), each
+//! run twice — once per queue kind — and compared on the full trace CSV
+//! plus the entire `Debug`-rendered report (stats, violations,
+//! counters).
 
-use shard_manager::apps::chaos::{run_chaos_queued, ChaosConfig};
-use shard_manager::apps::dst::{run_dst_queued, DstConfig};
-use shard_manager::apps::reconfig::{run_reconfig_queued, ReconfigConfig};
+use shard_manager::apps::kit::{run, Scenario};
+use shard_manager::apps::{Chaos, ChaosConfig, Reconfig, Split};
 use shard_manager::sim::faults::FaultProfile;
 use shard_manager::sim::QueueKind;
+use std::fmt::Debug;
 
-/// Asserts the two queue kinds produced the same run: traces first (the
-/// sharpest signal, byte for byte), then the whole report.
-fn assert_same(cell: &str, trace_a: &str, trace_b: &str, dbg_a: String, dbg_b: String) {
+/// Asserts the two queue kinds produce the same run of `cfg`: traces
+/// first (the sharpest signal, byte for byte), then the verdict, then
+/// the whole report.
+fn assert_same<S: Scenario>(cfg: S::Config)
+where
+    S::Config: Debug,
+{
+    let a = run::<S>(cfg, None, QueueKind::Calendar);
+    let b = run::<S>(cfg, None, QueueKind::BinaryHeap);
     assert_eq!(
-        trace_a, trace_b,
-        "{cell}: traces diverged between calendar queue and binary heap"
+        a.trace_csv, b.trace_csv,
+        "{cfg:?}: traces diverged between calendar queue and binary heap"
     );
+    assert_eq!(a.verdict(), b.verdict(), "{cfg:?}: verdicts diverged");
     assert_eq!(
-        dbg_a, dbg_b,
-        "{cell}: reports diverged between calendar queue and binary heap"
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "{cfg:?}: reports diverged between calendar queue and binary heap"
     );
 }
 
 #[test]
 fn chaos_runs_are_identical_across_queue_kinds() {
     for seed in [0, 7, 42, 1337] {
-        let a = run_chaos_queued(ChaosConfig::covering(seed), QueueKind::Calendar);
-        let b = run_chaos_queued(ChaosConfig::covering(seed), QueueKind::BinaryHeap);
-        assert_same(
-            &format!("chaos seed={seed}"),
-            &a.trace_csv,
-            &b.trace_csv,
-            format!("{a:?}"),
-            format!("{b:?}"),
-        );
+        assert_same::<Chaos>(ChaosConfig::covering(seed));
     }
 }
 
@@ -56,18 +57,7 @@ fn dst_cells_are_identical_across_queue_kinds() {
     ];
     for profile in profiles {
         for seed in 0..3 {
-            let a = run_dst_queued(DstConfig::new(seed, profile), QueueKind::Calendar);
-            let b = run_dst_queued(DstConfig::new(seed, profile), QueueKind::BinaryHeap);
-            // The verdict folds the oracle outcome into one string; the
-            // chaos report underneath carries the trace.
-            assert_eq!(a.verdict(), b.verdict());
-            assert_same(
-                &format!("dst profile={} seed={seed}", profile.name()),
-                &a.chaos.trace_csv,
-                &b.chaos.trace_csv,
-                format!("{:?}", a.chaos),
-                format!("{:?}", b.chaos),
-            );
+            assert_same::<Chaos>(ChaosConfig::dst(seed, profile));
         }
     }
 }
@@ -75,15 +65,13 @@ fn dst_cells_are_identical_across_queue_kinds() {
 #[test]
 fn reconfig_runs_are_identical_across_queue_kinds() {
     for seed in [0, 3, 11, 29] {
-        let cfg = ReconfigConfig::dst(seed, FaultProfile::ReconfigChaos);
-        let a = run_reconfig_queued(cfg, QueueKind::Calendar);
-        let b = run_reconfig_queued(cfg, QueueKind::BinaryHeap);
-        assert_same(
-            &format!("reconfig seed={seed}"),
-            &a.trace_csv,
-            &b.trace_csv,
-            format!("{a:?}"),
-            format!("{b:?}"),
-        );
+        assert_same::<Reconfig>(Reconfig::cell(seed, FaultProfile::ReconfigChaos, false));
+    }
+}
+
+#[test]
+fn split_runs_are_identical_across_queue_kinds() {
+    for seed in 0..8 {
+        assert_same::<Split>(Split::cell(seed, FaultProfile::SplitChaos, false));
     }
 }

@@ -21,13 +21,16 @@
 //! - the fix fixes it: the shrunk plan is clean with the all-or-nothing
 //!   cutover back on.
 
-use shard_manager::apps::split::{
-    run_split, run_split_with_plan, shrink_split, split_repro_from_json, split_repro_to_json,
-    SplitConfig,
-};
+use shard_manager::apps::kit::{repro_from_json, repro_to_json, run, shrink};
+use shard_manager::apps::{run_split, Split, SplitConfig, SplitReport};
 use shard_manager::sim::faults::{Fault, FaultProfile};
 use shard_manager::sim::oracle::InvariantKind;
-use shard_manager::sim::SimTime;
+use shard_manager::sim::{QueueKind, SimTime};
+
+/// Replays a cell under an explicit (edited) fault plan.
+fn replay(cfg: SplitConfig, plan: Vec<(SimTime, Fault)>) -> SplitReport {
+    run::<Split>(cfg, Some(plan), QueueKind::default())
+}
 
 /// The fixed smoke grid: 8 seeds of the split-chaos profile.
 fn smoke_grid() -> Vec<SplitConfig> {
@@ -134,7 +137,7 @@ fn skipped_cutover_ack_is_caught_shrunk_and_replayable() {
         .into_iter()
         .map(|mut cfg| {
             cfg.skip_cutover_ack = true;
-            let r = run_split_with_plan(cfg, lossy_storm_plan());
+            let r = replay(cfg, lossy_storm_plan());
             (cfg, r)
         })
         .find(|(_, r)| r.failed())
@@ -159,7 +162,7 @@ fn skipped_cutover_ack_is_caught_shrunk_and_replayable() {
     );
 
     // Shrunk: a handful of fault events reproduce the hole.
-    let minimal = shrink_split(cfg, &report.plan).expect("a failing plan must be shrinkable");
+    let minimal = shrink::<Split>(cfg, &report.plan).expect("a failing plan must be shrinkable");
     assert!(
         minimal.len() <= 5,
         "reproducer has {} events: {minimal:?}",
@@ -168,21 +171,21 @@ fn skipped_cutover_ack_is_caught_shrunk_and_replayable() {
 
     // Replayable: through the JSON form and back, the minimal plan
     // still fails with the same invariant kind(s).
-    let json = split_repro_to_json(&cfg, &minimal);
-    let (cfg2, plan2) = split_repro_from_json(&json).expect("emitted reproducer JSON parses");
+    let json = repro_to_json::<Split>(&cfg, &minimal);
+    let (cfg2, plan2) = repro_from_json::<Split>(&json).expect("emitted reproducer JSON parses");
     assert_eq!(cfg2, cfg);
     assert_eq!(plan2, minimal);
-    let replay = run_split_with_plan(cfg2, plan2.clone());
-    assert!(replay.failed(), "minimal reproducer must still fail");
+    let replayed = replay(cfg2, plan2.clone());
+    assert!(replayed.failed(), "minimal reproducer must still fail");
     assert!(
-        replay.violated_kinds().iter().all(|k| kinds.contains(k)),
+        replayed.violated_kinds().iter().all(|k| kinds.contains(k)),
         "replay drifted to different kinds: {:?} vs {kinds:?}",
-        replay.violated_kinds()
+        replayed.violated_kinds()
     );
 
     // And the fix fixes it: the same seed and plan with the
     // all-or-nothing cutover restored is clean.
-    let fixed = run_split_with_plan(
+    let fixed = replay(
         SplitConfig {
             skip_cutover_ack: false,
             ..cfg

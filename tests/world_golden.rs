@@ -1,0 +1,132 @@
+//! Refactor witness for the seeded chaos worlds (tier-1).
+//!
+//! Every cell below — the same seeded cells `tests/{chaos,dst,
+//! reconfig,split}.rs` and `tests/sim_queue_diff.rs` run — is pinned to
+//! an FNV-1a-64 digest of its trace CSV, oracle verdict, `Debug`-
+//! rendered stats and net counters, and convergence outcome. The
+//! digests were recorded at the commit *before* the three worlds moved
+//! onto `sm_apps::kit`; a refactor of the worlds or the kit must leave
+//! every one unchanged. A deliberate behaviour change re-records them
+//! (run with `--nocapture`: each mismatch prints the new value) and
+//! says so in its PR.
+
+use shard_manager::apps::kit::{Report, Scenario};
+use shard_manager::apps::{run, Chaos, ChaosConfig, Reconfig, Split};
+use shard_manager::sim::faults::FaultProfile;
+use shard_manager::sim::QueueKind;
+use std::fmt::Debug;
+
+/// FNV-1a, 64-bit, over the parts with a NUL between them.
+fn fnv1a64(parts: &[&str]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for part in parts {
+        for &b in part.as_bytes().iter().chain(&[0u8]) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn digest<St: Debug, X>(r: &Report<St, X>) -> u64 {
+    fnv1a64(&[
+        &r.trace_csv,
+        &r.verdict(),
+        &format!("{:?}", r.stats),
+        &format!("{:?}", r.net),
+        &format!("{} {}", r.converged, r.unplaced),
+    ])
+}
+
+/// Runs every `(cell, expected digest)` pair and reports all
+/// mismatches at once.
+fn check<S: Scenario>(family: &str, cells: &[(S::Config, u64)])
+where
+    S::Config: Debug,
+{
+    let mut drifted = Vec::new();
+    for (cfg, want) in cells {
+        let got = digest(&run::<S>(*cfg, None, QueueKind::default()));
+        if got != *want {
+            println!("{family} {cfg:?}: recorded 0x{want:016x}, now 0x{got:016x}");
+            drifted.push(format!("0x{want:016x} -> 0x{got:016x}"));
+        }
+    }
+    assert!(drifted.is_empty(), "{family} digests drifted: {drifted:?}");
+}
+
+#[test]
+fn chaos_covering_cells_are_unchanged() {
+    check::<Chaos>(
+        "chaos",
+        &[
+            (ChaosConfig::covering(0), 0xc82a_e1df_3946_e741),
+            (ChaosConfig::covering(7), 0xf300_7898_0597_e6c7),
+            (ChaosConfig::covering(42), 0x1bc7_e63e_70ff_17bc),
+            (ChaosConfig::covering(1337), 0x9dc5_7828_52bf_a4f0),
+        ],
+    );
+}
+
+#[test]
+fn dst_profile_cells_are_unchanged() {
+    // In these three seeds the islanded servers host no shard, so the
+    // symmetric and asymmetric cells coincide: only heartbeats cross
+    // the partition, and both shapes block those.
+    let islands = [
+        0x612d_8a09_9051_dc7e_u64,
+        0x5143_59a9_6d25_ebad,
+        0x6e6c_b43d_7db1_abb5,
+    ];
+    let mixed = [
+        0x5395_9d6f_1f7a_f826_u64,
+        0x31bd_a800_69d1_36d1,
+        0x0fb1_4f94_7642_05a5,
+    ];
+    let cells: Vec<(ChaosConfig, u64)> = [
+        (FaultProfile::SymPartition, islands),
+        (FaultProfile::AsymPartition, islands),
+        (FaultProfile::Mixed, mixed),
+    ]
+    .into_iter()
+    .flat_map(|(profile, want)| {
+        (0..3).map(move |seed| (ChaosConfig::dst(seed, profile), want[seed as usize]))
+    })
+    .collect();
+    check::<Chaos>("dst", &cells);
+}
+
+#[test]
+fn reconfig_cells_are_unchanged() {
+    let cell = |seed| <Reconfig as Scenario>::cell(seed, FaultProfile::ReconfigChaos, false);
+    check::<Reconfig>(
+        "reconfig",
+        &[
+            (cell(0), 0xee10_c071_2ca1_e573),
+            (cell(3), 0x31b2_c7bd_64f5_4a65),
+            (cell(11), 0x8732_0afb_b112_3395),
+            (cell(29), 0x6ce5_acc1_483e_5435),
+        ],
+    );
+}
+
+#[test]
+fn split_smoke_grid_is_unchanged() {
+    let want = [
+        0xf6fe_c01b_f3e9_e587_u64,
+        0x9142_0b03_1c4f_5bde,
+        0x305b_1864_0a60_a85c,
+        0xdc1e_7ed9_9630_8be8,
+        0x8c42_a7c7_f3e0_3228,
+        0x38d4_af0f_7f48_cc7c,
+        0xa882_1ac9_37ed_95b3,
+        0x56c2_0014_531b_324f,
+    ];
+    let cells: Vec<_> = (0..8u64)
+        .map(|seed| {
+            let cfg = <Split as Scenario>::cell(seed, FaultProfile::SplitChaos, false);
+            (cfg, want[seed as usize])
+        })
+        .collect();
+    check::<Split>("split", &cells);
+}
