@@ -31,6 +31,7 @@
 //!   generalized (1→2, 2→1) graceful migration.
 
 pub mod api;
+mod change;
 pub mod control_plane;
 pub mod exchange;
 pub mod ha;

@@ -5,27 +5,54 @@
 //! with emergency re-placement and primary promotion, collects load,
 //! runs the allocator periodically, executes allocation plans under the
 //! system-stability move caps, drains servers ahead of planned events,
-//! and drives the five-step graceful primary migration of §4.3:
+//! and splits hot shards and merges cold ones.
 //!
-//! 1. `prepare_add_shard` → new primary (accept only forwarded writes);
-//! 2. `prepare_drop_shard` → old primary (start forwarding);
-//! 3. `add_shard` → new primary (officially owns the role);
-//! 4. publish the new shard map through service discovery;
-//! 5. `drop_shard` → old primary (drain residual forwarded traffic).
+//! Every ownership change — a replica move (1→1), a split (1→2), a
+//! merge (2→1) — runs a sub-sequence of the five steps of §4.3's
+//! graceful migration, in the numbered order of its row; *sources*
+//! leave ownership, *targets* enter it, ✔ is the point of no return:
+//!
+//! | kind           | prepare → targets      | forward → sources      | add → targets   | commit | drop → sources     |
+//! |----------------|------------------------|------------------------|-----------------|--------|--------------------|
+//! | graceful move  | 1 `PrepareAddShard`    | 2 `PrepareDropShard`   | 3 `AddShard`    | 4 ✔    | 5 `DropShard`      |
+//! | secondary move | —                      | —                      | 1 `AddShard`    | 2 ✔    | 3 `DropShard`      |
+//! | abrupt move    | —                      | —                      | 2 `AddShard`    | 3 ✔    | 1 `DropShard`      |
+//! | fresh add      | —                      | —                      | 1 `AddShard`    | 2 ✔    | —                  |
+//! | split          | 1 `PrepareAddShard` ×2 | 2 `SplitForward`       | 3 `AddShard` ×2 | 4 ✔    | 5 reclaim parent   |
+//! | merge          | 1 `PrepareAddShard`    | 2 `MergeForward` ×2    | 3 `AddShard`    | 4 ✔    | 5 reclaim both     |
+//!
+//! *Prepare*: the new owner accepts only forwarded requests. *Forward*:
+//! the old owner keeps its data, stops serving directly and forwards
+//! (a split parent per key, to the child covering it). *Add*: the new
+//! owner officially owns the role. *Commit*: the assignment (and for a
+//! split/merge the spec, in the same step) records the handover and the
+//! new map is published — only once *every* add is acked. *Drop*: the
+//! old owner drains residual forwarded traffic. A graceful move is for
+//! primaries with a live source; an abrupt move is its ablation (the
+//! middle curve of Figure 17); the source of a secondary move is
+//! unrecorded when its drop is acked.
+//!
+//! Before its commit a change aborts on any nack, on the death of an
+//! involved server, and — a split/merge — on an involved server's
+//! restart: the unpublished targets of a split/merge are reclaimed and
+//! its sources resume serving. `change.rs` holds the state machine and
+//! the compensation rules; this file holds membership, placement and
+//! persistence.
 //!
 //! The orchestrator is a synchronous state machine: methods mutate state
 //! and append [`OrchCommand`]s to an outbox the embedding world drains,
 //! delivering RPCs to application servers and feeding acks back in.
 
 use crate::api::{OrchCommand, ServerRpc};
+use crate::change::{demotion, Change, Compensation};
 use crate::splitter::{ReshardOp, SplitScaler};
 use sm_allocator::{
     AllocConfig, AllocInput, Allocator, MoveCaps, MoveScheduler, ReplicaMove, ServerInfo,
     ShardPlacement,
 };
 use sm_types::{
-    AppId, AppKey, AppPolicy, Assignment, LoadVector, Location, ReplicaRole, ServerId, ShardId,
-    ShardMap, ShardingSpec, SmError,
+    AppId, AppPolicy, Assignment, LoadVector, Location, ReplicaRole, ServerId, ShardId, ShardMap,
+    ShardingSpec, SmError,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -72,120 +99,6 @@ pub struct ServerEntry {
     pub draining: bool,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum MigrationKind {
-    /// §4.3 five-step protocol (primary with a live source).
-    GracefulPrimary,
-    /// Add-then-drop (secondaries; safe to double-host briefly).
-    SecondaryMove,
-    /// Drop-then-add (ablation mode for primaries).
-    AbruptMove,
-    /// Fresh placement (no source).
-    FreshAdd,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Phase {
-    PrepareAdd,
-    PrepareDrop,
-    Add,
-    Drop,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Migration {
-    shard: ShardId,
-    from: Option<ServerId>,
-    to: ServerId,
-    role: ReplicaRole,
-    kind: MigrationKind,
-    phase: Phase,
-    mv: ReplicaMove,
-}
-
-/// Phases of the generalized (1→2 / 2→1) graceful resharding protocol.
-/// `Prepare` and `Cutover` each await acks from the shards entering the
-/// spec; `Forward` awaits acks from the shards leaving it. Commit — the
-/// point of no return, where the spec and assignment swap atomically —
-/// is not a phase: it happens inside the final cutover ack, so an op
-/// observed in any phase can still abort cleanly.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum ScalePhase {
-    Prepare,
-    Forward,
-    Cutover,
-}
-
-/// An in-flight split: `parent`'s range divides at `at` into
-/// `left` = [start, at) on `left_to` and `right` = [at, end) on
-/// `right_to`. The children are *not* in `shards`, the spec, or any
-/// published map until commit, so clients cannot reach them and an
-/// abort only has to reclaim unpublished state.
-#[derive(Clone, Debug)]
-struct SplitOp {
-    parent: ShardId,
-    parent_primary: ServerId,
-    at: AppKey,
-    left: ShardId,
-    left_to: ServerId,
-    right: ShardId,
-    right_to: ServerId,
-    phase: ScalePhase,
-    // Per-phase ack flags for the two-sided phases (Prepare/Cutover
-    // await both children; reset on every phase transition).
-    left_ready: bool,
-    right_ready: bool,
-}
-
-/// An in-flight merge: the inverse shape — two sources forward into one
-/// prepared `target` on `target_to`.
-#[derive(Clone, Debug)]
-struct MergeOp {
-    left: ShardId,
-    left_primary: ServerId,
-    right: ShardId,
-    right_primary: ServerId,
-    target: ShardId,
-    target_to: ServerId,
-    phase: ScalePhase,
-    left_ready: bool,
-    right_ready: bool,
-}
-
-#[derive(Clone, Debug)]
-enum ScaleOpState {
-    Split(SplitOp),
-    Merge(MergeOp),
-}
-
-impl ScaleOpState {
-    fn involves_server(&self, server: ServerId) -> bool {
-        match self {
-            ScaleOpState::Split(op) => {
-                server == op.parent_primary || server == op.left_to || server == op.right_to
-            }
-            ScaleOpState::Merge(op) => {
-                server == op.left_primary || server == op.right_primary || server == op.target_to
-            }
-        }
-    }
-
-    fn involves_shard(&self, shard: ShardId) -> bool {
-        match self {
-            ScaleOpState::Split(op) => shard == op.parent || shard == op.left || shard == op.right,
-            ScaleOpState::Merge(op) => shard == op.left || shard == op.right || shard == op.target,
-        }
-    }
-
-    /// Every shard the op touches, for the busy set.
-    fn shards(&self) -> [ShardId; 3] {
-        match self {
-            ScaleOpState::Split(op) => [op.parent, op.left, op.right],
-            ScaleOpState::Merge(op) => [op.left, op.right, op.target],
-        }
-    }
-}
-
 /// Counters exposed for tests and experiment reporting.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OrchStats {
@@ -214,40 +127,30 @@ pub struct OrchStats {
 /// The per-partition orchestrator.
 pub struct Orchestrator {
     app: AppId,
-    policy: AppPolicy,
-    config: OrchestratorConfig,
+    pub(crate) policy: AppPolicy,
+    pub(crate) config: OrchestratorConfig,
     servers: BTreeMap<ServerId, ServerEntry>,
-    shards: Vec<ShardId>,
-    desired_replicas: BTreeMap<ShardId, u32>,
-    assignment: Assignment,
-    loads: BTreeMap<ShardId, LoadVector>,
+    pub(crate) shards: Vec<ShardId>,
+    pub(crate) desired_replicas: BTreeMap<ShardId, u32>,
+    pub(crate) assignment: Assignment,
+    pub(crate) loads: BTreeMap<ShardId, LoadVector>,
     map_version: u64,
     outbox: Vec<OrchCommand>,
-    migrations: Vec<Migration>,
-    /// Pending promotions: `(shard, server)` awaiting a ChangeRole ack.
-    promotions: Vec<(ShardId, ServerId)>,
-    /// Suspect replicas awaiting reclamation: `(shard, server)` pairs
-    /// where an RPC failed but the server may have applied it anyway
-    /// (the ack, not the request, can be what the network lost). Until
-    /// the compensating `DropShard` is acked — or the server's lease
-    /// expires, which fences it — the shard must not be re-placed, or
-    /// the unacked copy becomes a second willing primary.
-    reclaims: Vec<(ShardId, ServerId)>,
-    scheduler: Option<MoveScheduler>,
-    stats: OrchStats,
+    /// In-flight ownership changes: the first `reshards` are the
+    /// splits/merges, the rest the replica moves (`change.rs`).
+    pub(crate) changes: Vec<Change>,
+    pub(crate) reshards: usize,
+    /// Compensations awaiting their ack (`change.rs`).
+    pub(crate) pending: Vec<(ShardId, ServerId, Compensation)>,
+    pub(crate) scheduler: Option<MoveScheduler>,
+    pub(crate) stats: OrchStats,
     /// The authoritative key-range spec, once registered. Resharding
     /// (split/merge) rewrites it; `spec_version` counts the rewrites so
     /// routers can detect staleness independent of the map version.
-    spec: Option<ShardingSpec>,
-    spec_version: u64,
+    pub(crate) spec: Option<ShardingSpec>,
+    pub(crate) spec_version: u64,
     /// Next never-used shard id for minting split/merge children.
     next_shard_id: u64,
-    /// In-flight split/merge operations.
-    scale_ops: Vec<ScaleOpState>,
-    /// Post-abort resumes awaiting an `AddShard` ack: the source shard's
-    /// primary was told to resume direct serving (cancelling forward
-    /// state); retried on failure like reclaims.
-    restores: Vec<(ShardId, ServerId)>,
     /// Surfaced anomalies (e.g. rejected promotion transitions), drained
     /// by the embedding world for logging. Bounded.
     errors: Vec<SmError>,
@@ -267,16 +170,14 @@ impl Orchestrator {
             loads: BTreeMap::new(),
             map_version: 0,
             outbox: Vec::new(),
-            migrations: Vec::new(),
-            promotions: Vec::new(),
-            reclaims: Vec::new(),
+            changes: Vec::new(),
+            reshards: 0,
+            pending: Vec::new(),
             scheduler: None,
             stats: OrchStats::default(),
             spec: None,
             spec_version: 0,
             next_shard_id: 0,
-            scale_ops: Vec::new(),
-            restores: Vec::new(),
             errors: Vec::new(),
         }
     }
@@ -315,6 +216,12 @@ impl Orchestrator {
     /// True if `server` is registered and alive.
     pub fn server_alive(&self, server: ServerId) -> bool {
         self.servers.get(&server).map(|e| e.alive).unwrap_or(false)
+    }
+
+    /// True if the assignment places a replica of `shard` on `server`.
+    pub(crate) fn hosts(&self, shard: ShardId, server: ServerId) -> bool {
+        let mut replicas = self.assignment.replicas(shard).iter();
+        replicas.any(|r| r.server == server)
     }
 
     /// Registers an application server.
@@ -365,35 +272,13 @@ impl Orchestrator {
         self.spec_version
     }
 
-    /// The pending split point of `parent`, while a split of it is in
-    /// flight. The world uses this to derive the child ranges when it
-    /// delivers the `SplitForward` RPC (the RPC itself carries only ids,
-    /// keeping [`ServerRpc`] `Copy`).
-    pub fn pending_split(&self, parent: ShardId) -> Option<&AppKey> {
-        self.scale_ops.iter().find_map(|op| match op {
-            ScaleOpState::Split(s) if s.parent == parent => Some(&s.at),
-            _ => None,
-        })
-    }
-
-    /// The `(target, target_server)` of an in-flight merge consuming
-    /// `source`, if any.
-    pub fn pending_merge(&self, source: ShardId) -> Option<(ShardId, ServerId)> {
-        self.scale_ops.iter().find_map(|op| match op {
-            ScaleOpState::Merge(m) if m.left == source || m.right == source => {
-                Some((m.target, m.target_to))
-            }
-            _ => None,
-        })
-    }
-
     /// Drains surfaced anomalies (rejected transitions, failed commits)
     /// for the embedding world to log.
     pub fn drain_errors(&mut self) -> Vec<SmError> {
         std::mem::take(&mut self.errors)
     }
 
-    fn push_error(&mut self, err: SmError) {
+    pub(crate) fn push_error(&mut self, err: SmError) {
         // Bounded: an unread backlog must not grow without limit.
         if self.errors.len() < 64 {
             self.errors.push(err);
@@ -428,11 +313,11 @@ impl Orchestrator {
         std::mem::take(&mut self.outbox)
     }
 
-    fn send_rpc(&mut self, server: ServerId, rpc: ServerRpc) {
+    pub(crate) fn send_rpc(&mut self, server: ServerId, rpc: ServerRpc) {
         self.outbox.push(OrchCommand::Rpc { server, rpc });
     }
 
-    fn publish_map(&mut self) {
+    pub(crate) fn publish_map(&mut self) {
         self.map_version += 1;
         self.stats.maps_published += 1;
         // Collapse consecutive change notices: the world only needs to
@@ -456,6 +341,12 @@ impl Orchestrator {
         for (shard, load) in loads {
             self.loads.insert(shard, load);
         }
+    }
+
+    /// The last reported load of `shard`, or one unit of shard count.
+    fn load_of(&self, shard: ShardId) -> LoadVector {
+        let unit = || LoadVector::single(sm_types::Metric::ShardCount.id(), 1.0);
+        self.loads.get(&shard).copied().unwrap_or_else(unit)
     }
 
     // ---- Allocation ----
@@ -487,11 +378,7 @@ impl Orchestrator {
                 replicas.truncate(desired.max(replicas.len()));
                 ShardPlacement {
                     shard,
-                    load_per_replica: self
-                        .loads
-                        .get(&shard)
-                        .copied()
-                        .unwrap_or_else(default_shard_load),
+                    load_per_replica: self.load_of(shard),
                     replicas,
                 }
             })
@@ -534,7 +421,7 @@ impl Orchestrator {
         self.pump_scheduler();
     }
 
-    fn pump_scheduler(&mut self) {
+    pub(crate) fn pump_scheduler(&mut self) {
         let Some(mut scheduler) = self.scheduler.take() else {
             return;
         };
@@ -542,451 +429,6 @@ impl Orchestrator {
         self.scheduler = Some(scheduler);
         for mv in wave {
             self.start_move(mv);
-        }
-    }
-
-    fn start_move(&mut self, mv: ReplicaMove) {
-        let shard = mv.shard;
-        // Plans can be superseded (a drain or emergency run replaces a
-        // periodic plan), so a released move may be stale by the time it
-        // starts. Skip moves whose source no longer hosts the shard and
-        // moves for shards already migrating — the next allocation run
-        // re-plans anything still suboptimal.
-        let stale_source = mv
-            .from
-            .map(|f| {
-                !self
-                    .assignment
-                    .replicas(shard)
-                    .iter()
-                    .any(|r| r.server == f)
-            })
-            .unwrap_or(false);
-        let already_migrating = self.migrations.iter().any(|m| m.shard == shard);
-        let target_occupied = self
-            .assignment
-            .replicas(shard)
-            .iter()
-            .any(|r| r.server == mv.to);
-        // A shard with a suspect unacked copy must not be re-placed
-        // until the reclaim resolves; nor may any shard be placed onto
-        // a server we are currently reclaiming it from. Shards inside a
-        // split/merge are equally off-limits: moving the parent's
-        // primary mid-forward would strand the forwarding chain.
-        let reclaiming = self.reclaims.iter().any(|&(s, _)| s == shard);
-        let resharding = self.scale_ops.iter().any(|op| op.involves_shard(shard))
-            || self.restores.iter().any(|&(s, _)| s == shard);
-        if stale_source || already_migrating || target_occupied || reclaiming || resharding {
-            if let Some(s) = self.scheduler.as_mut() {
-                s.complete(&mv);
-            }
-            return;
-        }
-        // Role: keep the role held at the source; fresh adds become
-        // primary if the shard needs one.
-        let role = match mv.from {
-            Some(from) => self
-                .assignment
-                .replicas(shard)
-                .iter()
-                .find(|r| r.server == from)
-                .map(|r| r.role),
-            None => None,
-        }
-        .unwrap_or_else(|| {
-            let promotion_pending = self.promotions.iter().any(|&(s, _)| s == shard);
-            if self.policy.replication.has_primary()
-                && self.assignment.primary_of(shard).is_none()
-                && !promotion_pending
-            {
-                ReplicaRole::Primary
-            } else {
-                ReplicaRole::Secondary
-            }
-        });
-
-        let source_alive = mv
-            .from
-            .map(|s| self.servers.get(&s).map(|e| e.alive).unwrap_or(false))
-            .unwrap_or(false);
-
-        let kind = match (mv.from, role, source_alive) {
-            (None, _, _) => MigrationKind::FreshAdd,
-            (Some(_), ReplicaRole::Primary, true) if self.config.graceful_migration => {
-                MigrationKind::GracefulPrimary
-            }
-            (Some(_), ReplicaRole::Primary, true) => MigrationKind::AbruptMove,
-            (Some(_), ReplicaRole::Secondary, true) => MigrationKind::SecondaryMove,
-            // Source dead: nothing to hand off.
-            (Some(_), _, false) => MigrationKind::FreshAdd,
-        };
-
-        // Matching on (kind, source) lets the compiler see that the
-        // source-ful kinds carry a source; a sourceless one (impossible
-        // by construction above) degrades to a fresh add.
-        let (phase, first_rpc, target) = match (kind, mv.from) {
-            (MigrationKind::GracefulPrimary, Some(src)) => (
-                Phase::PrepareAdd,
-                ServerRpc::PrepareAddShard {
-                    shard,
-                    current_owner: src,
-                    role,
-                },
-                mv.to,
-            ),
-            (MigrationKind::AbruptMove, Some(src)) => {
-                (Phase::Drop, ServerRpc::DropShard { shard }, src)
-            }
-            (MigrationKind::SecondaryMove | MigrationKind::FreshAdd, _) | (_, None) => {
-                (Phase::Add, ServerRpc::AddShard { shard, role }, mv.to)
-            }
-        };
-        self.migrations.push(Migration {
-            shard,
-            from: mv.from,
-            to: mv.to,
-            role,
-            kind,
-            phase,
-            mv,
-        });
-        self.send_rpc(target, first_rpc);
-    }
-
-    /// Writes an updated migration back by index. A stale index (which
-    /// the `position()` lookups above the call sites rule out) is a
-    /// no-op rather than a panic.
-    fn store_migration(&mut self, idx: usize, mig: Migration) {
-        if let Some(slot) = self.migrations.get_mut(idx) {
-            *slot = mig;
-        }
-    }
-
-    /// Handles an RPC acknowledgement from an application server,
-    /// advancing the corresponding migration/promotion state machine.
-    pub fn rpc_acked(&mut self, server: ServerId, rpc: ServerRpc) {
-        // Reclaim acks first: the suspect copy is confirmed gone, so
-        // the shard is safe to place again. A reclaim is never also a
-        // live migration ack — reclaims are only created after every
-        // migration touching that (shard, server) was aborted, and no
-        // new one can start while the reclaim is pending.
-        if let ServerRpc::DropShard { shard } = rpc {
-            if let Some(pos) = self
-                .reclaims
-                .iter()
-                .position(|&(s, srv)| s == shard && srv == server)
-            {
-                self.reclaims.swap_remove(pos);
-                if self.assignment.replicas(shard).is_empty()
-                    && !self.migrations.iter().any(|m| m.shard == shard)
-                {
-                    self.run_emergency();
-                }
-                // A promotion deferred by the reclaim can go ahead now.
-                self.ensure_primary_for(shard);
-                return;
-            }
-        }
-
-        // Promotions first: ChangeRole to primary.
-        if let ServerRpc::ChangeRole { shard, new, .. } = rpc {
-            if let Some(pos) = self
-                .promotions
-                .iter()
-                .position(|&(s, srv)| s == shard && srv == server)
-            {
-                self.promotions.swap_remove(pos);
-                if new.is_primary() {
-                    match self.assignment.change_role(shard, server, new) {
-                        Ok(()) => {
-                            self.stats.promotions += 1;
-                            self.publish_map();
-                        }
-                        Err(reason) => {
-                            // The server acked the promotion but the
-                            // assignment refused it (e.g. a concurrent
-                            // path already installed another primary).
-                            // The acker now wrongly believes it is
-                            // primary: demote it, surface the anomaly,
-                            // and re-run role reconciliation instead of
-                            // publishing a map that contradicts
-                            // reality.
-                            self.stats.failed_transitions += 1;
-                            self.push_error(SmError::conflict(format!(
-                                "promotion of {shard} at {server} acked but rejected: {reason}"
-                            )));
-                            self.send_rpc(
-                                server,
-                                ServerRpc::ChangeRole {
-                                    shard,
-                                    current: ReplicaRole::Primary,
-                                    new: ReplicaRole::Secondary,
-                                },
-                            );
-                            self.ensure_primary_for(shard);
-                        }
-                    }
-                }
-                return;
-            }
-        }
-
-        if self.restore_acked(server, rpc) || self.scale_rpc_acked(server, rpc) {
-            return;
-        }
-
-        let Some(idx) = self.migrations.iter().position(|m| match m.phase {
-            Phase::PrepareAdd => {
-                server == m.to
-                    && m.from.is_some_and(|src| {
-                        rpc == ServerRpc::PrepareAddShard {
-                            shard: m.shard,
-                            current_owner: src,
-                            role: m.role,
-                        }
-                    })
-            }
-            Phase::PrepareDrop => {
-                Some(server) == m.from
-                    && rpc
-                        == ServerRpc::PrepareDropShard {
-                            shard: m.shard,
-                            new_owner: m.to,
-                            role: m.role,
-                        }
-            }
-            Phase::Add => {
-                server == m.to
-                    && rpc
-                        == ServerRpc::AddShard {
-                            shard: m.shard,
-                            role: m.role,
-                        }
-            }
-            Phase::Drop => {
-                let drop_target = match m.kind {
-                    MigrationKind::AbruptMove if m.phase == Phase::Drop => m.from,
-                    _ => m.from,
-                };
-                Some(server) == drop_target && rpc == ServerRpc::DropShard { shard: m.shard }
-            }
-        }) else {
-            return;
-        };
-
-        let Some(mut mig) = self.migrations.get(idx).copied() else {
-            return;
-        };
-        match (mig.kind, mig.phase) {
-            // -- Graceful primary: steps 1..5 --
-            (MigrationKind::GracefulPrimary, Phase::PrepareAdd) => {
-                let Some(src) = mig.from else { return };
-                mig.phase = Phase::PrepareDrop;
-                self.store_migration(idx, mig);
-                self.send_rpc(
-                    src,
-                    ServerRpc::PrepareDropShard {
-                        shard: mig.shard,
-                        new_owner: mig.to,
-                        role: mig.role,
-                    },
-                );
-            }
-            (MigrationKind::GracefulPrimary, Phase::PrepareDrop) => {
-                mig.phase = Phase::Add;
-                self.store_migration(idx, mig);
-                self.send_rpc(
-                    mig.to,
-                    ServerRpc::AddShard {
-                        shard: mig.shard,
-                        role: mig.role,
-                    },
-                );
-            }
-            (MigrationKind::GracefulPrimary, Phase::Add) => {
-                // Step 4: record the handover and publish before the
-                // final drop.
-                let Some(src) = mig.from else { return };
-                let _outcome = self.assignment.move_replica(mig.shard, src, mig.to);
-                self.publish_map();
-                mig.phase = Phase::Drop;
-                self.store_migration(idx, mig);
-                self.send_rpc(src, ServerRpc::DropShard { shard: mig.shard });
-            }
-            (MigrationKind::GracefulPrimary, Phase::Drop) => {
-                self.finish_migration(idx);
-            }
-
-            // -- Abrupt primary move: drop, then add --
-            (MigrationKind::AbruptMove, Phase::Drop) => {
-                let Some(src) = mig.from else { return };
-                self.assignment.remove_replica(mig.shard, src);
-                mig.phase = Phase::Add;
-                self.store_migration(idx, mig);
-                self.send_rpc(
-                    mig.to,
-                    ServerRpc::AddShard {
-                        shard: mig.shard,
-                        role: mig.role,
-                    },
-                );
-            }
-            (MigrationKind::AbruptMove, Phase::Add) => {
-                let _outcome = self.assignment.add_replica(mig.shard, mig.to, mig.role);
-                self.publish_map();
-                self.finish_migration(idx);
-            }
-
-            // -- Secondary move: add, publish, then drop --
-            (MigrationKind::SecondaryMove, Phase::Add) => {
-                let Some(src) = mig.from else { return };
-                let _outcome = self.assignment.add_replica(mig.shard, mig.to, mig.role);
-                self.publish_map();
-                mig.phase = Phase::Drop;
-                self.store_migration(idx, mig);
-                self.send_rpc(src, ServerRpc::DropShard { shard: mig.shard });
-            }
-            (MigrationKind::SecondaryMove, Phase::Drop) => {
-                let Some(src) = mig.from else { return };
-                self.assignment.remove_replica(mig.shard, src);
-                self.publish_map();
-                self.finish_migration(idx);
-            }
-
-            // -- Fresh add --
-            (MigrationKind::FreshAdd, Phase::Add) => {
-                let mut role = mig.role;
-                if role.is_primary() && self.assignment.primary_of(mig.shard).is_some() {
-                    // A concurrent promotion won the primary role while
-                    // this add was in flight; demote the newcomer and
-                    // record it as a secondary.
-                    role = ReplicaRole::Secondary;
-                    self.send_rpc(
-                        mig.to,
-                        ServerRpc::ChangeRole {
-                            shard: mig.shard,
-                            current: ReplicaRole::Primary,
-                            new: ReplicaRole::Secondary,
-                        },
-                    );
-                }
-                let _outcome = self.assignment.add_replica(mig.shard, mig.to, role);
-                self.publish_map();
-                self.finish_migration(idx);
-            }
-            _ => {}
-        }
-    }
-
-    fn finish_migration(&mut self, idx: usize) {
-        let mig = self.migrations.swap_remove(idx);
-        self.stats.completed_moves += 1;
-        if let Some(s) = self.scheduler.as_mut() {
-            s.complete(&mig.mv);
-        }
-        // A shard can end a migration without a primary (e.g. its
-        // promotion failed while this replacement replica was being
-        // placed); re-elect as soon as the shard is quiescent.
-        self.ensure_primary_for(mig.shard);
-        self.pump_scheduler();
-    }
-
-    /// Handles an RPC failure: the migration is aborted; failure-driven
-    /// repair happens through [`Self::server_down`].
-    pub fn rpc_failed(&mut self, server: ServerId, rpc: ServerRpc) {
-        let shard = rpc.shard();
-        // A failed post-abort resume retries while the server lives (a
-        // source primary that never resumes serving blackholes its
-        // range); a dead server resolves through `server_down`.
-        if let ServerRpc::AddShard { .. } = rpc {
-            if self
-                .restores
-                .iter()
-                .any(|&(s, srv)| s == shard && srv == server)
-            {
-                if self.server_alive(server) {
-                    self.send_rpc(server, rpc);
-                }
-                return;
-            }
-        }
-        // Any nack inside an in-flight split/merge aborts the whole op
-        // pre-commit: children are reclaimed, sources resume serving.
-        if let Some(idx) = self
-            .scale_ops
-            .iter()
-            .position(|op| op.involves_shard(shard) && op.involves_server(server))
-        {
-            self.abort_scale_op(idx, None);
-            return;
-        }
-        if let Some(idx) = self
-            .migrations
-            .iter()
-            .position(|m| m.shard == shard && (m.to == server || m.from == Some(server)))
-        {
-            let mig = self.migrations.swap_remove(idx);
-            self.stats.aborted_moves += 1;
-            if let Some(s) = self.scheduler.as_mut() {
-                s.complete(&mig.mv);
-            }
-            // If the target had been prepared (step 1) it still holds
-            // prepare-state and warmed data; tell it to discard unless
-            // the shard's record actually lives there.
-            if mig.kind == MigrationKind::GracefulPrimary
-                && mig.to != server
-                && self.server_alive(mig.to)
-                && !self
-                    .assignment
-                    .replicas(mig.shard)
-                    .iter()
-                    .any(|r| r.server == mig.to)
-            {
-                self.send_rpc(mig.to, ServerRpc::DropShard { shard: mig.shard });
-            }
-            self.pump_scheduler();
-        }
-        // A failed *promotion* retries on the next live secondary: the
-        // application may have nacked because a safe joint election was
-        // momentarily impossible there (stale log, unreachable quorum),
-        // while another replica can win right now. Without the retry
-        // the shard stays primary-less until an unrelated event.
-        let was_promotion = matches!(rpc, ServerRpc::ChangeRole { new, .. } if new.is_primary())
-            && self
-                .promotions
-                .iter()
-                .any(|&(s, srv)| s == shard && srv == server);
-        self.promotions
-            .retain(|&(s, srv)| !(s == shard && srv == server));
-        if was_promotion {
-            self.retry_promotion(shard, server);
-        }
-        // "Failed" only means no ack arrived — the server may well have
-        // applied the RPC (a lossy network can eat the ack rather than
-        // the request). If the server is still alive and the assignment
-        // does not place this shard there, it may now hold an unacked
-        // copy: reclaim it with a compensating DropShard, and hold the
-        // shard back from re-placement until the drop is confirmed or
-        // the server's lease expiry fences it. Re-placing earlier would
-        // create a second willing primary (§3.2).
-        let assigned_there = self
-            .assignment
-            .replicas(shard)
-            .iter()
-            .any(|r| r.server == server);
-        if self.server_alive(server) && !assigned_there {
-            if !self.reclaims.contains(&(shard, server)) {
-                self.reclaims.push((shard, server));
-            }
-            self.send_rpc(server, ServerRpc::DropShard { shard });
-        }
-        // An aborted fresh add can leave the shard with no replica at
-        // all (e.g. the target restarted mid-placement). Re-place it
-        // immediately instead of waiting for the next periodic run.
-        if self.assignment.replicas(shard).is_empty()
-            && !self.migrations.iter().any(|m| m.shard == shard)
-        {
-            self.run_emergency();
         }
     }
 
@@ -1004,83 +446,25 @@ impl Orchestrator {
             return;
         }
         entry.alive = false;
-
-        // Abort split/merge ops touching the dead server while the
-        // assignment still reflects pre-failure reality (the abort's
-        // source-resume check needs it). The dead server's own reclaims
-        // and restores are fenced by lease expiry below.
-        let doomed_ops: Vec<usize> = self
-            .scale_ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.involves_server(server))
-            .map(|(i, _)| i)
-            .collect();
-        for idx in doomed_ops.into_iter().rev() {
-            self.abort_scale_op(idx, Some(server));
-        }
-        self.restores.retain(|&(_, srv)| srv != server);
-
-        // Abort migrations touching the dead server.
-        let doomed: Vec<usize> = self
-            .migrations
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.to == server || m.from == Some(server))
-            .map(|(i, _)| i)
-            .collect();
-        for idx in doomed.into_iter().rev() {
-            let mig = self.migrations.swap_remove(idx);
-            self.stats.aborted_moves += 1;
-            if let Some(s) = self.scheduler.as_mut() {
-                s.complete(&mig.mv);
-            }
-        }
-
         // Lease expiry fences the dead server (§3.2: it wiped itself or
-        // will refuse traffic), so any unacked copy it held is gone —
-        // its pending reclaims resolve, freeing those shards to be
-        // re-placed by the emergency run below.
-        let freed: Vec<ShardId> = self
-            .reclaims
-            .iter()
-            .filter(|&&(_, srv)| srv == server)
-            .map(|&(s, _)| s)
-            .collect();
-        self.reclaims.retain(|&(_, srv)| srv != server);
-
+        // will refuse traffic): every change touching it aborts, and any
+        // unacked copy it held is gone — its reclaims lapse, freeing
+        // those shards to be re-placed by the emergency run below.
+        let freed = self.sweep(server, true);
         let lost = self.assignment.drop_server(server);
         // Promote a surviving secondary wherever a primary was lost.
-        for (shard, role) in &lost {
-            if role.is_primary() {
-                let survivor = self
-                    .assignment
-                    .replicas(*shard)
-                    .iter()
-                    .find(|r| {
-                        !r.role.is_primary()
-                            && self
-                                .servers
-                                .get(&r.server)
-                                .map(|e| e.alive)
-                                .unwrap_or(false)
-                    })
-                    .map(|r| r.server);
-                if let Some(new_primary) = survivor {
-                    self.promotions.push((*shard, new_primary));
-                    self.send_rpc(
-                        new_primary,
-                        ServerRpc::ChangeRole {
-                            shard: *shard,
-                            current: ReplicaRole::Secondary,
-                            new: ReplicaRole::Primary,
-                        },
-                    );
-                }
+        for &(shard, role) in &lost {
+            if !role.is_primary() {
+                continue;
+            }
+            let mut survivors = self.assignment.replicas(shard).iter();
+            let survivor = survivors.find(|r| !r.role.is_primary() && self.server_alive(r.server));
+            if let Some(heir) = survivor.map(|r| r.server) {
+                self.request(shard, heir, Compensation::Promote);
             }
         }
         self.publish_map();
-        if !lost.is_empty() || !freed.is_empty() {
+        if !lost.is_empty() || freed {
             self.run_emergency();
         }
         self.ensure_primaries();
@@ -1105,27 +489,23 @@ impl Orchestrator {
         if let Some(e) = self.servers.get_mut(&server) {
             e.draining = true;
         }
-        let victims: Vec<(ShardId, sm_types::ReplicaRole)> = self
-            .assignment
-            .shards_on(server)
-            .into_iter()
-            .filter(|(shard, _)| !self.migrations.iter().any(|m| m.shard == *shard))
-            .collect();
         let mut moves = Vec::new();
         // Track hypothetical extra load per target so consecutive picks
         // spread rather than pile onto one cold server.
         let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
-        for (shard, _) in &victims {
-            let load = self
-                .loads
-                .get(shard)
-                .copied()
-                .unwrap_or_else(default_shard_load);
-            let target = self.pick_drain_target(*shard, &extra, &load);
-            let Some(target) = target else { continue };
+        for (shard, _) in self.assignment.shards_on(server) {
+            if self.moving(shard) {
+                continue;
+            }
+            let load = self.load_of(shard);
+            let hosts = self.assignment.replicas(shard).iter();
+            let hosts: Vec<ServerId> = hosts.map(|r| r.server).collect();
+            let Some(target) = self.pick_target(&hosts, &extra, &load) else {
+                continue;
+            };
             *extra.entry(target).or_insert_with(LoadVector::zero) += load;
             moves.push(ReplicaMove {
-                shard: *shard,
+                shard,
                 replica: 0,
                 from: Some(server),
                 to: target,
@@ -1136,21 +516,18 @@ impl Orchestrator {
         n
     }
 
-    fn pick_drain_target(
+    /// The least-utilized live, non-draining server outside `exclude`
+    /// with room for `load` on top of its usage and the `extra` already
+    /// earmarked for it.
+    fn pick_target(
         &self,
-        shard: ShardId,
+        exclude: &[ServerId],
         extra: &BTreeMap<ServerId, LoadVector>,
         load: &LoadVector,
     ) -> Option<ServerId> {
-        let hosts: Vec<ServerId> = self
-            .assignment
-            .replicas(shard)
-            .iter()
-            .map(|r| r.server)
-            .collect();
         self.servers
             .iter()
-            .filter(|(id, e)| e.alive && !e.draining && !hosts.contains(id))
+            .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
             .filter(|(id, e)| {
                 // Honor capacity where configured.
                 let mut usage = self.usage_of(**id);
@@ -1171,24 +548,16 @@ impl Orchestrator {
     fn usage_of(&self, server: ServerId) -> LoadVector {
         let mut usage = LoadVector::zero();
         for (shard, _) in self.assignment.shards_on(server) {
-            usage += self
-                .loads
-                .get(&shard)
-                .copied()
-                .unwrap_or_else(default_shard_load);
+            usage += self.load_of(shard);
         }
         usage
     }
 
-    /// True once `server` hosts nothing and no migration still involves
+    /// True once `server` hosts nothing and no change still involves
     /// it — the signal the TaskController waits for before approving the
     /// container operation.
     pub fn is_drained(&self, server: ServerId) -> bool {
-        self.assignment.shards_on(server).is_empty()
-            && !self
-                .migrations
-                .iter()
-                .any(|m| m.from == Some(server) || m.to == server)
+        self.assignment.shards_on(server).is_empty() && !self.involves(server)
     }
 
     /// Clears the draining mark after the container operation completes.
@@ -1211,7 +580,7 @@ impl Orchestrator {
     /// hits them regardless — placement spread exists to make this
     /// rare).
     pub fn prepare_for_maintenance(&mut self, servers: &[ServerId]) -> usize {
-        let affected: std::collections::BTreeSet<ServerId> = servers.iter().copied().collect();
+        let affected: BTreeSet<ServerId> = servers.iter().copied().collect();
         let mut swaps = 0;
         let shard_list: Vec<ShardId> = self.shards.clone();
         for shard in shard_list {
@@ -1228,11 +597,7 @@ impl Orchestrator {
                 .find(|r| {
                     !r.role.is_primary()
                         && !affected.contains(&r.server)
-                        && self
-                            .servers
-                            .get(&r.server)
-                            .map(|e| e.alive)
-                            .unwrap_or(false)
+                        && self.server_alive(r.server)
                 })
                 .map(|r| r.server);
             let Some(new_primary) = successor else {
@@ -1243,23 +608,8 @@ impl Orchestrator {
             let _outcome = self
                 .assignment
                 .change_role(shard, primary, ReplicaRole::Secondary);
-            self.send_rpc(
-                primary,
-                ServerRpc::ChangeRole {
-                    shard,
-                    current: ReplicaRole::Primary,
-                    new: ReplicaRole::Secondary,
-                },
-            );
-            self.promotions.push((shard, new_primary));
-            self.send_rpc(
-                new_primary,
-                ServerRpc::ChangeRole {
-                    shard,
-                    current: ReplicaRole::Secondary,
-                    new: ReplicaRole::Primary,
-                },
-            );
+            self.send_rpc(primary, demotion(shard));
+            self.request(shard, new_primary, Compensation::Promote);
             swaps += 1;
         }
         if swaps > 0 {
@@ -1292,40 +642,20 @@ impl Orchestrator {
 
     /// Per-shard variant of the role reconciliation, cheap enough for
     /// hot paths like migration completion.
-    fn ensure_primary_for(&mut self, shard: ShardId) {
+    pub(crate) fn ensure_primary_for(&mut self, shard: ShardId) {
         if !self.policy.replication.has_primary()
             || self.assignment.primary_of(shard).is_some()
             || self.assignment.replicas(shard).is_empty()
-            || self.promotions.iter().any(|&(s, _)| s == shard)
-            || self.migrations.iter().any(|m| m.shard == shard)
-            // A suspect unacked copy may still be primary-willing;
-            // promoting a survivor before the reclaim resolves would
-            // make two (§3.2).
-            || self.reclaims.iter().any(|&(s, _)| s == shard)
+            // Busy covers a suspect unacked copy, which may still be
+            // primary-willing; promoting a survivor before the reclaim
+            // resolves would make two (§3.2).
+            || self.busy(shard)
         {
             return;
         }
-        let successor = self
-            .assignment
-            .replicas(shard)
-            .iter()
-            .find(|r| {
-                self.servers
-                    .get(&r.server)
-                    .map(|e| e.alive)
-                    .unwrap_or(false)
-            })
-            .map(|r| r.server);
-        if let Some(server) = successor {
-            self.promotions.push((shard, server));
-            self.send_rpc(
-                server,
-                ServerRpc::ChangeRole {
-                    shard,
-                    current: ReplicaRole::Secondary,
-                    new: ReplicaRole::Primary,
-                },
-            );
+        let mut replicas = self.assignment.replicas(shard).iter();
+        if let Some(r) = replicas.find(|r| self.server_alive(r.server)) {
+            self.request(shard, r.server, Compensation::Promote);
         }
     }
 
@@ -1335,8 +665,8 @@ impl Orchestrator {
     /// secondary gets retried too (it may only have needed one more
     /// catch-up round). No-op when another promotion for the shard is
     /// already pending.
-    fn retry_promotion(&mut self, shard: ShardId, failed: ServerId) {
-        if self.promotions.iter().any(|&(s, _)| s == shard) {
+    pub(crate) fn retry_promotion(&mut self, shard: ShardId, failed: ServerId) {
+        if self.promoting(shard) {
             return;
         }
         let mut candidates: Vec<ServerId> = self
@@ -1345,7 +675,7 @@ impl Orchestrator {
             .iter()
             .filter(|r| !r.role.is_primary())
             .map(|r| r.server)
-            .filter(|srv| self.servers.get(srv).map(|e| e.alive).unwrap_or(false))
+            .filter(|srv| self.server_alive(*srv))
             .collect();
         candidates.sort_unstable();
         let next = candidates
@@ -1354,15 +684,7 @@ impl Orchestrator {
             .find(|&srv| srv > failed)
             .or_else(|| candidates.first().copied());
         if let Some(server) = next {
-            self.promotions.push((shard, server));
-            self.send_rpc(
-                server,
-                ServerRpc::ChangeRole {
-                    shard,
-                    current: ReplicaRole::Secondary,
-                    new: ReplicaRole::Primary,
-                },
-            );
+            self.request(shard, server, Compensation::Promote);
         }
     }
 
@@ -1396,27 +718,10 @@ impl Orchestrator {
         changed
     }
 
-    // ---- Adaptive resharding (beyond the paper; ROADMAP item 3) ----
+    // ---- Adaptive resharding (beyond the paper) ----
     //
-    // A split runs the §4.3 graceful protocol generalized to 1→2:
-    //
-    // 1. `prepare_add_shard(left)` → left_to, `prepare_add_shard(right)`
-    //    → right_to (children accept only forwarded requests);
-    // 2. `split_forward(parent, ...)` → parent's primary (keeps the
-    //    data, stops serving directly, forwards each request to the
-    //    child covering its key);
-    // 3. `add_shard(left)` → left_to, `add_shard(right)` → right_to;
-    // 4. on both acks, *commit*: rewrite the spec, swap the assignment,
-    //    publish the new map — one atomic step, so every shard id keeps
-    //    a single immutable range from mint to removal;
-    // 5. `drop_shard(parent)` → old primary via the reclaim machinery
-    //    (drains residual forwarded traffic; retried like any reclaim).
-    //
-    // A merge is the mirror image (2→1): prepare the target, tell both
-    // source primaries to `merge_forward`, cut over, commit, reclaim
-    // the sources. Any nack, involved-server death, or involved-server
-    // restart before commit aborts the whole op: the unpublished
-    // children/target are reclaimed and the sources resume serving.
+    // Splits and merges are the `split` and `merge` rows of the step
+    // table in the module doc; starting one is a placement decision.
 
     /// Begins a graceful split of `parent` at its range midpoint.
     pub fn start_split(&mut self, parent: ShardId) -> Result<(), SmError> {
@@ -1430,63 +735,24 @@ impl Orchestrator {
         let at = range
             .midpoint()
             .ok_or_else(|| SmError::conflict(format!("{parent} is too narrow to split")))?;
-        if self.reshard_busy().contains(&parent) {
+        if self.busy(parent) {
             return Err(SmError::conflict(format!("{parent} is busy")));
         }
-        let parent_primary = self
-            .assignment
-            .primary_of(parent)
-            .filter(|&p| self.server_alive(p))
-            .ok_or_else(|| SmError::Unavailable(format!("{parent} has no live primary")))?;
+        let owner = self.live_primary(parent)?;
         // Each child inherits half the parent's observed load; targets
         // are picked like drain targets, spreading the two halves.
-        let half = self
-            .loads
-            .get(&parent)
-            .copied()
-            .unwrap_or_else(default_shard_load)
-            .scale(0.5);
+        let half = self.load_of(parent).scale(0.5);
         let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
         let no_target = || SmError::Unavailable("no server can host a split child".into());
         let left_to = self
-            .pick_scale_target(&[parent_primary], &extra, &half)
+            .pick_target(&[owner], &extra, &half)
             .ok_or_else(no_target)?;
         extra.insert(left_to, half);
         let right_to = self
-            .pick_scale_target(&[parent_primary], &extra, &half)
+            .pick_target(&[owner], &extra, &half)
             .ok_or_else(no_target)?;
-        let left = self.mint_shard_id();
-        let right = self.mint_shard_id();
-        self.loads.insert(left, half);
-        self.loads.insert(right, half);
-        self.scale_ops.push(ScaleOpState::Split(SplitOp {
-            parent,
-            parent_primary,
-            at,
-            left,
-            left_to,
-            right,
-            right_to,
-            phase: ScalePhase::Prepare,
-            left_ready: false,
-            right_ready: false,
-        }));
-        self.send_rpc(
-            left_to,
-            ServerRpc::PrepareAddShard {
-                shard: left,
-                current_owner: parent_primary,
-                role: ReplicaRole::Primary,
-            },
-        );
-        self.send_rpc(
-            right_to,
-            ServerRpc::PrepareAddShard {
-                shard: right,
-                current_owner: parent_primary,
-                role: ReplicaRole::Primary,
-            },
-        );
+        let children = [left_to, right_to].map(|to| (self.mint_shard(half), to));
+        self.begin(Change::split((parent, owner), at, children));
         Ok(())
     }
 
@@ -1508,53 +774,37 @@ impl Orchestrator {
                 "{left} and {right} are not adjacent"
             )));
         }
-        let busy = self.reshard_busy();
-        if busy.contains(&left) || busy.contains(&right) {
+        if self.busy(left) || self.busy(right) {
             return Err(SmError::conflict(format!("{left} or {right} is busy")));
         }
-        let live_primary = |o: &Self, s: ShardId| {
-            o.assignment
-                .primary_of(s)
-                .filter(|&p| o.server_alive(p))
-                .ok_or_else(|| SmError::Unavailable(format!("{s} has no live primary")))
-        };
-        let left_primary = live_primary(self, left)?;
-        let right_primary = live_primary(self, right)?;
-        let mut combined = self
-            .loads
-            .get(&left)
-            .copied()
-            .unwrap_or_else(default_shard_load);
-        combined += self
-            .loads
-            .get(&right)
-            .copied()
-            .unwrap_or_else(default_shard_load);
-        let target_to = self
-            .pick_scale_target(&[left_primary, right_primary], &BTreeMap::new(), &combined)
+        let owners = [self.live_primary(left)?, self.live_primary(right)?];
+        let mut combined = self.load_of(left);
+        combined += self.load_of(right);
+        let union_to = self
+            .pick_target(&owners, &BTreeMap::new(), &combined)
             .ok_or_else(|| SmError::Unavailable("no server can host the merged shard".into()))?;
-        let target = self.mint_shard_id();
-        self.loads.insert(target, combined);
-        self.scale_ops.push(ScaleOpState::Merge(MergeOp {
-            left,
-            left_primary,
-            right,
-            right_primary,
-            target,
-            target_to,
-            phase: ScalePhase::Prepare,
-            left_ready: false,
-            right_ready: false,
-        }));
-        self.send_rpc(
-            target_to,
-            ServerRpc::PrepareAddShard {
-                shard: target,
-                current_owner: left_primary,
-                role: ReplicaRole::Primary,
-            },
-        );
+        let union = (self.mint_shard(combined), union_to);
+        let [left_owner, right_owner] = owners;
+        self.begin(Change::merge(
+            [(left, left_owner), (right, right_owner)],
+            union,
+        ));
         Ok(())
+    }
+
+    fn live_primary(&self, shard: ShardId) -> Result<ServerId, SmError> {
+        self.assignment
+            .primary_of(shard)
+            .filter(|&p| self.server_alive(p))
+            .ok_or_else(|| SmError::Unavailable(format!("{shard} has no live primary")))
+    }
+
+    /// Mints a never-used shard id, expected to carry `load`.
+    fn mint_shard(&mut self, load: LoadVector) -> ShardId {
+        let id = ShardId(self.next_shard_id);
+        self.next_shard_id += 1;
+        self.loads.insert(id, load);
+        id
     }
 
     /// Runs the split scaler over the latest load reports and starts as
@@ -1564,14 +814,12 @@ impl Orchestrator {
         let Some(spec) = self.spec.clone() else {
             return 0;
         };
-        let slots = scaler
-            .config()
-            .max_concurrent
-            .saturating_sub(self.scale_ops.len());
+        let slots = scaler.config().max_concurrent.saturating_sub(self.reshards);
         if slots == 0 {
             return 0;
         }
-        let busy = self.reshard_busy();
+        let shards = self.shards.iter().copied();
+        let busy: BTreeSet<ShardId> = shards.filter(|&s| self.busy(s)).collect();
         let ops = scaler.evaluate(&spec, &self.loads, &busy);
         let mut started = 0;
         for op in ops.into_iter().take(slots) {
@@ -1586,440 +834,6 @@ impl Orchestrator {
             }
         }
         started
-    }
-
-    /// Shards the split scaler must leave alone: anything mid-migration,
-    /// mid-promotion, mid-reclaim, mid-restore, or inside a scale op.
-    fn reshard_busy(&self) -> BTreeSet<ShardId> {
-        let mut busy: BTreeSet<ShardId> = BTreeSet::new();
-        busy.extend(self.migrations.iter().map(|m| m.shard));
-        busy.extend(self.promotions.iter().map(|&(s, _)| s));
-        busy.extend(self.reclaims.iter().map(|&(s, _)| s));
-        busy.extend(self.restores.iter().map(|&(s, _)| s));
-        for op in &self.scale_ops {
-            busy.extend(op.shards());
-        }
-        busy
-    }
-
-    fn mint_shard_id(&mut self) -> ShardId {
-        let id = ShardId(self.next_shard_id);
-        self.next_shard_id += 1;
-        id
-    }
-
-    /// Drain-style target pick for shards entering the spec, excluding
-    /// the servers already involved in the op.
-    fn pick_scale_target(
-        &self,
-        exclude: &[ServerId],
-        extra: &BTreeMap<ServerId, LoadVector>,
-        load: &LoadVector,
-    ) -> Option<ServerId> {
-        self.servers
-            .iter()
-            .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
-            .filter(|(id, e)| {
-                let mut usage = self.usage_of(**id);
-                if let Some(x) = extra.get(id) {
-                    usage += *x;
-                }
-                usage += *load;
-                usage.fits_within(&e.capacity) || e.capacity == LoadVector::zero()
-            })
-            .min_by(|(a, ea), (b, eb)| {
-                let ua = self.usage_of(**a).max_utilization(&ea.capacity);
-                let ub = self.usage_of(**b).max_utilization(&eb.capacity);
-                ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(id, _)| *id)
-    }
-
-    /// Matches an ack against in-flight scale ops and advances the
-    /// owning state machine. Returns true when consumed.
-    fn scale_rpc_acked(&mut self, server: ServerId, rpc: ServerRpc) -> bool {
-        for idx in 0..self.scale_ops.len() {
-            let advanced = match self.scale_ops.get(idx) {
-                Some(ScaleOpState::Split(op)) => {
-                    let op = op.clone();
-                    self.split_acked(idx, &op, server, rpc)
-                }
-                Some(ScaleOpState::Merge(op)) => {
-                    let op = op.clone();
-                    self.merge_acked(idx, &op, server, rpc)
-                }
-                None => false,
-            };
-            if advanced {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn split_acked(&mut self, idx: usize, op: &SplitOp, server: ServerId, rpc: ServerRpc) -> bool {
-        let mut op = op.clone();
-        match op.phase {
-            ScalePhase::Prepare => {
-                let expected = |child: ShardId| ServerRpc::PrepareAddShard {
-                    shard: child,
-                    current_owner: op.parent_primary,
-                    role: ReplicaRole::Primary,
-                };
-                if server == op.left_to && rpc == expected(op.left) {
-                    op.left_ready = true;
-                } else if server == op.right_to && rpc == expected(op.right) {
-                    op.right_ready = true;
-                } else {
-                    return false;
-                }
-                if op.left_ready && op.right_ready {
-                    op.phase = ScalePhase::Forward;
-                    op.left_ready = false;
-                    op.right_ready = false;
-                    self.send_rpc(
-                        op.parent_primary,
-                        ServerRpc::SplitForward {
-                            parent: op.parent,
-                            left: op.left,
-                            left_to: op.left_to,
-                            right: op.right,
-                            right_to: op.right_to,
-                        },
-                    );
-                }
-                self.store_scale_op(idx, ScaleOpState::Split(op));
-                true
-            }
-            ScalePhase::Forward => {
-                let expected = ServerRpc::SplitForward {
-                    parent: op.parent,
-                    left: op.left,
-                    left_to: op.left_to,
-                    right: op.right,
-                    right_to: op.right_to,
-                };
-                if server != op.parent_primary || rpc != expected {
-                    return false;
-                }
-                self.send_rpc(
-                    op.left_to,
-                    ServerRpc::AddShard {
-                        shard: op.left,
-                        role: ReplicaRole::Primary,
-                    },
-                );
-                self.send_rpc(
-                    op.right_to,
-                    ServerRpc::AddShard {
-                        shard: op.right,
-                        role: ReplicaRole::Primary,
-                    },
-                );
-                if self.config.skip_cutover_ack {
-                    // DST ablation: commit at send time. See
-                    // `OrchestratorConfig::skip_cutover_ack`.
-                    self.scale_ops.swap_remove(idx);
-                    self.commit_split(&op);
-                } else {
-                    op.phase = ScalePhase::Cutover;
-                    self.store_scale_op(idx, ScaleOpState::Split(op));
-                }
-                true
-            }
-            ScalePhase::Cutover => {
-                let expected = |child: ShardId| ServerRpc::AddShard {
-                    shard: child,
-                    role: ReplicaRole::Primary,
-                };
-                if server == op.left_to && rpc == expected(op.left) {
-                    op.left_ready = true;
-                } else if server == op.right_to && rpc == expected(op.right) {
-                    op.right_ready = true;
-                } else {
-                    return false;
-                }
-                if op.left_ready && op.right_ready {
-                    self.scale_ops.swap_remove(idx);
-                    self.commit_split(&op);
-                } else {
-                    self.store_scale_op(idx, ScaleOpState::Split(op));
-                }
-                true
-            }
-        }
-    }
-
-    fn merge_acked(&mut self, idx: usize, op: &MergeOp, server: ServerId, rpc: ServerRpc) -> bool {
-        let mut op = op.clone();
-        match op.phase {
-            ScalePhase::Prepare => {
-                let expected = ServerRpc::PrepareAddShard {
-                    shard: op.target,
-                    current_owner: op.left_primary,
-                    role: ReplicaRole::Primary,
-                };
-                if server != op.target_to || rpc != expected {
-                    return false;
-                }
-                op.phase = ScalePhase::Forward;
-                self.send_rpc(
-                    op.left_primary,
-                    ServerRpc::MergeForward {
-                        source: op.left,
-                        target: op.target,
-                        target_to: op.target_to,
-                    },
-                );
-                self.send_rpc(
-                    op.right_primary,
-                    ServerRpc::MergeForward {
-                        source: op.right,
-                        target: op.target,
-                        target_to: op.target_to,
-                    },
-                );
-                self.store_scale_op(idx, ScaleOpState::Merge(op));
-                true
-            }
-            ScalePhase::Forward => {
-                let expected = |source: ShardId| ServerRpc::MergeForward {
-                    source,
-                    target: op.target,
-                    target_to: op.target_to,
-                };
-                if server == op.left_primary && rpc == expected(op.left) {
-                    op.left_ready = true;
-                } else if server == op.right_primary && rpc == expected(op.right) {
-                    op.right_ready = true;
-                } else {
-                    return false;
-                }
-                if op.left_ready && op.right_ready {
-                    self.send_rpc(
-                        op.target_to,
-                        ServerRpc::AddShard {
-                            shard: op.target,
-                            role: ReplicaRole::Primary,
-                        },
-                    );
-                    if self.config.skip_cutover_ack {
-                        self.scale_ops.swap_remove(idx);
-                        self.commit_merge(&op);
-                        return true;
-                    }
-                    op.phase = ScalePhase::Cutover;
-                }
-                self.store_scale_op(idx, ScaleOpState::Merge(op));
-                true
-            }
-            ScalePhase::Cutover => {
-                let expected = ServerRpc::AddShard {
-                    shard: op.target,
-                    role: ReplicaRole::Primary,
-                };
-                if server != op.target_to || rpc != expected {
-                    return false;
-                }
-                self.scale_ops.swap_remove(idx);
-                self.commit_merge(&op);
-                true
-            }
-        }
-    }
-
-    fn store_scale_op(&mut self, idx: usize, op: ScaleOpState) {
-        if let Some(slot) = self.scale_ops.get_mut(idx) {
-            *slot = op;
-        }
-    }
-
-    /// Commit step of a split: rewrite the spec, swap the assignment,
-    /// publish — then drain the old primary through the reclaim path.
-    fn commit_split(&mut self, op: &SplitOp) {
-        let Some(spec) = self.spec.as_ref() else {
-            return;
-        };
-        let new_spec = match spec.split_shard(op.parent, &op.at, op.left, op.right) {
-            Ok(s) => s,
-            Err(reason) => {
-                // Unreachable by construction (the op held exclusive
-                // ownership of the parent's range); surface and recover
-                // rather than corrupt the spec.
-                self.push_error(SmError::conflict(format!(
-                    "split of {} failed at commit: {reason}",
-                    op.parent
-                )));
-                self.stats.splits_aborted += 1;
-                self.reclaim_from(op.left, op.left_to, None);
-                self.reclaim_from(op.right, op.right_to, None);
-                self.loads.remove(&op.left);
-                self.loads.remove(&op.right);
-                self.restore_serving(op.parent, op.parent_primary, None);
-                return;
-            }
-        };
-        self.spec = Some(new_spec);
-        self.spec_version += 1;
-        let desired = self.desired_replicas.get(&op.parent).copied().unwrap_or(1);
-        for (child, to) in [(op.left, op.left_to), (op.right, op.right_to)] {
-            self.shards.push(child);
-            self.desired_replicas.insert(child, desired);
-            if let Err(reason) = self.assignment.add_replica(child, to, ReplicaRole::Primary) {
-                self.push_error(SmError::conflict(format!(
-                    "split child {child} could not be recorded at {to}: {reason}"
-                )));
-            }
-        }
-        self.retire_shard(op.parent);
-        self.publish_map();
-        self.stats.splits_completed += 1;
-        if desired > 1 {
-            // Children start primary-only; refill their secondaries.
-            self.run_emergency();
-        }
-    }
-
-    /// Commit step of a merge: mirror image of `commit_split`.
-    fn commit_merge(&mut self, op: &MergeOp) {
-        let Some(spec) = self.spec.as_ref() else {
-            return;
-        };
-        let new_spec = match spec.merge_shards(op.left, op.right, op.target) {
-            Ok(s) => s,
-            Err(reason) => {
-                self.push_error(SmError::conflict(format!(
-                    "merge into {} failed at commit: {reason}",
-                    op.target
-                )));
-                self.stats.merges_aborted += 1;
-                self.reclaim_from(op.target, op.target_to, None);
-                self.loads.remove(&op.target);
-                self.restore_serving(op.left, op.left_primary, None);
-                self.restore_serving(op.right, op.right_primary, None);
-                return;
-            }
-        };
-        self.spec = Some(new_spec);
-        self.spec_version += 1;
-        let desired = self
-            .desired_replicas
-            .get(&op.left)
-            .copied()
-            .unwrap_or(1)
-            .max(self.desired_replicas.get(&op.right).copied().unwrap_or(1));
-        self.shards.push(op.target);
-        self.desired_replicas.insert(op.target, desired);
-        if let Err(reason) =
-            self.assignment
-                .add_replica(op.target, op.target_to, ReplicaRole::Primary)
-        {
-            self.push_error(SmError::conflict(format!(
-                "merged shard {} could not be recorded at {}: {reason}",
-                op.target, op.target_to
-            )));
-        }
-        self.retire_shard(op.left);
-        self.retire_shard(op.right);
-        self.publish_map();
-        self.stats.merges_completed += 1;
-        if desired > 1 {
-            self.run_emergency();
-        }
-    }
-
-    /// Removes a committed-away shard from every book and drains its
-    /// remaining replicas through the reclaim path (step 5: the old
-    /// primary keeps forwarding residual traffic until dropped).
-    fn retire_shard(&mut self, shard: ShardId) {
-        let holders: Vec<ServerId> = self
-            .assignment
-            .replicas(shard)
-            .iter()
-            .map(|r| r.server)
-            .collect();
-        for server in holders {
-            self.assignment.remove_replica(shard, server);
-            self.reclaim_from(shard, server, None);
-        }
-        self.shards.retain(|&s| s != shard);
-        self.desired_replicas.remove(&shard);
-        self.loads.remove(&shard);
-    }
-
-    /// Aborts an in-flight scale op before commit: reclaim the
-    /// unpublished children/target, resume the sources' direct serving.
-    /// `dead` marks a server that just failed — nothing is sent to it
-    /// (lease expiry fences whatever it held).
-    fn abort_scale_op(&mut self, idx: usize, dead: Option<ServerId>) {
-        let op = self.scale_ops.swap_remove(idx);
-        match op {
-            ScaleOpState::Split(op) => {
-                self.stats.splits_aborted += 1;
-                self.loads.remove(&op.left);
-                self.loads.remove(&op.right);
-                self.reclaim_from(op.left, op.left_to, dead);
-                self.reclaim_from(op.right, op.right_to, dead);
-                self.restore_serving(op.parent, op.parent_primary, dead);
-            }
-            ScaleOpState::Merge(op) => {
-                self.stats.merges_aborted += 1;
-                self.loads.remove(&op.target);
-                self.reclaim_from(op.target, op.target_to, dead);
-                self.restore_serving(op.left, op.left_primary, dead);
-                self.restore_serving(op.right, op.right_primary, dead);
-            }
-        }
-    }
-
-    /// Sends a compensating `DropShard` through the reclaim machinery
-    /// (retried on failure, fenced by lease expiry on death).
-    fn reclaim_from(&mut self, shard: ShardId, server: ServerId, dead: Option<ServerId>) {
-        if Some(server) == dead || !self.server_alive(server) {
-            return;
-        }
-        if !self.reclaims.contains(&(shard, server)) {
-            self.reclaims.push((shard, server));
-        }
-        self.send_rpc(server, ServerRpc::DropShard { shard });
-    }
-
-    /// Tells a still-assigned source primary to resume direct serving
-    /// after an abort (an idempotent `AddShard` cancels forward state).
-    fn restore_serving(&mut self, shard: ShardId, server: ServerId, dead: Option<ServerId>) {
-        let still_assigned = self
-            .assignment
-            .replicas(shard)
-            .iter()
-            .any(|r| r.server == server);
-        if Some(server) == dead || !self.server_alive(server) || !still_assigned {
-            return;
-        }
-        if !self.restores.contains(&(shard, server)) {
-            self.restores.push((shard, server));
-        }
-        self.send_rpc(
-            server,
-            ServerRpc::AddShard {
-                shard,
-                role: ReplicaRole::Primary,
-            },
-        );
-    }
-
-    /// Matches an `AddShard` ack against pending post-abort restores.
-    fn restore_acked(&mut self, server: ServerId, rpc: ServerRpc) -> bool {
-        if let ServerRpc::AddShard { shard, .. } = rpc {
-            if let Some(pos) = self
-                .restores
-                .iter()
-                .position(|&(s, srv)| s == shard && srv == server)
-            {
-                self.restores.swap_remove(pos);
-                return true;
-            }
-        }
-        false
     }
 
     // ---- State persistence (§3.2, §6.2) ----
@@ -2052,24 +866,22 @@ impl Orchestrator {
     /// Restores the durable state written by [`Self::snapshot`] into a
     /// freshly constructed orchestrator (servers must be registered by
     /// the caller, as in a normal start-up). Replaces the shard list
-    /// and assignment wholesale.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), sm_types::SmError> {
+    /// and assignment wholesale and forgets everything in flight.
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SmError> {
         let text = std::str::from_utf8(bytes)
-            .map_err(|e| sm_types::SmError::InvalidArgument(format!("snapshot not utf-8: {e}")))?;
+            .map_err(|e| SmError::InvalidArgument(format!("snapshot not utf-8: {e}")))?;
         let mut lines = text.lines();
         if lines.next() != Some("smorch v1") {
-            return Err(sm_types::SmError::InvalidArgument(
-                "unknown snapshot header".into(),
-            ));
+            return Err(SmError::InvalidArgument("unknown snapshot header".into()));
         }
         let mut assignment = Assignment::new();
         let mut desired = BTreeMap::new();
         let mut version = 0u64;
         for line in lines {
             let mut parts = line.split_whitespace();
-            let parse = |v: Option<&str>| -> Result<u64, sm_types::SmError> {
+            let parse = |v: Option<&str>| -> Result<u64, SmError> {
                 v.and_then(|x| x.parse().ok())
-                    .ok_or_else(|| sm_types::SmError::InvalidArgument(format!("bad line: {line}")))
+                    .ok_or_else(|| SmError::InvalidArgument(format!("bad line: {line}")))
             };
             match parts.next() {
                 Some("version") => version = parse(parts.next())?,
@@ -2085,29 +897,33 @@ impl Orchestrator {
                         Some("P") => ReplicaRole::Primary,
                         Some("S") => ReplicaRole::Secondary,
                         other => {
-                            return Err(sm_types::SmError::InvalidArgument(format!(
+                            return Err(SmError::InvalidArgument(format!(
                                 "bad role {other:?} in line: {line}"
                             )))
                         }
                     };
                     assignment
                         .add_replica(shard, server, role)
-                        .map_err(sm_types::SmError::InvalidArgument)?;
+                        .map_err(SmError::InvalidArgument)?;
                 }
                 Some(other) => {
-                    return Err(sm_types::SmError::InvalidArgument(format!(
+                    return Err(SmError::InvalidArgument(format!(
                         "unknown record {other:?}"
                     )))
                 }
                 None => {}
             }
         }
+        // Restored ids above the registered spec's maximum (the children
+        // of earlier splits) must never be minted again.
+        if let Some(max) = desired.keys().next_back() {
+            self.next_shard_id = self.next_shard_id.max(max.raw() + 1);
+        }
         self.shards = desired.keys().copied().collect();
         self.desired_replicas = desired;
         self.assignment = assignment;
         self.map_version = version;
-        self.migrations.clear();
-        self.promotions.clear();
+        self.clear_in_flight();
         self.scheduler = None;
         Ok(())
     }
@@ -2125,35 +941,11 @@ impl Orchestrator {
         // such an op later would hand ownership to a child that no
         // longer exists, or leave a "forwarding" parent serving
         // directly — abort now and let the scaler retry once quiescent.
-        self.restores.retain(|&(_, srv)| srv != server);
-        let doomed: Vec<usize> = self
-            .scale_ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.involves_server(server))
-            .map(|(i, _)| i)
-            .collect();
-        for idx in doomed.into_iter().rev() {
-            self.abort_scale_op(idx, Some(server));
-        }
+        self.sweep(server, false);
         for (shard, role) in self.assignment.shards_on(server) {
             self.send_rpc(server, ServerRpc::AddShard { shard, role });
         }
     }
-
-    /// Count of in-flight migrations (tests / metrics).
-    pub fn in_flight_migrations(&self) -> usize {
-        self.migrations.len()
-    }
-
-    /// Count of in-flight split/merge operations (tests / metrics).
-    pub fn in_flight_reshards(&self) -> usize {
-        self.scale_ops.len()
-    }
-}
-
-fn default_shard_load() -> LoadVector {
-    LoadVector::single(sm_types::Metric::ShardCount.id(), 1.0)
 }
 
 #[cfg(test)]
@@ -3060,5 +1852,57 @@ mod tests {
         assert!(o.drain_errors().is_empty(), "drained");
         settle(&mut o);
         assert!(o.assignment().primary_of(shard).is_some(), "re-elected");
+    }
+
+    #[test]
+    fn restore_never_remints_a_restored_shard_id() {
+        // 8 shards; splitting shard 3 mints 8 and 9.
+        let mut o = orch(AppPolicy::primary_only(), 4, 8);
+        o.register_spec(ShardingSpec::uniform_u64(8));
+        o.run_emergency();
+        settle(&mut o);
+        o.start_split(ShardId(3)).unwrap();
+        settle(&mut o);
+        assert!(o.assignment().primary_of(ShardId(9)).is_some());
+        let snapshot = o.snapshot();
+
+        // The standby registers the spec it was deployed with, which
+        // ends at id 7 (persisting the spec is a separate matter).
+        let mut standby = orch(AppPolicy::primary_only(), 4, 0);
+        standby.register_spec(ShardingSpec::uniform_u64(8));
+        standby.restore(&snapshot).expect("restore");
+        standby.start_split(ShardId(0)).unwrap();
+        for (_, rpc) in rpcs(&mut standby) {
+            let child = rpc.shard();
+            assert!(child.raw() >= 10, "{child} is a live shard's id");
+        }
+    }
+
+    #[test]
+    fn restore_forgets_everything_in_flight() {
+        let mut o = reshard_orch(4);
+        o.start_split(ShardId(0)).unwrap();
+        assert_eq!(o.in_flight_reshards(), 1);
+        // Hold shard 1 behind a pending reclaim: nack the first RPC of a
+        // move of it, so its target may hold an unacked copy.
+        let host = o.assignment().primary_of(ShardId(1)).unwrap();
+        o.drain_server(host);
+        let (target, prepare) = rpcs(&mut o)
+            .into_iter()
+            .find(|(_, r)| r.shard() == ShardId(1))
+            .expect("shard 1 starts moving");
+        o.rpc_failed(target, prepare);
+        o.drain_finished(host);
+        let snapshot = o.snapshot();
+        o.take_commands(); // a failover: nothing in the outbox is ever answered
+
+        o.restore(&snapshot).expect("restore");
+        assert_eq!(o.in_flight_reshards(), 0);
+        assert_eq!(o.in_flight_migrations(), 0);
+        // Shard 1 is placeable again: no reclaim survives to hold it.
+        assert_eq!(o.drain_server(host), o.shards_on(host).len());
+        settle(&mut o);
+        assert!(o.is_drained(host));
+        assert!(o.assignment().primary_of(ShardId(1)).is_some());
     }
 }

@@ -1,4 +1,4 @@
-//! The adaptive shard splitter (beyond the paper, ROADMAP item 3).
+//! The adaptive shard splitter (beyond the paper).
 //!
 //! The paper's SM never splits or merges shards (§3.1): a viral key
 //! range has no remedy except overloading its server. Following the
@@ -6,10 +6,10 @@
 //! [`SplitScaler`] watches per-shard load and recommends *resharding*
 //! operations: split a hot shard's key range at its midpoint, or merge
 //! two adjacent cold shards back into one. The
-//! [`crate::Orchestrator`] executes each recommendation with a
-//! generalized five-step graceful migration (1→2 for split, 2→1 for
-//! merge) so no request window is ever unowned — see
-//! `Orchestrator::start_split` / `start_merge`.
+//! [`crate::Orchestrator`] executes each recommendation as the `split`
+//! (1→2) or `merge` (2→1) row of its ownership-change step table, so no
+//! request window is ever unowned — see `Orchestrator::start_split` /
+//! `start_merge`.
 //!
 //! The scaler itself is a pure decision function: `(spec, loads, busy)`
 //! in, recommendations out. All execution state lives in the

@@ -67,7 +67,7 @@ cargo test --release --test sim_queue_diff -q
 step "tests"
 cargo test --workspace -q
 
-step "size ledger (non-test Rust LOC + pub items per crate; trajectory in BENCH_size.json)"
-scripts/loc.sh
+step "size ledger (non-test Rust LOC + pub items per crate; must match the last row of BENCH_size.json)"
+scripts/loc.sh --check BENCH_size.json
 
 printf '\nall checks passed\n'
