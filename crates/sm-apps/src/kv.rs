@@ -13,6 +13,7 @@ use crate::AppResponse;
 use sm_core::ShardServer;
 use sm_types::{AppKey, LoadVector, Metric, ReplicaRole, ServerId, ShardId, ShardingSpec, SmError};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::rc::Rc;
 
 /// The durable source of truth shared by all servers of the app.
@@ -37,11 +38,16 @@ impl ExternalStore {
         self.data.get(key)
     }
 
-    /// All pairs within `range`, for shard rebuilds.
+    /// All pairs within `range`, for shard rebuilds. Walks the range,
+    /// not the store.
     pub fn scan_range(&self, range: &sm_types::KeyRange) -> Vec<(AppKey, Vec<u8>)> {
+        if range.is_empty() {
+            // `BTreeMap::range` panics on an inverted range.
+            return Vec::new();
+        }
+        let end = range.end.as_ref().map_or(Bound::Unbounded, Bound::Excluded);
         self.data
-            .iter()
-            .filter(|(k, _)| range.contains(k))
+            .range((Bound::Included(&range.start), end))
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
@@ -232,6 +238,43 @@ mod tests {
         let shard = spec.shard_for(&key).unwrap();
         srv.add_shard(shard, ReplicaRole::Primary).unwrap();
         assert_eq!(srv.get(shard, &key), Some(b"v".to_vec()));
+    }
+
+    #[test]
+    fn scan_range_equals_a_filter_over_the_whole_store() {
+        let mut rng = sm_sim::SimRng::seeded(16);
+        let mut store = ExternalStore::new();
+        for _ in 0..400 {
+            store.put(
+                AppKey::from_u64(rng.range_u64(0, 1000)),
+                vec![rng.index(256) as u8],
+            );
+        }
+        let (mut hits, mut none) = (0, 0);
+        for _ in 0..2000 {
+            // Bounded either way round (so also inverted), unbounded,
+            // and — one draw in ten — empty on a stored key.
+            let start = AppKey::from_u64(rng.range_u64(0, 1100));
+            let end = match rng.index(10) {
+                0 => None,
+                1 => Some(start.clone()),
+                _ => Some(AppKey::from_u64(rng.range_u64(0, 1100))),
+            };
+            let range = sm_types::KeyRange { start, end };
+            let filtered: Vec<(AppKey, Vec<u8>)> = store
+                .data
+                .iter()
+                .filter(|(k, _)| range.contains(k))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            assert_eq!(store.scan_range(&range), filtered, "{range:?}");
+            hits += usize::from(!filtered.is_empty());
+            none += usize::from(range.is_empty());
+        }
+        assert!(
+            hits > 500 && none > 500,
+            "{hits} non-empty, {none} empty or inverted"
+        );
     }
 
     #[test]

@@ -153,15 +153,6 @@ impl Change {
         self.sources.iter().chain(&self.targets).flatten().copied()
     }
 
-    fn involves_shard(&self, shard: ShardId) -> bool {
-        // A move's parties all concern the one shard it moves; checking
-        // just its target keeps the scans over many moves cheap.
-        if !self.kind.is_reshard() {
-            return matches!(self.targets, [Some((s, _)), _] if s == shard);
-        }
-        self.parties().any(|(s, _)| s == shard)
-    }
-
     fn involves(&self, server: ServerId) -> bool {
         self.parties().any(|(_, s)| s == server)
     }
@@ -224,7 +215,7 @@ impl Change {
 }
 
 /// What a pending compensation asks of its server (see the module doc).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) enum Compensation {
     Promote,
     Reclaim,
@@ -271,23 +262,39 @@ impl Orchestrator {
     /// replica's placement (the refill after a failure runs beside the
     /// promotion) nor a reclaim.
     fn held(&self, shard: ShardId) -> bool {
-        let mut pending = self.pending.iter();
-        self.changes.iter().any(|c| c.involves_shard(shard))
-            || pending.any(|&(s, _, what)| s == shard && what != Compensation::Promote)
+        let mut pending = self.pending_for(shard);
+        self.change_of.contains_key(&shard) || pending.any(|what| what != Compensation::Promote)
+    }
+
+    /// The compensations of `shard` still awaiting their ack.
+    fn pending_for(&self, shard: ShardId) -> impl Iterator<Item = Compensation> + '_ {
+        // The least key `pending` can hold for `shard`.
+        let first = (shard, ServerId(0), Compensation::Promote);
+        let of_shard = self
+            .pending
+            .range(first..)
+            .take_while(move |p| p.0 == shard);
+        of_shard.map(|&(_, _, what)| what)
+    }
+
+    /// The in-flight change involving `shard` — there is at most one,
+    /// since [`Self::held`] refuses a second.
+    fn change_involving(&self, shard: ShardId) -> Option<&Change> {
+        self.changes.get(*self.change_of.get(&shard)?)
     }
 
     /// True while a promotion of `shard` awaits its ack.
     pub(crate) fn promoting(&self, shard: ShardId) -> bool {
-        let mut pending = self.pending.iter();
-        pending.any(|&(s, _, what)| s == shard && what == Compensation::Promote)
+        let mut pending = self.pending_for(shard);
+        pending.any(|what| what == Compensation::Promote)
     }
 
     /// True while a replica move (not a split/merge) of `shard` is in
     /// flight — one that will revisit the shard's placement when it
     /// ends.
     pub(crate) fn moving(&self, shard: ShardId) -> bool {
-        let moves = self.changes.get(self.reshards..).unwrap_or_default();
-        moves.iter().any(|c| c.involves_shard(shard))
+        let slot = self.change_of.get(&shard);
+        slot.is_some_and(|&idx| idx >= self.reshards)
     }
 
     /// True while any in-flight change has `server` as source or target.
@@ -310,23 +317,24 @@ impl Orchestrator {
     /// delivers the `SplitForward` RPC (the RPC itself carries only ids,
     /// keeping [`ServerRpc`] `Copy`).
     pub fn pending_split(&self, parent: ShardId) -> Option<&AppKey> {
-        let of_parent = |c: &&Change| matches!(c.sources, [Some((p, _)), _] if p == parent);
-        self.changes.iter().find(of_parent)?.split_at.as_ref()
+        let c = self.change_involving(parent)?;
+        let of_parent = matches!(c.sources, [Some((p, _)), _] if p == parent);
+        c.split_at.as_ref().filter(|_| of_parent)
     }
 
     /// The `(target, target_server)` of an in-flight merge consuming
     /// `source`, if any.
     pub fn pending_merge(&self, source: ShardId) -> Option<(ShardId, ServerId)> {
-        let consuming = |c: &&Change| {
-            c.kind == Kind::Merge && c.sources.iter().flatten().any(|&(s, _)| s == source)
-        };
-        let [union, _] = self.changes.iter().find(consuming)?.targets;
-        union
+        let c = self.change_involving(source)?;
+        let consumed = c.sources.iter().flatten().any(|&(s, _)| s == source);
+        let [union, _] = c.targets;
+        union.filter(|_| c.kind == Kind::Merge && consumed)
     }
 
     /// Forgets everything in flight (a restored standby starts clean).
     pub(crate) fn clear_in_flight(&mut self) {
         self.changes.clear();
+        self.change_of.clear();
         self.reshards = 0;
         self.pending.clear();
     }
@@ -340,9 +348,11 @@ impl Orchestrator {
         let mut idx = self.changes.len() - 1;
         if reshard {
             self.changes.swap(idx, self.reshards);
+            self.index_change(idx);
             idx = self.reshards;
             self.reshards += 1;
         }
+        self.index_change(idx);
         self.send_step(idx);
     }
 
@@ -351,12 +361,30 @@ impl Orchestrator {
         if idx >= self.changes.len() {
             return None;
         }
+        let mut hole = idx;
         if idx < self.reshards {
             self.reshards -= 1;
             self.changes.swap(idx, self.reshards);
-            return Some(self.changes.swap_remove(self.reshards));
+            hole = self.reshards;
         }
-        Some(self.changes.swap_remove(idx))
+        let taken = self.changes.swap_remove(hole);
+        for (shard, _) in taken.parties() {
+            self.change_of.remove(&shard);
+        }
+        self.index_change(hole);
+        if hole != idx {
+            self.index_change(idx);
+        }
+        Some(taken)
+    }
+
+    /// Points `change_of` at `changes[idx]` for every shard it involves;
+    /// called wherever a change lands on a position.
+    fn index_change(&mut self, idx: usize) {
+        let parties = self.changes.get(idx).into_iter().flat_map(Change::parties);
+        for (shard, _) in parties {
+            self.change_of.insert(shard, idx);
+        }
     }
 
     fn send_step(&mut self, idx: usize) {
@@ -426,8 +454,7 @@ impl Orchestrator {
         // that (shard, server) was aborted or committed, and no new one
         // can start while the reclaim is pending.
         let settles = Compensation::settled_by(&rpc).map(|what| (shard, server, what));
-        if let Some(pos) = self.pending.iter().position(|p| Some(*p) == settles) {
-            self.pending.swap_remove(pos);
+        if settles.is_some_and(|settled| self.pending.remove(&settled)) {
             match rpc {
                 // The suspect copy is confirmed gone: the shard is safe
                 // to place again, and a promotion deferred by the
@@ -443,14 +470,11 @@ impl Orchestrator {
             }
             return;
         }
-        let mut changes = self.changes.iter_mut().enumerate();
-        let acked = changes.find_map(|(idx, c)| {
-            if !c.involves_shard(shard) {
-                return None;
-            }
-            c.ack(server, rpc).map(|done| (idx, done))
-        });
-        if let Some((idx, true)) = acked {
+        let Some(&idx) = self.change_of.get(&shard) else {
+            return;
+        };
+        let awaited = self.changes.get_mut(idx);
+        if awaited.and_then(|c| c.ack(server, rpc)) == Some(true) {
             self.advance(idx);
         }
     }
@@ -689,9 +713,7 @@ impl Orchestrator {
         if !self.server_alive(server) || moot {
             return;
         }
-        if !self.pending.contains(&(shard, server, what)) {
-            self.pending.push((shard, server, what));
-        }
+        self.pending.insert((shard, server, what));
         self.send_rpc(server, what.rpc(shard));
     }
 
@@ -712,10 +734,8 @@ impl Orchestrator {
             }
             return;
         }
-        let hit = self
-            .changes
-            .iter()
-            .position(|c| c.involves_shard(shard) && c.involves(server));
+        let hit = self.change_of.get(&shard).copied();
+        let hit = hit.filter(|&idx| self.changes.get(idx).is_some_and(|c| c.involves(server)));
         if let Some(c) = hit.and_then(|idx| self.take_change(idx)) {
             self.abort(&c, None);
             if c.kind.is_reshard() {
@@ -736,10 +756,7 @@ impl Orchestrator {
         // momentarily impossible there (stale log, unreachable quorum),
         // while another replica can win right now. Without the retry
         // the shard stays primary-less until an unrelated event.
-        let held = self.pending.len();
-        self.pending
-            .retain(|p| *p != (shard, server, Compensation::Promote));
-        let was_promoting = self.pending.len() != held;
+        let was_promoting = self.pending.remove(&(shard, server, Compensation::Promote));
         if was_promoting && matches!(rpc, ServerRpc::ChangeRole { new, .. } if new.is_primary()) {
             self.retry_promotion(shard, server);
         }
@@ -807,6 +824,7 @@ pub(crate) fn demotion(shard: ShardId) -> ServerRpc {
 
 #[cfg(test)]
 mod tests {
+    use super::Compensation;
     use crate::api::{OrchCommand, ServerRpc};
     use crate::orchestrator::{OrchStats, Orchestrator, OrchestratorConfig};
     use sm_allocator::{AllocConfig, MoveCaps};
@@ -815,9 +833,51 @@ mod tests {
         AppId, AppPolicy, LoadVector, Location, MachineId, Metric, RegionId, ServerId, ShardId,
         ShardingSpec,
     };
-    use std::collections::{BTreeSet, VecDeque};
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
     type Sent = (ServerId, ServerRpc);
+
+    // ---- Reference model: the scans `change_of` replaced ----
+
+    impl super::Change {
+        /// Whether the scans over `changes` took this change to involve
+        /// `shard`.
+        fn involves_shard(&self, shard: ShardId) -> bool {
+            // A move's parties all concern the one shard it moves; checking
+            // just its target keeps the scans over many moves cheap.
+            if !self.kind.is_reshard() {
+                return matches!(self.targets, [Some((s, _)), _] if s == shard);
+            }
+            self.parties().any(|(s, _)| s == shard)
+        }
+    }
+
+    impl Orchestrator {
+        /// `change_of` is `changes` projected by shard, no shard is in two
+        /// changes, and every indexed lookup answers what its scan did.
+        fn check_change_index(&self) {
+            let mut projected = BTreeMap::new();
+            for (idx, c) in self.changes.iter().enumerate() {
+                for (shard, _) in c.parties() {
+                    let earlier = projected.insert(shard, idx).unwrap_or(idx);
+                    assert_eq!(earlier, idx, "{shard} is in two changes");
+                }
+            }
+            assert_eq!(self.change_of, projected);
+            let indexed = projected.keys();
+            for &shard in self.shards.iter().chain(indexed) {
+                let mut scan = self.changes.iter();
+                let first = scan.position(|c| c.involves_shard(shard));
+                assert_eq!(self.change_of.get(&shard).copied(), first, "{shard}");
+                let mut pending = self.pending.iter();
+                let held = first.is_some()
+                    || pending.any(|&(s, _, what)| s == shard && what != Compensation::Promote);
+                assert_eq!(self.held(shard), held, "{shard} held");
+                let moving = first.is_some_and(|idx| idx >= self.reshards);
+                assert_eq!(self.moving(shard), moving, "{shard} moving");
+            }
+        }
+    }
 
     fn new_orch(
         servers: u32,
@@ -871,6 +931,7 @@ mod tests {
                 o.rpc_failed(server, rpc);
             }
             queue.extend(rpcs(o));
+            o.check_change_index();
             delivered += 1;
             assert!(delivered < 10_000, "the orchestrator never went quiet");
         }
@@ -945,6 +1006,7 @@ mod tests {
 
         /// Folds the outbox into the digest and queues its RPCs.
         fn absorb(&mut self) {
+            self.o.check_change_index();
             let commands = self.o.take_commands();
             self.digest.feed(&format!("{commands:?}"));
             for c in commands {

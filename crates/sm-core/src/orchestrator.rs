@@ -140,8 +140,11 @@ pub struct Orchestrator {
     /// splits/merges, the rest the replica moves (`change.rs`).
     pub(crate) changes: Vec<Change>,
     pub(crate) reshards: usize,
+    /// The position in `changes` of the one change involving a shard;
+    /// `change.rs` rewrites it wherever a change changes position.
+    pub(crate) change_of: BTreeMap<ShardId, usize>,
     /// Compensations awaiting their ack (`change.rs`).
-    pub(crate) pending: Vec<(ShardId, ServerId, Compensation)>,
+    pub(crate) pending: BTreeSet<(ShardId, ServerId, Compensation)>,
     pub(crate) scheduler: Option<MoveScheduler>,
     pub(crate) stats: OrchStats,
     /// The authoritative key-range spec, once registered. Resharding
@@ -172,7 +175,8 @@ impl Orchestrator {
             outbox: Vec::new(),
             changes: Vec::new(),
             reshards: 0,
-            pending: Vec::new(),
+            change_of: BTreeMap::new(),
+            pending: BTreeSet::new(),
             scheduler: None,
             stats: OrchStats::default(),
             spec: None,
@@ -490,17 +494,19 @@ impl Orchestrator {
             e.draining = true;
         }
         let mut moves = Vec::new();
-        // Track hypothetical extra load per target so consecutive picks
-        // spread rather than pile onto one cold server.
+        let usage = self.usage_table();
+        // Load already earmarked per target, so that a server stops
+        // being picked once this drain has filled it (the ranking itself
+        // looks at `usage` alone).
         let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
-        for (shard, _) in self.assignment.shards_on(server) {
+        for (shard, _) in self.assignment.replicas_on(server) {
             if self.moving(shard) {
                 continue;
             }
             let load = self.load_of(shard);
             let hosts = self.assignment.replicas(shard).iter();
             let hosts: Vec<ServerId> = hosts.map(|r| r.server).collect();
-            let Some(target) = self.pick_target(&hosts, &extra, &load) else {
+            let Some(target) = self.pick_target(&usage, &hosts, &extra, &load) else {
                 continue;
             };
             *extra.entry(target).or_insert_with(LoadVector::zero) += load;
@@ -517,38 +523,47 @@ impl Orchestrator {
     }
 
     /// The least-utilized live, non-draining server outside `exclude`
-    /// with room for `load` on top of its usage and the `extra` already
+    /// with room for `load` on top of its `usage` and the `extra` already
     /// earmarked for it.
     fn pick_target(
         &self,
+        usage: &BTreeMap<ServerId, LoadVector>,
         exclude: &[ServerId],
         extra: &BTreeMap<ServerId, LoadVector>,
         load: &LoadVector,
     ) -> Option<ServerId> {
+        let used = |id: &ServerId| usage.get(id).copied().unwrap_or_default();
         self.servers
             .iter()
             .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
             .filter(|(id, e)| {
                 // Honor capacity where configured.
-                let mut usage = self.usage_of(**id);
+                let mut total = used(id);
                 if let Some(x) = extra.get(id) {
-                    usage += *x;
+                    total += *x;
                 }
-                usage += *load;
-                usage.fits_within(&e.capacity) || e.capacity == LoadVector::zero()
+                total += *load;
+                total.fits_within(&e.capacity) || e.capacity == LoadVector::zero()
             })
             .min_by(|(a, ea), (b, eb)| {
-                let ua = self.usage_of(**a).max_utilization(&ea.capacity);
-                let ub = self.usage_of(**b).max_utilization(&eb.capacity);
+                let ua = used(a).max_utilization(&ea.capacity);
+                let ub = used(b).max_utilization(&eb.capacity);
                 ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
             })
             .map(|(id, _)| *id)
     }
 
-    fn usage_of(&self, server: ServerId) -> LoadVector {
-        let mut usage = LoadVector::zero();
-        for (shard, _) in self.assignment.shards_on(server) {
-            usage += self.load_of(shard);
+    /// Every server's usage — the summed load of the replicas it hosts
+    /// — from one pass over the assignment, for the target picks of one
+    /// drain, split or merge (none of which changes the assignment
+    /// before it has picked). Shards come in ascending order, so each
+    /// sum adds the loads a walk of `replicas_on(server)` would, in the
+    /// same order: the picks, f64 tie-breaks included, are those of
+    /// summing per server.
+    fn usage_table(&self) -> BTreeMap<ServerId, LoadVector> {
+        let mut usage: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
+        for (shard, replica) in self.assignment.iter() {
+            *usage.entry(replica.server).or_default() += self.load_of(shard);
         }
         usage
     }
@@ -557,7 +572,7 @@ impl Orchestrator {
     /// it — the signal the TaskController waits for before approving the
     /// container operation.
     pub fn is_drained(&self, server: ServerId) -> bool {
-        self.assignment.shards_on(server).is_empty() && !self.involves(server)
+        self.assignment.replicas_on(server).next().is_none() && !self.involves(server)
     }
 
     /// Clears the draining mark after the container operation completes.
@@ -742,14 +757,15 @@ impl Orchestrator {
         // Each child inherits half the parent's observed load; targets
         // are picked like drain targets, spreading the two halves.
         let half = self.load_of(parent).scale(0.5);
+        let usage = self.usage_table();
         let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
         let no_target = || SmError::Unavailable("no server can host a split child".into());
         let left_to = self
-            .pick_target(&[owner], &extra, &half)
+            .pick_target(&usage, &[owner], &extra, &half)
             .ok_or_else(no_target)?;
         extra.insert(left_to, half);
         let right_to = self
-            .pick_target(&[owner], &extra, &half)
+            .pick_target(&usage, &[owner], &extra, &half)
             .ok_or_else(no_target)?;
         let children = [left_to, right_to].map(|to| (self.mint_shard(half), to));
         self.begin(Change::split((parent, owner), at, children));
@@ -781,7 +797,7 @@ impl Orchestrator {
         let mut combined = self.load_of(left);
         combined += self.load_of(right);
         let union_to = self
-            .pick_target(&owners, &BTreeMap::new(), &combined)
+            .pick_target(&self.usage_table(), &owners, &BTreeMap::new(), &combined)
             .ok_or_else(|| SmError::Unavailable("no server can host the merged shard".into()))?;
         let union = (self.mint_shard(combined), union_to);
         let [left_owner, right_owner] = owners;
@@ -1253,6 +1269,150 @@ mod tests {
         // Cleared for reuse after the planned event.
         o.drain_finished(victim);
         assert!(!o.servers[&victim].draining);
+    }
+
+    // ---- Reference model: the target picker before the usage table ----
+
+    impl Orchestrator {
+        /// `pick_target` as it was when every candidate's usage was
+        /// summed from the assignment on every look.
+        fn pick_target_scan(
+            &self,
+            exclude: &[ServerId],
+            extra: &BTreeMap<ServerId, LoadVector>,
+            load: &LoadVector,
+        ) -> Option<ServerId> {
+            self.servers
+                .iter()
+                .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
+                .filter(|(id, e)| {
+                    // Honor capacity where configured.
+                    let mut usage = self.usage_of(**id);
+                    if let Some(x) = extra.get(id) {
+                        usage += *x;
+                    }
+                    usage += *load;
+                    usage.fits_within(&e.capacity) || e.capacity == LoadVector::zero()
+                })
+                .min_by(|(a, ea), (b, eb)| {
+                    let ua = self.usage_of(**a).max_utilization(&ea.capacity);
+                    let ub = self.usage_of(**b).max_utilization(&eb.capacity);
+                    ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .map(|(id, _)| *id)
+        }
+
+        /// One server's usage by a filter over the whole assignment.
+        fn usage_of(&self, server: ServerId) -> LoadVector {
+            let mut usage = LoadVector::zero();
+            for (shard, _) in self.assignment.iter().filter(|(_, r)| r.server == server) {
+                usage += self.load_of(shard);
+            }
+            usage
+        }
+    }
+
+    #[test]
+    fn drain_picks_the_targets_the_scanning_picker_picked() {
+        use sm_sim::SimRng;
+        let (mut picked, mut refused, mut fleets) = (BTreeSet::new(), 0, 0);
+        for seed in 0..240 {
+            let mut rng = SimRng::seeded(seed);
+            let mut o = Orchestrator::new(AppId(1), AppPolicy::primary_secondary(1), config());
+            let servers = 3 + rng.index(14) as u32;
+            let shards = 10 + rng.index(110) as u64;
+            // Capacities from none at all through binding to ample, per
+            // metric; some servers dead, some already draining.
+            let room = shards as f64 * 6.0 / f64::from(servers);
+            for i in 0..servers {
+                let mut capacity = LoadVector::zero();
+                for metric in [Metric::Cpu, Metric::ShardCount] {
+                    if !rng.chance(0.2) {
+                        capacity.set(metric.id(), rng.f64_range(0.4, 3.0) * room);
+                    }
+                }
+                o.register_server(ServerId(i), loc(0, i), capacity);
+                let entry = o.servers.get_mut(&ServerId(i)).unwrap();
+                entry.alive = !rng.chance(0.15);
+                entry.draining = rng.chance(0.15);
+            }
+            o.register_shards((0..shards).map(ShardId));
+            for shard in (0..shards).map(ShardId) {
+                let copies = 1 + rng.index(3.min(servers as usize));
+                let hosts = rng.sample_indices(servers as usize, copies);
+                for (nth, host) in hosts.into_iter().enumerate() {
+                    let role = if nth == 0 {
+                        ReplicaRole::Primary
+                    } else {
+                        ReplicaRole::Secondary
+                    };
+                    let host = ServerId(host as u32);
+                    o.assignment.add_replica(shard, host, role).unwrap();
+                }
+                // Non-integer loads on two metrics; the rest fall back
+                // to one unit of shard count.
+                if rng.chance(0.8) {
+                    let mut load = cap(rng.f64_range(0.3, 1.7));
+                    load.set(Metric::Cpu.id(), rng.f64_range(0.05, 9.0));
+                    o.report_load(ServerId(0), vec![(shard, load)]);
+                }
+            }
+            let victim = ServerId(rng.index(servers as usize) as u32);
+            let entry = o.servers.get_mut(&victim).unwrap();
+            (entry.alive, entry.draining) = (true, true);
+
+            // The drain loop over the scanning picker, each pick checked
+            // against the one table a drain builds.
+            let table = o.usage_table();
+            let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
+            let mut want = Vec::new();
+            for (shard, _) in o.shards_on(victim) {
+                let load = o.load_of(shard);
+                let hosts = o.assignment.replicas(shard).iter();
+                let hosts: Vec<ServerId> = hosts.map(|r| r.server).collect();
+                let target = o.pick_target_scan(&hosts, &extra, &load);
+                assert_eq!(o.pick_target(&table, &hosts, &extra, &load), target);
+                match target {
+                    Some(target) => {
+                        *extra.entry(target).or_insert_with(LoadVector::zero) += load;
+                        want.push((shard, target));
+                        picked.insert(target);
+                    }
+                    None => refused += 1,
+                }
+            }
+            // The drain itself: each started move first addresses its
+            // target, in plan order.
+            assert_eq!(o.drain_server(victim), want.len(), "seed {seed}");
+            let started = rpcs(&mut o).into_iter().map(|(to, rpc)| (rpc.shard(), to));
+            assert_eq!(started.collect::<Vec<_>>(), want, "seed {seed}");
+            fleets += usize::from(!want.is_empty());
+        }
+        // Non-vacuous: most fleets moved something, the capacity filter
+        // refused some replicas, and the picks were spread.
+        assert!(fleets >= 200 && refused > 100 && picked.len() > 10);
+    }
+
+    #[test]
+    fn drain_at_fleet_scale_costs_the_drained_server_not_the_fleet() {
+        // 16,384 shards x 128 servers, primary + 1 secondary: the size
+        // at which summing every candidate's usage from the whole
+        // assignment, per replica, took this test minutes. It hangs
+        // visibly again if a fleet-wide scan returns to the path.
+        let shards = 16_384;
+        let mut o = orch(AppPolicy::primary_secondary(1), 128, shards);
+        o.run_emergency();
+        settle(&mut o);
+        assert_eq!(o.assignment().replica_count(), 2 * shards as usize);
+
+        let victim = ServerId(5);
+        let held = o.shards_on(victim).len();
+        assert!(held >= 128, "the victim hosts its share: {held}");
+        assert_eq!(o.drain_server(victim), held);
+        settle(&mut o);
+        assert!(o.is_drained(victim));
+        assert_eq!(o.assignment().replica_count(), 2 * shards as usize);
+        assert!(o.drain_errors().is_empty());
     }
 
     #[test]

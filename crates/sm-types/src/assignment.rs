@@ -7,6 +7,7 @@
 
 use crate::ids::{ReplicaRole, ServerId, ShardId};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// One replica's placement: which server hosts it and in which role.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -21,10 +22,31 @@ pub struct ReplicaAssignment {
 ///
 /// Invariants maintained by the mutating methods:
 /// - a shard has at most one [`ReplicaRole::Primary`] replica;
-/// - a server hosts at most one replica of a given shard.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// - a server hosts at most one replica of a given shard;
+/// - `by_server` is `shards` projected by server.
+#[derive(Clone, Default)]
 pub struct Assignment {
     shards: BTreeMap<ShardId, Vec<ReplicaAssignment>>,
+    /// Reverse index: the shards each server hosts, ascending; no entry
+    /// for a server that hosts nothing. Derived state, so `Debug` and
+    /// `==` leave it out. Written only by [`Self::add_replica`] and
+    /// [`Self::remove_replica`], which the other mutators that change a
+    /// host go through.
+    by_server: BTreeMap<ServerId, Vec<ShardId>>,
+}
+
+impl fmt::Debug for Assignment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Assignment")
+            .field("shards", &self.shards)
+            .finish()
+    }
+}
+
+impl PartialEq for Assignment {
+    fn eq(&self, other: &Self) -> bool {
+        self.shards == other.shards
+    }
 }
 
 impl Assignment {
@@ -68,12 +90,22 @@ impl Assignment {
         self.shards.keys().copied()
     }
 
-    /// Shards hosted by `server`, with the role held there.
+    /// Shards hosted by `server` in ascending order, with the role held
+    /// there. Costs the replicas on `server`, not the whole assignment.
+    pub fn replicas_on(
+        &self,
+        server: ServerId,
+    ) -> impl Iterator<Item = (ShardId, ReplicaRole)> + '_ {
+        let hosted = self.by_server.get(&server).map(Vec::as_slice);
+        hosted.unwrap_or(&[]).iter().filter_map(move |&shard| {
+            let mut replicas = self.replicas(shard).iter();
+            Some((shard, replicas.find(|r| r.server == server)?.role))
+        })
+    }
+
+    /// [`Self::replicas_on`], collected.
     pub fn shards_on(&self, server: ServerId) -> Vec<(ShardId, ReplicaRole)> {
-        self.iter()
-            .filter(|(_, r)| r.server == server)
-            .map(|(s, r)| (s, r.role))
-            .collect()
+        self.replicas_on(server).collect()
     }
 
     /// Adds a replica.
@@ -94,6 +126,10 @@ impl Assignment {
             return Err(format!("{shard} already has a primary"));
         }
         replicas.push(ReplicaAssignment { server, role });
+        let hosted = self.by_server.entry(server).or_default();
+        if let Err(at) = hosted.binary_search(&shard) {
+            hosted.insert(at, shard);
+        }
         Ok(())
     }
 
@@ -105,11 +141,21 @@ impl Assignment {
         };
         let before = replicas.len();
         replicas.retain(|r| r.server != server);
-        let removed = replicas.len() != before;
+        if replicas.len() == before {
+            return false;
+        }
         if replicas.is_empty() {
             self.shards.remove(&shard);
         }
-        removed
+        if let Some(hosted) = self.by_server.get_mut(&server) {
+            if let Ok(at) = hosted.binary_search(&shard) {
+                hosted.remove(at);
+            }
+            if hosted.is_empty() {
+                self.by_server.remove(&server);
+            }
+        }
+        true
     }
 
     /// Moves the replica of `shard` from `from` to `to`, keeping its role.
@@ -166,7 +212,8 @@ impl Assignment {
     /// roles) that lost a replica — the input to emergency re-placement.
     pub fn drop_server(&mut self, server: ServerId) -> Vec<(ShardId, ReplicaRole)> {
         let lost = self.shards_on(server);
-        for (shard, _) in &lost {
+        // Highest shard first: each removal pops the index's tail.
+        for (shard, _) in lost.iter().rev() {
             self.remove_replica(*shard, server);
         }
         lost
@@ -427,6 +474,85 @@ mod tests {
         assert_eq!(a.replicas(s(1)).len(), 0);
         assert_eq!(a.replicas(s(2)).len(), 1);
         assert_eq!(a.shard_count(), 1, "empty shard entry is pruned");
+    }
+
+    /// `shards_on` as it was before the reverse index — a filter over
+    /// the whole assignment — kept as the model the index is checked
+    /// against.
+    fn shards_on_scan(a: &Assignment, server: ServerId) -> Vec<(ShardId, ReplicaRole)> {
+        a.iter()
+            .filter(|(_, r)| r.server == server)
+            .map(|(s, r)| (s, r.role))
+            .collect()
+    }
+
+    #[test]
+    fn reverse_index_follows_every_mutator() {
+        const SERVERS: u32 = 8;
+        // splitmix64
+        let mut state = 0x5eed_0016_u64;
+        let mut below = |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let mut a = Assignment::new();
+        let mut refused = BTreeMap::new();
+        for step in 0..10_000 {
+            let (shard, server) = (s(below(24)), srv(below(u64::from(SERVERS)) as u32));
+            let other = srv(below(u64::from(SERVERS)) as u32);
+            let role = if below(3) == 0 {
+                ReplicaRole::Primary
+            } else {
+                ReplicaRole::Secondary
+            };
+            let before = a.clone();
+            let outcome = match below(100) {
+                0..=39 => a.add_replica(shard, server, role),
+                40..=59 if a.remove_replica(shard, server) => Ok(()),
+                40..=59 => Err("nothing to remove".to_string()),
+                60..=79 => a.move_replica(shard, server, other),
+                80..=94 => a.change_role(shard, server, role),
+                _ => {
+                    let lost = a.drop_server(server);
+                    assert_eq!(lost, shards_on_scan(&before, server), "step {step}");
+                    Ok(())
+                }
+            };
+            if let Err(why) = outcome {
+                assert_eq!(a, before, "step {step}: a refused call changes nothing");
+                let kind = why.replace(|c: char| c.is_ascii_digit(), "");
+                *refused.entry(kind).or_insert(0) += 1;
+            }
+            for v in 0..SERVERS {
+                assert_eq!(
+                    a.shards_on(srv(v)),
+                    shards_on_scan(&a, srv(v)),
+                    "step {step}"
+                );
+            }
+            let mut rebuilt = Assignment::new();
+            for (shard, r) in a.iter() {
+                rebuilt.add_replica(shard, r.server, r.role).unwrap();
+            }
+            assert_eq!(rebuilt, a, "step {step}");
+            assert_eq!(
+                rebuilt.by_server, a.by_server,
+                "step {step}: index is canonical"
+            );
+            let shown = format!("Assignment {{ shards: {:?} }}", a.shards);
+            assert_eq!(
+                format!("{a:?}"),
+                shown,
+                "step {step}: Debug shows `shards` alone"
+            );
+        }
+        // Every refusal was walked: duplicate host, second primary (by
+        // add and by promotion), missing host, unknown shard, and a
+        // remove that finds nothing.
+        assert_eq!(refused.len(), 6, "{refused:?}");
     }
 
     #[test]
