@@ -4,7 +4,7 @@ use crate::input::AllocInput;
 use crate::plan::{AllocationPlan, ReplicaMove};
 use sm_solver::{
     AffinitySpec, Bin, BinId, CapacitySpec, DrainSpec, Entity, ExclusionSpec, LocalSearch,
-    ParallelSearch, Problem, Scope, Spec, SpecSet, UtilizationCapSpec,
+    ParallelSearch, Problem, Scope, SearchConfig, Spec, SpecSet, UtilizationCapSpec,
 };
 use sm_types::{FaultDomain, ServerId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -32,7 +32,7 @@ impl Allocator {
     /// Periodic mode (§5.1): optimize the placement of all shards under
     /// the full goal list.
     pub fn plan_periodic(input: &AllocInput) -> AllocationPlan {
-        Self::plan(input, u8::MAX)
+        Self::plan(input, u8::MAX, input.config.search.clone())
     }
 
     /// Emergency mode (§5.1): place unassigned replicas as quickly as
@@ -44,72 +44,68 @@ impl Allocator {
             .iter()
             .map(|s| s.replicas.iter().filter(|r| r.is_none()).count())
             .sum();
-        let mut limited = input.clone();
         // The move budget covers exactly the unplaced replicas, so the
         // run cannot drift into load-balancing work.
-        limited.search_mut().max_moves = unplaced;
-        Self::plan(&limited, PRIO_PLACEMENT)
+        let search = SearchConfig {
+            max_moves: unplaced,
+            ..input.config.search.clone()
+        };
+        Self::plan(input, PRIO_PLACEMENT, search)
     }
 
-    // sm-lint: allow(P1) — diff loop indexes parallel vectors built by build_problem from one entity enumeration
-    fn plan(input: &AllocInput, max_priority: u8) -> AllocationPlan {
-        let (problem, specs, server_ids, slot_index) = build_problem(input, max_priority);
-        let mut specs = specs;
+    fn plan(input: &AllocInput, max_priority: u8, search: SearchConfig) -> AllocationPlan {
+        let (problem, mut specs, server_ids) = build_problem(input);
         // Drop the goals above the active priority so batching doesn't
         // schedule them at all (emergency mode).
         specs.goals.retain(|g| g.priority() <= max_priority);
         // ParallelSearch falls back to the plain LocalSearch path when
         // `threads <= 1`, so the single-threaded plan is unchanged.
-        let (assignment, stats) = if input.config.search.threads > 1 {
-            ParallelSearch::new(input.config.search.clone()).solve(&problem, &specs)
+        let (assignment, stats) = if search.threads > 1 {
+            ParallelSearch::new(search).solve(&problem, &specs)
         } else {
-            LocalSearch::new(input.config.search.clone()).solve(&problem, &specs)
+            LocalSearch::new(search).solve(&problem, &specs)
         };
 
-        // Diff into moves and the per-shard target table.
+        // Diff into moves and the per-shard target table: entities were
+        // minted shard by shard, slot by slot, so one walk of the final
+        // and the initial assignment beside the shards pairs them up.
+        let server_of = |bin: &Option<BinId>| bin.and_then(|b| server_ids.get(b.0).copied());
+        let mut entities = assignment.iter().zip(problem.initial_assignment());
         let mut moves = Vec::new();
-        let mut target: Vec<(sm_types::ShardId, Vec<Option<ServerId>>)> = input
-            .shards
-            .iter()
-            .map(|s| (s.shard, vec![None; s.replicas.len()]))
-            .collect();
-        for (entity_idx, &(shard_idx, slot)) in slot_index.iter().enumerate() {
-            let new_server = assignment[entity_idx].map(|b| server_ids[b.0]);
-            target[shard_idx].1[slot] = new_server;
-            // A source server that is no longer offered (failed) makes
-            // this a fresh placement, not a graceful relocation. The
-            // problem's initial assignment already resolved exactly the
-            // live-server placements, so reuse it instead of a per-
-            // replica set lookup.
-            let old_server = problem.initial_assignment()[entity_idx].map(|b| server_ids[b.0]);
-            if let Some(to) = new_server {
-                if old_server != Some(to) {
+        let mut target = Vec::with_capacity(input.shards.len());
+        for s in &input.shards {
+            let mut slots = Vec::with_capacity(s.replicas.len());
+            for (replica, (new, old)) in entities.by_ref().take(s.replicas.len()).enumerate() {
+                let new_server = server_of(new);
+                slots.push(new_server);
+                // A source server that is no longer offered (failed) makes
+                // this a fresh placement, not a graceful relocation. The
+                // problem's initial assignment already resolved exactly the
+                // live-server placements, so reuse it instead of a per-
+                // replica set lookup.
+                let from = server_of(old);
+                if let Some(to) = new_server.filter(|&to| from != Some(to)) {
                     moves.push(ReplicaMove {
-                        shard: input.shards[shard_idx].shard,
-                        replica: slot,
-                        from: old_server,
+                        shard: s.shard,
+                        replica,
+                        from,
                         to,
                     });
                 }
             }
+            target.push((s.shard, slots));
         }
         // Fresh placements first: restoring availability beats balance.
         moves.sort_by_key(|m| (m.from.is_some(), m.shard, m.replica));
 
-        let eval =
-            sm_solver::Evaluator::with_assignment(&problem, &specs, max_priority, &assignment);
         AllocationPlan {
             moves,
             target,
-            violations: eval.violations(),
+            // Counted by the solve's last evaluator, which had every goal
+            // up to `max_priority` active.
+            violations: stats.violations,
             search: stats,
         }
-    }
-}
-
-impl AllocInput {
-    fn search_mut(&mut self) -> &mut sm_solver::SearchConfig {
-        &mut self.config.search
     }
 }
 
@@ -145,12 +141,9 @@ impl ServerIndex {
     }
 }
 
-/// Builds the solver problem. Returns the problem, specs, the bin->
-/// server mapping, and per entity its (shard index, replica slot).
-fn build_problem(
-    input: &AllocInput,
-    _max_priority: u8,
-) -> (Problem, SpecSet, Vec<ServerId>, Vec<(usize, usize)>) {
+/// Builds the solver problem. Returns the problem, specs and the bin->
+/// server mapping; entities are minted shard by shard, slot by slot.
+fn build_problem(input: &AllocInput) -> (Problem, SpecSet, Vec<ServerId>) {
     let mut problem = Problem::new();
     let mut server_ids = Vec::with_capacity(input.servers.len());
     for s in &input.servers {
@@ -183,18 +176,17 @@ fn build_problem(
     let n_dcs = distinct(FaultDomain::DataCenter);
     let n_racks = distinct(FaultDomain::Rack);
 
-    let mut slot_index = Vec::new();
     let mut affinities = Vec::new();
     let mut spread_groups = Vec::new();
     let mut max_replicas = 1usize;
-    for (shard_idx, shard) in input.shards.iter().enumerate() {
+    for shard in &input.shards {
         let group = (shard.replicas.len() > 1).then(|| problem.new_group());
         if let Some(g) = group {
             spread_groups.push(g);
         }
         max_replicas = max_replicas.max(shard.replicas.len());
         let pref = input.config.region_preferences.get(&shard.shard);
-        for (slot, placed) in shard.replicas.iter().enumerate() {
+        for placed in &shard.replicas {
             // A replica placed on a server that is no longer offered
             // (failed/removed) is treated as unplaced.
             let initial = placed.and_then(|srv| server_index.get(srv));
@@ -205,7 +197,6 @@ fn build_problem(
                 },
                 initial,
             );
-            slot_index.push((shard_idx, slot));
             if let Some(&(region, weight)) = pref {
                 affinities.push((e, u64::from(region.raw()), weight));
             }
@@ -272,7 +263,7 @@ fn build_problem(
             priority: PRIO_BALANCE,
         }));
     }
-    (problem, specs, server_ids, slot_index)
+    (problem, specs, server_ids)
 }
 
 #[cfg(test)]
@@ -303,6 +294,135 @@ mod tests {
         let mut c = AllocConfig::new(vec![Metric::Cpu.id()]);
         c.search.seed = 42;
         c
+    }
+
+    /// The parent's `plan`, kept as the model: parallel-vector indexing
+    /// through a `(shard index, slot)` table, and a second evaluator
+    /// built on the final assignment only to count its violations.
+    fn plan_model(input: &AllocInput, max_priority: u8) -> AllocationPlan {
+        let (problem, mut specs, server_ids) = build_problem(input);
+        let shards = input.shards.iter().enumerate();
+        let slot_index: Vec<(usize, usize)> = shards
+            .flat_map(|(i, s)| (0..s.replicas.len()).map(move |slot| (i, slot)))
+            .collect();
+        specs.goals.retain(|g| g.priority() <= max_priority);
+        let (assignment, stats) = if input.config.search.threads > 1 {
+            ParallelSearch::new(input.config.search.clone()).solve(&problem, &specs)
+        } else {
+            LocalSearch::new(input.config.search.clone()).solve(&problem, &specs)
+        };
+        let mut moves = Vec::new();
+        let mut target: Vec<(sm_types::ShardId, Vec<Option<ServerId>>)> = input
+            .shards
+            .iter()
+            .map(|s| (s.shard, vec![None; s.replicas.len()]))
+            .collect();
+        for (entity_idx, &(shard_idx, slot)) in slot_index.iter().enumerate() {
+            let new_server = assignment[entity_idx].map(|b| server_ids[b.0]);
+            target[shard_idx].1[slot] = new_server;
+            let old_server = problem.initial_assignment()[entity_idx].map(|b| server_ids[b.0]);
+            if let Some(to) = new_server {
+                if old_server != Some(to) {
+                    moves.push(ReplicaMove {
+                        shard: input.shards[shard_idx].shard,
+                        replica: slot,
+                        from: old_server,
+                        to,
+                    });
+                }
+            }
+        }
+        moves.sort_by_key(|m| (m.from.is_some(), m.shard, m.replica));
+        let eval =
+            sm_solver::Evaluator::with_assignment(&problem, &specs, max_priority, &assignment);
+        AllocationPlan {
+            moves,
+            target,
+            violations: eval.violations(),
+            search: stats,
+        }
+    }
+
+    /// The parent's `plan_emergency`: the move budget set on a clone of
+    /// the whole input.
+    fn plan_emergency_model(input: &AllocInput) -> AllocationPlan {
+        let slots = input.shards.iter().flat_map(|s| &s.replicas);
+        let mut limited = input.clone();
+        limited.config.search.max_moves = slots.filter(|r| r.is_none()).count();
+        plan_model(&limited, PRIO_PLACEMENT)
+    }
+
+    #[test]
+    fn plans_equal_the_rebuilding_model_on_seeded_inputs() {
+        use sm_solver::ParallelMode;
+        let (mut with_moves, mut with_violations, mut unplaceable) = (0, 0, 0);
+        for seed in 0..120u64 {
+            let mut rng = sm_sim::SimRng::seeded(seed);
+            let regions = 1 + rng.index(3) as u32;
+            let n_servers = 6 + rng.index(14) as u32;
+            let mut servers: Vec<ServerInfo> = (0..n_servers)
+                .map(|i| server(i, (i % regions) as u16, i / 2, rng.f64_range(30.0, 90.0)))
+                .collect();
+            if seed % 3 == 0 {
+                servers[rng.index(n_servers as usize)].draining = true;
+            }
+            let mut cfg = config();
+            cfg.search.seed = seed;
+            cfg.search.threads = if seed % 2 == 0 { 1 } else { 4 };
+            cfg.search.parallel_mode = match seed % 4 {
+                1 => ParallelMode::Portfolio,
+                _ => ParallelMode::RegionPartition,
+            };
+            // Server 99 is not offered: a replica on it counts as lost.
+            let place = |rng: &mut sm_sim::SimRng| match rng.index(10) {
+                0 | 1 => None,
+                2 => Some(ServerId(99)),
+                _ => Some(ServerId(rng.index(n_servers as usize / 2) as u32)),
+            };
+            let shards: Vec<ShardPlacement> = (0..30 + rng.index(60) as u64)
+                .map(|s| {
+                    if seed % 5 == 0 && rng.chance(0.3) {
+                        let region = RegionId(rng.index(regions as usize) as u16);
+                        cfg.region_preferences.insert(ShardId(s), (region, 1.0));
+                    }
+                    ShardPlacement {
+                        shard: ShardId(s),
+                        load_per_replica: cpu(rng.f64_range(0.5, 6.0)),
+                        replicas: (0..1 + rng.index(3)).map(|_| place(&mut rng)).collect(),
+                    }
+                })
+                .collect();
+            let input = AllocInput {
+                servers,
+                shards,
+                config: cfg,
+            };
+            type Plan = fn(&AllocInput) -> AllocationPlan;
+            let modes: [(&str, Plan, Plan); 2] = [
+                ("emergency", Allocator::plan_emergency, plan_emergency_model),
+                ("periodic", Allocator::plan_periodic, |i| {
+                    plan_model(i, u8::MAX)
+                }),
+            ];
+            for (mode, plan, model) in modes {
+                let (got, want) = (plan(&input), model(&input));
+                assert_eq!(got.moves, want.moves, "seed {seed} {mode}: moves");
+                assert_eq!(got.target, want.target, "seed {seed} {mode}: target");
+                assert_eq!(
+                    got.search.evaluated, want.search.evaluated,
+                    "seed {seed} {mode}"
+                );
+                assert_eq!(
+                    got.violations, want.violations,
+                    "seed {seed} {mode}: violations"
+                );
+                with_moves += usize::from(!got.moves.is_empty());
+                with_violations += usize::from(got.violations.total() > 0);
+                unplaceable += usize::from(got.unplaced() > 0);
+            }
+        }
+        println!("{with_moves} plans move, {with_violations} keep violations, {unplaceable} leave a replica unplaced");
+        assert!(with_moves > 200 && with_violations > 20);
     }
 
     #[test]

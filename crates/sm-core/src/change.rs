@@ -1007,6 +1007,7 @@ mod tests {
         /// Folds the outbox into the digest and queues its RPCs.
         fn absorb(&mut self) {
             self.o.check_change_index();
+            self.o.check_build_input();
             let commands = self.o.take_commands();
             self.digest.feed(&format!("{commands:?}"));
             for c in commands {

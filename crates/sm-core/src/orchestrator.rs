@@ -349,12 +349,21 @@ impl Orchestrator {
 
     /// The last reported load of `shard`, or one unit of shard count.
     fn load_of(&self, shard: ShardId) -> LoadVector {
-        let unit = || LoadVector::single(sm_types::Metric::ShardCount.id(), 1.0);
-        self.loads.get(&shard).copied().unwrap_or_else(unit)
+        self.loads.get(&shard).copied().unwrap_or_else(unit_load)
     }
 
     // ---- Allocation ----
 
+    /// The allocator's input: the live servers and, per shard in
+    /// `shards` order (the solver numbers its entities by it), exactly
+    /// `desired` replica slots — the first `desired` replicas held, then
+    /// `None`s.
+    ///
+    /// `shards` is in commit order, which is ascending by id except
+    /// where splits overlapped, so the three per-shard maps are walked
+    /// in step with it: an id above every id walked so far is read off
+    /// the maps' iterators, which have passed nothing above that
+    /// largest id; any other id is looked up.
     fn build_input(&self) -> AllocInput {
         let servers: Vec<ServerInfo> = self
             .servers
@@ -367,26 +376,41 @@ impl Orchestrator {
                 draining: e.draining,
             })
             .collect();
-        let shards: Vec<ShardPlacement> = self
-            .shards
+        let mut desired = self
+            .desired_replicas
             .iter()
-            .map(|&shard| {
-                let desired = *self.desired_replicas.get(&shard).unwrap_or(&1) as usize;
-                let mut replicas: Vec<Option<ServerId>> = self
-                    .assignment
-                    .replicas(shard)
-                    .iter()
-                    .map(|r| Some(r.server))
-                    .collect();
-                replicas.resize(desired, None);
-                replicas.truncate(desired.max(replicas.len()));
-                ShardPlacement {
-                    shard,
-                    load_per_replica: self.load_of(shard),
-                    replicas,
-                }
-            })
-            .collect();
+            .map(|(s, n)| (*s, *n))
+            .peekable();
+        let mut loads = self.loads.iter().map(|(s, l)| (*s, *l)).peekable();
+        let mut held = self.assignment.by_shard().peekable();
+        let mut largest = None;
+        let mut shards = Vec::with_capacity(self.shards.len());
+        for &shard in &self.shards {
+            let (desired, load, held) = if largest < Some(shard) {
+                largest = Some(shard);
+                (
+                    next_at(&mut desired, shard),
+                    next_at(&mut loads, shard),
+                    next_at(&mut held, shard),
+                )
+            } else {
+                (
+                    self.desired_replicas.get(&shard).copied(),
+                    self.loads.get(&shard).copied(),
+                    Some(self.assignment.replicas(shard)),
+                )
+            };
+            let desired = desired.unwrap_or(1) as usize;
+            let held = held.unwrap_or(&[]).iter().take(desired);
+            let mut replicas = Vec::with_capacity(desired);
+            replicas.extend(held.map(|r| Some(r.server)));
+            replicas.resize(desired, None);
+            shards.push(ShardPlacement {
+                shard,
+                load_per_replica: load.unwrap_or_else(unit_load),
+                replicas,
+            });
+        }
         AllocInput {
             servers,
             shards,
@@ -649,8 +673,22 @@ impl Orchestrator {
         if !self.policy.replication.has_primary() {
             return;
         }
-        let shards: Vec<ShardId> = self.shards.clone();
-        for shard in shards {
+        // One ordered pass finds the shards without a primary (ascending,
+        // and no promotion below changes the assignment); only those are
+        // visited, in `shards` order.
+        let by_shard = self.assignment.by_shard();
+        let lacking: Vec<ShardId> = by_shard
+            .filter(|(_, replicas)| !replicas.iter().any(|r| r.role.is_primary()))
+            .map(|(shard, _)| shard)
+            .collect();
+        if lacking.is_empty() {
+            return;
+        }
+        let shards = self.shards.iter().copied();
+        let lacking: Vec<ShardId> = shards
+            .filter(|shard| lacking.binary_search(shard).is_ok())
+            .collect();
+        for shard in lacking {
             self.ensure_primary_for(shard);
         }
     }
@@ -964,6 +1002,21 @@ impl Orchestrator {
     }
 }
 
+/// The load assumed for a shard that has reported none.
+fn unit_load() -> LoadVector {
+    LoadVector::single(sm_types::Metric::ShardCount.id(), 1.0)
+}
+
+/// Advances an ascending `(shard, value)` iterator to `shard` and takes
+/// its value, if it has one; entries below `shard` are passed for good.
+fn next_at<V>(
+    iter: &mut std::iter::Peekable<impl Iterator<Item = (ShardId, V)>>,
+    shard: ShardId,
+) -> Option<V> {
+    while iter.next_if(|(s, _)| *s < shard).is_some() {}
+    iter.next_if(|(s, _)| *s == shard).map(|(_, v)| v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1005,6 +1058,111 @@ mod tests {
         }
         o.register_shards((0..shards).map(ShardId));
         o
+    }
+
+    impl Orchestrator {
+        /// The parent's `build_input`, verbatim: three map lookups per
+        /// shard. The model for the walk in step.
+        fn build_input_by_lookup(&self) -> AllocInput {
+            let servers: Vec<ServerInfo> = self
+                .servers
+                .iter()
+                .filter(|(_, e)| e.alive)
+                .map(|(id, e)| ServerInfo {
+                    id: *id,
+                    location: e.location,
+                    capacity: e.capacity,
+                    draining: e.draining,
+                })
+                .collect();
+            let shards: Vec<ShardPlacement> = self
+                .shards
+                .iter()
+                .map(|&shard| {
+                    let desired = *self.desired_replicas.get(&shard).unwrap_or(&1) as usize;
+                    let mut replicas: Vec<Option<ServerId>> = self
+                        .assignment
+                        .replicas(shard)
+                        .iter()
+                        .map(|r| Some(r.server))
+                        .collect();
+                    replicas.resize(desired, None);
+                    replicas.truncate(desired.max(replicas.len()));
+                    ShardPlacement {
+                        shard,
+                        load_per_replica: self.load_of(shard),
+                        replicas,
+                    }
+                })
+                .collect();
+            AllocInput {
+                servers,
+                shards,
+                config: self.config.alloc.clone(),
+            }
+        }
+
+        /// `build_input` renders as the lookup builder's does; a mismatch
+        /// names the first shard that differs.
+        pub(crate) fn check_build_input(&self) {
+            let (got, want) = (self.build_input(), self.build_input_by_lookup());
+            for (got, want) in got.shards.iter().zip(&want.shards) {
+                let (got, want) = (format!("{got:?}"), format!("{want:?}"));
+                assert_eq!(got, want, "shards are {:?}", self.shards);
+            }
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+    }
+
+    #[test]
+    fn build_input_offers_exactly_the_desired_slots() {
+        let mut o = orch(AppPolicy::primary_secondary(1), 4, 3);
+        let add = |o: &mut Orchestrator, shard: u64, server: u32| {
+            let role = ReplicaRole::Secondary;
+            let added = o
+                .assignment
+                .add_replica(ShardId(shard), ServerId(server), role);
+            added.expect("a free server");
+        };
+        // Shard 0 holds three replicas of its desired two, shard 1 one of
+        // two, shard 2 none; only shard 1 has reported a load.
+        for (shard, server) in [(0, 2), (0, 0), (0, 3), (1, 1)] {
+            add(&mut o, shard, server);
+        }
+        o.report_load(ServerId(1), vec![(ShardId(1), cap(7.0))]);
+        let input = o.build_input();
+        let slots: Vec<_> = input.shards.iter().map(|s| s.replicas.clone()).collect();
+        let unit = cap(1.0);
+        assert_eq!(slots[0], [Some(ServerId(2)), Some(ServerId(0))]);
+        assert_eq!(slots[1], [Some(ServerId(1)), None]);
+        assert_eq!(slots[2], [None, None]);
+        let loads: Vec<_> = input.shards.iter().map(|s| s.load_per_replica).collect();
+        assert_eq!(loads, [unit, cap(7.0), unit]);
+        o.check_build_input();
+    }
+
+    #[test]
+    fn build_input_reads_out_of_order_shards_like_the_lookup_builder() {
+        let mut o = orch(AppPolicy::primary_secondary(1), 4, 0);
+        o.register_shards([5, 3, 4, 9, 1].map(ShardId));
+        o.check_build_input();
+        // Every shard differs from every other in desired count, load and
+        // replicas held, so a value read for the wrong id shows.
+        for (i, shard) in [1, 3, 4, 5, 9].into_iter().enumerate() {
+            o.desired_replicas.insert(ShardId(shard), 1 + i as u32);
+            o.report_load(ServerId(0), vec![(ShardId(shard), cap(shard as f64))]);
+            let (server, role) = (ServerId(i as u32 % 4), ReplicaRole::Secondary);
+            let added = o.assignment.add_replica(ShardId(shard), server, role);
+            added.expect("a free server");
+            o.check_build_input();
+        }
+        let order: Vec<_> = o
+            .build_input()
+            .shards
+            .iter()
+            .map(|s| s.shard.raw())
+            .collect();
+        assert_eq!(order, [5, 3, 4, 9, 1]);
     }
 
     /// Drives all outstanding RPCs to acked completion, like a perfectly

@@ -7,16 +7,18 @@
 //!   penalty (balance excess + utilization-cap excess + drain penalty +
 //!   the affinity penalties of entities it hosts), so the objective
 //!   updates in O(log n) per touched bin;
-//! - per-group domain-occupancy counts for exclusion (spread) goals,
-//!   with the set of currently violated groups exposed to the search so
-//!   it can target colocated replicas directly.
+//! - per-group placed/distinct-domain counts for exclusion (spread)
+//!   goals — a group's domain occupancy is read off its few members'
+//!   current bins, never stored — with the set of currently violated
+//!   groups exposed to the search so it can target colocated replicas
+//!   directly.
 //!
 //! A key simplification the paper also exploits: moves never change the
 //! total load, so per-metric average utilization — and therefore every
 //! balance threshold — is a constant of the run.
 
 use crate::penalty_tree::PenaltyTree;
-use crate::problem::{BinId, EntityId, GroupId, Problem};
+use crate::problem::{BinId, Entity, EntityId, GroupId, Problem};
 use crate::specs::{Scope, Spec, SpecSet};
 use sm_types::{LoadVector, MetricId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -76,9 +78,7 @@ struct ExclusionGoal {
     weight: f64,
     /// `in_goal[group] == true` if the group participates.
     in_goal: Vec<bool>,
-    /// Per-group domain occupancy: domain id -> entity count.
-    counts: Vec<BTreeMap<u64, u32>>,
-    /// Per-group: placed members and distinct domains.
+    /// Per-group: placed members and the distinct domains they occupy.
     placed: Vec<u32>,
     distinct: Vec<u32>,
 }
@@ -90,23 +90,27 @@ impl ExclusionGoal {
 }
 
 /// The incremental evaluator over one problem and one active goal set.
-pub struct Evaluator {
-    // -- static problem data, copied out for dense access --
-    entity_load: Vec<LoadVector>,
-    entity_group: Vec<u32>, // u32::MAX = no group
+pub struct Evaluator<'p> {
+    // -- static problem data: the entities borrowed (an evaluator is
+    // built per priority batch, and they are most of the problem), the
+    // few bins copied out for dense access --
+    entities: &'p [Entity],
     bin_capacity: Vec<LoadVector>,
     /// Per bin: domain id at [host, rack, dc, region].
     bin_domains: Vec<[u64; 4]>,
     bin_draining: Vec<bool>,
-    /// Entities per group (for targeting colocated replicas).
-    group_members: Vec<Vec<EntityId>>,
+    /// Entities per group, ascending, as one CSR pair: group `g` owns
+    /// `group_entities[group_start[g]..group_start[g + 1]]`.
+    group_start: Vec<u32>,
+    group_entities: Vec<EntityId>,
 
     // -- active specs, pre-resolved --
     hard_metrics: Vec<MetricId>,
     forbid_group_colocation: bool,
     balance_goals: Vec<BalanceGoal>,
     cap_goals: Vec<CapGoal>,
-    /// Per entity: `(scope index, preferred domain, weight)` preferences.
+    /// Per entity: `(scope index, preferred domain, weight)` preferences;
+    /// empty when no affinity goal is active.
     entity_prefs: Vec<Vec<(usize, u64, f64)>>,
     exclusion_goals: Vec<ExclusionGoal>,
     drain_weight: f64,
@@ -146,11 +150,11 @@ fn scope_index(scope: Scope) -> usize {
     }
 }
 
-impl Evaluator {
+impl<'p> Evaluator<'p> {
     /// Builds an evaluator for `problem` with the goals of priority
     /// `<= max_priority` from `specs` active, seeded with the problem's
     /// initial assignment.
-    pub fn new(problem: &Problem, specs: &SpecSet, max_priority: u8) -> Self {
+    pub fn new(problem: &'p Problem, specs: &SpecSet, max_priority: u8) -> Self {
         Self::with_assignment(problem, specs, max_priority, problem.initial_assignment())
     }
 
@@ -159,7 +163,7 @@ impl Evaluator {
     /// priority batch into the next.
     // sm-lint: allow(P1) — solver-internal dense ids index parallel vectors sized from the same Problem
     pub fn with_assignment(
-        problem: &Problem,
+        problem: &'p Problem,
         specs: &SpecSet,
         max_priority: u8,
         assignment: &[Option<BinId>],
@@ -168,12 +172,7 @@ impl Evaluator {
         let n_bins = problem.bin_count();
         let n_groups = problem.group_count();
 
-        let entity_load: Vec<LoadVector> = problem.entities().iter().map(|e| e.load).collect();
-        let entity_group: Vec<u32> = problem
-            .entities()
-            .iter()
-            .map(|e| e.group.map(|g| g.0 as u32).unwrap_or(UNPLACED))
-            .collect();
+        let entities = problem.entities();
         let bin_capacity: Vec<LoadVector> = problem.bins().iter().map(|b| b.capacity).collect();
         let bin_domains: Vec<[u64; 4]> = problem
             .bins()
@@ -189,18 +188,29 @@ impl Evaluator {
             .collect();
         let bin_draining: Vec<bool> = problem.bins().iter().map(|b| b.draining).collect();
 
-        let mut group_members: Vec<Vec<EntityId>> = vec![Vec::new(); n_groups];
-        for (i, g) in entity_group.iter().enumerate() {
-            if *g != UNPLACED {
-                group_members[*g as usize].push(EntityId(i));
+        // Counting sort of the grouped entities by group: sizes, then
+        // offsets, then a fill through a moving cursor per group.
+        let mut group_start = vec![0u32; n_groups + 1];
+        for g in entities.iter().filter_map(|e| e.group) {
+            group_start[g.0 + 1] += 1;
+        }
+        for g in 0..n_groups {
+            group_start[g + 1] += group_start[g];
+        }
+        let mut cursor = group_start.clone();
+        let mut group_entities = vec![EntityId(0); group_start[n_groups] as usize];
+        for (i, entity) in entities.iter().enumerate() {
+            if let Some(g) = entity.group {
+                group_entities[cursor[g.0] as usize] = EntityId(i);
+                cursor[g.0] += 1;
             }
         }
 
         // Average utilization per metric over the whole problem —
         // constant under moves since total load and capacity are fixed.
         let mut total_load = LoadVector::zero();
-        for load in &entity_load {
-            total_load += *load;
+        for entity in entities {
+            total_load += entity.load;
         }
         let mut total_cap = LoadVector::zero();
         for cap in &bin_capacity {
@@ -218,7 +228,7 @@ impl Evaluator {
         let hard_metrics = specs.constraints.iter().map(|c| c.metric).collect();
         let mut balance_goals = Vec::new();
         let mut cap_goals = Vec::new();
-        let mut entity_prefs: Vec<Vec<(usize, u64, f64)>> = vec![Vec::new(); n_entities];
+        let mut entity_prefs: Vec<Vec<(usize, u64, f64)>> = Vec::new();
         let mut exclusion_goals = Vec::new();
         let mut drain_weight = 0.0;
 
@@ -236,6 +246,7 @@ impl Evaluator {
                 }),
                 Spec::Affinity(s) => {
                     let si = scope_index(s.scope);
+                    entity_prefs.resize(n_entities, Vec::new());
                     for (e, dom, w) in &s.affinities {
                         entity_prefs[e.0].push((si, *dom, *w));
                     }
@@ -249,7 +260,6 @@ impl Evaluator {
                         scope: s.scope,
                         weight: s.weight,
                         in_goal,
-                        counts: vec![BTreeMap::new(); n_groups],
                         placed: vec![0; n_groups],
                         distinct: vec![0; n_groups],
                     });
@@ -259,12 +269,12 @@ impl Evaluator {
         }
 
         let mut eval = Self {
-            entity_load,
-            entity_group,
+            entities,
             bin_capacity,
             bin_domains,
             bin_draining,
-            group_members,
+            group_start,
+            group_entities,
             hard_metrics,
             forbid_group_colocation: specs.forbid_group_colocation,
             balance_goals,
@@ -309,7 +319,7 @@ impl Evaluator {
     /// The affinity penalty entity `e` incurs when placed on `bin`.
     fn affinity_penalty(&self, e: EntityId, bin: usize) -> f64 {
         let mut pen = 0.0;
-        for &(si, dom, w) in &self.entity_prefs[e.0] {
+        for &(si, dom, w) in self.entity_prefs.get(e.0).into_iter().flatten() {
             if self.bin_domains[bin][si] != dom {
                 pen += w;
             }
@@ -416,65 +426,58 @@ impl Evaluator {
         debug_assert_eq!(self.assignment[e.0], UNPLACED);
         let b = bin.0;
         self.assignment[e.0] = b as u32;
-        self.bin_usage[b] += self.entity_load[e.0];
+        self.bin_usage[b] += self.entities[e.0].load;
         self.bin_entity_count[b] += 1;
         self.bin_affinity[b] += self.affinity_penalty(e, b);
         self.index_add(e, b);
         self.unplaced_count -= 1;
-        self.exclusion_add(e, b);
+        self.exclusion_update(e, b, true);
     }
 
-    fn exclusion_add(&mut self, e: EntityId, bin: usize) {
-        let g = self.entity_group[e.0];
-        if g == UNPLACED {
+    /// The members of group `g`, ascending.
+    fn members(&self, g: usize) -> &[EntityId] {
+        &self.group_entities[self.group_start[g] as usize..self.group_start[g + 1] as usize]
+    }
+
+    /// True if a member of group `g` other than `e` sits in domain `dom`
+    /// of the scope at index `si` — the group's domain occupancy, read
+    /// off its few members' current bins instead of a stored count.
+    fn sibling_in(&self, e: EntityId, g: usize, si: usize, dom: u64) -> bool {
+        self.members(g).iter().any(|&m| {
+            let b = self.assignment[m.0];
+            m != e && b != UNPLACED && self.bin_domains[b as usize][si] == dom
+        })
+    }
+
+    /// Books `e` joining `bin` (or leaving it) into every exclusion goal
+    /// of its group; `assignment[e]` is `bin` at either call. A group's
+    /// distinct-domain count moves exactly when no sibling shares the
+    /// domain.
+    fn exclusion_update(&mut self, e: EntityId, bin: usize, joining: bool) {
+        let Some(GroupId(g)) = self.entities[e.0].group else {
             return;
-        }
-        let g = g as usize;
-        let domains = self.bin_domains[bin];
-        for (si, goal) in self.exclusion_goals.iter_mut().enumerate() {
-            if !goal.in_goal[g] {
+        };
+        for gi in 0..self.exclusion_goals.len() {
+            if !self.exclusion_goals[gi].in_goal[g] {
                 continue;
             }
-            let dom = domains[scope_index(goal.scope)];
+            let si = scope_index(self.exclusion_goals[gi].scope);
+            let alone = u32::from(!self.sibling_in(e, g, si, self.bin_domains[bin][si]));
+            let goal = &mut self.exclusion_goals[gi];
             let before = goal.group_penalty(g);
-            let count = goal.counts[g].entry(dom).or_insert(0);
-            if *count == 0 {
-                goal.distinct[g] += 1;
+            if joining {
+                goal.placed[g] += 1;
+                goal.distinct[g] += alone;
+            } else {
+                goal.placed[g] -= 1;
+                goal.distinct[g] -= alone;
             }
-            *count += 1;
-            goal.placed[g] += 1;
             let after = goal.group_penalty(g);
             self.exclusion_total += after - before;
             if goal.placed[g] > goal.distinct[g] {
-                self.violated_groups.insert((si, GroupId(g)));
-            }
-        }
-    }
-
-    fn exclusion_remove(&mut self, e: EntityId, bin: usize) {
-        let g = self.entity_group[e.0];
-        if g == UNPLACED {
-            return;
-        }
-        let g = g as usize;
-        let domains = self.bin_domains[bin];
-        for (si, goal) in self.exclusion_goals.iter_mut().enumerate() {
-            if !goal.in_goal[g] {
-                continue;
-            }
-            let dom = domains[scope_index(goal.scope)];
-            let before = goal.group_penalty(g);
-            let count = goal.counts[g].get_mut(&dom).expect("entity was counted");
-            *count -= 1;
-            if *count == 0 {
-                goal.counts[g].remove(&dom);
-                goal.distinct[g] -= 1;
-            }
-            goal.placed[g] -= 1;
-            let after = goal.group_penalty(g);
-            self.exclusion_total += after - before;
-            if goal.placed[g] <= goal.distinct[g] {
-                self.violated_groups.remove(&(si, GroupId(g)));
+                self.violated_groups.insert((gi, GroupId(g)));
+            } else {
+                self.violated_groups.remove(&(gi, GroupId(g)));
             }
         }
     }
@@ -482,11 +485,9 @@ impl Evaluator {
     /// The exclusion-penalty delta of moving `e` from `from` to `to`,
     /// computed without mutating state.
     fn exclusion_delta(&self, e: EntityId, from: Option<usize>, to: usize) -> f64 {
-        let g = self.entity_group[e.0];
-        if g == UNPLACED {
+        let Some(GroupId(g)) = self.entities[e.0].group else {
             return 0.0;
-        }
-        let g = g as usize;
+        };
         let mut delta = 0.0;
         for goal in &self.exclusion_goals {
             if !goal.in_goal[g] {
@@ -501,15 +502,13 @@ impl Evaluator {
             let mut distinct_delta: i64 = 0;
             let mut placed_delta: i64 = 0;
             if let Some(fd) = from_dom {
-                let c = *goal.counts[g].get(&fd).unwrap_or(&0);
-                if c == 1 {
+                if !self.sibling_in(e, g, si, fd) {
                     distinct_delta -= 1;
                 }
             } else {
                 placed_delta += 1;
             }
-            let to_count = *goal.counts[g].get(&to_dom).unwrap_or(&0);
-            if to_count == 0 {
+            if !self.sibling_in(e, g, si, to_dom) {
                 distinct_delta += 1;
             }
             delta += goal.weight * (placed_delta - distinct_delta) as f64;
@@ -520,7 +519,7 @@ impl Evaluator {
     /// Returns true if placing `e` on `bin` would break a hard capacity
     /// constraint.
     pub fn violates_hard(&self, e: EntityId, bin: BinId) -> bool {
-        let load = &self.entity_load[e.0];
+        let load = &self.entities[e.0].load;
         let usage = &self.bin_usage[bin.0];
         let cap = &self.bin_capacity[bin.0];
         if self.hard_metrics.iter().any(|&m| {
@@ -530,12 +529,10 @@ impl Evaluator {
             return true;
         }
         if self.forbid_group_colocation {
-            let g = self.entity_group[e.0];
-            if g != UNPLACED {
+            if let Some(g) = self.entities[e.0].group {
                 let target = bin.0 as u32;
-                return self.group_members[g as usize]
-                    .iter()
-                    .any(|&m| m != e && self.assignment[m.0] == target);
+                let mut siblings = self.members(g.0).iter();
+                return siblings.any(|&m| m != e && self.assignment[m.0] == target);
             }
         }
         false
@@ -552,7 +549,7 @@ impl Evaluator {
         if self.violates_hard(e, to) {
             return None;
         }
-        let load = self.entity_load[e.0];
+        let load = self.entities[e.0].load;
         let aff_to = self.affinity_penalty(e, to.0);
 
         // Destination leaf after gaining the entity.
@@ -613,10 +610,10 @@ impl Evaluator {
     pub fn apply_move(&mut self, e: EntityId, to: BinId) {
         let from = self.assignment[e.0];
         debug_assert_ne!(from, to.0 as u32, "no-op move");
-        let load = self.entity_load[e.0];
+        let load = self.entities[e.0].load;
         if from != UNPLACED {
             let f = from as usize;
-            self.exclusion_remove(e, f);
+            self.exclusion_update(e, f, false);
             self.bin_usage[f] -= load;
             self.bin_usage[f].clamp_non_negative();
             self.bin_entity_count[f] -= 1;
@@ -633,7 +630,7 @@ impl Evaluator {
         self.bin_entity_count[b] += 1;
         self.bin_affinity[b] += self.affinity_penalty(e, b);
         self.index_add(e, b);
-        self.exclusion_add(e, b);
+        self.exclusion_update(e, b, true);
         self.refresh_leaf(b);
         self.refresh_group_key(b);
     }
@@ -671,13 +668,13 @@ impl Evaluator {
     pub fn violated_groups(&self) -> Vec<(GroupId, &[EntityId])> {
         self.violated_groups
             .iter()
-            .map(|(_, g)| (*g, self.group_members[g.0].as_slice()))
+            .map(|(_, g)| (*g, self.members(g.0)))
             .collect()
     }
 
     /// Load of one entity.
     pub fn load_of(&self, e: EntityId) -> &LoadVector {
-        &self.entity_load[e.0]
+        &self.entities[e.0].load
     }
 
     /// The affinity penalty entity `e` incurs at its current placement —
@@ -752,6 +749,32 @@ impl Evaluator {
         }
         let grouped: usize = self.target_groups.values().map(Vec::len).sum();
         assert_eq!(grouped, self.bin_group_key.len(), "bins vs grouped bins");
+        // The spread bookkeeping, recounted from `assignment` alone.
+        let mut total = 0.0;
+        let mut violated = BTreeSet::new();
+        for (gi, goal) in self.exclusion_goals.iter().enumerate() {
+            let si = scope_index(goal.scope);
+            for g in 0..goal.in_goal.len() {
+                let bins = self.members(g).iter().map(|m| self.assignment[m.0]);
+                let domains: Vec<u64> = bins
+                    .filter(|&b| b != UNPLACED && goal.in_goal[g])
+                    .map(|b| self.bin_domains[b as usize][si])
+                    .collect();
+                let distinct = domains.iter().collect::<BTreeSet<_>>().len();
+                assert_eq!(
+                    (goal.placed[g] as usize, goal.distinct[g] as usize),
+                    (domains.len(), distinct),
+                    "goal {gi}, group {g}: placed and distinct domains"
+                );
+                total += goal.weight * (domains.len() - distinct) as f64;
+                if domains.len() > distinct {
+                    violated.insert((gi, GroupId(g)));
+                }
+            }
+        }
+        assert_eq!(self.violated_groups, violated, "violated groups");
+        let drift = (self.exclusion_total - total).abs();
+        assert!(drift <= 1e-9 * total.max(1.0), "exclusion total vs recount");
     }
 
     /// Snapshot of the current assignment.
@@ -1221,6 +1244,183 @@ mod tests {
         assert!(!eval.violates_hard(e2, BinId(0)));
         // And e1 can go anywhere else.
         assert!(eval.eval_move(e1, BinId(2)).is_some());
+    }
+
+    /// The per-goal, per-group `domain -> members` maps the evaluator
+    /// kept before it read a group's occupancy off its members' bins,
+    /// with the delta computed from them: the model for
+    /// `exclusion_delta`.
+    struct DomainCounts(Vec<Vec<BTreeMap<u64, u32>>>);
+
+    impl DomainCounts {
+        fn domain(eval: &Evaluator, goal: usize, bin: usize) -> u64 {
+            eval.bin_domains[bin][scope_index(eval.exclusion_goals[goal].scope)]
+        }
+
+        fn book(&mut self, eval: &Evaluator, e: EntityId, bin: usize, joining: bool) {
+            let Some(GroupId(g)) = eval.entities[e.0].group else {
+                return;
+            };
+            for (gi, goal) in eval.exclusion_goals.iter().enumerate() {
+                if !goal.in_goal[g] {
+                    continue;
+                }
+                let counts = &mut self.0[gi][g];
+                let dom = Self::domain(eval, gi, bin);
+                if joining {
+                    *counts.entry(dom).or_insert(0) += 1;
+                } else {
+                    let count = counts.get_mut(&dom).expect("entity was counted");
+                    *count -= 1;
+                    if *count == 0 {
+                        counts.remove(&dom);
+                    }
+                }
+            }
+        }
+
+        fn delta(&self, eval: &Evaluator, e: EntityId, from: Option<usize>, to: usize) -> f64 {
+            let Some(GroupId(g)) = eval.entities[e.0].group else {
+                return 0.0;
+            };
+            let mut delta = 0.0;
+            for (gi, goal) in eval.exclusion_goals.iter().enumerate() {
+                if !goal.in_goal[g] {
+                    continue;
+                }
+                let to_dom = Self::domain(eval, gi, to);
+                let from_dom = from.map(|b| Self::domain(eval, gi, b));
+                if from_dom == Some(to_dom) {
+                    continue;
+                }
+                let mut distinct_delta: i64 = 0;
+                let mut placed_delta: i64 = 0;
+                if let Some(fd) = from_dom {
+                    let c = *self.0[gi][g].get(&fd).unwrap_or(&0);
+                    if c == 1 {
+                        distinct_delta -= 1;
+                    }
+                } else {
+                    placed_delta += 1;
+                }
+                let to_count = *self.0[gi][g].get(&to_dom).unwrap_or(&0);
+                if to_count == 0 {
+                    distinct_delta += 1;
+                }
+                delta += goal.weight * (placed_delta - distinct_delta) as f64;
+            }
+            delta
+        }
+    }
+
+    #[test]
+    fn spread_bookkeeping_survives_a_seeded_walk() {
+        let mut rng = sm_sim::SimRng::seeded(17);
+        // 24 bins; machine, rack, datacenter and region ids all start at
+        // zero, so the same domain id means different things per scope.
+        let mut p = Problem::new();
+        for m in 0..24u32 {
+            p.add_bin(Bin {
+                capacity: cpu(1000.0),
+                location: Location {
+                    region: RegionId((m / 12) as u16),
+                    datacenter: m / 6,
+                    rack: m / 2,
+                    machine: MachineId(m),
+                },
+                draining: false,
+            });
+        }
+        // Groups of 1 to 5 with some members unplaced, in one or two of
+        // the three spread goals, plus ungrouped entities.
+        let groups: Vec<GroupId> = (0..16).map(|_| p.new_group()).collect();
+        for (i, &g) in groups.iter().enumerate() {
+            for _ in 0..1 + i % 5 {
+                let at = rng.chance(0.7).then(|| BinId(rng.index(24)));
+                let group = Some(g);
+                p.add_entity(
+                    Entity {
+                        load: cpu(1.0),
+                        group,
+                    },
+                    at,
+                );
+            }
+        }
+        for _ in 0..6 {
+            let (load, group) = (cpu(1.0), None);
+            p.add_entity(Entity { load, group }, Some(BinId(rng.index(24))));
+        }
+        let mut specs = SpecSet::new();
+        for (i, (scope, weight)) in [
+            (Scope::Rack, 1.0),
+            (Scope::DataCenter, 2.0),
+            (Scope::Region, 4.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let groups = groups.iter().copied();
+            specs.add_goal(Spec::Exclusion(ExclusionSpec {
+                scope,
+                groups: groups.filter(|g| g.0 % 3 != i).collect(),
+                weight,
+                priority: 0,
+            }));
+        }
+        let mut eval = Evaluator::new(&p, &specs, u8::MAX);
+        eval.assert_index_consistent();
+        let mut model = DomainCounts(vec![vec![BTreeMap::new(); 16]; 3]);
+        for e in 0..p.entity_count() {
+            if let Some(bin) = eval.bin_of(EntityId(e)) {
+                model.book(&eval, EntityId(e), bin.0, true);
+            }
+        }
+
+        let (mut within_domain, mut reverted, mut nonzero) = (0, 0, 0);
+        for _ in 0..10_000 {
+            let e = EntityId(rng.index(p.entity_count()));
+            let from = eval.bin_of(e).map(|b| b.0);
+            // One move in four stays inside the rack it leaves.
+            let to = match from {
+                Some(f) if rng.chance(0.25) => f ^ 1,
+                _ => rng.index(24),
+            };
+            if from == Some(to) {
+                continue;
+            }
+            let delta = eval.exclusion_delta(e, from, to);
+            assert_eq!(
+                delta,
+                model.delta(&eval, e, from, to),
+                "{e:?} {from:?} -> {to}"
+            );
+            nonzero += usize::from(delta != 0.0);
+            within_domain += usize::from(from.is_some_and(|f| f / 2 == to / 2));
+            let before = eval.total_penalty();
+            let mut apply = |eval: &mut Evaluator, from: Option<usize>, to: usize| {
+                if let Some(f) = from {
+                    model.book(eval, e, f, false);
+                }
+                eval.apply_move(e, BinId(to));
+                model.book(eval, e, to, true);
+                eval.assert_index_consistent();
+            };
+            apply(&mut eval, from, to);
+            assert!((eval.total_penalty() - before - delta).abs() < 1e-9);
+            // The speculative half of a swap: there and straight back.
+            if let (Some(f), true) = (from, rng.chance(0.3)) {
+                apply(&mut eval, Some(to), f);
+                assert!((eval.total_penalty() - before).abs() < 1e-9);
+                reverted += 1;
+            }
+        }
+        assert!(within_domain > 1000 && reverted > 1000 && nonzero > 1000);
+        assert_eq!(
+            eval.violations().unplaced,
+            0,
+            "the walk placed every entity"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! function of `(problem, specs, seed)` — the property the replayable
 //! simulator and the figure harness rely on (sm-lint rule D1).
 
-use crate::eval::Evaluator;
+use crate::eval::{Evaluator, ViolationStats};
 use crate::problem::{BinId, EntityId, Problem};
 use crate::specs::SpecSet;
 use sm_types::METRIC_COUNT;
@@ -134,6 +134,9 @@ pub struct SearchStats {
     pub final_penalty: f64,
     /// Total violations after the run.
     pub final_violations: usize,
+    /// The violations after the run by category, counted on the last
+    /// batch's evaluator (every goal the run activated).
+    pub violations: ViolationStats,
     /// `(evaluations so far, total violations, penalty)` samples over
     /// the run — the series plotted in Figures 21 and 22. Evaluations
     /// are the deterministic clock of a solve; callers that want wall
@@ -229,7 +232,8 @@ impl LocalSearch {
             );
             assignment = eval.assignment();
             stats.final_penalty = eval.total_penalty();
-            stats.final_violations = eval.violations().total();
+            stats.violations = eval.violations();
+            stats.final_violations = stats.violations.total();
         }
         stats
             .timeline

@@ -85,6 +85,12 @@ impl Assignment {
             .flat_map(|(s, rs)| rs.iter().map(move |r| (*s, r)))
     }
 
+    /// Iterates over `(shard, its replicas)` in ascending shard order;
+    /// every shard it yields has at least one replica.
+    pub fn by_shard(&self) -> impl Iterator<Item = (ShardId, &[ReplicaAssignment])> {
+        self.shards.iter().map(|(s, rs)| (*s, rs.as_slice()))
+    }
+
     /// Iterates over shard ids in ascending order.
     pub fn shard_ids(&self) -> impl Iterator<Item = ShardId> + '_ {
         self.shards.keys().copied()

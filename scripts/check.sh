@@ -67,6 +67,17 @@ cargo test --release --test sim_queue_diff -q
 step "tests"
 cargo test --workspace -q
 
+step "repo benchmark (bench/ compiles against the crates' pub items; its own tests; a 2 s traced smoke run per control workload, exit 1 = a failed in-run check)"
+cargo test --offline -q --manifest-path bench/Cargo.toml
+for workload in control_failover control_rebalance control_drain; do
+  if ! out="$(cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 1 2>&1)"; then
+    printf '%s\n' "$out" | grep -v '^{' >&2
+    echo "bench smoke run of $workload failed" >&2
+    exit 1
+  fi
+done
+
 step "size ledger (non-test Rust LOC + pub items per crate; must match the last row of BENCH_size.json)"
 scripts/loc.sh --check BENCH_size.json
 

@@ -1,0 +1,174 @@
+//! An allocation budget for one allocator run, counted, not timed.
+//!
+//! A failover or a rebalance should cost its search plus a few flat
+//! passes over the fleet — not a handful of heap allocations per shard
+//! around the search. This binary counts the heap allocations (and
+//! reallocations) the test thread makes inside one `server_down` and one
+//! `run_periodic` on 4,096 shards × 64 servers (primary + 1 secondary,
+//! one spread scope active: 32 racks in one region), so a reintroduced
+//! per-group `Vec` or map, a cloned `AllocInput` or a second evaluator
+//! fails `cargo test` on any host, without a stopwatch.
+//!
+//! Counts per call (the same in a debug and a release build), and per
+//! shard:
+//!
+//! | call           | parent (PR 16) | now          |
+//! |----------------|----------------|--------------|
+//! | `server_down`  | 29,993 (7.3)   | 8,935 (2.2)  |
+//! | `run_periodic` | 42,961 (10.5)  | 9,721 (2.4)  |
+//!
+//! What is left per shard is the `replicas` `Vec` of its `ShardPlacement`
+//! and the one of its row in `AllocationPlan::target`; the rest is flat
+//! (arrays sized once per evaluator, per-server lists) or per move.
+//!
+//! Its own test binary with one test: the counter is per thread, and no
+//! other test may allocate on this one.
+
+use shard_manager::allocator::{AllocConfig, MoveCaps};
+use shard_manager::core::{OrchCommand, Orchestrator, OrchestratorConfig};
+use shard_manager::types::{
+    AppId, AppPolicy, LoadBalancePolicy, LoadVector, Location, MachineId, Metric, RegionId,
+    ServerId, ShardId,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+const SHARDS: u64 = 4_096;
+const SERVERS: u32 = 64;
+
+thread_local! {
+    /// Const-initialised and without a destructor, so reading it inside
+    /// the allocator neither allocates nor runs after thread teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: every call is passed through to `System` unchanged; the
+// counter is a plain thread-local statistic.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Heap allocations and reallocations this thread makes while `f` runs.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Acks every RPC the orchestrator sends until it sends none.
+fn settle(orch: &mut Orchestrator) {
+    loop {
+        let commands = orch.take_commands();
+        if commands.is_empty() {
+            return;
+        }
+        for command in commands {
+            if let OrchCommand::Rpc { server, rpc } = command {
+                orch.rpc_acked(server, rpc);
+            }
+        }
+    }
+}
+
+/// A bootstrapped, settled fleet: the `control_*` plane of `bench/` at a
+/// quarter of its size.
+fn fleet() -> Orchestrator {
+    let mut policy = AppPolicy::primary_secondary(1);
+    policy.load_balance = LoadBalancePolicy::MultiMetric(vec![Metric::Cpu, Metric::ShardCount]);
+    let mut alloc = AllocConfig::new(policy.load_balance.metrics());
+    alloc.search.seed = 1;
+    let config = OrchestratorConfig {
+        graceful_migration: true,
+        move_caps: MoveCaps {
+            max_total: 500,
+            max_per_server: 8,
+            max_per_shard: 1,
+        },
+        alloc,
+        skip_cutover_ack: false,
+    };
+    let mut orch = Orchestrator::new(AppId(1), policy, config);
+    // Four times the fair share of either metric.
+    let per_server = (SHARDS * 2) as f64 / f64::from(SERVERS);
+    let mut capacity = LoadVector::single(Metric::ShardCount.id(), 4.0 * per_server);
+    capacity.set(Metric::Cpu.id(), 4.0 * 1.5 * per_server);
+    for i in 0..SERVERS {
+        let location = Location {
+            region: RegionId(0),
+            datacenter: 0,
+            rack: i / 2,
+            machine: MachineId(i),
+        };
+        orch.register_server(ServerId(i), location, capacity);
+    }
+    orch.register_shards((0..SHARDS).map(ShardId));
+    orch.report_load(ServerId(0), loads(None));
+    orch.run_emergency();
+    settle(&mut orch);
+    assert_eq!(orch.assignment().replica_count() as u64, SHARDS * 2);
+    orch
+}
+
+/// Every shard's load; the shards in `hot` are twelve times as busy.
+fn loads(hot: Option<&[ShardId]>) -> Vec<(ShardId, LoadVector)> {
+    let shards = (0..SHARDS).map(ShardId);
+    shards
+        .map(|shard| {
+            let mut load = LoadVector::single(Metric::ShardCount.id(), 1.0);
+            let cpu = 1.0 + (shard.raw() % 16) as f64 / 16.0;
+            let hot = hot.is_some_and(|hot| hot.binary_search(&shard).is_ok());
+            load.set(Metric::Cpu.id(), if hot { 12.0 * cpu } else { cpu });
+            (shard, load)
+        })
+        .collect()
+}
+
+/// `(server_down, run_periodic)` allocation counts on a fresh fleet.
+fn measure() -> (u64, u64) {
+    let mut orch = fleet();
+    let down = count_allocs(|| orch.server_down(ServerId(7)));
+    settle(&mut orch);
+    assert_eq!(orch.assignment().replica_count() as u64, SHARDS * 2);
+    // 1% of the shards, all on one server, run hot: the rebalance moves.
+    let hot: Vec<ShardId> = orch.shards_on(ServerId(3)).iter().map(|s| s.0).collect();
+    orch.report_load(ServerId(3), loads(hot.get(..SHARDS as usize / 100)));
+    let mut planned = 0;
+    let periodic = count_allocs(|| planned = orch.run_periodic());
+    assert!(planned > 0, "the rebalance plans no move");
+    (down, periodic)
+}
+
+#[test]
+fn an_allocator_run_allocates_per_fleet_pass_not_per_shard() {
+    let (down, periodic) = measure();
+    println!("server_down: {down} allocations, run_periodic: {periodic}, {SHARDS} shards");
+    // Two per shard are the input's and the target's `replicas`. The
+    // constant covers what is flat — per-server lists, the arrays of one
+    // evaluator per priority batch, the moves started (750 and 1,550
+    // today) — and stays under one shard count, so that one more
+    // allocation per shard anywhere on the path fails.
+    let budget = 2 * SHARDS + 3 * SHARDS / 4;
+    assert!(down <= budget, "server_down: {down} > {budget}");
+    assert!(periodic <= budget, "run_periodic: {periodic} > {budget}");
+    assert_eq!(measure(), (down, periodic), "a second identical fleet");
+}
