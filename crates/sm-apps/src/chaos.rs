@@ -478,7 +478,7 @@ impl Chaos {
                 .hosts
                 .get_mut(&target)
                 .and_then(|h| h.kv.get(req.shard, &app_key))
-                .and_then(|v| <[u8; 8]>::try_from(v.as_slice()).ok())
+                .and_then(|v| <[u8; 8]>::try_from(v).ok())
                 .map(u64::from_be_bytes);
             cx.oracle.read_served(now, req.key, observed);
         }

@@ -367,7 +367,7 @@ impl AppLogic {
                 let _response = s.get(shard, key);
             }
             AppLogic::Queue(s) => {
-                let _response = s.enqueue(shard, key.0.clone());
+                let _response = s.enqueue(shard, key.as_bytes().to_vec());
             }
         }
     }

@@ -63,16 +63,18 @@ impl ExternalStore {
     }
 }
 
+/// One shard's cached pairs.
+type Cache = BTreeMap<AppKey, Vec<u8>>;
+
 /// One KV application server.
 #[derive(Debug)]
 pub struct KvServer {
     /// This server's id (used in forwarding decisions).
     pub id: ServerId,
-    host: ShardHost,
+    /// Hosting state and, in the same per-shard record, the cache.
+    host: ShardHost<Cache>,
     spec: Rc<ShardingSpec>,
     external: Rc<std::cell::RefCell<ExternalStore>>,
-    /// Cached data per hosted shard.
-    data: BTreeMap<ShardId, BTreeMap<AppKey, Vec<u8>>>,
     /// Requests served (for synthetic load reporting).
     served: u64,
 }
@@ -86,15 +88,15 @@ impl KvServer {
     ) -> Self {
         Self {
             id,
-            host: ShardHost::new(),
+            host: ShardHost::default(),
             spec,
             external,
-            data: BTreeMap::new(),
             served: 0,
         }
     }
 
     /// Routing decision for a primary-type request on `shard`.
+    // sm-lint: hot-path
     pub fn admit(&self, shard: ShardId, forwarded: bool) -> AppResponse {
         self.host.admit(shard, forwarded)
     }
@@ -111,27 +113,34 @@ impl KvServer {
     }
 
     /// Serves a get; the caller must have admitted the request.
-    pub fn get(&mut self, shard: ShardId, key: &AppKey) -> Option<Vec<u8>> {
+    // sm-lint: hot-path
+    pub fn get(&mut self, shard: ShardId, key: &AppKey) -> Option<&[u8]> {
         self.served += 1;
-        self.data.get(&shard).and_then(|m| m.get(key).cloned())
+        self.host.data(shard)?.get(key).map(Vec::as_slice)
     }
 
     /// Serves a put: writes through to the external store and the cache.
     pub fn put(&mut self, shard: ShardId, key: AppKey, value: Vec<u8>) {
         self.served += 1;
         self.external.borrow_mut().put(key.clone(), value.clone());
-        self.data.entry(shard).or_default().insert(key, value);
+        match self.host.data_mut(shard) {
+            Some(cache) => {
+                cache.insert(key, value);
+            }
+            None => self.host.set_data(shard, Some(Cache::from([(key, value)]))),
+        }
     }
 
     /// Serves a prefix scan over one hosted shard, returning matching
     /// pairs in key order.
     pub fn prefix_scan(&mut self, shard: ShardId, prefix: &[u8]) -> Vec<(AppKey, Vec<u8>)> {
         self.served += 1;
-        self.data
-            .get(&shard)
+        // Keys with the prefix are contiguous, from the prefix itself on.
+        self.host
+            .data(shard)
             .map(|m| {
-                m.iter()
-                    .filter(|(k, _)| k.has_prefix(prefix))
+                m.range(AppKey::new(prefix)..)
+                    .take_while(|(k, _)| k.has_prefix(prefix))
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect()
             })
@@ -140,31 +149,35 @@ impl KvServer {
 
     /// True if the shard's data is already materialized locally.
     pub fn is_warm(&self, shard: ShardId) -> bool {
-        self.data.contains_key(&shard)
+        self.host.data(shard).is_some()
     }
 
     /// Simulates a process restart: all soft state is lost.
     pub fn restart(&mut self) {
         self.host.wipe();
-        self.data.clear();
+    }
+
+    /// Rebuilds the shard's soft state from the external store.
+    fn rebuild(&mut self, shard: ShardId) {
+        let rebuilt = match self.spec.range_of(shard) {
+            Some(range) => self.external.borrow().scan_range(range),
+            None => Vec::new(),
+        };
+        self.host
+            .set_data(shard, Some(rebuilt.into_iter().collect()));
     }
 }
 
 impl ShardServer for KvServer {
     fn add_shard(&mut self, shard: ShardId, role: ReplicaRole) -> Result<(), SmError> {
         self.host.add_shard(shard, role)?;
-        // Rebuild the shard's soft state from the external store.
-        let rebuilt = match self.spec.range_of(shard) {
-            Some(range) => self.external.borrow().scan_range(range),
-            None => Vec::new(),
-        };
-        self.data.insert(shard, rebuilt.into_iter().collect());
+        self.rebuild(shard);
         Ok(())
     }
 
     fn drop_shard(&mut self, shard: ShardId) -> Result<(), SmError> {
         self.host.drop_shard(shard)?;
-        self.data.remove(&shard);
+        self.host.set_data(shard, None);
         Ok(())
     }
 
@@ -185,11 +198,7 @@ impl ShardServer for KvServer {
     ) -> Result<(), SmError> {
         self.host.prepare_add_shard(shard, current_owner, role)?;
         // Warm the cache ahead of the handover.
-        let rebuilt = match self.spec.range_of(shard) {
-            Some(range) => self.external.borrow().scan_range(range),
-            None => Vec::new(),
-        };
-        self.data.insert(shard, rebuilt.into_iter().collect());
+        self.rebuild(shard);
         Ok(())
     }
 
@@ -210,7 +219,7 @@ impl ShardServer for KvServer {
                 v.set(Metric::ShardCount.id(), 1.0);
                 v.set(
                     Metric::Storage.id(),
-                    self.data.get(shard).map(|m| m.len() as f64).unwrap_or(0.0),
+                    self.host.data(*shard).map_or(0.0, |m| m.len() as f64),
                 );
                 (*shard, v)
             })
@@ -230,6 +239,225 @@ mod tests {
         (server, external, spec)
     }
 
+    /// `KvServer` as it was before the cache moved into the host's
+    /// per-shard record: a four-map host and, beside it, a shard-keyed
+    /// map of caches; `get` cloned, `prefix_scan` filtered the whole
+    /// shard. The bodies are kept verbatim as the model.
+    struct TwoMapServer {
+        host: crate::forwarding::tests::FourMaps,
+        spec: Rc<ShardingSpec>,
+        external: Rc<RefCell<ExternalStore>>,
+        data: BTreeMap<ShardId, BTreeMap<AppKey, Vec<u8>>>,
+    }
+
+    impl TwoMapServer {
+        fn get(&mut self, shard: ShardId, key: &AppKey) -> Option<Vec<u8>> {
+            self.data.get(&shard).and_then(|m| m.get(key).cloned())
+        }
+
+        fn put(&mut self, shard: ShardId, key: AppKey, value: Vec<u8>) {
+            self.external.borrow_mut().put(key.clone(), value.clone());
+            self.data.entry(shard).or_default().insert(key, value);
+        }
+
+        fn prefix_scan(&mut self, shard: ShardId, prefix: &[u8]) -> Vec<(AppKey, Vec<u8>)> {
+            self.data
+                .get(&shard)
+                .map(|m| {
+                    m.iter()
+                        .filter(|(k, _)| k.has_prefix(prefix))
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect()
+                })
+                .unwrap_or_default()
+        }
+
+        fn is_warm(&self, shard: ShardId) -> bool {
+            self.data.contains_key(&shard)
+        }
+
+        fn restart(&mut self) {
+            self.host.wipe();
+            self.data.clear();
+        }
+
+        fn rebuild(&mut self, shard: ShardId) {
+            let rebuilt = match self.spec.range_of(shard) {
+                Some(range) => self.external.borrow().scan_range(range),
+                None => Vec::new(),
+            };
+            self.data.insert(shard, rebuilt.into_iter().collect());
+        }
+
+        fn add_shard(&mut self, shard: ShardId, role: ReplicaRole) -> Result<(), SmError> {
+            self.host.add_shard(shard, role)?;
+            self.rebuild(shard);
+            Ok(())
+        }
+
+        fn drop_shard(&mut self, shard: ShardId) -> Result<(), SmError> {
+            self.host.drop_shard(shard)?;
+            self.data.remove(&shard);
+            Ok(())
+        }
+
+        fn prepare_add_shard(
+            &mut self,
+            shard: ShardId,
+            owner: ServerId,
+            role: ReplicaRole,
+        ) -> Result<(), SmError> {
+            self.host.prepare_add_shard(shard, owner, role)?;
+            self.rebuild(shard);
+            Ok(())
+        }
+
+        fn report_load(&self) -> Vec<(ShardId, LoadVector)> {
+            self.host
+                .shards()
+                .map(|(shard, _)| {
+                    let mut v = LoadVector::zero();
+                    v.set(Metric::ShardCount.id(), 1.0);
+                    v.set(
+                        Metric::Storage.id(),
+                        self.data.get(shard).map(|m| m.len() as f64).unwrap_or(0.0),
+                    );
+                    (*shard, v)
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn one_record_server_equals_the_two_map_model() {
+        const SHARDS: u64 = 6;
+        let mut rng = sm_sim::SimRng::seeded(0x5eed_0218);
+        // Four shards in the spec; ids 4 and 5 are never in it, so a
+        // rebuild of one finds no range.
+        let spec = Rc::new(ShardingSpec::uniform_u64(4));
+        let stores = [(); 2].map(|_| Rc::new(RefCell::new(ExternalStore::new())));
+        let mut srv = KvServer::new(ServerId(1), spec.clone(), stores[0].clone());
+        let mut model = TwoMapServer {
+            host: Default::default(),
+            spec: spec.clone(),
+            external: stores[1].clone(),
+            data: BTreeMap::new(),
+        };
+        // 64 keys in 8 clusters of a shared 7-byte prefix.
+        let keys: Vec<AppKey> = (0..64u64)
+            .map(|i| AppKey::from_u64((i / 8) << 61 | (i % 8) << 8 | 7))
+            .collect();
+        let mut calls: BTreeMap<&str, u32> = BTreeMap::new();
+        let (mut cold_puts, mut tombstoned) = (0, 0);
+        for step in 0..10_000u32 {
+            let shard = ShardId(rng.range_u64(0, SHARDS));
+            let key = &keys[rng.index(keys.len())];
+            // A put goes where the key belongs, or — one in eight —
+            // anywhere, hosted or not.
+            let home = match rng.index(8) {
+                0 => shard,
+                _ => spec.shard_for(key).unwrap(),
+            };
+            let role = match rng.chance(0.7) {
+                true => ReplicaRole::Primary,
+                false => ReplicaRole::Secondary,
+            };
+            let peer = ServerId(2 + rng.index(2) as u32);
+            let name = match rng.index(100) {
+                0..=29 => {
+                    cold_puts += u32::from(!model.is_warm(home));
+                    let value = step.to_le_bytes().to_vec();
+                    srv.put(home, key.clone(), value.clone());
+                    model.put(home, key.clone(), value);
+                    "put"
+                }
+                30..=49 => {
+                    let want = model.add_shard(shard, role);
+                    assert_eq!(srv.add_shard(shard, role), want, "step {step}");
+                    "add_shard"
+                }
+                50..=59 => {
+                    let want = model.prepare_add_shard(shard, peer, role);
+                    let got = srv.prepare_add_shard(shard, peer, role);
+                    assert_eq!(got, want, "step {step}");
+                    "prepare_add_shard"
+                }
+                60..=74 => {
+                    let want = model.host.prepare_drop_shard(shard, peer, role);
+                    let got = srv.prepare_drop_shard(shard, peer, role);
+                    assert_eq!(got, want, "step {step}");
+                    "prepare_drop_shard"
+                }
+                75..=94 => {
+                    let forwarding =
+                        matches!(model.host.admit(shard, false), AppResponse::Forward(_));
+                    assert_eq!(
+                        srv.drop_shard(shard),
+                        model.drop_shard(shard),
+                        "step {step}"
+                    );
+                    if forwarding {
+                        // The tombstone stays, the data goes.
+                        tombstoned += 1;
+                        assert!(matches!(srv.admit(shard, false), AppResponse::Forward(_)));
+                        assert!(!srv.is_warm(shard), "step {step}");
+                    }
+                    "drop_shard"
+                }
+                95..=98 => {
+                    let want = model.host.change_role(shard, role, ReplicaRole::Primary);
+                    let got = srv.change_role(shard, role, ReplicaRole::Primary);
+                    assert_eq!(got, want, "step {step}");
+                    "change_role"
+                }
+                _ => {
+                    srv.restart();
+                    model.restart();
+                    "restart"
+                }
+            };
+            *calls.entry(name).or_insert(0) += 1;
+
+            for s in (0..SHARDS).map(ShardId) {
+                assert_eq!(srv.is_warm(s), model.is_warm(s), "step {step}: {name} {s}");
+                for forwarded in [false, true] {
+                    assert_eq!(srv.admit(s, forwarded), model.host.admit(s, forwarded));
+                    assert_eq!(
+                        srv.admit_secondary(s, forwarded),
+                        model.host.admit_secondary(s, forwarded)
+                    );
+                }
+                let prefix = keys[rng.index(keys.len())].as_bytes();
+                let prefix = &prefix[..rng.index(prefix.len() + 1)];
+                assert_eq!(
+                    srv.prefix_scan(s, prefix),
+                    model.prefix_scan(s, prefix),
+                    "step {step}: {name}, scan {s} {prefix:?}"
+                );
+            }
+            for (s, k) in [
+                (shard, key),
+                (home, key),
+                (shard, &keys[rng.index(keys.len())]),
+            ] {
+                let want = model.get(s, k);
+                assert_eq!(srv.get(s, k), want.as_deref(), "step {step}: {name} {s}");
+            }
+            assert_eq!(srv.shard_count(), model.host.shard_count(), "step {step}");
+            assert_eq!(
+                srv.report_load(),
+                model.report_load(),
+                "step {step}: {name}"
+            );
+        }
+        assert_eq!(stores[0].borrow().data, stores[1].borrow().data);
+        assert_eq!(calls.len(), 7, "{calls:?}");
+        assert!(
+            cold_puts > 100 && tombstoned > 100,
+            "{cold_puts} puts to a shard with no data, {tombstoned} drops of a forwarding shard"
+        );
+    }
+
     #[test]
     fn add_shard_rebuilds_from_external() {
         let (mut srv, external, spec) = setup();
@@ -237,7 +465,7 @@ mod tests {
         external.borrow_mut().put(key.clone(), b"v".to_vec());
         let shard = spec.shard_for(&key).unwrap();
         srv.add_shard(shard, ReplicaRole::Primary).unwrap();
-        assert_eq!(srv.get(shard, &key), Some(b"v".to_vec()));
+        assert_eq!(srv.get(shard, &key), Some(&b"v"[..]));
     }
 
     #[test]
@@ -288,7 +516,7 @@ mod tests {
         // A fresh server rebuilding the shard sees the write.
         let mut srv2 = KvServer::new(ServerId(2), spec.clone(), external.clone());
         srv2.add_shard(shard, ReplicaRole::Primary).unwrap();
-        assert_eq!(srv2.get(shard, &key), Some(b"x".to_vec()));
+        assert_eq!(srv2.get(shard, &key), Some(&b"x"[..]));
     }
 
     #[test]
@@ -330,7 +558,7 @@ mod tests {
         assert_eq!(srv.shard_count(), 0);
         // Re-adding restores from the external store.
         srv.add_shard(shard, ReplicaRole::Primary).unwrap();
-        assert_eq!(srv.get(shard, &key), Some(b"v".to_vec()));
+        assert_eq!(srv.get(shard, &key), Some(&b"v"[..]));
         let _ = external;
     }
 

@@ -791,8 +791,8 @@ impl Split {
             .map(|(range, shard)| {
                 (
                     shard.raw(),
-                    range.start.0.clone(),
-                    range.end.as_ref().map(|e| e.0.clone()),
+                    range.start.as_bytes().to_vec(),
+                    range.end.as_ref().map(|e| e.as_bytes().to_vec()),
                 )
             })
             .collect();

@@ -50,7 +50,7 @@ pub const D5_CRATES: [&str; 3] = ["sm-sim", "sm-solver", "sm-apps"];
 
 /// Crates whose `// sm-lint: hot-path` fns must not transitively
 /// acquire a lock (R4) — the request plane's lock-free read side.
-pub const R4_CRATES: [&str; 2] = ["sm-routing", "sm-types"];
+pub const R4_CRATES: [&str; 3] = ["sm-routing", "sm-types", "sm-apps"];
 
 /// Output of the graph rules.
 pub struct GraphFindings {

@@ -61,7 +61,7 @@ pub enum RuleId {
     L1,
     /// Hot-path lock freedom (call-graph rule): a function marked
     /// `// sm-lint: hot-path` in a request-plane crate (`sm-routing`,
-    /// `sm-types`) must not reach a `Mutex`/`RwLock` acquisition
+    /// `sm-types`, `sm-apps`) must not reach a `Mutex`/`RwLock` acquisition
     /// (`.lock()` / `.read()` / `.write()`) through workspace calls —
     /// the concurrent router's read side is advertised as lock-free,
     /// and this rule is what keeps that claim honest as the code

@@ -4,10 +4,12 @@
 //! never mutated: key → shard resolution is a binary search over a
 //! sorted slice of range starts (accelerated by a packed 8-byte key
 //! prefix column, so most comparisons are a single `u64` compare), and
-//! shard → replica-set resolution is a [`DenseShardTable`] span read.
-//! Each range entry also carries its shard's *precomputed* dense slot,
-//! so the common `route(key)` path is **one** binary search plus two
-//! array reads — no `BTreeMap` walk, no allocation, no locking.
+//! what the search finds is one fused [`RangeEntry`] holding the
+//! range's shard and that shard's primary server. The common
+//! `route(key)` path is therefore **one** binary search plus one
+//! 16-byte read — no `BTreeMap` walk, no allocation, no locking. Only
+//! a shard without a primary goes on to the [`DenseShardTable`], which
+//! also serves shard → replica-set resolution.
 //!
 //! Both [`crate::ServiceRouter`] (single-threaded, DES worlds) and
 //! [`crate::ConcurrentRouter`] (epoch-swapped, shared by N threads)
@@ -17,8 +19,23 @@
 use crate::router::RouteDecision;
 use sm_types::{AppKey, DenseShardTable, ServerId, ShardId, ShardMap, ShardingSpec, SmError};
 
-/// Sentinel slot for "this range's shard is absent from the map".
-const NO_SLOT: u32 = u32::MAX;
+/// Sentinel [`RangeEntry::primary`]: the map names no primary for the
+/// shard (or lacks the shard), so the route goes through the table. A
+/// server with this very id takes that way too and gets the same answer.
+const NO_SERVER: u32 = u32::MAX;
+
+/// All a route reads once the search has found its range.
+#[derive(Clone, Copy, Debug)]
+struct RangeEntry {
+    /// Owning shard of the range.
+    shard: ShardId,
+    /// Raw id of the shard's first primary replica, or [`NO_SERVER`].
+    primary: u32,
+    /// Whether keys lie between this range's end and the next range's
+    /// start (or past a bounded last range). Only then is the end key
+    /// compared.
+    gap_after: bool,
+}
 
 /// The first eight bytes of a key, big-endian, zero-padded — an order-
 /// preserving prefix: `prefix64(a) < prefix64(b)` implies `a < b`, and
@@ -47,13 +64,11 @@ pub struct ResolvedMap {
     starts_p64: Vec<u64>,
     /// Range start keys, ascending (the tie-break column).
     starts: Vec<AppKey>,
-    /// Range end keys (`None` = unbounded), parallel to `starts`.
+    /// Range end keys (`None` = unbounded), parallel to `starts`; read
+    /// only where `gap_after` is set.
     ends: Vec<Option<AppKey>>,
-    /// Owning shard of each range.
-    range_shards: Vec<ShardId>,
-    /// Precomputed dense slot of each range's shard ([`NO_SLOT`] when
-    /// the shard is not in the map).
-    range_slots: Vec<u32>,
+    /// The fused per-range entries, parallel to `starts`.
+    ranges: Vec<RangeEntry>,
     /// Shard → replica-set table.
     table: DenseShardTable,
 }
@@ -72,23 +87,24 @@ impl ResolvedMap {
             starts_p64: Vec::with_capacity(ranges),
             starts: Vec::with_capacity(ranges),
             ends: Vec::with_capacity(ranges),
-            range_shards: Vec::with_capacity(ranges),
-            range_slots: Vec::with_capacity(ranges),
+            ranges: Vec::with_capacity(ranges),
             table,
         };
         if let Some(spec) = spec {
             // `ShardingSpec::iter` yields ranges sorted by start, so
             // the columns come out sorted without another sort pass.
+            let mut next_starts = spec.iter().skip(1).map(|(range, _)| &range.start);
             for (range, shard) in spec.iter() {
-                out.starts_p64.push(prefix64(&range.start.0));
+                out.starts_p64.push(prefix64(range.start.as_bytes()));
                 out.starts.push(range.start.clone());
                 out.ends.push(range.end.clone());
-                out.range_shards.push(*shard);
-                let slot = match out.table.slot_of(*shard) {
-                    Some(s) => s as u32,
-                    None => NO_SLOT,
-                };
-                out.range_slots.push(slot);
+                let slot = out.table.slot_of(*shard);
+                let primary = slot.and_then(|slot| out.table.primary_at(slot));
+                out.ranges.push(RangeEntry {
+                    shard: *shard,
+                    primary: primary.map_or(NO_SERVER, ServerId::raw),
+                    gap_after: range.end.as_ref() != next_starts.next(),
+                });
             }
         }
         out
@@ -111,17 +127,17 @@ impl ResolvedMap {
         &self.table
     }
 
-    /// Index of the range containing `key`, or `None` when the key
+    /// The entry of the range containing `key`, or `None` when the key
     /// falls in a gap (or no spec was available).
     ///
     /// `partition_point`-style binary search over the start column:
     /// the prefix column decides all but prefix-tied comparisons with
-    /// one branchless `u64` compare each.
+    /// one `u64` compare each.
     // sm-lint: hot-path
-    fn covering_range(&self, key: &AppKey) -> Option<usize> {
-        let kp = prefix64(&key.0);
+    fn covering_range(&self, key: &AppKey) -> Option<&RangeEntry> {
+        let kp = prefix64(key.as_bytes());
         let mut lo = 0usize;
-        let mut hi = self.starts.len();
+        let mut hi = self.starts_p64.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let sp = self.starts_p64.get(mid).copied()?;
@@ -140,46 +156,38 @@ impl ResolvedMap {
             }
         }
         let idx = lo.checked_sub(1)?;
-        match self.ends.get(idx)? {
-            Some(end) if key >= end => None,
-            _ => Some(idx),
+        let entry = self.ranges.get(idx)?;
+        if entry.gap_after && self.ends.get(idx)?.as_ref().is_some_and(|end| key >= end) {
+            return None;
         }
+        Some(entry)
     }
 
     /// Resolves the shard owning `key`, or `None` for gap keys / no
     /// spec.
     // sm-lint: hot-path
     pub fn shard_for(&self, key: &AppKey) -> Option<ShardId> {
-        let idx = self.covering_range(key)?;
-        self.range_shards.get(idx).copied()
+        self.covering_range(key).map(|entry| entry.shard)
     }
 
     /// Routes `key` preferring the shard's primary; secondary-only
     /// shards round-robin across replicas via the caller-owned cursor.
     ///
-    /// One binary search (range → shard + precomputed slot), then span
-    /// reads — no allocation on any path.
+    /// One binary search, then the range's fused entry — no allocation
+    /// on any path, and no table read when the shard has a primary.
     // sm-lint: hot-path
     pub fn route(&self, key: &AppKey, rr_cursor: &mut u64) -> Result<RouteDecision, SmError> {
-        let idx = match self.covering_range(key) {
-            Some(i) => i,
-            None => {
-                return Err(SmError::not_found(format!("no shard covers key {key}")));
-            }
+        let Some(entry) = self.covering_range(key) else {
+            return Err(SmError::not_found(format!("no shard covers key {key}")));
         };
-        let shard = self
-            .range_shards
-            .get(idx)
-            .copied()
-            .ok_or_else(|| SmError::Unavailable("resolved columns out of sync".to_string()))?;
-        let slot = self.range_slots.get(idx).copied().unwrap_or(NO_SLOT);
-        if slot == NO_SLOT {
-            return Err(SmError::Unavailable(format!(
-                "{shard} not in map v{}",
-                self.version
-            )));
+        if entry.primary == NO_SERVER {
+            return self.route_shard(entry.shard, rr_cursor);
         }
-        self.decide(shard, slot as usize, rr_cursor)
+        Ok(RouteDecision {
+            shard: entry.shard,
+            server: ServerId(entry.primary),
+            map_version: self.version,
+        })
     }
 
     /// Routes directly to `shard`, preferring its primary.
@@ -240,7 +248,8 @@ impl ResolvedMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_types::{AppId, Assignment, KeyRange, ReplicaRole};
+    use sm_types::{AppId, Assignment, KeyRange, ReplicaAssignment, ReplicaRole, ShardMapEntry};
+    use std::collections::BTreeMap;
 
     fn assignment(shards: u64) -> Assignment {
         let mut a = Assignment::new();
@@ -251,6 +260,318 @@ mod tests {
                 .unwrap();
         }
         a
+    }
+
+    /// The kernel as it was before the fused entry: after the search
+    /// a route walked `ends`, `range_shards`, `range_slots` and the
+    /// table's span and server columns. `covering_range`, `route`,
+    /// `route_shard` and `decide` are kept verbatim as the model.
+    struct ColumnWalk {
+        version: u64,
+        starts_p64: Vec<u64>,
+        starts: Vec<AppKey>,
+        ends: Vec<Option<AppKey>>,
+        range_shards: Vec<ShardId>,
+        range_slots: Vec<u32>,
+        table: DenseShardTable,
+    }
+
+    const NO_SLOT: u32 = u32::MAX;
+
+    impl ColumnWalk {
+        fn build(spec: Option<&ShardingSpec>, map: &ShardMap) -> Self {
+            let mut out = Self {
+                version: map.version,
+                starts_p64: Vec::new(),
+                starts: Vec::new(),
+                ends: Vec::new(),
+                range_shards: Vec::new(),
+                range_slots: Vec::new(),
+                table: DenseShardTable::from_map(map),
+            };
+            for (range, shard) in spec.iter().flat_map(|s| s.iter()) {
+                out.starts_p64.push(prefix64(range.start.as_bytes()));
+                out.starts.push(range.start.clone());
+                out.ends.push(range.end.clone());
+                out.range_shards.push(*shard);
+                let slot = match out.table.slot_of(*shard) {
+                    Some(s) => s as u32,
+                    None => NO_SLOT,
+                };
+                out.range_slots.push(slot);
+            }
+            out
+        }
+
+        fn covering_range(&self, key: &AppKey) -> Option<usize> {
+            let kp = prefix64(key.as_bytes());
+            let mut lo = 0usize;
+            let mut hi = self.starts.len();
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                let sp = self.starts_p64.get(mid).copied()?;
+                // Is starts[mid] <= key?  Decided by the prefix unless tied.
+                let le = if sp < kp {
+                    true
+                } else if sp > kp {
+                    false
+                } else {
+                    self.starts.get(mid).is_some_and(|s| s <= key)
+                };
+                if le {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let idx = lo.checked_sub(1)?;
+            match self.ends.get(idx)? {
+                Some(end) if key >= end => None,
+                _ => Some(idx),
+            }
+        }
+
+        fn shard_for(&self, key: &AppKey) -> Option<ShardId> {
+            let idx = self.covering_range(key)?;
+            self.range_shards.get(idx).copied()
+        }
+
+        fn route(&self, key: &AppKey, rr_cursor: &mut u64) -> Result<RouteDecision, SmError> {
+            let idx = match self.covering_range(key) {
+                Some(i) => i,
+                None => {
+                    return Err(SmError::not_found(format!("no shard covers key {key}")));
+                }
+            };
+            let shard =
+                self.range_shards.get(idx).copied().ok_or_else(|| {
+                    SmError::Unavailable("resolved columns out of sync".to_string())
+                })?;
+            let slot = self.range_slots.get(idx).copied().unwrap_or(NO_SLOT);
+            if slot == NO_SLOT {
+                return Err(SmError::Unavailable(format!(
+                    "{shard} not in map v{}",
+                    self.version
+                )));
+            }
+            self.decide(shard, slot as usize, rr_cursor)
+        }
+
+        fn route_shard(
+            &self,
+            shard: ShardId,
+            rr_cursor: &mut u64,
+        ) -> Result<RouteDecision, SmError> {
+            let slot = self.table.slot_of(shard).ok_or_else(|| {
+                SmError::Unavailable(format!("{shard} not in map v{}", self.version))
+            })?;
+            self.decide(shard, slot, rr_cursor)
+        }
+
+        fn decide(
+            &self,
+            shard: ShardId,
+            slot: usize,
+            rr_cursor: &mut u64,
+        ) -> Result<RouteDecision, SmError> {
+            let server = match self.table.primary_at(slot) {
+                Some(primary) => primary,
+                None => {
+                    let replicas = self.table.servers_at(slot);
+                    *rr_cursor = rr_cursor.wrapping_add(1);
+                    let n = replicas.len();
+                    let picked = match n {
+                        0 => None,
+                        _ => replicas.get((*rr_cursor as usize) % n).copied(),
+                    };
+                    picked
+                        .ok_or_else(|| SmError::Unavailable(format!("{shard} has no replicas")))?
+                }
+            };
+            Ok(RouteDecision {
+                shard,
+                server,
+                map_version: self.version,
+            })
+        }
+    }
+
+    /// A seeded key: short, long, printable, with runs of zeros, and
+    /// often sharing eight or more leading bytes with another.
+    fn seeded_key(rng: &mut sm_sim::SimRng) -> AppKey {
+        const STEMS: [&[u8]; 6] = [
+            b"",
+            b"ab",
+            b"ab\0",
+            &[0; 8],
+            b"abcdefgh",
+            b"a-stem-of-more-than-22-bytes",
+        ];
+        let mut bytes = match rng.index(3) {
+            0 => rng.next_u64().to_be_bytes().to_vec(),
+            _ => STEMS[rng.index(STEMS.len())].to_vec(),
+        };
+        for _ in 0..rng.index(4) {
+            bytes.push([0, 1, b'x', 0xff][rng.index(4)]);
+        }
+        AppKey::new(bytes)
+    }
+
+    #[test]
+    fn fused_route_equals_the_column_walk() {
+        let mut rng = sm_sim::SimRng::seeded(0x5eed_0018);
+        let mut routes: BTreeMap<&str, u32> = BTreeMap::new();
+        for case in 0..300u64 {
+            // Sorted distinct boundaries; each range ends at the next
+            // boundary or, one time in three, short of it (a gap).
+            let mut bounds: Vec<AppKey> =
+                (0..rng.index(14)).map(|_| seeded_key(&mut rng)).collect();
+            bounds.sort();
+            bounds.dedup();
+            let mut entries = Vec::new();
+            let mut shard_ids = Vec::new();
+            for (i, pair) in bounds.windows(2).enumerate() {
+                let gap_end = KeyRange::new(pair[0].clone(), pair[1].clone()).midpoint();
+                let end = match gap_end {
+                    Some(mid) if rng.index(3) == 0 => mid,
+                    _ => pair[1].clone(),
+                };
+                // Ids in no key order, so the by-shard table and the
+                // key columns disagree about what comes first.
+                let shard = ShardId((i as u64 * 7 + case) % 23);
+                if rng.index(8) > 0 && !shard_ids.contains(&shard) {
+                    shard_ids.push(shard);
+                    entries.push((KeyRange::new(pair[0].clone(), end), shard));
+                }
+            }
+            if let (Some(last), true) = (bounds.last(), rng.chance(0.5)) {
+                shard_ids.push(ShardId(100));
+                entries.push((KeyRange::from(last.clone()), ShardId(100)));
+            }
+            let spec = match case % 10 {
+                0 => None,
+                1 => Some(ShardingSpec::new(Vec::new()).unwrap()),
+                _ => Some(ShardingSpec::new(entries).unwrap()),
+            };
+            // The map: per shard absent, replica-less, secondary-only,
+            // or with a primary anywhere among its replicas (twice,
+            // sometimes: the first one counts).
+            let mut map = ShardMap {
+                version: case + 1,
+                entries: BTreeMap::new(),
+            };
+            for shard in shard_ids.iter().copied().chain([ShardId(200)]) {
+                let replicas = |rng: &mut sm_sim::SimRng, n: usize, primaries: usize| {
+                    let mut out: Vec<ReplicaAssignment> = (0..n)
+                        .map(|i| ReplicaAssignment {
+                            server: ServerId(rng.index(50) as u32),
+                            role: if i < primaries {
+                                ReplicaRole::Primary
+                            } else {
+                                ReplicaRole::Secondary
+                            },
+                        })
+                        .collect();
+                    rng.shuffle(&mut out);
+                    out
+                };
+                let some = 1 + rng.index(3);
+                let replicas = match rng.index(8) {
+                    0 => continue,
+                    1 => Vec::new(),
+                    2 | 3 => replicas(&mut rng, some, 0),
+                    4 => replicas(&mut rng, 3, 2),
+                    // A server whose id is the entry's sentinel.
+                    5 => vec![ReplicaAssignment {
+                        server: ServerId(u32::MAX),
+                        role: ReplicaRole::Primary,
+                    }],
+                    _ => replicas(&mut rng, some, 1),
+                };
+                map.entries.insert(shard, ShardMapEntry { replicas });
+            }
+
+            let fused = ResolvedMap::build(spec.as_ref(), &map);
+            let model = ColumnWalk::build(spec.as_ref(), &map);
+            assert_eq!(fused.has_spec(), spec.is_some());
+            // Probes: every boundary, just past it, and fresh keys.
+            let mut probes = bounds.clone();
+            for b in &bounds {
+                let mut past = b.as_bytes().to_vec();
+                past.push(0);
+                probes.push(AppKey::new(past));
+            }
+            probes.extend((0..40).map(|_| seeded_key(&mut rng)));
+            probes.push(AppKey::new([0u8; 8]));
+            probes.push(AppKey::min());
+            let (mut rr_fused, mut rr_model) = (case, case);
+            for key in &probes {
+                assert_eq!(
+                    fused.shard_for(key),
+                    model.shard_for(key),
+                    "case {case}: {key:?}"
+                );
+                if let Some(spec) = &spec {
+                    assert_eq!(
+                        fused.shard_for(key),
+                        spec.shard_for(key),
+                        "case {case}: {key:?}"
+                    );
+                }
+                let got = fused.route(key, &mut rr_fused);
+                assert_eq!(got, model.route(key, &mut rr_model), "case {case}: {key:?}");
+                assert_eq!(rr_fused, rr_model, "case {case}: {key:?}");
+                let kind = match &got {
+                    Ok(d)
+                        if fused
+                            .table()
+                            .primary_at(fused.table().slot_of(d.shard).unwrap())
+                            == Some(d.server) =>
+                    {
+                        "primary"
+                    }
+                    Ok(_) => "round robin",
+                    Err(SmError::NotFound(_)) => "gap",
+                    Err(SmError::Unavailable(m)) if m.contains("not in map") => "not in map",
+                    Err(SmError::Unavailable(m)) if m.contains("no replicas") => "no replicas",
+                    Err(other) => panic!("case {case}: {other}"),
+                };
+                *routes.entry(kind).or_insert(0) += 1;
+            }
+            for shard in (0..23).chain([100, 200, 300]).map(ShardId) {
+                assert_eq!(
+                    fused.route_shard(shard, &mut rr_fused),
+                    model.route_shard(shard, &mut rr_model),
+                    "case {case}: {shard}"
+                );
+                assert_eq!(rr_fused, rr_model, "case {case}: {shard}");
+            }
+        }
+        // Every way a route can end was taken, each many times.
+        assert_eq!(routes.len(), 5, "{routes:?}");
+        assert!(routes.values().all(|&n| n > 300), "{routes:?}");
+    }
+
+    #[test]
+    fn uniform_ranges_have_no_gap_so_no_end_key_is_compared() {
+        let spec = ShardingSpec::uniform_u64(16_384);
+        let map = ShardMap::from_assignment(1, &assignment(4));
+        let r = ResolvedMap::build(Some(&spec), &map);
+        assert_eq!(r.ranges.len(), 16_384);
+        assert!(r.ranges.iter().all(|e| !e.gap_after));
+        // A bounded last range does have one.
+        let spec = ShardingSpec::new(vec![(
+            KeyRange::new(AppKey::min(), AppKey::from_u64(9)),
+            ShardId(0),
+        )])
+        .unwrap();
+        let r = ResolvedMap::build(Some(&spec), &map);
+        assert!(r.ranges.iter().all(|e| e.gap_after));
+        assert_eq!(
+            std::mem::size_of::<RangeEntry>(),
+            16,
+            "four to a cache line"
+        );
     }
 
     #[test]

@@ -11,50 +11,116 @@
 use crate::ids::ShardId;
 use std::fmt;
 
+/// Keys up to this long live inside the [`AppKey`] itself.
+const INLINE: usize = 22;
+
+/// A key's bytes: inside the value when they fit, on the heap when
+/// not. Either way 24 bytes, what the `Vec<u8>` it replaced took.
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Heap(Box<[u8]>),
+}
+
 /// An application key: an opaque byte string ordered lexicographically.
 ///
 /// Numeric key spaces are supported by encoding integers big-endian (see
 /// [`AppKey::from_u64`]), which preserves numeric order.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct AppKey(pub Vec<u8>);
+///
+/// Equality, order, hash and `{:?}` are those of the byte string (what
+/// a `Vec<u8>` gives), whichever way it is stored: range searches,
+/// the hashed baselines' placements and the seeded trace digests all
+/// rest on that.
+#[derive(Clone)]
+pub struct AppKey(Repr);
 
 impl AppKey {
     /// Creates a key from raw bytes.
-    pub fn new(bytes: impl Into<Vec<u8>>) -> Self {
-        Self(bytes.into())
+    pub fn new(bytes: impl AsRef<[u8]>) -> Self {
+        let src = bytes.as_ref();
+        let mut inline = [0u8; INLINE];
+        match (inline.get_mut(..src.len()), u8::try_from(src.len())) {
+            (Some(dst), Ok(len)) => {
+                dst.copy_from_slice(src);
+                Self(Repr::Inline { len, bytes: inline })
+            }
+            _ => Self(Repr::Heap(src.into())),
+        }
     }
 
     /// Encodes a `u64` so that byte order equals numeric order.
     pub fn from_u64(v: u64) -> Self {
-        Self(v.to_be_bytes().to_vec())
+        Self::new(v.to_be_bytes())
+    }
+
+    /// The key's bytes.
+    // sm-lint: hot-path
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => bytes.get(..usize::from(*len)).unwrap_or(&[]),
+            Repr::Heap(bytes) => bytes,
+        }
     }
 
     /// Returns true if `self` starts with `prefix`.
     pub fn has_prefix(&self, prefix: &[u8]) -> bool {
-        self.0.starts_with(prefix)
+        self.as_bytes().starts_with(prefix)
     }
 
     /// The smallest key, i.e. the empty byte string.
     pub fn min() -> Self {
-        Self(Vec::new())
+        Self::new([])
+    }
+}
+
+impl PartialEq for AppKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for AppKey {}
+
+impl PartialOrd for AppKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for AppKey {
+    // sm-lint: hot-path
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl std::hash::Hash for AppKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl fmt::Debug for AppKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("AppKey").field(&self.as_bytes()).finish()
     }
 }
 
 impl From<&str> for AppKey {
     fn from(s: &str) -> Self {
-        Self(s.as_bytes().to_vec())
+        Self::new(s)
     }
 }
 
 impl fmt::Display for AppKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if let Ok(s) = std::str::from_utf8(&self.0) {
+        if let Ok(s) = std::str::from_utf8(self.as_bytes()) {
             if s.chars().all(|c| c.is_ascii_graphic()) && !s.is_empty() {
                 return write!(f, "{s}");
             }
         }
         write!(f, "0x")?;
-        for b in &self.0 {
+        for b in self.as_bytes() {
             write!(f, "{b:02x}")?;
         }
         Ok(())
@@ -131,9 +197,9 @@ impl KeyRange {
     /// excludes a range that has one.
     pub fn may_contain_prefix(&self, prefix: &[u8]) -> bool {
         // The keys with `prefix` form the interval [prefix, successor(prefix)).
-        let lo = AppKey(prefix.to_vec());
+        let lo = AppKey::new(prefix);
         match prefix_successor(prefix) {
-            Some(hi) => self.overlaps(&KeyRange::new(lo, AppKey(hi))),
+            Some(hi) => self.overlaps(&KeyRange::new(lo, AppKey::new(hi))),
             None => self.overlaps(&KeyRange::from(lo)),
         }
     }
@@ -168,11 +234,11 @@ impl KeyRange {
     /// interior key (e.g. `["a", "a\0")`), in which case it cannot be
     /// split.
     pub fn midpoint(&self) -> Option<AppKey> {
-        let s = &self.start.0;
+        let s = self.start.as_bytes();
         // `int` is the integer part of start+end: the unbounded end is
         // exactly 1.0 (all-zero digits), a bounded end is < 1.0.
         let (mut int, e): (u16, &[u8]) = match &self.end {
-            Some(end) => (0, end.0.as_slice()),
+            Some(end) => (0, end.as_bytes()),
             None => (1, &[]),
         };
         let len = s.len().max(e.len());
@@ -205,7 +271,7 @@ impl KeyRange {
         while mid.last() == Some(&0) {
             mid.pop();
         }
-        let mid = AppKey(mid);
+        let mid = AppKey::new(mid);
         let above_start = self.start < mid;
         let below_end = match &self.end {
             Some(end) => mid < *end,
@@ -279,10 +345,29 @@ fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
 /// let s = spec.shard_for(&AppKey::from_u64(u64::MAX)).unwrap();
 /// assert_eq!(s, ShardId(3));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone)]
 pub struct ShardingSpec {
     /// `(range, shard)` pairs sorted by `range.start`.
     entries: Vec<(KeyRange, ShardId)>,
+    /// `(shard, index into entries)` sorted by shard: derived from
+    /// `entries`, so equality and `{:?}` leave it out.
+    by_shard: Vec<(ShardId, usize)>,
+}
+
+impl PartialEq for ShardingSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl Eq for ShardingSpec {}
+
+impl fmt::Debug for ShardingSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShardingSpec")
+            .field("entries", &self.entries)
+            .finish()
+    }
 }
 
 impl ShardingSpec {
@@ -302,11 +387,24 @@ impl ShardingSpec {
             }
         }
         for pair in entries.windows(2) {
-            if pair[0].0.overlaps(&pair[1].0) {
-                return Err(format!("ranges {} and {} overlap", pair[0].0, pair[1].0));
+            if let [(a, _), (b, _)] = pair {
+                if a.overlaps(b) {
+                    return Err(format!("ranges {a} and {b} overlap"));
+                }
             }
         }
-        Ok(Self { entries })
+        Ok(Self::indexed(entries))
+    }
+
+    /// Wraps valid entries, sorted by start, with their by-shard index.
+    fn indexed(entries: Vec<(KeyRange, ShardId)>) -> Self {
+        let mut by_shard: Vec<(ShardId, usize)> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, (_, shard))| (*shard, i))
+            .collect();
+        by_shard.sort_unstable();
+        Self { entries, by_shard }
     }
 
     /// Splits the `u64` key space into `n` equal ranges, one per shard,
@@ -334,7 +432,7 @@ impl ShardingSpec {
             };
             entries.push((range, ShardId(i)));
         }
-        Self { entries }
+        Self::indexed(entries)
     }
 
     /// Number of shards in the spec.
@@ -377,10 +475,9 @@ impl ShardingSpec {
 
     /// Returns the range owned by `shard`, if any.
     pub fn range_of(&self, shard: ShardId) -> Option<&KeyRange> {
-        self.entries
-            .iter()
-            .find(|(_, s)| *s == shard)
-            .map(|(r, _)| r)
+        let at = self.by_shard.binary_search_by_key(&shard, |&(s, _)| s);
+        let &(_, idx) = self.by_shard.get(at.ok()?)?;
+        self.entries.get(idx).map(|(range, _)| range)
     }
 
     /// The largest shard id in the spec (for minting child ids).
@@ -539,6 +636,218 @@ mod tests {
         AppKey::from(s)
     }
 
+    /// splitmix64: the seeded stream of the walks below.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// Up to `max` bytes, half of them from a small alphabet, so
+        /// that printable keys, zeros and 0xff all turn up.
+        fn bytes(&mut self, max: usize) -> Vec<u8> {
+            let len = self.below(max as u64 + 1);
+            (0..len)
+                .map(|_| match self.below(6) {
+                    0 => 0,
+                    1 => 0xff,
+                    2 => b'a' + self.below(3) as u8,
+                    _ => self.below(256) as u8,
+                })
+                .collect()
+        }
+    }
+
+    /// `AppKey` as it was before keys moved inline — the derives over a
+    /// `Vec<u8>` — kept as the model: its order, equality, hash and
+    /// three renderings are the contract (range searches, the hashed
+    /// baselines' placements and the trace digests rest on them).
+    mod model {
+        use std::fmt;
+
+        #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+        pub struct AppKey(pub Vec<u8>);
+
+        impl fmt::Display for AppKey {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                if let Ok(s) = std::str::from_utf8(&self.0) {
+                    if s.chars().all(|c| c.is_ascii_graphic()) && !s.is_empty() {
+                        return write!(f, "{s}");
+                    }
+                }
+                write!(f, "0x")?;
+                for b in &self.0 {
+                    write!(f, "{b:02x}")?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    fn hash_of(value: &impl std::hash::Hash) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn app_key_equals_its_vec_model() {
+        assert_eq!(std::mem::size_of::<AppKey>(), 24, "what a Vec<u8> took");
+        assert!(std::mem::size_of::<Option<AppKey>>() <= 32);
+        const MAX: usize = 40;
+        let mut rng = Mix(0x5eed_0018);
+        // Orderings seen, and pairs with one key on either side of the
+        // inline boundary.
+        let (mut less, mut equal, mut greater, mut straddling) = (0, 0, 0, 0);
+        for pair in 0..10_000 {
+            let a = rng.bytes(MAX);
+            let b = match rng.below(6) {
+                // A shared prefix of any length, then a fresh tail.
+                0 | 1 => {
+                    let keep = rng.below(a.len() as u64 + 1) as usize;
+                    let mut b = a[..keep].to_vec();
+                    b.extend(rng.bytes(MAX - keep));
+                    b
+                }
+                // Trailing zeros: longer, so greater.
+                2 => {
+                    let mut b = a.clone();
+                    b.resize(a.len() + rng.below((MAX - a.len()) as u64 + 1) as usize, 0);
+                    b
+                }
+                3 => a.clone(),
+                4 => Vec::new(),
+                _ => rng.bytes(MAX),
+            };
+            let (ka, kb) = (AppKey::new(&a), AppKey::new(&b));
+            let (ma, mb) = (model::AppKey(a.clone()), model::AppKey(b.clone()));
+            assert_eq!(ka.as_bytes(), a, "pair {pair}");
+            assert_eq!(ka.cmp(&kb), ma.cmp(&mb), "pair {pair}: {a:?} {b:?}");
+            assert_eq!(ka.partial_cmp(&kb), ma.partial_cmp(&mb), "pair {pair}");
+            assert_eq!(ka == kb, ma == mb, "pair {pair}: {a:?} {b:?}");
+            for (key, model) in [(&ka, &ma), (&kb, &mb), (&ka.clone(), &ma)] {
+                assert_eq!(hash_of(key), hash_of(model), "pair {pair}: {model:?}");
+                assert_eq!(format!("{key:?}"), format!("{model:?}"), "pair {pair}");
+                assert_eq!(format!("{key:#?}"), format!("{model:#?}"), "pair {pair}");
+                assert_eq!(key.to_string(), model.to_string(), "pair {pair}");
+            }
+            match ka.cmp(&kb) {
+                std::cmp::Ordering::Less => less += 1,
+                std::cmp::Ordering::Equal => equal += 1,
+                std::cmp::Ordering::Greater => greater += 1,
+            }
+            straddling += usize::from((a.len() <= INLINE) != (b.len() <= INLINE));
+        }
+        assert!(
+            less > 2_000 && equal > 1_000 && greater > 2_000 && straddling > 2_000,
+            "{less} less, {equal} equal, {greater} greater, {straddling} straddling"
+        );
+        // Either side of the boundary, and the longest length a `u8` holds.
+        for len in [0, 1, 8, INLINE - 1, INLINE, INLINE + 1, 255, 256, 1000] {
+            let raw = vec![0xabu8; len];
+            let key = AppKey::new(&raw);
+            assert_eq!(key.as_bytes(), raw, "{len} bytes");
+            assert_eq!(
+                matches!(key.0, Repr::Inline { .. }),
+                len <= INLINE,
+                "{len} bytes"
+            );
+        }
+    }
+
+    /// `range_of` as it was before the by-shard column: a scan.
+    fn range_of_scan(spec: &ShardingSpec, shard: ShardId) -> Option<&KeyRange> {
+        spec.iter().find(|(_, s)| *s == shard).map(|(r, _)| r)
+    }
+
+    #[test]
+    fn range_of_equals_the_scan_through_a_split_merge_walk() {
+        let mut rng = Mix(0x5eed_0118);
+        let mut spec = ShardingSpec::uniform_u64(8);
+        let mut next_id = 8;
+        let mut dead = vec![ShardId(u64::MAX), ShardId(1 << 40), ShardId(999)];
+        let (mut splits, mut merges, mut transfers, mut refused) = (0, 0, 0, 0);
+        for step in 0..2_000 {
+            let live: Vec<(KeyRange, ShardId)> = spec.iter().cloned().collect();
+            let at = rng.below(live.len() as u64 - 1) as usize;
+            let ((left_range, left), (_, right)) = (&live[at], &live[at + 1]);
+            // Keep between 3 and 24 shards, so every kind of step stays
+            // possible and the per-step check stays cheap.
+            let kind = match live.len() {
+                0..=3 => 0,
+                24.. => 1,
+                _ => rng.below(3),
+            };
+            let outcome = match kind {
+                0 => match left_range.midpoint() {
+                    Some(mid) => {
+                        next_id += 2;
+                        splits += 1;
+                        spec.split_shard(*left, &mid, ShardId(next_id - 2), ShardId(next_id - 1))
+                    }
+                    None => Err("no interior key".to_string()),
+                },
+                1 => {
+                    next_id += 1;
+                    merges += 1;
+                    spec.merge_shards(*left, *right, ShardId(next_id - 1))
+                }
+                // The boundary between two neighbours moves left: the
+                // upper half of `left` goes to `right`.
+                _ => match left_range.midpoint() {
+                    Some(mid) => {
+                        transfers += 1;
+                        let upper = KeyRange {
+                            start: mid,
+                            end: left_range.end.clone(),
+                        };
+                        spec.transfer_range(*left, &upper, *right)
+                    }
+                    None => Err("no interior key".to_string()),
+                },
+            };
+            match outcome {
+                Ok(next) => spec = next,
+                Err(_) => refused += 1,
+            }
+            for (_, shard) in &live {
+                if range_of_scan(&spec, *shard).is_none() {
+                    dead.push(*shard);
+                }
+            }
+            let probes = spec.shard_ids().chain(dead.iter().rev().take(3).copied());
+            for shard in probes.collect::<Vec<_>>() {
+                assert_eq!(
+                    spec.range_of(shard),
+                    range_of_scan(&spec, shard),
+                    "step {step}: {shard}"
+                );
+            }
+            // The column is derived state: a spec rebuilt from the
+            // entries is equal, and `{:?}` shows the entries alone.
+            let entries: Vec<(KeyRange, ShardId)> = spec.iter().cloned().collect();
+            let rebuilt = ShardingSpec::new(entries.clone()).unwrap();
+            assert_eq!(rebuilt, spec, "step {step}");
+            assert_eq!(rebuilt.by_shard, spec.by_shard, "step {step}");
+            assert_eq!(
+                format!("{spec:?}"),
+                format!("ShardingSpec {{ entries: {entries:?} }}"),
+                "step {step}"
+            );
+        }
+        assert!(
+            splits > 300 && merges > 300 && transfers > 300 && refused < 100,
+            "{splits} splits, {merges} merges, {transfers} transfers, {refused} refused"
+        );
+        assert!(dead.len() > 600, "{} shards left the spec", dead.len());
+    }
+
     #[test]
     fn range_contains_and_overlaps() {
         let r = KeyRange::new(k("b"), k("d"));
@@ -690,18 +999,18 @@ mod tests {
         // Odd-width ranges gain at most one byte.
         let r = KeyRange::new(k("a"), k("b"));
         let m = r.midpoint().unwrap();
-        assert_eq!(m.0, vec![0x61, 0x80]);
+        assert_eq!(m.as_bytes(), vec![0x61, 0x80]);
         // Unbounded end acts as 1.0.
         let m = KeyRange::full().midpoint().unwrap();
-        assert_eq!(m.0, vec![0x80]);
+        assert_eq!(m.as_bytes(), vec![0x80]);
         let m = KeyRange::from(AppKey::new(vec![0x80])).midpoint().unwrap();
-        assert_eq!(m.0, vec![0xc0]);
+        assert_eq!(m.as_bytes(), vec![0xc0]);
         // No interior key -> unsplittable.
-        assert!(KeyRange::new(k("a"), AppKey::new(b"a\x00".to_vec()))
+        assert!(KeyRange::new(k("a"), AppKey::new(b"a\x00"))
             .midpoint()
             .is_none());
         // Interior exists even when bounds differ only deep in the tail.
-        let r = KeyRange::new(k("a"), AppKey::new(b"a\x00\x01".to_vec()));
+        let r = KeyRange::new(k("a"), AppKey::new(b"a\x00\x01"));
         let m = r.midpoint().unwrap();
         assert!(r.start < m);
         assert!(m < r.end.clone().unwrap());

@@ -1,13 +1,14 @@
-//! An allocation budget for one allocator run, counted, not timed.
+//! Allocation budgets, counted, not timed.
 //!
-//! A failover or a rebalance should cost its search plus a few flat
-//! passes over the fleet — not a handful of heap allocations per shard
-//! around the search. This binary counts the heap allocations (and
-//! reallocations) the test thread makes inside one `server_down` and one
-//! `run_periodic` on 4,096 shards × 64 servers (primary + 1 secondary,
-//! one spread scope active: 32 racks in one region), so a reintroduced
-//! per-group `Vec` or map, a cloned `AllocInput` or a second evaluator
-//! fails `cargo test` on any host, without a stopwatch.
+//! **One allocator run.** A failover or a rebalance should cost its
+//! search plus a few flat passes over the fleet — not a handful of heap
+//! allocations per shard around the search. The first test counts the
+//! heap allocations (and reallocations) the test thread makes inside one
+//! `server_down` and one `run_periodic` on 4,096 shards × 64 servers
+//! (primary + 1 secondary, one spread scope active: 32 racks in one
+//! region), so a reintroduced per-group `Vec` or map, a cloned
+//! `AllocInput` or a second evaluator fails `cargo test` on any host,
+//! without a stopwatch.
 //!
 //! Counts per call (the same in a debug and a release build), and per
 //! shard:
@@ -21,17 +22,39 @@
 //! and the one of its row in `AllocationPlan::target`; the rest is flat
 //! (arrays sized once per evaluator, per-server lists) or per move.
 //!
-//! Its own test binary with one test: the counter is per thread, and no
-//! other test may allocate on this one.
+//! **One request.** A read touches the router, the host and the shard's
+//! cache and should allocate nothing; a key is 24 bytes with its bytes
+//! inside, so making or cloning one should not either. The second test
+//! counts, over 10,000 requests on 1,024 shards × 16 `KvServer`s with
+//! 4,096 preloaded 8-byte keys, and for one `ResolvedMap::build` on
+//! 16,384 ranges:
+//!
+//! | 10,000 of                                   | parent (PR 17) | now    |
+//! |---------------------------------------------|----------------|--------|
+//! | `route` + `admit` + `get`                   | 10,000         | 0      |
+//! | `AppKey::from_u64` + `key.clone()`          | 20,000         | 0      |
+//! | `key.clone()` + an overwriting `put`        | 30,000         | 10,000 |
+//! | one `ResolvedMap::build`, 16,384 ranges     | 32,774         | 7      |
+//!
+//! The put's one allocation is the external store's copy of the value;
+//! the build's seven are its columns.
+//!
+//! One test binary for both: the counter is per thread, each test runs
+//! on its own, and nothing else may allocate on either.
 
 use shard_manager::allocator::{AllocConfig, MoveCaps};
-use shard_manager::core::{OrchCommand, Orchestrator, OrchestratorConfig};
+use shard_manager::apps::{AppResponse, ExternalStore, KvServer};
+use shard_manager::core::{OrchCommand, Orchestrator, OrchestratorConfig, ShardServer};
+use shard_manager::routing::{ConcurrentRouter, ResolvedMap};
 use shard_manager::types::{
-    AppId, AppPolicy, LoadBalancePolicy, LoadVector, Location, MachineId, Metric, RegionId,
-    ServerId, ShardId,
+    AppId, AppKey, AppPolicy, Assignment, LoadBalancePolicy, LoadVector, Location, MachineId,
+    Metric, RegionId, ReplicaRole, ServerId, ShardId, ShardMap, ShardingSpec,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::hint::black_box;
+use std::rc::Rc;
+use std::sync::Arc;
 
 const SHARDS: u64 = 4_096;
 const SERVERS: u32 = 64;
@@ -171,4 +194,92 @@ fn an_allocator_run_allocates_per_fleet_pass_not_per_shard() {
     assert!(down <= budget, "server_down: {down} > {budget}");
     assert!(periodic <= budget, "run_periodic: {periodic} > {budget}");
     assert_eq!(measure(), (down, periodic), "a second identical fleet");
+}
+
+/// `shards` primaries dealt round-robin onto `servers`, as version 1.
+fn primary_only_map(shards: u64, servers: u32) -> ShardMap {
+    let mut assignment = Assignment::new();
+    for s in 0..shards {
+        let server = ServerId((s % u64::from(servers)) as u32);
+        assignment
+            .add_replica(ShardId(s), server, ReplicaRole::Primary)
+            .expect("one primary per shard");
+    }
+    ShardMap::from_assignment(1, &assignment)
+}
+
+#[test]
+fn a_read_allocates_nothing_and_a_put_once() {
+    const APP: AppId = AppId(0);
+    const FLEET_SHARDS: u64 = 1_024;
+    const FLEET_SERVERS: u32 = 16;
+    const KEYS: usize = 4_096;
+    const REQUESTS: usize = 10_000;
+
+    let spec = ShardingSpec::uniform_u64(FLEET_SHARDS);
+    let map = primary_only_map(FLEET_SHARDS, FLEET_SERVERS);
+    let router = Arc::new(ConcurrentRouter::new());
+    router.register_app(APP, spec.clone());
+    router.install_map(APP, map.clone());
+    let mut handle = router.handle().expect("a free reader slot");
+    let spec = Rc::new(spec);
+    let external = Rc::new(RefCell::new(ExternalStore::new()));
+    let mut servers: Vec<KvServer> = (0..FLEET_SERVERS)
+        .map(|i| KvServer::new(ServerId(i), spec.clone(), external.clone()))
+        .collect();
+    for (shard, entry) in &map.entries {
+        let server = entry.primary().expect("a primary");
+        servers[server.raw() as usize]
+            .add_shard(*shard, ReplicaRole::Primary)
+            .expect("add_shard");
+    }
+    let keys: Vec<AppKey> = (0..KEYS as u64)
+        .map(|i| AppKey::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .collect();
+    // Preloads, and lets the handle take its first look at the map.
+    for key in &keys {
+        let d = handle.route(APP, key).expect("a route");
+        servers[d.server.raw() as usize].put(d.shard, key.clone(), vec![0u8; 64]);
+    }
+
+    let mut hits = 0;
+    let reads = count_allocs(|| {
+        for i in 0..REQUESTS {
+            let key = &keys[i % KEYS];
+            let d = handle.route(APP, key).expect("a route");
+            let server = &mut servers[d.server.raw() as usize];
+            assert_eq!(server.admit(d.shard, false), AppResponse::Serve);
+            hits += usize::from(server.get(d.shard, key).is_some());
+        }
+    });
+    assert_eq!(hits, REQUESTS);
+
+    let made = count_allocs(|| {
+        for i in 0..REQUESTS {
+            black_box(AppKey::from_u64(black_box(i as u64)));
+            black_box(keys[i % KEYS].clone());
+        }
+    });
+
+    // Values made beforehand: what is counted is the request path.
+    let mut values = vec![vec![1u8; 64]; REQUESTS];
+    let puts = count_allocs(|| {
+        for (i, value) in values.drain(..).enumerate() {
+            let key = &keys[i % KEYS];
+            let d = handle.route(APP, key).expect("a route");
+            servers[d.server.raw() as usize].put(d.shard, key.clone(), value);
+        }
+    });
+
+    let spec = ShardingSpec::uniform_u64(16_384);
+    let map = primary_only_map(16_384, 64);
+    let build = count_allocs(|| {
+        black_box(ResolvedMap::build(Some(&spec), &map));
+    });
+
+    println!("reads: {reads}, keys: {made}, puts: {puts}, build: {build}");
+    assert_eq!(reads, 0, "route + admit + get");
+    assert_eq!(made, 0, "AppKey::from_u64 + clone");
+    assert_eq!(puts, REQUESTS as u64, "the store's copy of the value");
+    assert!(build <= 16, "ResolvedMap::build: {build} > its columns");
 }

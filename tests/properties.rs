@@ -223,7 +223,7 @@ fn spec_split_and_merge_preserve_coverage() {
 
 fn range_intersects_prefix(range: &KeyRange, prefix: &[u8]) -> bool {
     // Oracle: brute force over the interval bounds.
-    let lo = AppKey::new(prefix.to_vec());
+    let lo = AppKey::new(prefix);
     let hi = {
         let mut p = prefix.to_vec();
         loop {
