@@ -24,8 +24,8 @@
 
 pub mod input;
 pub mod plan;
-pub mod runner;
-pub mod throttle;
+pub(crate) mod runner;
+pub(crate) mod throttle;
 
 pub use input::{AllocConfig, AllocInput, ServerInfo, ShardPlacement};
 pub use plan::{AllocationPlan, ReplicaMove};

@@ -37,11 +37,6 @@ impl AllocationPlan {
             .map(|(_, rs)| rs.iter().filter(|r| r.is_none()).count())
             .sum()
     }
-
-    /// The moves touching one shard.
-    pub fn moves_for(&self, shard: ShardId) -> Vec<&ReplicaMove> {
-        self.moves.iter().filter(|m| m.shard == shard).collect()
-    }
 }
 
 #[cfg(test)]
@@ -60,23 +55,5 @@ mod tests {
             search: SearchStats::default(),
         };
         assert_eq!(plan.unplaced(), 3);
-    }
-
-    #[test]
-    fn moves_for_filters_by_shard() {
-        let mv = |s: u64, to: u32| ReplicaMove {
-            shard: ShardId(s),
-            replica: 0,
-            from: None,
-            to: ServerId(to),
-        };
-        let plan = AllocationPlan {
-            moves: vec![mv(1, 5), mv(2, 6), mv(1, 7)],
-            target: vec![],
-            violations: ViolationStats::default(),
-            search: SearchStats::default(),
-        };
-        assert_eq!(plan.moves_for(ShardId(1)).len(), 2);
-        assert_eq!(plan.moves_for(ShardId(9)).len(), 0);
     }
 }

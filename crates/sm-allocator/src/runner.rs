@@ -354,7 +354,6 @@ mod tests {
 
     #[test]
     fn plans_equal_the_rebuilding_model_on_seeded_inputs() {
-        use sm_solver::ParallelMode;
         let (mut with_moves, mut with_violations, mut unplaceable) = (0, 0, 0);
         for seed in 0..120u64 {
             let mut rng = sm_sim::SimRng::seeded(seed);
@@ -369,10 +368,6 @@ mod tests {
             let mut cfg = config();
             cfg.search.seed = seed;
             cfg.search.threads = if seed % 2 == 0 { 1 } else { 4 };
-            cfg.search.parallel_mode = match seed % 4 {
-                1 => ParallelMode::Portfolio,
-                _ => ParallelMode::RegionPartition,
-            };
             // Server 99 is not offered: a replica on it counts as lost.
             let place = |rng: &mut sm_sim::SimRng| match rng.index(10) {
                 0 | 1 => None,

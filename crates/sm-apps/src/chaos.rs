@@ -314,7 +314,7 @@ fn targeted_minisms(plan: &[(SimTime, Fault)]) -> BTreeSet<u32> {
 /// channel — a real ZK client's event thread never drops or reorders
 /// notifications while the session lives.
 fn dispatch_zk(events: Vec<WatchEvent>, cx: &mut Cx<'_, '_>) {
-    let delay = cx.net.ordered_delay(Endpoint::Zk, Endpoint::ControlPlane);
+    let delay = cx.net.ordered_delay();
     for event in events {
         cx.schedule_in(delay, ChaosEvent::ZkNotify(event));
     }

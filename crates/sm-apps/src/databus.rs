@@ -28,6 +28,7 @@ impl DataBus {
     }
 
     /// Creates a topic with `partitions` partitions.
+    // sm-lint: allow(U1) — PAPER.md "Production applications" row (AdEvents: the Kafka-like data bus); no world drives it yet
     pub fn create_topic(&mut self, topic: &str, partitions: u32) {
         for p in 0..partitions {
             self.partitions.entry((topic.to_string(), p)).or_default();
@@ -35,6 +36,7 @@ impl DataBus {
     }
 
     /// Number of partitions of `topic`.
+    // sm-lint: allow(U1) — PAPER.md "Production applications" row (AdEvents: the Kafka-like data bus); no world drives it yet
     pub fn partition_count(&self, topic: &str) -> u32 {
         self.partitions.keys().filter(|(t, _)| t == topic).count() as u32
     }
@@ -55,6 +57,7 @@ impl DataBus {
     }
 
     /// Reads up to `max` records starting at `offset`.
+    // sm-lint: allow(U1) — PAPER.md "Production applications" row (AdEvents: the Kafka-like data bus); no world drives it yet
     pub fn consume(
         &self,
         topic: &str,
@@ -77,7 +80,7 @@ impl DataBus {
     }
 
     /// The end offset (next offset to be written) of a partition.
-    pub fn end_offset(&self, topic: &str, partition: u32) -> Result<u64, SmError> {
+    pub(crate) fn end_offset(&self, topic: &str, partition: u32) -> Result<u64, SmError> {
         self.partitions
             .get(&(topic.to_string(), partition))
             .map(|l| l.records.len() as u64)

@@ -75,7 +75,7 @@ fn flatten(groups: &[FaultGroup]) -> Vec<(SimTime, Fault)> {
 /// monotonicity, it only keeps candidates the predicate accepts.
 /// Returns `None` when the predicate rejects the full plan (nothing to
 /// shrink).
-pub fn shrink_plan(
+pub(crate) fn shrink_plan(
     plan: &[(SimTime, Fault)],
     mut still_fails: impl FnMut(&[(SimTime, Fault)]) -> bool,
 ) -> Option<Vec<(SimTime, Fault)>> {

@@ -1134,18 +1134,6 @@ impl World for SimWorld {
                     Ok(events) => self.dispatch_zk_events(events, ctx),
                     Err(_) => self.fenced_writes += 1,
                 }
-                if std::env::var("SM_DEBUG_MAP").is_ok() {
-                    let map = self.orch.current_map();
-                    if (map.entries.len() as u64) < self.cfg.shards {
-                        eprintln!(
-                            "{}: map v{} has {} entries (missing {})",
-                            now,
-                            map.version,
-                            map.entries.len(),
-                            self.cfg.shards - map.entries.len() as u64
-                        );
-                    }
-                }
                 self.publish_current_map(ctx);
             }
             WorldEvent::Bootstrap => {

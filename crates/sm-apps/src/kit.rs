@@ -227,7 +227,7 @@ impl Wire {
 
     /// True while the network itself is broken: a partition is active
     /// or a lossy window is open.
-    pub fn net_fault_active(&self) -> bool {
+    pub(crate) fn net_fault_active(&self) -> bool {
         self.degraded || self.net.partition().is_some()
     }
 
@@ -693,7 +693,7 @@ impl<St, X> Report<St, X> {
 }
 
 /// The report type of scenario `S`.
-pub type ReportOf<S> = Report<<S as Scenario>::Stats, <S as Scenario>::Extra>;
+pub(crate) type ReportOf<S> = Report<<S as Scenario>::Stats, <S as Scenario>::Extra>;
 
 /// Runs one seeded experiment to completion. `plan` is the explicit
 /// (time-sorted) fault plan of the replay/shrink path; `None` derives

@@ -40,7 +40,7 @@ impl ExternalStore {
 
     /// All pairs within `range`, for shard rebuilds. Walks the range,
     /// not the store.
-    pub fn scan_range(&self, range: &sm_types::KeyRange) -> Vec<(AppKey, Vec<u8>)> {
+    pub(crate) fn scan_range(&self, range: &sm_types::KeyRange) -> Vec<(AppKey, Vec<u8>)> {
         if range.is_empty() {
             // `BTreeMap::range` panics on an inverted range.
             return Vec::new();
@@ -103,7 +103,7 @@ impl KvServer {
 
     /// Routing decision for a secondary-type request (any replica
     /// serves — secondary-only replication policies).
-    pub fn admit_secondary(&self, shard: ShardId, forwarded: bool) -> AppResponse {
+    pub(crate) fn admit_secondary(&self, shard: ShardId, forwarded: bool) -> AppResponse {
         self.host.admit_secondary(shard, forwarded)
     }
 
@@ -148,7 +148,7 @@ impl KvServer {
     }
 
     /// True if the shard's data is already materialized locally.
-    pub fn is_warm(&self, shard: ShardId) -> bool {
+    pub(crate) fn is_warm(&self, shard: ShardId) -> bool {
         self.host.data(shard).is_some()
     }
 

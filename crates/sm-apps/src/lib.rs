@@ -39,6 +39,7 @@
 //!   the kit's `shrink` and codec build on.
 
 pub mod chaos;
+// sm-lint: allow(U1) — PAPER.md "Production applications" row (AdEvents: the Kafka-like data bus); no world drives it yet
 pub mod databus;
 pub mod dst;
 pub mod forwarding;
@@ -46,20 +47,21 @@ pub mod harness;
 pub mod kit;
 pub mod kv;
 pub mod queue;
-pub mod reconfig;
+pub(crate) mod reconfig;
 pub mod replication;
 pub mod replstore;
 pub mod split;
 pub mod stream;
 
-pub use chaos::{run_chaos, Chaos, ChaosConfig, ChaosReport, ChaosStats};
-pub use dst::shrink_plan;
+pub use chaos::{run_chaos, Chaos, ChaosConfig, ChaosReport};
 pub use forwarding::{AppResponse, ShardHost};
-pub use harness::{ExperimentConfig, SimWorld, WorldEvent, WorldStats};
+pub use harness::{ExperimentConfig, SimWorld, WorldEvent};
 pub use kit::{repro_from_json, repro_to_json, run, run_grid, shrink, Report, Scenario};
 pub use kv::{ExternalStore, KvServer};
 pub use queue::QueueServer;
-pub use reconfig::{run_reconfig, Reconfig, ReconfigConfig, ReconfigReport, ReconfigStats};
+pub use reconfig::{
+    run_reconfig, Reconfig, ReconfigConfig, ReconfigEvent, ReconfigReport, ReconfigStats,
+};
 pub use replstore::ReplStoreServer;
-pub use split::{run_split, Split, SplitConfig, SplitReport, SplitStats};
+pub use split::{run_split, Split, SplitConfig, SplitReport};
 pub use stream::StreamServer;

@@ -14,6 +14,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// One queue application server.
 #[derive(Debug, Default)]
+// sm-lint: allow(U1) — PAPER.md "Production applications" row (queue service: the consumer side and its in-order handover); no world drives it yet
 pub struct QueueServer {
     host: ShardHost,
     queues: BTreeMap<ShardId, VecDeque<(u64, Vec<u8>)>>,
@@ -37,12 +38,12 @@ impl QueueServer {
 
     /// Routing decision for a secondary-type request (any replica
     /// serves — secondary-only replication policies).
-    pub fn admit_secondary(&self, shard: ShardId, forwarded: bool) -> AppResponse {
+    pub(crate) fn admit_secondary(&self, shard: ShardId, forwarded: bool) -> AppResponse {
         self.host.admit_secondary(shard, forwarded)
     }
 
     /// Enqueues a message, returning its sequence number.
-    pub fn enqueue(&mut self, shard: ShardId, payload: Vec<u8>) -> Result<u64, SmError> {
+    pub(crate) fn enqueue(&mut self, shard: ShardId, payload: Vec<u8>) -> Result<u64, SmError> {
         if self.host.role_of(shard) != Some(ReplicaRole::Primary) {
             return Err(SmError::Unavailable(format!("{shard} not primary here")));
         }
@@ -57,6 +58,7 @@ impl QueueServer {
     }
 
     /// Dequeues the oldest message.
+    // sm-lint: allow(U1) — PAPER.md "Production applications" row (queue service: the consumer side and its in-order handover); no world drives it yet
     pub fn dequeue(&mut self, shard: ShardId) -> Result<Option<(u64, Vec<u8>)>, SmError> {
         if self.host.role_of(shard) != Some(ReplicaRole::Primary) {
             return Err(SmError::Unavailable(format!("{shard} not primary here")));
@@ -80,17 +82,19 @@ impl QueueServer {
     }
 
     /// True if the shard's queue is already materialized locally.
-    pub fn is_warm(&self, shard: ShardId) -> bool {
+    pub(crate) fn is_warm(&self, shard: ShardId) -> bool {
         self.queues.contains_key(&shard)
     }
 
     /// Restores a shard's sequence counter after a migration (the
     /// harness carries it over, standing in for the upstream log).
+    // sm-lint: allow(U1) — PAPER.md "Production applications" row (queue service: the consumer side and its in-order handover); no world drives it yet
     pub fn restore_seq(&mut self, shard: ShardId, next: u64) {
         self.next_seq.insert(shard, next);
     }
 
     /// The shard's next sequence number (for handover).
+    // sm-lint: allow(U1) — PAPER.md "Production applications" row (queue service: the consumer side and its in-order handover); no world drives it yet
     pub fn seq_of(&self, shard: ShardId) -> u64 {
         self.next_seq.get(&shard).copied().unwrap_or(0)
     }

@@ -56,7 +56,7 @@ pub enum ConfigEntry<Id: Ord + Copy> {
 impl<Id: Ord + Copy> ConfigEntry<Id> {
     /// The quorum-set list this configuration requires (one set for
     /// stable, two for joint).
-    pub fn quorum_sets(&self) -> Vec<BTreeSet<Id>> {
+    pub(crate) fn quorum_sets(&self) -> Vec<BTreeSet<Id>> {
         match self {
             ConfigEntry::Joint { old, new } => vec![old.clone(), new.clone()],
             ConfigEntry::Stable(s) => vec![s.clone()],
@@ -93,7 +93,7 @@ impl<Id: Ord + Copy> LogEntry<Id> {
     }
 
     /// True for configuration entries.
-    pub fn is_config(&self) -> bool {
+    pub(crate) fn is_config(&self) -> bool {
         matches!(self.payload, Payload::Config(_))
     }
 }
@@ -126,7 +126,7 @@ impl<Id: Ord + Copy> ReplicaLog<Id> {
     }
 
     /// Number of committed entries.
-    pub fn committed(&self) -> usize {
+    pub(crate) fn committed(&self) -> usize {
         self.committed
     }
 
@@ -142,7 +142,7 @@ impl<Id: Ord + Copy> ReplicaLog<Id> {
 
     /// Number of committed *data* entries (configuration entries are
     /// bookkeeping, not application writes).
-    pub fn committed_data_len(&self) -> usize {
+    pub(crate) fn committed_data_len(&self) -> usize {
         self.committed_entries()
             .iter()
             .filter(|e| !e.is_config())
@@ -227,43 +227,33 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     }
 
     /// True when `id` hosts a replica (voter or learner).
-    pub fn is_hosted(&self, id: Id) -> bool {
+    pub(crate) fn is_hosted(&self, id: Id) -> bool {
         self.logs.contains_key(&id)
     }
 
     /// The current voter set.
-    pub fn voters(&self) -> &BTreeSet<Id> {
+    pub(crate) fn voters(&self) -> &BTreeSet<Id> {
         &self.voters
     }
 
     /// The outgoing voter set while a joint change is in flight.
-    pub fn joint_old(&self) -> Option<&BTreeSet<Id>> {
+    pub(crate) fn joint_old(&self) -> Option<&BTreeSet<Id>> {
         self.joint_old.as_ref()
     }
 
     /// True when `id` is a voter in the effective configuration (either
     /// side of an in-flight joint change).
-    pub fn is_voter(&self, id: Id) -> bool {
+    pub(crate) fn is_voter(&self, id: Id) -> bool {
         self.voters.contains(&id) || self.joint_old.as_ref().is_some_and(|o| o.contains(&id))
     }
 
-    /// Log index of the in-flight configuration entry, if any.
-    pub fn pending_reconfig(&self) -> Option<usize> {
-        self.pending_config
-    }
-
     /// True while a membership change has not yet fully committed.
-    pub fn reconfig_in_flight(&self) -> bool {
+    pub(crate) fn reconfig_in_flight(&self) -> bool {
         self.pending_config.is_some()
     }
 
-    /// Entries shipped by replication so far (perf counter).
-    pub fn replication_work(&self) -> u64 {
-        self.replication_work
-    }
-
     /// DST mutation switch: single-step (joint-free) membership swaps.
-    pub fn set_single_step(&mut self, on: bool) {
+    pub(crate) fn set_single_step(&mut self, on: bool) {
         self.single_step = on;
     }
 
@@ -286,12 +276,12 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     }
 
     /// Blocks the directed link `a → b` (mirrors a network partition).
-    pub fn block_link(&mut self, a: Id, b: Id) {
+    pub(crate) fn block_link(&mut self, a: Id, b: Id) {
         self.blocked.insert((a, b));
     }
 
     /// Clears every blocked link (partition healed).
-    pub fn clear_blocked_links(&mut self) {
+    pub(crate) fn clear_blocked_links(&mut self) {
         self.blocked.clear();
     }
 
@@ -446,7 +436,7 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     /// Adds a bootstrap voter. Only legal while the group's log is
     /// empty — once any entry exists, membership changes must go
     /// through [`Self::add_learner`] + [`Self::begin_reconfig`].
-    pub fn add_member(&mut self, id: Id) -> Result<(), SmError> {
+    pub(crate) fn add_member(&mut self, id: Id) -> Result<(), SmError> {
         if self.logs.values().any(|l| !l.is_empty()) {
             return Err(SmError::Rejected(
                 "group is live; use add_learner + begin_reconfig".into(),
@@ -462,7 +452,7 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     /// Adds a non-voting learner: it receives the log via replication
     /// but counts toward no quorum. Idempotent; a later
     /// [`Self::begin_reconfig`] promotes it to a voter.
-    pub fn add_learner(&mut self, id: Id) {
+    pub(crate) fn add_learner(&mut self, id: Id) {
         self.logs.entry(id).or_default();
         self.acked.entry(id).or_insert(0);
     }
@@ -471,7 +461,7 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     /// a live group — callers must first commit a reconfiguration that
     /// excludes it (the §4.3 `drop_shard` discipline: leave the config,
     /// then the group).
-    pub fn remove_member(&mut self, id: Id) -> Result<(), SmError> {
+    pub(crate) fn remove_member(&mut self, id: Id) -> Result<(), SmError> {
         let live = self.logs.values().any(|l| !l.is_empty());
         if self.is_voter(id) {
             if live {
@@ -504,7 +494,7 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     /// [`Self::add_learner`] to start catch-up first). A change to the
     /// current voter set is a no-op; a second change while one is in
     /// flight is rejected.
-    pub fn begin_reconfig(&mut self, leader: Id, new: BTreeSet<Id>) -> Result<(), SmError> {
+    pub(crate) fn begin_reconfig(&mut self, leader: Id, new: BTreeSet<Id>) -> Result<(), SmError> {
         if self.leader != Some(leader) {
             return Err(SmError::Rejected(format!("{leader:?} is not leader")));
         }
@@ -673,7 +663,7 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     /// One replication round: ship the log to every reachable hosted
     /// replica, then advance the commit index. Unreachable followers
     /// are skipped (they catch up after the fault heals).
-    pub fn pump(&mut self) {
+    pub(crate) fn pump(&mut self) {
         for f in self.follower_ids() {
             let _unreachable = self.replicate_to(f);
         }
@@ -683,7 +673,7 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     /// Pumps up to `rounds` replication rounds, stopping early once no
     /// reconfiguration is in flight. Returns true when the change (if
     /// any) fully committed.
-    pub fn pump_until_config_commits(&mut self, rounds: usize) -> bool {
+    pub(crate) fn pump_until_config_commits(&mut self, rounds: usize) -> bool {
         for _ in 0..rounds {
             if !self.reconfig_in_flight() {
                 return true;
@@ -783,7 +773,7 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     }
 
     /// The group-wide commit index.
-    pub fn committed(&self) -> usize {
+    pub(crate) fn committed(&self) -> usize {
         self.logs.values().map(|l| l.committed).max().unwrap_or(0)
     }
 
@@ -793,7 +783,7 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     }
 
     /// The data entry at log position `idx` of `id`'s log, if present.
-    pub fn data_at(&self, id: Id, idx: usize) -> Option<&[u8]> {
+    pub(crate) fn data_at(&self, id: Id, idx: usize) -> Option<&[u8]> {
         self.logs
             .get(&id)
             .and_then(|l| l.entries.get(idx))
@@ -801,18 +791,12 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     }
 
     /// All hosted replicas except the leader — the replication targets.
-    pub fn follower_ids(&self) -> Vec<Id> {
+    pub(crate) fn follower_ids(&self) -> Vec<Id> {
         self.logs
             .keys()
             .copied()
             .filter(|id| Some(*id) != self.leader)
             .collect()
-    }
-
-    /// True when `id`'s acknowledged log covers everything committed —
-    /// the promotion-readiness check for a caught-up learner.
-    pub fn is_caught_up(&self, id: Id) -> bool {
-        self.acked.get(&id).copied().unwrap_or(0) >= self.committed()
     }
 
     /// Voters that could win an election right now — the safe
@@ -833,7 +817,7 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     /// the last configuration entry in its committed prefix, falling
     /// back to the bootstrap membership. `None` when `id` hosts no
     /// replica.
-    pub fn committed_config_view(&self, id: Id) -> Option<Vec<BTreeSet<Id>>> {
+    pub(crate) fn committed_config_view(&self, id: Id) -> Option<Vec<BTreeSet<Id>>> {
         let log = self.logs.get(&id)?;
         let view = log
             .committed_entries()
@@ -852,7 +836,7 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
     /// committed prefix of the most-advanced log. The DST oracle checks
     /// that adjacent configurations always share an intersecting quorum
     /// pair — the property a single-step membership swap violates.
-    pub fn committed_config_chain(&self) -> Vec<Vec<BTreeSet<Id>>> {
+    pub(crate) fn committed_config_chain(&self) -> Vec<Vec<BTreeSet<Id>>> {
         let mut chain = vec![vec![self.bootstrap.clone()]];
         let best = self.logs.values().max_by_key(|l| l.committed);
         if let Some(log) = best {
@@ -1002,7 +986,6 @@ mod tests {
         assert_eq!(g.advance_commit(), 1);
         assert_eq!(g.log(9).unwrap().committed(), 1, "learner learns commits");
         assert!(!g.is_voter(9));
-        assert!(g.is_caught_up(9));
     }
 
     #[test]
@@ -1193,7 +1176,6 @@ mod tests {
         g.set_down(4, false);
         g.pump();
         assert_eq!(g.log(4).unwrap().committed_data_len(), 5);
-        assert!(g.is_caught_up(4));
     }
 
     #[test]
@@ -1293,15 +1275,15 @@ mod tests {
         assert_eq!(g.committed(), N);
         // Every round ships exactly the one new entry per follower: the
         // total is 2N, not the quadratic ~N² of a full-log clone.
-        assert_eq!(g.replication_work(), 2 * N as u64);
+        assert_eq!(g.replication_work, 2 * N as u64);
         // A fresh learner catches up in one O(N) shipment.
         g.add_learner(4);
         g.replicate_to(4).unwrap();
-        assert_eq!(g.replication_work(), 3 * N as u64);
+        assert_eq!(g.replication_work, 3 * N as u64);
         // Steady-state rounds with nothing new ship nothing.
         g.replicate_to(2).unwrap();
         g.replicate_to(4).unwrap();
-        assert_eq!(g.replication_work(), 3 * N as u64);
+        assert_eq!(g.replication_work, 3 * N as u64);
     }
 
     // ---- Seeded interleaving sweep ----

@@ -47,7 +47,7 @@ use std::rc::Rc;
 const RECONFIG_PUMP_ROUNDS: usize = 8;
 
 /// The shared replication groups of one deployment, one per shard.
-pub type SharedGroups = Rc<RefCell<BTreeMap<ShardId, ReplicationGroup<ServerId>>>>;
+pub(crate) type SharedGroups = Rc<RefCell<BTreeMap<ShardId, ReplicationGroup<ServerId>>>>;
 
 /// Creates an empty shared group table.
 pub fn shared_groups() -> SharedGroups {
@@ -78,12 +78,6 @@ impl ReplStoreServer {
         self.host.admit(shard, forwarded)
     }
 
-    /// The role this server believes it holds for `shard` (`None` when
-    /// not hosted here).
-    pub fn role_of(&self, shard: ShardId) -> Option<ReplicaRole> {
-        self.host.role_of(shard)
-    }
-
     /// Writes through the shard's log (primary only): appends,
     /// replicates to every reachable member, and advances the commit
     /// index. Returns the log position of the write.
@@ -100,16 +94,6 @@ impl ReplStoreServer {
         // synchronous round (latency is charged by the harness).
         group.pump();
         Ok(idx)
-    }
-
-    /// True when this write's log position has committed at this
-    /// replica — the point at which the client may be acked.
-    pub fn is_write_committed(&self, shard: ShardId, idx: usize) -> bool {
-        self.groups
-            .borrow()
-            .get(&shard)
-            .and_then(|g| g.log(self.id))
-            .is_some_and(|l| l.committed() > idx)
     }
 
     /// Reads the number of committed application writes at this replica

@@ -7,10 +7,11 @@
 //!
 //! The [`Split`] scenario (run on [`crate::kit`]) wires a bare
 //! [`Orchestrator`] with a registered [`ShardingSpec`] to a fleet of
-//! primary-only hosts ([`SplitHost`], a [`ShardServer`]) implementing the
-//! generalized §4.3 forwarding states: during a split the parent keeps
-//! its data but forwards each request to the prepared child covering
-//! its key; during a merge both sources forward to the prepared target.
+//! primary-only hosts ([`SplitHost`], a [`ShardServer`] over the
+//! range-aware [`ShardHost`]) in the §4.3 forwarding states: during a
+//! split the parent keeps its data but forwards each request to the
+//! prepared child covering its key; during a merge both sources forward
+//! to the prepared target.
 //! Clients route by key through a real [`ServiceRouter`] fed the
 //! orchestrator's spec + map on a refresh cadence, so stale-map windows
 //! exercise the forwarding chains exactly as production would.
@@ -38,6 +39,7 @@
 //! requests. `tests/split.rs` proves the oracle catches it. The whole
 //! run is a pure function of `(config, plan)`.
 
+use crate::forwarding::{AppResponse, ShardHost};
 use crate::kit::{
     self, Change, Fleet, FleetState, Outcome, Params, Plan, Report, Resolution, Scenario, Wire,
 };
@@ -268,46 +270,14 @@ pub struct SplitStats {
 /// Outcome of one skew-storm run.
 pub type SplitReport = Report<SplitStats>;
 
-/// Forwarding rule a host holds for one shard it no longer serves
-/// directly — the generalized step-2/step-5 states of §4.3.
-#[derive(Clone, Debug)]
-enum Fwd {
-    /// Plain 1→1 migration: same shard, new owner.
-    Move(ServerId),
-    /// 1→2 split: route each key to the prepared child covering it.
-    Split {
-        at: AppKey,
-        left: ShardId,
-        left_to: ServerId,
-        right: ShardId,
-        right_to: ServerId,
-    },
-    /// 2→1 merge: route everything to the prepared merged shard.
-    Merge { target: ShardId, to: ServerId },
-}
-
-/// What a host decides for a request that reached it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Decision {
-    Serve,
-    Forward { shard: ShardId, to: ServerId },
-    NotMine,
-}
-
-/// One application server: primary-only shard hosting with the
-/// generalized forwarding states and per-shard request counters for
-/// load reports. All state is soft — a restart wipes it and the
-/// orchestrator's reconcile rebuilds the assigned part. (Process
-/// liveness lives in the kit's `FleetState`.)
+/// One application server: a primary-only [`ShardHost`] with per-shard
+/// request counters for load reports. All state is soft — a restart
+/// wipes it and the orchestrator's reconcile rebuilds the assigned
+/// part. (Process liveness lives in the kit's `FleetState`.)
 #[derive(Default)]
 pub struct SplitHost {
-    shards: BTreeMap<ShardId, ReplicaRole>,
-    /// Step-1 state: shard -> owner we expect forwards from.
-    pre_add: BTreeMap<ShardId, ServerId>,
-    /// Step-2 state: shard -> forwarding rule (replica kept).
-    fwd: BTreeMap<ShardId, Fwd>,
-    /// Step-5 state: dropped shards still forwarding stragglers.
-    tomb: BTreeMap<ShardId, Fwd>,
+    /// The §4.3 states: roles held, prepared adds, forwarding rules.
+    host: ShardHost,
     /// Requests served per shard since the last load report.
     served: BTreeMap<ShardId, u64>,
     /// §3.2 self-fenced: the server's session lapsed (it is islanded),
@@ -324,23 +294,12 @@ pub struct SplitHost {
 
 impl ShardServer for SplitHost {
     fn add_shard(&mut self, shard: ShardId, role: ReplicaRole) -> Result<(), SmError> {
-        self.pre_add.remove(&shard);
-        self.fwd.remove(&shard);
-        self.tomb.remove(&shard);
-        self.shards.insert(shard, role);
-        Ok(())
+        self.host.add_shard(shard, role)
     }
 
-    /// Idempotent: the orchestrator retries drops whose ack a lossy
-    /// network may have eaten, so "ensure not hosting" must converge.
     fn drop_shard(&mut self, shard: ShardId) -> Result<(), SmError> {
-        self.shards.remove(&shard);
-        self.pre_add.remove(&shard);
         self.served.remove(&shard);
-        if let Some(rule) = self.fwd.remove(&shard) {
-            self.tomb.insert(shard, rule);
-        }
-        Ok(())
+        self.host.drop_shard(shard)
     }
 
     fn change_role(
@@ -349,42 +308,34 @@ impl ShardServer for SplitHost {
         current: ReplicaRole,
         new: ReplicaRole,
     ) -> Result<(), SmError> {
-        match self.shards.get_mut(&shard) {
-            Some(role) if *role == current => {
-                *role = new;
-                Ok(())
-            }
-            _ => Err(SmError::conflict(format!("{shard} is not {current} here"))),
-        }
+        self.host.change_role(shard, current, new)
     }
 
     fn prepare_add_shard(
         &mut self,
         shard: ShardId,
         current_owner: ServerId,
-        _role: ReplicaRole,
+        role: ReplicaRole,
     ) -> Result<(), SmError> {
-        self.pre_add.insert(shard, current_owner);
-        self.tomb.remove(&shard);
-        Ok(())
+        self.host.prepare_add_shard(shard, current_owner, role)
     }
 
     fn prepare_drop_shard(
         &mut self,
         shard: ShardId,
         new_owner: ServerId,
-        _role: ReplicaRole,
+        role: ReplicaRole,
     ) -> Result<(), SmError> {
-        self.forward(shard, Fwd::Move(new_owner))
+        self.host.prepare_drop_shard(shard, new_owner, role)
     }
 
     fn report_load(&self) -> Vec<(ShardId, LoadVector)> {
         // Zeros included — merge decisions need evidence of coldness,
         // not absence of data.
         let count = |shard| self.served.get(shard).copied().unwrap_or(0) as f64;
-        self.shards
-            .keys()
-            .map(|shard| {
+        self.host
+            .shards()
+            .map(|(shard, _)| {
                 (
                     *shard,
                     LoadVector::single(Metric::Synthetic.id(), count(shard)),
@@ -393,8 +344,6 @@ impl ShardServer for SplitHost {
             .collect()
     }
 
-    /// Keep the data, stop serving directly, forward each request to
-    /// the child covering its key.
     fn split_forward(
         &mut self,
         parent: ShardId,
@@ -409,78 +358,28 @@ impl ShardServer for SplitHost {
             .split_point
             .take()
             .ok_or_else(|| SmError::conflict(format!("split of {parent} was aborted")))?;
-        let rule = Fwd::Split {
-            at,
-            left,
-            left_to,
-            right,
-            right_to,
-        };
-        self.forward(parent, rule)
+        self.host
+            .split_forward(parent, at, (left, left_to), (right, right_to))
     }
 
-    /// Stop serving `source` directly and forward its requests to the
-    /// prepared merged shard.
     fn merge_forward(
         &mut self,
         source: ShardId,
         target: ShardId,
         target_to: ServerId,
     ) -> Result<(), SmError> {
-        let to = target_to;
-        self.forward(source, Fwd::Merge { target, to })
+        self.host.merge_forward(source, target, target_to)
     }
 }
 
 impl SplitHost {
-    /// Installs a step-2 forwarding rule for a shard this host holds.
-    fn forward(&mut self, shard: ShardId, rule: Fwd) -> Result<(), SmError> {
-        if !self.shards.contains_key(&shard) {
-            return Err(SmError::not_found(shard));
-        }
-        self.fwd.insert(shard, rule);
-        Ok(())
-    }
-
-    /// Admission for a primary-type request addressed to `shard` with
-    /// `key`. `forwarded` is true when it came from the previous owner
-    /// rather than directly from a client.
-    fn admit(&self, shard: ShardId, key: &AppKey, forwarded: bool) -> Decision {
-        if let Some(rule) = self.fwd.get(&shard).or_else(|| self.tomb.get(&shard)) {
-            let (shard, to) = match rule {
-                Fwd::Move(to) => (shard, *to),
-                Fwd::Split {
-                    at, left, left_to, ..
-                } if key < at => (*left, *left_to),
-                Fwd::Split {
-                    right, right_to, ..
-                } => (*right, *right_to),
-                Fwd::Merge { target, to } => (*target, *to),
-            };
-            return Decision::Forward { shard, to };
-        }
-        let mine = if self.pre_add.contains_key(&shard) {
-            forwarded
-        } else {
-            self.shards.get(&shard).is_some_and(|r| r.is_primary())
-        };
-        if mine {
-            Decision::Serve
-        } else {
-            Decision::NotMine
-        }
-    }
-
     /// True when this (live) host would serve a *direct* (unforwarded)
     /// request for `shard` — the willing-primary predicate the
     /// dual-primary audit counts.
     fn willing_direct(&self, shard: ShardId) -> bool {
         !self.fenced
-            && !self.fwd.contains_key(&shard)
-            && self
-                .shards
-                .get(&shard)
-                .is_some_and(|role| role.is_primary())
+            && !self.host.is_forwarding(shard)
+            && self.host.role_of(shard).is_some_and(|r| r.is_primary())
     }
 
     /// Process restart or self-fence: all soft state is lost.
@@ -717,11 +616,11 @@ impl Split {
         }
         let key = AppKey::from_u64(req.key);
         let decision = match self.hosts.get(&target) {
-            Some(h) if self.fleet.is_up(target) => h.admit(shard, &key, hops > 0),
-            _ => Decision::NotMine,
+            Some(h) if self.fleet.is_up(target) => h.host.admit_key(shard, &key, hops > 0),
+            _ => (shard, AppResponse::NotMine),
         };
         match decision {
-            Decision::Serve => {
+            (_, AppResponse::Serve) => {
                 let now = cx.now();
                 // The dual-primary invariant is checked at the moment
                 // it matters: when a request is actually served.
@@ -739,12 +638,12 @@ impl Split {
                     *h.served.entry(shard).or_insert(0) += 1;
                 }
             }
-            Decision::Forward { shard, to } if hops < 6 => {
+            (shard, AppResponse::Forward(to)) if hops < 6 => {
                 self.stats.forwards += 1;
                 let src = Endpoint::Server(target.raw());
                 self.transmit(req, src, shard, to, hops + 1, cx);
             }
-            Decision::Forward { .. } | Decision::NotMine => self.fail_or_retry(req, cx),
+            _ => self.fail_or_retry(req, cx),
         }
     }
 
@@ -1081,6 +980,46 @@ mod tests {
 
     fn quiet(cfg: SplitConfig) -> SplitReport {
         kit::run::<Split>(cfg, Some(Vec::new()), QueueKind::default())
+    }
+
+    #[test]
+    fn a_split_parent_forwards_by_key_and_a_merged_source_to_the_union() {
+        let (parent, left, right, union) = (ShardId(1), ShardId(10), ShardId(11), ShardId(20));
+        let (a, b, c) = (ServerId(1), ServerId(2), ServerId(3));
+        let at = AppKey::from_u64(1 << 63);
+        let key = |k: u64| AppKey::from_u64(k);
+        let mut h = SplitHost::default();
+        h.add_shard(parent, ReplicaRole::Primary).unwrap();
+        // The RPC carries no split point: without the stash it is an
+        // aborted operation's straggler.
+        assert!(h.split_forward(parent, left, a, right, b).is_err());
+        h.split_point = Some(at.clone());
+        h.split_forward(parent, left, a, right, b).unwrap();
+        assert!(!h.willing_direct(parent), "the parent stopped serving");
+        let admit = |h: &SplitHost, shard, k| h.host.admit_key(shard, &key(k), false);
+        assert_eq!(admit(&h, parent, 0), (left, AppResponse::Forward(a)));
+        assert_eq!(
+            admit(&h, parent, (1 << 63) - 1),
+            (left, AppResponse::Forward(a))
+        );
+        assert_eq!(admit(&h, parent, 1 << 63), (right, AppResponse::Forward(b)));
+        // Without the key there is no telling which child.
+        assert_eq!(h.host.admit(parent, false), AppResponse::NotMine);
+        // The drop leaves the rule behind as the tombstone.
+        h.drop_shard(parent).unwrap();
+        assert_eq!(
+            admit(&h, parent, u64::MAX),
+            (right, AppResponse::Forward(b))
+        );
+
+        // A merge source forwards every key to the union, under its id.
+        h.add_shard(left, ReplicaRole::Primary).unwrap();
+        h.merge_forward(left, union, c).unwrap();
+        assert_eq!(admit(&h, left, 7), (union, AppResponse::Forward(c)));
+        // An abort hands the source back: it serves again.
+        h.add_shard(left, ReplicaRole::Primary).unwrap();
+        assert_eq!(admit(&h, left, 7), (left, AppResponse::Serve));
+        assert!(h.willing_direct(left));
     }
 
     #[test]

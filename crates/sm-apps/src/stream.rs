@@ -19,6 +19,7 @@ use std::rc::Rc;
 
 /// One stream-processing application server.
 #[derive(Debug)]
+// sm-lint: allow(U1) — PAPER.md "Production applications" row (AdEvents: the stream processor); no world drives it yet
 pub struct StreamServer {
     /// This server's id.
     pub id: ServerId,
@@ -57,6 +58,7 @@ impl StreamServer {
 
     /// Consumes up to `max` pending records for one hosted shard,
     /// folding them into the aggregate. Returns records processed.
+    // sm-lint: allow(U1) — PAPER.md "Production applications" row (AdEvents: the stream processor); no world drives it yet
     pub fn poll(&mut self, shard: ShardId, max: usize) -> Result<usize, SmError> {
         if self.host.role_of(shard).is_none() {
             return Err(SmError::not_found(shard));
@@ -82,12 +84,12 @@ impl StreamServer {
     }
 
     /// Records consumed so far on `shard` (its offset).
-    pub fn offset(&self, shard: ShardId) -> u64 {
+    pub(crate) fn offset(&self, shard: ShardId) -> u64 {
         self.state.get(&shard).map(|s| s.offset).unwrap_or(0)
     }
 
     /// Lag behind the bus end offset.
-    pub fn lag(&self, shard: ShardId) -> u64 {
+    pub(crate) fn lag(&self, shard: ShardId) -> u64 {
         let end = self
             .bus
             .borrow()

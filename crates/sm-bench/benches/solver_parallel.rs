@@ -1,7 +1,7 @@
 //! Parallel-solver micro-benchmarks: the cost of the `ParallelSearch`
 //! driver versus the sequential `LocalSearch` on the same problem.
 //!
-//! - `parallel_solve_*`: one full solve per worker count and mode.
+//! - `parallel_solve_*`: one full solve per worker count.
 //! - `evaluator_entities_on`: the incremental per-bin entity index
 //!   (O(1) slice borrow, formerly an O(n_entities) scan).
 //! - `evaluator_group_key`: the cached (region, utilization band)
@@ -9,8 +9,8 @@
 
 use sm_bench::bench_function;
 use sm_solver::{
-    BalanceSpec, Bin, CapacitySpec, Entity, Evaluator, LocalSearch, ParallelMode, ParallelSearch,
-    Problem, SearchConfig, Spec, SpecSet, UtilizationCapSpec,
+    BalanceSpec, Bin, CapacitySpec, Entity, Evaluator, LocalSearch, ParallelSearch, Problem,
+    SearchConfig, Spec, SpecSet, UtilizationCapSpec,
 };
 use sm_types::{LoadVector, Location, MachineId, Metric, RegionId};
 
@@ -75,21 +75,15 @@ fn bench_parallel_solve() {
         });
         std::hint::black_box(solver.solve(&p, &specs));
     });
-    for (mode, tag) in [
-        (ParallelMode::RegionPartition, "partition"),
-        (ParallelMode::Portfolio, "portfolio"),
-    ] {
-        for threads in [2usize, 8] {
-            bench_function(&format!("parallel_solve_{tag}_{threads}w_100x75"), || {
-                let solver = ParallelSearch::new(SearchConfig {
-                    seed: 3,
-                    threads,
-                    parallel_mode: mode,
-                    ..Default::default()
-                });
-                std::hint::black_box(solver.solve(&p, &specs));
+    for threads in [2usize, 8] {
+        bench_function(&format!("parallel_solve_{threads}w_100x75"), || {
+            let solver = ParallelSearch::new(SearchConfig {
+                seed: 3,
+                threads,
+                ..Default::default()
             });
-        }
+            std::hint::black_box(solver.solve(&p, &specs));
+        });
     }
 }
 

@@ -4,7 +4,7 @@ use sm_types::{AppId, ContainerId, MachineId};
 
 /// A container's lifecycle state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ContainerState {
+pub(crate) enum ContainerState {
     /// Serving traffic.
     Running,
     /// Temporarily down for a planned operation (restart/move/upgrade).
@@ -25,7 +25,7 @@ pub struct Container {
     /// Machine currently hosting the container.
     pub machine: MachineId,
     /// Lifecycle state.
-    pub state: ContainerState,
+    pub(crate) state: ContainerState,
     /// Binary version; rolling upgrades bump this.
     pub version: u32,
 }
@@ -43,7 +43,7 @@ impl Container {
     }
 
     /// True if the container is serving.
-    pub fn is_running(&self) -> bool {
+    pub(crate) fn is_running(&self) -> bool {
         self.state == ContainerState::Running
     }
 }

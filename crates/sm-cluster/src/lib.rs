@@ -23,10 +23,9 @@
 
 pub mod container;
 pub mod machine;
-pub mod manager;
+pub(crate) mod manager;
 pub mod ops;
 
-pub use container::{Container, ContainerState};
-pub use machine::{Machine, MachineState};
+pub use machine::Machine;
 pub use manager::{ClusterManager, CmEvent, StopCounters};
 pub use ops::{ContainerOp, MaintenanceEvent, MaintenanceImpact, OpId, OpKind, OpReason};

@@ -4,7 +4,7 @@ use sm_types::{LoadVector, Location, MachineId};
 
 /// A machine's availability state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MachineState {
+pub(crate) enum MachineState {
     /// Serving normally.
     Up,
     /// Crashed or powered off unexpectedly.
@@ -25,7 +25,7 @@ pub struct Machine {
     /// Whether the machine has local SSD/HDD (§2.2.6).
     pub has_storage: bool,
     /// Current availability.
-    pub state: MachineState,
+    pub(crate) state: MachineState,
 }
 
 impl Machine {
@@ -38,11 +38,6 @@ impl Machine {
             has_storage,
             state: MachineState::Up,
         }
-    }
-
-    /// True if containers on this machine can serve.
-    pub fn is_serving(&self) -> bool {
-        self.state == MachineState::Up
     }
 }
 
@@ -64,16 +59,6 @@ mod tests {
     fn new_machine_is_up() {
         let m = Machine::new(loc(), LoadVector::zero(), true);
         assert_eq!(m.id, MachineId(7));
-        assert!(m.is_serving());
         assert!(m.has_storage);
-    }
-
-    #[test]
-    fn failed_machine_does_not_serve() {
-        let mut m = Machine::new(loc(), LoadVector::zero(), false);
-        m.state = MachineState::Failed;
-        assert!(!m.is_serving());
-        m.state = MachineState::Maintenance;
-        assert!(!m.is_serving());
     }
 }

@@ -138,21 +138,6 @@ impl ClusterManager {
         self.containers.values().filter(|c| c.app == app).collect()
     }
 
-    /// True if the container is running on a serving machine.
-    pub fn container_serving(&self, id: ContainerId) -> bool {
-        self.containers
-            .get(&id)
-            .map(|c| {
-                c.is_running()
-                    && self
-                        .machines
-                        .get(&c.machine)
-                        .map(Machine::is_serving)
-                        .unwrap_or(false)
-            })
-            .unwrap_or(false)
-    }
-
     /// Stop counters for Figure 1.
     pub fn counters(&self) -> StopCounters {
         self.counters
@@ -335,32 +320,6 @@ impl ClusterManager {
         })
     }
 
-    /// Restarts one failed container in place (its supervisor brought
-    /// the process back). The machine must be up; restarting a running
-    /// container or one on a failed machine is an error.
-    pub fn restart_container(&mut self, id: ContainerId) -> Result<CmEvent, SmError> {
-        let container = self
-            .containers
-            .get_mut(&id)
-            .ok_or_else(|| SmError::not_found(id))?;
-        if container.state != ContainerState::Failed {
-            return Err(SmError::conflict(format!("{id} is not failed")));
-        }
-        let machine_up = self
-            .machines
-            .get(&container.machine)
-            .map(|m| m.state == MachineState::Up)
-            .unwrap_or(false);
-        if !machine_up {
-            return Err(SmError::Unavailable(format!(
-                "{id}'s machine {} is down",
-                container.machine
-            )));
-        }
-        container.state = ContainerState::Running;
-        Ok(CmEvent::ContainerUp { container: id })
-    }
-
     /// Fails a machine (unplanned): all its running containers fail.
     /// Returns the affected container ids.
     pub fn fail_machine(&mut self, machine: MachineId) -> Result<Vec<ContainerId>, SmError> {
@@ -421,18 +380,10 @@ impl ClusterManager {
 
     // ---- Non-negotiable maintenance (§4.2) ----
 
-    /// Announces a maintenance event in advance. SM reads these via
-    /// [`Self::upcoming_maintenance`] and prepares (drain/demote).
+    /// Announces a maintenance event in advance, so SM can prepare
+    /// (drain/demote) before [`Self::begin_maintenance`].
     pub fn announce_maintenance(&mut self, event: MaintenanceEvent) {
         self.announced_maintenance.push(event);
-    }
-
-    /// Maintenance events whose start time is at or after `now`.
-    pub fn upcoming_maintenance(&self, now: SimTime) -> Vec<&MaintenanceEvent> {
-        self.announced_maintenance
-            .iter()
-            .filter(|e| e.start >= now)
-            .collect()
     }
 
     /// Begins announced maintenance on `machines` (the world calls this
@@ -512,6 +463,17 @@ mod tests {
         cm
     }
 
+    /// True if the container is running on a serving machine.
+    fn serving(cm: &ClusterManager, id: ContainerId) -> bool {
+        cm.containers.get(&id).is_some_and(|c| {
+            c.is_running()
+                && cm
+                    .machines
+                    .get(&c.machine)
+                    .is_some_and(|m| m.state == MachineState::Up)
+        })
+    }
+
     #[test]
     fn deploy_and_lookup() {
         let mut cm = cm_with(2);
@@ -519,7 +481,7 @@ mod tests {
             .unwrap();
         cm.deploy(ContainerId(1), AppId(1), MachineId(1), 1)
             .unwrap();
-        assert!(cm.container_serving(ContainerId(0)));
+        assert!(serving(&cm, ContainerId(0)));
         assert_eq!(cm.containers_of(AppId(1)).len(), 2);
         assert!(cm
             .deploy(ContainerId(0), AppId(1), MachineId(0), 1)
@@ -527,42 +489,6 @@ mod tests {
         assert!(cm
             .deploy(ContainerId(9), AppId(1), MachineId(99), 1)
             .is_err());
-    }
-
-    #[test]
-    fn restart_recovers_crashed_container_in_place() {
-        let mut cm = cm_with(2);
-        cm.deploy(ContainerId(0), AppId(1), MachineId(0), 1)
-            .unwrap();
-        let down = cm.crash_container(ContainerId(0)).unwrap();
-        assert_eq!(
-            down,
-            CmEvent::ContainerDown {
-                container: ContainerId(0),
-                planned: false
-            }
-        );
-        assert!(!cm.container_serving(ContainerId(0)));
-        // Restarting a running container is a conflict.
-        cm.deploy(ContainerId(1), AppId(1), MachineId(1), 1)
-            .unwrap();
-        assert!(cm.restart_container(ContainerId(1)).is_err());
-        // The crashed one comes back up.
-        let up = cm.restart_container(ContainerId(0)).unwrap();
-        assert_eq!(
-            up,
-            CmEvent::ContainerUp {
-                container: ContainerId(0)
-            }
-        );
-        assert!(cm.container_serving(ContainerId(0)));
-        assert_eq!(cm.counters().unplanned, 1);
-        // A container on a failed machine cannot restart until the
-        // machine recovers.
-        cm.fail_machine(MachineId(1)).unwrap();
-        assert!(cm.restart_container(ContainerId(1)).is_err());
-        cm.recover_machine(MachineId(1)).unwrap();
-        assert!(cm.container_serving(ContainerId(1)));
     }
 
     #[test]
@@ -580,7 +506,7 @@ mod tests {
         let now = SimTime::from_secs(10);
         let started = cm.begin_op(ops[0], now).unwrap();
         assert_eq!(started.resume_at, Some(SimTime::from_secs(40)));
-        assert!(!cm.container_serving(ContainerId(0)));
+        assert!(!serving(&cm, ContainerId(0)));
         assert_eq!(cm.pending_ops().len(), 2);
         assert_eq!(cm.executing_count(), 1);
 
@@ -591,7 +517,7 @@ mod tests {
                 container: ContainerId(0)
             }
         );
-        assert!(cm.container_serving(ContainerId(0)));
+        assert!(serving(&cm, ContainerId(0)));
         assert_eq!(cm.container(ContainerId(0)).unwrap().version, 2);
         assert!(!cm.upgrade_finished(AppId(1)), "two containers remain");
 
@@ -653,7 +579,7 @@ mod tests {
         cm.begin_op(op, SimTime::ZERO).unwrap();
         cm.complete_op(op).unwrap();
         assert_eq!(cm.container(ContainerId(0)).unwrap().machine, MachineId(1));
-        assert!(cm.container_serving(ContainerId(0)));
+        assert!(serving(&cm, ContainerId(0)));
     }
 
     #[test]
@@ -665,13 +591,13 @@ mod tests {
             .unwrap();
         let affected = cm.fail_machine(MachineId(0)).unwrap();
         assert_eq!(affected, vec![ContainerId(0)]);
-        assert!(!cm.container_serving(ContainerId(0)));
-        assert!(cm.container_serving(ContainerId(1)));
+        assert!(!serving(&cm, ContainerId(0)));
+        assert!(serving(&cm, ContainerId(1)));
         assert_eq!(cm.counters().unplanned, 1);
 
         let recovered = cm.recover_machine(MachineId(0)).unwrap();
         assert_eq!(recovered, vec![ContainerId(0)]);
-        assert!(cm.container_serving(ContainerId(0)));
+        assert!(serving(&cm, ContainerId(0)));
     }
 
     #[test]
@@ -683,10 +609,10 @@ mod tests {
         }
         let affected = cm.fail_all_machines();
         assert_eq!(affected.len(), 4);
-        assert!((0..4).all(|i| !cm.container_serving(ContainerId(i))));
+        assert!((0..4).all(|i| !serving(&cm, ContainerId(i))));
         let recovered = cm.recover_all_machines();
         assert_eq!(recovered.len(), 4);
-        assert!((0..4).all(|i| cm.container_serving(ContainerId(i))));
+        assert!((0..4).all(|i| serving(&cm, ContainerId(i))));
     }
 
     #[test]
@@ -700,17 +626,14 @@ mod tests {
             start: SimTime::from_secs(100),
             end: SimTime::from_secs(200),
         });
-        assert_eq!(cm.upcoming_maintenance(SimTime::from_secs(50)).len(), 1);
-        assert_eq!(cm.upcoming_maintenance(SimTime::from_secs(150)).len(), 0);
-
         let affected = cm.begin_maintenance(&[MachineId(0)], MaintenanceImpact::NetworkLoss);
         assert_eq!(affected, vec![ContainerId(0)]);
-        assert!(!cm.container_serving(ContainerId(0)));
+        assert!(!serving(&cm, ContainerId(0)));
         assert_eq!(cm.counters().planned, 1);
 
         let resumed = cm.end_maintenance(&[MachineId(0)], MaintenanceImpact::NetworkLoss);
         assert_eq!(resumed, vec![ContainerId(0)]);
-        assert!(cm.container_serving(ContainerId(0)));
+        assert!(serving(&cm, ContainerId(0)));
     }
 
     #[test]
@@ -721,7 +644,7 @@ mod tests {
         cm.begin_maintenance(&[MachineId(0)], MaintenanceImpact::FullMachineLoss);
         let resumed = cm.end_maintenance(&[MachineId(0)], MaintenanceImpact::FullMachineLoss);
         assert!(resumed.is_empty());
-        assert!(!cm.container_serving(ContainerId(0)));
+        assert!(!serving(&cm, ContainerId(0)));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub enum OpReason {
 
 impl OpReason {
     /// Whether the cluster manager will wait for TaskController approval.
-    pub fn is_negotiable(self) -> bool {
+    pub(crate) fn is_negotiable(self) -> bool {
         !matches!(self, OpReason::Maintenance)
     }
 }

@@ -322,15 +322,6 @@ impl Orchestrator {
         c.split_at.as_ref().filter(|_| of_parent)
     }
 
-    /// The `(target, target_server)` of an in-flight merge consuming
-    /// `source`, if any.
-    pub fn pending_merge(&self, source: ShardId) -> Option<(ShardId, ServerId)> {
-        let c = self.change_involving(source)?;
-        let consumed = c.sources.iter().flatten().any(|&(s, _)| s == source);
-        let [union, _] = c.targets;
-        union.filter(|_| c.kind == Kind::Merge && consumed)
-    }
-
     /// Forgets everything in flight (a restored standby starts clean).
     pub(crate) fn clear_in_flight(&mut self) {
         self.changes.clear();
@@ -612,7 +603,6 @@ impl Orchestrator {
                 return true;
             }
         }
-        self.spec_version += 1;
         let desired_of = |&(shard, _): &Party| self.desired_replicas.get(&shard).copied();
         let desired = sources.clone().filter_map(desired_of).max().unwrap_or(1);
         for &(shard, to) in targets {

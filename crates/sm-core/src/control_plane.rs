@@ -233,7 +233,7 @@ impl PartitionRegistry {
     /// for reassignment via [`PartitionRegistry::assign`]. Removing an
     /// unknown mini-SM is a no-op returning no orphans, so a duplicate
     /// expiry notification is harmless.
-    pub fn remove_minism(&mut self, dead: MiniSmId) -> Vec<PartitionId> {
+    pub(crate) fn remove_minism(&mut self, dead: MiniSmId) -> Vec<PartitionId> {
         let Some(info) = self.mini_sms.remove(&dead) else {
             return Vec::new();
         };
@@ -247,7 +247,7 @@ impl PartitionRegistry {
     /// becomes eligible for future [`assign`](Self::assign) calls.
     /// Returns [`SmError::Conflict`] if a mini-SM with that id is still
     /// registered — the caller must fail it over first.
-    pub fn restore_minism(&mut self, id: MiniSmId) -> Result<(), SmError> {
+    pub(crate) fn restore_minism(&mut self, id: MiniSmId) -> Result<(), SmError> {
         if self.mini_sms.contains_key(&id) {
             return Err(SmError::Conflict(format!(
                 "mini-SM {id:?} is already registered"
@@ -376,7 +376,7 @@ impl ReadService {
     }
 
     /// The partition a server belongs to.
-    pub fn partition_of_server(&self, server: ServerId) -> Option<PartitionId> {
+    pub(crate) fn partition_of_server(&self, server: ServerId) -> Option<PartitionId> {
         self.server_to_partition.get(&server).copied()
     }
 }
@@ -405,7 +405,7 @@ impl MiniSm {
 
     /// Takes over a partition: builds its orchestrator from the
     /// partition's membership and the app's policy.
-    pub fn adopt_partition(
+    pub(crate) fn adopt_partition(
         &mut self,
         partition: &Partition,
         policy: AppPolicy,
@@ -427,22 +427,6 @@ impl MiniSm {
             }
             std::collections::btree_map::Entry::Vacant(e) => e.insert(orch),
         }
-    }
-
-    /// Releases a partition (it is being rebalanced to another mini-SM).
-    ///
-    /// Returns [`SmError::NotFound`] if this mini-SM does not hold the
-    /// partition — which happens legitimately when a rebalance races a
-    /// failover that already moved it. Callers must treat that as "the
-    /// partition is elsewhere", not as a fatal bug.
-    pub fn release_partition(&mut self, partition: PartitionId) -> Result<Orchestrator, SmError> {
-        self.orchestrators.remove(&partition).ok_or_else(|| {
-            SmError::NotFound(format!(
-                "partition {partition:?} is not hosted by mini-SM {:?} \
-                 (released already, or failed over)",
-                self.id
-            ))
-        })
     }
 
     /// The orchestrator of one partition.
@@ -467,6 +451,7 @@ impl MiniSm {
 /// The global entry point (Figure 14's frontend): resolves an
 /// application's shard to the mini-SM responsible for it, composing the
 /// application registry, read service, and partition registry.
+// sm-lint: allow(U1) — PAPER.md "Twine cluster manager" row (its TaskControl calls enter SM through Fig 10's frontend); no world drives it yet
 pub struct Frontend<'a> {
     /// Application registry.
     pub apps: &'a ApplicationRegistry,
@@ -478,12 +463,14 @@ pub struct Frontend<'a> {
 
 impl<'a> Frontend<'a> {
     /// The mini-SM managing `(app, shard)`, if registered.
+    // sm-lint: allow(U1) — PAPER.md "Twine cluster manager" row (its TaskControl calls enter SM through Fig 10's frontend); no world drives it yet
     pub fn minism_for_shard(&self, app: AppId, shard: ShardId) -> Option<MiniSmId> {
         let partition = self.reads.partition_of_shard(app, shard)?;
         self.partitions.minism_of(partition)
     }
 
     /// The mini-SM managing a server, if registered.
+    // sm-lint: allow(U1) — PAPER.md "Twine cluster manager" row (its TaskControl calls enter SM through Fig 10's frontend); no world drives it yet
     pub fn minism_for_server(&self, server: ServerId) -> Option<MiniSmId> {
         let partition = self.reads.partition_of_server(server)?;
         self.partitions.minism_of(partition)
@@ -625,16 +612,6 @@ mod tests {
         }
         assert_eq!(minism.partitions().count(), 2);
         assert_eq!(minism.replica_count(), 16);
-        // Partitions can be released for rebalancing to another mini-SM.
-        let moved = minism.release_partition(parts[0].id).expect("released");
-        assert_eq!(moved.assignment().shard_count(), 8);
-        assert_eq!(minism.replica_count(), 8);
-        // Releasing again — e.g. a rebalance racing a failover that
-        // already moved the partition — is an error, not a panic.
-        let again = minism.release_partition(parts[0].id);
-        assert!(matches!(again, Err(SmError::NotFound(_))));
-        let unknown = minism.release_partition(PartitionId(999));
-        assert!(matches!(unknown, Err(SmError::NotFound(_))));
     }
 
     #[test]

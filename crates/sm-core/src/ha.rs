@@ -45,11 +45,11 @@ pub mod paths {
     use sm_types::{MiniSmId, PartitionId, ServerId};
 
     /// Control-plane root.
-    pub const SM: &str = "/sm";
+    pub(crate) const SM: &str = "/sm";
     /// Parent of per-partition durable state nodes.
-    pub const PARTITIONS: &str = "/sm/partitions";
+    pub(crate) const PARTITIONS: &str = "/sm/partitions";
     /// Parent of per-mini-SM ephemeral liveness nodes.
-    pub const MINISMS: &str = "/sm/minisms";
+    pub(crate) const MINISMS: &str = "/sm/minisms";
     /// The partition registry's durable state node.
     pub const REGISTRY: &str = "/sm/registry";
     /// Parent of per-server ephemeral liveness nodes.
@@ -61,7 +61,7 @@ pub mod paths {
     }
 
     /// Ephemeral liveness node of one mini-SM.
-    pub fn minism_node(minism: MiniSmId) -> String {
+    pub(crate) fn minism_node(minism: MiniSmId) -> String {
         format!("{MINISMS}/m{}", minism.raw())
     }
 
@@ -71,7 +71,7 @@ pub mod paths {
     }
 
     /// Parses a `/sm/minisms/m<N>` path back to its mini-SM id.
-    pub fn parse_minism(path: &str) -> Option<MiniSmId> {
+    pub(crate) fn parse_minism(path: &str) -> Option<MiniSmId> {
         let rest = path.strip_prefix(MINISMS)?.strip_prefix("/m")?;
         rest.parse().ok().map(MiniSmId)
     }
@@ -686,11 +686,6 @@ impl HaControlPlane {
     pub fn orchestrator(&mut self, partition: PartitionId) -> Option<&mut crate::Orchestrator> {
         let minism = self.registry.minism_of(partition)?;
         self.minisms.get_mut(&minism)?.sm.orchestrator(partition)
-    }
-
-    /// Partitions deployed through this control plane.
-    pub fn partition_ids(&self) -> Vec<PartitionId> {
-        self.partitions.keys().copied().collect()
     }
 
     /// Mini-SM processes currently running.

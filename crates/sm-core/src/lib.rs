@@ -30,14 +30,14 @@
 //!   key-range split/merge decisions the orchestrator executes with a
 //!   generalized (1→2, 2→1) graceful migration.
 
-pub mod api;
+pub(crate) mod api;
 mod change;
 pub mod control_plane;
 pub mod exchange;
 pub mod ha;
 pub mod orchestrator;
 pub mod scaler;
-pub mod splitter;
+pub(crate) mod splitter;
 pub mod taskcontroller;
 
 pub use api::{OrchCommand, ServerRpc, ShardServer};
@@ -47,7 +47,7 @@ pub use control_plane::{
 };
 pub use exchange::RpcExchange;
 pub use ha::{HaControlPlane, HaMiniSm, HaStats, ServerLease, ZkLease};
-pub use orchestrator::{Orchestrator, OrchestratorConfig, ServerEntry};
+pub use orchestrator::{Orchestrator, OrchestratorConfig};
 pub use scaler::{ScaleDecision, ShardScaler, ShardScalerConfig};
-pub use splitter::{ReshardOp, SplitScaler, SplitScalerConfig};
+pub use splitter::{SplitScaler, SplitScalerConfig};
 pub use taskcontroller::{AvailabilityView, TaskController, TcReview};

@@ -71,6 +71,7 @@ impl ShardScaler {
     /// count. Returns the recommended changes, hysteresis applied — a
     /// shard is only resized when the new count would put per-replica
     /// load back inside the band.
+    // sm-lint: allow(U1) — PAPER.md "Production traces" row (diurnal load: the replica-count shard scaler follows it); no world drives it yet
     pub fn evaluate(
         &self,
         loads: &BTreeMap<ShardId, LoadVector>,

@@ -81,7 +81,7 @@ impl SplitScalerConfig {
 
 /// One recommended resharding operation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReshardOp {
+pub(crate) enum ReshardOp {
     /// Split `shard`'s key range at its midpoint.
     Split {
         /// The hot shard to split.
@@ -121,7 +121,7 @@ impl SplitScaler {
     /// adjacent merges, never recommending both for the same shard and
     /// never crossing the `[min_shards, max_shards]` bounds even if all
     /// recommendations execute.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &self,
         spec: &ShardingSpec,
         loads: &BTreeMap<ShardId, LoadVector>,

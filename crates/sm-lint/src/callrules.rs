@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// Crates whose non-test `pub fn`s must not transitively panic (P1).
 /// `sm-cluster`/`sm-allocator` stay line-rule-only for now: their APIs
 /// are driven by the solver, not by live control-plane traffic.
-pub const P1_CRATES: [&str; 3] = ["sm-core", "sm-zk", "sm-routing"];
+pub(crate) const P1_CRATES: [&str; 3] = ["sm-core", "sm-zk", "sm-routing"];
 
 /// Individual files whose non-test `pub fn`s are P1 roots regardless
 /// of which crate they sit in: the replicated-log data plane, the
@@ -29,7 +29,7 @@ pub const P1_CRATES: [&str; 3] = ["sm-core", "sm-zk", "sm-routing"];
 /// a crash, so these paths must degrade to `SmError`, never to a crash.
 /// Listing a file here is deliberate even when its crate is already in
 /// [`P1_CRATES`]: the pin survives module moves and crate-list changes.
-pub const P1_FILES: [&str; 5] = [
+pub(crate) const P1_FILES: [&str; 5] = [
     "crates/sm-apps/src/replication.rs",
     "crates/sm-apps/src/replstore.rs",
     "crates/sm-core/src/splitter.rs",
@@ -46,14 +46,14 @@ fn p1_root(f: &FnNode) -> bool {
 
 /// Crates whose fns must not transitively reach wall-clock/entropy
 /// reads (D5) — the replay-deterministic simulator stack.
-pub const D5_CRATES: [&str; 3] = ["sm-sim", "sm-solver", "sm-apps"];
+pub(crate) const D5_CRATES: [&str; 3] = ["sm-sim", "sm-solver", "sm-apps"];
 
 /// Crates whose `// sm-lint: hot-path` fns must not transitively
 /// acquire a lock (R4) — the request plane's lock-free read side.
-pub const R4_CRATES: [&str; 3] = ["sm-routing", "sm-types", "sm-apps"];
+pub(crate) const R4_CRATES: [&str; 3] = ["sm-routing", "sm-types", "sm-apps"];
 
 /// Output of the graph rules.
-pub struct GraphFindings {
+pub(crate) struct GraphFindings {
     /// P1/L1/D5 violations (waiver-annotated like line rules).
     pub violations: Vec<Violation>,
     /// `(file, governed line, rule)` waivers consumed by graph rules —
@@ -62,7 +62,7 @@ pub struct GraphFindings {
 }
 
 /// Runs P1, L1, D5 and R4 over the graph.
-pub fn check_graph(g: &Graph, files: &BTreeMap<String, Vec<LineInfo>>) -> GraphFindings {
+pub(crate) fn check_graph(g: &Graph, files: &BTreeMap<String, Vec<LineInfo>>) -> GraphFindings {
     let mut out = GraphFindings {
         violations: Vec::new(),
         used_waivers: BTreeSet::new(),
@@ -388,7 +388,7 @@ fn waiver_for(
 /// W1: every `sm-lint: allow(..)` comment must still be earning its
 /// keep. `waived` holds `(file, line, rule)` of violations that
 /// carried a waiver; `used` holds waivers consumed at fact level.
-pub fn stale_waivers(
+pub(crate) fn stale_waivers(
     files: &BTreeMap<String, Vec<LineInfo>>,
     waived: &BTreeSet<(String, usize, RuleId)>,
     used: &BTreeSet<(String, usize, RuleId)>,

@@ -43,7 +43,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A direct panic site inside a function body.
 #[derive(Debug, Clone)]
-pub struct Site {
+pub(crate) struct Site {
     /// What panics / reads the clock (`.unwrap()`, `[]`, `Instant::now`).
     pub pattern: String,
     /// 1-based line of the site.
@@ -66,7 +66,7 @@ pub enum Event {
 
 /// An unresolved call site.
 #[derive(Debug, Clone)]
-pub struct CallRef {
+pub(crate) struct CallRef {
     /// Called identifier (`place_shard`, `new`).
     pub callee: String,
     /// Path qualifier directly before `::`, when present.
@@ -81,7 +81,7 @@ pub struct CallRef {
 
 /// One `fn` item in the workspace.
 #[derive(Debug, Clone)]
-pub struct FnNode {
+pub(crate) struct FnNode {
     /// Function name (unqualified).
     pub name: String,
     /// Enclosing `impl` type, when inside one.
@@ -114,7 +114,7 @@ pub struct FnNode {
 
 impl FnNode {
     /// `Type::name` when inside an impl, else `name`.
-    pub fn qualified(&self) -> String {
+    pub(crate) fn qualified(&self) -> String {
         match &self.impl_type {
             Some(t) => format!("{}::{}", t, self.name),
             None => self.name.clone(),
@@ -122,7 +122,7 @@ impl FnNode {
     }
 
     /// Lock names acquired anywhere in the body, in order.
-    pub fn locks(&self) -> Vec<(&str, usize)> {
+    pub(crate) fn locks(&self) -> Vec<(&str, usize)> {
         self.events
             .iter()
             .filter_map(|e| match e {
@@ -135,7 +135,7 @@ impl FnNode {
 
 /// The extracted workspace call graph.
 #[derive(Debug, Default)]
-pub struct Graph {
+pub(crate) struct Graph {
     /// Every fn item, in file order.
     pub fns: Vec<FnNode>,
     /// name → fn indices (all).
@@ -281,7 +281,7 @@ impl Graph {
     }
 
     /// Deduplicated resolved callee indices of `f`, in event order.
-    pub fn callees(&self, f: &FnNode) -> Vec<usize> {
+    pub(crate) fn callees(&self, f: &FnNode) -> Vec<usize> {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         for e in &f.events {
@@ -297,7 +297,7 @@ impl Graph {
     }
 
     /// Total resolved call edges (for report stats).
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.fns.iter().map(|f| self.callees(f).len()).sum()
     }
 }

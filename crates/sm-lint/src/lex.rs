@@ -10,7 +10,7 @@
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// An identifier or keyword (`fn`, `unwrap`, `Instant`).
     Ident,
     /// A numeric literal (`42`, `0xff`, `1_000u64`). Dots are *not*
@@ -23,7 +23,7 @@ pub enum TokKind {
 
 /// One token with its source position.
 #[derive(Debug, Clone)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// Token class.
     pub kind: TokKind,
     /// Identifier / number text; empty for puncts.
@@ -34,12 +34,12 @@ pub struct Tok {
 
 impl Tok {
     /// True when the token is the identifier `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokKind::Ident && self.text == s
     }
 
     /// True when the token is the punct `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct(c)
     }
 }
@@ -47,7 +47,7 @@ impl Tok {
 /// Tokenizes masked source. Adjacent puncts are emitted one char at a
 /// time; whitespace (which is what masking turns literals into) only
 /// separates tokens.
-pub fn lex(masked: &str) -> Vec<Tok> {
+pub(crate) fn lex(masked: &str) -> Vec<Tok> {
     let bytes = masked.as_bytes();
     let mut toks = Vec::with_capacity(masked.len() / 4);
     let mut line = 1usize;
@@ -101,10 +101,10 @@ pub fn lex(masked: &str) -> Vec<Tok> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::mask_source;
+    use crate::scan::mask_source_full;
 
     fn kinds(src: &str) -> Vec<String> {
-        lex(&mask_source(src))
+        lex(&mask_source_full(src).code)
             .into_iter()
             .map(|t| match t.kind {
                 TokKind::Ident | TokKind::Num => t.text,

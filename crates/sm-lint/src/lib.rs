@@ -11,7 +11,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | D1   | no `Instant::now` / `SystemTime::now` outside `sm-bench` |
+//! | D1   | no `Instant::now` / `SystemTime::now` / `env::var*` outside `sm-bench` |
 //! | D2   | no ambient RNG — only the seeded `sm_sim::SimRng` |
 //! | D3   | no `HashMap`/`HashSet` in deterministic crates |
 //! | D4   | no literal `SimNet` seeds in test code — seeds come from the harness |
@@ -23,27 +23,26 @@
 //! | P1   | no control-plane `pub fn` transitively reaching a panic / `[]` |
 //! | L1   | no cycles in the global lock-acquisition order |
 //! | W1   | no stale waivers — an `allow(..)` must still trigger |
+//! | U1   | no `pub` item that nothing outside its crate's `src/` names |
 //!
 //! Legitimate exceptions are *documented*, not hidden, with an inline
 //! waiver: `// sm-lint: allow(D3) — justification` (parsed only from
 //! real comments — never from strings or doc text). The tier-1 test
-//! `tests/lint.rs` runs the linter over the workspace, requires zero
-//! unwaived line-rule violations, and holds the graph-rule counts to
-//! the checked-in ratchet [`baseline`] (`lint-baseline.json`), which
-//! may only burn down.
+//! `tests/lint.rs` runs the linter over the workspace and requires zero
+//! unwaived violations of every rule.
 //!
 //! [`SmError`]: https://docs.rs/sm-types
 
-pub mod baseline;
-pub mod callrules;
-pub mod graph;
-pub mod lex;
+pub(crate) mod callrules;
+pub(crate) mod graph;
+pub(crate) mod lex;
 pub mod report;
-pub mod rules;
+pub(crate) mod rules;
 pub mod scan;
+mod surface;
 
 pub use report::Report;
-pub use rules::{check_file, classify, RuleId, Violation};
+pub use rules::{check_file, RuleId, Violation};
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -51,13 +50,18 @@ use std::path::{Path, PathBuf};
 /// Directories scanned inside the workspace root.
 const SCAN_ROOTS: [&str; 4] = ["src", "tests", "examples", "crates"];
 
+/// The repo benchmark: outside the workspace and never linted, but a
+/// caller of the crates' `pub` items like any other, so U1 reads it.
+const BENCH_SRC: &str = "bench/src";
+
 /// Directory names never descended into. `fixtures` holds sm-lint's
 /// own seeded-violation test trees, which must not lint the workspace.
 const SKIP_DIRS: [&str; 4] = ["target", ".git", "node_modules", "fixtures"];
 
 /// Lints every `.rs` file of the workspace rooted at `root`: line
-/// rules per file, then graph rules (P1/L1/D5/R4) over the extracted
-/// call graph, then the W1 stale-waiver audit over everything.
+/// rules per file, the surface rule U1 across them, then graph rules
+/// (P1/L1/D5/R4) over the extracted call graph, then the W1
+/// stale-waiver audit over everything.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     for sub in SCAN_ROOTS {
@@ -82,6 +86,21 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
         report.files_scanned += 1;
         parsed.push((rel, lines));
     }
+
+    // U1 also counts what the benchmark package names; which of its
+    // files names what does not matter, only that none is a library's.
+    let mut bench_files = Vec::new();
+    if root.join(BENCH_SRC).is_dir() {
+        collect_rust_files(&root.join(BENCH_SRC), &mut bench_files)?;
+    }
+    let mut bench = Vec::new();
+    for file in &bench_files {
+        let src = std::fs::read_to_string(file)?;
+        bench.push((BENCH_SRC.to_string(), scan::analyze(&src)));
+    }
+    report
+        .violations
+        .extend(surface::check(parsed.iter().chain(&bench)));
 
     // Cross-file rules over the call graph.
     let g = graph::Graph::build(&parsed);

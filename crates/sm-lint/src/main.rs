@@ -1,16 +1,7 @@
-//! CLI driver: `cargo run -p sm-lint [-- --format json] [--root PATH]
-//! [--baseline FILE [--fix-baseline]]`.
+//! CLI driver: `cargo run -p sm-lint [-- --format json] [--root PATH]`.
 //!
-//! Without `--baseline`, exits 0 when the workspace has zero unwaived
-//! violations, 1 otherwise (and 2 on usage/IO errors).
-//!
-//! With `--baseline FILE`, the gate is the **ratchet** instead: the
-//! per-(rule, crate) unwaived counts are compared against the
-//! checked-in file. Any count rising above its baseline entry fails
-//! the gate; counts that improved are auto-lowered in the file so the
-//! burn-down is monotone. A missing file is bootstrapped from the
-//! current counts. `--fix-baseline` rewrites the file wholesale — the
-//! explicit, reviewable way to accept a higher count.
+//! Exits 0 when the workspace has zero unwaived violations, 1
+//! otherwise (and 2 on usage/IO errors).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,8 +9,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut format_json = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut fix_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -39,28 +28,17 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("sm-lint: --baseline needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--fix-baseline" => fix_baseline = true,
             "--help" | "-h" => {
                 println!(
                     "sm-lint: workspace determinism & robustness lints\n\
-                     usage: sm-lint [--format text|json] [--root PATH]\n       \
-                     [--baseline FILE [--fix-baseline]]\n\
+                     usage: sm-lint [--format text|json] [--root PATH]\n\
                      line rules:  D1 sim-time-only  D2 seeded-RNG-only  D3 ordered-iteration\n             \
                      D4 no-literal-seeds  R1 no-panic-control-plane\n             \
                      R2 no-silent-discards  R3 no-dropped-watch-events\n\
                      graph rules: P1 panic-reachability  L1 lock-order-cycles\n             \
-                     D5 transitive-wall-clock  R4 hot-path-locks  W1 stale-waivers\n\
-                     waiver:  // sm-lint: allow(D3) — justification\n\
-                     ratchet: --baseline compares per-(rule, crate) counts against FILE,\n         \
-                     fails on any rise, auto-lowers improvements; --fix-baseline\n         \
-                     rewrites FILE from the current counts"
+                     D5 transitive-wall-clock  R4 hot-path-locks  W1 stale-waivers\n             \
+                     U1 closed-public-surface\n\
+                     waiver:  // sm-lint: allow(D3) — justification"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -70,11 +48,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    if fix_baseline && baseline_path.is_none() {
-        eprintln!("sm-lint: --fix-baseline needs --baseline FILE");
-        return ExitCode::from(2);
-    }
-
     // Default root: the workspace this binary was built from, so
     // `cargo run -p sm-lint` works from any subdirectory.
     let root = root.unwrap_or_else(|| {
@@ -98,63 +71,7 @@ fn main() -> ExitCode {
         print!("{}", report.render_text());
     }
 
-    let Some(path) = baseline_path else {
-        // Plain mode: any unwaived violation fails.
-        return if report.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    };
-
-    // Ratchet mode: judge the counts against the baseline file.
-    let current = sm_lint::baseline::counts(&report);
-    let path = if path.is_absolute() {
-        path
-    } else {
-        root.join(path)
-    };
-    if fix_baseline || !path.exists() {
-        let verb = if path.exists() {
-            "rewrote"
-        } else {
-            "bootstrapped"
-        };
-        if let Err(e) = std::fs::write(&path, sm_lint::baseline::render(&current)) {
-            eprintln!("sm-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "sm-lint: {verb} baseline {} ({} entries)",
-            path.display(),
-            current.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("sm-lint: reading {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let base = sm_lint::baseline::parse(&text);
-    let ratchet = sm_lint::baseline::compare(&current, &base);
-    for (key, was, now) in &ratchet.regressions {
-        eprintln!("sm-lint: ratchet REGRESSION {key}: baseline {was}, now {now}");
-    }
-    if !ratchet.improvements.is_empty() {
-        let lowered = sm_lint::baseline::lowered(&current, &base);
-        match std::fs::write(&path, sm_lint::baseline::render(&lowered)) {
-            Ok(()) => {
-                for (key, was, now) in &ratchet.improvements {
-                    eprintln!("sm-lint: ratchet improved {key}: {was} -> {now} (baseline lowered)");
-                }
-            }
-            Err(e) => eprintln!("sm-lint: could not lower baseline {}: {e}", path.display()),
-        }
-    }
-    if ratchet.passed() {
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -90,15 +90,6 @@ impl Report {
             let _ignored = write!(out, "\"{}\": {}", rule.name(), n);
         }
         out.push_str("},\n");
-        let by_rule_crate = crate::baseline::counts(self);
-        out.push_str("  \"by_rule_crate\": {");
-        for (i, (key, n)) in by_rule_crate.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ignored = write!(out, "\"{}\": {}", json_escape(key), n);
-        }
-        out.push_str("},\n");
         out.push_str("  \"violations\": [\n");
         for (i, v) in self.violations.iter().enumerate() {
             let _ignored = write!(

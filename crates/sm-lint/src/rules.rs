@@ -16,8 +16,9 @@ use crate::scan::{find_word, LineInfo};
 /// Identifier of an enforced invariant.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum RuleId {
-    /// No wall-clock reads (`Instant::now` / `SystemTime::now`)
-    /// outside `sm-bench`: simulated time only.
+    /// No wall-clock reads (`Instant::now` / `SystemTime::now`) and no
+    /// environment reads (`env::var*`) outside `sm-bench`: simulated
+    /// time only, and no ambient process state inside a seeded world.
     D1,
     /// No ambient RNG (`thread_rng`, `rand::random`, `from_entropy`):
     /// the seeded `sm_sim::SimRng` only. In modules that spawn threads,
@@ -78,11 +79,16 @@ pub enum RuleId {
     /// finding — waivers must not outlive the code they excuse. Not
     /// waivable; delete the stale waiver instead.
     W1,
+    /// Closed public surface (cross-file rule, see [`crate::surface`]):
+    /// a `pub` item in non-test library code whose name no file outside
+    /// its crate's `src/` mentions is `pub(crate)` at most — then the
+    /// compiler, not a reviewer, reports it when it dies.
+    U1,
 }
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 13] = [
         RuleId::D1,
         RuleId::D2,
         RuleId::D3,
@@ -95,6 +101,7 @@ impl RuleId {
         RuleId::P1,
         RuleId::L1,
         RuleId::W1,
+        RuleId::U1,
     ];
 
     /// The rule's short name as used in waivers (`D1`...`W1`).
@@ -112,6 +119,7 @@ impl RuleId {
             RuleId::P1 => "P1",
             RuleId::L1 => "L1",
             RuleId::W1 => "W1",
+            RuleId::U1 => "U1",
         }
     }
 
@@ -130,14 +138,18 @@ impl RuleId {
             "P1" => Some(RuleId::P1),
             "L1" => Some(RuleId::L1),
             "W1" => Some(RuleId::W1),
+            "U1" => Some(RuleId::U1),
             _ => None,
         }
     }
 
     /// One-line description used in reports.
-    pub fn describe(self) -> &'static str {
+    pub(crate) fn describe(self) -> &'static str {
         match self {
-            RuleId::D1 => "wall-clock read outside sm-bench (use sim time / step budgets)",
+            RuleId::D1 => {
+                "wall-clock or environment read outside sm-bench \
+                 (use sim time / step budgets; pass settings through the config)"
+            }
             RuleId::D2 => {
                 "ambient RNG (use the seeded sm_sim::SimRng; \
                  in threaded code derive workers via SimRng::seed_from)"
@@ -170,12 +182,16 @@ impl RuleId {
                  (acquire locks in one global order)"
             }
             RuleId::W1 => "stale waiver: governed line no longer triggers the rule (delete it)",
+            RuleId::U1 => {
+                "pub item named by nothing outside its crate's src/ \
+                 (make it pub(crate); delete it if the compiler then calls it dead)"
+            }
         }
     }
 }
 
 /// Crates whose behaviour must be a pure function of the seed.
-pub const DETERMINISTIC_CRATES: [&str; 6] = [
+pub(crate) const DETERMINISTIC_CRATES: [&str; 6] = [
     "sm-sim",
     "sm-solver",
     "sm-core",
@@ -185,14 +201,16 @@ pub const DETERMINISTIC_CRATES: [&str; 6] = [
 ];
 
 /// Crates whose non-test code must not panic.
-pub const CONTROL_PLANE_CRATES: [&str; 4] = ["sm-core", "sm-zk", "sm-cluster", "sm-allocator"];
+pub(crate) const CONTROL_PLANE_CRATES: [&str; 4] =
+    ["sm-core", "sm-zk", "sm-cluster", "sm-allocator"];
 
-/// Crates exempt from D1 (measurement tooling).
-pub const WALL_CLOCK_EXEMPT: [&str; 2] = ["sm-bench", "sm-lint"];
+/// Crates exempt from D1 (measurement tooling: `sm-bench` times with
+/// the wall clock and takes `SM_SCALE` / `SM_THREADS`).
+pub(crate) const WALL_CLOCK_EXEMPT: [&str; 2] = ["sm-bench", "sm-lint"];
 
 /// Where a scanned file lives, as far as rule scoping cares.
 #[derive(Clone, Debug)]
-pub struct FileClass {
+pub(crate) struct FileClass {
     /// Workspace crate the file belongs to (`sm-core`,
     /// `shard-manager` for the facade, `tests` / `examples` for the
     /// root directories).
@@ -203,7 +221,7 @@ pub struct FileClass {
 }
 
 /// Classifies a workspace-relative path like `crates/sm-core/src/api.rs`.
-pub fn classify(rel_path: &str) -> FileClass {
+pub(crate) fn classify(rel_path: &str) -> FileClass {
     let parts: Vec<&str> = rel_path.split('/').collect();
     let crate_name = if parts.first() == Some(&"crates") && parts.len() > 1 {
         parts[1].to_string()
@@ -245,7 +263,7 @@ pub struct Violation {
 /// the next line instead. Only plain comments count: the caller passes
 /// [`crate::scan::LineInfo::comment`], so a string literal or doc
 /// comment containing the waiver syntax never waives anything.
-pub fn waivers_on(comment: &str) -> Vec<(RuleId, String)> {
+pub(crate) fn waivers_on(comment: &str) -> Vec<(RuleId, String)> {
     let (names, justification) = match waiver_decls(comment) {
         Some(d) => d,
         None => return Vec::new(),
@@ -260,7 +278,7 @@ pub fn waivers_on(comment: &str) -> Vec<(RuleId, String)> {
 /// Like [`waivers_on`], but keeps the raw rule-name tokens so the W1
 /// audit can flag `allow(..)` entries naming unknown rules. Returns
 /// `(names, justification)` when the line declares a waiver.
-pub fn waiver_decls(comment: &str) -> Option<(Vec<String>, String)> {
+pub(crate) fn waiver_decls(comment: &str) -> Option<(Vec<String>, String)> {
     let at = comment.find("sm-lint: allow(")?;
     let after = &comment[at + "sm-lint: allow(".len()..];
     let close = after.find(')')?;
@@ -278,7 +296,7 @@ pub fn waiver_decls(comment: &str) -> Option<(Vec<String>, String)> {
 
 /// The waivers governing line `idx` (0-based): declared on the line
 /// itself, or on a directly preceding whole-line comment.
-pub fn waivers_governing(lines: &[LineInfo], idx: usize) -> Vec<(RuleId, String)> {
+pub(crate) fn waivers_governing(lines: &[LineInfo], idx: usize) -> Vec<(RuleId, String)> {
     let mut active = waivers_on(&lines[idx].comment);
     if idx > 0 {
         let above = &lines[idx - 1];
@@ -289,8 +307,10 @@ pub fn waivers_governing(lines: &[LineInfo], idx: usize) -> Vec<(RuleId, String)
     active
 }
 
-/// Patterns that constitute a D1 violation.
-const D1_PATTERNS: [&str; 2] = ["Instant::now", "SystemTime::now"];
+/// Patterns that constitute a D1 violation: the wall clock, and the
+/// process environment (`env::var` also matches `vars`, `var_os`,
+/// `vars_os`) — a seeded world replays only what its config holds.
+const D1_PATTERNS: [&str; 3] = ["Instant::now", "SystemTime::now", "env::var"];
 /// Patterns that constitute a D2 violation.
 const D2_PATTERNS: [&str; 4] = ["thread_rng", "from_entropy", "OsRng", "getrandom"];
 /// Markers that make a file "threaded" for D2's worker-seeding check.
@@ -522,6 +542,27 @@ mod tests {
         assert_eq!(v[0].rule, RuleId::D1);
         let v = lint("crates/sm-bench/src/lib.rs", "let t = Instant::now();\n");
         assert!(v.is_empty(), "sm-bench is exempt");
+    }
+
+    #[test]
+    fn d1_flags_environment_reads_outside_bench() {
+        for read in [
+            "std::env::var(\"SM_DEBUG_MAP\")",
+            "env::vars()",
+            "env::var_os(K)",
+        ] {
+            let v = lint(
+                "crates/sm-apps/src/harness.rs",
+                &format!("if {read}.is_ok() {{}}\n"),
+            );
+            assert_eq!(v.len(), 1, "{read}: {v:?}");
+            assert_eq!(v[0].rule, RuleId::D1);
+        }
+        let scale = "match std::env::var(\"SM_SCALE\").as_deref() {}\n";
+        assert!(lint("crates/sm-bench/src/lib.rs", scale).is_empty());
+        // Build-time `env!` and the argument list are not the environment.
+        let ok = "let r = env!(\"CARGO_MANIFEST_DIR\"); let a = std::env::args();\n";
+        assert!(lint("crates/sm-apps/src/kit.rs", ok).is_empty());
     }
 
     #[test]

@@ -52,20 +52,15 @@ enum State {
 }
 
 /// Both masking channels for one source file.
-pub struct Masked {
+pub(crate) struct Masked {
     /// Code with comments and literal bodies blanked.
     pub code: String,
     /// Plain-comment bodies with everything else blanked.
     pub comments: String,
 }
 
-/// Masks comment and literal bodies, preserving length and newlines.
-pub fn mask_source(src: &str) -> String {
-    mask_source_full(src).code
-}
-
 /// Masks `src` into the code and comment channels (see module docs).
-pub fn mask_source_full(src: &str) -> Masked {
+pub(crate) fn mask_source_full(src: &str) -> Masked {
     let chars: Vec<char> = src.chars().collect();
     let mut code: Vec<char> = Vec::with_capacity(chars.len());
     let mut comments: Vec<char> = Vec::with_capacity(chars.len());
@@ -347,7 +342,7 @@ pub fn analyze(src: &str) -> Vec<LineInfo> {
 
 /// Finds `needle` in `haystack` at identifier boundaries (the chars
 /// around a match must not be `[A-Za-z0-9_]`).
-pub fn find_word(haystack: &str, needle: &str) -> Option<usize> {
+pub(crate) fn find_word(haystack: &str, needle: &str) -> Option<usize> {
     let hay = haystack.as_bytes();
     let mut from = 0usize;
     while let Some(pos) = haystack[from..].find(needle) {
@@ -370,6 +365,10 @@ fn is_ident_byte(b: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn mask_source(src: &str) -> String {
+        mask_source_full(src).code
+    }
 
     #[test]
     fn masks_line_and_block_comments() {

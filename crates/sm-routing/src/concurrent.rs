@@ -119,7 +119,7 @@ impl ConcurrentRouter {
 
     /// Creates an empty router with capacity for `slots` concurrent
     /// handles (at least one).
-    pub fn with_slots(slots: usize) -> Self {
+    pub(crate) fn with_slots(slots: usize) -> Self {
         let n = if slots == 0 { 1 } else { slots };
         let core: Arc<RouterCore> = Arc::new(RouterCore { apps: Vec::new() });
         let mut slot_vec = Vec::with_capacity(n);

@@ -69,11 +69,6 @@ impl DiscoveryService {
         id
     }
 
-    /// Number of subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
     /// The stored tree depth of subscriber index `i` (0 if unknown).
     #[cfg(test)]
     fn depth(&self, i: usize) -> u32 {

@@ -102,11 +102,6 @@ impl ConsistentHashRing {
         }
     }
 
-    /// Number of distinct servers on the ring.
-    pub fn server_count(&self) -> usize {
-        self.distinct
-    }
-
     /// The server owning `key`: the first vnode clockwise from the
     /// key's hash (binary search). Returns `None` on an empty ring.
     pub fn server_for(&self, key: &AppKey) -> Option<ServerId> {
@@ -243,7 +238,6 @@ mod tests {
         for i in 0..10 {
             ring.add_server(ServerId(i));
         }
-        assert_eq!(ring.server_count(), 10);
         let mut counts = [0usize; 10];
         for k in keys(10_000) {
             counts[ring.server_for(&k).unwrap().raw() as usize] += 1;

@@ -117,7 +117,7 @@ impl ResolvedMap {
 
     /// Whether key → shard resolution is available (a spec was known
     /// at build time).
-    pub fn has_spec(&self) -> bool {
+    pub(crate) fn has_spec(&self) -> bool {
         self.has_spec
     }
 

@@ -25,7 +25,7 @@
 //! - [`trace`] — time-series recording for the figure harness.
 //! - [`stats`] — percentiles and windowed counters.
 
-pub mod engine;
+pub(crate) mod engine;
 pub mod faults;
 pub mod net;
 pub mod oracle;
@@ -37,11 +37,9 @@ pub mod trace;
 
 pub use engine::{Ctx, QueueKind, Simulation, World};
 pub use faults::{fault_plan, Fault, FaultPlanConfig, FaultProfile};
-pub use net::{
-    CopySet, Endpoint, Envelope, LatencyModel, NetStats, PartitionSpec, SimNet, Transmission,
-};
+pub use net::{CopySet, Endpoint, LatencyModel, NetStats, PartitionSpec, SimNet, Transmission};
 pub use oracle::{InvariantKind, Oracle, OracleViolation};
 pub use rng::SimRng;
-pub use stats::{percentile, WindowedCounter};
+pub use stats::percentile;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Series, TraceLog};

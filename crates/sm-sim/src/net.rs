@@ -9,7 +9,7 @@
 //! matrix plus a multiplicative jitter.
 //!
 //! [`SimNet`] layers delivery semantics on top for deterministic
-//! simulation testing: typed [`Envelope`]s travel between named
+//! simulation testing: messages travel between named
 //! [`Endpoint`]s, each transmission sampling its delay from the latency
 //! model, and the net can be degraded mid-run — symmetric or asymmetric
 //! partitions of a server island, probabilistic message drop and
@@ -21,7 +21,6 @@
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 use sm_types::RegionId;
-use std::collections::BTreeMap;
 
 /// Symmetric one-way latency between regions, with jitter.
 #[derive(Clone, Debug)]
@@ -83,11 +82,6 @@ impl LatencyModel {
         )
     }
 
-    /// Number of regions the model covers.
-    pub fn region_count(&self) -> usize {
-        self.matrix.len()
-    }
-
     /// Base one-way latency between two regions, without jitter.
     ///
     /// Regions outside the matrix are treated as maximally distant
@@ -109,11 +103,6 @@ impl LatencyModel {
         let ms = base * (1.0 + self.jitter * rng.f64());
         SimDuration::from_millis_f64(ms)
     }
-
-    /// Samples a round-trip latency between two regions.
-    pub fn sample_rtt(&self, a: RegionId, b: RegionId, rng: &mut SimRng) -> SimDuration {
-        self.sample(a, b, rng) + self.sample(b, a, rng)
-    }
 }
 
 /// A named participant in the simulated network.
@@ -133,17 +122,6 @@ pub enum Endpoint {
     Server(u32),
     /// The i-th client / request generator.
     Client(u32),
-}
-
-/// A typed message in flight between two endpoints.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Envelope<M> {
-    /// Sending endpoint.
-    pub src: Endpoint,
-    /// Receiving endpoint.
-    pub dst: Endpoint,
-    /// The payload; the embedding world defines the alphabet.
-    pub payload: M,
 }
 
 /// An active network partition: a contiguous island of servers
@@ -266,18 +244,22 @@ pub struct Transmission {
 /// traffic or fault-plan randomness.
 const NET_STREAM: u64 = 0x7E7;
 
+/// Every endpoint sits in one region: the worlds on `SimNet` study
+/// faults, not geography (the geo figures sample [`LatencyModel`]
+/// themselves).
+const REGION: RegionId = RegionId(0);
+
 /// Message-level simulated network.
 ///
 /// Construct it from the run seed (`SimNet` derives its own RNG stream
 /// via [`SimRng::seed_from`]) and route every inter-process message
-/// through [`SimNet::transmit`] / [`SimNet::send`]. Fault injection —
+/// through [`SimNet::transmit`]. Fault injection —
 /// [`SimNet::start_partition`], [`SimNet::set_degradation`] — is driven
 /// by the `sm_sim::faults` plan DSL, never ad hoc, so the whole failure
 /// schedule stays a pure function of the plan config.
 #[derive(Clone, Debug)]
 pub struct SimNet {
     latency: LatencyModel,
-    regions: BTreeMap<Endpoint, RegionId>,
     rng: SimRng,
     partition: Option<PartitionSpec>,
     drop_p: f64,
@@ -290,22 +272,12 @@ impl SimNet {
     pub fn new(latency: LatencyModel, seed: u64) -> Self {
         Self {
             latency,
-            regions: BTreeMap::new(),
             rng: SimRng::seed_from(seed, NET_STREAM),
             partition: None,
             drop_p: 0.0,
             dup_p: 0.0,
             stats: NetStats::default(),
         }
-    }
-
-    /// Places an endpoint in a region (default: region 0).
-    pub fn set_region(&mut self, ep: Endpoint, region: RegionId) {
-        self.regions.insert(ep, region);
-    }
-
-    fn region(&self, ep: Endpoint) -> RegionId {
-        self.regions.get(&ep).copied().unwrap_or(RegionId(0))
     }
 
     /// Starts (or replaces) a partition.
@@ -359,11 +331,10 @@ impl SimNet {
             self.stats.dropped += 1;
             return Transmission::default();
         }
-        let (a, b) = (self.region(src), self.region(dst));
         let mut copies = CopySet::default();
-        copies.push(self.latency.sample(a, b, &mut self.rng));
+        copies.push(self.latency.sample(REGION, REGION, &mut self.rng));
         if self.dup_p > 0.0 && self.rng.chance(self.dup_p) {
-            copies.push(self.latency.sample(a, b, &mut self.rng));
+            copies.push(self.latency.sample(REGION, REGION, &mut self.rng));
             self.stats.duplicated += 1;
         }
         self.stats.delivered += 1;
@@ -373,18 +344,9 @@ impl SimNet {
         }
     }
 
-    /// Transmits a typed envelope: the envelope paired with each
-    /// delivered copy's delay, ready to schedule.
-    pub fn send<M: Clone>(&mut self, envelope: Envelope<M>) -> Vec<(SimDuration, Envelope<M>)> {
-        self.transmit(envelope.src, envelope.dst)
-            .copies
-            .into_iter()
-            .map(|d| (d, envelope.clone()))
-            .collect()
-    }
-
-    /// Delay on the *ordered, reliable* channel between two endpoints:
-    /// the base latency with no jitter, no drop, and no duplication.
+    /// Delay on the *ordered, reliable* channel between ZooKeeper and
+    /// the control plane: the base latency with no jitter, no drop, and
+    /// no duplication.
     ///
     /// This models a session-oriented transport (the ZK client's TCP
     /// connection): notifications are never lost or reordered while the
@@ -392,8 +354,8 @@ impl SimNet {
     /// machinery models separately. Partitions do not block this
     /// channel because in this workspace the control plane is colocated
     /// with ZK and neither is ever islanded.
-    pub fn ordered_delay(&self, src: Endpoint, dst: Endpoint) -> SimDuration {
-        SimDuration::from_millis_f64(self.latency.base_ms(self.region(src), self.region(dst)))
+    pub fn ordered_delay(&self) -> SimDuration {
+        SimDuration::from_millis_f64(self.latency.base_ms(REGION, REGION))
     }
 }
 
@@ -404,7 +366,6 @@ mod tests {
     #[test]
     fn preset_matches_paper_geometry() {
         let m = LatencyModel::frc_prn_odn();
-        assert_eq!(m.region_count(), 3);
         let frc = RegionId(0);
         let prn = RegionId(1);
         let odn = RegionId(2);
@@ -442,16 +403,6 @@ mod tests {
     #[should_panic(expected = "symmetric")]
     fn asymmetric_matrix_rejected() {
         LatencyModel::new(vec![vec![1.0, 2.0], vec![3.0, 1.0]], 0.1);
-    }
-
-    #[test]
-    fn rtt_is_roughly_double() {
-        let m = LatencyModel::frc_prn_odn();
-        let mut rng = SimRng::seeded(4);
-        let rtt = m
-            .sample_rtt(RegionId(0), RegionId(2), &mut rng)
-            .as_millis_f64();
-        assert!((90.0..=99.1).contains(&rtt));
     }
 
     fn net(seed: u64) -> SimNet {
@@ -567,20 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn send_wraps_envelopes_per_copy() {
-        let seed = 9;
-        let mut n = net(seed);
-        n.set_degradation(0.0, 1.0);
-        let sent = n.send(Envelope {
-            src: Endpoint::Server(0),
-            dst: Endpoint::ControlPlane,
-            payload: 7u32,
-        });
-        assert_eq!(sent.len(), 2, "dup_p = 1 always duplicates");
-        assert!(sent.iter().all(|(_, e)| e.payload == 7));
-    }
-
-    #[test]
     fn ordered_channel_is_jitter_free_and_unblocked() {
         let seed = 13;
         let mut n = net(seed);
@@ -589,8 +526,8 @@ mod tests {
             len: 9,
             asym: false,
         });
-        let d = n.ordered_delay(Endpoint::Zk, Endpoint::ControlPlane);
+        let d = n.ordered_delay();
         assert_eq!(d.as_millis_f64(), 10.0);
-        assert_eq!(d, n.ordered_delay(Endpoint::Zk, Endpoint::ControlPlane));
+        assert_eq!(d, n.ordered_delay());
     }
 }

@@ -84,7 +84,7 @@ impl InvariantKind {
 /// so two leaders could commit independently. Adjacent configurations
 /// in a safe reconfiguration history must never admit this; the joint
 /// phase (`C_old,new`) exists precisely to bridge two such sets.
-pub fn quorums_can_be_disjoint(
+pub(crate) fn quorums_can_be_disjoint(
     a: &std::collections::BTreeSet<u64>,
     b: &std::collections::BTreeSet<u64>,
 ) -> bool {
@@ -122,7 +122,7 @@ const MAX_RECORDED: usize = 64;
 /// One live shard's key range as reported to
 /// [`Oracle::keyspace_coverage`]: `(shard, start, end)`, keys as byte
 /// strings in lexicographic order, `end == None` meaning unbounded.
-pub type ShardRange = (u64, Vec<u8>, Option<Vec<u8>>);
+pub(crate) type ShardRange = (u64, Vec<u8>, Option<Vec<u8>>);
 
 /// Accumulates invariant observations over one simulated run.
 #[derive(Clone, Debug, Default)]
@@ -435,13 +435,6 @@ impl Oracle {
         }
     }
 
-    /// Requests still outstanding (issued, neither served nor
-    /// dropped); nonzero at the end of a drained run means the world
-    /// lost track of traffic.
-    pub fn outstanding_requests(&self) -> usize {
-        self.outstanding.len()
-    }
-
     /// At the end of a fully-drained run, any request still
     /// outstanding was silently lost — neither served nor explicitly
     /// dropped — which is its own `lost_request` violation.
@@ -455,22 +448,6 @@ impl Oracle {
                 InvariantKind::LostRequest,
                 format!("request {id} vanished: never served, never dropped"),
             );
-        }
-    }
-
-    /// A deterministic one-line verdict for logs.
-    pub fn summary(&self) -> String {
-        if self.is_clean() {
-            format!("oracle: clean ({} observations)", self.observations)
-        } else {
-            let first = &self.violations[0];
-            format!(
-                "oracle: {} violations (first: {} at {:.3}s: {})",
-                self.total,
-                first.kind.name(),
-                first.at.as_secs_f64(),
-                first.detail
-            )
         }
     }
 }
@@ -495,8 +472,8 @@ mod tests {
         o.read_served(t(3), 100, None); // never written: fine
         o.quiescent_registry(t(4), b"snap", Some(b"snap"));
         o.convergence_check(t(5), 0, 0, 0);
-        assert!(o.is_clean(), "{}", o.summary());
-        assert_eq!(o.outstanding_requests(), 0);
+        assert!(o.is_clean(), "{:?}", o.violations());
+        assert!(o.outstanding.is_empty());
     }
 
     #[test]
@@ -505,7 +482,6 @@ mod tests {
         o.primaries_observed(t(10), 7, 2);
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::DualPrimary);
-        assert!(o.summary().contains("dual_primary"));
     }
 
     #[test]
@@ -535,7 +511,7 @@ mod tests {
         assert!(o.already_served(1));
         o.request_dropped(t(9), 2);
         assert_eq!(o.violations()[0].kind, InvariantKind::LostRequest);
-        assert_eq!(o.outstanding_requests(), 0);
+        assert!(o.outstanding.is_empty());
     }
 
     #[test]
@@ -566,7 +542,7 @@ mod tests {
         o.quiescent_drain_check(t(99));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::LostRequest);
-        assert_eq!(o.outstanding_requests(), 0);
+        assert!(o.outstanding.is_empty());
     }
 
     #[test]
@@ -601,12 +577,11 @@ mod tests {
                 vec![s(&[2, 3, 4])],
             ],
         );
-        assert!(o.is_clean(), "{}", o.summary());
+        assert!(o.is_clean(), "{:?}", o.violations());
         // Single-step history: old → new with no joint bridge.
         o.replica_config_chain(t(2), 7, &[vec![s(&[1, 2, 3])], vec![s(&[2, 3, 4])]]);
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::ReplicaSetAgreement);
-        assert!(o.summary().contains("replica_set_agreement"));
     }
 
     #[test]
@@ -636,7 +611,7 @@ mod tests {
                 r(1, &[0x40], Some(&[0x80])),
             ],
         );
-        assert!(o.is_clean(), "{}", o.summary());
+        assert!(o.is_clean(), "{:?}", o.violations());
 
         // Gap in the middle.
         o.keyspace_coverage(t(2), &[r(0, &[], Some(&[0x40])), r(1, &[0x50], None)]);
@@ -652,7 +627,6 @@ mod tests {
             .violations()
             .iter()
             .all(|v| v.kind == InvariantKind::KeyspaceCoverage));
-        assert!(o.summary().contains("keyspace_coverage"));
     }
 
     #[test]

@@ -1,7 +1,4 @@
-//! Small statistics helpers: percentiles and sliding-window counters.
-
-use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
+//! Small statistics helpers: percentiles.
 
 /// Returns the `p`-th percentile (0.0–100.0) of `values` using
 /// nearest-rank on a sorted copy, or `None` for an empty slice.
@@ -13,50 +10,6 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     Some(sorted[rank.clamp(1, sorted.len()) - 1])
-}
-
-/// Counts events within a trailing time window — e.g. "requests in the
-/// last 10 s" for computing a rolling success rate.
-#[derive(Clone, Debug)]
-pub struct WindowedCounter {
-    window: SimDuration,
-    events: VecDeque<(SimTime, f64)>,
-    sum: f64,
-}
-
-impl WindowedCounter {
-    /// Creates a counter with the given trailing window.
-    pub fn new(window: SimDuration) -> Self {
-        Self {
-            window,
-            events: VecDeque::new(),
-            sum: 0.0,
-        }
-    }
-
-    /// Records `weight` at time `now` and expires old entries.
-    pub fn add(&mut self, now: SimTime, weight: f64) {
-        self.events.push_back((now, weight));
-        self.sum += weight;
-        self.expire(now);
-    }
-
-    /// Sum of weights within the window ending at `now`.
-    pub fn total(&mut self, now: SimTime) -> f64 {
-        self.expire(now);
-        self.sum
-    }
-
-    fn expire(&mut self, now: SimTime) {
-        while let Some(&(t, w)) = self.events.front() {
-            if now.since(t) > self.window {
-                self.sum -= w;
-                self.events.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -77,24 +30,5 @@ mod tests {
     #[test]
     fn percentile_unsorted_input() {
         assert_eq!(percentile(&[3.0, 1.0, 2.0], 50.0), Some(2.0));
-    }
-
-    #[test]
-    fn windowed_counter_expires() {
-        let mut c = WindowedCounter::new(SimDuration::from_secs(10));
-        c.add(SimTime::from_secs(0), 1.0);
-        c.add(SimTime::from_secs(5), 2.0);
-        assert_eq!(c.total(SimTime::from_secs(5)), 3.0);
-        // t=0 event is exactly 11s old at t=11 -> expired; t=5 remains.
-        assert_eq!(c.total(SimTime::from_secs(11)), 2.0);
-        assert_eq!(c.total(SimTime::from_secs(16)), 0.0);
-    }
-
-    #[test]
-    fn windowed_counter_boundary_inclusive() {
-        let mut c = WindowedCounter::new(SimDuration::from_secs(10));
-        c.add(SimTime::from_secs(0), 1.0);
-        // Exactly window-old events still count (strict > expiry).
-        assert_eq!(c.total(SimTime::from_secs(10)), 1.0);
     }
 }

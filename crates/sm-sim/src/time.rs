@@ -29,18 +29,13 @@ impl SimTime {
         SimTime(ms * 1_000)
     }
 
-    /// Builds an instant `hours` hours after start.
-    pub const fn from_hours(hours: u64) -> Self {
-        SimTime(hours * 3_600_000_000)
-    }
-
     /// Builds an instant `days` days after start.
     pub const fn from_days(days: u64) -> Self {
         SimTime(days * 86_400_000_000)
     }
 
     /// Whole seconds since start (truncating).
-    pub const fn as_secs(self) -> u64 {
+    pub(crate) const fn as_secs(self) -> u64 {
         self.0 / 1_000_000
     }
 
@@ -69,11 +64,6 @@ impl SimDuration {
         SimDuration(ms * 1_000)
     }
 
-    /// Builds a span of `hours` hours.
-    pub const fn from_hours(hours: u64) -> Self {
-        SimDuration(hours * 3_600_000_000)
-    }
-
     /// Builds a span of `days` days.
     pub const fn from_days(days: u64) -> Self {
         SimDuration(days * 86_400_000_000)
@@ -92,11 +82,6 @@ impl SimDuration {
     /// The span in milliseconds as a float.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
-    }
-
-    /// The span in whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Multiplies the span by an integer factor.
@@ -173,7 +158,7 @@ mod tests {
             SimTime::from_secs(1) - SimTime::from_secs(2),
             SimDuration::ZERO
         );
-        assert_eq!(SimDuration::from_secs(1).mul(3).as_secs(), 3);
+        assert_eq!(SimDuration::from_secs(1).mul(3), SimDuration::from_secs(3));
     }
 
     #[test]
@@ -183,7 +168,6 @@ mod tests {
         let six_weeks = SimTime::from_days(42);
         assert_eq!(six_weeks.0, 42 * 86_400 * 1_000_000);
         assert_eq!(six_weeks.as_secs(), 42 * 86_400);
-        assert_eq!(SimTime::from_hours(24 * 42), six_weeks);
 
         // Microsecond arithmetic at that horizon is still exact.
         let t = six_weeks + SimDuration::from_micros(1);

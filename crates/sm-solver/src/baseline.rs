@@ -1,11 +1,8 @@
-//! Baseline solvers used as comparison points.
-//!
-//! - [`greedy_place`] — first-fit-decreasing onto the least-utilized
-//!   feasible bin; the kind of hand-crafted heuristic the paper's
-//!   allocator used before switching to a constraint solver (§5.2).
-//! - [`optimal_tiny`] — exhaustive enumeration for tiny problems; the
-//!   test oracle that local search reaches the global optimum where one
-//!   can be computed.
+//! The baseline solver used as a comparison point: [`greedy_place`],
+//! first-fit-decreasing onto the least-utilized feasible bin — the kind
+//! of hand-crafted heuristic the paper's allocator used before switching
+//! to a constraint solver (§5.2). (The exhaustive optimum local search is
+//! tested against lives in this file's test module.)
 
 use crate::eval::Evaluator;
 use crate::problem::{BinId, EntityId, Problem};
@@ -53,51 +50,6 @@ pub fn greedy_place(problem: &Problem, specs: &SpecSet) -> Vec<Option<BinId>> {
     eval.assignment()
 }
 
-/// Exhaustively finds the minimum-penalty assignment for a tiny problem.
-///
-/// Returns `(assignment, penalty)`. Intended for test oracles only.
-///
-/// # Panics
-///
-/// Panics if `bins^entities` exceeds one million combinations.
-pub fn optimal_tiny(problem: &Problem, specs: &SpecSet) -> (Vec<Option<BinId>>, f64) {
-    let n_e = problem.entity_count();
-    let n_b = problem.bin_count();
-    let combos = (n_b as f64).powi(n_e as i32);
-    assert!(
-        combos <= 1e6,
-        "optimal_tiny is for tiny problems only ({combos} combos)"
-    );
-    let mut best_pen = f64::INFINITY;
-    let mut best: Vec<Option<BinId>> = vec![None; n_e];
-    let mut counter = vec![0usize; n_e];
-    loop {
-        let assignment: Vec<Option<BinId>> = counter.iter().map(|&b| Some(BinId(b))).collect();
-        let eval = Evaluator::with_assignment(problem, specs, u8::MAX, &assignment);
-        // Hard constraints: skip infeasible assignments.
-        if eval.violations().capacity == 0 {
-            let pen = eval.total_penalty();
-            if pen < best_pen {
-                best_pen = pen;
-                best = assignment;
-            }
-        }
-        // Increment the mixed-radix counter.
-        let mut i = 0;
-        loop {
-            if i == n_e {
-                return (best, best_pen);
-            }
-            counter[i] += 1;
-            if counter[i] < n_b {
-                break;
-            }
-            counter[i] = 0;
-            i += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,6 +57,52 @@ mod tests {
     use crate::search::{LocalSearch, SearchConfig};
     use crate::specs::{BalanceSpec, CapacitySpec, ExclusionSpec, Scope, Spec};
     use sm_types::{LoadVector, Location, MachineId, Metric, RegionId};
+
+    /// Exhaustively finds the minimum-penalty assignment for a tiny problem.
+    ///
+    /// Returns `(assignment, penalty)`. The reference local search is
+    /// compared against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins^entities` exceeds one million combinations.
+    fn optimal_tiny(problem: &Problem, specs: &SpecSet) -> (Vec<Option<BinId>>, f64) {
+        let n_e = problem.entity_count();
+        let n_b = problem.bin_count();
+        let combos = (n_b as f64).powi(n_e as i32);
+        assert!(
+            combos <= 1e6,
+            "optimal_tiny is for tiny problems only ({combos} combos)"
+        );
+        let mut best_pen = f64::INFINITY;
+        let mut best: Vec<Option<BinId>> = vec![None; n_e];
+        let mut counter = vec![0usize; n_e];
+        loop {
+            let assignment: Vec<Option<BinId>> = counter.iter().map(|&b| Some(BinId(b))).collect();
+            let eval = Evaluator::with_assignment(problem, specs, u8::MAX, &assignment);
+            // Hard constraints: skip infeasible assignments.
+            if eval.violations().capacity == 0 {
+                let pen = eval.total_penalty();
+                if pen < best_pen {
+                    best_pen = pen;
+                    best = assignment;
+                }
+            }
+            // Increment the mixed-radix counter.
+            let mut i = 0;
+            loop {
+                if i == n_e {
+                    return (best, best_pen);
+                }
+                counter[i] += 1;
+                if counter[i] < n_b {
+                    break;
+                }
+                counter[i] = 0;
+                i += 1;
+            }
+        }
+    }
 
     fn cpu(v: f64) -> LoadVector {
         LoadVector::single(Metric::Cpu.id(), v)

@@ -411,17 +411,10 @@ impl<'p> Evaluator<'p> {
         }
     }
 
-    /// Places an unplaced entity without checking hard constraints
-    /// (used for seeding from the initial assignment).
-    pub fn force_place(&mut self, e: EntityId, bin: BinId) {
-        self.seed_place(e, bin);
-        self.refresh_leaf(bin.0);
-        self.refresh_group_key(bin.0);
-    }
-
-    /// [`Self::force_place`] minus the penalty-leaf and group-key
-    /// refresh — the bulk-construction fast path, which refreshes every
-    /// bin once at the end instead of once per hosted entity.
+    /// Places an unplaced entity without checking hard constraints and
+    /// without the penalty-leaf and group-key refresh — bulk
+    /// construction refreshes every bin once at the end instead of once
+    /// per hosted entity.
     fn seed_place(&mut self, e: EntityId, bin: BinId) {
         debug_assert_eq!(self.assignment[e.0], UNPLACED);
         let b = bin.0;
@@ -518,7 +511,7 @@ impl<'p> Evaluator<'p> {
 
     /// Returns true if placing `e` on `bin` would break a hard capacity
     /// constraint.
-    pub fn violates_hard(&self, e: EntityId, bin: BinId) -> bool {
+    pub(crate) fn violates_hard(&self, e: EntityId, bin: BinId) -> bool {
         let load = &self.entities[e.0].load;
         let usage = &self.bin_usage[bin.0];
         let cap = &self.bin_capacity[bin.0];
@@ -641,7 +634,7 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Current bin of an entity.
-    pub fn bin_of(&self, e: EntityId) -> Option<BinId> {
+    pub(crate) fn bin_of(&self, e: EntityId) -> Option<BinId> {
         let b = self.assignment[e.0];
         (b != UNPLACED).then_some(BinId(b as usize))
     }
@@ -652,7 +645,7 @@ impl<'p> Evaluator<'p> {
     }
 
     /// The hottest `k` bins by attributed penalty.
-    pub fn hot_bins(&self, k: usize) -> Vec<BinId> {
+    pub(crate) fn hot_bins(&self, k: usize) -> Vec<BinId> {
         self.tree.top_k(k).into_iter().map(BinId).collect()
     }
 
@@ -665,7 +658,7 @@ impl<'p> Evaluator<'p> {
 
     /// Groups with colocated replicas under some exclusion goal,
     /// along with their member entities.
-    pub fn violated_groups(&self) -> Vec<(GroupId, &[EntityId])> {
+    pub(crate) fn violated_groups(&self) -> Vec<(GroupId, &[EntityId])> {
         self.violated_groups
             .iter()
             .map(|(_, g)| (*g, self.members(g.0)))
@@ -681,7 +674,7 @@ impl<'p> Evaluator<'p> {
     /// how much moving it *could* recover. Used by the search to rank
     /// candidates ("prioritizing shards whose constraint or goal
     /// violations impair the optimization objective the most", §5.3).
-    pub fn entity_misplacement(&self, e: EntityId) -> f64 {
+    pub(crate) fn entity_misplacement(&self, e: EntityId) -> f64 {
         let b = self.assignment[e.0];
         if b == UNPLACED {
             return 0.0;
@@ -705,76 +698,8 @@ impl<'p> Evaluator<'p> {
     /// incrementally so the search never rebuilds the grouping per
     /// round. Within-group order is a deterministic function of the
     /// move history.
-    pub fn target_groups(&self) -> &BTreeMap<(u64, u8), Vec<usize>> {
+    pub(crate) fn target_groups(&self) -> &BTreeMap<(u64, u8), Vec<usize>> {
         &self.target_groups
-    }
-
-    /// Cross-checks every incremental index against the assignment
-    /// vector — test oracle for the O(1) hot-path bookkeeping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of sync.
-    pub fn assert_index_consistent(&self) {
-        for (b, list) in self.bin_entities.iter().enumerate() {
-            assert_eq!(
-                list.len() as u32,
-                self.bin_entity_count[b],
-                "bin {b}: entity list vs count"
-            );
-            for &e in list {
-                assert_eq!(
-                    self.assignment[e.0], b as u32,
-                    "bin {b}: stale entity {e:?} in index"
-                );
-                assert_eq!(
-                    list[self.entity_pos[e.0] as usize], e,
-                    "entity {e:?}: position index out of sync"
-                );
-            }
-        }
-        let placed = self.assignment.iter().filter(|&&a| a != UNPLACED).count();
-        let indexed: usize = self.bin_entities.iter().map(Vec::len).sum();
-        assert_eq!(placed, indexed, "placed entities vs indexed entities");
-        for (b, &key) in self.bin_group_key.iter().enumerate() {
-            assert_eq!(key, self.compute_group_key(b), "bin {b}: stale group key");
-            let group = self
-                .target_groups
-                .get(&key)
-                .unwrap_or_else(|| panic!("bin {b}: group {key:?} missing"));
-            assert_eq!(
-                group[self.bin_group_pos[b] as usize], b,
-                "bin {b}: group position out of sync"
-            );
-        }
-        let grouped: usize = self.target_groups.values().map(Vec::len).sum();
-        assert_eq!(grouped, self.bin_group_key.len(), "bins vs grouped bins");
-        // The spread bookkeeping, recounted from `assignment` alone.
-        let mut total = 0.0;
-        let mut violated = BTreeSet::new();
-        for (gi, goal) in self.exclusion_goals.iter().enumerate() {
-            let si = scope_index(goal.scope);
-            for g in 0..goal.in_goal.len() {
-                let bins = self.members(g).iter().map(|m| self.assignment[m.0]);
-                let domains: Vec<u64> = bins
-                    .filter(|&b| b != UNPLACED && goal.in_goal[g])
-                    .map(|b| self.bin_domains[b as usize][si])
-                    .collect();
-                let distinct = domains.iter().collect::<BTreeSet<_>>().len();
-                assert_eq!(
-                    (goal.placed[g] as usize, goal.distinct[g] as usize),
-                    (domains.len(), distinct),
-                    "goal {gi}, group {g}: placed and distinct domains"
-                );
-                total += goal.weight * (domains.len() - distinct) as f64;
-                if domains.len() > distinct {
-                    violated.insert((gi, GroupId(g)));
-                }
-            }
-        }
-        assert_eq!(self.violated_groups, violated, "violated groups");
-        let drift = (self.exclusion_total - total).abs();
-        assert!(drift <= 1e-9 * total.max(1.0), "exclusion total vs recount");
     }
 
     /// Snapshot of the current assignment.
@@ -854,6 +779,72 @@ mod tests {
         AffinitySpec, BalanceSpec, CapacitySpec, DrainSpec, ExclusionSpec, UtilizationCapSpec,
     };
     use sm_types::{Location, MachineId, Metric, RegionId};
+
+    impl Evaluator<'_> {
+        /// Cross-checks every incremental index against the assignment
+        /// vector — the reference for the O(1) hot-path bookkeeping.
+        fn assert_index_consistent(&self) {
+            for (b, list) in self.bin_entities.iter().enumerate() {
+                assert_eq!(
+                    list.len() as u32,
+                    self.bin_entity_count[b],
+                    "bin {b}: entity list vs count"
+                );
+                for &e in list {
+                    assert_eq!(
+                        self.assignment[e.0], b as u32,
+                        "bin {b}: stale entity {e:?} in index"
+                    );
+                    assert_eq!(
+                        list[self.entity_pos[e.0] as usize], e,
+                        "entity {e:?}: position index out of sync"
+                    );
+                }
+            }
+            let placed = self.assignment.iter().filter(|&&a| a != UNPLACED).count();
+            let indexed: usize = self.bin_entities.iter().map(Vec::len).sum();
+            assert_eq!(placed, indexed, "placed entities vs indexed entities");
+            for (b, &key) in self.bin_group_key.iter().enumerate() {
+                assert_eq!(key, self.compute_group_key(b), "bin {b}: stale group key");
+                let group = self
+                    .target_groups
+                    .get(&key)
+                    .unwrap_or_else(|| panic!("bin {b}: group {key:?} missing"));
+                assert_eq!(
+                    group[self.bin_group_pos[b] as usize], b,
+                    "bin {b}: group position out of sync"
+                );
+            }
+            let grouped: usize = self.target_groups.values().map(Vec::len).sum();
+            assert_eq!(grouped, self.bin_group_key.len(), "bins vs grouped bins");
+            // The spread bookkeeping, recounted from `assignment` alone.
+            let mut total = 0.0;
+            let mut violated = BTreeSet::new();
+            for (gi, goal) in self.exclusion_goals.iter().enumerate() {
+                let si = scope_index(goal.scope);
+                for g in 0..goal.in_goal.len() {
+                    let bins = self.members(g).iter().map(|m| self.assignment[m.0]);
+                    let domains: Vec<u64> = bins
+                        .filter(|&b| b != UNPLACED && goal.in_goal[g])
+                        .map(|b| self.bin_domains[b as usize][si])
+                        .collect();
+                    let distinct = domains.iter().collect::<BTreeSet<_>>().len();
+                    assert_eq!(
+                        (goal.placed[g] as usize, goal.distinct[g] as usize),
+                        (domains.len(), distinct),
+                        "goal {gi}, group {g}: placed and distinct domains"
+                    );
+                    total += goal.weight * (domains.len() - distinct) as f64;
+                    if domains.len() > distinct {
+                        violated.insert((gi, GroupId(g)));
+                    }
+                }
+            }
+            assert_eq!(self.violated_groups, violated, "violated groups");
+            let drift = (self.exclusion_total - total).abs();
+            assert!(drift <= 1e-9 * total.max(1.0), "exclusion total vs recount");
+        }
+    }
 
     fn loc(region: u16, machine: u32) -> Location {
         Location {
@@ -1088,7 +1079,14 @@ mod tests {
 
     #[test]
     fn drain_penalty_counts_entities() {
-        let mut p = two_region_problem();
+        let mut p = Problem::new();
+        for (r, m) in [(0u16, 0u32), (0, 1), (1, 2), (1, 3)] {
+            p.add_bin(Bin {
+                capacity: cpu(10.0),
+                location: loc(r, m),
+                draining: m == 0,
+            });
+        }
         let e0 = p.add_entity(
             Entity {
                 load: cpu(1.0),
@@ -1103,7 +1101,6 @@ mod tests {
             },
             Some(BinId(0)),
         );
-        p.set_draining(BinId(0), true);
         let mut specs = SpecSet::new();
         specs.add_goal(Spec::Drain(DrainSpec {
             weight: 1.5,

@@ -36,7 +36,7 @@
 
 pub mod baseline;
 pub mod eval;
-pub mod parallel;
+pub(crate) mod parallel;
 pub mod penalty_tree;
 pub mod problem;
 pub mod search;
@@ -45,7 +45,7 @@ pub mod specs;
 pub use eval::{Evaluator, ViolationStats};
 pub use parallel::ParallelSearch;
 pub use problem::{Bin, BinId, Entity, EntityId, GroupId, Problem};
-pub use search::{LocalSearch, ParallelMode, SearchConfig, SearchStats};
+pub use search::{LocalSearch, SearchConfig, SearchStats};
 pub use specs::{
     AffinitySpec, BalanceSpec, CapacitySpec, DrainSpec, ExclusionSpec, Scope, Spec, SpecSet,
     UtilizationCapSpec,

@@ -1,23 +1,16 @@
 //! Deterministic n-way parallel local search.
 //!
 //! [`ParallelSearch`] runs N seeded [`LocalSearch`] workers on
-//! `std::thread::scope` (std-only, no work-stealing runtime) in one of
-//! two modes selected by [`ParallelMode`]:
-//!
-//! - **Portfolio** — every worker solves the full problem with a
-//!   distinct RNG stream (and lightly diversified knobs); the best
-//!   final assignment wins a deterministic `(penalty, worker)` tie
-//!   break. More exploration for the same wall clock on multi-core
-//!   hardware.
-//! - **Region-partition** — bins are striped across N disjoint
-//!   partitions (round-robin over the region-sorted bin list, so every
-//!   partition spans every region), entities follow their replica
-//!   group or their initial bin, and each partition is solved
-//!   concurrently on a *narrower* configuration. The merged assignment
-//!   is then polished by a short sequential full-problem pass. Because
-//!   each worker searches a sub-problem (fewer candidate entities,
-//!   fewer target bins, smaller per-round scans), total work shrinks —
-//!   this mode is faster even on a single core.
+//! `std::thread::scope` (std-only, no work-stealing runtime) over a
+//! **region partition**: bins are striped across N disjoint
+//! partitions (round-robin over the region-sorted bin list, so every
+//! partition spans every region), entities follow their replica
+//! group or their initial bin, and each partition is solved
+//! concurrently on a *narrower* configuration. The merged assignment
+//! is then polished by a short sequential full-problem pass. Because
+//! each worker searches a sub-problem (fewer candidate entities,
+//! fewer target bins, smaller per-round scans), total work shrinks —
+//! it is faster even on a single core.
 //!
 //! Determinism: the result is a pure function of `(problem, specs,
 //! seed, threads)`. Worker `i` derives its RNG with
@@ -28,7 +21,7 @@
 //! wall-clock reading ever influences a decision (rule D1).
 
 use crate::problem::{BinId, Entity, EntityId, GroupId, Problem};
-use crate::search::{LocalSearch, ParallelMode, SearchConfig, SearchStats};
+use crate::search::{LocalSearch, SearchConfig, SearchStats};
 use crate::specs::{AffinitySpec, ExclusionSpec, Spec, SpecSet};
 use sm_sim::SimRng;
 
@@ -52,86 +45,19 @@ pub struct ParallelSearch {
 }
 
 impl ParallelSearch {
-    /// Creates a driver; `config.threads` and `config.parallel_mode`
-    /// select the strategy.
+    /// Creates a driver; `config.threads` is the worker count.
     pub fn new(config: SearchConfig) -> Self {
         Self { config }
     }
 
     /// Solves the problem. With `threads <= 1` this is byte-identical
-    /// to [`LocalSearch::solve`]; otherwise it fans out per
-    /// [`ParallelMode`].
+    /// to [`LocalSearch::solve`]; otherwise disjoint sub-problems are
+    /// solved concurrently, merged, then sequentially polished.
     pub fn solve(&self, problem: &Problem, specs: &SpecSet) -> (Vec<Option<BinId>>, SearchStats) {
         let n = self.config.threads.min(problem.bin_count()).max(1);
         if n <= 1 {
             return LocalSearch::new(self.config.clone()).solve(problem, specs);
         }
-        match self.config.parallel_mode {
-            ParallelMode::Portfolio => self.solve_portfolio(problem, specs, n),
-            ParallelMode::RegionPartition => self.solve_partitioned(problem, specs, n),
-        }
-    }
-
-    /// Portfolio mode: N full-problem solves, best result wins.
-    fn solve_portfolio(
-        &self,
-        problem: &Problem,
-        specs: &SpecSet,
-        n: usize,
-    ) -> (Vec<Option<BinId>>, SearchStats) {
-        let seed = self.config.seed;
-        let per_worker_budget = self.config.eval_budget.map(|b| b / n as u64);
-        let results: Vec<(Vec<Option<BinId>>, SearchStats)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut cfg = diversify(&self.config, i);
-                    cfg.eval_budget = per_worker_budget;
-                    scope.spawn(move || {
-                        let mut rng = SimRng::seed_from(seed, i as u64);
-                        let initial = problem.initial_assignment().to_vec();
-                        LocalSearch::new(cfg).solve_from(problem, specs, initial, &mut rng)
-                    })
-                })
-                .collect();
-            // Joining in worker-index order makes the collection order
-            // independent of thread scheduling.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("portfolio worker panicked"))
-                .collect()
-        });
-
-        // Deterministic reduction: lowest final penalty, then lowest
-        // worker index. The comparator is total over distinct indices,
-        // so the winner does not depend on iteration internals.
-        let winner = results
-            .iter()
-            .enumerate()
-            .min_by(|(i, a), (j, b)| {
-                a.1.final_penalty
-                    .total_cmp(&b.1.final_penalty)
-                    .then(i.cmp(j))
-            })
-            .expect("at least one worker ran")
-            .0;
-        let total_evaluated: u64 = results.iter().map(|(_, s)| s.evaluated).sum();
-        let total_moves: usize = results.iter().map(|(_, s)| s.moves).sum();
-        let (assignment, mut stats) = results.into_iter().nth(winner).expect("winner index valid");
-        // Evaluations and moves report the whole portfolio's work; the
-        // timeline stays the winner's trajectory.
-        stats.evaluated = total_evaluated;
-        stats.moves = total_moves;
-        (assignment, stats)
-    }
-
-    /// Region-partition mode: disjoint sub-problems solved
-    /// concurrently, merged, then sequentially polished.
-    fn solve_partitioned(
-        &self,
-        problem: &Problem,
-        specs: &SpecSet,
-        n: usize,
-    ) -> (Vec<Option<BinId>>, SearchStats) {
         let seed = self.config.seed;
         let partitions = build_partitions(problem, specs, n);
 
@@ -207,19 +133,6 @@ impl ParallelSearch {
         }
         (assignment, stats)
     }
-}
-
-/// Light per-worker config diversification for portfolio mode, so
-/// workers explore differently even beyond their RNG streams.
-fn diversify(base: &SearchConfig, worker: usize) -> SearchConfig {
-    let mut cfg = base.clone();
-    match worker % 4 {
-        1 => cfg.targets_per_entity = base.targets_per_entity.saturating_add(8),
-        2 => cfg.entities_per_bin = base.entities_per_bin.saturating_add(4),
-        3 => cfg.patience = base.patience.saturating_add(8),
-        _ => {}
-    }
-    cfg
 }
 
 /// Narrows the per-round search widths for a partition worker: the
@@ -450,12 +363,11 @@ mod tests {
         (p, specs)
     }
 
-    fn run(mode: ParallelMode, threads: usize, seed: u64) -> (Vec<Option<BinId>>, SearchStats) {
+    fn run(threads: usize, seed: u64) -> (Vec<Option<BinId>>, SearchStats) {
         let (p, specs) = skewed_problem(3, 8, 120);
         let solver = ParallelSearch::new(SearchConfig {
             seed,
             threads,
-            parallel_mode: mode,
             ..Default::default()
         });
         solver.solve(&p, &specs)
@@ -477,22 +389,10 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_is_deterministic_and_feasible() {
-        for threads in [2, 4] {
-            let (a1, s1) = run(ParallelMode::Portfolio, threads, 9);
-            let (a2, s2) = run(ParallelMode::Portfolio, threads, 9);
-            assert_eq!(a1, a2, "portfolio threads={threads}");
-            assert_eq!(s1.timeline, s2.timeline);
-            assert_eq!(s1.final_violations, 0);
-            assert!(a1.iter().all(Option::is_some));
-        }
-    }
-
-    #[test]
     fn region_partition_is_deterministic_and_feasible() {
         for threads in [2, 4] {
-            let (a1, s1) = run(ParallelMode::RegionPartition, threads, 9);
-            let (a2, s2) = run(ParallelMode::RegionPartition, threads, 9);
+            let (a1, s1) = run(threads, 9);
+            let (a2, s2) = run(threads, 9);
             assert_eq!(a1, a2, "partition threads={threads}");
             assert_eq!(s1.timeline, s2.timeline);
             assert_eq!(s1.final_violations, 0);
@@ -593,7 +493,6 @@ mod tests {
         let solver = ParallelSearch::new(SearchConfig {
             seed: 1,
             threads: 8,
-            parallel_mode: ParallelMode::RegionPartition,
             ..Default::default()
         });
         let (a, s) = solver.solve(&p, &specs);

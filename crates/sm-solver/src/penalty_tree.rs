@@ -55,17 +55,6 @@ impl PenaltyTree {
         }
     }
 
-    /// Sum of leaves `0..=i` in O(log n).
-    pub fn prefix_sum(&self, i: usize) -> f64 {
-        let mut idx = i + 1;
-        let mut sum = 0.0;
-        while idx > 0 {
-            sum += self.tree[idx];
-            idx -= idx & idx.wrapping_neg();
-        }
-        sum
-    }
-
     /// Total penalty across all leaves in O(1).
     pub fn total(&self) -> f64 {
         self.total
@@ -103,24 +92,6 @@ mod tests {
         assert_eq!(t.total(), 6.0);
         assert_eq!(t.get(0), 5.0);
         assert_eq!(t.get(3), 0.0);
-    }
-
-    #[test]
-    fn prefix_sums_match_naive() {
-        let mut t = PenaltyTree::new(16);
-        let mut naive = [0.0; 16];
-        // Deterministic pseudo-values.
-        for (i, slot) in naive.iter_mut().enumerate() {
-            let v = ((i * 7 + 3) % 11) as f64;
-            t.set(i, v);
-            *slot = v;
-        }
-        for i in 0..16 {
-            let expect: f64 = naive[..=i].iter().sum();
-            assert!((t.prefix_sum(i) - expect).abs() < 1e-9, "prefix {i}");
-        }
-        let total: f64 = naive.iter().sum();
-        assert!((t.total() - total).abs() < 1e-9);
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl Problem {
     }
 
     /// Number of groups minted.
-    pub fn group_count(&self) -> usize {
+    pub(crate) fn group_count(&self) -> usize {
         self.group_count
     }
 
@@ -100,7 +100,7 @@ impl Problem {
     }
 
     /// All bins.
-    pub fn bins(&self) -> &[Bin] {
+    pub(crate) fn bins(&self) -> &[Bin] {
         &self.bins
     }
 
@@ -112,11 +112,6 @@ impl Problem {
     /// The initial assignment (entity index -> bin).
     pub fn initial_assignment(&self) -> &[Option<BinId>] {
         &self.initial
-    }
-
-    /// Marks a bin as draining.
-    pub fn set_draining(&mut self, bin: BinId, draining: bool) {
-        self.bins[bin.0].draining = draining;
     }
 }
 
@@ -163,17 +158,5 @@ mod tests {
         assert_eq!(p.entity_count(), 1);
         assert_eq!(p.bin_count(), 2);
         assert_eq!(p.group_count(), 1);
-    }
-
-    #[test]
-    fn draining_flag_toggles() {
-        let mut p = Problem::new();
-        let b = p.add_bin(Bin {
-            capacity: LoadVector::zero(),
-            location: loc(0),
-            draining: false,
-        });
-        p.set_draining(b, true);
-        assert!(p.bin(b).draining);
     }
 }

@@ -26,21 +26,6 @@ use sm_types::METRIC_COUNT;
 
 use sm_sim::SimRng;
 
-/// How [`crate::ParallelSearch`] splits work across workers when
-/// [`SearchConfig::threads`] is greater than one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ParallelMode {
-    /// Every worker solves the full problem with a distinct seed and
-    /// the best final assignment wins (deterministic `(penalty, seed)`
-    /// tie-break). Best objective, no wall-clock reduction on one core.
-    Portfolio,
-    /// The problem is split into disjoint bin partitions (striped
-    /// across regions), each solved concurrently on a narrower
-    /// sub-problem, then merged and polished sequentially. Reduces
-    /// total work, so it is faster even on a single core.
-    RegionPartition,
-}
-
 /// Tuning knobs and ablation switches for [`LocalSearch`].
 #[derive(Clone, Debug)]
 pub struct SearchConfig {
@@ -49,8 +34,6 @@ pub struct SearchConfig {
     /// Worker count for [`crate::ParallelSearch`]; `0` or `1` means
     /// the plain single-threaded [`LocalSearch`] path.
     pub threads: usize,
-    /// Work-splitting strategy when `threads > 1`.
-    pub parallel_mode: ParallelMode,
     /// Maximum number of applied moves (the paper's "move budget").
     pub max_moves: usize,
     /// Candidate-evaluation budget; `None` = unbounded. This is the
@@ -87,7 +70,6 @@ impl Default for SearchConfig {
         Self {
             seed: 0,
             threads: 1,
-            parallel_mode: ParallelMode::RegionPartition,
             max_moves: usize::MAX,
             eval_budget: None,
             hot_bins_per_round: 8,
@@ -185,7 +167,7 @@ impl LocalSearch {
     /// and an externally seeded RNG — the building block
     /// [`crate::ParallelSearch`] uses for per-worker solves and for the
     /// sequential cross-partition polish pass.
-    pub fn solve_from(
+    pub(crate) fn solve_from(
         &self,
         problem: &Problem,
         specs: &SpecSet,

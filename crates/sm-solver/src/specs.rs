@@ -7,7 +7,7 @@
 //! to find one.
 
 use crate::problem::{EntityId, GroupId};
-use sm_types::{FaultDomain, MetricId};
+use sm_types::MetricId;
 
 /// The aggregation scope of a constraint or goal.
 ///
@@ -23,18 +23,6 @@ pub enum Scope {
     DataCenter,
     /// Per region.
     Region,
-}
-
-impl Scope {
-    /// The fault-domain level this scope aggregates over.
-    pub fn fault_domain(self) -> FaultDomain {
-        match self {
-            Scope::Host => FaultDomain::Machine,
-            Scope::Rack => FaultDomain::Rack,
-            Scope::DataCenter => FaultDomain::DataCenter,
-            Scope::Region => FaultDomain::Region,
-        }
-    }
 }
 
 /// Hard constraint: per-host usage of `metric` must not exceed capacity
@@ -178,7 +166,7 @@ impl SpecSet {
 
     /// The distinct goal priorities present, ascending (the batch
     /// schedule of §5.3).
-    pub fn priorities(&self) -> Vec<u8> {
+    pub(crate) fn priorities(&self) -> Vec<u8> {
         let mut ps: Vec<u8> = self.goals.iter().map(Spec::priority).collect();
         ps.sort_unstable();
         ps.dedup();
@@ -186,7 +174,7 @@ impl SpecSet {
     }
 
     /// The goals with priority <= `max_priority` (cumulative batching).
-    pub fn goals_up_to(&self, max_priority: u8) -> Vec<&Spec> {
+    pub(crate) fn goals_up_to(&self, max_priority: u8) -> Vec<&Spec> {
         self.goals
             .iter()
             .filter(|g| g.priority() <= max_priority)
@@ -221,14 +209,6 @@ mod tests {
         assert_eq!(set.priorities(), vec![0, 2]);
         assert_eq!(set.goals_up_to(0).len(), 2);
         assert_eq!(set.goals_up_to(2).len(), 3);
-    }
-
-    #[test]
-    fn scope_maps_to_fault_domain() {
-        assert_eq!(Scope::Host.fault_domain(), FaultDomain::Machine);
-        assert_eq!(Scope::Region.fault_domain(), FaultDomain::Region);
-        assert_eq!(Scope::Rack.fault_domain(), FaultDomain::Rack);
-        assert_eq!(Scope::DataCenter.fault_domain(), FaultDomain::DataCenter);
     }
 
     #[test]

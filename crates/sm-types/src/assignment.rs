@@ -289,12 +289,12 @@ impl ShardMap {
 }
 
 /// Sentinel for "this span has no primary replica".
-pub const NO_PRIMARY: u32 = u32::MAX;
+pub(crate) const NO_PRIMARY: u32 = u32::MAX;
 
 /// One shard's replica span inside a [`DenseShardTable`]: a window into
 /// the flat server array plus the primary's offset within that window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplicaSpan {
+pub(crate) struct ReplicaSpan {
     /// First replica's index in the flat server array.
     pub start: u32,
     /// Number of replicas.
@@ -369,7 +369,7 @@ impl DenseShardTable {
     }
 
     /// The shard occupying `slot`.
-    pub fn shard_at(&self, slot: usize) -> Option<ShardId> {
+    pub(crate) fn shard_at(&self, slot: usize) -> Option<ShardId> {
         self.shard_ids.get(slot).copied()
     }
 

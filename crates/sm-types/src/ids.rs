@@ -88,28 +88,6 @@ id_type!(
     "minism"
 );
 
-/// A shard qualified by its owning application, unique across the fleet.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct GlobalShardId {
-    /// Owning application.
-    pub app: AppId,
-    /// Shard within the application.
-    pub shard: ShardId,
-}
-
-impl GlobalShardId {
-    /// Creates a global shard id from its parts.
-    pub const fn new(app: AppId, shard: ShardId) -> Self {
-        Self { app, shard }
-    }
-}
-
-impl fmt::Display for GlobalShardId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.app, self.shard)
-    }
-}
-
 /// The role a shard replica plays (§2.2.3).
 ///
 /// A shard has at most one primary plus any number of secondaries. The
@@ -148,19 +126,12 @@ mod tests {
         assert_eq!(ShardId(42).to_string(), "shard42");
         assert_eq!(ServerId(3).to_string(), "srv3");
         assert_eq!(RegionId(1).to_string(), "region1");
-        assert_eq!(
-            GlobalShardId::new(AppId(1), ShardId(2)).to_string(),
-            "app1/shard2"
-        );
     }
 
     #[test]
     fn ids_order_by_raw_value() {
         assert!(ShardId(1) < ShardId(2));
         assert!(AppId(0) < AppId(1));
-        let a = GlobalShardId::new(AppId(1), ShardId(9));
-        let b = GlobalShardId::new(AppId(2), ShardId(0));
-        assert!(a < b, "app id dominates ordering");
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl KeyRange {
     /// This is conservative in the right direction for routing a prefix
     /// scan: it may include ranges with no matching key but never
     /// excludes a range that has one.
-    pub fn may_contain_prefix(&self, prefix: &[u8]) -> bool {
+    pub(crate) fn may_contain_prefix(&self, prefix: &[u8]) -> bool {
         // The keys with `prefix` form the interval [prefix, successor(prefix)).
         let lo = AppKey::new(prefix);
         match prefix_successor(prefix) {
@@ -499,7 +499,7 @@ impl ShardingSpec {
     /// before and after, by exactly one shard. Carving the middle of a
     /// range (neither edge shared) is rejected — it would leave `from`
     /// owning two disconnected pieces.
-    pub fn transfer_range(
+    pub(crate) fn transfer_range(
         &self,
         from: ShardId,
         range: &KeyRange,

@@ -12,25 +12,21 @@
 //! the framework never splits or merges them.
 
 pub mod assignment;
-pub mod error;
+pub(crate) mod error;
 pub mod ids;
 pub mod keys;
 pub mod load;
 pub mod policy;
-pub mod topology;
+pub(crate) mod topology;
 
-pub use assignment::{
-    Assignment, DenseShardTable, ReplicaAssignment, ReplicaSpan, ShardMap, ShardMapEntry,
-    NO_PRIMARY,
-};
+pub use assignment::{Assignment, DenseShardTable, ReplicaAssignment, ShardMap, ShardMapEntry};
 pub use error::SmError;
 pub use ids::{
-    AppId, ContainerId, GlobalShardId, MachineId, MiniSmId, PartitionId, RegionId, ReplicaRole,
-    ServerId, ShardId,
+    AppId, ContainerId, MachineId, MiniSmId, PartitionId, RegionId, ReplicaRole, ServerId, ShardId,
 };
 pub use keys::{AppKey, KeyRange, ShardingSpec};
 pub use load::{LoadVector, Metric, MetricId, METRIC_COUNT};
 pub use policy::{
     AppPolicy, DataPersistency, DeploymentMode, DrainPolicy, LoadBalancePolicy, ReplicationMode,
 };
-pub use topology::{FaultDomain, Location, Topology};
+pub use topology::{FaultDomain, Location};

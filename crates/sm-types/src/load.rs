@@ -121,7 +121,7 @@ impl LoadVector {
     }
 
     /// Iterates `(metric, value)` over the non-zero slots.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (MetricId, f64)> + '_ {
+    pub(crate) fn iter_nonzero(&self) -> impl Iterator<Item = (MetricId, f64)> + '_ {
         self.values
             .iter()
             .enumerate()

@@ -190,12 +190,6 @@ impl AppPolicy {
             persistency: DataPersistency::SoftState,
         }
     }
-
-    /// Sets a regional placement preference for one shard.
-    pub fn with_region_preference(mut self, shard: ShardId, region: RegionId, weight: f64) -> Self {
-        self.region_preferences.insert(shard, (region, weight));
-        self
-    }
 }
 
 #[cfg(test)]
@@ -249,14 +243,5 @@ mod tests {
         assert_eq!(z.replication.replicas_per_shard(), 3);
         assert!(z.needs_storage);
         assert_eq!(z.persistency, DataPersistency::Persistent);
-    }
-
-    #[test]
-    fn region_preference_builder() {
-        let p = AppPolicy::secondary_only(2)
-            .with_region_preference(ShardId(5), RegionId(1), 2.0)
-            .with_region_preference(ShardId(6), RegionId(0), 1.0);
-        assert_eq!(p.region_preferences[&ShardId(5)], (RegionId(1), 2.0));
-        assert_eq!(p.region_preferences.len(), 2);
     }
 }

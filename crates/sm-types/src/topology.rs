@@ -5,7 +5,6 @@
 //! exposes each machine's position in that hierarchy.
 
 use crate::ids::{MachineId, RegionId};
-use std::collections::BTreeMap;
 
 /// A level of the fault-domain hierarchy, ordered from largest to
 /// smallest blast radius.
@@ -59,214 +58,5 @@ impl Location {
             FaultDomain::Rack => u64::from(self.rack),
             FaultDomain::Machine => u64::from(self.machine.raw()),
         }
-    }
-
-    /// Returns true if the two locations share the domain at `level`.
-    pub fn same_domain(&self, other: &Location, level: FaultDomain) -> bool {
-        self.domain(level) == other.domain(level)
-    }
-}
-
-/// An immutable description of the machine fleet.
-///
-/// Built once per experiment via [`Topology::builder`]; components hold it
-/// behind an `Arc` and look machines up by id.
-///
-/// # Examples
-///
-/// ```
-/// use sm_types::topology::{FaultDomain, Topology};
-/// use sm_types::ids::RegionId;
-///
-/// // 2 regions x 2 DCs x 3 racks x 4 machines.
-/// let topo = Topology::builder()
-///     .regions(2)
-///     .datacenters_per_region(2)
-///     .racks_per_datacenter(3)
-///     .machines_per_rack(4)
-///     .build();
-/// assert_eq!(topo.machine_count(), 48);
-/// assert_eq!(topo.machines_in_region(RegionId(0)).count(), 24);
-/// ```
-#[derive(Clone, Debug)]
-pub struct Topology {
-    machines: BTreeMap<MachineId, Location>,
-    regions: Vec<RegionId>,
-}
-
-impl Topology {
-    /// Starts building a regular topology.
-    pub fn builder() -> TopologyBuilder {
-        TopologyBuilder::default()
-    }
-
-    /// Builds a topology from explicit machine locations.
-    pub fn from_locations(locations: impl IntoIterator<Item = Location>) -> Self {
-        let mut machines = BTreeMap::new();
-        let mut regions = Vec::new();
-        for loc in locations {
-            if !regions.contains(&loc.region) {
-                regions.push(loc.region);
-            }
-            machines.insert(loc.machine, loc);
-        }
-        regions.sort();
-        Self { machines, regions }
-    }
-
-    /// Number of machines.
-    pub fn machine_count(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// All regions present, ascending.
-    pub fn regions(&self) -> &[RegionId] {
-        &self.regions
-    }
-
-    /// Looks up a machine's location.
-    pub fn location(&self, machine: MachineId) -> Option<&Location> {
-        self.machines.get(&machine)
-    }
-
-    /// Iterates over all machines in id order.
-    pub fn machines(&self) -> impl Iterator<Item = (&MachineId, &Location)> {
-        self.machines.iter()
-    }
-
-    /// Iterates over the machines located in `region`.
-    pub fn machines_in_region(&self, region: RegionId) -> impl Iterator<Item = MachineId> + '_ {
-        self.machines
-            .iter()
-            .filter(move |(_, loc)| loc.region == region)
-            .map(|(id, _)| *id)
-    }
-}
-
-/// Builder for a regular (uniform fan-out) [`Topology`].
-#[derive(Clone, Debug)]
-pub struct TopologyBuilder {
-    regions: u16,
-    datacenters_per_region: u32,
-    racks_per_datacenter: u32,
-    machines_per_rack: u32,
-}
-
-impl Default for TopologyBuilder {
-    fn default() -> Self {
-        Self {
-            regions: 1,
-            datacenters_per_region: 1,
-            racks_per_datacenter: 1,
-            machines_per_rack: 1,
-        }
-    }
-}
-
-impl TopologyBuilder {
-    /// Sets the number of regions.
-    pub fn regions(mut self, n: u16) -> Self {
-        self.regions = n;
-        self
-    }
-
-    /// Sets data centers per region.
-    pub fn datacenters_per_region(mut self, n: u32) -> Self {
-        self.datacenters_per_region = n;
-        self
-    }
-
-    /// Sets racks per data center.
-    pub fn racks_per_datacenter(mut self, n: u32) -> Self {
-        self.racks_per_datacenter = n;
-        self
-    }
-
-    /// Sets machines per rack.
-    pub fn machines_per_rack(mut self, n: u32) -> Self {
-        self.machines_per_rack = n;
-        self
-    }
-
-    /// Materializes the topology with densely numbered ids.
-    pub fn build(self) -> Topology {
-        let mut locations = Vec::new();
-        let mut machine = 0u32;
-        let mut dc = 0u32;
-        let mut rack = 0u32;
-        for r in 0..self.regions {
-            for _ in 0..self.datacenters_per_region {
-                for _ in 0..self.racks_per_datacenter {
-                    for _ in 0..self.machines_per_rack {
-                        locations.push(Location {
-                            region: RegionId(r),
-                            datacenter: dc,
-                            rack,
-                            machine: MachineId(machine),
-                        });
-                        machine += 1;
-                    }
-                    rack += 1;
-                }
-                dc += 1;
-            }
-        }
-        Topology::from_locations(locations)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn small() -> Topology {
-        Topology::builder()
-            .regions(3)
-            .datacenters_per_region(2)
-            .racks_per_datacenter(2)
-            .machines_per_rack(2)
-            .build()
-    }
-
-    #[test]
-    fn counts_match_fanout() {
-        let t = small();
-        assert_eq!(t.machine_count(), 3 * 2 * 2 * 2);
-        assert_eq!(t.regions().len(), 3);
-        for r in 0..3 {
-            assert_eq!(t.machines_in_region(RegionId(r)).count(), 8);
-        }
-    }
-
-    #[test]
-    fn domain_ids_are_globally_unique_per_level() {
-        let t = small();
-        let mut racks = std::collections::HashSet::new();
-        let mut dcs = std::collections::HashSet::new();
-        for (_, loc) in t.machines() {
-            racks.insert(loc.rack);
-            dcs.insert(loc.datacenter);
-        }
-        assert_eq!(racks.len(), 3 * 2 * 2);
-        assert_eq!(dcs.len(), 3 * 2);
-    }
-
-    #[test]
-    fn same_domain_respects_hierarchy() {
-        let t = small();
-        let a = *t.location(MachineId(0)).unwrap();
-        let b = *t.location(MachineId(1)).unwrap(); // same rack
-        let c = *t.location(MachineId(2)).unwrap(); // same DC, other rack
-        let d = *t.location(MachineId(8)).unwrap(); // other region
-        assert!(a.same_domain(&b, FaultDomain::Rack));
-        assert!(!a.same_domain(&c, FaultDomain::Rack));
-        assert!(a.same_domain(&c, FaultDomain::DataCenter));
-        assert!(!a.same_domain(&d, FaultDomain::Region));
-        assert!(!a.same_domain(&b, FaultDomain::Machine));
-    }
-
-    #[test]
-    fn location_lookup_for_unknown_machine_is_none() {
-        assert!(small().location(MachineId(999)).is_none());
     }
 }

@@ -256,17 +256,6 @@ impl Census {
             .iter()
             .filter(|a| a.scheme == ShardingScheme::ShardManager)
     }
-
-    /// Planned vs unplanned container-stop rates over `days`, derived
-    /// from the population: each server restarts for planned reasons
-    /// roughly daily (upgrades + maintenance), and fails unplanned at
-    /// ~1/1000 of that rate (Figure 1's ratio).
-    pub fn stop_rates(&self, days: u64) -> (u64, u64) {
-        let servers: u64 = self.apps.iter().map(|a| a.servers).sum();
-        let planned = servers * days;
-        let unplanned = planned / 1000;
-        (planned, unplanned)
-    }
 }
 
 #[cfg(test)]
@@ -320,13 +309,6 @@ mod tests {
         assert!((0.90..=0.98).contains(&dp), "drain primaries {dp}");
         let ds = c.frac_by_app(|a| a.drain_secondary == DrainPolicy::Drain);
         assert!((0.15..=0.30).contains(&ds), "drain secondaries {ds}");
-    }
-
-    #[test]
-    fn planned_stops_dwarf_unplanned() {
-        let c = census();
-        let (planned, unplanned) = c.stop_rates(30);
-        assert_eq!(planned / unplanned.max(1), 1000);
     }
 
     #[test]

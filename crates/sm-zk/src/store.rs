@@ -301,21 +301,6 @@ impl ZkStore {
         self.set(path, data, expected_version)
     }
 
-    /// Deletes a leaf node. Fails if it has children.
-    pub fn delete(&mut self, path: &str) -> Result<Vec<WatchEvent>, SmError> {
-        let node = self
-            .nodes
-            .get(path)
-            .ok_or_else(|| SmError::not_found(path))?;
-        if !node.children.is_empty() {
-            return Err(SmError::conflict(format!("{path} has children")));
-        }
-        if path == "/" {
-            return Err(SmError::InvalidArgument("cannot delete root".into()));
-        }
-        Ok(self.delete_unchecked(path))
-    }
-
     fn delete_unchecked(&mut self, path: &str) -> Vec<WatchEvent> {
         self.nodes.remove(path);
         let parent = Self::parent_of(path).to_string();
@@ -392,11 +377,6 @@ impl ZkStore {
             })
             .collect()
     }
-
-    /// Total node count (including the root), for tests and metrics.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 #[cfg(test)]
@@ -410,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn create_get_set_delete_round_trip() {
+    fn create_get_set_round_trip() {
         let (mut zk, s) = store();
         zk.create(s, "/a", b"1".to_vec(), CreateMode::Persistent)
             .unwrap();
@@ -422,9 +402,6 @@ mod tests {
         let (v, _) = zk.set("/a", b"2".to_vec(), None).unwrap();
         assert_eq!(v, 1);
         assert_eq!(zk.get("/a").unwrap().0, b"2");
-
-        zk.delete("/a").unwrap();
-        assert!(!zk.exists("/a"));
     }
 
     #[test]
@@ -442,17 +419,6 @@ mod tests {
             zk.create(s, "/a", vec![], CreateMode::Persistent),
             Err(SmError::Conflict(_))
         ));
-    }
-
-    #[test]
-    fn delete_with_children_fails() {
-        let (mut zk, s) = store();
-        zk.create(s, "/a", vec![], CreateMode::Persistent).unwrap();
-        zk.create(s, "/a/b", vec![], CreateMode::Persistent)
-            .unwrap();
-        assert!(zk.delete("/a").is_err());
-        zk.delete("/a/b").unwrap();
-        zk.delete("/a").unwrap();
     }
 
     #[test]

@@ -1,21 +1,6 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, clippy, repo-specific lints, tests.
 # Usage: scripts/check.sh [--fix]   (--fix applies rustfmt instead of checking)
-#
-# sm-lint ratchet workflow
-# ------------------------
-# Line rules (D1-D4, R1-R3) are held at zero unwaived violations. Graph
-# rules (P1/L1/D5/R4; audited by W1) carry a known backlog, tracked per
-# (rule, crate) in lint-baseline.json:
-#   * a count RISING above its baseline entry fails this gate — fix the
-#     new finding or waive it with `// sm-lint: allow(<rule>) — why`;
-#   * a count FALLING is auto-lowered in the file by the run below —
-#     commit the updated lint-baseline.json with your cleanup so the
-#     burn-down is monotone;
-#   * to deliberately accept a higher count (e.g. after adding a rule),
-#     regenerate wholesale:
-#       cargo run -p sm-lint -- --baseline lint-baseline.json --fix-baseline
-#     and justify the diff in review.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,8 +25,8 @@ else
   echo "clippy not installed; skipping"
 fi
 
-step "sm-lint (determinism & robustness invariants, ratcheted baseline)"
-cargo run -q -p sm-lint -- --json --baseline lint-baseline.json
+step "sm-lint (determinism, robustness & closed-surface invariants; zero unwaived findings)"
+cargo run -q -p sm-lint -- --json
 
 step "world golden (seeded traces of every kit world, byte-identical)"
 cargo test --release --test world_golden -q

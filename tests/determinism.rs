@@ -89,34 +89,26 @@ fn parallel_solve_is_invariant_per_thread_count() {
     // n_threads) must be byte-identical: same assignment, same move
     // list, same eval-counted timeline. Workers derive their RNG
     // streams from the base seed, never from scheduling order.
-    use shard_manager::solver::ParallelMode;
-
-    let plan = |threads: usize, mode: ParallelMode| {
+    let plan = |threads: usize| {
         let snapshot = ZippyDbSnapshot::generate(SnapshotConfig::figure21_scaled(40));
         let mut input = snapshot.input;
         input.config.search.threads = threads;
-        input.config.search.parallel_mode = mode;
         input.config.search.sample_every = 512;
         Allocator::plan_periodic(&input)
     };
-    for mode in [ParallelMode::RegionPartition, ParallelMode::Portfolio] {
-        for threads in [1usize, 2, 4, 8] {
-            let a = plan(threads, mode);
-            let b = plan(threads, mode);
-            assert_eq!(
-                a.moves, b.moves,
-                "move lists diverged ({mode:?}, threads={threads})"
-            );
-            assert_eq!(
-                a.target, b.target,
-                "target assignments diverged ({mode:?}, threads={threads})"
-            );
-            assert_eq!(
-                a.search.timeline, b.search.timeline,
-                "timelines diverged ({mode:?}, threads={threads}) — a worker \
-                 consulted something outside (problem, specs, seed, threads)"
-            );
-            assert_eq!(a.search.evaluated, b.search.evaluated);
-        }
+    for threads in [1usize, 2, 4, 8] {
+        let a = plan(threads);
+        let b = plan(threads);
+        assert_eq!(a.moves, b.moves, "move lists diverged (threads={threads})");
+        assert_eq!(
+            a.target, b.target,
+            "target assignments diverged (threads={threads})"
+        );
+        assert_eq!(
+            a.search.timeline, b.search.timeline,
+            "timelines diverged (threads={threads}) — a worker \
+             consulted something outside (problem, specs, seed, threads)"
+        );
+        assert_eq!(a.search.evaluated, b.search.evaluated);
     }
 }
