@@ -84,6 +84,50 @@ pub struct AllocInput {
     pub config: AllocConfig,
 }
 
+/// What one allocator run reads of the placement state. [`AllocInput`]
+/// is one source; a control plane that keeps the same facts in its own
+/// books is another, read in place instead of copied into an
+/// `AllocInput` first.
+pub trait PlacementSource {
+    /// Policy knobs.
+    fn config(&self) -> &AllocConfig;
+
+    /// Available servers (failed servers are not offered).
+    fn servers(&self) -> impl Iterator<Item = ServerInfo>;
+
+    /// Calls `visit` once per shard, in the order the solver is to
+    /// number its entities, with the shard, the load of each of its
+    /// replicas, and the current placement of each replica slot (`None`
+    /// needs (re)placement).
+    fn for_each_shard(&self, visit: impl FnMut(ShardId, LoadVector, &[Option<ServerId>]));
+
+    /// The shards [`Self::for_each_shard`] will visit and the slots they
+    /// have in all. Sizes the problem: a wrong count costs a regrowth,
+    /// not a wrong plan.
+    fn size(&self) -> (usize, usize);
+}
+
+impl PlacementSource for AllocInput {
+    fn config(&self) -> &AllocConfig {
+        &self.config
+    }
+
+    fn servers(&self) -> impl Iterator<Item = ServerInfo> {
+        self.servers.iter().copied()
+    }
+
+    fn for_each_shard(&self, mut visit: impl FnMut(ShardId, LoadVector, &[Option<ServerId>])) {
+        for s in &self.shards {
+            visit(s.shard, s.load_per_replica, &s.replicas);
+        }
+    }
+
+    fn size(&self) -> (usize, usize) {
+        let slots = self.shards.iter().map(|s| s.replicas.len()).sum();
+        (self.shards.len(), slots)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,7 @@ pub mod plan;
 pub(crate) mod runner;
 pub(crate) mod throttle;
 
-pub use input::{AllocConfig, AllocInput, ServerInfo, ShardPlacement};
+pub use input::{AllocConfig, AllocInput, PlacementSource, ServerInfo, ShardPlacement};
 pub use plan::{AllocationPlan, ReplicaMove};
 pub use runner::Allocator;
 pub use throttle::{MoveCaps, MoveScheduler};

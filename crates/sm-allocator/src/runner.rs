@@ -1,10 +1,10 @@
 //! Problem construction and the two allocation modes.
 
-use crate::input::AllocInput;
-use crate::plan::{AllocationPlan, ReplicaMove};
+use crate::input::PlacementSource;
+use crate::plan::{AllocationPlan, ReplicaMove, Target};
 use sm_solver::{
     AffinitySpec, Bin, BinId, CapacitySpec, DrainSpec, Entity, ExclusionSpec, LocalSearch,
-    ParallelSearch, Problem, Scope, SearchConfig, Spec, SpecSet, UtilizationCapSpec,
+    ParallelSearch, Problem, Scope, Spec, SpecSet, UtilizationCapSpec,
 };
 use sm_types::{FaultDomain, ServerId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -31,30 +31,31 @@ pub struct Allocator;
 impl Allocator {
     /// Periodic mode (§5.1): optimize the placement of all shards under
     /// the full goal list.
-    pub fn plan_periodic(input: &AllocInput) -> AllocationPlan {
-        Self::plan(input, u8::MAX, input.config.search.clone())
+    pub fn plan_periodic<S: PlacementSource>(source: &S) -> AllocationPlan {
+        Self::plan(source, u8::MAX)
     }
 
     /// Emergency mode (§5.1): place unassigned replicas as quickly as
     /// possible while satisfying hard constraints; soft goals beyond
     /// placement-critical ones (preference/spread) are not optimized.
-    pub fn plan_emergency(input: &AllocInput) -> AllocationPlan {
-        let unplaced: usize = input
-            .shards
-            .iter()
-            .map(|s| s.replicas.iter().filter(|r| r.is_none()).count())
-            .sum();
-        // The move budget covers exactly the unplaced replicas, so the
-        // run cannot drift into load-balancing work.
-        let search = SearchConfig {
-            max_moves: unplaced,
-            ..input.config.search.clone()
-        };
-        Self::plan(input, PRIO_PLACEMENT, search)
+    pub fn plan_emergency<S: PlacementSource>(source: &S) -> AllocationPlan {
+        Self::plan(source, PRIO_PLACEMENT)
     }
 
-    fn plan(input: &AllocInput, max_priority: u8, search: SearchConfig) -> AllocationPlan {
-        let (problem, mut specs, server_ids) = build_problem(input);
+    fn plan<S: PlacementSource>(source: &S, max_priority: u8) -> AllocationPlan {
+        let Built {
+            problem,
+            mut specs,
+            server_ids,
+            mut target,
+            unplaced,
+        } = build_problem(source);
+        let mut search = source.config().search.clone();
+        if max_priority == PRIO_PLACEMENT {
+            // The move budget covers exactly the unplaced replicas, so
+            // the run cannot drift into load-balancing work.
+            search.max_moves = unplaced;
+        }
         // Drop the goals above the active priority so batching doesn't
         // schedule them at all (emergency mode).
         specs.goals.retain(|g| g.priority() <= max_priority);
@@ -66,18 +67,17 @@ impl Allocator {
             LocalSearch::new(search).solve(&problem, &specs)
         };
 
-        // Diff into moves and the per-shard target table: entities were
-        // minted shard by shard, slot by slot, so one walk of the final
-        // and the initial assignment beside the shards pairs them up.
+        // Diff into moves and the target's slots: entities were minted
+        // shard by shard, slot by slot, so one walk of the final and
+        // the initial assignment beside the shards pairs them up.
         let server_of = |bin: &Option<BinId>| bin.and_then(|b| server_ids.get(b.0).copied());
         let mut entities = assignment.iter().zip(problem.initial_assignment());
         let mut moves = Vec::new();
-        let mut target = Vec::with_capacity(input.shards.len());
-        for s in &input.shards {
-            let mut slots = Vec::with_capacity(s.replicas.len());
-            for (replica, (new, old)) in entities.by_ref().take(s.replicas.len()).enumerate() {
+        let mut start = 0;
+        for (&shard, &end) in target.shards.iter().zip(&target.ends) {
+            for (replica, (new, old)) in entities.by_ref().take(end - start).enumerate() {
                 let new_server = server_of(new);
-                slots.push(new_server);
+                target.slots.push(new_server);
                 // A source server that is no longer offered (failed) makes
                 // this a fresh placement, not a graceful relocation. The
                 // problem's initial assignment already resolved exactly the
@@ -86,14 +86,14 @@ impl Allocator {
                 let from = server_of(old);
                 if let Some(to) = new_server.filter(|&to| from != Some(to)) {
                     moves.push(ReplicaMove {
-                        shard: s.shard,
+                        shard,
                         replica,
                         from,
                         to,
                     });
                 }
             }
-            target.push((s.shard, slots));
+            start = end;
         }
         // Fresh placements first: restoring availability beats balance.
         moves.sort_by_key(|m| (m.from.is_some(), m.shard, m.replica));
@@ -141,71 +141,79 @@ impl ServerIndex {
     }
 }
 
-/// Builds the solver problem. Returns the problem, specs and the bin->
-/// server mapping; entities are minted shard by shard, slot by slot.
-fn build_problem(input: &AllocInput) -> (Problem, SpecSet, Vec<ServerId>) {
-    let mut problem = Problem::new();
-    let mut server_ids = Vec::with_capacity(input.servers.len());
-    for s in &input.servers {
+/// What [`build_problem`] makes of a source.
+struct Built {
+    problem: Problem,
+    specs: SpecSet,
+    /// Bin -> server.
+    server_ids: Vec<ServerId>,
+    /// The plan's target with its shards and their slot ranges filled
+    /// in and room for the slots: the walk the diff pairs entities by.
+    target: Target,
+    /// Slots the source yielded as `None`.
+    unplaced: usize,
+}
+
+/// Builds the solver problem from one walk of `source`; entities are
+/// minted shard by shard, slot by slot.
+fn build_problem<S: PlacementSource>(source: &S) -> Built {
+    let config = source.config();
+    let servers: Vec<_> = source.servers().collect();
+    let (shard_count, slot_count) = source.size();
+    let mut problem = Problem::with_capacity(servers.len(), slot_count);
+    for s in &servers {
         problem.add_bin(Bin {
             capacity: s.capacity,
             location: s.location,
             draining: s.draining,
         });
-        server_ids.push(s.id);
     }
-    let server_index = ServerIndex::build(
-        input
-            .servers
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id, BinId(i))),
-        input.servers.len(),
-    );
+    let server_ids: Vec<ServerId> = servers.iter().map(|s| s.id).collect();
+    let bins = server_ids.iter().enumerate().map(|(i, &id)| (id, BinId(i)));
+    let server_index = ServerIndex::build(bins, servers.len());
 
     // Count distinct domains to decide which spread scopes are feasible.
     let distinct = |level: FaultDomain| -> usize {
-        input
-            .servers
-            .iter()
-            .map(|s| s.location.domain(level))
-            .collect::<BTreeSet<_>>()
-            .len()
+        let domains = servers.iter().map(|s| s.location.domain(level));
+        domains.collect::<BTreeSet<_>>().len()
     };
     let n_regions = distinct(FaultDomain::Region);
     let n_dcs = distinct(FaultDomain::DataCenter);
     let n_racks = distinct(FaultDomain::Rack);
 
+    let mut target = Target {
+        shards: Vec::with_capacity(shard_count),
+        ends: Vec::with_capacity(shard_count),
+        slots: Vec::with_capacity(slot_count),
+    };
     let mut affinities = Vec::new();
     let mut spread_groups = Vec::new();
     let mut max_replicas = 1usize;
-    for shard in &input.shards {
-        let group = (shard.replicas.len() > 1).then(|| problem.new_group());
+    let mut unplaced = 0;
+    source.for_each_shard(|shard, load, slots| {
+        let group = (slots.len() > 1).then(|| problem.new_group());
         if let Some(g) = group {
             spread_groups.push(g);
         }
-        max_replicas = max_replicas.max(shard.replicas.len());
-        let pref = input.config.region_preferences.get(&shard.shard);
-        for placed in &shard.replicas {
+        max_replicas = max_replicas.max(slots.len());
+        let pref = config.region_preferences.get(&shard);
+        for placed in slots {
+            unplaced += usize::from(placed.is_none());
             // A replica placed on a server that is no longer offered
             // (failed/removed) is treated as unplaced.
             let initial = placed.and_then(|srv| server_index.get(srv));
-            let e = problem.add_entity(
-                Entity {
-                    load: shard.load_per_replica,
-                    group,
-                },
-                initial,
-            );
+            let e = problem.add_entity(Entity { load, group }, initial);
             if let Some(&(region, weight)) = pref {
                 affinities.push((e, u64::from(region.raw()), weight));
             }
         }
-    }
+        target.shards.push(shard);
+        target.ends.push(problem.entity_count());
+    });
 
     let mut specs = SpecSet::new();
     specs.forbid_group_colocation = true;
-    for &m in &input.config.lb_metrics {
+    for &m in &config.lb_metrics {
         specs.add_constraint(CapacitySpec { metric: m });
     }
     if !affinities.is_empty() {
@@ -218,7 +226,7 @@ fn build_problem(input: &AllocInput) -> (Problem, SpecSet, Vec<ServerId>) {
     if !spread_groups.is_empty() {
         // Spread at every level with enough distinct domains to host
         // each replica separately; always spread across racks.
-        if input.config.spread_across_regions && n_regions >= max_replicas {
+        if config.spread_across_regions && n_regions >= max_replicas {
             specs.add_goal(Spec::Exclusion(ExclusionSpec {
                 scope: Scope::Region,
                 groups: spread_groups.clone(),
@@ -243,33 +251,39 @@ fn build_problem(input: &AllocInput) -> (Problem, SpecSet, Vec<ServerId>) {
             }));
         }
     }
-    if input.servers.iter().any(|s| s.draining) {
+    if servers.iter().any(|s| s.draining) {
         specs.add_goal(Spec::Drain(DrainSpec {
             weight: WEIGHT_DRAIN,
             priority: PRIO_DRAIN,
         }));
     }
-    for &m in &input.config.lb_metrics {
+    for &m in &config.lb_metrics {
         specs.add_goal(Spec::UtilizationCap(UtilizationCapSpec {
             metric: m,
-            threshold: input.config.utilization_threshold,
+            threshold: config.utilization_threshold,
             weight: WEIGHT_UTIL,
             priority: PRIO_UTIL,
         }));
         specs.add_goal(Spec::Balance(sm_solver::BalanceSpec {
             metric: m,
-            tolerance: input.config.balance_tolerance,
+            tolerance: config.balance_tolerance,
             weight: WEIGHT_BALANCE,
             priority: PRIO_BALANCE,
         }));
     }
-    (problem, specs, server_ids)
+    Built {
+        problem,
+        specs,
+        server_ids,
+        target,
+        unplaced,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{AllocConfig, ServerInfo, ShardPlacement};
+    use crate::input::{AllocConfig, AllocInput, ServerInfo, ShardPlacement};
     use sm_types::{LoadVector, Location, MachineId, Metric, RegionId, ShardId};
 
     fn server(id: u32, region: u16, rack: u32, cap: f64) -> ServerInfo {
@@ -296,11 +310,38 @@ mod tests {
         c
     }
 
-    /// The parent's `plan`, kept as the model: parallel-vector indexing
-    /// through a `(shard index, slot)` table, and a second evaluator
-    /// built on the final assignment only to count its violations.
-    fn plan_model(input: &AllocInput, max_priority: u8) -> AllocationPlan {
-        let (problem, mut specs, server_ids) = build_problem(input);
+    /// What a plan is compared by.
+    #[derive(PartialEq, Debug)]
+    struct Outcome {
+        moves: Vec<ReplicaMove>,
+        target: Vec<(ShardId, Vec<Option<ServerId>>)>,
+        evaluated: u64,
+        violations: sm_solver::ViolationStats,
+    }
+
+    fn outcome(plan: AllocationPlan) -> Outcome {
+        Outcome {
+            target: plan
+                .target()
+                .map(|(s, slots)| (s, slots.to_vec()))
+                .collect(),
+            moves: plan.moves,
+            evaluated: plan.search.evaluated,
+            violations: plan.violations,
+        }
+    }
+
+    /// `plan` as it was before the target went flat, kept as the model:
+    /// parallel-vector indexing through a `(shard index, slot)` table, a
+    /// `Vec` per target row, and a second evaluator built on the final
+    /// assignment only to count its violations.
+    fn plan_model(input: &AllocInput, max_priority: u8) -> Outcome {
+        let Built {
+            problem,
+            mut specs,
+            server_ids,
+            ..
+        } = build_problem(input);
         let shards = input.shards.iter().enumerate();
         let slot_index: Vec<(usize, usize)> = shards
             .flat_map(|(i, s)| (0..s.replicas.len()).map(move |slot| (i, slot)))
@@ -312,7 +353,7 @@ mod tests {
             LocalSearch::new(input.config.search.clone()).solve(&problem, &specs)
         };
         let mut moves = Vec::new();
-        let mut target: Vec<(sm_types::ShardId, Vec<Option<ServerId>>)> = input
+        let mut target: Vec<(ShardId, Vec<Option<ServerId>>)> = input
             .shards
             .iter()
             .map(|s| (s.shard, vec![None; s.replicas.len()]))
@@ -335,21 +376,63 @@ mod tests {
         moves.sort_by_key(|m| (m.from.is_some(), m.shard, m.replica));
         let eval =
             sm_solver::Evaluator::with_assignment(&problem, &specs, max_priority, &assignment);
-        AllocationPlan {
+        Outcome {
             moves,
             target,
+            evaluated: stats.evaluated,
             violations: eval.violations(),
-            search: stats,
         }
     }
 
-    /// The parent's `plan_emergency`: the move budget set on a clone of
+    /// The model's `plan_emergency`: the move budget set on a clone of
     /// the whole input.
-    fn plan_emergency_model(input: &AllocInput) -> AllocationPlan {
+    fn plan_emergency_model(input: &AllocInput) -> Outcome {
         let slots = input.shards.iter().flat_map(|s| &s.replicas);
         let mut limited = input.clone();
         limited.config.search.max_moves = slots.filter(|r| r.is_none()).count();
         plan_model(&limited, PRIO_PLACEMENT)
+    }
+
+    /// A second source: the facts of an `AllocInput` kept the way a
+    /// control plane keeps them — keyed maps, the shard order beside
+    /// them — and a slot count it does not know.
+    struct Books<'a> {
+        config: &'a AllocConfig,
+        servers: BTreeMap<ServerId, ServerInfo>,
+        order: Vec<ShardId>,
+        shards: BTreeMap<ShardId, &'a ShardPlacement>,
+    }
+
+    impl<'a> Books<'a> {
+        fn of(input: &'a AllocInput) -> Self {
+            Self {
+                config: &input.config,
+                servers: input.servers.iter().map(|s| (s.id, *s)).collect(),
+                order: input.shards.iter().map(|s| s.shard).collect(),
+                shards: input.shards.iter().map(|s| (s.shard, s)).collect(),
+            }
+        }
+    }
+
+    impl PlacementSource for Books<'_> {
+        fn config(&self) -> &AllocConfig {
+            self.config
+        }
+
+        fn servers(&self) -> impl Iterator<Item = ServerInfo> {
+            self.servers.values().copied()
+        }
+
+        fn for_each_shard(&self, mut visit: impl FnMut(ShardId, LoadVector, &[Option<ServerId>])) {
+            for shard in &self.order {
+                let s = self.shards[shard];
+                visit(s.shard, s.load_per_replica, &s.replicas);
+            }
+        }
+
+        fn size(&self) -> (usize, usize) {
+            (0, 0)
+        }
     }
 
     #[test]
@@ -392,28 +475,26 @@ mod tests {
                 shards,
                 config: cfg,
             };
-            type Plan = fn(&AllocInput) -> AllocationPlan;
-            let modes: [(&str, Plan, Plan); 2] = [
-                ("emergency", Allocator::plan_emergency, plan_emergency_model),
-                ("periodic", Allocator::plan_periodic, |i| {
-                    plan_model(i, u8::MAX)
-                }),
-            ];
-            for (mode, plan, model) in modes {
-                let (got, want) = (plan(&input), model(&input));
-                assert_eq!(got.moves, want.moves, "seed {seed} {mode}: moves");
-                assert_eq!(got.target, want.target, "seed {seed} {mode}: target");
-                assert_eq!(
-                    got.search.evaluated, want.search.evaluated,
-                    "seed {seed} {mode}"
-                );
-                assert_eq!(
-                    got.violations, want.violations,
-                    "seed {seed} {mode}: violations"
-                );
+            let books = Books::of(&input);
+            let emergency = (
+                Allocator::plan_emergency(&input),
+                Allocator::plan_emergency(&books),
+                plan_emergency_model(&input),
+            );
+            let periodic = (
+                Allocator::plan_periodic(&input),
+                Allocator::plan_periodic(&books),
+                plan_model(&input, u8::MAX),
+            );
+            for (mode, (got, through_books, want)) in
+                [("emergency", emergency), ("periodic", periodic)]
+            {
                 with_moves += usize::from(!got.moves.is_empty());
                 with_violations += usize::from(got.violations.total() > 0);
                 unplaceable += usize::from(got.unplaced() > 0);
+                assert_eq!(got.target, through_books.target, "seed {seed} {mode}");
+                assert_eq!(outcome(through_books), want, "seed {seed} {mode}: books");
+                assert_eq!(outcome(got), want, "seed {seed} {mode}");
             }
         }
         println!("{with_moves} plans move, {with_violations} keep violations, {unplaceable} leave a replica unplaced");
@@ -438,7 +519,7 @@ mod tests {
         assert_eq!(plan.unplaced(), 0);
         assert_eq!(plan.violations.total(), 0);
         // Replicas of each shard are in different regions.
-        for (_, replicas) in &plan.target {
+        for (_, replicas) in plan.target() {
             let r0 = replicas[0].unwrap();
             let r1 = replicas[1].unwrap();
             assert_ne!(r0.raw() / 2, r1.raw() / 2, "replicas share a region");
@@ -466,7 +547,7 @@ mod tests {
         };
         let plan = Allocator::plan_periodic(&input);
         assert_eq!(plan.unplaced(), 0);
-        for (_, replicas) in &plan.target {
+        for (_, replicas) in plan.target() {
             let regions: Vec<u32> = replicas.iter().map(|r| r.unwrap().raw() / 2).collect();
             assert!(
                 regions.contains(&1),
@@ -544,7 +625,7 @@ mod tests {
             config: config(),
         };
         let plan = Allocator::plan_periodic(&input);
-        for (_, replicas) in &plan.target {
+        for (_, replicas) in plan.target() {
             assert_ne!(
                 replicas[0],
                 Some(ServerId(0)),
@@ -575,7 +656,7 @@ mod tests {
         assert!(!plan.moves.is_empty());
         // Final spread: 40 load per server, all within the 10% band.
         let mut usage = BTreeMap::new();
-        for (_, replicas) in &plan.target {
+        for (_, replicas) in plan.target() {
             *usage.entry(replicas[0].unwrap()).or_insert(0.0) += 10.0;
         }
         for (_, u) in usage {

@@ -8,7 +8,7 @@
 
 use crate::plan::ReplicaMove;
 use sm_types::{ServerId, ShardId};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Concurrency caps for plan execution.
 #[derive(Clone, Copy, Debug)]
@@ -32,11 +32,18 @@ impl Default for MoveCaps {
 }
 
 /// Releases a plan's moves in cap-respecting waves.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MoveScheduler {
     queue: Vec<ReplicaMove>,
     caps: MoveCaps,
-    in_flight: Vec<ReplicaMove>,
+    /// The released moves, each with how often it is in flight (a plan
+    /// may list one move twice), found by `(shard, replica)` first.
+    in_flight: BTreeMap<ReplicaMove, usize>,
+    /// The sum of `in_flight`'s counts.
+    flying: usize,
+    /// True from a `release` until a `complete` frees a slot: nothing
+    /// queued can start meanwhile, so a `release` has nothing to scan.
+    settled: bool,
     server_load: BTreeMap<ServerId, usize>,
     shard_load: BTreeMap<ShardId, usize>,
 }
@@ -48,7 +55,9 @@ impl MoveScheduler {
             // Pop from the back; keep plan order by reversing.
             queue: moves.into_iter().rev().collect(),
             caps,
-            in_flight: Vec::new(),
+            in_flight: BTreeMap::new(),
+            flying: 0,
+            settled: false,
             server_load: BTreeMap::new(),
             shard_load: BTreeMap::new(),
         }
@@ -61,12 +70,12 @@ impl MoveScheduler {
 
     /// Moves currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.flying
     }
 
     /// True when every move has been released and completed.
     pub fn is_done(&self) -> bool {
-        self.queue.is_empty() && self.in_flight.is_empty()
+        self.queue.is_empty() && self.flying == 0
     }
 
     fn servers_of(mv: &ReplicaMove) -> impl Iterator<Item = ServerId> {
@@ -74,7 +83,7 @@ impl MoveScheduler {
     }
 
     fn can_start(&self, mv: &ReplicaMove) -> bool {
-        if self.in_flight.len() >= self.caps.max_total {
+        if self.flying >= self.caps.max_total {
             return false;
         }
         if *self.shard_load.get(&mv.shard).unwrap_or(&0) >= self.caps.max_per_shard {
@@ -95,6 +104,10 @@ impl MoveScheduler {
     /// ends of the copy.
     pub fn release(&mut self) -> Vec<ReplicaMove> {
         let mut released = Vec::new();
+        if self.settled {
+            return released;
+        }
+        self.settled = true;
         let mut skipped = Vec::new();
         while let Some(mv) = self.queue.pop() {
             if self.can_start(&mv) {
@@ -102,12 +115,13 @@ impl MoveScheduler {
                     *self.server_load.entry(s).or_insert(0) += 1;
                 }
                 *self.shard_load.entry(mv.shard).or_insert(0) += 1;
-                self.in_flight.push(mv);
+                *self.in_flight.entry(mv).or_insert(0) += 1;
+                self.flying += 1;
                 released.push(mv);
             } else {
                 skipped.push(mv);
             }
-            if self.in_flight.len() >= self.caps.max_total {
+            if self.flying >= self.caps.max_total {
                 break;
             }
         }
@@ -122,10 +136,16 @@ impl MoveScheduler {
     ///
     /// Unknown moves are ignored (idempotent completion).
     pub fn complete(&mut self, mv: &ReplicaMove) {
-        let Some(pos) = self.in_flight.iter().position(|m| m == mv) else {
+        let Entry::Occupied(mut held) = self.in_flight.entry(*mv) else {
             return;
         };
-        self.in_flight.swap_remove(pos);
+        if *held.get() > 1 {
+            *held.get_mut() -= 1;
+        } else {
+            held.remove();
+        }
+        self.flying -= 1;
+        self.settled = false;
         for s in Self::servers_of(mv) {
             if let Some(n) = self.server_load.get_mut(&s) {
                 *n = n.saturating_sub(1);
@@ -242,6 +262,105 @@ mod tests {
         assert_eq!(executed, 20);
     }
 
+    /// `complete` as it was when `in_flight` was a list: the first equal
+    /// move found by a scan, swapped out.
+    #[derive(Default)]
+    struct Scanning {
+        in_flight: Vec<ReplicaMove>,
+        server_load: BTreeMap<ServerId, usize>,
+        shard_load: BTreeMap<ShardId, usize>,
+    }
+
+    impl Scanning {
+        fn released(&mut self, mv: ReplicaMove) {
+            for s in MoveScheduler::servers_of(&mv) {
+                *self.server_load.entry(s).or_insert(0) += 1;
+            }
+            *self.shard_load.entry(mv.shard).or_insert(0) += 1;
+            self.in_flight.push(mv);
+        }
+
+        fn complete(&mut self, mv: &ReplicaMove) {
+            let Some(pos) = self.in_flight.iter().position(|m| m == mv) else {
+                return;
+            };
+            self.in_flight.swap_remove(pos);
+            for s in MoveScheduler::servers_of(mv) {
+                if let Some(n) = self.server_load.get_mut(&s) {
+                    *n = n.saturating_sub(1);
+                }
+            }
+            if let Some(n) = self.shard_load.get_mut(&mv.shard) {
+                *n = n.saturating_sub(1);
+            }
+        }
+    }
+
+    #[test]
+    fn completion_in_any_order_frees_what_the_scanning_list_freed() {
+        // Nobody observes the order of `in_flight` (`in_flight()` is its
+        // length), so finding a move by key frees the same slots as the
+        // scan did — also for a move in flight twice, completed twice,
+        // or never released.
+        let (mut completions, mut unlooked) = (0, 0);
+        for seed in 0..200u64 {
+            let mut rng = sm_sim::SimRng::seeded(seed);
+            let moves: Vec<ReplicaMove> = (0..rng.index(80))
+                .map(|_| {
+                    let from = rng.chance(0.7).then(|| rng.index(6) as u32);
+                    let mut m = mv(rng.index(10) as u64, from, rng.index(6) as u32);
+                    m.replica = rng.index(2);
+                    m
+                })
+                .collect();
+            let caps = MoveCaps {
+                max_total: 1 + rng.index(12),
+                max_per_server: 1 + rng.index(6),
+                max_per_shard: 1 + rng.index(3),
+            };
+            let mut sched = MoveScheduler::new(moves.clone(), caps);
+            let mut model = Scanning::default();
+            for _ in 0..400 {
+                if sched.is_done() {
+                    break;
+                }
+                // A release with nothing freed since the last one does not
+                // look at the queue; looking would have found nothing.
+                let mut looking = sched.clone();
+                unlooked += usize::from(sched.settled);
+                looking.settled = false;
+                let wave = sched.release();
+                assert_eq!(wave, looking.release(), "seed {seed}");
+                for m in wave {
+                    model.released(m);
+                }
+                for _ in 0..1 + rng.index(3) {
+                    // Mostly a move in flight, whichever; sometimes one
+                    // that may not be (never released, or completed).
+                    let held = &model.in_flight;
+                    let done = if held.is_empty() || rng.chance(0.1) {
+                        moves[rng.index(moves.len())]
+                    } else {
+                        held[rng.index(held.len())]
+                    };
+                    sched.complete(&done);
+                    model.complete(&done);
+                    completions += 1;
+                    assert_eq!(sched.in_flight(), model.in_flight.len(), "seed {seed}");
+                    assert_eq!(sched.server_load, model.server_load, "seed {seed}");
+                    assert_eq!(sched.shard_load, model.shard_load, "seed {seed}");
+                    let mut want = model.in_flight.clone();
+                    want.sort();
+                    let got = sched.in_flight.iter().flat_map(|(m, &n)| vec![*m; n]);
+                    assert_eq!(got.collect::<Vec<_>>(), want, "seed {seed}");
+                }
+            }
+            assert!(moves.is_empty() || sched.is_done(), "seed {seed}: drained");
+        }
+        println!("{completions} completions, {unlooked} releases that did not look");
+        assert!(completions > 5_000 && unlooked > 100);
+    }
+
     #[test]
     fn complete_unknown_move_is_noop() {
         let mut sched = MoveScheduler::new(vec![], MoveCaps::default());
@@ -291,7 +410,7 @@ mod tests {
         // Raising the cap mid-run (new scheduler, same queue semantics)
         // would release in original order; verify order survived the
         // skip/restore round-trip by draining with a permissive twin.
-        sched.caps.max_per_shard = 1;
+        (sched.caps.max_per_shard, sched.settled) = (1, false);
         let wave = sched.release();
         assert_eq!(
             wave.iter().map(|m| m.shard.raw()).collect::<Vec<_>>(),

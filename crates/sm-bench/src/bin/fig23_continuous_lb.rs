@@ -10,7 +10,7 @@
 use sm_allocator::Allocator;
 use sm_bench::{banner, compare, table, Scale};
 use sm_sim::{percentile, SimRng, SimTime};
-use sm_types::{Metric, ServerId, ShardId};
+use sm_types::{Metric, ServerId};
 use sm_workloads::diurnal::DiurnalCurve;
 use sm_workloads::snapshot::{SnapshotConfig, ZippyDbSnapshot};
 use std::collections::BTreeMap;
@@ -142,11 +142,10 @@ fn main() {
 
 /// Applies a plan's target placement back onto the input.
 fn apply(input: &mut sm_allocator::AllocInput, plan: &sm_allocator::AllocationPlan) {
-    let target: BTreeMap<ShardId, Vec<Option<ServerId>>> = plan.target.iter().cloned().collect();
-    for shard in &mut input.shards {
-        if let Some(replicas) = target.get(&shard.shard) {
-            shard.replicas = replicas.clone();
-        }
+    // The target lists the input's shards, in the input's order.
+    for (shard, (planned, replicas)) in input.shards.iter_mut().zip(plan.target()) {
+        assert_eq!(shard.shard, planned);
+        shard.replicas = replicas.to_vec();
     }
 }
 

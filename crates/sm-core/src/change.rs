@@ -471,10 +471,8 @@ impl Orchestrator {
     }
 
     fn promoted(&mut self, shard: ShardId, server: ServerId) {
-        match self
-            .assignment
-            .change_role(shard, server, ReplicaRole::Primary)
-        {
+        let promoted = self.assignment.edit();
+        match promoted.change_role(shard, server, ReplicaRole::Primary) {
             Ok(()) => {
                 self.stats.promotions += 1;
                 self.publish_map();
@@ -511,7 +509,7 @@ impl Orchestrator {
                 // A graceful move's commit already handed the replica
                 // over; an abrupt one's map changes once, at its commit.
                 if kind != Kind::Graceful {
-                    self.assignment.remove_replica(shard, from);
+                    self.assignment.edit().remove_replica(shard, from);
                 }
                 if kind == Kind::Secondary {
                     self.publish_map();
@@ -554,7 +552,7 @@ impl Orchestrator {
             };
             let _outcome = match source {
                 Some((_, from)) if kind == Kind::Graceful => {
-                    self.assignment.move_replica(shard, from, to)
+                    self.assignment.edit().move_replica(shard, from, to)
                 }
                 _ => {
                     if kind == Kind::Fresh
@@ -567,7 +565,7 @@ impl Orchestrator {
                         role = ReplicaRole::Secondary;
                         self.send_rpc(to, demotion(shard));
                     }
-                    self.assignment.add_replica(shard, to, role)
+                    self.assignment.edit().add_replica(shard, to, role)
                 }
             };
             self.publish_map();
@@ -606,9 +604,9 @@ impl Orchestrator {
         let desired_of = |&(shard, _): &Party| self.desired_replicas.get(&shard).copied();
         let desired = sources.clone().filter_map(desired_of).max().unwrap_or(1);
         for &(shard, to) in targets {
-            self.shards.push(shard);
-            self.desired_replicas.insert(shard, desired);
-            if let Err(reason) = self.assignment.add_replica(shard, to, c.role) {
+            self.shards.edit().push(shard);
+            self.desired_replicas.edit().insert(shard, desired);
+            if let Err(reason) = self.assignment.edit().add_replica(shard, to, c.role) {
                 self.push_error(SmError::conflict(format!(
                     "{shard} could not be recorded at {to}: {reason}"
                 )));
@@ -635,12 +633,12 @@ impl Orchestrator {
     fn retire_shard(&mut self, shard: ShardId) {
         let holders = self.assignment.replicas(shard).iter();
         for server in holders.map(|r| r.server).collect::<Vec<_>>() {
-            self.assignment.remove_replica(shard, server);
+            self.assignment.edit().remove_replica(shard, server);
             self.request(shard, server, Compensation::Reclaim);
         }
-        self.shards.retain(|&s| s != shard);
-        self.desired_replicas.remove(&shard);
-        self.loads.remove(&shard);
+        self.shards.edit().retain(|&s| s != shard);
+        self.desired_replicas.edit().remove(&shard);
+        self.loads.edit().remove(&shard);
     }
 
     /// The last step of the move `changes[idx]` is acked.
@@ -683,7 +681,7 @@ impl Orchestrator {
             return;
         }
         for &(shard, server) in c.targets.iter().flatten() {
-            self.loads.remove(&shard);
+            self.loads.edit().remove(&shard);
             if Some(server) != dead {
                 self.request(shard, server, Compensation::Reclaim);
             }
@@ -1176,6 +1174,83 @@ mod tests {
             drifted.is_empty(),
             "transcript digests drifted: {drifted:?}"
         );
+    }
+
+    /// A solve is reused exactly while nothing it reads has changed:
+    /// the transcript's script plus the mutators it lacks, an allocator
+    /// run after every step, each compared with a fresh run over the
+    /// copied-out model (`run_checked`). A write that missed its
+    /// revision count replays a stale plan here.
+    #[test]
+    fn a_reused_plan_is_the_plan_a_fresh_solve_returns() {
+        use crate::orchestrator::Mode;
+        let mut t = Transcript::new(21, true, false);
+        let mut rng = SimRng::seeded(0x21);
+        // A second region, which the script's failures never reach, for
+        // region preferences to tell apart.
+        for i in SERVERS..SERVERS + 3 {
+            let location = Location {
+                region: RegionId(1),
+                datacenter: 1,
+                rack: i,
+                machine: MachineId(i),
+            };
+            let capacity = LoadVector::single(Metric::ShardCount.id(), 40.0);
+            t.o.register_server(ServerId(i), location, capacity);
+        }
+        let (mut reused, mut solved) = (0, 0);
+        for _ in 0..2_000 {
+            let shard = ShardId(rng.index(2 * SHARDS as usize) as u64);
+            match rng.index(16) {
+                0 => t.o.set_desired_replicas(shard, 1 + rng.index(3) as u32),
+                1 => {
+                    let region = RegionId(rng.index(2) as u16);
+                    t.o.set_region_preference(shard, region, rng.f64_range(0.5, 2.0));
+                }
+                2 => {
+                    let load = LoadVector::single(Metric::ShardCount.id(), rng.f64_range(0.2, 3.0));
+                    t.o.report_load(ServerId(0), vec![(shard, load)]);
+                }
+                3 if rng.chance(0.2) => {
+                    let snapshot = t.o.snapshot();
+                    t.o.restore(&snapshot).expect("own snapshot restores");
+                }
+                _ => t.step(),
+            }
+            // The runs below send more than the script's steps answer:
+            // answer the oldest few, so that changes still reach their end.
+            for _ in 0..rng.index(4) {
+                if let Some((server, rpc)) = t.outstanding.pop_front() {
+                    t.o.rpc_acked(server, rpc);
+                }
+            }
+            let mode = if rng.chance(0.97) {
+                Mode::Emergency
+            } else {
+                Mode::Periodic
+            };
+            // Once, and now and then again at once: nothing between the
+            // two changes what a solve reads.
+            for _ in 0..1 + usize::from(rng.chance(0.25)) {
+                let counted = if t.o.run_checked(mode) {
+                    &mut reused
+                } else {
+                    &mut solved
+                };
+                *counted += 1;
+                t.absorb();
+            }
+        }
+        add(&mut t.totals, t.o.stats());
+        println!(
+            "{reused} runs reused a plan, {solved} did not; {:?}",
+            t.totals
+        );
+        assert!(reused > 400 && solved > 400);
+        // Splits and merges reached both their ends under the walk.
+        assert!(t.totals.splits_completed > 5 && t.totals.splits_aborted > 5);
+        assert!(t.totals.merges_completed > 5 && t.totals.merges_aborted > 5);
+        assert!(t.totals.completed_moves > 100 && t.totals.promotions > 10);
     }
 
     // ---- Interrupt every step of every kind ----

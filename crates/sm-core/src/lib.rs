@@ -36,6 +36,7 @@ pub mod control_plane;
 pub mod exchange;
 pub mod ha;
 pub mod orchestrator;
+mod rev;
 pub mod scaler;
 pub(crate) mod splitter;
 pub mod taskcontroller;

@@ -45,14 +45,14 @@
 
 use crate::api::{OrchCommand, ServerRpc};
 use crate::change::{demotion, Change, Compensation};
+use crate::rev::Rev;
 use crate::splitter::{ReshardOp, SplitScaler};
 use sm_allocator::{
-    AllocConfig, AllocInput, Allocator, MoveCaps, MoveScheduler, ReplicaMove, ServerInfo,
-    ShardPlacement,
+    AllocConfig, Allocator, MoveCaps, MoveScheduler, PlacementSource, ReplicaMove, ServerInfo,
 };
 use sm_types::{
-    AppId, AppPolicy, Assignment, LoadVector, Location, ReplicaRole, ServerId, ShardId, ShardMap,
-    ShardingSpec, SmError,
+    AppId, AppPolicy, Assignment, LoadVector, Location, ReplicaAssignment, ReplicaRole, ServerId,
+    ShardId, ShardMap, ShardingSpec, SmError,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -118,12 +118,21 @@ pub struct OrchStats {
 pub struct Orchestrator {
     app: AppId,
     pub(crate) policy: AppPolicy,
-    pub(crate) config: OrchestratorConfig,
-    servers: BTreeMap<ServerId, ServerEntry>,
-    pub(crate) shards: Vec<ShardId>,
-    pub(crate) desired_replicas: BTreeMap<ShardId, u32>,
-    pub(crate) assignment: Assignment,
-    pub(crate) loads: BTreeMap<ShardId, LoadVector>,
+    // The six fields an allocator run reads are `Rev`s: each can only
+    // be written through a call that counts, so `revision()` names
+    // their joint state exactly.
+    pub(crate) config: Rev<OrchestratorConfig>,
+    servers: Rev<BTreeMap<ServerId, ServerEntry>>,
+    pub(crate) shards: Rev<Vec<ShardId>>,
+    pub(crate) desired_replicas: Rev<BTreeMap<ShardId, u32>>,
+    pub(crate) assignment: Rev<Assignment>,
+    pub(crate) loads: Rev<BTreeMap<ShardId, LoadVector>>,
+    /// The moves of the last allocator run and what it ran on: a run
+    /// is a pure function of its mode and the `Rev` fields, so while
+    /// their revision stands the moves are reused. One slot for both
+    /// modes, emptied before any run begins — a plan is up to a move
+    /// per replica, and nothing that size may outlive its use.
+    solved: Option<(SolveKey, Vec<ReplicaMove>)>,
     map_version: u64,
     outbox: Vec<OrchCommand>,
     /// In-flight ownership changes: the first `reshards` are the
@@ -153,12 +162,13 @@ impl Orchestrator {
         Self {
             app,
             policy,
-            config,
-            servers: BTreeMap::new(),
-            shards: Vec::new(),
-            desired_replicas: BTreeMap::new(),
-            assignment: Assignment::new(),
-            loads: BTreeMap::new(),
+            config: config.into(),
+            servers: Rev::default(),
+            shards: Rev::default(),
+            desired_replicas: Rev::default(),
+            assignment: Rev::default(),
+            loads: Rev::default(),
+            solved: None,
             map_version: 0,
             outbox: Vec::new(),
             changes: Vec::new(),
@@ -198,10 +208,8 @@ impl Orchestrator {
         region: sm_types::RegionId,
         weight: f64,
     ) {
-        self.config
-            .alloc
-            .region_preferences
-            .insert(shard, (region, weight));
+        let preferences = &mut self.config.edit().alloc.region_preferences;
+        preferences.insert(shard, (region, weight));
     }
 
     /// True if `server` is registered and alive.
@@ -217,7 +225,7 @@ impl Orchestrator {
 
     /// Registers an application server.
     pub fn register_server(&mut self, id: ServerId, location: Location, capacity: LoadVector) {
-        self.servers.insert(
+        self.servers.edit().insert(
             id,
             ServerEntry {
                 location,
@@ -232,9 +240,10 @@ impl Orchestrator {
     /// the policy's default replica count.
     pub fn register_shards(&mut self, shards: impl IntoIterator<Item = ShardId>) {
         let n = self.policy.replication.replicas_per_shard();
+        let (listed, desired) = (self.shards.edit(), self.desired_replicas.edit());
         for s in shards {
-            self.shards.push(s);
-            self.desired_replicas.insert(s, n);
+            listed.push(s);
+            desired.insert(s, n);
             self.next_shard_id = self.next_shard_id.max(s.raw() + 1);
         }
     }
@@ -275,7 +284,7 @@ impl Orchestrator {
     /// excess secondaries immediately.
     // sm-lint: allow(U1) — PAPER.md "Production traces" row (diurnal load: the replica-count shard scaler follows it); no world drives it yet
     pub fn set_desired_replicas(&mut self, shard: ShardId, n: u32) {
-        self.desired_replicas.insert(shard, n.max(1));
+        self.desired_replicas.edit().insert(shard, n.max(1));
         let current = self.assignment.replicas(shard).len() as u32;
         if current > n {
             // Drop excess replicas, secondaries first.
@@ -287,7 +296,7 @@ impl Orchestrator {
                 .collect();
             victims.sort_by_key(|(_, role)| role.is_primary());
             for (server, _) in victims.into_iter().take((current - n) as usize) {
-                self.assignment.remove_replica(shard, server);
+                self.assignment.edit().remove_replica(shard, server);
                 self.send_rpc(server, ServerRpc::DropShard { shard });
             }
             self.publish_map();
@@ -324,9 +333,7 @@ impl Orchestrator {
 
     /// Stores a server's load report (pulled periodically in §3.2).
     pub fn report_load(&mut self, _server: ServerId, loads: Vec<(ShardId, LoadVector)>) {
-        for (shard, load) in loads {
-            self.loads.insert(shard, load);
-        }
+        self.loads.edit().extend(loads);
     }
 
     /// The last reported load of `shard`, or one unit of shard count.
@@ -336,28 +343,20 @@ impl Orchestrator {
 
     // ---- Allocation ----
 
-    /// The allocator's input: the live servers and, per shard in
-    /// `shards` order (the solver numbers its entities by it), exactly
-    /// `desired` replica slots — the first `desired` replicas held, then
-    /// `None`s.
+    /// What an allocator run reads, shard by shard in `shards` order
+    /// (the solver numbers its entities by it): the shard, its load,
+    /// its desired replica count and the replicas it holds. The run is
+    /// offered exactly `desired` slots — the first `desired` replicas
+    /// held, then `None`s.
     ///
     /// `shards` is in commit order, which is ascending by id except
     /// where splits overlapped, so the three per-shard maps are walked
     /// in step with it: an id above every id walked so far is read off
     /// the maps' iterators, which have passed nothing above that
     /// largest id; any other id is looked up.
-    fn build_input(&self) -> AllocInput {
-        let servers: Vec<ServerInfo> = self
-            .servers
-            .iter()
-            .filter(|(_, e)| e.alive)
-            .map(|(id, e)| ServerInfo {
-                id: *id,
-                location: e.location,
-                capacity: e.capacity,
-                draining: e.draining,
-            })
-            .collect();
+    fn placements(
+        &self,
+    ) -> impl Iterator<Item = (ShardId, LoadVector, usize, &[ReplicaAssignment])> {
         let mut desired = self
             .desired_replicas
             .iter()
@@ -366,8 +365,7 @@ impl Orchestrator {
         let mut loads = self.loads.iter().map(|(s, l)| (*s, *l)).peekable();
         let mut held = self.assignment.by_shard().peekable();
         let mut largest = None;
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for &shard in &self.shards {
+        self.shards.iter().map(move |&shard| {
             let (desired, load, held) = if largest < Some(shard) {
                 largest = Some(shard);
                 (
@@ -383,44 +381,71 @@ impl Orchestrator {
                 )
             };
             let desired = desired.unwrap_or(1) as usize;
-            let held = held.unwrap_or(&[]).iter().take(desired);
-            let mut replicas = Vec::with_capacity(desired);
-            replicas.extend(held.map(|r| Some(r.server)));
-            replicas.resize(desired, None);
-            shards.push(ShardPlacement {
-                shard,
-                load_per_replica: load.unwrap_or_else(unit_load),
-                replicas,
-            });
+            let load = load.unwrap_or_else(unit_load);
+            (shard, load, desired, held.unwrap_or(&[]))
+        })
+    }
+
+    /// The state of the six `Rev` fields, by which a solve is reused.
+    fn revision(&self) -> [u64; 6] {
+        [
+            self.config.rev(),
+            self.servers.rev(),
+            self.shards.rev(),
+            self.desired_replicas.rev(),
+            self.assignment.rev(),
+            self.loads.rev(),
+        ]
+    }
+
+    /// The moves an allocator run in `mode` plans for the state as it
+    /// is: none where an emergency run is offered nothing to place, the
+    /// last run's while the state it ran on stands, a fresh run's
+    /// otherwise.
+    fn solve(&mut self, mode: Mode) -> Vec<ReplicaMove> {
+        if mode == Mode::Emergency && self.fully_placed() {
+            debug_assert!(plan(&Books(self), mode).is_empty(), "placed, yet a move");
+            return Vec::new();
         }
-        AllocInput {
-            servers,
-            shards,
-            config: self.config.alloc.clone(),
-        }
+        let key = (mode, self.revision());
+        let moves = match self.solved.take() {
+            Some((solved, moves)) if solved == key => {
+                debug_assert_eq!(moves, plan(&Books(self), mode), "a reused plan went stale");
+                moves
+            }
+            _ => plan(&Books(self), mode),
+        };
+        self.solved = Some((key, moves.clone()));
+        moves
+    }
+
+    /// True when every slot an allocator run would be offered holds a
+    /// replica on a live server. An emergency run then has no move to
+    /// make: nothing is unplaced, and its move budget — the unplaced
+    /// slots — is zero.
+    fn fully_placed(&self) -> bool {
+        self.placements().all(|(_, _, desired, held)| {
+            let offered = held.get(..desired);
+            offered.is_some_and(|slots| slots.iter().all(|r| self.server_alive(r.server)))
+        })
     }
 
     /// Runs the periodic allocation (§5.1 periodic mode) and begins
     /// executing the plan under the move caps.
     pub fn run_periodic(&mut self) -> usize {
-        let input = self.build_input();
-        let plan = Allocator::plan_periodic(&input);
-        let n = plan.moves.len();
-        self.install_plan(plan.moves);
-        n
+        self.run(Mode::Periodic)
     }
 
     /// Runs the emergency allocation (§5.1 emergency mode): places only
     /// the replicas that currently lack a server.
     pub fn run_emergency(&mut self) -> usize {
-        let input = self.build_input();
-        let plan = Allocator::plan_emergency(&input);
-        // Emergency placements are fresh adds only.
-        let moves: Vec<ReplicaMove> = plan
-            .moves
-            .into_iter()
-            .filter(|m| m.from.is_none())
-            .collect();
+        self.run(Mode::Emergency)
+    }
+
+    /// Plans in `mode` and installs the plan, which replaces whatever
+    /// plan was still executing — also when its moves are reused ones.
+    fn run(&mut self, mode: Mode) -> usize {
+        let moves = self.solve(mode);
         let n = moves.len();
         self.install_plan(moves);
         n
@@ -449,19 +474,16 @@ impl Orchestrator {
     /// are promoted where the primary was lost, a new map is published,
     /// and the emergency allocator refills the missing replicas.
     pub fn server_down(&mut self, server: ServerId) {
-        let Some(entry) = self.servers.get_mut(&server) else {
-            return;
-        };
-        if !entry.alive {
+        if !self.server_alive(server) {
             return;
         }
-        entry.alive = false;
+        self.set_server(server, |e| e.alive = false);
         // Lease expiry fences the dead server (§3.2: it wiped itself or
         // will refuse traffic): every change touching it aborts, and any
         // unacked copy it held is gone — its reclaims lapse, freeing
         // those shards to be re-placed by the emergency run below.
         let freed = self.sweep(server, true);
-        let lost = self.assignment.drop_server(server);
+        let lost = self.assignment.edit().drop_server(server);
         // Promote a surviving secondary wherever a primary was lost.
         for &(shard, role) in &lost {
             if !role.is_primary() {
@@ -484,9 +506,13 @@ impl Orchestrator {
     /// Marks a recovered server available again (it returns empty; the
     /// next periodic run will use it).
     pub fn server_up(&mut self, server: ServerId) {
-        if let Some(e) = self.servers.get_mut(&server) {
-            e.alive = true;
-            e.draining = false;
+        self.set_server(server, |e| (e.alive, e.draining) = (true, false));
+    }
+
+    /// Changes the entry of `server`, if it is registered.
+    fn set_server(&mut self, server: ServerId, change: impl FnOnce(&mut ServerEntry)) {
+        if let Some(e) = self.servers.edit().get_mut(&server) {
+            change(e);
         }
     }
 
@@ -496,9 +522,7 @@ impl Orchestrator {
     /// a greedily chosen target (graceful for primaries). Returns the
     /// number of migrations started; zero means it was already empty.
     pub fn drain_server(&mut self, server: ServerId) -> usize {
-        if let Some(e) = self.servers.get_mut(&server) {
-            e.draining = true;
-        }
+        self.set_server(server, |e| e.draining = true);
         let mut moves = Vec::new();
         let usage = self.usage_table();
         // Load already earmarked per target, so that a server stops
@@ -583,9 +607,7 @@ impl Orchestrator {
 
     /// Clears the draining mark after the container operation completes.
     pub fn drain_finished(&mut self, server: ServerId) {
-        if let Some(e) = self.servers.get_mut(&server) {
-            e.draining = false;
-        }
+        self.set_server(server, |e| e.draining = false);
     }
 
     // ---- Non-negotiable maintenance preparation (§4.2) ----
@@ -603,7 +625,7 @@ impl Orchestrator {
     pub fn prepare_for_maintenance(&mut self, servers: &[ServerId]) -> usize {
         let affected: BTreeSet<ServerId> = servers.iter().copied().collect();
         let mut swaps = 0;
-        let shard_list: Vec<ShardId> = self.shards.clone();
+        let shard_list: Vec<ShardId> = self.shards.to_vec();
         for shard in shard_list {
             let Some(primary) = self.assignment.primary_of(shard) else {
                 continue;
@@ -626,9 +648,8 @@ impl Orchestrator {
             };
             // Demote in place, then promote through the normal
             // promotion path (ack-driven, publishes the map).
-            let _outcome = self
-                .assignment
-                .change_role(shard, primary, ReplicaRole::Secondary);
+            let demoted = self.assignment.edit();
+            let _outcome = demoted.change_role(shard, primary, ReplicaRole::Secondary);
             self.send_rpc(primary, demotion(shard));
             self.request(shard, new_primary, Compensation::Promote);
             swaps += 1;
@@ -666,11 +687,7 @@ impl Orchestrator {
         if lacking.is_empty() {
             return;
         }
-        let shards = self.shards.iter().copied();
-        let lacking: Vec<ShardId> = shards
-            .filter(|shard| lacking.binary_search(shard).is_ok())
-            .collect();
-        for shard in lacking {
+        for shard in in_order_of(&self.shards, lacking) {
             self.ensure_primary_for(shard);
         }
     }
@@ -733,7 +750,7 @@ impl Orchestrator {
     pub fn run_scaler(&mut self, scaler: &crate::ShardScaler) -> usize {
         let mut totals = BTreeMap::new();
         let mut counts = BTreeMap::new();
-        for (&shard, load) in &self.loads {
+        for (&shard, load) in self.loads.iter() {
             let n = self.assignment.replicas(shard).len() as u32;
             if n == 0 {
                 continue;
@@ -840,7 +857,7 @@ impl Orchestrator {
     fn mint_shard(&mut self, load: LoadVector) -> ShardId {
         let id = ShardId(self.next_shard_id);
         self.next_shard_id += 1;
-        self.loads.insert(id, load);
+        self.loads.edit().insert(id, load);
         id
     }
 
@@ -885,7 +902,7 @@ impl Orchestrator {
         use std::fmt::Write as _;
         let mut out = String::from("smorch v1\n");
         let _infallible = writeln!(out, "version {}", self.map_version);
-        for (shard, n) in &self.desired_replicas {
+        for (shard, n) in self.desired_replicas.iter() {
             let _infallible = writeln!(out, "desired {} {}", shard.raw(), n);
         }
         for (shard, replica) in self.assignment.iter() {
@@ -956,9 +973,9 @@ impl Orchestrator {
         if let Some(max) = desired.keys().next_back() {
             self.next_shard_id = self.next_shard_id.max(max.raw() + 1);
         }
-        self.shards = desired.keys().copied().collect();
-        self.desired_replicas = desired;
-        self.assignment = assignment;
+        *self.shards.edit() = desired.keys().copied().collect();
+        *self.desired_replicas.edit() = desired;
+        *self.assignment.edit() = assignment;
         self.map_version = version;
         self.clear_in_flight();
         self.scheduler = None;
@@ -970,9 +987,7 @@ impl Orchestrator {
     /// on start-up a server also reads its assignment from ZooKeeper;
     /// this is the control-plane push side of that reconciliation).
     pub fn reconcile_server(&mut self, server: ServerId) {
-        if let Some(e) = self.servers.get_mut(&server) {
-            e.alive = true;
-        }
+        self.set_server(server, |e| e.alive = true);
         // An in-place restart silently discarded any split/merge
         // forwarding or prepared-child state the server held. Committing
         // such an op later would hand ownership to a child that no
@@ -983,6 +998,80 @@ impl Orchestrator {
             self.send_rpc(server, ServerRpc::AddShard { shard, role });
         }
     }
+}
+
+/// What an allocator run is a pure function of: its mode and the
+/// revisions of the six `Rev` fields it reads.
+type SolveKey = (Mode, [u64; 6]);
+
+/// The two allocation modes of §5.1.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Mode {
+    Emergency,
+    Periodic,
+}
+
+/// The moves of one allocator run in `mode` over `source`.
+fn plan(source: &impl PlacementSource, mode: Mode) -> Vec<ReplicaMove> {
+    match mode {
+        Mode::Periodic => Allocator::plan_periodic(source).moves,
+        // Emergency placements are fresh adds only.
+        Mode::Emergency => {
+            let mut moves = Allocator::plan_emergency(source).moves;
+            moves.retain(|m| m.from.is_none());
+            moves
+        }
+    }
+}
+
+/// The orchestrator's books as the allocator's source: read in place,
+/// no copy of them made for the run.
+struct Books<'a>(&'a Orchestrator);
+
+impl PlacementSource for Books<'_> {
+    fn config(&self) -> &AllocConfig {
+        &self.0.config.alloc
+    }
+
+    fn servers(&self) -> impl Iterator<Item = ServerInfo> {
+        let live = self.0.servers.iter().filter(|(_, e)| e.alive);
+        live.map(|(id, e)| ServerInfo {
+            id: *id,
+            location: e.location,
+            capacity: e.capacity,
+            draining: e.draining,
+        })
+    }
+
+    fn for_each_shard(&self, mut visit: impl FnMut(ShardId, LoadVector, &[Option<ServerId>])) {
+        let mut slots = Vec::new();
+        for (shard, load, desired, held) in self.0.placements() {
+            slots.clear();
+            slots.extend(held.iter().take(desired).map(|r| Some(r.server)));
+            slots.resize(desired, None);
+            visit(shard, load, &slots);
+        }
+    }
+
+    fn size(&self) -> (usize, usize) {
+        let shards = self.0.shards.len();
+        let replicas = self.0.policy.replication.replicas_per_shard();
+        (shards, shards * replicas as usize)
+    }
+}
+
+/// Those of the ascending `some` that are in `shards`, in the order of
+/// `shards`: where that is ascending too (it is commit order, so
+/// wherever no splits overlapped) `some` is already in it.
+fn in_order_of(shards: &[ShardId], mut some: Vec<ShardId>) -> Vec<ShardId> {
+    if shards.is_sorted_by(|a, b| a < b) {
+        some.retain(|shard| shards.binary_search(shard).is_ok());
+        return some;
+    }
+    let shards = shards.iter().copied();
+    shards
+        .filter(|shard| some.binary_search(shard).is_ok())
+        .collect()
 }
 
 /// The load assumed for a shard that has reported none.
@@ -1003,6 +1092,7 @@ fn next_at<V>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_allocator::{AllocInput, ShardPlacement};
     use sm_types::{MachineId, Metric, RegionId};
 
     fn loc(region: u16, machine: u32) -> Location {
@@ -1044,9 +1134,10 @@ mod tests {
     }
 
     impl Orchestrator {
-        /// The parent's `build_input`, verbatim: three map lookups per
-        /// shard. The model for the walk in step.
-        fn build_input_by_lookup(&self) -> AllocInput {
+        /// The allocator's input as a copy of the books, three map
+        /// lookups per shard: the model for [`Books`], which is read in
+        /// place by a walk in step.
+        pub(crate) fn build_input(&self) -> AllocInput {
             let servers: Vec<ServerInfo> = self
                 .servers
                 .iter()
@@ -1085,26 +1176,61 @@ mod tests {
             }
         }
 
-        /// `build_input` renders as the lookup builder's does; a mismatch
-        /// names the first shard that differs.
+        /// [`Self::run`], its moves first compared with those of an
+        /// allocator run over `build_input`, the copy made now. True when
+        /// the moves were reused ones.
+        pub(crate) fn run_checked(&mut self, mode: Mode) -> bool {
+            let want = plan(&self.build_input(), mode);
+            let key = (mode, self.revision());
+            let kept = self.solved.as_ref().map(|(solved, _)| *solved) == Some(key);
+            let solves = mode == Mode::Periodic || !self.fully_placed();
+            let got = self.solve(mode);
+            assert_eq!(got, want, "{mode:?}, reusing: {}", kept && solves);
+            self.install_plan(got);
+            kept && solves
+        }
+
+        /// What the allocator reads through [`Books`], copied out.
+        fn books_read(&self) -> AllocInput {
+            let books = Books(self);
+            let mut shards = Vec::new();
+            books.for_each_shard(|shard, load_per_replica, slots| {
+                shards.push(ShardPlacement {
+                    shard,
+                    load_per_replica,
+                    replicas: slots.to_vec(),
+                })
+            });
+            AllocInput {
+                servers: books.servers().collect(),
+                shards,
+                config: books.config().clone(),
+            }
+        }
+
+        /// [`Books`] reads as `build_input` copies; a mismatch names
+        /// the first shard that differs. And `fully_placed` says what
+        /// the copy shows.
         pub(crate) fn check_build_input(&self) {
-            let (got, want) = (self.build_input(), self.build_input_by_lookup());
+            let (got, want) = (self.books_read(), self.build_input());
             for (got, want) in got.shards.iter().zip(&want.shards) {
                 let (got, want) = (format!("{got:?}"), format!("{want:?}"));
-                assert_eq!(got, want, "shards are {:?}", self.shards);
+                assert_eq!(got, want, "shards are {:?}", *self.shards);
             }
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            let mut slots = want.shards.iter().flat_map(|s| &s.replicas);
+            let placed = slots.all(|slot| slot.is_some_and(|on| self.server_alive(on)));
+            assert_eq!(self.fully_placed(), placed);
         }
     }
 
     #[test]
-    fn build_input_offers_exactly_the_desired_slots() {
+    fn the_books_offer_exactly_the_desired_slots() {
         let mut o = orch(AppPolicy::primary_secondary(1), 4, 3);
         let add = |o: &mut Orchestrator, shard: u64, server: u32| {
             let role = ReplicaRole::Secondary;
-            let added = o
-                .assignment
-                .add_replica(ShardId(shard), ServerId(server), role);
+            let held = o.assignment.edit();
+            let added = held.add_replica(ShardId(shard), ServerId(server), role);
             added.expect("a free server");
         };
         // Shard 0 holds three replicas of its desired two, shard 1 one of
@@ -1113,7 +1239,7 @@ mod tests {
             add(&mut o, shard, server);
         }
         o.report_load(ServerId(1), vec![(ShardId(1), cap(7.0))]);
-        let input = o.build_input();
+        let input = o.books_read();
         let slots: Vec<_> = input.shards.iter().map(|s| s.replicas.clone()).collect();
         let unit = cap(1.0);
         assert_eq!(slots[0], [Some(ServerId(2)), Some(ServerId(0))]);
@@ -1125,27 +1251,60 @@ mod tests {
     }
 
     #[test]
-    fn build_input_reads_out_of_order_shards_like_the_lookup_builder() {
+    fn the_books_read_out_of_order_shards_like_the_lookup_builder() {
         let mut o = orch(AppPolicy::primary_secondary(1), 4, 0);
         o.register_shards([5, 3, 4, 9, 1].map(ShardId));
         o.check_build_input();
         // Every shard differs from every other in desired count, load and
         // replicas held, so a value read for the wrong id shows.
         for (i, shard) in [1, 3, 4, 5, 9].into_iter().enumerate() {
-            o.desired_replicas.insert(ShardId(shard), 1 + i as u32);
+            o.desired_replicas
+                .edit()
+                .insert(ShardId(shard), 1 + i as u32);
             o.report_load(ServerId(0), vec![(ShardId(shard), cap(shard as f64))]);
             let (server, role) = (ServerId(i as u32 % 4), ReplicaRole::Secondary);
-            let added = o.assignment.add_replica(ShardId(shard), server, role);
+            let added = o
+                .assignment
+                .edit()
+                .add_replica(ShardId(shard), server, role);
             added.expect("a free server");
             o.check_build_input();
         }
-        let order: Vec<_> = o
-            .build_input()
-            .shards
-            .iter()
-            .map(|s| s.shard.raw())
-            .collect();
+        let read = o.books_read();
+        let order: Vec<_> = read.shards.iter().map(|s| s.shard.raw()).collect();
         assert_eq!(order, [5, 3, 4, 9, 1]);
+    }
+
+    #[test]
+    fn in_order_of_visits_what_the_filter_over_all_shards_visited() {
+        use sm_sim::SimRng;
+        let (mut ascending, mut overlapped) = (0, 0);
+        for seed in 0..400 {
+            let mut rng = SimRng::seeded(seed);
+            let listed = rng.index(40);
+            let ids = rng.sample_indices(60, listed);
+            let mut shards: Vec<ShardId> = ids.into_iter().map(|i| ShardId(i as u64)).collect();
+            // Commit order: ascending, but for the children of splits
+            // that overlapped.
+            shards.sort();
+            if seed % 2 == 1 && shards.len() > 1 {
+                let (a, b) = (rng.index(shards.len()), rng.index(shards.len()));
+                shards.swap(a, b);
+            }
+            // Ascending ids, some of them (a retired parent still being
+            // reclaimed) in the assignment but no longer in `shards`.
+            let some = (0..70).filter(|_| rng.chance(0.3));
+            let some: Vec<ShardId> = some.map(ShardId).collect();
+            let all = shards.iter().copied();
+            let want: Vec<ShardId> = all.filter(|s| some.binary_search(s).is_ok()).collect();
+            assert_eq!(in_order_of(&shards, some), want, "seed {seed}");
+            if shards.is_sorted() {
+                ascending += 1;
+            } else {
+                overlapped += 1;
+            }
+        }
+        assert!(ascending > 150 && overlapped > 150);
     }
 
     /// Drives all outstanding RPCs to acked completion, like a perfectly
@@ -1471,7 +1630,7 @@ mod tests {
                     }
                 }
                 o.register_server(ServerId(i), loc(0, i), capacity);
-                let entry = o.servers.get_mut(&ServerId(i)).unwrap();
+                let entry = o.servers.edit().get_mut(&ServerId(i)).unwrap();
                 entry.alive = !rng.chance(0.15);
                 entry.draining = rng.chance(0.15);
             }
@@ -1486,7 +1645,7 @@ mod tests {
                         ReplicaRole::Secondary
                     };
                     let host = ServerId(host as u32);
-                    o.assignment.add_replica(shard, host, role).unwrap();
+                    o.assignment.edit().add_replica(shard, host, role).unwrap();
                 }
                 // Non-integer loads on two metrics; the rest fall back
                 // to one unit of shard count.
@@ -1497,7 +1656,7 @@ mod tests {
                 }
             }
             let victim = ServerId(rng.index(servers as usize) as u32);
-            let entry = o.servers.get_mut(&victim).unwrap();
+            let entry = o.servers.edit().get_mut(&victim).unwrap();
             (entry.alive, entry.draining) = (true, true);
 
             // The drain loop over the scanning picker, each pick checked

@@ -54,6 +54,17 @@ impl Problem {
         Self::default()
     }
 
+    /// An empty problem with room for `bins` bins and `entities`
+    /// entities, so that building one of known size never regrows.
+    pub fn with_capacity(bins: usize, entities: usize) -> Self {
+        Self {
+            entities: Vec::with_capacity(entities),
+            bins: Vec::with_capacity(bins),
+            initial: Vec::with_capacity(entities),
+            group_count: 0,
+        }
+    }
+
     /// Adds a bin, returning its id.
     pub fn add_bin(&mut self, bin: Bin) -> BinId {
         self.bins.push(bin);

@@ -60,7 +60,7 @@ fn main() {
     let mut on_draining = 0;
     let mut colocated = 0;
     let mut pref_honored = 0;
-    for (shard, replicas) in &plan.target {
+    for (shard, replicas) in plan.target() {
         let regions: Vec<RegionId> = replicas.iter().flatten().map(|&r| region_of(r)).collect();
         if regions.len() == 2 && regions[0] == regions[1] {
             colocated += 1;

@@ -52,6 +52,12 @@ cargo test --release --test sim_queue_diff -q
 step "tests"
 cargo test --workspace -q
 
+step "allocation budgets in a release build (a debug build re-solves to check every reused plan; here a reuse allocates per move)"
+cargo test --release --test alloc_budget -q
+
+step "scripts/pairs.sh parses"
+bash -n scripts/pairs.sh
+
 step "repo benchmark (bench/ compiles against the crates' pub items; its own tests; a 2 s traced smoke run per control workload, exit 1 = a failed in-run check)"
 cargo test --offline -q --manifest-path bench/Cargo.toml
 for workload in control_failover control_rebalance control_drain; do

@@ -49,7 +49,7 @@ fn allocator_standalone_data_placer() {
     assert_eq!(plan.unplaced(), 0);
     assert_eq!(plan.violations.total(), 0);
     // Three replicas, three regions: full geo spread for every shard.
-    for (_, replicas) in &plan.target {
+    for (_, replicas) in plan.target() {
         let mut regions: Vec<u32> = replicas.iter().flatten().map(|r| r.raw() / 3).collect();
         regions.sort_unstable();
         regions.dedup();
