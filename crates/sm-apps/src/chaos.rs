@@ -286,7 +286,10 @@ pub struct Chaos {
     spec: Rc<ShardingSpec>,
     hosts: BTreeMap<ServerId, Host>,
     partitions: Vec<Partition>,
-    /// Client-visible shard→primary map, refreshed periodically.
+    /// Client-visible shard→primary map, refreshed periodically. Not a
+    /// routing front-end but dissemination policy: while a partition's
+    /// mini-SM is down (no orchestrator to ask) clients keep its last
+    /// entries, which a kernel rebuilt from "the current map" cannot say.
     router: BTreeMap<ShardId, ServerId>,
     /// ZooKeeper's view of each server's last heartbeat.
     last_beat: BTreeMap<ServerId, SimTime>,

@@ -18,11 +18,11 @@ use sm_core::{
     AvailabilityView, OrchCommand, Orchestrator, OrchestratorConfig, ServerRpc, ShardServer,
     TaskController,
 };
-use sm_routing::{DiscoveryService, ServiceRouter, SubscriberId};
+use sm_routing::{DiscoveryService, ResolvedMap, SubscriberId};
 use sm_sim::{Ctx, LatencyModel, SimDuration, SimTime, TraceLog, World};
 use sm_types::{
     AppId, AppKey, AppPolicy, ContainerId, LoadVector, Location, MachineId, Metric, RegionId,
-    ServerId, ShardId, ShardMap, ShardingSpec, SmError,
+    ServerId, ShardId, ShardingSpec, SmError,
 };
 use sm_zk::{CreateMode, SessionId, WatchEvent, WatchKind, ZkStore};
 use std::cell::RefCell;
@@ -64,31 +64,10 @@ pub struct ExperimentConfig {
     pub request_rate: f64,
     /// Clients per region.
     pub clients_per_region: u32,
-    /// Retries before a request counts as failed.
-    pub retries: u32,
-    /// Pause before a retry.
-    pub retry_delay: SimDuration,
-    /// Container restart downtime.
-    pub restart_duration: SimDuration,
     /// ZooKeeper session timeout (failure-detection latency).
     pub failure_detection: SimDuration,
-    /// TaskControl negotiation interval.
-    pub tc_review_interval: SimDuration,
-    /// Load-report pull interval.
-    pub load_report_interval: SimDuration,
     /// Periodic allocator interval.
     pub periodic_alloc_interval: SimDuration,
-    /// Discovery-tree per-hop delay.
-    pub map_hop_delay: SimDuration,
-    /// Debounce window for coalescing shard-map publications.
-    pub map_debounce: SimDuration,
-    /// Time a server needs to (re)build a shard's state from the
-    /// external store when it was not warmed beforehand. Graceful
-    /// migration's `prepare_add_shard` warms the destination (§4.3), so
-    /// only abrupt moves and failovers pay this.
-    pub shard_load_time: SimDuration,
-    /// Shard-count capacity per server (for the balance band).
-    pub shard_capacity: f64,
     /// Route reads to the nearest replica (geo experiments) instead of
     /// the primary.
     pub route_nearest: bool,
@@ -100,10 +79,30 @@ pub struct ExperimentConfig {
     pub target_shards: Option<std::ops::Range<u64>>,
     /// Place clients only in these regions; `None` = all regions.
     pub client_regions: Option<Vec<RegionId>>,
-    /// Delay before clients start issuing requests, letting the
-    /// bootstrap placement finish.
-    pub client_start: SimDuration,
 }
+
+/// Retries before a request counts as failed.
+const RETRIES: u32 = 5;
+/// Pause before a retry.
+const RETRY_DELAY: SimDuration = SimDuration::from_millis(150);
+/// Container restart downtime.
+const RESTART_DURATION: SimDuration = SimDuration::from_secs(30);
+/// TaskControl negotiation interval.
+const TC_REVIEW_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Load-report pull interval.
+const LOAD_REPORT_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// Discovery-tree per-hop delay.
+const MAP_HOP_DELAY: SimDuration = SimDuration::from_millis(100);
+/// Debounce window for coalescing shard-map publications.
+const MAP_DEBOUNCE: SimDuration = SimDuration::from_millis(200);
+/// Time a server needs to (re)build a shard's state from the external
+/// store when it was not warmed beforehand. Graceful migration's
+/// `prepare_add_shard` warms the destination (§4.3), so only abrupt
+/// moves and failovers pay this.
+const SHARD_LOAD_TIME: SimDuration = SimDuration::from_secs(10);
+/// Delay before clients start issuing requests, letting the bootstrap
+/// placement finish.
+const CLIENT_START: SimDuration = SimDuration::from_secs(30);
 
 impl ExperimentConfig {
     /// A single-region primary-only KV deployment — the Figure 17 shape.
@@ -120,22 +119,12 @@ impl ExperimentConfig {
             latency: LatencyModel::uniform(1, 1.0, 1.0),
             request_rate: 20.0,
             clients_per_region: 10,
-            retries: 5,
-            retry_delay: SimDuration::from_millis(150),
-            restart_duration: SimDuration::from_secs(30),
             failure_detection: SimDuration::from_secs(20),
-            tc_review_interval: SimDuration::from_secs(5),
-            load_report_interval: SimDuration::from_secs(10),
             periodic_alloc_interval: SimDuration::from_secs(60),
-            map_hop_delay: SimDuration::from_millis(100),
-            map_debounce: SimDuration::from_millis(200),
-            shard_load_time: SimDuration::from_secs(10),
-            shard_capacity: 0.0,
             route_nearest: false,
             diurnal_amplitude: 0.0,
             target_shards: None,
             client_regions: None,
-            client_start: SimDuration::from_secs(30),
         }
     }
 
@@ -244,8 +233,9 @@ pub enum WorldEvent {
     MapDeliver {
         /// Destination subscriber.
         subscriber: SubscriberId,
-        /// The shared map snapshot.
-        map: Rc<ShardMap>,
+        /// The published map, resolved once by its publisher and
+        /// shared by every delivery of that version.
+        kernel: Rc<ResolvedMap>,
     },
     /// Publish the orchestrator's current map (debounced).
     MapFlush,
@@ -397,8 +387,13 @@ struct Host {
     zk_session: SessionId,
 }
 
+/// One client process: the Service Router library's state (§3.3).
 struct Client {
-    router: ServiceRouter,
+    /// The newest map delivered so far (`None` before the first one).
+    kernel: Option<Rc<ResolvedMap>>,
+    /// Round-robin cursor over a secondary-only shard's replicas; each
+    /// client process has its own.
+    rr_cursor: u64,
     region: RegionId,
     subscriber: SubscriberId,
 }
@@ -437,8 +432,6 @@ pub struct SimWorld {
     map_flush_scheduled: bool,
     moves_at_last_sample: u64,
     orch_region: RegionId,
-    /// Stop issuing client ticks after this time (None = forever).
-    pub client_deadline: Option<SimTime>,
     /// Sampling interval for the `Sample` event.
     pub sample_interval: SimDuration,
 }
@@ -479,19 +472,15 @@ impl SimWorld {
         let mut servers = BTreeMap::new();
         let mut next_server = 0u32;
         let mut next_rack = 0u32;
-        // Default shard-count capacity: 4x the fair share, so the
-        // capacity hard constraint exists but only the balance band
-        // normally binds.
+        // Shard-count capacity: 4x the fair share, so the capacity
+        // hard constraint exists but only the balance band normally
+        // binds.
         let total_servers: u32 = cfg.regions.iter().map(|(_, n)| *n).sum();
         let replicas = cfg.policy.replication.replicas_per_shard() as f64;
         let fair_share = cfg.shards as f64 * replicas / f64::from(total_servers.max(1));
-        let cap_value = if cfg.shard_capacity > 0.0 {
-            cfg.shard_capacity
-        } else {
-            (fair_share * 4.0).max(4.0)
-        };
+        let cap_value = (fair_share * 4.0).max(4.0);
         for &(region, count) in &cfg.regions {
-            let mut cm = ClusterManager::new(region, cfg.restart_duration);
+            let mut cm = ClusterManager::new(region, RESTART_DURATION);
             for _ in 0..count {
                 let id = next_server;
                 next_server += 1;
@@ -546,7 +535,7 @@ impl SimWorld {
             cms.insert(region, cm);
         }
 
-        let mut discovery = DiscoveryService::new(4, cfg.map_hop_delay);
+        let mut discovery = DiscoveryService::new(4, MAP_HOP_DELAY);
         let mut clients = Vec::new();
         for &(region, _) in &cfg.regions {
             if let Some(only) = &cfg.client_regions {
@@ -555,16 +544,11 @@ impl SimWorld {
                 }
             }
             for _ in 0..cfg.clients_per_region {
-                let subscriber = discovery.subscribe();
-                let mut router = ServiceRouter::new();
-                router.register_app(app, (*spec).clone());
-                for (&sid, host) in &servers {
-                    router.set_server_region(sid, host.region);
-                }
                 clients.push(Client {
-                    router,
+                    kernel: None,
+                    rr_cursor: 0,
                     region,
-                    subscriber,
+                    subscriber: discovery.subscribe(),
                 });
             }
         }
@@ -599,7 +583,6 @@ impl SimWorld {
             map_flush_scheduled: false,
             moves_at_last_sample: 0,
             orch_region,
-            client_deadline: None,
             sample_interval: SimDuration::from_secs(10),
         }
     }
@@ -648,14 +631,14 @@ impl SimWorld {
         let mut sim = sm_sim::Simulation::new(world, cfg2.seed);
         sim.schedule_at(SimTime::ZERO, WorldEvent::Bootstrap);
         sim.schedule_at(SimTime::ZERO, WorldEvent::TcReview);
-        sim.schedule_in(cfg2.load_report_interval, WorldEvent::LoadReport);
+        sim.schedule_in(LOAD_REPORT_INTERVAL, WorldEvent::LoadReport);
         sim.schedule_in(cfg2.periodic_alloc_interval, WorldEvent::PeriodicAlloc);
         sim.schedule_in(SimDuration::from_secs(1), WorldEvent::Sample);
         for c in 0..n_clients {
             // Stagger client starts over one second after the warm-up.
             let offset = SimDuration::from_millis(((c as u64) * 997) % 1000);
             sim.schedule_at(
-                SimTime::ZERO + cfg2.client_start + offset,
+                SimTime::ZERO + CLIENT_START + offset,
                 WorldEvent::ClientTick(c),
             );
         }
@@ -675,22 +658,28 @@ impl SimWorld {
                     // into one publication per window.
                     if !self.map_flush_scheduled {
                         self.map_flush_scheduled = true;
-                        ctx.schedule_in(self.cfg.map_debounce, WorldEvent::MapFlush);
+                        ctx.schedule_in(MAP_DEBOUNCE, WorldEvent::MapFlush);
                     }
                 }
             }
         }
     }
 
+    /// Publishes the orchestrator's map. A version discovery accepts is
+    /// resolved here, once, and every subscriber is delivered that one
+    /// kernel: the clients share a process with their publisher, and
+    /// what the figures measure is *when* a client learns a version,
+    /// not who ran `build`.
     fn publish_current_map(&mut self, ctx: &mut Ctx<'_, WorldEvent>) {
         let map = Rc::new(self.orch.current_map());
         if let Ok(deliveries) = self.discovery.publish(self.app, map.clone(), ctx.rng()) {
+            let kernel = Rc::new(ResolvedMap::build(Some(&self.spec), &map));
             for (subscriber, delay) in deliveries {
                 ctx.schedule_in(
                     delay,
                     WorldEvent::MapDeliver {
                         subscriber,
-                        map: map.clone(),
+                        kernel: kernel.clone(),
                     },
                 );
             }
@@ -823,18 +812,22 @@ impl SimWorld {
     }
 
     fn route(&mut self, client: usize, key: &AppKey) -> Result<(ShardId, ServerId), SmError> {
-        let region = self.clients[client].region;
-        if self.cfg.route_nearest {
-            let c = &self.clients[client];
-            c.router
-                .route_nearest(self.app, key, region, &self.cfg.latency)
-                .map(|d| (d.shard, d.server))
+        let c = &mut self.clients[client];
+        let Some(kernel) = &c.kernel else {
+            return Err(SmError::Unavailable(format!(
+                "no shard map for {}",
+                self.app
+            )));
+        };
+        let decision = if self.cfg.route_nearest {
+            kernel.route_nearest(key, |server| match self.servers.get(&server) {
+                Some(host) => self.cfg.latency.base_ms(c.region, host.region),
+                None => f64::INFINITY,
+            })
         } else {
-            self.clients[client]
-                .router
-                .route(self.app, key)
-                .map(|d| (d.shard, d.server))
-        }
+            kernel.route(key, &mut c.rr_cursor)
+        };
+        decision.map(|d| (d.shard, d.server))
     }
 
     fn try_send(
@@ -864,7 +857,7 @@ impl SimWorld {
                 );
             }
             Err(_) => {
-                self.stats.failed_route += u64::from(attempts >= self.cfg.retries);
+                self.stats.failed_route += u64::from(attempts >= RETRIES);
                 self.fail_or_retry(client, key, attempts, sent_at, ctx)
             }
         }
@@ -878,10 +871,10 @@ impl SimWorld {
         sent_at: SimTime,
         ctx: &mut Ctx<'_, WorldEvent>,
     ) {
-        if attempts < self.cfg.retries {
+        if attempts < RETRIES {
             self.stats.retries += 1;
             ctx.schedule_in(
-                self.cfg.retry_delay,
+                RETRY_DELAY,
                 WorldEvent::Retry {
                     client,
                     key,
@@ -968,7 +961,7 @@ impl SimWorld {
                 }
             }
         }
-        ctx.schedule_in(self.cfg.tc_review_interval, WorldEvent::TcReview);
+        ctx.schedule_in(TC_REVIEW_INTERVAL, WorldEvent::TcReview);
     }
 }
 
@@ -985,9 +978,6 @@ impl World for SimWorld {
         let now = ctx.now();
         match event {
             WorldEvent::ClientTick(client) => {
-                if self.client_deadline.map(|d| now >= d).unwrap_or(false) {
-                    return;
-                }
                 let key = match &self.cfg.target_shards {
                     Some(range) => {
                         // Pick a shard in the range, then a key inside
@@ -1021,7 +1011,7 @@ impl World for SimWorld {
             WorldEvent::Deliver(mut req) => {
                 if req.hops > 4 {
                     let key = req.key.clone();
-                    self.stats.failed_hops += u64::from(req.attempts >= self.cfg.retries);
+                    self.stats.failed_hops += u64::from(req.attempts >= RETRIES);
                     self.fail_or_retry(req.client, key, req.attempts, req.sent_at, ctx);
                     return;
                 }
@@ -1071,7 +1061,7 @@ impl World for SimWorld {
                     self.complete_ok(&req, ctx);
                 } else {
                     let key = req.key.clone();
-                    self.stats.failed_refused += u64::from(req.attempts >= self.cfg.retries);
+                    self.stats.failed_refused += u64::from(req.attempts >= RETRIES);
                     self.fail_or_retry(req.client, key, req.attempts, req.sent_at, ctx);
                 }
             }
@@ -1103,7 +1093,7 @@ impl World for SimWorld {
                 );
                 let mut delay = self.rpc_latency(server, ctx);
                 if cold && ok {
-                    delay = delay + self.cfg.shard_load_time;
+                    delay = delay + SHARD_LOAD_TIME;
                 }
                 ctx.schedule_in(delay, WorldEvent::OrchAck { server, rpc, ok });
             }
@@ -1115,10 +1105,15 @@ impl World for SimWorld {
                 }
                 self.flush_orch(ctx);
             }
-            WorldEvent::MapDeliver { subscriber, map } => {
+            WorldEvent::MapDeliver { subscriber, kernel } => {
                 if let Some(&idx) = self.client_by_subscriber.get(&subscriber) {
                     if let Some(client) = self.clients.get_mut(idx) {
-                        client.router.install_map(self.app, map);
+                        // Fan-out can deliver out of order: a version
+                        // no newer than the one held is dropped.
+                        let held = client.kernel.as_ref();
+                        if held.is_none_or(|held| kernel.version() > held.version()) {
+                            client.kernel = Some(kernel);
+                        }
                     }
                 }
             }
@@ -1188,7 +1183,7 @@ impl World for SimWorld {
                 for (sid, loads) in reports {
                     self.orch.report_load(sid, loads);
                 }
-                ctx.schedule_in(self.cfg.load_report_interval, WorldEvent::LoadReport);
+                ctx.schedule_in(LOAD_REPORT_INTERVAL, WorldEvent::LoadReport);
             }
             WorldEvent::PeriodicAlloc => {
                 self.orch.run_periodic();
@@ -1388,6 +1383,61 @@ mod tests {
             w.stats
         );
         assert_eq!(w.orchestrator().assignment().shard_count(), 50);
+    }
+
+    #[test]
+    fn clients_holding_one_version_share_one_kernel() {
+        let mut cfg = ExperimentConfig::single_region(6, 50);
+        quiet(&mut cfg);
+        let mut sim = SimWorld::primed(cfg);
+        // Bootstrap's publishes have reached every client; the first
+        // periodic run (t = 60 s) has not started yet.
+        sim.run_until(SimTime::from_secs(50));
+        let w = sim.world();
+        let published = w.discovery.latest(w.app).expect("published").version;
+        let first = w.clients[0].kernel.as_ref().expect("delivered");
+        assert_eq!(first.version(), published);
+        for client in &w.clients {
+            let kernel = client.kernel.as_ref().expect("delivered");
+            assert!(Rc::ptr_eq(kernel, first), "a version is resolved once");
+        }
+    }
+
+    #[test]
+    fn a_version_delivered_after_a_newer_one_is_ignored() {
+        let mut cfg = ExperimentConfig::single_region(4, 2);
+        quiet(&mut cfg);
+        // Unprimed: the only events are the two deliveries below.
+        let mut sim = sm_sim::Simulation::new(SimWorld::new(cfg), 1);
+        let key = AppKey::from_u64(0);
+        let err = sim.world_mut().route(0, &key).unwrap_err();
+        assert!(matches!(err, SmError::Unavailable(_)), "{err}");
+
+        let subscriber = sim.world().clients[0].subscriber;
+        // Version `v` names `ServerId(v)` shard 0's primary.
+        let kernel_at = |w: &SimWorld, version: u64| {
+            let mut a = sm_types::Assignment::new();
+            a.add_replica(
+                ShardId(0),
+                ServerId(version as u32),
+                sm_types::ReplicaRole::Primary,
+            )
+            .unwrap();
+            let map = sm_types::ShardMap::from_assignment(version, &a);
+            Rc::new(ResolvedMap::build(Some(w.spec()), &map))
+        };
+        for (at_ms, version) in [(1, 3), (2, 2)] {
+            let kernel = kernel_at(sim.world(), version);
+            sim.schedule_at(
+                SimTime::from_millis(at_ms),
+                WorldEvent::MapDeliver { subscriber, kernel },
+            );
+        }
+        sim.run_until(SimTime::from_millis(10));
+        let routed = sim.world_mut().route(0, &key).unwrap();
+        assert_eq!(routed, (ShardId(0), ServerId(3)), "the client kept v3");
+        // The other clients were delivered nothing.
+        assert!(sim.world().clients[1].kernel.is_none());
     }
 
     #[test]

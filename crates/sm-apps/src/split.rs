@@ -12,9 +12,9 @@
 //! split the parent keeps its data but forwards each request to the
 //! prepared child covering its key; during a merge both sources forward
 //! to the prepared target.
-//! Clients route by key through a real [`ServiceRouter`] fed the
-//! orchestrator's spec + map on a refresh cadence, so stale-map windows
-//! exercise the forwarding chains exactly as production would.
+//! Clients route by key through a real [`ResolvedMap`] kernel rebuilt
+//! from the orchestrator's spec + map on a refresh cadence, so stale-map
+//! windows exercise the forwarding chains exactly as production would.
 //!
 //! Safety is judged by the [`Oracle`]:
 //!
@@ -46,7 +46,7 @@ use crate::kit::{
 use sm_allocator::MoveCaps;
 use sm_core::exchange::Host;
 use sm_core::{OrchCommand, Orchestrator, ServerRpc, ShardServer, SplitScaler, SplitScalerConfig};
-use sm_routing::ServiceRouter;
+use sm_routing::ResolvedMap;
 use sm_sim::faults::{fault_plan, Fault, FaultProfile};
 use sm_sim::net::Endpoint;
 use sm_sim::oracle::Oracle;
@@ -56,7 +56,6 @@ use sm_types::{
     ShardingSpec, SmError,
 };
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// The single application this world runs.
 const APP: AppId = AppId(0);
@@ -398,7 +397,9 @@ pub struct Split {
     scaler: SplitScaler,
     hosts: BTreeMap<ServerId, SplitHost>,
     fleet: FleetState,
-    router: ServiceRouter,
+    /// What the clients route by: the spec + map of the last refresh.
+    router: ResolvedMap,
+    rr_cursor: u64,
     next_req: u64,
     /// Every shard id ever published with its immutable key range (a
     /// shard's range never changes between mint and removal), for the
@@ -472,14 +473,14 @@ impl Split {
     /// Shards where the client router disagrees with the assignment on
     /// the serving primary (the convergence audit's divergence count).
     fn router_divergence(&mut self) -> usize {
-        let Some(spec) = self.cp.sharding_spec().cloned() else {
+        let Some(spec) = self.cp.sharding_spec() else {
             return 0;
         };
         spec.iter()
             .filter(|(range, shard)| {
                 let routed = self
                     .router
-                    .route(APP, &range.start)
+                    .route(&range.start, &mut self.rr_cursor)
                     .map(|d| (d.shard, d.server));
                 let assigned = self.cp.assignment().primary_of(*shard);
                 routed.ok() != assigned.map(|srv| (*shard, srv))
@@ -504,17 +505,16 @@ impl Split {
             .sum()
     }
 
-    /// Pulls the orchestrator's current spec and map into the client
-    /// router (service discovery refresh) and learns any newly minted
-    /// shard's immutable range.
+    /// Learns any newly minted shard's immutable range, then resolves
+    /// the orchestrator's current spec and map into the client router
+    /// (service discovery refresh). Map versions only grow and a
+    /// version names one content, so rebuilding never goes back.
     fn refresh_router(&mut self) {
-        if let Some(spec) = self.cp.sharding_spec().cloned() {
-            for (range, shard) in spec.iter() {
-                self.ranges.entry(*shard).or_insert_with(|| range.clone());
-            }
-            self.router.install_spec(APP, spec);
+        let spec = self.cp.sharding_spec();
+        for (range, shard) in spec.iter().flat_map(|s| s.iter()) {
+            self.ranges.entry(*shard).or_insert_with(|| range.clone());
         }
-        self.router.install_map(APP, Rc::new(self.cp.current_map()));
+        self.router = ResolvedMap::build(spec, &self.cp.current_map());
     }
 
     /// True inside the viral window.
@@ -551,7 +551,10 @@ impl Split {
         if cx.oracle.already_served(req.id) {
             return; // a duplicated copy already completed this request
         }
-        match self.router.route(APP, &AppKey::from_u64(req.key)) {
+        match self
+            .router
+            .route(&AppKey::from_u64(req.key), &mut self.rr_cursor)
+        {
             Ok(d) => {
                 let src = Endpoint::Client(req.client);
                 self.transmit(req, src, d.shard, d.server, 0, cx)
@@ -816,7 +819,8 @@ impl Scenario for Split {
             scaler: scaler_for(&cfg),
             hosts,
             fleet: FleetState::default(),
-            router: ServiceRouter::new(),
+            router: ResolvedMap::default(),
+            rr_cursor: 0,
             next_req: 0,
             ranges: BTreeMap::new(),
             stats: SplitStats::default(),

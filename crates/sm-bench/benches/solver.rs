@@ -1,6 +1,7 @@
 //! Solver micro-benchmarks: the costs §5.3 is about.
 //!
-//! - `penalty_tree_update`: one O(log n) objective update.
+//! - `penalty_leaf_update`: one O(1) objective update (a leaf and the
+//!   maintained sum).
 //! - `eval_move`: one incremental move evaluation.
 //! - `local_search_75_per_server`: a full solve at the paper's 75:1
 //!   shard/server ratio (small scale).
@@ -73,7 +74,7 @@ fn bench_penalty_tree() {
         tree.set(i, (i % 17) as f64);
     }
     let mut i = 0usize;
-    bench_function("penalty_tree_update_4096", || {
+    bench_function("penalty_leaf_update_4096", || {
         i = (i * 31 + 7) % 4096;
         tree.set(i, (i % 13) as f64);
         std::hint::black_box(tree.total());

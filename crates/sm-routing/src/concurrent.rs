@@ -40,8 +40,7 @@
 //! keeps every parked core with tag ≥ `e` alive. Freeing tags below
 //! `min_pinned` can therefore never free a core a reader still holds.
 
-use crate::resolved::ResolvedMap;
-use crate::router::RouteDecision;
+use crate::resolved::{ResolvedMap, RouteDecision};
 use sm_types::{AppId, AppKey, ShardId, ShardMap, ShardingSpec, SmError};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -143,8 +142,7 @@ impl ConcurrentRouter {
     /// Claims a reader slot and returns a per-thread handle.
     ///
     /// Fails with [`SmError::Rejected`] when every slot is claimed by a
-    /// live handle (size the router with [`ConcurrentRouter::with_slots`]
-    /// for unusual thread counts).
+    /// live handle; a dropped handle frees its slot.
     pub fn handle(self: &Arc<Self>) -> Result<RouterHandle, SmError> {
         for (i, slot) in self.slots.iter().enumerate() {
             if slot
@@ -197,8 +195,8 @@ impl ConcurrentRouter {
     /// Installs a shard map for `app`, rebuilding its resolution kernel.
     ///
     /// Returns `false` (and publishes nothing) when `app` already has a
-    /// map at the same or a newer version — stale disseminations are
-    /// ignored, exactly like the single-threaded router.
+    /// map at the same or a newer version — a stale or out-of-order
+    /// dissemination never replaces a newer map.
     pub fn install_map(&self, app: AppId, map: ShardMap) -> bool {
         let mut w = self.writer_guard();
         let mut apps = self.clone_apps_locked();
@@ -382,9 +380,9 @@ struct CachedApp {
     resolved: Option<Arc<ResolvedMap>>,
 }
 
-/// A per-thread routing handle: `&mut self` like the single-threaded
-/// router, but all mutation is thread-local (round-robin cursor, per-app
-/// kernel cache). The fast path is one atomic stamp load plus the
+/// A per-thread routing handle: routing takes `&mut self`, but all
+/// mutation is thread-local (round-robin cursor, per-app kernel
+/// cache). The fast path is one atomic stamp load plus the
 /// kernel's binary search — no locks, no allocation, no shared writes.
 pub struct RouterHandle {
     router: Arc<ConcurrentRouter>,
@@ -419,7 +417,9 @@ impl RouterHandle {
     /// Routes `key` within `app`: primary preferred, secondary-only
     /// shards round-robined with this handle's cursor.
     ///
-    /// Error contract matches [`crate::ServiceRouter::route`] exactly.
+    /// Errors: `app` has no registered spec → `NotFound`; `key` falls
+    /// in a gap of the spec → `NotFound`; no map installed yet →
+    /// `Unavailable` (retryable).
     // sm-lint: hot-path
     pub fn route(&mut self, app: AppId, key: &AppKey) -> Result<RouteDecision, SmError> {
         let idx = self.fresh_entry(app);
@@ -480,7 +480,7 @@ impl Drop for RouterHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_types::{Assignment, ReplicaRole, ServerId};
+    use sm_types::{Assignment, KeyRange, ReplicaRole, ServerId};
 
     fn map(version: u64, shards: u64) -> ShardMap {
         let mut a = Assignment::new();
@@ -496,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn routes_like_the_single_threaded_router() {
+    fn a_handle_routes_by_the_installed_map() {
         let router = Arc::new(ConcurrentRouter::new());
         router.register_app(AppId(1), ShardingSpec::uniform_u64(8));
         assert!(router.install_map(AppId(1), map(3, 8)));
@@ -510,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn error_contract_matches_legacy() {
+    fn unregistered_is_not_found_and_mapless_is_unavailable() {
         let router = Arc::new(ConcurrentRouter::new());
         let mut h = router.handle().unwrap();
         let e = h.route(AppId(9), &AppKey::from_u64(0)).unwrap_err();
@@ -521,6 +521,17 @@ mod tests {
         assert!(matches!(e, SmError::Unavailable(_)), "{e}");
         assert!(e.is_retryable());
         assert!(e.to_string().contains("no shard map"), "{e}");
+
+        // Registered and mapped, but the spec leaves the key uncovered.
+        let range = KeyRange::new(AppKey::from_u64(10), AppKey::from_u64(20));
+        router.register_app(
+            AppId(9),
+            ShardingSpec::new(vec![(range, ShardId(0))]).unwrap(),
+        );
+        assert!(router.install_map(AppId(9), map(1, 1)));
+        assert!(h.route(AppId(9), &AppKey::from_u64(15)).is_ok());
+        let e = h.route(AppId(9), &AppKey::from_u64(25)).unwrap_err();
+        assert!(matches!(e, SmError::NotFound(_)), "{e}");
     }
 
     #[test]
@@ -545,6 +556,46 @@ mod tests {
         router.register_app(AppId(1), ShardingSpec::uniform_u64(4));
         let d = h.route(AppId(1), &AppKey::from_u64(0)).unwrap();
         assert_eq!(d.shard, ShardId(0));
+    }
+
+    #[test]
+    fn a_respecified_app_reroutes_keys_after_a_split() {
+        // Before the split shard 0 owns the low quarter of the key
+        // space, served (at version 1) from server 1.
+        let router = Arc::new(ConcurrentRouter::new());
+        let spec = ShardingSpec::uniform_u64(4);
+        router.register_app(AppId(1), spec.clone());
+        assert!(router.install_map(AppId(1), map(1, 4)));
+        let mut h = router.handle().unwrap();
+        let key = AppKey::from_u64(1);
+        let d = h.route(AppId(1), &key).unwrap();
+        assert_eq!((d.shard, d.server), (ShardId(0), ServerId(1)));
+
+        // The control plane splits shard 0 into shards 4 and 5 and
+        // publishes the rewritten spec plus the map that first carries
+        // the children.
+        let at = spec.range_of(ShardId(0)).unwrap().midpoint().unwrap();
+        let spec = spec
+            .split_shard(ShardId(0), &at, ShardId(4), ShardId(5))
+            .unwrap();
+        let mut a = Assignment::new();
+        for (shard, server) in [(1, 3), (2, 4), (3, 5), (4, 20), (5, 21)] {
+            a.add_replica(ShardId(shard), ServerId(server), ReplicaRole::Primary)
+                .unwrap();
+        }
+        router.register_app(AppId(1), spec);
+        assert!(router.install_map(AppId(1), ShardMap::from_assignment(2, &a)));
+
+        // Low half of the old range → left child, high half → right,
+        // untouched shards unchanged.
+        let d = h.route(AppId(1), &key).unwrap();
+        assert_eq!((d.shard, d.server), (ShardId(4), ServerId(20)));
+        let d = h
+            .route(AppId(1), &AppKey::from_u64(u64::MAX / 4 - 1))
+            .unwrap();
+        assert_eq!((d.shard, d.server), (ShardId(5), ServerId(21)));
+        let d = h.route(AppId(1), &AppKey::from_u64(u64::MAX)).unwrap();
+        assert_eq!((d.shard, d.server), (ShardId(3), ServerId(5)));
     }
 
     #[test]

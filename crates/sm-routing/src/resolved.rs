@@ -11,13 +11,25 @@
 //! a shard without a primary goes on to the [`DenseShardTable`], which
 //! also serves shard → replica-set resolution.
 //!
-//! Both [`crate::ServiceRouter`] (single-threaded, DES worlds) and
+//! Every route in the repository is this kernel's: the simulated
+//! clients of the DES worlds hold the kernel their publisher built, and
 //! [`crate::ConcurrentRouter`] (epoch-swapped, shared by N threads)
-//! route through this kernel, so the deterministic oracles exercise the
-//! exact code the throughput bench measures.
+//! hands its handles the same type, so the deterministic oracles
+//! exercise the exact code the throughput bench measures.
 
-use crate::router::RouteDecision;
 use sm_types::{AppKey, DenseShardTable, ServerId, ShardId, ShardMap, ShardingSpec, SmError};
+
+/// Where a request should go.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RouteDecision {
+    /// The shard owning the key.
+    pub shard: ShardId,
+    /// The chosen server.
+    pub server: ServerId,
+    /// The map version the decision was based on (for staleness
+    /// diagnostics).
+    pub map_version: u64,
+}
 
 /// Sentinel [`RangeEntry::primary`]: the map names no primary for the
 /// shard (or lacks the shard), so the route goes through the table. A
@@ -56,9 +68,6 @@ fn prefix64(bytes: &[u8]) -> u64 {
 pub struct ResolvedMap {
     /// The shard-map version this kernel was built from.
     version: u64,
-    /// Whether a sharding spec was available at build time (key routing
-    /// needs one; shard-direct routing does not).
-    has_spec: bool,
     /// 8-byte big-endian prefixes of `starts`, the binary-search
     /// fast column.
     starts_p64: Vec<u64>,
@@ -83,7 +92,6 @@ impl ResolvedMap {
         let ranges = spec.map(|s| s.shard_count()).unwrap_or(0);
         let mut out = Self {
             version: map.version,
-            has_spec: spec.is_some(),
             starts_p64: Vec::with_capacity(ranges),
             starts: Vec::with_capacity(ranges),
             ends: Vec::with_capacity(ranges),
@@ -113,18 +121,6 @@ impl ResolvedMap {
     /// The shard-map version this kernel resolves.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Whether key → shard resolution is available (a spec was known
-    /// at build time).
-    pub(crate) fn has_spec(&self) -> bool {
-        self.has_spec
-    }
-
-    /// The dense shard → replica-set table (for nearest-replica and
-    /// other whole-replica-set policies).
-    pub fn table(&self) -> &DenseShardTable {
-        &self.table
     }
 
     /// The entry of the range containing `key`, or `None` when the key
@@ -197,11 +193,49 @@ impl ResolvedMap {
         shard: ShardId,
         rr_cursor: &mut u64,
     ) -> Result<RouteDecision, SmError> {
-        let slot = self
+        self.decide(shard, self.slot_of(shard)?, rr_cursor)
+    }
+
+    /// Routes `key` to the replica of its shard that `distance` puts
+    /// closest — how geo-distributed reads pick a local replica (§8.3).
+    /// The metric is the caller's (say, base latency from the client's
+    /// region to the server's), with `f64::INFINITY` for a server it
+    /// cannot place; equally near replicas keep map order.
+    pub fn route_nearest(
+        &self,
+        key: &AppKey,
+        distance: impl Fn(ServerId) -> f64,
+    ) -> Result<RouteDecision, SmError> {
+        let shard = self
+            .shard_for(key)
+            .ok_or_else(|| SmError::not_found(format!("no shard covers key {key}")))?;
+        let server = self
             .table
+            .servers_at(self.slot_of(shard)?)
+            .iter()
+            .copied()
+            .min_by(|a, b| {
+                // NaN (a corrupt latency table) degrades to an
+                // arbitrary-but-served replica instead of panicking.
+                distance(*a)
+                    .partial_cmp(&distance(*b))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .ok_or_else(|| SmError::Unavailable(format!("{shard} has no replicas")))?;
+        Ok(RouteDecision {
+            shard,
+            server,
+            map_version: self.version,
+        })
+    }
+
+    /// The table slot of `shard`, or the error a route to a shard the
+    /// map lacks ends in.
+    // sm-lint: hot-path
+    fn slot_of(&self, shard: ShardId) -> Result<usize, SmError> {
+        self.table
             .slot_of(shard)
-            .ok_or_else(|| SmError::Unavailable(format!("{shard} not in map v{}", self.version)))?;
-        self.decide(shard, slot, rr_cursor)
+            .ok_or_else(|| SmError::Unavailable(format!("{shard} not in map v{}", self.version)))
     }
 
     /// Picks a server for an already-resolved `(shard, slot)` pair.
@@ -233,22 +267,12 @@ impl ResolvedMap {
             map_version: self.version,
         })
     }
-
-    /// The replica servers of `shard` as a slice (empty when absent) —
-    /// the nearest-replica policy iterates this without allocating.
-    // sm-lint: hot-path
-    pub fn servers_of(&self, shard: ShardId) -> &[ServerId] {
-        match self.table.slot_of(shard) {
-            Some(slot) => self.table.servers_at(slot),
-            None => &[],
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_types::{AppId, Assignment, KeyRange, ReplicaAssignment, ReplicaRole, ShardMapEntry};
+    use sm_types::{Assignment, KeyRange, RegionId, ReplicaAssignment, ReplicaRole, ShardMapEntry};
     use std::collections::BTreeMap;
 
     fn assignment(shards: u64) -> Assignment {
@@ -493,7 +517,6 @@ mod tests {
 
             let fused = ResolvedMap::build(spec.as_ref(), &map);
             let model = ColumnWalk::build(spec.as_ref(), &map);
-            assert_eq!(fused.has_spec(), spec.is_some());
             // Probes: every boundary, just past it, and fresh keys.
             let mut probes = bounds.clone();
             for b in &bounds {
@@ -524,8 +547,8 @@ mod tests {
                 let kind = match &got {
                     Ok(d)
                         if fused
-                            .table()
-                            .primary_at(fused.table().slot_of(d.shard).unwrap())
+                            .table
+                            .primary_at(fused.table.slot_of(d.shard).unwrap())
                             == Some(d.server) =>
                     {
                         "primary"
@@ -678,18 +701,67 @@ mod tests {
 
         // No spec: key routing is NotFound, shard routing still works.
         let r = ResolvedMap::build(None, &ShardMap::from_assignment(1, &assignment(2)));
-        assert!(!r.has_spec());
         assert_eq!(r.shard_for(&AppKey::from_u64(0)), None);
         let d = r.route_shard(ShardId(1), &mut rr).unwrap();
         assert_eq!(d.server, ServerId(1));
     }
 
     #[test]
-    fn servers_of_exposes_replica_spans() {
-        let map = ShardMap::from_assignment(1, &assignment(2));
-        let r = ResolvedMap::build(None, &map);
-        assert_eq!(r.servers_of(ShardId(0)), &[ServerId(0), ServerId(100)]);
-        assert!(r.servers_of(ShardId(9)).is_empty());
-        let _ = AppId(0); // silence unused import on narrow builds
+    fn nearest_replica_routing() {
+        let mut a = Assignment::new();
+        for srv in [1u32, 2, 3] {
+            a.add_replica(ShardId(0), ServerId(srv), ReplicaRole::Secondary)
+                .unwrap();
+        }
+        let spec = ShardingSpec::uniform_u64(1);
+        let r = ResolvedMap::build(Some(&spec), &ShardMap::from_assignment(4, &a));
+        let latency = sm_sim::LatencyModel::frc_prn_odn();
+        // Server 1 is at FRC, server 2 at ODN; nobody knows server 3.
+        let from = |client: u16| {
+            let latency = &latency;
+            move |server: ServerId| match server.raw() {
+                1 => latency.base_ms(RegionId(client), RegionId(0)),
+                2 => latency.base_ms(RegionId(client), RegionId(2)),
+                _ => f64::INFINITY,
+            }
+        };
+        let key = AppKey::from_u64(3);
+        // A client at FRC picks the FRC replica, one at ODN the ODN one.
+        let d = r.route_nearest(&key, from(0)).unwrap();
+        assert_eq!(
+            (d.shard, d.server, d.map_version),
+            (ShardId(0), ServerId(1), 4)
+        );
+        assert_eq!(r.route_nearest(&key, from(2)).unwrap().server, ServerId(2));
+        // Only unknown servers: still served, first in map order.
+        let d = r.route_nearest(&key, |_| f64::INFINITY).unwrap();
+        assert_eq!(d.server, ServerId(1));
+        // A NaN distance (a corrupt latency table) does not panic.
+        let d = r.route_nearest(&key, |s| if s == ServerId(2) { f64::NAN } else { 1.0 });
+        assert!(d.is_ok(), "{d:?}");
+
+        // The errors are the kernel's own: gap key, shard not in the
+        // map, shard without replicas.
+        let none = ResolvedMap::build(None, &ShardMap::from_assignment(1, &a));
+        let err = none.route_nearest(&key, |_| 0.0).unwrap_err();
+        assert!(matches!(err, SmError::NotFound(_)), "{err}");
+        let spec = ShardingSpec::uniform_u64(2);
+        let mut map = ShardMap::from_assignment(1, &a);
+        let r = ResolvedMap::build(Some(&spec), &map);
+        let err = r
+            .route_nearest(&AppKey::from_u64(u64::MAX), |_| 0.0)
+            .unwrap_err();
+        assert!(err.to_string().contains("not in map v1"), "{err}");
+        map.entries.insert(
+            ShardId(1),
+            ShardMapEntry {
+                replicas: Vec::new(),
+            },
+        );
+        let r = ResolvedMap::build(Some(&spec), &map);
+        let err = r
+            .route_nearest(&AppKey::from_u64(u64::MAX), |_| 0.0)
+            .unwrap_err();
+        assert!(err.to_string().contains("no replicas"), "{err}");
     }
 }

@@ -10,10 +10,9 @@
 //! a decision mixing fields from two map versions — fails the formula
 //! no matter how the threads interleave.
 
-use sm_routing::{ConcurrentRouter, ServiceRouter};
+use sm_routing::{ConcurrentRouter, ResolvedMap};
 use sm_sim::SimRng;
 use sm_types::{AppId, AppKey, Assignment, ReplicaRole, ServerId, ShardId, ShardMap, ShardingSpec};
-use std::rc::Rc;
 use std::sync::Arc;
 
 const APP: AppId = AppId(7);
@@ -111,32 +110,32 @@ fn eight_reader_threads_survive_a_thousand_map_installs() {
 }
 
 #[test]
-fn concurrent_handle_agrees_with_single_threaded_router() {
-    // Differential oracle: the per-thread handle and the legacy
-    // single-threaded router must produce identical decisions for the
-    // same spec, maps, and keys — they share one resolution kernel.
+fn concurrent_handle_agrees_with_a_freshly_built_kernel() {
+    // Differential oracle: whatever the router caches, swaps and hands
+    // its handle, a decision must equal the one a kernel built on the
+    // spot from the same spec and map gives for the same key.
     let concurrent = Arc::new(ConcurrentRouter::new());
-    let mut legacy = ServiceRouter::new();
-    concurrent.register_app(APP, ShardingSpec::uniform_u64(SHARDS));
-    legacy.register_app(APP, ShardingSpec::uniform_u64(SHARDS));
+    let spec = ShardingSpec::uniform_u64(SHARDS);
+    concurrent.register_app(APP, spec.clone());
     let mut handle = concurrent.handle().expect("slot");
 
     let mut rng = SimRng::seed_from(SEED, 99);
+    let mut rr = 0u64;
     for version in [1u64, 2, 5, 9] {
         assert!(concurrent.install_map(APP, map_at(version)));
-        assert!(legacy.install_map(APP, Rc::new(map_at(version))));
+        let kernel = ResolvedMap::build(Some(&spec), &map_at(version));
         for _ in 0..250 {
             let key = AppKey::from_u64(rng.next_u64());
             assert_eq!(
                 handle.route(APP, &key).expect("covered"),
-                legacy.route(APP, &key).expect("covered"),
+                kernel.route(&key, &mut rr).expect("covered"),
                 "divergence at v{version} for {key}"
             );
         }
         let shard = ShardId(rng.next_u64() % SHARDS);
         assert_eq!(
             handle.route_shard(APP, shard).expect("present"),
-            legacy.route_shard(APP, shard).expect("present")
+            kernel.route_shard(shard, &mut rr).expect("present")
         );
     }
 }

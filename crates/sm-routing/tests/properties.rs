@@ -7,15 +7,16 @@
 //!    wildly more than its fair share;
 //! 2. **monotonicity** — a single join (or leave) only moves the keys
 //!    that must move: everything else keeps its owner;
-//! 3. **agreement** — a `ServiceRouter` fed through `DiscoveryService`
+//! 3. **agreement** — a `RouterHandle` fed through `DiscoveryService`
 //!    always routes according to the latest published shard map, never
 //!    a stale or invented one.
 
-use sm_routing::{ConsistentHashRing, DiscoveryService, ServiceRouter, StaticSharding};
+use sm_routing::{ConcurrentRouter, ConsistentHashRing, DiscoveryService, StaticSharding};
 use sm_sim::{SimDuration, SimRng};
 use sm_types::{AppId, AppKey, Assignment, ReplicaRole, ServerId, ShardId, ShardMap, ShardingSpec};
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 const APP: AppId = AppId(7);
 
@@ -206,7 +207,7 @@ fn assignment(version: u64, n_shards: u64, n_servers: u32) -> Rc<ShardMap> {
 #[test]
 fn router_always_agrees_with_latest_discovery_map() {
     // Feed a stream of publishes (including stale ones discovery must
-    // reject) through DiscoveryService into a ServiceRouter. After every
+    // reject) through DiscoveryService into a router. After every
     // delivered update, each routed key must land on a replica that the
     // *latest* discovery map lists for that key's shard, at the latest
     // version.
@@ -214,8 +215,9 @@ fn router_always_agrees_with_latest_discovery_map() {
     let mut rng = SimRng::seeded(0x000d_15c0);
     let mut discovery = DiscoveryService::new(2, SimDuration::from_millis(10));
     discovery.subscribe();
-    let mut router = ServiceRouter::new();
-    router.register_app(APP, ShardingSpec::uniform_u64(n_shards));
+    let shared = Arc::new(ConcurrentRouter::new());
+    shared.register_app(APP, ShardingSpec::uniform_u64(n_shards));
+    let mut router = shared.handle().expect("slot");
 
     let ks = keys(&mut rng, 200);
     let mut version = 0u64;
@@ -235,7 +237,7 @@ fn router_always_agrees_with_latest_discovery_map() {
         // The subscriber pulls whatever discovery says is latest.
         let latest = Rc::clone(discovery.latest(APP).expect("published at least once"));
         assert_eq!(latest.version, version);
-        router.install_map(APP, Rc::clone(&latest));
+        shared.install_map(APP, ShardMap::clone(&latest));
         assert_eq!(router.map_version(APP), version);
 
         for k in &ks {
@@ -259,8 +261,9 @@ fn out_of_order_delivery_converges_to_latest() {
     // must keep the newest. Simulate by installing a permuted sequence.
     let n_shards = 8u64;
     let mut rng = SimRng::seeded(0x0000_00ff);
-    let mut router = ServiceRouter::new();
-    router.register_app(APP, ShardingSpec::uniform_u64(n_shards));
+    let shared = Arc::new(ConcurrentRouter::new());
+    shared.register_app(APP, ShardingSpec::uniform_u64(n_shards));
+    let mut router = shared.handle().expect("slot");
     let mut versions: Vec<u64> = (1..=12).collect();
     // Seeded Fisher-Yates shuffle.
     for i in (1..versions.len()).rev() {
@@ -269,7 +272,7 @@ fn out_of_order_delivery_converges_to_latest() {
     }
     let mut freshest = 0u64;
     for v in versions {
-        let accepted = router.install_map(APP, assignment(v, n_shards, 6));
+        let accepted = shared.install_map(APP, ShardMap::clone(&assignment(v, n_shards, 6)));
         assert_eq!(accepted, v > freshest, "install_map({v}) after {freshest}");
         freshest = freshest.max(v);
         assert_eq!(router.map_version(APP), freshest);

@@ -6,7 +6,7 @@
 //! - a [`PenaltyTree`] whose leaf `b` holds bin `b`'s total attributable
 //!   penalty (balance excess + utilization-cap excess + drain penalty +
 //!   the affinity penalties of entities it hosts), so the objective
-//!   updates in O(log n) per touched bin;
+//!   updates in O(1) per touched bin;
 //! - per-group placed/distinct-domain counts for exclusion (spread)
 //!   goals — a group's domain occupancy is read off its few members'
 //!   current bins, never stored — with the set of currently violated

@@ -15,10 +15,10 @@
 //! - **Equivalence classes** — entities with identical loads and
 //!   placement preferences are deduplicated when enumerating candidate
 //!   moves ("reuses the computation for equivalent shards").
-//! - **Incremental objective tree** — per-bin penalties live in a
-//!   Fenwick tree, so a move re-evaluates only the touched bins and the
-//!   total objective updates in O(log n) ("a tree of variables ...
-//!   O(log(n)) complexity").
+//! - **Incremental objective tree** — per-bin penalties are leaves
+//!   under a maintained sum, so a move re-evaluates only the touched
+//!   bins and the total objective updates in O(1) per bin ("a tree of
+//!   variables ... O(log(n)) complexity").
 //! - **Swap moves** — two-way swaps are considered when single moves
 //!   stall.
 //! - **Grouped target sampling** — candidate destination bins are

@@ -1,16 +1,17 @@
-//! A Fenwick (binary indexed) tree over per-bin penalties.
+//! Per-bin penalties under a maintained sum.
 //!
 //! §5.3: ReBalancer "represents an optimization objective as a tree of
 //! variables ... When evaluating a shard move, it only traverses tree
 //! nodes whose values may change, resulting in O(log(n)) complexity."
-//! A move touches two bins; updating their leaves costs O(log n) each,
-//! and the total objective is read from the accumulated sums in O(1)
-//! (we cache the total) — instead of re-summing all n bins per move.
+//! The objective here is a tree of depth one: a leaf per bin under
+//! their sum. A move touches two bins; writing a leaf adjusts the sum
+//! by the leaf's change, so an update and a read of the total are both
+//! O(1) — no move re-sums all n bins, and nothing ever asks for the sum
+//! of a sub-range, which is all that interior nodes would buy.
 
-/// A Fenwick tree of `f64` penalties with a cached total.
+/// `f64` penalty leaves with a cached total.
 #[derive(Clone, Debug)]
 pub struct PenaltyTree {
-    tree: Vec<f64>,
     leaves: Vec<f64>,
     total: f64,
 }
@@ -19,7 +20,6 @@ impl PenaltyTree {
     /// Creates a tree of `n` zero leaves.
     pub fn new(n: usize) -> Self {
         Self {
-            tree: vec![0.0; n + 1],
             leaves: vec![0.0; n],
             total: 0.0,
         }
@@ -40,7 +40,7 @@ impl PenaltyTree {
         self.leaves[i]
     }
 
-    /// Sets leaf `i` to `value` in O(log n).
+    /// Sets leaf `i` to `value`, moving the total by the difference.
     pub fn set(&mut self, i: usize, value: f64) {
         let delta = value - self.leaves[i];
         if delta == 0.0 {
@@ -48,11 +48,6 @@ impl PenaltyTree {
         }
         self.leaves[i] = value;
         self.total += delta;
-        let mut idx = i + 1;
-        while idx < self.tree.len() {
-            self.tree[idx] += delta;
-            idx += idx & idx.wrapping_neg();
-        }
     }
 
     /// Total penalty across all leaves in O(1).

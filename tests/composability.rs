@@ -5,13 +5,14 @@
 use shard_manager::allocator::{AllocConfig, AllocInput, Allocator, ServerInfo, ShardPlacement};
 use shard_manager::cluster::{ClusterManager, ContainerOp, Machine, OpKind, OpReason};
 use shard_manager::core::{AvailabilityView, TaskController};
-use shard_manager::routing::{DiscoveryService, ServiceRouter};
+use shard_manager::routing::{ConcurrentRouter, DiscoveryService};
 use shard_manager::sim::{SimDuration, SimRng, SimTime};
 use shard_manager::types::{
     AppId, AppKey, AppPolicy, Assignment, ContainerId, LoadVector, Location, MachineId, Metric,
     RegionId, ReplicaRole, ServerId, ShardId, ShardMap, ShardingSpec,
 };
 use std::rc::Rc;
+use std::sync::Arc;
 
 fn location(region: u16, machine: u32) -> Location {
     Location {
@@ -124,14 +125,16 @@ fn discovery_and_router_standalone() {
     assert_eq!(deliveries.len(), 1);
     assert_eq!(deliveries[0].0, sub);
 
-    let mut router = ServiceRouter::new();
-    router.register_app(app, ShardingSpec::uniform_u64(8));
-    router.install_map(app, map);
+    let spec = ShardingSpec::uniform_u64(8);
+    let shared = Arc::new(ConcurrentRouter::new());
+    shared.register_app(app, spec.clone());
+    shared.install_map(app, ShardMap::clone(&map));
+    let mut router = shared.handle().unwrap();
     let d = router.route(app, &AppKey::from_u64(0)).unwrap();
     assert_eq!(d.shard, ShardId(0));
     assert_eq!(d.server, ServerId(0));
     // Prefix scans fan out across the app-defined ranges.
-    assert_eq!(router.shards_for_prefix(app, &[]).unwrap().len(), 8);
+    assert_eq!(spec.shards_for_prefix(&[]).len(), 8);
 }
 
 /// The control plane's bookkeeping layers compose with the registry.

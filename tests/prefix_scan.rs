@@ -7,13 +7,14 @@
 
 use shard_manager::apps::kv::{ExternalStore, KvServer};
 use shard_manager::core::ShardServer;
-use shard_manager::routing::ServiceRouter;
+use shard_manager::routing::ConcurrentRouter;
 use shard_manager::types::{
     AppId, AppKey, Assignment, KeyRange, ReplicaRole, ServerId, ShardId, ShardMap, ShardingSpec,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 const APP: AppId = AppId(0);
 
@@ -56,9 +57,10 @@ fn prefix_scan_spans_shards_and_returns_everything_in_order() {
             .add_replica(shard, ServerId(i), ReplicaRole::Primary)
             .unwrap();
     }
-    let mut router = ServiceRouter::new();
-    router.register_app(APP, (*spec).clone());
-    router.install_map(APP, Rc::new(ShardMap::from_assignment(1, &assignment)));
+    let shared = Arc::new(ConcurrentRouter::new());
+    shared.register_app(APP, (*spec).clone());
+    shared.install_map(APP, ShardMap::from_assignment(1, &assignment));
+    let mut router = shared.handle().expect("slot");
 
     // Writes go to whichever server owns each key; "user:" keys span
     // the boundary between shards 1 and 2.
@@ -81,7 +83,7 @@ fn prefix_scan_spans_shards_and_returns_everything_in_order() {
 
     // The scan fans out exactly over the shards whose ranges intersect
     // the prefix — here shards 1 and 2, not shard 0.
-    let scan_shards = router.shards_for_prefix(APP, b"user:").expect("spec known");
+    let scan_shards = spec.shards_for_prefix(b"user:");
     assert_eq!(scan_shards, vec![ShardId(1), ShardId(2)]);
 
     let mut results = Vec::new();
