@@ -325,8 +325,7 @@ fn dispatch_zk(events: Vec<WatchEvent>, cx: &mut Cx<'_, '_>) {
 
 impl Chaos {
     fn refresh_router(&mut self) {
-        let partitions = self.partitions.clone();
-        for p in &partitions {
+        for p in &self.partitions {
             if let Some(orch) = self.cp.orchestrator(p.id) {
                 for &shard in &p.shards {
                     match orch.assignment().primary_of(shard) {
@@ -1004,7 +1003,7 @@ mod tests {
 
     #[test]
     fn world_bootstraps_fully_placed() {
-        let mut w = Chaos::build(ChaosConfig::covering(1));
+        let w = Chaos::build(ChaosConfig::covering(1));
         // Initial placement happens synchronously at deploy; commands
         // are still in flight but every shard has an assignment.
         assert!(w.cp.fully_placed(), "unplaced: {:?}", w.cp.unplaced());

@@ -404,7 +404,6 @@ pub struct SimWorld {
     pub cfg: ExperimentConfig,
     app: AppId,
     spec: Rc<ShardingSpec>,
-    external: Rc<RefCell<ExternalStore>>,
     cms: BTreeMap<RegionId, ClusterManager>,
     tc: TaskController,
     orch: Orchestrator,
@@ -480,7 +479,7 @@ impl SimWorld {
         let fair_share = cfg.shards as f64 * replicas / f64::from(total_servers.max(1));
         let cap_value = (fair_share * 4.0).max(4.0);
         for &(region, count) in &cfg.regions {
-            let mut cm = ClusterManager::new(region, RESTART_DURATION);
+            let mut cm = ClusterManager::new(RESTART_DURATION);
             for _ in 0..count {
                 let id = next_server;
                 next_server += 1;
@@ -564,7 +563,6 @@ impl SimWorld {
             cfg,
             app,
             spec,
-            external,
             cms,
             tc,
             orch,
@@ -587,19 +585,9 @@ impl SimWorld {
         }
     }
 
-    /// The application's sharding spec.
-    pub fn spec(&self) -> &ShardingSpec {
-        &self.spec
-    }
-
     /// The cluster manager of `region` (inspection).
     pub fn cluster_manager(&self, region: RegionId) -> Option<&ClusterManager> {
         self.cms.get(&region)
-    }
-
-    /// The TaskController (inspection).
-    pub fn taskcontroller(&self) -> &TaskController {
-        &self.tc
     }
 
     /// Servers currently serving.
@@ -615,11 +603,6 @@ impl SimWorld {
     /// The orchestrator (for assertions in tests/examples).
     pub fn orchestrator(&self) -> &Orchestrator {
         &self.orch
-    }
-
-    /// The external store shared by KV servers.
-    pub fn external(&self) -> Rc<RefCell<ExternalStore>> {
-        self.external.clone()
     }
 
     /// Builds a primed simulation: bootstrap placement at t=0, recurring
@@ -1424,7 +1407,7 @@ mod tests {
             )
             .unwrap();
             let map = sm_types::ShardMap::from_assignment(version, &a);
-            Rc::new(ResolvedMap::build(Some(w.spec()), &map))
+            Rc::new(ResolvedMap::build(Some(&w.spec), &map))
         };
         for (at_ms, version) in [(1, 3), (2, 2)] {
             let kernel = kernel_at(sim.world(), version);

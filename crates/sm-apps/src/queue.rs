@@ -22,7 +22,6 @@ pub struct QueueServer {
     /// the real system; kept across moves via the shared counter the
     /// harness owns. Locally it only ever increases.
     next_seq: BTreeMap<ShardId, u64>,
-    delivered: u64,
 }
 
 impl QueueServer {
@@ -63,22 +62,13 @@ impl QueueServer {
         if self.host.role_of(shard) != Some(ReplicaRole::Primary) {
             return Err(SmError::Unavailable(format!("{shard} not primary here")));
         }
-        let item = self.queues.get_mut(&shard).and_then(VecDeque::pop_front);
-        if item.is_some() {
-            self.delivered += 1;
-        }
-        Ok(item)
+        Ok(self.queues.get_mut(&shard).and_then(VecDeque::pop_front))
     }
 
     /// Queue depth of one shard — the paper's "single synthetic metric"
     /// (request queue size, §2.2.4).
     pub fn depth(&self, shard: ShardId) -> usize {
         self.queues.get(&shard).map(VecDeque::len).unwrap_or(0)
-    }
-
-    /// Messages delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 
     /// True if the shard's queue is already materialized locally.
@@ -175,7 +165,6 @@ mod tests {
             assert_eq!(payload, vec![i]);
         }
         assert_eq!(q.dequeue(S).unwrap(), None);
-        assert_eq!(q.delivered(), 5);
     }
 
     #[test]

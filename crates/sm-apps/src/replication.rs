@@ -216,11 +216,6 @@ impl<Id: Ord + Copy + std::fmt::Debug> ReplicationGroup<Id> {
         self.leader
     }
 
-    /// Current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Number of hosted replicas (voters and learners).
     pub fn members(&self) -> usize {
         self.logs.len()
@@ -919,7 +914,7 @@ mod tests {
         assert_eq!(safe, vec![2]);
         assert!(g.elect(3).is_err(), "stale replica cannot lead");
         g.elect(2).unwrap();
-        assert_eq!(g.epoch(), 2);
+        assert_eq!(g.epoch, 2);
 
         // The committed entry is intact at the new leader; replication
         // to 3 carries it over. The uncommitted entry stays only on the

@@ -18,7 +18,7 @@ fn main() {
     );
     let machines = 500u32;
     let weeks = 4u64;
-    let mut cm = ClusterManager::new(RegionId(0), SimDuration::from_secs(30));
+    let mut cm = ClusterManager::new(SimDuration::from_secs(30));
     for i in 0..machines {
         cm.add_machine(Machine::new(
             Location {

@@ -5,7 +5,7 @@
 //! mini-SM's server/replica load — Figure 16's scatter.
 
 use sm_bench::{banner, compare, table, Scale};
-use sm_core::control_plane::{ApplicationManager, PartitionRegistry, ReadService};
+use sm_core::control_plane::{ApplicationManager, PartitionRegistry};
 use sm_types::{AppId, DeploymentMode, ServerId, ShardId};
 use sm_workloads::census::{Census, CensusConfig, ReplicationCategory};
 
@@ -26,7 +26,6 @@ fn main() {
     let mut mgr = ApplicationManager::new(4_000);
     let mut regional = PartitionRegistry::new(50_000).with_replica_cap(1_500_000);
     let mut geo = PartitionRegistry::new(50_000).with_replica_cap(1_500_000);
-    let mut reads = ReadService::new();
 
     let mut next_server = 0u32;
     let mut next_shard = 0u64;
@@ -46,7 +45,6 @@ fn main() {
         };
         for part in mgr.partition_app(AppId(i as u32), &servers, &shards) {
             let replicas = part.shards.len() * replicas_per_shard;
-            reads.index_partition(&part);
             match app.deployment {
                 DeploymentMode::Regional => regional.assign(&part, replicas),
                 DeploymentMode::GeoDistributed => geo.assign(&part, replicas),

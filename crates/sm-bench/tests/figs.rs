@@ -222,10 +222,7 @@ fn fig_failover_serves_everything_without_dual_primaries() {
     }
 }
 
-// --- multi-second figures: CI's long lane ------------------------------
-
 #[test]
-#[ignore = "multi-second figure; run with --ignored"]
 fn fig16_minism_scale_respects_the_partition_caps() {
     let out = run(env!("CARGO_BIN_EXE_fig16_minism_scale"));
     assert!(measured(&out, "regional mini-SMs in service") >= 1.0);
@@ -234,6 +231,8 @@ fn fig16_minism_scale_respects_the_partition_caps() {
     assert!(measured(&out, "largest mini-SM, servers") <= 50_000.0);
     assert!(measured(&out, "largest mini-SM, shard replicas") <= 1_500_000.0);
 }
+
+// --- multi-second figures: CI's long lane ------------------------------
 
 #[test]
 #[ignore = "multi-second figure; run with --ignored"]

@@ -12,7 +12,7 @@ use crate::container::{Container, ContainerState};
 use crate::machine::{Machine, MachineState};
 use crate::ops::{ContainerOp, MaintenanceEvent, MaintenanceImpact, OpId, OpKind, OpReason};
 use sm_sim::{SimDuration, SimTime};
-use sm_types::{AppId, ContainerId, MachineId, RegionId, SmError};
+use sm_types::{AppId, ContainerId, MachineId, SmError};
 use std::collections::BTreeMap;
 
 /// Counts of container stops by cause, for Figure 1.
@@ -60,7 +60,6 @@ pub struct OpStarted {
 
 /// A Twine-like regional cluster manager.
 pub struct ClusterManager {
-    region: RegionId,
     machines: BTreeMap<MachineId, Machine>,
     containers: BTreeMap<ContainerId, Container>,
     target_versions: BTreeMap<AppId, u32>,
@@ -73,11 +72,11 @@ pub struct ClusterManager {
 }
 
 impl ClusterManager {
-    /// Creates a manager for `region` with the given container restart
-    /// duration (downtime of a planned restart).
-    pub fn new(region: RegionId, restart_duration: SimDuration) -> Self {
+    /// Creates a region's manager with the given container restart
+    /// duration (downtime of a planned restart). Its machines carry the
+    /// region; the embedding world keys managers by it.
+    pub fn new(restart_duration: SimDuration) -> Self {
         Self {
-            region,
             machines: BTreeMap::new(),
             containers: BTreeMap::new(),
             target_versions: BTreeMap::new(),
@@ -90,19 +89,9 @@ impl ClusterManager {
         }
     }
 
-    /// The region this manager operates.
-    pub fn region(&self) -> RegionId {
-        self.region
-    }
-
     /// Registers a machine.
     pub fn add_machine(&mut self, machine: Machine) {
         self.machines.insert(machine.id, machine);
-    }
-
-    /// Looks up a machine.
-    pub fn machine(&self, id: MachineId) -> Option<&Machine> {
-        self.machines.get(&id)
     }
 
     /// Deploys a running container for `app` on `machine`.
@@ -126,11 +115,6 @@ impl ClusterManager {
             .insert(id, Container::new(id, app, machine, version));
         self.target_versions.entry(app).or_insert(version);
         Ok(())
-    }
-
-    /// Looks up a container.
-    pub fn container(&self, id: ContainerId) -> Option<&Container> {
-        self.containers.get(&id)
     }
 
     /// Containers of `app`, in id order.
@@ -444,10 +428,10 @@ impl ClusterManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_types::{LoadVector, Location};
+    use sm_types::{LoadVector, Location, RegionId};
 
     fn cm_with(n_machines: u32) -> ClusterManager {
-        let mut cm = ClusterManager::new(RegionId(0), SimDuration::from_secs(30));
+        let mut cm = ClusterManager::new(SimDuration::from_secs(30));
         for i in 0..n_machines {
             cm.add_machine(Machine::new(
                 Location {
@@ -518,7 +502,7 @@ mod tests {
             }
         );
         assert!(serving(&cm, ContainerId(0)));
-        assert_eq!(cm.container(ContainerId(0)).unwrap().version, 2);
+        assert_eq!(cm.containers[&ContainerId(0)].version, 2);
         assert!(!cm.upgrade_finished(AppId(1)), "two containers remain");
 
         for &op in &ops[1..] {
@@ -561,7 +545,7 @@ mod tests {
                 container: ContainerId(0)
             }
         );
-        assert!(cm.container(ContainerId(0)).is_none());
+        assert!(!cm.containers.contains_key(&ContainerId(0)));
     }
 
     #[test]
@@ -578,7 +562,7 @@ mod tests {
             .unwrap();
         cm.begin_op(op, SimTime::ZERO).unwrap();
         cm.complete_op(op).unwrap();
-        assert_eq!(cm.container(ContainerId(0)).unwrap().machine, MachineId(1));
+        assert_eq!(cm.containers[&ContainerId(0)].machine, MachineId(1));
         assert!(serving(&cm, ContainerId(0)));
     }
 

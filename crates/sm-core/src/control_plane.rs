@@ -1,88 +1,24 @@
-//! The scale-out global control plane (§6.1, Figure 14).
+//! The scale-out global control plane (§6.1, Figure 14): the half
+//! that is pure bookkeeping and needs no ZooKeeper.
 //!
 //! A single SM control plane cannot manage millions of servers and
 //! billions of shards, so SM shards *itself*: applications are divided
 //! into partitions (thousands of servers, hundreds of thousands of
 //! replicas each), partitions are assigned to mini-SMs, and mini-SMs
-//! scale out horizontally. This module is that bookkeeping layer:
+//! scale out horizontally. Figure 14's boxes live in two modules:
 //!
-//! - [`ApplicationRegistry`] — applications and their policies;
-//! - [`ApplicationManager`] — splits an application's servers/shards
-//!   into partitions;
-//! - [`PartitionRegistry`] — assigns partitions to mini-SMs,
-//!   least-loaded first, adding mini-SMs as capacity demands;
-//! - [`ReadService`] — indices over control-plane metadata for queries.
+//! - application manager — [`ApplicationManager`] here: splits an
+//!   application's servers/shards into [`Partition`]s;
+//! - partition registry — [`PartitionRegistry`] here: assigns
+//!   partitions to mini-SMs, least-loaded first, adding mini-SMs as
+//!   capacity demands (`fig16` drives these two at census scale);
+//! - application registry, read service, frontend, mini-SM — the
+//!   running half, [`crate::ha`]: [`HaControlPlane`](crate::ha::HaControlPlane)'s
+//!   `policies` map, its partition and server → partition indices, its
+//!   ack and watch routing, and [`MiniSm`](crate::ha::MiniSm).
 
-use crate::orchestrator::{Orchestrator, OrchestratorConfig};
-use sm_types::{AppId, AppPolicy, MiniSmId, PartitionId, ServerId, ShardId, SmError};
+use sm_types::{AppId, MiniSmId, PartitionId, ServerId, ShardId, SmError};
 use std::collections::BTreeMap;
-
-/// Per-application record in the registry.
-#[derive(Clone, Debug)]
-pub struct AppRecord {
-    /// Human name.
-    pub name: String,
-    /// Policy.
-    pub policy: AppPolicy,
-    /// The application's partitions, in creation order.
-    pub partitions: Vec<PartitionId>,
-}
-
-/// The application registry: the entry point of Figure 14.
-#[derive(Debug, Default)]
-pub struct ApplicationRegistry {
-    apps: BTreeMap<AppId, AppRecord>,
-    next_app: u32,
-}
-
-impl ApplicationRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers an application, returning its id.
-    pub fn register(&mut self, name: impl Into<String>, policy: AppPolicy) -> AppId {
-        let id = AppId(self.next_app);
-        self.next_app += 1;
-        self.apps.insert(
-            id,
-            AppRecord {
-                name: name.into(),
-                policy,
-                partitions: Vec::new(),
-            },
-        );
-        id
-    }
-
-    /// Looks up an application.
-    pub fn get(&self, app: AppId) -> Option<&AppRecord> {
-        self.apps.get(&app)
-    }
-
-    /// Records that `app` gained a partition.
-    pub fn add_partition(&mut self, app: AppId, partition: PartitionId) {
-        if let Some(rec) = self.apps.get_mut(&app) {
-            rec.partitions.push(partition);
-        }
-    }
-
-    /// Number of registered applications.
-    pub fn len(&self) -> usize {
-        self.apps.len()
-    }
-
-    /// True when no application is registered.
-    pub fn is_empty(&self) -> bool {
-        self.apps.is_empty()
-    }
-
-    /// Iterates over all applications.
-    pub fn iter(&self) -> impl Iterator<Item = (&AppId, &AppRecord)> {
-        self.apps.iter()
-    }
-}
 
 /// A partition: a disjoint slice of one application's servers and
 /// shards, managed by exactly one mini-SM (§6.1). A shard's replicas
@@ -344,139 +280,6 @@ impl PartitionRegistry {
     }
 }
 
-/// Read-only indices over control-plane metadata (Figure 14's read
-/// service): answers "which partition/mini-SM serves shard X of app Y"
-/// and "what does server Z belong to" without touching the mini-SMs.
-#[derive(Debug, Default)]
-pub struct ReadService {
-    shard_to_partition: BTreeMap<(AppId, ShardId), PartitionId>,
-    server_to_partition: BTreeMap<ServerId, PartitionId>,
-}
-
-impl ReadService {
-    /// Creates an empty read service.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Indexes a partition's membership.
-    pub fn index_partition(&mut self, partition: &Partition) {
-        for &shard in &partition.shards {
-            self.shard_to_partition
-                .insert((partition.app, shard), partition.id);
-        }
-        for &server in &partition.servers {
-            self.server_to_partition.insert(server, partition.id);
-        }
-    }
-
-    /// The partition holding `(app, shard)`.
-    pub fn partition_of_shard(&self, app: AppId, shard: ShardId) -> Option<PartitionId> {
-        self.shard_to_partition.get(&(app, shard)).copied()
-    }
-
-    /// The partition a server belongs to.
-    pub(crate) fn partition_of_server(&self, server: ServerId) -> Option<PartitionId> {
-        self.server_to_partition.get(&server).copied()
-    }
-}
-
-/// One mini-SM instance (Figure 14's "Mini-SM Control Plane"): a
-/// process hosting the orchestrators of the partitions assigned to it.
-///
-/// Each partition gets its own [`Orchestrator`]; the mini-SM is a thin
-/// multiplexer that owns them and routes by partition id. In production
-/// each mini-SM is the Figure 10 control plane (orchestrator +
-/// allocator + ZooKeeper client) for its partitions.
-pub struct MiniSm {
-    /// Identifier.
-    pub id: MiniSmId,
-    orchestrators: BTreeMap<PartitionId, Orchestrator>,
-}
-
-impl MiniSm {
-    /// Creates an empty mini-SM.
-    pub fn new(id: MiniSmId) -> Self {
-        Self {
-            id,
-            orchestrators: BTreeMap::new(),
-        }
-    }
-
-    /// Takes over a partition: builds its orchestrator from the
-    /// partition's membership and the app's policy.
-    pub(crate) fn adopt_partition(
-        &mut self,
-        partition: &Partition,
-        policy: AppPolicy,
-        config: OrchestratorConfig,
-        locate: impl Fn(ServerId) -> sm_types::Location,
-        capacity: sm_types::LoadVector,
-    ) -> &mut Orchestrator {
-        let mut orch = Orchestrator::new(partition.app, policy, config);
-        for &server in &partition.servers {
-            orch.register_server(server, locate(server), capacity);
-        }
-        orch.register_shards(partition.shards.iter().copied());
-        // entry() hands back the freshly inserted orchestrator without a
-        // second lookup that would need an unreachable panic path.
-        match self.orchestrators.entry(partition.id) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                e.insert(orch);
-                e.into_mut()
-            }
-            std::collections::btree_map::Entry::Vacant(e) => e.insert(orch),
-        }
-    }
-
-    /// The orchestrator of one partition.
-    pub fn orchestrator(&mut self, partition: PartitionId) -> Option<&mut Orchestrator> {
-        self.orchestrators.get_mut(&partition)
-    }
-
-    /// Partitions currently managed.
-    pub fn partitions(&self) -> impl Iterator<Item = &PartitionId> {
-        self.orchestrators.keys()
-    }
-
-    /// Total shard replicas under management.
-    pub fn replica_count(&self) -> usize {
-        self.orchestrators
-            .values()
-            .map(|o| o.assignment().replica_count())
-            .sum()
-    }
-}
-
-/// The global entry point (Figure 14's frontend): resolves an
-/// application's shard to the mini-SM responsible for it, composing the
-/// application registry, read service, and partition registry.
-// sm-lint: allow(U1) — PAPER.md "Twine cluster manager" row (its TaskControl calls enter SM through Fig 10's frontend); no world drives it yet
-pub struct Frontend<'a> {
-    /// Application registry.
-    pub apps: &'a ApplicationRegistry,
-    /// Metadata indices.
-    pub reads: &'a ReadService,
-    /// Partition-to-mini-SM assignment.
-    pub partitions: &'a PartitionRegistry,
-}
-
-impl<'a> Frontend<'a> {
-    /// The mini-SM managing `(app, shard)`, if registered.
-    // sm-lint: allow(U1) — PAPER.md "Twine cluster manager" row (its TaskControl calls enter SM through Fig 10's frontend); no world drives it yet
-    pub fn minism_for_shard(&self, app: AppId, shard: ShardId) -> Option<MiniSmId> {
-        let partition = self.reads.partition_of_shard(app, shard)?;
-        self.partitions.minism_of(partition)
-    }
-
-    /// The mini-SM managing a server, if registered.
-    // sm-lint: allow(U1) — PAPER.md "Twine cluster manager" row (its TaskControl calls enter SM through Fig 10's frontend); no world drives it yet
-    pub fn minism_for_server(&self, server: ServerId) -> Option<MiniSmId> {
-        let partition = self.reads.partition_of_server(server)?;
-        self.partitions.minism_of(partition)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,18 +289,6 @@ mod tests {
     }
     fn shards(n: u64) -> Vec<ShardId> {
         (0..n).map(ShardId).collect()
-    }
-
-    #[test]
-    fn registry_round_trip() {
-        let mut reg = ApplicationRegistry::new();
-        let a = reg.register("kvstore", AppPolicy::primary_only());
-        let b = reg.register("queue", AppPolicy::secondary_only(2));
-        assert_ne!(a, b);
-        assert_eq!(reg.get(a).unwrap().name, "kvstore");
-        assert_eq!(reg.len(), 2);
-        reg.add_partition(a, PartitionId(0));
-        assert_eq!(reg.get(a).unwrap().partitions, vec![PartitionId(0)]);
     }
 
     #[test]
@@ -570,51 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn minism_hosts_partition_orchestrators() {
-        use sm_allocator::{AllocConfig, MoveCaps};
-        use sm_types::{LoadVector, Location, MachineId, Metric, RegionId};
-        let mut mgr = ApplicationManager::new(4);
-        let parts = mgr.partition_app(AppId(0), &servers(8), &shards(16));
-        assert_eq!(parts.len(), 2);
-        let mut minism = MiniSm::new(MiniSmId(0));
-        let config = OrchestratorConfig {
-            graceful_migration: true,
-            move_caps: MoveCaps::default(),
-            alloc: AllocConfig::new(vec![Metric::ShardCount.id()]),
-            skip_cutover_ack: false,
-        };
-        for p in &parts {
-            let orch = minism.adopt_partition(
-                p,
-                AppPolicy::primary_only(),
-                config.clone(),
-                |s| Location {
-                    region: RegionId(0),
-                    datacenter: 0,
-                    rack: s.raw(),
-                    machine: MachineId(s.raw()),
-                },
-                LoadVector::single(Metric::ShardCount.id(), 100.0),
-            );
-            // Bootstrap each partition and settle synchronously.
-            orch.run_emergency();
-            loop {
-                let cmds = orch.take_commands();
-                if cmds.is_empty() {
-                    break;
-                }
-                for c in cmds {
-                    if let crate::api::OrchCommand::Rpc { server, rpc } = c {
-                        orch.rpc_acked(server, rpc);
-                    }
-                }
-            }
-        }
-        assert_eq!(minism.partitions().count(), 2);
-        assert_eq!(minism.replica_count(), 16);
-    }
-
-    #[test]
     fn registry_failover_reassigns_orphans() {
         let mut mgr = ApplicationManager::new(10);
         let mut reg = PartitionRegistry::new(20);
@@ -676,48 +422,5 @@ mod tests {
         // Corrupt snapshots are rejected, not panicked on.
         assert!(restored.restore(b"garbage").is_err());
         assert!(restored.restore(b"smreg v1\nminism x y z\n").is_err());
-    }
-
-    #[test]
-    fn frontend_resolves_shard_to_minism() {
-        let mut registry = ApplicationRegistry::new();
-        let app = registry.register("kv", AppPolicy::primary_only());
-        let mut mgr = ApplicationManager::new(50);
-        let mut partitions = PartitionRegistry::new(60);
-        let mut reads = ReadService::new();
-        for p in mgr.partition_app(app, &servers(100), &shards(400)) {
-            partitions.assign(&p, p.shards.len());
-            reads.index_partition(&p);
-        }
-        let frontend = Frontend {
-            apps: &registry,
-            reads: &reads,
-            partitions: &partitions,
-        };
-        let m = frontend
-            .minism_for_shard(app, ShardId(123))
-            .expect("resolved");
-        let via_server = frontend.minism_for_server(ServerId(3)).expect("resolved");
-        let _ = (m, via_server);
-        assert!(frontend.minism_for_shard(AppId(9), ShardId(0)).is_none());
-    }
-
-    #[test]
-    fn read_service_indices() {
-        let mut mgr = ApplicationManager::new(100);
-        let parts = mgr.partition_app(AppId(3), &servers(150), &shards(10));
-        let mut rs = ReadService::new();
-        for p in &parts {
-            rs.index_partition(p);
-        }
-        for p in &parts {
-            for &s in &p.shards {
-                assert_eq!(rs.partition_of_shard(AppId(3), s), Some(p.id));
-            }
-            for &srv in &p.servers {
-                assert_eq!(rs.partition_of_server(srv), Some(p.id));
-            }
-        }
-        assert!(rs.partition_of_shard(AppId(9), ShardId(0)).is_none());
     }
 }

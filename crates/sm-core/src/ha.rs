@@ -1,7 +1,16 @@
-//! Control-plane fault tolerance (§3.2, §6.2): the glue between the
-//! scale-out control plane and ZooKeeper.
+//! The running scale-out control plane (§6.1, Figure 14) and its fault
+//! tolerance (§3.2, §6.2).
 //!
-//! Three mechanisms, layered:
+//! [`HaControlPlane`] *is* Figure 14: the application registry is its
+//! `policies` map, the application manager and the partition registry
+//! are [`crate::control_plane`]'s ZooKeeper-free types, the read
+//! service is its partition and server → partition indices, the
+//! frontend is the routing in [`HaControlPlane::rpc_acked`] and
+//! [`HaControlPlane::handle_event`] (server → partition → mini-SM →
+//! orchestrator), and a mini-SM is a [`MiniSm`]: a lease plus the
+//! orchestrators of the partitions assigned to it.
+//!
+//! Three fault-tolerance mechanisms, layered:
 //!
 //! 1. **Persistence with fencing** — every orchestrator serializes its
 //!    durable state ([`crate::Orchestrator::snapshot`]) into a
@@ -34,10 +43,13 @@
 //! ("Control-plane fault tolerance").
 
 use crate::api::{OrchCommand, ServerRpc};
-use crate::control_plane::{MiniSm, Partition, PartitionRegistry};
-use crate::orchestrator::OrchestratorConfig;
-use sm_types::{AppId, AppPolicy, LoadVector, Location, MiniSmId, PartitionId, ServerId, SmError};
+use crate::control_plane::{Partition, PartitionRegistry};
+use crate::orchestrator::{Orchestrator, OrchestratorConfig};
+use sm_types::{
+    AppId, AppPolicy, LoadVector, Location, MiniSmId, PartitionId, ServerId, ShardId, SmError,
+};
 use sm_zk::{CreateMode, SessionId, WatchEvent, WatchKind, ZkStore};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Znode layout used by the control plane.
@@ -184,20 +196,22 @@ impl ZkLease {
     }
 }
 
-/// A mini-SM process wired to ZooKeeper: the plain [`MiniSm`]
-/// multiplexer plus the lease that fences its state writes and the
-/// ephemeral znode that advertises its liveness.
-pub struct HaMiniSm {
-    /// The orchestrator multiplexer.
-    pub sm: MiniSm,
+/// One mini-SM process (Figure 14's "Mini-SM Control Plane"): the
+/// orchestrators of the partitions assigned to it, the lease that
+/// fences their state writes, and (on that lease's session) the
+/// ephemeral znode advertising its liveness.
+pub struct MiniSm {
+    /// Identifier.
+    pub id: MiniSmId,
     /// The fenced writer bound to this process's ZK session.
     pub lease: ZkLease,
+    orchestrators: BTreeMap<PartitionId, Orchestrator>,
 }
 
-impl HaMiniSm {
+impl MiniSm {
     /// Starts a mini-SM process: fresh session, base directories, and
     /// the ephemeral liveness node `/sm/minisms/m<id>`.
-    pub fn start(zk: &mut ZkStore, id: MiniSmId) -> Result<(Self, Vec<WatchEvent>), SmError> {
+    fn start(zk: &mut ZkStore, id: MiniSmId) -> Result<(Self, Vec<WatchEvent>), SmError> {
         let lease = ZkLease::new(zk);
         let mut events = ensure_base(zk, lease.session)?;
         let (_, ev) = zk.create(
@@ -207,13 +221,17 @@ impl HaMiniSm {
             CreateMode::Ephemeral,
         )?;
         events.extend(ev);
-        Ok((
-            Self {
-                sm: MiniSm::new(id),
-                lease,
-            },
-            events,
-        ))
+        let minism = Self {
+            id,
+            lease,
+            orchestrators: BTreeMap::new(),
+        };
+        Ok((minism, events))
+    }
+
+    /// Partitions currently managed.
+    pub fn partitions(&self) -> impl Iterator<Item = &PartitionId> {
+        self.orchestrators.keys()
     }
 
     /// Persists one partition's orchestrator state through the lease.
@@ -222,15 +240,14 @@ impl HaMiniSm {
         zk: &mut ZkStore,
         partition: PartitionId,
     ) -> Result<Vec<WatchEvent>, SmError> {
-        let Some(orch) = self.sm.orchestrator(partition) else {
+        let Some(orch) = self.orchestrators.get(&partition) else {
             return Err(SmError::NotFound(format!(
                 "partition {partition:?} not hosted by mini-SM {:?}",
-                self.sm.id
+                self.id
             )));
         };
-        let snapshot = orch.snapshot();
         self.lease
-            .write(zk, &paths::partition_state(partition), snapshot)
+            .write(zk, &paths::partition_state(partition), orch.snapshot())
     }
 }
 
@@ -251,14 +268,11 @@ pub struct HaStats {
     pub recovery_errors: u64,
 }
 
-/// The HA control plane: partition registry, the mini-SM fleet, and the
-/// watch-driven failure handling that ties them to ZooKeeper.
-///
-/// This is the Figure 14 partition-registry layer made crash-tolerant:
-/// partition-to-mini-SM assignment is persisted (fenced) in
-/// `/sm/registry`, each partition's orchestrator state in
-/// `/sm/partitions/p<id>`, and liveness flows through ephemerals and
-/// watches rather than direct calls.
+/// The HA control plane: Figure 14 (see the module doc for where each
+/// box lives) made crash-tolerant. Partition-to-mini-SM assignment is
+/// persisted (fenced) in `/sm/registry`, each partition's orchestrator
+/// state in `/sm/partitions/p<id>`, and liveness flows through
+/// ephemerals and watches rather than direct calls.
 pub struct HaControlPlane {
     config: OrchestratorConfig,
     capacity: LoadVector,
@@ -270,7 +284,7 @@ pub struct HaControlPlane {
     pub registry: PartitionRegistry,
     partitions: BTreeMap<PartitionId, Partition>,
     server_to_partition: BTreeMap<ServerId, PartitionId>,
-    minisms: BTreeMap<MiniSmId, HaMiniSm>,
+    minisms: BTreeMap<MiniSmId, MiniSm>,
     server_locations: BTreeMap<ServerId, Location>,
     down_servers: BTreeSet<ServerId>,
     stats: HaStats,
@@ -334,35 +348,65 @@ impl HaControlPlane {
         zk: &mut ZkStore,
         partition: &Partition,
     ) -> Result<Vec<WatchEvent>, SmError> {
-        let policy = self
-            .policies
-            .get(&partition.app)
-            .cloned()
-            .ok_or_else(|| SmError::NotFound(format!("no policy for {:?}", partition.app)))?;
-        let replica_count =
-            partition.shards.len() * policy.replication.replicas_per_shard() as usize;
-        let owner = self.registry.assign(partition, replica_count);
+        if !self.policies.contains_key(&partition.app) {
+            return Err(no_policy(partition.app));
+        }
         self.partitions.insert(partition.id, partition.clone());
         for &server in &partition.servers {
             self.server_to_partition.insert(server, partition.id);
         }
-        let mut events = self.ensure_minism(zk, owner)?;
-        let locations = self.server_locations.clone();
-        let capacity = self.capacity;
-        let config = self.config.clone();
-        if let Some(host) = self.minisms.get_mut(&owner) {
-            let orch = host.sm.adopt_partition(
-                partition,
-                policy,
-                config,
-                |s| locate(&locations, s),
-                capacity,
-            );
-            orch.run_emergency();
-        }
+        let mut events = Vec::new();
+        self.adopt(zk, partition.id, &mut events)?.run_emergency();
         events.extend(self.persist_partition(zk, partition.id));
         events.extend(self.persist_registry(zk));
         Ok(events)
+    }
+
+    /// Gives a known partition an owner and a fresh orchestrator there:
+    /// assigns it in the registry (which mints the owner's id), starts
+    /// that mini-SM if it is not running (its start events go to
+    /// `events`), and builds the orchestrator from the partition's
+    /// membership and the app's policy.
+    fn adopt(
+        &mut self,
+        zk: &mut ZkStore,
+        pid: PartitionId,
+        events: &mut Vec<WatchEvent>,
+    ) -> Result<&mut Orchestrator, SmError> {
+        let partition = self
+            .partitions
+            .get(&pid)
+            .ok_or_else(|| SmError::NotFound(format!("unknown partition {pid:?}")))?;
+        let policy = self
+            .policies
+            .get(&partition.app)
+            .ok_or_else(|| no_policy(partition.app))?;
+        let replica_count =
+            partition.shards.len() * policy.replication.replicas_per_shard() as usize;
+        let owner = self.registry.assign(partition, replica_count);
+        let host = match self.minisms.entry(owner) {
+            Entry::Occupied(running) => running.into_mut(),
+            Entry::Vacant(slot) => {
+                let (host, started) = MiniSm::start(zk, owner)?;
+                events.extend(started);
+                slot.insert(host)
+            }
+        };
+        let mut orch = Orchestrator::new(partition.app, policy.clone(), self.config.clone());
+        for &server in &partition.servers {
+            let location = locate(&self.server_locations, server);
+            orch.register_server(server, location, self.capacity);
+        }
+        orch.register_shards(partition.shards.iter().copied());
+        // entry() hands back the freshly inserted orchestrator without a
+        // second lookup that would need an unreachable panic path.
+        Ok(match host.orchestrators.entry(pid) {
+            Entry::Occupied(mut old) => {
+                old.insert(orch);
+                old.into_mut()
+            }
+            Entry::Vacant(slot) => slot.insert(orch),
+        })
     }
 
     /// Drains every hosted orchestrator's command outbox, tagged by
@@ -370,13 +414,8 @@ impl HaControlPlane {
     pub fn take_commands(&mut self) -> Vec<(PartitionId, OrchCommand)> {
         let mut out = Vec::new();
         for host in self.minisms.values_mut() {
-            let pids: Vec<PartitionId> = host.sm.partitions().copied().collect();
-            for pid in pids {
-                if let Some(orch) = host.sm.orchestrator(pid) {
-                    for cmd in orch.take_commands() {
-                        out.push((pid, cmd));
-                    }
-                }
+            for (&pid, orch) in &mut host.orchestrators {
+                out.extend(orch.take_commands().into_iter().map(|cmd| (pid, cmd)));
             }
         }
         out
@@ -393,7 +432,7 @@ impl HaControlPlane {
         server: ServerId,
         rpc: ServerRpc,
     ) -> Vec<WatchEvent> {
-        self.route_ack(zk, server, rpc, true)
+        self.on_server(zk, server, true, |orch| orch.rpc_acked(server, rpc))
     }
 
     /// Routes a server's RPC failure like [`Self::rpc_acked`].
@@ -403,60 +442,27 @@ impl HaControlPlane {
         server: ServerId,
         rpc: ServerRpc,
     ) -> Vec<WatchEvent> {
-        self.route_ack(zk, server, rpc, false)
+        self.on_server(zk, server, true, |orch| orch.rpc_failed(server, rpc))
     }
 
-    fn route_ack(
+    /// Figure 14's frontend: finds the orchestrator owning `server`'s
+    /// partition, applies `f` to it and persists the resulting state.
+    /// With no running owner nothing is written, and an `ack` is
+    /// counted as dropped (a liveness notification is not an ack).
+    fn on_server(
         &mut self,
         zk: &mut ZkStore,
         server: ServerId,
-        rpc: ServerRpc,
-        ok: bool,
+        ack: bool,
+        f: impl FnOnce(&mut Orchestrator),
     ) -> Vec<WatchEvent> {
-        let owner = self
-            .server_to_partition
-            .get(&server)
-            .copied()
-            .and_then(|pid| self.registry.minism_of(pid).map(|m| (pid, m)));
-        let Some((pid, minism)) = owner else {
-            self.stats.dropped_acks += 1;
+        let pid = self.server_to_partition.get(&server).copied();
+        let Some((pid, orch)) = pid.and_then(|pid| Some((pid, self.orchestrator(pid)?))) else {
+            self.stats.dropped_acks += u64::from(ack);
             return Vec::new();
         };
-        let Some(host) = self.minisms.get_mut(&minism) else {
-            self.stats.dropped_acks += 1;
-            return Vec::new();
-        };
-        let Some(orch) = host.sm.orchestrator(pid) else {
-            self.stats.dropped_acks += 1;
-            return Vec::new();
-        };
-        if ok {
-            orch.rpc_acked(server, rpc);
-        } else {
-            orch.rpc_failed(server, rpc);
-        }
+        f(orch);
         self.persist_partition(zk, pid)
-    }
-
-    /// Runs the periodic load-balancing pass on every orchestrator and
-    /// persists each partition that changed.
-    pub fn run_periodic(&mut self, zk: &mut ZkStore) -> Vec<WatchEvent> {
-        let mut events = Vec::new();
-        let pids: Vec<PartitionId> = self.partitions.keys().copied().collect();
-        for pid in pids {
-            let Some(minism) = self.registry.minism_of(pid) else {
-                continue;
-            };
-            let moved = self
-                .minisms
-                .get_mut(&minism)
-                .and_then(|h| h.sm.orchestrator(pid))
-                .map(|orch| orch.run_periodic());
-            if moved.unwrap_or(0) > 0 {
-                events.extend(self.persist_partition(zk, pid));
-            }
-        }
-        events
     }
 
     /// Reacts to a watch event addressed to the control plane's
@@ -497,9 +503,19 @@ impl HaControlPlane {
             // `exists()` state is authoritative, so re-check it rather
             // than trusting `event.kind`.
             return if zk.exists(&event.path) {
-                self.server_up(zk, server)
+                self.down_servers.remove(&server);
+                // The server may have restarted empty: mark it alive,
+                // re-send its assignment, and re-place what emergency
+                // placement moved away in the meantime.
+                self.on_server(zk, server, false, |orch| {
+                    orch.server_up(server);
+                    orch.reconcile_server(server);
+                    orch.run_emergency();
+                })
+            } else if self.down_servers.insert(server) {
+                self.on_server(zk, server, false, |orch| orch.server_down(server))
             } else {
-                self.server_down(zk, server)
+                Vec::new() // duplicate notification
             };
         }
         Vec::new()
@@ -519,114 +535,37 @@ impl HaControlPlane {
         self.stats.failovers += 1;
         let mut events = Vec::new();
         for pid in orphans {
-            let Some(partition) = self.partitions.get(&pid).cloned() else {
-                self.stats.recovery_errors += 1;
-                continue;
-            };
-            let Some(policy) = self.policies.get(&partition.app).cloned() else {
-                self.stats.recovery_errors += 1;
-                continue;
-            };
-            let replica_count =
-                partition.shards.len() * policy.replication.replicas_per_shard() as usize;
-            let new_owner = self.registry.assign(&partition, replica_count);
-            match self.ensure_minism(zk, new_owner) {
-                Ok(ev) => events.extend(ev),
-                Err(_) => {
-                    self.stats.recovery_errors += 1;
-                    continue;
-                }
-            }
             let snapshot = zk.get(&paths::partition_state(pid)).ok().map(|(d, _)| d);
-            let down: Vec<ServerId> = partition
-                .servers
-                .iter()
-                .copied()
+            let down: Vec<ServerId> = self
+                .partitions
+                .get(&pid)
+                .into_iter()
+                .flat_map(|partition| partition.servers.iter().copied())
                 .filter(|s| self.down_servers.contains(s))
                 .collect();
-            let locations = self.server_locations.clone();
-            let capacity = self.capacity;
-            let config = self.config.clone();
-            let Some(host) = self.minisms.get_mut(&new_owner) else {
+            let Ok(orch) = self.adopt(zk, pid, &mut events) else {
                 self.stats.recovery_errors += 1;
                 continue;
             };
-            let orch = host.sm.adopt_partition(
-                &partition,
-                policy,
-                config,
-                |s| locate(&locations, s),
-                capacity,
-            );
-            match snapshot {
-                Some(bytes) => match orch.restore(&bytes) {
-                    Ok(()) => self.stats.snapshot_restores += 1,
-                    Err(_) => {
-                        // Corrupt snapshot: degrade to a rebuild from
-                        // membership rather than refusing to recover.
-                        self.stats.recovery_errors += 1;
-                        self.stats.rebuilds += 1;
-                    }
-                },
-                None => self.stats.rebuilds += 1,
-            }
+            // A corrupt snapshot degrades to the orchestrator built
+            // from membership rather than refusing to recover.
+            let restored = snapshot.map(|bytes| orch.restore(&bytes).is_ok());
             for server in down {
                 orch.server_down(server);
             }
             orch.run_emergency();
+            match restored {
+                Some(true) => self.stats.snapshot_restores += 1,
+                Some(false) => {
+                    self.stats.recovery_errors += 1;
+                    self.stats.rebuilds += 1;
+                }
+                None => self.stats.rebuilds += 1,
+            }
             events.extend(self.persist_partition(zk, pid));
         }
         events.extend(self.persist_registry(zk));
         events
-    }
-
-    fn server_down(&mut self, zk: &mut ZkStore, server: ServerId) -> Vec<WatchEvent> {
-        if !self.down_servers.insert(server) {
-            return Vec::new(); // duplicate notification
-        }
-        let Some(&pid) = self.server_to_partition.get(&server) else {
-            return Vec::new();
-        };
-        let changed = self
-            .registry
-            .minism_of(pid)
-            .and_then(|m| self.minisms.get_mut(&m))
-            .and_then(|h| h.sm.orchestrator(pid))
-            .map(|orch| {
-                orch.server_down(server);
-            })
-            .is_some();
-        if changed {
-            self.persist_partition(zk, pid)
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn server_up(&mut self, zk: &mut ZkStore, server: ServerId) -> Vec<WatchEvent> {
-        self.down_servers.remove(&server);
-        let Some(&pid) = self.server_to_partition.get(&server) else {
-            return Vec::new();
-        };
-        let changed = self
-            .registry
-            .minism_of(pid)
-            .and_then(|m| self.minisms.get_mut(&m))
-            .and_then(|h| h.sm.orchestrator(pid))
-            .map(|orch| {
-                // The server may have restarted empty: mark it alive,
-                // re-send its assignment, and re-place what emergency
-                // placement moved away in the meantime.
-                orch.server_up(server);
-                orch.reconcile_server(server);
-                orch.run_emergency();
-            })
-            .is_some();
-        if changed {
-            self.persist_partition(zk, pid)
-        } else {
-            Vec::new()
-        }
     }
 
     /// Crashes a mini-SM process: the object is dropped and its session
@@ -648,7 +587,7 @@ impl HaControlPlane {
         &mut self,
         zk: &mut ZkStore,
         id: MiniSmId,
-    ) -> (Option<HaMiniSm>, Vec<WatchEvent>) {
+    ) -> (Option<MiniSm>, Vec<WatchEvent>) {
         match self.minisms.remove(&id) {
             Some(host) => {
                 let events = zk.expire_session(host.lease.session);
@@ -673,7 +612,7 @@ impl HaControlPlane {
             )));
         }
         self.registry.restore_minism(id)?;
-        let (host, mut events) = HaMiniSm::start(zk, id)?;
+        let (host, mut events) = MiniSm::start(zk, id)?;
         self.minisms.insert(id, host);
         // The restore changed registry membership in memory; persist it
         // so a control-plane crash right after this restart recovers a
@@ -682,10 +621,18 @@ impl HaControlPlane {
         Ok(events)
     }
 
+    /// The running mini-SM the registry names as `partition`'s owner.
+    fn owner(&self, partition: PartitionId) -> Option<&MiniSm> {
+        self.minisms.get(&self.registry.minism_of(partition)?)
+    }
+
+    fn owner_mut(&mut self, partition: PartitionId) -> Option<&mut MiniSm> {
+        self.minisms.get_mut(&self.registry.minism_of(partition)?)
+    }
+
     /// The orchestrator currently owning `partition`, if any.
-    pub fn orchestrator(&mut self, partition: PartitionId) -> Option<&mut crate::Orchestrator> {
-        let minism = self.registry.minism_of(partition)?;
-        self.minisms.get_mut(&minism)?.sm.orchestrator(partition)
+    pub fn orchestrator(&mut self, partition: PartitionId) -> Option<&mut Orchestrator> {
+        self.owner_mut(partition)?.orchestrators.get_mut(&partition)
     }
 
     /// Mini-SM processes currently running.
@@ -695,73 +642,48 @@ impl HaControlPlane {
 
     /// Shards that currently lack a full placement: no replica at all,
     /// or no primary where the policy requires one.
-    pub fn unplaced(&mut self) -> Vec<(PartitionId, sm_types::ShardId)> {
+    pub fn unplaced(&self) -> Vec<(PartitionId, ShardId)> {
         let mut missing = Vec::new();
-        let pids: Vec<PartitionId> = self.partitions.keys().copied().collect();
-        for pid in pids {
-            let Some(partition) = self.partitions.get(&pid).cloned() else {
-                continue;
-            };
+        for (&pid, partition) in &self.partitions {
             let needs_primary = self
                 .policies
                 .get(&partition.app)
-                .map(|p| p.replication.has_primary())
-                .unwrap_or(false);
-            match self.orchestrator(pid) {
-                Some(orch) => {
-                    for &shard in &partition.shards {
-                        let replicas = orch.assignment().replicas(shard);
-                        let has_primary = orch.assignment().primary_of(shard).is_some();
-                        if replicas.is_empty() || (needs_primary && !has_primary) {
-                            missing.push((pid, shard));
-                        }
-                    }
-                }
-                None => missing.extend(partition.shards.iter().map(|&s| (pid, s))),
-            }
+                .is_some_and(|p| p.replication.has_primary());
+            let orch = self.owner(pid).and_then(|m| m.orchestrators.get(&pid));
+            let placed = |shard| {
+                orch.is_some_and(|orch| {
+                    !orch.assignment().replicas(shard).is_empty()
+                        && (!needs_primary || orch.assignment().primary_of(shard).is_some())
+                })
+            };
+            let lacking = partition.shards.iter().filter(|&&shard| !placed(shard));
+            missing.extend(lacking.map(|&shard| (pid, shard)));
         }
         missing
     }
 
     /// True when every shard of every partition is placed.
-    pub fn fully_placed(&mut self) -> bool {
+    pub fn fully_placed(&self) -> bool {
         self.unplaced().is_empty()
     }
 
     /// Total in-flight graceful migrations across all orchestrators.
-    pub fn in_flight_total(&mut self) -> usize {
-        let pids: Vec<PartitionId> = self.partitions.keys().copied().collect();
-        pids.iter()
-            .filter_map(|&pid| self.orchestrator(pid).map(|o| o.in_flight_migrations()))
+    pub fn in_flight_total(&self) -> usize {
+        self.partitions
+            .keys()
+            .filter_map(|&pid| self.owner(pid)?.orchestrators.get(&pid))
+            .map(Orchestrator::in_flight_migrations)
             .sum()
     }
 
-    fn ensure_minism(
-        &mut self,
-        zk: &mut ZkStore,
-        id: MiniSmId,
-    ) -> Result<Vec<WatchEvent>, SmError> {
-        if self.minisms.contains_key(&id) {
-            return Ok(Vec::new());
-        }
-        let (host, events) = HaMiniSm::start(zk, id)?;
-        self.minisms.insert(id, host);
-        Ok(events)
-    }
-
     fn persist_partition(&mut self, zk: &mut ZkStore, pid: PartitionId) -> Vec<WatchEvent> {
-        let Some(minism) = self.registry.minism_of(pid) else {
-            return Vec::new();
-        };
-        let Some(host) = self.minisms.get_mut(&minism) else {
-            return Vec::new();
-        };
-        match host.persist(zk, pid) {
-            Ok(events) => events,
-            Err(_) => {
+        match self.owner_mut(pid).map(|host| host.persist(zk, pid)) {
+            Some(Ok(events)) => events,
+            Some(Err(_)) => {
                 self.stats.fenced_writes += 1;
                 Vec::new()
             }
+            None => Vec::new(),
         }
     }
 
@@ -852,11 +774,10 @@ impl SelfFenceTimer {
     pub fn must_fence(&self, now: sm_sim::SimTime) -> bool {
         now.since(self.last_ack) > self.timeout
     }
+}
 
-    /// The moment of the last acknowledgement.
-    pub fn last_ack(&self) -> sm_sim::SimTime {
-        self.last_ack
-    }
+fn no_policy(app: AppId) -> SmError {
+    SmError::NotFound(format!("no policy for {app:?}"))
 }
 
 fn locate(locations: &BTreeMap<ServerId, Location>, server: ServerId) -> Location {
@@ -902,14 +823,20 @@ mod tests {
     }
 
     /// Builds a world: `n_servers` registered servers split into
-    /// partitions of at most 4 servers, all deployed and settled.
+    /// partitions of at most 4 servers — one per mini-SM — all deployed
+    /// and settled.
     fn rig(n_servers: u32, n_shards: u64) -> Rig {
+        rig_capped(n_servers, n_shards, 4)
+    }
+
+    /// [`rig`] with a mini-SM taking partitions up to `minism_cap` servers.
+    fn rig_capped(n_servers: u32, n_shards: u64, minism_cap: usize) -> Rig {
         let mut zk = ZkStore::new();
         let (mut cp, _events) = HaControlPlane::new(
             &mut zk,
             config(),
             LoadVector::single(Metric::ShardCount.id(), 1000.0),
-            4,
+            minism_cap,
         )
         .expect("control plane");
         let app = AppId(0);
@@ -972,7 +899,7 @@ mod tests {
 
     #[test]
     fn deploy_persists_fenced_state() {
-        let mut r = rig(8, 32);
+        let r = rig(8, 32);
         assert!(r.cp.fully_placed(), "unplaced: {:?}", r.cp.unplaced());
         for p in &r.partitions {
             let (data, stat) =
@@ -1015,7 +942,7 @@ mod tests {
         let target = *r.cp.running_minisms().first().expect("a mini-SM");
         let (zombie, events) = r.cp.zombie_minism(&mut r.zk, target);
         let mut zombie = zombie.expect("zombie handle");
-        let pid = *zombie.sm.partitions().next().expect("hosts a partition");
+        let pid = *zombie.partitions().next().expect("hosts a partition");
         let before = r.zk.get(&paths::partition_state(pid)).expect("state");
         // Failover re-owns the partition...
         deliver(&mut r, events);
@@ -1032,6 +959,99 @@ mod tests {
         // And a second attempt stays fenced without touching ZK.
         let again = zombie.persist(&mut r.zk, pid);
         assert!(matches!(again, Err(SmError::Unavailable(_))));
+    }
+
+    #[test]
+    fn one_minism_hosts_every_partition_that_fits() {
+        let mut r = rig_capped(8, 32, 100);
+        assert_eq!(r.partitions.len(), 2);
+        let running = r.cp.running_minisms();
+        assert_eq!(running.len(), 1, "both partitions fit one mini-SM");
+        assert!(r.cp.fully_placed(), "unplaced: {:?}", r.cp.unplaced());
+        let (zombie, _events) = r.cp.zombie_minism(&mut r.zk, running[0]);
+        let hosted: Vec<PartitionId> = zombie.expect("running").partitions().copied().collect();
+        let deployed: Vec<PartitionId> = r.partitions.iter().map(|p| p.id).collect();
+        assert_eq!(hosted, deployed);
+    }
+
+    #[test]
+    fn a_corrupt_snapshot_rebuilds_from_membership_and_is_counted() {
+        let mut r = rig(8, 32);
+        let pid = r.partitions[0].id;
+        r.zk.set(&paths::partition_state(pid), b"garbage".to_vec(), None)
+            .expect("state znode exists");
+        let owner = r.cp.registry.minism_of(pid).expect("owned");
+        let events = r.cp.crash_minism(&mut r.zk, owner);
+        deliver(&mut r, events);
+        let s = r.cp.stats();
+        assert_eq!(
+            (
+                s.failovers,
+                s.rebuilds,
+                s.recovery_errors,
+                s.snapshot_restores
+            ),
+            (1, 1, 1, 0),
+            "{s:?}"
+        );
+        settle(&mut r);
+        assert!(r.cp.fully_placed(), "unplaced: {:?}", r.cp.unplaced());
+        let (state, _) = r.zk.get(&paths::partition_state(pid)).expect("state");
+        assert!(
+            state.starts_with(b"smorch v1"),
+            "the new owner overwrote it"
+        );
+    }
+
+    #[test]
+    fn an_ack_for_a_partition_in_failover_is_dropped_and_counted() {
+        let mut r = rig(8, 32);
+        let part = r.partitions[0].clone();
+        let owner = r.cp.registry.minism_of(part.id).expect("owned");
+        let pending = r.cp.crash_minism(&mut r.zk, owner);
+        let before = r.zk.get(&paths::partition_state(part.id)).expect("state");
+        // The ChildrenChanged event is still in flight: no owner runs.
+        let rpc = ServerRpc::DropShard {
+            shard: part.shards[0],
+        };
+        let events = r.cp.rpc_acked(&mut r.zk, part.servers[0], rpc);
+        assert!(events.is_empty());
+        assert_eq!(r.cp.stats().dropped_acks, 1);
+        // A liveness notification for the same partition is not an ack.
+        let lease = r.servers.remove(&part.servers[1]).expect("registered");
+        let expired = lease.expire(&mut r.zk);
+        deliver(&mut r, expired);
+        assert_eq!(r.cp.stats().dropped_acks, 1);
+        let after = r.zk.get(&paths::partition_state(part.id)).expect("state");
+        assert_eq!(after, before, "nothing was written");
+        // The failover replays the down server onto the new owner.
+        deliver(&mut r, pending);
+        settle(&mut r);
+        assert!(r.cp.fully_placed(), "unplaced: {:?}", r.cp.unplaced());
+        let orch = r.cp.orchestrator(part.id).expect("new owner");
+        assert!(orch.shards_on(part.servers[1]).is_empty());
+    }
+
+    #[test]
+    fn deploy_without_a_policy_registers_nothing() {
+        let mut zk = ZkStore::new();
+        let capacity = LoadVector::single(Metric::ShardCount.id(), 1000.0);
+        let (mut cp, _events) =
+            HaControlPlane::new(&mut zk, config(), capacity, 4).expect("control plane");
+        let servers: Vec<ServerId> = (0..4).map(ServerId).collect();
+        let shards: Vec<ShardId> = (0..8).map(ShardId).collect();
+        let part = ApplicationManager::new(4)
+            .partition_app(AppId(7), &servers, &shards)
+            .remove(0);
+        let err = cp.deploy_partition(&mut zk, &part);
+        assert!(matches!(err, Err(SmError::NotFound(_))), "{err:?}");
+        assert_eq!(cp.registry.minism_count(), 0);
+        assert!(cp.running_minisms().is_empty());
+        assert!(cp.unplaced().is_empty(), "the partition is not on record");
+        // Its servers are unknown to the routing index: a counted drop.
+        let rpc = ServerRpc::DropShard { shard: shards[0] };
+        assert!(cp.rpc_acked(&mut zk, servers[0], rpc).is_empty());
+        assert_eq!(cp.stats().dropped_acks, 1);
     }
 
     #[test]
@@ -1174,7 +1194,6 @@ mod tests {
         // A delayed ack from t=2 arrives after the t=10 one: the net
         // reordered. It must not move the deadline backwards.
         t.ack(SimTime::from_secs(2));
-        assert_eq!(t.last_ack(), SimTime::from_secs(10));
         assert!(!t.must_fence(SimTime::from_secs(15)));
         assert!(t.must_fence(SimTime::from_secs(16)));
     }

@@ -9,18 +9,21 @@
 //!   assignment, the five-step graceful primary migration (§4.3),
 //!   failure-driven emergency re-placement, load collection, periodic
 //!   load balancing, and drain execution.
-//! - [`taskcontroller`] — the TaskControl endpoint (§4.1): reviews
+//! - `taskcontroller` — the TaskControl endpoint (§4.1): reviews
 //!   pending container operations from *all* regional cluster managers
 //!   and approves the maximal subset that keeps every shard within its
 //!   availability caps, requesting drains first where policy demands.
-//! - [`control_plane`] — the scale-out architecture (Figure 14):
-//!   application registry, partitioning, partition registry, mini-SM
-//!   bookkeeping, and the read service.
+//! - [`control_plane`] — the ZooKeeper-free half of the scale-out
+//!   architecture (Figure 14): the application manager (partitioning)
+//!   and the partition registry.
 //! - [`exchange`] — the idempotent control-plane RPC exchange: one
 //!   correlation id per transmission resolved exactly once, host-side
 //!   at-most-once apply with outcome replay, and the §3.2 rule that a
 //!   fenced host refuses every grant.
-//! - [`ha`] — control-plane fault tolerance (§3.2, §6.2): fenced state
+//! - [`ha`] — the running half of Figure 14 and its fault tolerance
+//!   (§3.2, §6.2): `HaControlPlane` holds the application registry
+//!   (its policies), the read service (its two indices), the frontend
+//!   (its ack and watch routing) and the `MiniSm`s, with fenced state
 //!   persistence in ZooKeeper znodes, ephemeral-node liveness for
 //!   mini-SMs and servers, watch-driven failure detection, and
 //!   partition failover with snapshot bootstrap.
@@ -39,15 +42,12 @@ pub mod orchestrator;
 mod rev;
 pub mod scaler;
 pub(crate) mod splitter;
-pub mod taskcontroller;
+mod taskcontroller;
 
 pub use api::{OrchCommand, ServerRpc, ShardServer};
-pub use control_plane::{
-    ApplicationManager, ApplicationRegistry, Frontend, MiniSm, Partition, PartitionRegistry,
-    ReadService,
-};
+pub use control_plane::{ApplicationManager, Partition, PartitionRegistry};
 pub use exchange::RpcExchange;
-pub use ha::{HaControlPlane, HaMiniSm, HaStats, ServerLease, ZkLease};
+pub use ha::{HaControlPlane, HaStats, MiniSm, ServerLease, ZkLease};
 pub use orchestrator::{Orchestrator, OrchestratorConfig};
 pub use scaler::{ScaleDecision, ShardScaler, ShardScalerConfig};
 pub use splitter::{SplitScaler, SplitScalerConfig};

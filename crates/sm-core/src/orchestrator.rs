@@ -116,7 +116,6 @@ pub struct OrchStats {
 
 /// The per-partition orchestrator.
 pub struct Orchestrator {
-    app: AppId,
     pub(crate) policy: AppPolicy,
     // The six fields an allocator run reads are `Rev`s: each can only
     // be written through a call that counts, so `revision()` names
@@ -157,10 +156,12 @@ pub struct Orchestrator {
 }
 
 impl Orchestrator {
-    /// Creates an orchestrator for one application partition.
-    pub fn new(app: AppId, policy: AppPolicy, config: OrchestratorConfig) -> Self {
+    /// Creates an orchestrator for one partition of `_app`. Which
+    /// application that is matters to the caller only (it keys its
+    /// orchestrators and policies by it): nothing here reads it, and the
+    /// parameter stays because the repo benchmark names this signature.
+    pub fn new(_app: AppId, policy: AppPolicy, config: OrchestratorConfig) -> Self {
         Self {
-            app,
             policy,
             config: config.into(),
             servers: Rev::default(),
@@ -181,11 +182,6 @@ impl Orchestrator {
             next_shard_id: 0,
             errors: Vec::new(),
         }
-    }
-
-    /// The application this orchestrator manages.
-    pub fn app(&self) -> AppId {
-        self.app
     }
 
     /// Current desired assignment.

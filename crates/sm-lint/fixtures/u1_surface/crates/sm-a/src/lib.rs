@@ -23,6 +23,10 @@ pub fn for_the_bin() {}
 /// Named by the repo benchmark, which the workspace does not contain: fine.
 pub fn benched() {}
 
+/// Named outside only as a local and a field (`sm-b`), never called
+/// or reached by path: a `fn` nobody outside uses, flagged.
+pub fn shadowed() {}
+
 // sm-lint: allow(U1) — PAPER.md "Production applications" row; fixture: no world drives it yet
 pub fn paper_named() {}
 

@@ -3,3 +3,12 @@
 fn caller() {
     sm_a::shared();
 }
+
+struct Holder {
+    shadowed: u32,
+}
+
+fn reader(h: &Holder) -> u32 {
+    let shadowed = h.shadowed;
+    shadowed
+}

@@ -13,7 +13,11 @@
 //! of those anyway and `rustc`'s `private_interfaces` objects).
 //!
 //! The check is a *name* scan, so it errs in one direction only: a
-//! common identifier (`new`, `len`) stays `pub` though unused. The
+//! common identifier (`new`, `len`) stays `pub` though unused. For a
+//! `fn` only a use counts — the name called (`name(`, `name::<`) or
+//! reached by path (`::name`) — so a local, a field or a struct named
+//! like it keeps nothing `pub`; a method that shares its name with a
+//! *called* method of another type still hides behind it. The
 //! paper's components that no world drives yet stay `pub` under
 //! `// sm-lint: allow(U1) — <row of PAPER.md's table>`.
 
@@ -38,6 +42,17 @@ fn idents(masked: &str) -> impl Iterator<Item = &str> {
     masked
         .split(|c: char| !c.is_alphanumeric() && c != '_')
         .filter(|w| !w.is_empty())
+}
+
+/// Each identifier of a line, and whether it stands where a `fn` can be
+/// used: called (`name(`, `name::<`) or named by path (`::name`).
+fn uses(masked: &str) -> impl Iterator<Item = (&str, bool)> {
+    idents(masked).map(move |word| {
+        let at = word.as_ptr() as usize - masked.as_ptr() as usize;
+        let after = &masked[at + word.len()..];
+        let used = after.starts_with('(') || after.starts_with("::<");
+        (word, used || masked[..at].ends_with("::"))
+    })
 }
 
 /// The kind and name a line declares with a bare `pub` (`pub(crate)`
@@ -75,12 +90,16 @@ fn face(lines: &[LineInfo], idx: usize, kind: &str) -> std::ops::RangeInclusive<
 pub(crate) fn check<'a>(
     files: impl Iterator<Item = &'a (String, Vec<LineInfo>)> + Clone,
 ) -> Vec<Violation> {
-    // identifier → the library homes ("" = not library code) naming it.
-    let mut named_in: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    // (identifier, in use position only) → the library homes ("" = not
+    // library code) naming it. A `fn` is looked up by its uses, every
+    // other kind by any mention.
+    let mut named_in: BTreeMap<(&str, bool), BTreeSet<&str>> = BTreeMap::new();
     for (rel, lines) in files.clone() {
         let owner = home(rel).unwrap_or("");
-        for word in lines.iter().flat_map(|l| idents(&l.masked)) {
-            named_in.entry(word).or_default().insert(owner);
+        for (word, used) in lines.iter().flat_map(|l| uses(&l.masked)) {
+            for position in [false, used] {
+                named_in.entry((word, position)).or_default().insert(owner);
+            }
         }
     }
     // (crate, identifier) pairs named in the face of a bare-`pub` item.
@@ -101,16 +120,19 @@ pub(crate) fn check<'a>(
                 }
             }
             if !name.is_empty() {
-                items.push((rel, lines, krate, idx, name));
+                items.push((rel, lines, krate, idx, name, kind == "fn"));
             }
         }
     }
     items
         .into_iter()
-        .filter(|&(_, _, krate, _, name)| {
-            named_in[name].iter().all(|owner| *owner == krate) && !surfaced.contains(&(krate, name))
+        .filter(|&(_, _, krate, _, name, is_fn)| {
+            let outside = |owners: &BTreeSet<&str>| owners.iter().any(|owner| *owner != krate);
+            // A face names types; a `fn` is not reached through one.
+            !named_in.get(&(name, is_fn)).is_some_and(outside)
+                && (is_fn || !surfaced.contains(&(krate, name)))
         })
-        .map(|(rel, lines, _, idx, name)| Violation {
+        .map(|(rel, lines, _, idx, name, _)| Violation {
             rule: RuleId::U1,
             file: rel.clone(),
             line: idx + 1,

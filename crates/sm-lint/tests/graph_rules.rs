@@ -128,11 +128,16 @@ fn u1_flags_pub_items_nothing_outside_the_crate_names() {
         .map(|v| (v.rule, v.pattern.as_str()))
         .collect();
     // Used by another crate, by the crate's own bin, by `bench/src`, or
-    // reached through `shared`'s signature: all fine. `bench/src` is
-    // read for names only — its `unwrap` is not linted.
+    // reached through `shared`'s signature: all fine; a `fn` named
+    // outside only as a local / a field is not. `bench/src` is read for
+    // names only — its `unwrap` is not linted.
     assert_eq!(
         flagged,
-        [(RuleId::U1, "pub orphan"), (RuleId::U1, "pub unit_tested")],
+        [
+            (RuleId::U1, "pub orphan"),
+            (RuleId::U1, "pub unit_tested"),
+            (RuleId::U1, "pub shadowed"),
+        ],
         "{:?}",
         report.violations
     );

@@ -101,12 +101,12 @@ impl Problem {
     }
 
     /// Looks up an entity.
-    pub fn entity(&self, id: EntityId) -> &Entity {
+    pub(crate) fn entity(&self, id: EntityId) -> &Entity {
         &self.entities[id.0]
     }
 
     /// Looks up a bin.
-    pub fn bin(&self, id: BinId) -> &Bin {
+    pub(crate) fn bin(&self, id: BinId) -> &Bin {
         &self.bins[id.0]
     }
 
@@ -116,7 +116,7 @@ impl Problem {
     }
 
     /// All entities.
-    pub fn entities(&self) -> &[Entity] {
+    pub(crate) fn entities(&self) -> &[Entity] {
         &self.entities
     }
 

@@ -35,7 +35,7 @@ impl DiurnalCurve {
     }
 
     /// The deterministic level at `t`.
-    pub fn level(&self, t: SimTime) -> f64 {
+    pub(crate) fn level(&self, t: SimTime) -> f64 {
         let x = (t.as_secs_f64() - self.phase_secs) / self.period_secs;
         self.base * (1.0 + self.amplitude * (2.0 * std::f64::consts::PI * x).sin())
     }

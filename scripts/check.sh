@@ -26,7 +26,12 @@ else
 fi
 
 step "sm-lint (determinism, robustness & closed-surface invariants; zero unwaived findings)"
-cargo run -q -p sm-lint -- --json
+report="$(cargo run -q -p sm-lint -- --json)" || {
+  printf '%s\n' "$report"
+  exit 1
+}
+# Both counts, so a waiver that appears or disappears shows in the log.
+printf '%s\n' "$report" | grep -E '^ *"(unwaived|waived)":'
 
 step "world golden (seeded traces of every kit world, byte-identical)"
 cargo test --release --test world_golden -q

@@ -181,19 +181,6 @@ fn rig(n_servers: u32, n_shards: u64) -> Rig {
     r
 }
 
-fn rpc_shard(rpc: ServerRpc) -> ShardId {
-    match rpc {
-        ServerRpc::AddShard { shard, .. }
-        | ServerRpc::DropShard { shard }
-        | ServerRpc::ChangeRole { shard, .. }
-        | ServerRpc::PrepareAddShard { shard, .. }
-        | ServerRpc::PrepareDropShard { shard, .. } => shard,
-        // The chaos world's orchestrator never splits or merges.
-        ServerRpc::SplitForward { parent, .. } => parent,
-        ServerRpc::MergeForward { source, .. } => source,
-    }
-}
-
 /// Routes one client request for `shard` the way service discovery
 /// would — to the mapped primary, following forwards — and reports
 /// whether some server ultimately served it.
@@ -249,12 +236,12 @@ fn crash_after_k_steps(k: usize) {
             pending.push((server, rpc));
         }
     }
-    let s0 = rpc_shard(pending.first().expect("a migration RPC").1);
+    let s0 = pending.first().expect("a migration RPC").1.shard();
     let mut last_ack: Option<(ServerId, ServerRpc)> = None;
     for _step in 0..k {
         let idx = pending
             .iter()
-            .position(|&(_, rpc)| rpc_shard(rpc) == s0)
+            .position(|&(_, rpc)| rpc.shard() == s0)
             .expect("next step RPC for the tracked shard");
         let (server, rpc) = pending.remove(idx);
         let applied = r
@@ -357,7 +344,7 @@ fn stale_minism_write_gets_error_and_is_absent_from_znode() {
     let target = *r.cp.running_minisms().first().expect("a mini-SM");
     let (zombie, events) = r.cp.zombie_minism(&mut r.zk, target);
     let mut zombie = zombie.expect("zombie process handle");
-    let pid = *zombie.sm.partitions().next().expect("hosts a partition");
+    let pid = *zombie.partitions().next().expect("hosts a partition");
 
     // Failover hands the partition to a new owner...
     deliver(&mut r, events);

@@ -62,7 +62,7 @@ fn allocator_standalone_data_placer() {
 /// brings its own shard map and only wants safe restart sequencing.
 #[test]
 fn taskcontroller_standalone_with_cluster_manager() {
-    let mut cm = ClusterManager::new(RegionId(0), SimDuration::from_secs(10));
+    let mut cm = ClusterManager::new(SimDuration::from_secs(10));
     for i in 0..4u32 {
         cm.add_machine(Machine::new(location(0, i), LoadVector::zero(), false));
         cm.deploy(ContainerId(i), AppId(7), MachineId(i), 1)
@@ -137,28 +137,25 @@ fn discovery_and_router_standalone() {
     assert_eq!(spec.shards_for_prefix(&[]).len(), 8);
 }
 
-/// The control plane's bookkeeping layers compose with the registry.
+/// The control plane's ZooKeeper-free bookkeeping layers compose.
 #[test]
 fn control_plane_registries_compose() {
-    use shard_manager::core::control_plane::{
-        ApplicationManager, ApplicationRegistry, PartitionRegistry, ReadService,
-    };
-    let mut registry = ApplicationRegistry::new();
-    let app = registry.register("laser", AppPolicy::primary_only());
+    use shard_manager::core::control_plane::{ApplicationManager, PartitionRegistry};
     let servers: Vec<ServerId> = (0..300).map(ServerId).collect();
     let shards: Vec<ShardId> = (0..3_000).map(ShardId).collect();
 
     let mut mgr = ApplicationManager::new(100);
     let mut minisms = PartitionRegistry::new(250);
-    let mut reads = ReadService::new();
-    for part in mgr.partition_app(app, &servers, &shards) {
-        registry.add_partition(app, part.id);
-        minisms.assign(&part, part.shards.len());
-        reads.index_partition(&part);
+    let parts = mgr.partition_app(AppId(0), &servers, &shards);
+    for part in &parts {
+        minisms.assign(part, part.shards.len());
     }
-    assert_eq!(registry.get(app).unwrap().partitions.len(), 3);
+    assert_eq!(parts.len(), 3);
     assert!(minisms.minism_count() >= 2, "scale-out happened");
     // Any shard resolves to its partition and mini-SM.
-    let p = reads.partition_of_shard(app, ShardId(1_234)).unwrap();
-    assert!(minisms.minism_of(p).is_some());
+    let p = parts
+        .iter()
+        .find(|p| p.shards.contains(&ShardId(1_234)))
+        .unwrap();
+    assert!(minisms.minism_of(p.id).is_some());
 }
