@@ -429,6 +429,8 @@ pub struct SimWorld {
     window_ok: u64,
     window_total: u64,
     map_flush_scheduled: bool,
+    /// The kernel of the last map published.
+    kernel: Option<Rc<ResolvedMap>>,
     moves_at_last_sample: u64,
     orch_region: RegionId,
     /// Sampling interval for the `Sample` event.
@@ -579,6 +581,7 @@ impl SimWorld {
             window_ok: 0,
             window_total: 0,
             map_flush_scheduled: false,
+            kernel: None,
             moves_at_last_sample: 0,
             orch_region,
             sample_interval: SimDuration::from_secs(10),
@@ -608,14 +611,14 @@ impl SimWorld {
     /// Builds a primed simulation: bootstrap placement at t=0, recurring
     /// control loops, and client ticks scheduled.
     pub fn primed(cfg: ExperimentConfig) -> sm_sim::Simulation<SimWorld> {
+        let (seed, periodic_alloc_interval) = (cfg.seed, cfg.periodic_alloc_interval);
         let world = SimWorld::new(cfg);
         let n_clients = world.clients.len();
-        let cfg2 = world.cfg.clone();
-        let mut sim = sm_sim::Simulation::new(world, cfg2.seed);
+        let mut sim = sm_sim::Simulation::new(world, seed);
         sim.schedule_at(SimTime::ZERO, WorldEvent::Bootstrap);
         sim.schedule_at(SimTime::ZERO, WorldEvent::TcReview);
         sim.schedule_in(LOAD_REPORT_INTERVAL, WorldEvent::LoadReport);
-        sim.schedule_in(cfg2.periodic_alloc_interval, WorldEvent::PeriodicAlloc);
+        sim.schedule_in(periodic_alloc_interval, WorldEvent::PeriodicAlloc);
         sim.schedule_in(SimDuration::from_secs(1), WorldEvent::Sample);
         for c in 0..n_clients {
             // Stagger client starts over one second after the warm-up.
@@ -652,11 +655,16 @@ impl SimWorld {
     /// resolved here, once, and every subscriber is delivered that one
     /// kernel: the clients share a process with their publisher, and
     /// what the figures measure is *when* a client learns a version,
-    /// not who ran `build`.
+    /// not who ran `build`. The spec never changes, so each kernel after
+    /// the first keeps the last one's key columns.
     fn publish_current_map(&mut self, ctx: &mut Ctx<'_, WorldEvent>) {
         let map = Rc::new(self.orch.current_map());
         if let Ok(deliveries) = self.discovery.publish(self.app, map.clone(), ctx.rng()) {
-            let kernel = Rc::new(ResolvedMap::build(Some(&self.spec), &map));
+            let kernel = Rc::new(match &self.kernel {
+                Some(last) => last.with_map(&map),
+                None => ResolvedMap::build(Some(&self.spec), &map),
+            });
+            self.kernel = Some(kernel.clone());
             for (subscriber, delay) in deliveries {
                 ctx.schedule_in(
                     delay,

@@ -322,7 +322,9 @@ impl Orchestrator {
         });
     }
 
-    /// The current shard map at the latest published version.
+    /// The current shard map at the latest published version. It shares
+    /// the assignment's table — O(leaves), no shard copied; the next
+    /// writes to the assignment copy the leaves they touch.
     pub fn current_map(&self) -> ShardMap {
         ShardMap::from_assignment(self.map_version, &self.assignment)
     }

@@ -8,6 +8,13 @@
 //! pointer swap, and reclaim retired cores once no reader can still
 //! hold them (epoch-based reclamation; see `publish_locked`).
 //!
+//! What an install costs: a stale or duplicate version, a lock and a
+//! compare; a new one, the app list, one flat pass over the map and one
+//! over the ranges ([`ResolvedMap::with_map`]) — the spec's key columns
+//! stay, and the replaced map frees only the leaves nothing else reads.
+//! A full [`ResolvedMap::build`] is `register_app`'s and an app's first
+//! map's.
+//!
 //! Each thread routes through its own [`RouterHandle`], which owns the
 //! per-thread route state the paper's client library keeps thread-local:
 //! a round-robin cursor for secondary-only shards and a per-app cache of
@@ -192,25 +199,33 @@ impl ConcurrentRouter {
         self.publish_locked(&mut w, RouterCore { apps });
     }
 
-    /// Installs a shard map for `app`, rebuilding its resolution kernel.
+    /// Installs a shard map for `app`. An app that already has a kernel
+    /// gets [`ResolvedMap::with_map`] of it — the kernel in place was
+    /// resolved against `entry.spec`, which only `register_app` writes,
+    /// and that re-resolves — so an install re-reads the table and the
+    /// ranges' primaries and keeps the spec's key columns.
     ///
     /// Returns `false` (and publishes nothing) when `app` already has a
     /// map at the same or a newer version — a stale or out-of-order
-    /// dissemination never replaces a newer map.
+    /// dissemination never replaces a newer map, and costs a lock and a
+    /// compare.
     pub fn install_map(&self, app: AppId, map: ShardMap) -> bool {
         let mut w = self.writer_guard();
+        if self
+            .version_locked(app)
+            .is_some_and(|held| map.version <= held)
+        {
+            return false;
+        }
         let mut apps = self.clone_apps_locked();
         let idx = apps.partition_point(|e| e.app < app);
         match apps.get_mut(idx) {
             Some(entry) if entry.app == app => {
-                if entry
-                    .raw
-                    .as_ref()
-                    .is_some_and(|existing| map.version <= existing.version)
-                {
-                    return false;
-                }
-                entry.resolved = Some(Arc::new(ResolvedMap::build(entry.spec.as_deref(), &map)));
+                let resolved = match &entry.resolved {
+                    Some(kernel) => kernel.with_map(&map),
+                    None => ResolvedMap::build(entry.spec.as_deref(), &map),
+                };
+                entry.resolved = Some(Arc::new(resolved));
                 entry.raw = Some(Arc::new(map));
             }
             _ => {
@@ -234,14 +249,17 @@ impl ConcurrentRouter {
     /// convenience for tests and tooling, not the read path.
     pub fn map_version(&self, app: AppId) -> u64 {
         let _w = self.writer_guard();
+        self.version_locked(app).unwrap_or(0)
+    }
+
+    /// The version of `app`'s installed map, if it has one. Caller must
+    /// hold the writer mutex.
+    fn version_locked(&self, app: AppId) -> Option<u64> {
         // SAFETY: retirement of the current core only happens inside
-        // `publish_locked`, which we exclude by holding the writer lock;
+        // `publish_locked`, which the held writer lock excludes;
         // `current` always points at a live `Arc::into_raw` core.
         let core = unsafe { &*self.current.load(Ordering::SeqCst) };
-        core.app_entry(app)
-            .and_then(|e| e.raw.as_ref())
-            .map(|m| m.version)
-            .unwrap_or(0)
+        Some(core.app_entry(app)?.raw.as_ref()?.version)
     }
 
     /// Number of retired cores still awaiting reclamation (diagnostics;
@@ -262,7 +280,7 @@ impl ConcurrentRouter {
     /// Clones the live core's app list for copy-on-write mutation.
     /// Caller must hold the writer mutex.
     fn clone_apps_locked(&self) -> Vec<AppEntry> {
-        // SAFETY: as in `map_version` — the writer lock excludes
+        // SAFETY: as in `version_locked` — the writer lock excludes
         // retirement, so the pointer is valid for the borrow's duration.
         let core = unsafe { &*self.current.load(Ordering::SeqCst) };
         let mut out = Vec::with_capacity(core.apps.len() + 1);

@@ -1,6 +1,6 @@
 //! The immutable per-(app, version) resolution kernel.
 //!
-//! A [`ResolvedMap`] is built once per installed shard-map version and
+//! A [`ResolvedMap`] is made once per installed shard-map version and
 //! never mutated: key → shard resolution is a binary search over a
 //! sorted slice of range starts (accelerated by a packed 8-byte key
 //! prefix column, so most comparisons are a single `u64` compare), and
@@ -11,6 +11,12 @@
 //! a shard without a primary goes on to the [`DenseShardTable`], which
 //! also serves shard → replica-set resolution.
 //!
+//! The start, prefix and end columns are the sharding spec's alone, so
+//! they are `Arc`s: [`ResolvedMap::build`] fills them when a spec is new,
+//! and [`ResolvedMap::with_map`] — every later version beside that spec
+//! — shares them and re-reads only the table (one flat pass over the
+//! map) and each range's 16-byte entry.
+//!
 //! Every route in the repository is this kernel's: the simulated
 //! clients of the DES worlds hold the kernel their publisher built, and
 //! [`crate::ConcurrentRouter`] (epoch-swapped, shared by N threads)
@@ -18,6 +24,7 @@
 //! exercise the exact code the throughput bench measures.
 
 use sm_types::{AppKey, DenseShardTable, ServerId, ShardId, ShardMap, ShardingSpec, SmError};
+use std::sync::Arc;
 
 /// Where a request should go.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,6 +69,27 @@ fn prefix64(bytes: &[u8]) -> u64 {
     u64::from_be_bytes(out)
 }
 
+/// The fused entry of each `(shard, gap_after)` range against `table`.
+/// Ranges in key order mostly name shards in id order, so a range's slot
+/// is first looked for right after the previous one's.
+fn fuse(table: &DenseShardTable, ranges: impl Iterator<Item = (ShardId, bool)>) -> Vec<RangeEntry> {
+    let mut guess = 0;
+    let fused = ranges.map(|(shard, gap_after)| {
+        let slot = match table.shard_at(guess) {
+            Some(at_guess) if at_guess == shard => Some(guess),
+            _ => table.slot_of(shard),
+        };
+        guess = slot.map_or(guess, |slot| slot + 1);
+        let primary = slot.and_then(|slot| table.primary_at(slot));
+        RangeEntry {
+            shard,
+            primary: primary.map_or(NO_SERVER, ServerId::raw),
+            gap_after,
+        }
+    });
+    fused.collect()
+}
+
 /// One app's sharding spec and shard map, resolved into flat sorted
 /// columns for allocation-free, lock-free-read routing.
 #[derive(Clone, Debug, Default)]
@@ -69,13 +97,14 @@ pub struct ResolvedMap {
     /// The shard-map version this kernel was built from.
     version: u64,
     /// 8-byte big-endian prefixes of `starts`, the binary-search
-    /// fast column.
-    starts_p64: Vec<u64>,
+    /// fast column. This and the next two columns are the spec's alone,
+    /// so every version resolved beside one spec shares them.
+    starts_p64: Arc<[u64]>,
     /// Range start keys, ascending (the tie-break column).
-    starts: Vec<AppKey>,
+    starts: Arc<[AppKey]>,
     /// Range end keys (`None` = unbounded), parallel to `starts`; read
     /// only where `gap_after` is set.
-    ends: Vec<Option<AppKey>>,
+    ends: Arc<[Option<AppKey>]>,
     /// The fused per-range entries, parallel to `starts`.
     ranges: Vec<RangeEntry>,
     /// Shard → replica-set table.
@@ -85,37 +114,50 @@ pub struct ResolvedMap {
 impl ResolvedMap {
     /// Resolves `spec` (if known) against `map` into the dense form.
     ///
-    /// Cost is O(ranges + shards); it is paid once per installed map
-    /// version, off the read path.
+    /// Cost is O(ranges + shards), with a clone of every range's keys:
+    /// paid when an app's spec is new to the router. The next version
+    /// beside the same spec is [`Self::with_map`]'s.
     pub fn build(spec: Option<&ShardingSpec>, map: &ShardMap) -> Self {
         let table = DenseShardTable::from_map(map);
-        let ranges = spec.map(|s| s.shard_count()).unwrap_or(0);
-        let mut out = Self {
-            version: map.version,
-            starts_p64: Vec::with_capacity(ranges),
-            starts: Vec::with_capacity(ranges),
-            ends: Vec::with_capacity(ranges),
-            ranges: Vec::with_capacity(ranges),
-            table,
+        let Some(spec) = spec else {
+            return Self {
+                version: map.version,
+                table,
+                ..Self::default()
+            };
         };
-        if let Some(spec) = spec {
-            // `ShardingSpec::iter` yields ranges sorted by start, so
-            // the columns come out sorted without another sort pass.
-            let mut next_starts = spec.iter().skip(1).map(|(range, _)| &range.start);
-            for (range, shard) in spec.iter() {
-                out.starts_p64.push(prefix64(range.start.as_bytes()));
-                out.starts.push(range.start.clone());
-                out.ends.push(range.end.clone());
-                let slot = out.table.slot_of(*shard);
-                let primary = slot.and_then(|slot| out.table.primary_at(slot));
-                out.ranges.push(RangeEntry {
-                    shard: *shard,
-                    primary: primary.map_or(NO_SERVER, ServerId::raw),
-                    gap_after: range.end.as_ref() != next_starts.next(),
-                });
-            }
+        // `ShardingSpec::iter` yields ranges sorted by start, so the
+        // columns come out sorted without another sort pass.
+        let next_starts = spec.iter().skip(1).map(|(range, _)| Some(&range.start));
+        let gaps = spec.iter().zip(next_starts.chain([None]));
+        let gaps = gaps.map(|((range, _), next)| range.end.as_ref() != next);
+        Self {
+            version: map.version,
+            starts_p64: spec
+                .iter()
+                .map(|(r, _)| prefix64(r.start.as_bytes()))
+                .collect(),
+            starts: spec.iter().map(|(r, _)| r.start.clone()).collect(),
+            ends: spec.iter().map(|(r, _)| r.end.clone()).collect(),
+            ranges: fuse(&table, spec.iter().map(|(_, shard)| *shard).zip(gaps)),
+            table,
         }
-        out
+    }
+
+    /// The kernel of `map` beside the spec `self` was resolved against:
+    /// the three spec columns are shared, and what is read again is the
+    /// table and each range's primary — no key is cloned or compared.
+    /// Only right while that spec stands; a new spec is a [`Self::build`].
+    pub fn with_map(&self, map: &ShardMap) -> Self {
+        let table = DenseShardTable::from_map(map);
+        Self {
+            version: map.version,
+            starts_p64: self.starts_p64.clone(),
+            starts: self.starts.clone(),
+            ends: self.ends.clone(),
+            ranges: fuse(&table, self.ranges.iter().map(|r| (r.shard, r.gap_after))),
+            table,
+        }
     }
 
     /// The shard-map version this kernel resolves.
@@ -272,7 +314,9 @@ impl ResolvedMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_types::{Assignment, KeyRange, RegionId, ReplicaAssignment, ReplicaRole, ShardMapEntry};
+    use sm_types::{
+        Assignment, KeyRange, RegionId, ReplicaAssignment, ReplicaRole, ShardMapEntry, ShardTable,
+    };
     use std::collections::BTreeMap;
 
     fn assignment(shards: u64) -> Assignment {
@@ -441,92 +485,110 @@ mod tests {
         AppKey::new(bytes)
     }
 
+    /// A seeded spec (none, and an empty one, among them), the shards
+    /// it names and the sorted boundaries its ranges were cut at: each
+    /// range ends at the next boundary or, one time in three, short of
+    /// it (a gap).
+    fn seeded_spec(
+        rng: &mut sm_sim::SimRng,
+        case: u64,
+    ) -> (Option<ShardingSpec>, Vec<ShardId>, Vec<AppKey>) {
+        let mut bounds: Vec<AppKey> = (0..rng.index(14)).map(|_| seeded_key(rng)).collect();
+        bounds.sort();
+        bounds.dedup();
+        let mut entries = Vec::new();
+        let mut shard_ids = Vec::new();
+        for (i, pair) in bounds.windows(2).enumerate() {
+            let gap_end = KeyRange::new(pair[0].clone(), pair[1].clone()).midpoint();
+            let end = match gap_end {
+                Some(mid) if rng.index(3) == 0 => mid,
+                _ => pair[1].clone(),
+            };
+            // Ids in no key order, so the by-shard table and the
+            // key columns disagree about what comes first.
+            let shard = ShardId((i as u64 * 7 + case) % 23);
+            if rng.index(8) > 0 && !shard_ids.contains(&shard) {
+                shard_ids.push(shard);
+                entries.push((KeyRange::new(pair[0].clone(), end), shard));
+            }
+        }
+        if let (Some(last), true) = (bounds.last(), rng.chance(0.5)) {
+            shard_ids.push(ShardId(100));
+            entries.push((KeyRange::from(last.clone()), ShardId(100)));
+        }
+        let spec = match case % 10 {
+            0 => None,
+            1 => Some(ShardingSpec::new(Vec::new()).unwrap()),
+            _ => Some(ShardingSpec::new(entries).unwrap()),
+        };
+        (spec, shard_ids, bounds)
+    }
+
+    /// A seeded map: per shard absent, replica-less, secondary-only, or
+    /// with a primary anywhere among its replicas (twice, sometimes: the
+    /// first one counts).
+    fn seeded_map(rng: &mut sm_sim::SimRng, shard_ids: &[ShardId], version: u64) -> ShardMap {
+        let mut map = ShardMap {
+            version,
+            entries: ShardTable::default(),
+        };
+        for shard in shard_ids.iter().copied().chain([ShardId(200)]) {
+            let replicas = |rng: &mut sm_sim::SimRng, n: usize, primaries: usize| {
+                let mut out: Vec<ReplicaAssignment> = (0..n)
+                    .map(|i| ReplicaAssignment {
+                        server: ServerId(rng.index(50) as u32),
+                        role: if i < primaries {
+                            ReplicaRole::Primary
+                        } else {
+                            ReplicaRole::Secondary
+                        },
+                    })
+                    .collect();
+                rng.shuffle(&mut out);
+                out
+            };
+            let some = 1 + rng.index(3);
+            let replicas = match rng.index(8) {
+                0 => continue,
+                1 => Vec::new(),
+                2 | 3 => replicas(rng, some, 0),
+                4 => replicas(rng, 3, 2),
+                // A server whose id is the entry's sentinel.
+                5 => vec![ReplicaAssignment {
+                    server: ServerId(u32::MAX),
+                    role: ReplicaRole::Primary,
+                }],
+                _ => replicas(rng, some, 1),
+            };
+            map.entries.insert(shard, ShardMapEntry { replicas });
+        }
+        map
+    }
+
+    /// Probes: every boundary, just past it, and fresh keys.
+    fn seeded_probes(rng: &mut sm_sim::SimRng, bounds: &[AppKey]) -> Vec<AppKey> {
+        let mut probes = bounds.to_vec();
+        for b in bounds {
+            let mut past = b.as_bytes().to_vec();
+            past.push(0);
+            probes.push(AppKey::new(past));
+        }
+        probes.extend((0..40).map(|_| seeded_key(rng)));
+        probes.push(AppKey::new([0u8; 8]));
+        probes.push(AppKey::min());
+        probes
+    }
+
     #[test]
     fn fused_route_equals_the_column_walk() {
         let mut rng = sm_sim::SimRng::seeded(0x5eed_0018);
         let mut routes: BTreeMap<&str, u32> = BTreeMap::new();
         for case in 0..300u64 {
-            // Sorted distinct boundaries; each range ends at the next
-            // boundary or, one time in three, short of it (a gap).
-            let mut bounds: Vec<AppKey> =
-                (0..rng.index(14)).map(|_| seeded_key(&mut rng)).collect();
-            bounds.sort();
-            bounds.dedup();
-            let mut entries = Vec::new();
-            let mut shard_ids = Vec::new();
-            for (i, pair) in bounds.windows(2).enumerate() {
-                let gap_end = KeyRange::new(pair[0].clone(), pair[1].clone()).midpoint();
-                let end = match gap_end {
-                    Some(mid) if rng.index(3) == 0 => mid,
-                    _ => pair[1].clone(),
-                };
-                // Ids in no key order, so the by-shard table and the
-                // key columns disagree about what comes first.
-                let shard = ShardId((i as u64 * 7 + case) % 23);
-                if rng.index(8) > 0 && !shard_ids.contains(&shard) {
-                    shard_ids.push(shard);
-                    entries.push((KeyRange::new(pair[0].clone(), end), shard));
-                }
-            }
-            if let (Some(last), true) = (bounds.last(), rng.chance(0.5)) {
-                shard_ids.push(ShardId(100));
-                entries.push((KeyRange::from(last.clone()), ShardId(100)));
-            }
-            let spec = match case % 10 {
-                0 => None,
-                1 => Some(ShardingSpec::new(Vec::new()).unwrap()),
-                _ => Some(ShardingSpec::new(entries).unwrap()),
-            };
-            // The map: per shard absent, replica-less, secondary-only,
-            // or with a primary anywhere among its replicas (twice,
-            // sometimes: the first one counts).
-            let mut map = ShardMap {
-                version: case + 1,
-                entries: BTreeMap::new(),
-            };
-            for shard in shard_ids.iter().copied().chain([ShardId(200)]) {
-                let replicas = |rng: &mut sm_sim::SimRng, n: usize, primaries: usize| {
-                    let mut out: Vec<ReplicaAssignment> = (0..n)
-                        .map(|i| ReplicaAssignment {
-                            server: ServerId(rng.index(50) as u32),
-                            role: if i < primaries {
-                                ReplicaRole::Primary
-                            } else {
-                                ReplicaRole::Secondary
-                            },
-                        })
-                        .collect();
-                    rng.shuffle(&mut out);
-                    out
-                };
-                let some = 1 + rng.index(3);
-                let replicas = match rng.index(8) {
-                    0 => continue,
-                    1 => Vec::new(),
-                    2 | 3 => replicas(&mut rng, some, 0),
-                    4 => replicas(&mut rng, 3, 2),
-                    // A server whose id is the entry's sentinel.
-                    5 => vec![ReplicaAssignment {
-                        server: ServerId(u32::MAX),
-                        role: ReplicaRole::Primary,
-                    }],
-                    _ => replicas(&mut rng, some, 1),
-                };
-                map.entries.insert(shard, ShardMapEntry { replicas });
-            }
-
+            let (spec, shard_ids, bounds) = seeded_spec(&mut rng, case);
+            let map = seeded_map(&mut rng, &shard_ids, case + 1);
             let fused = ResolvedMap::build(spec.as_ref(), &map);
             let model = ColumnWalk::build(spec.as_ref(), &map);
-            // Probes: every boundary, just past it, and fresh keys.
-            let mut probes = bounds.clone();
-            for b in &bounds {
-                let mut past = b.as_bytes().to_vec();
-                past.push(0);
-                probes.push(AppKey::new(past));
-            }
-            probes.extend((0..40).map(|_| seeded_key(&mut rng)));
-            probes.push(AppKey::new([0u8; 8]));
-            probes.push(AppKey::min());
+            let probes = seeded_probes(&mut rng, &bounds);
             let (mut rr_fused, mut rr_model) = (case, case);
             for key in &probes {
                 assert_eq!(
@@ -573,6 +635,89 @@ mod tests {
         // Every way a route can end was taken, each many times.
         assert_eq!(routes.len(), 5, "{routes:?}");
         assert!(routes.values().all(|&n| n > 300), "{routes:?}");
+    }
+
+    /// `got` answers as `want` does — decisions, error strings and the
+    /// cursor's advance — for every probe and every shard id in use.
+    fn assert_same_answers(got: &ResolvedMap, want: &ResolvedMap, probes: &[AppKey], case: u64) {
+        let (mut rr_got, mut rr_want) = (case, case);
+        let far = |server: ServerId| f64::from(server.raw() % 7);
+        for key in probes {
+            let route = got.route(key, &mut rr_got);
+            assert_eq!(route, want.route(key, &mut rr_want), "case {case}: {key:?}");
+            let nearest = got.route_nearest(key, far);
+            assert_eq!(
+                nearest,
+                want.route_nearest(key, far),
+                "case {case}: {key:?}"
+            );
+        }
+        for shard in (0..23).chain([100, 200, 300]).map(ShardId) {
+            let route = got.route_shard(shard, &mut rr_got);
+            let wanted = want.route_shard(shard, &mut rr_want);
+            assert_eq!(route, wanted, "case {case}: {shard}");
+        }
+        assert_eq!(rr_got, rr_want, "case {case}");
+    }
+
+    #[test]
+    fn an_install_beside_the_same_spec_keeps_every_answer() {
+        const APP: sm_types::AppId = sm_types::AppId(1);
+        let mut rng = sm_sim::SimRng::seeded(0x5eed_0024);
+        let mut shared = 0;
+        for case in 0..500u64 {
+            let (spec, mut shard_ids, bounds) = seeded_spec(&mut rng, case);
+            let first = seeded_map(&mut rng, &shard_ids, 1);
+            let second = seeded_map(&mut rng, &shard_ids, 2);
+            let probes = seeded_probes(&mut rng, &bounds);
+
+            // The kernel: the columns are the first build's, the answers
+            // a fresh build's.
+            let built = ResolvedMap::build(spec.as_ref(), &first);
+            let kept = built.with_map(&second);
+            let fresh = ResolvedMap::build(spec.as_ref(), &second);
+            assert!(Arc::ptr_eq(&kept.starts, &built.starts) && kept.version() == 2);
+            shared += kept.starts.len();
+            assert_same_answers(&kept, &fresh, &probes, case);
+
+            // The router: two installs beside one spec (or beside none),
+            // then a new spec and a third.
+            let router = Arc::new(crate::ConcurrentRouter::new());
+            if let Some(spec) = &spec {
+                router.register_app(APP, spec.clone());
+            }
+            assert!(router.install_map(APP, first) && router.install_map(APP, second));
+            let mut handle = router.handle().unwrap();
+            let mut rr = 0;
+            let mut assert_routes_as = |want: &ResolvedMap, probes: &[AppKey]| {
+                for key in probes {
+                    let route = handle.route(APP, key);
+                    assert_eq!(route, want.route(key, &mut rr), "case {case}: {key:?}");
+                }
+                for shard in (0..23).chain([100, 200, 300]).map(ShardId) {
+                    let route = handle.route_shard(APP, shard);
+                    assert_eq!(
+                        route,
+                        want.route_shard(shard, &mut rr),
+                        "case {case}: {shard}"
+                    );
+                }
+            };
+            match &spec {
+                Some(_) => assert_routes_as(&fresh, &probes),
+                None => assert_routes_as(&fresh, &[]),
+            }
+            let (Some(respec), more_ids, bounds) = seeded_spec(&mut rng, case + 3) else {
+                continue;
+            };
+            shard_ids.extend(more_ids);
+            let third = seeded_map(&mut rng, &shard_ids, 3);
+            router.register_app(APP, respec.clone());
+            assert!(router.install_map(APP, third.clone()));
+            let fresh = ResolvedMap::build(Some(&respec), &third);
+            assert_routes_as(&fresh, &seeded_probes(&mut rng, &bounds));
+        }
+        assert!(shared > 2_000, "{shared} ranges kept their keys");
     }
 
     #[test]

@@ -4,8 +4,14 @@
 //! holds which replica of which shard, in which role. [`ShardMap`] is the
 //! versioned, client-facing view disseminated through service discovery
 //! so routers can pick a server for a key (§3.2).
+//!
+//! Both keep "who holds what" in one [`ShardTable`] (`crate::table`): a
+//! map taken from an assignment shares its leaves, so a version costs
+//! what moved since the last one, from `current_map` through `publish`
+//! to a router's `install_map`, and not the fleet.
 
 use crate::ids::{ReplicaRole, ServerId, ShardId};
+use crate::table::ShardTable;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -26,7 +32,8 @@ pub struct ReplicaAssignment {
 /// - `by_server` is `shards` projected by server.
 #[derive(Clone, Default)]
 pub struct Assignment {
-    shards: BTreeMap<ShardId, Vec<ReplicaAssignment>>,
+    /// The table a [`ShardMap`] taken from here shares, leaf by leaf.
+    shards: ShardTable,
     /// Reverse index: the shards each server hosts, ascending; no entry
     /// for a server that hosts nothing. Derived state, so `Debug` and
     /// `==` leave it out. Written only by [`Self::add_replica`] and
@@ -37,8 +44,17 @@ pub struct Assignment {
 
 impl fmt::Debug for Assignment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// `shards` as a `{shard: [replica, ..]}` map: the transcript
+        /// digests hash this text.
+        struct Shards<'a>(&'a ShardTable);
+        impl fmt::Debug for Shards<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let shards = self.0.iter().map(|(s, e)| (s, &e.replicas));
+                f.debug_map().entries(shards).finish()
+            }
+        }
         f.debug_struct("Assignment")
-            .field("shards", &self.shards)
+            .field("shards", &Shards(&self.shards))
             .finish()
     }
 }
@@ -62,12 +78,12 @@ impl Assignment {
 
     /// Total replica count across shards.
     pub fn replica_count(&self) -> usize {
-        self.shards.values().map(Vec::len).sum()
+        self.by_shard().map(|(_, rs)| rs.len()).sum()
     }
 
     /// The replicas of `shard` (empty slice if unknown).
     pub fn replicas(&self, shard: ShardId) -> &[ReplicaAssignment] {
-        self.shards.get(&shard).map(Vec::as_slice).unwrap_or(&[])
+        self.shards.get(&shard).map_or(&[], |e| &e.replicas)
     }
 
     /// The server hosting the primary of `shard`, if any.
@@ -80,20 +96,19 @@ impl Assignment {
 
     /// Iterates over all `(shard, replica)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ShardId, &ReplicaAssignment)> {
-        self.shards
-            .iter()
-            .flat_map(|(s, rs)| rs.iter().map(move |r| (*s, r)))
+        self.by_shard()
+            .flat_map(|(s, rs)| rs.iter().map(move |r| (s, r)))
     }
 
     /// Iterates over `(shard, its replicas)` in ascending shard order;
     /// every shard it yields has at least one replica.
     pub fn by_shard(&self) -> impl Iterator<Item = (ShardId, &[ReplicaAssignment])> {
-        self.shards.iter().map(|(s, rs)| (*s, rs.as_slice()))
+        self.shards.iter().map(|(s, e)| (*s, e.replicas.as_slice()))
     }
 
     /// Iterates over shard ids in ascending order.
     pub fn shard_ids(&self) -> impl Iterator<Item = ShardId> + '_ {
-        self.shards.keys().copied()
+        self.shards.iter().map(|(s, _)| *s)
     }
 
     /// Shards hosted by `server` in ascending order, with the role held
@@ -124,14 +139,22 @@ impl Assignment {
         server: ServerId,
         role: ReplicaRole,
     ) -> Result<(), String> {
-        let replicas = self.shards.entry(shard).or_default();
+        // Refusals are decided on a read: a refused call copies no leaf.
+        let replicas = self.replicas(shard);
         if replicas.iter().any(|r| r.server == server) {
             return Err(format!("{server} already hosts {shard}"));
         }
         if role.is_primary() && replicas.iter().any(|r| r.role.is_primary()) {
             return Err(format!("{shard} already has a primary"));
         }
-        replicas.push(ReplicaAssignment { server, role });
+        let replica = ReplicaAssignment { server, role };
+        match self.shards.get_mut(&shard) {
+            Some(entry) => entry.replicas.push(replica),
+            None => {
+                let replicas = vec![replica];
+                self.shards.insert(shard, ShardMapEntry { replicas });
+            }
+        }
         let hosted = self.by_server.entry(server).or_default();
         if let Err(at) = hosted.binary_search(&shard) {
             hosted.insert(at, shard);
@@ -142,16 +165,15 @@ impl Assignment {
     /// Removes the replica of `shard` on `server`; returns whether one
     /// was removed.
     pub fn remove_replica(&mut self, shard: ShardId, server: ServerId) -> bool {
-        let Some(replicas) = self.shards.get_mut(&shard) else {
-            return false;
-        };
-        let before = replicas.len();
-        replicas.retain(|r| r.server != server);
-        if replicas.len() == before {
+        let replicas = self.replicas(shard);
+        if !replicas.iter().any(|r| r.server == server) {
             return false;
         }
-        if replicas.is_empty() {
+        // A shard whose last replica goes leaves the table.
+        if replicas.len() == 1 {
             self.shards.remove(&shard);
+        } else if let Some(entry) = self.shards.get_mut(&shard) {
+            entry.replicas.retain(|r| r.server != server);
         }
         if let Some(hosted) = self.by_server.get_mut(&server) {
             if let Ok(at) = hosted.binary_search(&shard) {
@@ -202,15 +224,18 @@ impl Assignment {
         {
             return Err(format!("{shard} already has a primary elsewhere"));
         }
-        let replicas = self
-            .shards
-            .get_mut(&shard)
-            .ok_or_else(|| format!("unknown shard {shard}"))?;
-        let rep = replicas
-            .iter_mut()
-            .find(|r| r.server == server)
+        let replicas = self.replicas(shard);
+        if replicas.is_empty() {
+            return Err(format!("unknown shard {shard}"));
+        }
+        let at = replicas
+            .iter()
+            .position(|r| r.server == server)
             .ok_or_else(|| format!("{server} does not host {shard}"))?;
-        rep.role = new_role;
+        let entry = self.shards.get_mut(&shard);
+        if let Some(rep) = entry.and_then(|e| e.replicas.get_mut(at)) {
+            rep.role = new_role;
+        }
         Ok(())
     }
 
@@ -256,24 +281,14 @@ pub struct ShardMap {
     /// Monotonic version.
     pub version: u64,
     /// Per-shard placement.
-    pub entries: BTreeMap<ShardId, ShardMapEntry>,
+    pub entries: ShardTable,
 }
 
 impl ShardMap {
-    /// Builds a map at `version` from an [`Assignment`].
+    /// A map at `version` that shares `assignment`'s table: O(leaves),
+    /// no shard is copied until one side writes to its leaf.
     pub fn from_assignment(version: u64, assignment: &Assignment) -> Self {
-        let entries = assignment
-            .shards
-            .iter()
-            .map(|(shard, replicas)| {
-                (
-                    *shard,
-                    ShardMapEntry {
-                        replicas: replicas.clone(),
-                    },
-                )
-            })
-            .collect();
+        let entries = assignment.shards.clone();
         Self { version, entries }
     }
 
@@ -369,7 +384,7 @@ impl DenseShardTable {
     }
 
     /// The shard occupying `slot`.
-    pub(crate) fn shard_at(&self, slot: usize) -> Option<ShardId> {
+    pub fn shard_at(&self, slot: usize) -> Option<ShardId> {
         self.shard_ids.get(slot).copied()
     }
 
@@ -495,15 +510,7 @@ mod tests {
     #[test]
     fn reverse_index_follows_every_mutator() {
         const SERVERS: u32 = 8;
-        // splitmix64
-        let mut state = 0x5eed_0016_u64;
-        let mut below = |n: u64| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % n
-        };
+        let mut below = crate::table::tests::seeded(0x5eed_0016);
         let mut a = Assignment::new();
         let mut refused = BTreeMap::new();
         for step in 0..10_000 {
@@ -548,7 +555,8 @@ mod tests {
                 rebuilt.by_server, a.by_server,
                 "step {step}: index is canonical"
             );
-            let shown = format!("Assignment {{ shards: {:?} }}", a.shards);
+            let model: BTreeMap<_, _> = a.by_shard().collect();
+            let shown = format!("Assignment {{ shards: {model:?} }}");
             assert_eq!(
                 format!("{a:?}"),
                 shown,

@@ -17,6 +17,7 @@ pub mod ids;
 pub mod keys;
 pub mod load;
 pub mod policy;
+pub(crate) mod table;
 pub(crate) mod topology;
 
 pub use assignment::{Assignment, DenseShardTable, ReplicaAssignment, ShardMap, ShardMapEntry};
@@ -29,4 +30,5 @@ pub use load::{LoadVector, Metric, MetricId, METRIC_COUNT};
 pub use policy::{
     AppPolicy, DataPersistency, DeploymentMode, DrainPolicy, LoadBalancePolicy, ReplicationMode,
 };
+pub use table::ShardTable;
 pub use topology::{FaultDomain, Location};

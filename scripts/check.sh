@@ -63,7 +63,7 @@ cargo test --release --test alloc_budget -q
 step "scripts/pairs.sh parses"
 bash -n scripts/pairs.sh
 
-step "repo benchmark (bench/ compiles against the crates' pub items; its own tests; a 2 s traced smoke run per workload, exit 1 = a failed in-run check)"
+step "repo benchmark (bench/ compiles against the crates' pub items; its own tests; a 2 s traced smoke run per workload, exit 1 = a failed in-run check; on control_failover the map stage is gated against server_down)"
 cargo test --offline -q --manifest-path bench/Cargo.toml
 workloads=(control_failover control_rebalance control_drain world_upgrade serve_steady)
 # On one core serve_churn exits 2: it cannot measure, which is not a failure.
@@ -76,6 +76,19 @@ for workload in "${workloads[@]}"; do
     printf '%s\n' "$out" | grep -v '^{' >&2
     echo "bench smoke run of $workload failed" >&2
     exit 1
+  fi
+  # A map version costs what moved, not the fleet: taking, publishing and
+  # installing one stays under a quarter of the failover that caused it.
+  # Both sides are this one run's, so a slow host moves both.
+  if [[ "$workload" == control_failover ]]; then
+    printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+m = {k: v["value"] for k, v in json.load(sys.stdin)["metrics"].items()}
+stage = (m["sm-core.current_map_ms"] + m["sm-routing.discovery_publish_us"] / 1000
+         + m["sm-routing.install_map_ms"])
+down = m["sm-core.server_down_ms"]
+print(f"map stage {stage:.3f} ms against server_down {down:.3f} ms ({stage / down:.2f}, gate 0.25)")
+sys.exit(stage >= 0.25 * down)'
   fi
 done
 

@@ -45,8 +45,26 @@
 //! The put's one allocation is the external store's copy of the value;
 //! the build's seven are its columns.
 //!
-//! One test binary for both: the counter is per thread, each test runs
-//! on its own, and nothing else may allocate on either.
+//! **One map version.** `Assignment` and `ShardMap` share one table of
+//! copy-on-write leaves, so taking, publishing and installing a version
+//! should cost its spine and a router's flat columns, and a write after
+//! it the leaves it touches. The third test counts, on the first fleet
+//! and on a router that holds 16,384 ranges:
+//!
+//! | call                                       | parent (PR 23)  | now            |
+//! |--------------------------------------------|-----------------|----------------|
+//! | `current_map()`, 4,096 shards              | 4,473           | 2 (the spine)  |
+//! | `server_down` + settle beside a held map   | as without one  | + 11 per leaf  |
+//! | `install_map`, next version, 16,384 ranges | 11              | 8              |
+//!
+//! A leaf of eight copied is an `Arc`, a `Vec` and eight replica lists,
+//! and the list that then gains a replica grows (1,411 for 124 moves
+//! today; a table copied whole would be 5,120); an install's eight are
+//! the table's three columns, `ranges`, three `Arc`s and the app list
+//! (nothing per range on either side: an install's saving is time).
+//!
+//! One test binary for all three: the counter is per thread, each test
+//! runs on its own, and nothing else may allocate on any.
 
 use shard_manager::allocator::{AllocConfig, MoveCaps};
 use shard_manager::apps::{AppResponse, ExternalStore, KvServer};
@@ -218,8 +236,8 @@ fn an_allocator_run_allocates_per_fleet_pass_not_per_shard() {
     assert_eq!(measure().0, [down, again, periodic], "a second fleet");
 }
 
-/// `shards` primaries dealt round-robin onto `servers`, as version 1.
-fn primary_only_map(shards: u64, servers: u32) -> ShardMap {
+/// `shards` primaries dealt round-robin onto `servers`.
+fn primary_only(shards: u64, servers: u32) -> Assignment {
     let mut assignment = Assignment::new();
     for s in 0..shards {
         let server = ServerId((s % u64::from(servers)) as u32);
@@ -227,7 +245,57 @@ fn primary_only_map(shards: u64, servers: u32) -> ShardMap {
             .add_replica(ShardId(s), server, ReplicaRole::Primary)
             .expect("one primary per shard");
     }
-    ShardMap::from_assignment(1, &assignment)
+    assignment
+}
+
+/// [`primary_only`], as version 1.
+fn primary_only_map(shards: u64, servers: u32) -> ShardMap {
+    ShardMap::from_assignment(1, &primary_only(shards, servers))
+}
+
+#[test]
+fn a_map_version_costs_its_spine_and_an_install_its_flat_columns() {
+    // `server_down` and the moves it starts, to the last ack.
+    let fail_over = |orch: &mut Orchestrator| {
+        orch.server_down(ServerId(7));
+        settle(orch);
+    };
+    let mut orch = fleet();
+    let free = count_allocs(|| fail_over(&mut orch));
+
+    let mut orch = fleet();
+    let mut held = None;
+    let taken = count_allocs(|| held = Some(orch.current_map()));
+    let held = held.expect("a map");
+    let beside = count_allocs(|| fail_over(&mut orch));
+    let next = orch.current_map();
+    let moved = (held.entries.iter().zip(&next.entries))
+        .filter(|(was, is)| was != is)
+        .count() as u64;
+    assert_eq!(held.shard_count() as u64, SHARDS);
+    assert!(moved > 0, "the failed server held nothing");
+
+    // A second version beside the spec the first was resolved against.
+    const APP: AppId = AppId(0);
+    let mut assignment = primary_only(16_384, 64);
+    let router = ConcurrentRouter::new();
+    router.register_app(APP, ShardingSpec::uniform_u64(16_384));
+    router.install_map(APP, ShardMap::from_assignment(1, &assignment));
+    assignment
+        .move_replica(ShardId(9), ServerId(9), ServerId(10))
+        .expect("shard 9 is on server 9");
+    let second = ShardMap::from_assignment(2, &assignment);
+    let install = count_allocs(|| assert!(router.install_map(APP, second)));
+
+    println!(
+        "current_map: {taken}, server_down + settle: {free} alone, {beside} beside a held map \
+         ({moved} shards moved), install_map: {install}"
+    );
+    assert!(taken <= 4, "current_map: {taken} > its spine");
+    // Each shard that moved is in one leaf; at most every one in its own.
+    let budget = free + 12 * moved;
+    assert!(beside <= budget, "beside a held map: {beside} > {budget}");
+    assert!(install <= 16, "install_map: {install} > its flat columns");
 }
 
 #[test]
