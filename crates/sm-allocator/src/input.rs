@@ -46,15 +46,8 @@ impl ShardPlacement {
 pub struct AllocConfig {
     /// Metrics to balance (and cap) — from the app's LB policy.
     pub lb_metrics: Vec<MetricId>,
-    /// Preferred per-server utilization ceiling (soft goal 4).
-    pub utilization_threshold: f64,
-    /// Allowed deviation above mean utilization (soft goals 5/6).
-    pub balance_tolerance: f64,
     /// Per-shard regional placement preferences (soft goal 1).
     pub region_preferences: BTreeMap<ShardId, (RegionId, f64)>,
-    /// Whether to spread replicas across regions (geo-distributed
-    /// deployments) in addition to racks.
-    pub spread_across_regions: bool,
     /// Solver tuning/ablation switches.
     pub search: SearchConfig,
 }
@@ -64,10 +57,7 @@ impl AllocConfig {
     pub fn new(lb_metrics: Vec<MetricId>) -> Self {
         Self {
             lb_metrics,
-            utilization_threshold: 0.9,
-            balance_tolerance: 0.1,
             region_preferences: BTreeMap::new(),
-            spread_across_regions: true,
             search: SearchConfig::default(),
         }
     }
@@ -137,13 +127,5 @@ mod tests {
     fn unplaced_shard_has_no_servers() {
         let sp = ShardPlacement::unplaced(ShardId(1), LoadVector::single(Metric::Cpu.id(), 1.0), 3);
         assert_eq!(sp.replicas, vec![None, None, None]);
-    }
-
-    #[test]
-    fn config_defaults() {
-        let c = AllocConfig::new(vec![Metric::Cpu.id()]);
-        assert_eq!(c.utilization_threshold, 0.9);
-        assert_eq!(c.balance_tolerance, 0.1);
-        assert!(c.spread_across_regions);
     }
 }

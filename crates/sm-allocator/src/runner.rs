@@ -25,6 +25,11 @@ const WEIGHT_DRAIN: f64 = 8.0;
 const WEIGHT_UTIL: f64 = 2.0;
 const WEIGHT_BALANCE: f64 = 1.0;
 
+/// Preferred per-server utilization ceiling (soft goal 4).
+const UTILIZATION_THRESHOLD: f64 = 0.9;
+/// Allowed deviation above mean utilization (soft goals 5/6).
+const BALANCE_TOLERANCE: f64 = 0.1;
+
 /// The SM allocator over one application partition.
 pub struct Allocator;
 
@@ -225,8 +230,8 @@ fn build_problem<S: PlacementSource>(source: &S) -> Built {
     }
     if !spread_groups.is_empty() {
         // Spread at every level with enough distinct domains to host
-        // each replica separately; always spread across racks.
-        if config.spread_across_regions && n_regions >= max_replicas {
+        // each replica separately.
+        if n_regions >= max_replicas {
             specs.add_goal(Spec::Exclusion(ExclusionSpec {
                 scope: Scope::Region,
                 groups: spread_groups.clone(),
@@ -260,13 +265,13 @@ fn build_problem<S: PlacementSource>(source: &S) -> Built {
     for &m in &config.lb_metrics {
         specs.add_goal(Spec::UtilizationCap(UtilizationCapSpec {
             metric: m,
-            threshold: config.utilization_threshold,
+            threshold: UTILIZATION_THRESHOLD,
             weight: WEIGHT_UTIL,
             priority: PRIO_UTIL,
         }));
         specs.add_goal(Spec::Balance(sm_solver::BalanceSpec {
             metric: m,
-            tolerance: config.balance_tolerance,
+            tolerance: BALANCE_TOLERANCE,
             weight: WEIGHT_BALANCE,
             priority: PRIO_BALANCE,
         }));

@@ -16,8 +16,9 @@
 //! while the server itself only learns of trouble the way a real one
 //! does: heartbeat acks stop coming back, and the §3.2 self-fence timer
 //! ([`SelfFenceTimer`]) forces it to wipe *before* ZK's session timeout
-//! can promote a replacement. The safety rule is
-//! `self_fence_timeout + heartbeat_interval < zk_session_timeout`.
+//! can promote a replacement. The safety rule,
+//! `SELF_FENCE_TIMEOUT + HEARTBEAT_INTERVAL < ZK_SESSION_TIMEOUT`, is
+//! a compile-time assertion over this world's constants.
 //!
 //! The paper's safety claims are checked continuously by the
 //! [`sm_sim::Oracle`]: at most one unfenced willing primary per shard (checked
@@ -41,7 +42,7 @@ use sm_core::ha::{paths, HaControlPlane, HaStats, SelfFenceTimer, ServerLease};
 use sm_core::{ApplicationManager, OrchCommand, Partition, ServerRpc};
 use sm_sim::faults::{fault_plan, Fault, FaultPlanConfig, FaultProfile};
 use sm_sim::net::Endpoint;
-use sm_sim::{QueueKind, SimDuration, SimTime};
+use sm_sim::{SimDuration, SimTime};
 use sm_types::{
     AppId, AppKey, AppPolicy, LoadVector, Metric, MiniSmId, ServerId, ShardId, ShardingSpec,
 };
@@ -49,6 +50,24 @@ use sm_zk::{WatchEvent, ZkStore};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+
+/// Gap between one client's requests.
+const REQUEST_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// Client retry backoff (doubles as the request timeout when the net
+/// eats a message).
+const RETRY_DELAY: SimDuration = SimDuration::from_millis(500);
+/// Retry budget per request; must outlast the longest outage.
+const MAX_ATTEMPTS: u32 = 120;
+/// How often each server heartbeats ZooKeeper.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// §3.2: a server wipes itself after this long without a heartbeat ack.
+const SELF_FENCE_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+/// ZooKeeper expires a session after this long without heartbeats.
+const ZK_SESSION_TIMEOUT: SimDuration = SimDuration::from_secs(8);
+
+// §3.2: a server fences itself at least one heartbeat before ZooKeeper
+// can expire its session and the control plane promote a replacement.
+const _: () = assert!(SELF_FENCE_TIMEOUT.0 + HEARTBEAT_INTERVAL.0 < ZK_SESSION_TIMEOUT.0);
 
 /// Shape of one chaos run. The fault schedule is derived from `seed`
 /// (via [`FaultPlanConfig::covering`] or `profile`), so the whole run
@@ -63,15 +82,6 @@ pub struct ChaosConfig {
     pub shards: u64,
     /// Concurrent request generators.
     pub clients: u32,
-    /// Gap between one client's requests.
-    pub request_interval: SimDuration,
-    /// Base one-way latency of the simulated network (jitter on top).
-    pub rpc_latency: SimDuration,
-    /// Client retry backoff (doubles as the request timeout when the
-    /// net eats a message).
-    pub retry_delay: SimDuration,
-    /// Retry budget per request; must outlast the longest outage.
-    pub max_attempts: u32,
     /// Clients stop issuing new requests here (in-flight ones drain).
     pub traffic_end: SimTime,
     /// Periodic scans and router refreshes stop here; must be past the
@@ -80,17 +90,6 @@ pub struct ChaosConfig {
     /// Fault-plan shape: `None` replays the PR 3 covering plan
     /// (crashes and expiries only); `Some(p)` uses the DST profile.
     pub profile: Option<FaultProfile>,
-    /// How often each server heartbeats ZooKeeper.
-    pub heartbeat_interval: SimDuration,
-    /// §3.2: a server wipes itself after this long without a heartbeat
-    /// ack. Must be safely below `zk_session_timeout` minus one
-    /// heartbeat interval.
-    pub self_fence_timeout: SimDuration,
-    /// ZooKeeper expires a session after this long without heartbeats.
-    pub zk_session_timeout: SimDuration,
-    /// The control plane gives up on an unanswered RPC after this long
-    /// and treats it as failed.
-    pub rpc_timeout: SimDuration,
     /// Client keys are drawn from `0..key_space` so reads exercise
     /// previously-written keys; `0` means the full u64 space (the PR 3
     /// traffic shape).
@@ -111,17 +110,9 @@ impl ChaosConfig {
             servers: 20,
             shards: 64,
             clients: 4,
-            request_interval: SimDuration::from_millis(100),
-            rpc_latency: SimDuration::from_millis(10),
-            retry_delay: SimDuration::from_millis(500),
-            max_attempts: 120,
             traffic_end: SimTime::from_secs(365),
             end: SimTime::from_secs(400),
             profile: None,
-            heartbeat_interval: SimDuration::from_secs(1),
-            self_fence_timeout: SimDuration::from_secs(5),
-            zk_session_timeout: SimDuration::from_secs(8),
-            rpc_timeout: SimDuration::from_secs(2),
             key_space: 0,
             disable_self_fencing: false,
         }
@@ -357,7 +348,7 @@ impl Chaos {
 
     fn client_tick(&mut self, client: u32, cx: &mut Cx<'_, '_>) {
         if cx.now() < self.cfg.traffic_end {
-            cx.schedule_in(self.cfg.request_interval, ChaosEvent::ClientTick(client));
+            cx.schedule_in(REQUEST_INTERVAL, ChaosEvent::ClientTick(client));
         }
         let key = if self.cfg.key_space > 0 {
             cx.rng().range_u64(0, self.cfg.key_space)
@@ -417,13 +408,13 @@ impl Chaos {
         if cx.oracle.already_served(req.id) {
             return;
         }
-        if req.attempts < self.cfg.max_attempts {
+        if req.attempts < MAX_ATTEMPTS {
             self.stats.retries += 1;
             let req = Req {
                 attempts: req.attempts + 1,
                 ..req
             };
-            cx.schedule_in(self.cfg.retry_delay, ChaosEvent::Retry { req });
+            cx.schedule_in(RETRY_DELAY, ChaosEvent::Retry { req });
         } else {
             self.stats.dropped += 1;
             let now = cx.now();
@@ -496,7 +487,7 @@ impl Chaos {
     /// beats genuinely vanish.
     fn heartbeat_tick(&mut self, s: u32, cx: &mut Cx<'_, '_>) {
         if cx.now() < self.cfg.end {
-            cx.schedule_in(self.cfg.heartbeat_interval, ChaosEvent::HeartbeatTick(s));
+            cx.schedule_in(HEARTBEAT_INTERVAL, ChaosEvent::HeartbeatTick(s));
         }
         let now = cx.now();
         let Some(host) = self.hosts.get_mut(&ServerId(s)) else {
@@ -591,8 +582,6 @@ impl Scenario for Chaos {
         Params {
             seed: cfg.seed,
             servers: cfg.servers,
-            rpc_latency: cfg.rpc_latency,
-            rpc_timeout: cfg.rpc_timeout,
             end: cfg.end,
         }
     }
@@ -643,7 +632,7 @@ impl Scenario for Chaos {
                     lease: Some(lease),
                     process_up: true,
                     fenced: false,
-                    fence: SelfFenceTimer::new(SimTime::ZERO, cfg.self_fence_timeout),
+                    fence: SelfFenceTimer::new(SimTime::ZERO, SELF_FENCE_TIMEOUT),
                 },
             );
         }
@@ -839,7 +828,7 @@ impl Scenario for Chaos {
                     host.process_up = true;
                     host.lease = Some(lease);
                     host.fenced = false;
-                    host.fence = SelfFenceTimer::new(now, self.cfg.self_fence_timeout);
+                    host.fence = SelfFenceTimer::new(now, SELF_FENCE_TIMEOUT);
                     self.last_beat.insert(s, now);
                     dispatch_zk(events, cx);
                 }
@@ -900,7 +889,6 @@ impl Scenario for Chaos {
         // ZooKeeper-side session expiry: a server whose heartbeats
         // stopped arriving (partition, not crash) loses its ephemeral,
         // which is what lets the control plane fail its shards over.
-        let timeout = self.cfg.zk_session_timeout;
         let silent: Vec<ServerId> = self
             .hosts
             .iter()
@@ -909,7 +897,7 @@ impl Scenario for Chaos {
                     && self
                         .last_beat
                         .get(s)
-                        .is_none_or(|&b| now.since(b) > timeout)
+                        .is_none_or(|&b| now.since(b) > ZK_SESSION_TIMEOUT)
             })
             .map(|(s, _)| *s)
             .collect();
@@ -994,7 +982,7 @@ impl Scenario for Chaos {
 /// Runs one seeded chaos experiment to completion and reports. The
 /// fault plan derives from the config (covering or profile).
 pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
-    kit::run::<Chaos>(cfg, None, QueueKind::default())
+    kit::run::<Chaos>(cfg, None)
 }
 
 #[cfg(test)]

@@ -1075,13 +1075,7 @@ impl World for SimWorld {
                 // warmed by prepare_add_shard acknowledges immediately.
                 let cold =
                     matches!(rpc, ServerRpc::AddShard { shard, .. } if !host.logic.is_warm(shard));
-                let result = rpc.dispatch(host.logic.as_shard_server());
-                // Dropping a shard the server no longer has is a
-                // success from the control plane's perspective.
-                let ok = matches!(
-                    (&rpc, &result),
-                    (_, Ok(())) | (ServerRpc::DropShard { .. }, Err(SmError::NotFound(_)))
-                );
+                let ok = rpc.dispatch(host.logic.as_shard_server()).is_ok();
                 let mut delay = self.rpc_latency(server, ctx);
                 if cold && ok {
                     delay = delay + SHARD_LOAD_TIME;

@@ -30,9 +30,7 @@ use sm_core::{OrchCommand, Orchestrator, OrchestratorConfig, ServerRpc, ShardSer
 use sm_sim::faults::{Fault, FaultProfile};
 use sm_sim::net::{Endpoint, NetStats, PartitionSpec, SimNet};
 use sm_sim::oracle::{InvariantKind, Oracle, OracleViolation};
-use sm_sim::{
-    Ctx, LatencyModel, QueueKind, SimDuration, SimRng, SimTime, Simulation, TraceLog, World,
-};
+use sm_sim::{Ctx, LatencyModel, SimDuration, SimRng, SimTime, Simulation, TraceLog, World};
 use sm_types::{Location, MachineId, Metric, MetricId, RegionId, ServerId};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -85,7 +83,7 @@ impl<A> Cx<'_, '_, A> {
                     self.ctx.schedule_in(d, Event::RpcSend(call));
                 }
                 let timeout = Event::RpcTimeout { id: call.id };
-                self.ctx.schedule_in(wire.params.rpc_timeout, timeout);
+                self.ctx.schedule_in(RPC_TIMEOUT, timeout);
             }
         }
     }
@@ -103,6 +101,11 @@ impl<A> std::ops::DerefMut for Cx<'_, '_, A> {
         self.wire
     }
 }
+
+/// Base one-way network latency of every world (jitter on top).
+const RPC_LATENCY: SimDuration = SimDuration::from_millis(10);
+/// The control plane gives up on an unanswered RPC after this.
+const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// How long the failure detector takes to declare a dead or islanded
 /// server down; until then RPCs to it time out and operations stall.
@@ -181,10 +184,6 @@ pub struct Params {
     pub seed: u64,
     /// Application servers (ids `0..servers`).
     pub servers: u32,
-    /// Base one-way network latency.
-    pub rpc_latency: SimDuration,
-    /// The control plane gives up on an unanswered RPC after this.
-    pub rpc_timeout: SimDuration,
     /// Sweeps stop here and the timed run ends.
     pub end: SimTime,
 }
@@ -205,7 +204,7 @@ pub struct Wire {
 
 impl Wire {
     fn new(params: Params, plan: Plan) -> Self {
-        let latency_ms = params.rpc_latency.as_millis_f64();
+        let latency_ms = RPC_LATENCY.as_millis_f64();
         Self {
             net: SimNet::new(
                 LatencyModel::uniform(1, latency_ms, latency_ms),
@@ -698,18 +697,16 @@ pub(crate) type ReportOf<S> = Report<<S as Scenario>::Stats, <S as Scenario>::Ex
 /// Runs one seeded experiment to completion. `plan` is the explicit
 /// (time-sorted) fault plan of the replay/shrink path; `None` derives
 /// it from the config. The whole run is a pure function of `(cfg,
-/// plan)` — `queue` picks the engine's queue implementation and must
-/// not change a byte (the heap is the calendar queue's differential
-/// reference).
+/// plan)`.
 // sm-lint: allow(P1) — runs whole worlds: reaches sm-sim constructor invariants and the solver chain baselined under P1/sm-core
-pub fn run<S: Scenario>(cfg: S::Config, plan: Option<Plan>, queue: QueueKind) -> ReportOf<S> {
+pub fn run<S: Scenario>(cfg: S::Config, plan: Option<Plan>) -> ReportOf<S> {
     let params = S::params(&cfg);
     let scenario = S::build(cfg);
     let plan = plan.unwrap_or_else(|| scenario.default_plan());
     let script = scenario.script();
     let hits: Vec<SimTime> = plan.iter().map(|(at, _)| *at).collect();
     let wire = Wire::new(params, plan);
-    let mut sim = Simulation::with_queue(Kit { scenario, wire }, params.seed, queue);
+    let mut sim = Simulation::new(Kit { scenario, wire }, params.seed);
     for (i, at) in hits.into_iter().enumerate() {
         sim.schedule_at(at, Event::FaultHit(i));
     }
@@ -743,8 +740,7 @@ pub fn run<S: Scenario>(cfg: S::Config, plan: Option<Plan>, queue: QueueKind) ->
 /// (so the shrinker cannot wander onto an unrelated failure). Returns
 /// `None` when the plan does not fail.
 pub fn shrink<S: Scenario>(cfg: S::Config, plan: &[(SimTime, Fault)]) -> Option<Plan> {
-    let replay =
-        |plan: &[(SimTime, Fault)]| run::<S>(cfg, Some(plan.to_vec()), QueueKind::default());
+    let replay = |plan: &[(SimTime, Fault)]| run::<S>(cfg, Some(plan.to_vec()));
     let kinds = replay(plan).violated_kinds();
     if kinds.is_empty() {
         return None;
@@ -763,7 +759,7 @@ pub fn shrink<S: Scenario>(cfg: S::Config, plan: &[(SimTime, Fault)]) -> Option<
 /// wall-clock time: report `i` is always the run of `jobs[i]`, and its
 /// trace and verdict are byte-identical whether `threads` is 1 or 16.
 pub fn run_grid<S: Scenario>(jobs: &[S::Config], threads: usize) -> Vec<ReportOf<S>> {
-    let run_one = |cfg: &S::Config| run::<S>(*cfg, None, QueueKind::default());
+    let run_one = |cfg: &S::Config| run::<S>(*cfg, None);
     if threads <= 1 || jobs.len() <= 1 {
         return jobs.iter().map(run_one).collect();
     }
@@ -953,7 +949,7 @@ mod tests {
         let threaded = run_grid::<Chaos>(&jobs, 3);
         assert_eq!(threaded.len(), jobs.len());
         for (cfg, report) in jobs.iter().zip(&threaded) {
-            let solo = run::<Chaos>(*cfg, None, QueueKind::default());
+            let solo = run::<Chaos>(*cfg, None);
             assert_eq!(report.plan, solo.plan, "seed {}", cfg.seed);
             assert_eq!(report.trace_csv, solo.trace_csv, "seed {}", cfg.seed);
         }

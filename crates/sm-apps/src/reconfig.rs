@@ -48,9 +48,32 @@ use sm_core::{OrchCommand, Orchestrator, ServerRpc};
 use sm_sim::faults::{fault_plan, Fault, FaultProfile};
 use sm_sim::net::Endpoint;
 use sm_sim::oracle::Oracle;
-use sm_sim::{QueueKind, SimDuration, SimTime};
+use sm_sim::{SimDuration, SimTime};
 use sm_types::{AppId, AppPolicy, LoadVector, Metric, ServerId, ShardId};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Application servers (ids `0..SERVERS`).
+const SERVERS: u32 = 6;
+/// Replicated shards (ids `0..SHARDS`), each a 3-replica group.
+const SHARDS: u64 = 8;
+/// Concurrent write generators.
+const CLIENTS: u32 = 2;
+/// Gap between one client's writes.
+const WRITE_INTERVAL: SimDuration = SimDuration::from_millis(150);
+/// Background replication cadence (stand-in for the leader's
+/// heartbeat-driven append stream).
+const REPLICATE_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// Churn cadence: every tick alternately drains a random server
+/// (starting graceful 5-step migrations) or welcomes the previous one
+/// back, so reconfigurations are in flight essentially all the time.
+const CHURN_INTERVAL: SimDuration = SimDuration::from_secs(6);
+/// An unacked write still uncommitted after this long is written off as
+/// (legally) lost.
+const WRITE_DEADLINE: SimDuration = SimDuration::from_secs(20);
+/// Clients and churn stop here; in-flight work drains.
+const TRAFFIC_END: SimTime = SimTime::from_secs(110);
+/// Periodic scans stop here; past the last recovery.
+const END: SimTime = SimTime::from_secs(130);
 
 /// Shape of one reconfiguration-chaos run. The fault schedule derives
 /// from `(seed, profile)`, so the run reproduces from this config
@@ -59,33 +82,6 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct ReconfigConfig {
     /// Seed for traffic, churn, fault schedule, and network draws.
     pub seed: u64,
-    /// Application servers (ids `0..servers`).
-    pub servers: u32,
-    /// Replicated shards (ids `0..shards`), each a 3-replica group.
-    pub shards: u64,
-    /// Concurrent write generators.
-    pub clients: u32,
-    /// Gap between one client's writes.
-    pub write_interval: SimDuration,
-    /// Background replication cadence (stand-in for the leader's
-    /// heartbeat-driven append stream).
-    pub replicate_interval: SimDuration,
-    /// Churn cadence: every tick alternately drains a random server
-    /// (starting graceful 5-step migrations) or welcomes the previous
-    /// one back, so reconfigurations are in flight essentially all the
-    /// time.
-    pub churn_interval: SimDuration,
-    /// One-way network latency.
-    pub rpc_latency: SimDuration,
-    /// The control plane gives up on an unanswered RPC after this.
-    pub rpc_timeout: SimDuration,
-    /// An unacked write still uncommitted after this long is written
-    /// off as (legally) lost.
-    pub write_deadline: SimDuration,
-    /// Clients and churn stop here; in-flight work drains.
-    pub traffic_end: SimTime,
-    /// Periodic scans stop here; must be past the last recovery.
-    pub end: SimTime,
     /// Fault-plan profile.
     pub profile: FaultProfile,
     /// DST mutation switch: replace joint membership changes with
@@ -101,17 +97,6 @@ impl ReconfigConfig {
     pub fn dst(seed: u64, profile: FaultProfile) -> Self {
         Self {
             seed,
-            servers: 6,
-            shards: 8,
-            clients: 2,
-            write_interval: SimDuration::from_millis(150),
-            replicate_interval: SimDuration::from_millis(100),
-            churn_interval: SimDuration::from_secs(6),
-            rpc_latency: SimDuration::from_millis(10),
-            rpc_timeout: SimDuration::from_secs(2),
-            write_deadline: SimDuration::from_secs(20),
-            traffic_end: SimTime::from_secs(110),
-            end: SimTime::from_secs(130),
             profile,
             single_step: false,
         }
@@ -241,7 +226,7 @@ impl Reconfig {
 
     /// Shards currently missing a primary (diagnostics).
     fn unplaced_count(&self) -> usize {
-        (0..self.cfg.shards)
+        (0..SHARDS)
             .filter(|&s| self.cp.assignment().primary_of(ShardId(s)).is_none())
             .count()
     }
@@ -259,7 +244,7 @@ impl Reconfig {
                 return Some(l);
             }
         }
-        (0..self.cfg.servers)
+        (0..SERVERS)
             .map(ServerId)
             .filter(|&s| group.log(s).is_some())
             .max_by_key(|&s| {
@@ -307,7 +292,7 @@ impl Reconfig {
                     }
                 }
                 Probe::Tag(_) | Probe::Gone => self.stats.writes_lost_unacked += 1,
-                Probe::NotYet if now.since(w.issued) > self.cfg.write_deadline => {
+                Probe::NotYet if now.since(w.issued) > WRITE_DEADLINE => {
                     self.stats.writes_lost_unacked += 1
                 }
                 Probe::NotYet => self.pending.push(w),
@@ -316,10 +301,10 @@ impl Reconfig {
     }
 
     fn write_tick(&mut self, client: u32, cx: &mut Cx<'_, '_>) {
-        if cx.now() < self.cfg.traffic_end {
-            cx.schedule_in(self.cfg.write_interval, ReconfigEvent::WriteTick(client));
+        if cx.now() < TRAFFIC_END {
+            cx.schedule_in(WRITE_INTERVAL, ReconfigEvent::WriteTick(client));
         }
-        let shard = ShardId(cx.rng().range_u64(0, self.cfg.shards));
+        let shard = ShardId(cx.rng().range_u64(0, SHARDS));
         let Some(primary) = self.cp.assignment().primary_of(shard) else {
             return;
         };
@@ -347,8 +332,8 @@ impl Reconfig {
     }
 
     fn replicate_tick(&mut self, cx: &mut Cx<'_, '_>) {
-        if cx.now() < self.cfg.end {
-            cx.schedule_in(self.cfg.replicate_interval, ReconfigEvent::ReplicateTick);
+        if cx.now() < END {
+            cx.schedule_in(REPLICATE_INTERVAL, ReconfigEvent::ReplicateTick);
         }
         let mut committed_sum = 0u64;
         for g in self.groups.borrow_mut().values_mut() {
@@ -370,8 +355,8 @@ impl Reconfig {
     /// the previous one back, so membership changes stay in flight for
     /// the whole run.
     fn churn_tick(&mut self, cx: &mut Cx<'_, '_>) {
-        if cx.now() < self.cfg.traffic_end {
-            cx.schedule_in(self.cfg.churn_interval, ReconfigEvent::ChurnTick);
+        if cx.now() < TRAFFIC_END {
+            cx.schedule_in(CHURN_INTERVAL, ReconfigEvent::ChurnTick);
         }
         match self.draining.take() {
             Some(s) => {
@@ -379,7 +364,7 @@ impl Reconfig {
                 self.cp.run_periodic();
             }
             None => {
-                let candidates: Vec<ServerId> = (0..self.cfg.servers)
+                let candidates: Vec<ServerId> = (0..SERVERS)
                     .map(ServerId)
                     .filter(|&s| self.fleet.is_up(s) && !self.fleet.is_partitioned(s))
                     .collect();
@@ -401,7 +386,7 @@ impl Reconfig {
     /// backoff, alongside replacement planning for failed-over shards.
     fn retry_tick(&mut self, cx: &mut Cx<'_, '_>) {
         let now = cx.now();
-        if now < self.cfg.end {
+        if now < END {
             cx.schedule_in(SimDuration::from_millis(500), ReconfigEvent::RetryTick);
         }
         self.check_pending(now, &mut cx.oracle);
@@ -456,7 +441,7 @@ impl Fleet for Reconfig {
             // replication and elections see the same islands the RPC
             // plane does.
             Change::Partitioned(spec) => {
-                let ids = || (0..self.cfg.servers).map(|i| (ServerId(i), Endpoint::Server(i)));
+                let ids = || (0..SERVERS).map(|i| (ServerId(i), Endpoint::Server(i)));
                 for (a, ep_a) in ids() {
                     for (b, ep_b) in ids().filter(|&(b, _)| b != a) {
                         if spec.blocks(ep_a, ep_b) {
@@ -507,10 +492,8 @@ impl Scenario for Reconfig {
     fn params(cfg: &ReconfigConfig) -> Params {
         Params {
             seed: cfg.seed,
-            servers: cfg.servers,
-            rpc_latency: cfg.rpc_latency,
-            rpc_timeout: cfg.rpc_timeout,
-            end: cfg.end,
+            servers: SERVERS,
+            end: END,
         }
     }
 
@@ -538,12 +521,12 @@ impl Scenario for Reconfig {
         let mut cp = Orchestrator::new(AppId(0), AppPolicy::primary_secondary(2), orch);
         let groups = shared_groups();
         let mut hosts = BTreeMap::new();
-        for id in (0..cfg.servers).map(ServerId) {
+        for id in (0..SERVERS).map(ServerId) {
             let capacity = LoadVector::single(Metric::ShardCount.id(), 1000.0);
             cp.register_server(id, kit::loc(id.raw()), capacity);
             hosts.insert(id, ReplStoreServer::new(id, groups.clone()));
         }
-        cp.register_shards((0..cfg.shards).map(ShardId));
+        cp.register_shards((0..SHARDS).map(ShardId));
         cp.run_emergency();
         let apply = |_: &Orchestrator, server: ServerId, rpc: ServerRpc| {
             let host = hosts.get_mut(&server);
@@ -573,11 +556,11 @@ impl Scenario for Reconfig {
     /// network only.
     fn default_plan(&self) -> Plan {
         let cfg = &self.cfg;
-        fault_plan(&cfg.profile.config(cfg.seed, cfg.servers, 0))
+        fault_plan(&cfg.profile.config(cfg.seed, SERVERS, 0))
     }
 
     fn script(&self) -> Vec<(SimTime, ReconfigEvent)> {
-        let writers = (0..self.cfg.clients).map(|c| {
+        let writers = (0..CLIENTS).map(|c| {
             let at = SimTime::from_millis(5_000 + 37 * u64::from(c));
             (at, ReconfigEvent::WriteTick(c))
         });
@@ -661,7 +644,7 @@ impl Scenario for Reconfig {
     /// audits — config-chain safety, per-replica view agreement, and
     /// the acked-then-lost sweep over every acked write.
     fn finish(mut self, wire: &mut Wire) -> Outcome<ReconfigStats, ()> {
-        let at = self.cfg.end;
+        let at = END;
         // Defensive heal (the plan pairs every fault with a recovery,
         // but a shrunk plan may have dropped one).
         wire.net.heal_partition();
@@ -700,7 +683,7 @@ impl Scenario for Reconfig {
             let (chain, views) = {
                 let groups = self.groups.borrow();
                 let g = &groups[&shard];
-                let views: Vec<FlatConfig> = (0..self.cfg.servers)
+                let views: Vec<FlatConfig> = (0..SERVERS)
                     .filter_map(|s| g.committed_config_view(ServerId(s)))
                     .map(flat)
                     .collect();
@@ -743,7 +726,7 @@ fn chain_of(group: &ReplicationGroup<ServerId>) -> Vec<FlatConfig> {
 
 /// Runs one seeded reconfiguration-chaos experiment to completion.
 pub fn run_reconfig(cfg: ReconfigConfig) -> ReconfigReport {
-    kit::run::<Reconfig>(cfg, None, QueueKind::default())
+    kit::run::<Reconfig>(cfg, None)
 }
 
 #[cfg(test)]
@@ -756,7 +739,7 @@ mod tests {
         assert_eq!(w.unplaced_count(), 0, "every shard gets a primary");
         assert!(w.converged());
         let groups = w.groups.borrow();
-        assert_eq!(groups.len(), w.cfg.shards as usize);
+        assert_eq!(groups.len(), SHARDS as usize);
         for (shard, g) in groups.iter() {
             assert_eq!(g.voters().len(), 3, "{shard} is 3-way replicated");
             assert_eq!(
@@ -777,7 +760,7 @@ mod tests {
         // reconfigurations through the 5-step protocol, commit them,
         // and lose nothing.
         let cfg = ReconfigConfig::dst(7, FaultProfile::ReconfigChaos);
-        let r = kit::run::<Reconfig>(cfg, Some(Vec::new()), QueueKind::default());
+        let r = kit::run::<Reconfig>(cfg, Some(Vec::new()));
         assert_eq!(r.total_violations, 0, "oracle: {:?}", r.violations);
         assert!(r.converged, "{} unplaced", r.unplaced);
         assert!(

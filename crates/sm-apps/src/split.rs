@@ -50,7 +50,7 @@ use sm_routing::ResolvedMap;
 use sm_sim::faults::{fault_plan, Fault, FaultProfile};
 use sm_sim::net::Endpoint;
 use sm_sim::oracle::Oracle;
-use sm_sim::{QueueKind, SimDuration, SimTime};
+use sm_sim::{SimDuration, SimTime};
 use sm_types::{
     AppId, AppKey, AppPolicy, KeyRange, LoadVector, Metric, ReplicaRole, ServerId, ShardId,
     ShardingSpec, SmError,
@@ -60,42 +60,44 @@ use std::collections::BTreeMap;
 /// The single application this world runs.
 const APP: AppId = AppId(0);
 
+/// Application servers (ids `0..SERVERS`).
+const SERVERS: u32 = 8;
+/// Initial shards (ids `0..SHARDS`), a uniform u64 spec.
+const SHARDS: u64 = 8;
+/// Concurrent request generators.
+const CLIENTS: u32 = 3;
+/// Gap between one client's requests.
+const REQUEST_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// Backoff before a failed request re-routes and retries.
+const RETRY_DELAY: SimDuration = SimDuration::from_millis(500);
+/// Retry budget; exhausting it is a
+/// [`sm_sim::oracle::InvariantKind::LostRequest`].
+const MAX_ATTEMPTS: u32 = 40;
+/// Cadence of load collection + adaptive resharding decisions.
+const RESHARD_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Cadence of client router refresh (spec + map pull).
+const REFRESH_INTERVAL: SimDuration = SimDuration::from_millis(500);
+/// The viral window: 80% of keys land in one narrow range between
+/// these two instants.
+const STORM_START: SimTime = SimTime::from_secs(25);
+/// End of the viral window; traffic cools and merges begin.
+const STORM_END: SimTime = SimTime::from_secs(70);
+/// Clients stop here; in-flight work drains.
+const TRAFFIC_END: SimTime = SimTime::from_secs(110);
+/// Periodic scans stop here; leaves room for the last retries.
+const END: SimTime = SimTime::from_secs(135);
+/// Start of the viral slice (a narrow band straddling the interior of
+/// one initial shard, off every initial boundary).
+const HOT_LO: u64 = u64::MAX / 16 * 7;
+/// Width of the viral slice: 1/64 of the key space.
+const HOT_SPAN: u64 = u64::MAX / 64;
+
 /// Shape of one skew-storm run. The fault schedule derives from
 /// `(seed, profile)`, so the run reproduces from this config alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SplitConfig {
     /// Seed for traffic, fault schedule, and network draws.
     pub seed: u64,
-    /// Application servers (ids `0..servers`).
-    pub servers: u32,
-    /// Initial shards (ids `0..shards`), a uniform u64 spec.
-    pub shards: u64,
-    /// Concurrent request generators.
-    pub clients: u32,
-    /// Gap between one client's requests.
-    pub request_interval: SimDuration,
-    /// Backoff before a failed request re-routes and retries.
-    pub retry_delay: SimDuration,
-    /// Retry budget; exhausting it is a
-    /// [`sm_sim::oracle::InvariantKind::LostRequest`].
-    pub max_attempts: u32,
-    /// One-way network latency.
-    pub rpc_latency: SimDuration,
-    /// The control plane gives up on an unanswered RPC after this.
-    pub rpc_timeout: SimDuration,
-    /// Cadence of load collection + adaptive resharding decisions.
-    pub reshard_interval: SimDuration,
-    /// Cadence of client router refresh (spec + map pull).
-    pub refresh_interval: SimDuration,
-    /// The viral window: 80% of keys land in one narrow range between
-    /// these two instants.
-    pub storm_start: SimTime,
-    /// End of the viral window; traffic cools and merges begin.
-    pub storm_end: SimTime,
-    /// Clients stop here; in-flight work drains.
-    pub traffic_end: SimTime,
-    /// Periodic scans stop here; must leave room for the last retries.
-    pub end: SimTime,
     /// Fault-plan profile.
     pub profile: FaultProfile,
     /// False freezes the spec (the static-sharding baseline the bench
@@ -115,48 +117,23 @@ impl SplitConfig {
     pub fn dst(seed: u64, profile: FaultProfile) -> Self {
         Self {
             seed,
-            servers: 8,
-            shards: 8,
-            clients: 3,
-            request_interval: SimDuration::from_millis(100),
-            retry_delay: SimDuration::from_millis(500),
-            max_attempts: 40,
-            rpc_latency: SimDuration::from_millis(10),
-            rpc_timeout: SimDuration::from_secs(2),
-            reshard_interval: SimDuration::from_secs(2),
-            refresh_interval: SimDuration::from_millis(500),
-            storm_start: SimTime::from_secs(25),
-            storm_end: SimTime::from_secs(70),
-            traffic_end: SimTime::from_secs(110),
-            end: SimTime::from_secs(135),
             profile,
             adaptive: true,
             skip_cutover_ack: false,
         }
     }
-
-    /// Start of the viral slice (a narrow band straddling the interior
-    /// of one initial shard, off every initial boundary).
-    fn hot_lo(&self) -> u64 {
-        u64::MAX / 16 * 7
-    }
-
-    /// Width of the viral slice: 1/64 of the key space.
-    fn hot_span(&self) -> u64 {
-        u64::MAX / 64
-    }
 }
 
 /// The scaler this world drives: request counts per reshard tick,
 /// split hot shards, merge cooled neighbors, bounded concurrency.
-fn scaler_for(cfg: &SplitConfig) -> SplitScaler {
+fn scaler_for() -> SplitScaler {
     SplitScaler::new(
         SplitScalerConfig::new(
             Metric::Synthetic.id(),
             20.0, // ~48 req/tick land in the viral slice; uniform is ~7/shard
             12.0,
-            cfg.shards as usize,
-            (cfg.shards as usize) * 3,
+            SHARDS as usize,
+            (SHARDS as usize) * 3,
         )
         .with_max_concurrent(2),
     )
@@ -256,7 +233,7 @@ pub struct SplitStats {
     pub peak_tick_load: u64,
     /// Reshard rounds in which at least one shard's report exceeded the
     /// scaler's split threshold — the run's total time out of the
-    /// per-shard load SLO, in units of `reshard_interval`. A static
+    /// per-shard load SLO, in reshard rounds (2 s each). A static
     /// layout stays overloaded for the whole storm; the adaptive one
     /// only until its splits converge.
     pub overload_ticks: u64,
@@ -519,17 +496,17 @@ impl Split {
 
     /// True inside the viral window.
     fn stormy(&self, now: SimTime) -> bool {
-        now >= self.cfg.storm_start && now < self.cfg.storm_end
+        now >= STORM_START && now < STORM_END
     }
 
     fn client_tick(&mut self, client: u32, cx: &mut Cx<'_, '_>) {
         let now = cx.now();
-        if now < self.cfg.traffic_end {
-            cx.schedule_in(self.cfg.request_interval, SplitEvent::ClientTick(client));
+        if now < TRAFFIC_END {
+            cx.schedule_in(REQUEST_INTERVAL, SplitEvent::ClientTick(client));
         }
         // The viral window: 80% of keys land in one narrow slice.
         let key = if self.stormy(now) && cx.rng().chance(0.8) {
-            self.cfg.hot_lo() + cx.rng().range_u64(0, self.cfg.hot_span())
+            HOT_LO + cx.rng().range_u64(0, HOT_SPAN)
         } else {
             cx.rng().next_u64()
         };
@@ -592,13 +569,13 @@ impl Split {
         if cx.oracle.already_served(req.id) {
             return;
         }
-        if req.attempts < self.cfg.max_attempts {
+        if req.attempts < MAX_ATTEMPTS {
             self.stats.retries += 1;
             let req = Req {
                 attempts: req.attempts + 1,
                 ..req
             };
-            cx.schedule_in(self.cfg.retry_delay, SplitEvent::Retry { req });
+            cx.schedule_in(RETRY_DELAY, SplitEvent::Retry { req });
         } else {
             self.stats.dropped += 1;
             let now = cx.now();
@@ -631,8 +608,7 @@ impl Split {
                 cx.oracle.primaries_observed(now, shard.raw(), willing);
                 if cx.oracle.request_served(req.id) {
                     self.stats.served += 1;
-                    let hot = req.key >= self.cfg.hot_lo()
-                        && req.key - self.cfg.hot_lo() < self.cfg.hot_span();
+                    let hot = req.key >= HOT_LO && req.key - HOT_LO < HOT_SPAN;
                     if self.stormy(now) && hot {
                         self.stats.storm_served += 1;
                     }
@@ -654,8 +630,8 @@ impl Split {
     /// per-shard request counts since the last round, then the scaler
     /// runs against the fresh numbers.
     fn reshard_tick(&mut self, cx: &mut Cx<'_, '_>) {
-        if cx.now() < self.cfg.traffic_end {
-            cx.schedule_in(self.cfg.reshard_interval, SplitEvent::ReshardTick);
+        if cx.now() < TRAFFIC_END {
+            cx.schedule_in(RESHARD_INTERVAL, SplitEvent::ReshardTick);
         }
         let mut overloaded = false;
         for (srv, h) in self.hosts.iter_mut() {
@@ -775,10 +751,8 @@ impl Scenario for Split {
     fn params(cfg: &SplitConfig) -> Params {
         Params {
             seed: cfg.seed,
-            servers: cfg.servers,
-            rpc_latency: cfg.rpc_latency,
-            rpc_timeout: cfg.rpc_timeout,
-            end: cfg.end,
+            servers: SERVERS,
+            end: END,
         }
     }
 
@@ -805,18 +779,18 @@ impl Scenario for Split {
         orch.skip_cutover_ack = cfg.skip_cutover_ack;
         let mut cp = Orchestrator::new(APP, AppPolicy::primary_only(), orch);
         let mut hosts = BTreeMap::new();
-        for id in (0..cfg.servers).map(ServerId) {
+        for id in (0..SERVERS).map(ServerId) {
             let capacity = LoadVector::single(Metric::Synthetic.id(), 1e9);
             cp.register_server(id, kit::loc(id.raw()), capacity);
             hosts.insert(id, SplitHost::default());
         }
-        cp.register_shards((0..cfg.shards).map(ShardId));
-        cp.register_spec(ShardingSpec::uniform_u64(cfg.shards));
+        cp.register_shards((0..SHARDS).map(ShardId));
+        cp.register_spec(ShardingSpec::uniform_u64(SHARDS));
         cp.run_emergency();
         let mut world = Self {
             cfg,
             cp,
-            scaler: scaler_for(&cfg),
+            scaler: scaler_for(),
             hosts,
             fleet: FleetState::default(),
             router: ResolvedMap::default(),
@@ -834,11 +808,11 @@ impl Scenario for Split {
     /// network only.
     fn default_plan(&self) -> Plan {
         let cfg = &self.cfg;
-        fault_plan(&cfg.profile.config(cfg.seed, cfg.servers, 0))
+        fault_plan(&cfg.profile.config(cfg.seed, SERVERS, 0))
     }
 
     fn script(&self) -> Vec<(SimTime, SplitEvent)> {
-        let clients = (0..self.cfg.clients).map(|c| {
+        let clients = (0..CLIENTS).map(|c| {
             let at = SimTime::from_millis(5_000 + 37 * u64::from(c));
             (at, SplitEvent::ClientTick(c))
         });
@@ -865,7 +839,7 @@ impl Scenario for Split {
             // 500ms backoff (see [`kit::fleet_resolved`]), alongside
             // replacement planning for failed-over shards.
             SplitEvent::RetryTick => {
-                if cx.now() < self.cfg.end {
+                if cx.now() < END {
                     cx.schedule_in(SimDuration::from_millis(500), SplitEvent::RetryTick);
                 }
                 self.cp.run_emergency();
@@ -873,8 +847,8 @@ impl Scenario for Split {
             }
             SplitEvent::ReshardTick => self.reshard_tick(cx),
             SplitEvent::RouterRefresh => {
-                if cx.now() < self.cfg.end {
-                    cx.schedule_in(self.cfg.refresh_interval, SplitEvent::RouterRefresh);
+                if cx.now() < END {
+                    cx.schedule_in(REFRESH_INTERVAL, SplitEvent::RouterRefresh);
                 }
                 self.refresh_router();
             }
@@ -923,7 +897,7 @@ impl Scenario for Split {
     /// the healthy fleet, then run the final audits — coverage,
     /// convergence, router agreement, and the request drain.
     fn finish(mut self, wire: &mut Wire) -> Outcome<SplitStats, ()> {
-        let at = self.cfg.end;
+        let at = END;
         // Defensive heal (the plan pairs every fault with a recovery,
         // but a shrunk plan may have dropped one).
         wire.net.heal_partition();
@@ -953,7 +927,7 @@ impl Scenario for Split {
         wire.oracle
             .convergence_check(at, unplaced, in_flight, divergence);
         // Every issued request must have resolved by now: the retry
-        // budget (max_attempts × retry_delay) fits inside the post-
+        // budget (MAX_ATTEMPTS × RETRY_DELAY) fits inside the post-
         // traffic tail, so anything still outstanding was lost track
         // of — a lost request.
         wire.oracle.quiescent_drain_check(at);
@@ -975,7 +949,7 @@ impl Scenario for Split {
 
 /// Runs one seeded skew-storm experiment to completion.
 pub fn run_split(cfg: SplitConfig) -> SplitReport {
-    kit::run::<Split>(cfg, None, QueueKind::default())
+    kit::run::<Split>(cfg, None)
 }
 
 #[cfg(test)]
@@ -983,7 +957,7 @@ mod tests {
     use super::*;
 
     fn quiet(cfg: SplitConfig) -> SplitReport {
-        kit::run::<Split>(cfg, Some(Vec::new()), QueueKind::default())
+        kit::run::<Split>(cfg, Some(Vec::new()))
     }
 
     #[test]

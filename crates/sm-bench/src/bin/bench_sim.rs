@@ -1,16 +1,14 @@
 //! Machine-readable simulator benchmark: emits one JSON document on
 //! stdout measuring the discrete-event engine itself, in two scenarios.
 //!
-//! - `dense`: ~1.2M self-rescheduling timer events across 10k chains —
-//!   the same world and seed on both queue kinds, so the only variable
-//!   is the queue. Reports calendar-vs-heap events/sec.
+//! - `dense`: ~1.2M self-rescheduling timer events across 10k chains,
+//!   the engine's raw events/sec.
 //! - `calendar_week`: seven simulated days of sparse maintenance
-//!   activity on 2 000 servers. The *baseline* runs the pre-calendar
-//!   engine design — a binary heap plus a self-scheduled 500 ms oracle
-//!   poll event (1.2M polls/week) — while the *current* configuration
-//!   runs the calendar queue with the engine's change-driven sweep
-//!   subscription and a coarse 60 s safety net. Both process the same
-//!   useful events and run the identical check body; the headline
+//!   activity on 2 000 servers. The *baseline* runs a self-scheduled
+//!   500 ms oracle poll event (1.2M polls/week) on the same engine,
+//!   while the *current* configuration uses the engine's change-driven
+//!   sweep subscription and a coarse 60 s safety net. Both process the
+//!   same useful events and run the identical check body; the headline
 //!   `speedup` is the ratio of useful-events/sec.
 //!
 //! `scripts/bench.sh sim` records the output as `BENCH_sim.json`;
@@ -18,7 +16,7 @@
 //! here (sm-bench binaries time real work); the simulated workload is
 //! seeded and byte-identical run to run — only the timings vary.
 
-use sm_sim::{Ctx, QueueKind, SimDuration, SimTime, Simulation, World};
+use sm_sim::{Ctx, SimDuration, SimTime, Simulation, World};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -35,9 +33,8 @@ const CHAINS: u64 = 10_000;
 /// Dense scenario horizon (simulated).
 const DENSE_SECS: u64 = 60;
 
-/// Every event reschedules itself with a seeded pseudorandom delay;
-/// the queue always holds [`CHAINS`] entries, so the heap pays its
-/// full `log n` and the calendar pays its O(1) on every operation.
+/// Every event reschedules itself with a seeded pseudorandom delay; the
+/// queue always holds [`CHAINS`] entries.
 struct DenseWorld {
     end: SimTime,
     events: u64,
@@ -56,16 +53,15 @@ impl World for DenseWorld {
     }
 }
 
-/// Runs the dense scenario on `kind`; returns (wall seconds, events).
-fn dense(kind: QueueKind) -> (f64, u64) {
-    let mut sim = Simulation::with_queue(
+/// Runs the dense scenario; returns (wall seconds, events).
+fn dense() -> (f64, u64) {
+    let mut sim = Simulation::new(
         DenseWorld {
             end: SimTime::from_secs(DENSE_SECS),
             events: 0,
             sink: 0,
         },
         11,
-        kind,
     );
     for chain in 0..CHAINS {
         sim.schedule_at(SimTime(chain.wrapping_mul(WEYL) % 1_000_000), chain);
@@ -75,7 +71,7 @@ fn dense(kind: QueueKind) -> (f64, u64) {
     let wall = start.elapsed().as_secs_f64();
     let world = sim.into_world();
     eprintln!(
-        "bench_sim: dense {kind:?} wall={wall:.3}s events={} sink={}",
+        "bench_sim: dense wall={wall:.3}s events={} sink={}",
         world.events, world.sink
     );
     (wall, world.events)
@@ -171,11 +167,11 @@ fn week_schedule() -> Vec<(SimTime, u64)> {
     schedule
 }
 
-/// Runs the week on (`style`, `kind`); returns (wall s, useful, total
+/// Runs the week in `style`; returns (wall s, useful, total
 /// check-or-event count, sweeps).
-fn week(style: Style, kind: QueueKind, schedule: &[(SimTime, u64)]) -> (f64, u64, u64, u64) {
+fn week(style: Style, schedule: &[(SimTime, u64)]) -> (f64, u64, u64, u64) {
     let end = SimTime::from_days(WEEK_DAYS);
-    let mut sim = Simulation::with_queue(
+    let mut sim = Simulation::new(
         WeekWorld {
             style,
             end,
@@ -185,7 +181,6 @@ fn week(style: Style, kind: QueueKind, schedule: &[(SimTime, u64)]) -> (f64, u64
             sink: 0,
         },
         5,
-        kind,
     );
     for &(at, ev) in schedule {
         sim.schedule_at(at, ev);
@@ -200,7 +195,7 @@ fn week(style: Style, kind: QueueKind, schedule: &[(SimTime, u64)]) -> (f64, u64
     let sweeps = sim.sweeps();
     let world = sim.into_world();
     eprintln!(
-        "bench_sim: week {kind:?} wall={wall:.3}s useful={} checks={} steps={steps} \
+        "bench_sim: week wall={wall:.3}s useful={} checks={} steps={steps} \
          sweeps={sweeps} sink={}",
         world.useful, world.checks, world.sink
     );
@@ -210,19 +205,14 @@ fn week(style: Style, kind: QueueKind, schedule: &[(SimTime, u64)]) -> (f64, u64
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // Warm-up pass (allocator, page faults), then the measured passes.
-    let (_warm_wall, _warm_events) = dense(QueueKind::Calendar);
-    let (heap_wall, heap_events) = dense(QueueKind::BinaryHeap);
-    let (cal_wall, cal_events) = dense(QueueKind::Calendar);
-    assert_eq!(heap_events, cal_events, "queue kinds must agree on the run");
-    let heap_rate = heap_events as f64 / heap_wall;
-    let cal_rate = cal_events as f64 / cal_wall;
+    // Warm-up pass (allocator, page faults), then the measured pass.
+    let (_warm_wall, _warm_events) = dense();
+    let (dense_wall, dense_events) = dense();
+    let dense_rate = dense_events as f64 / dense_wall;
 
     let schedule = week_schedule();
-    let (base_wall, base_useful, base_steps, _) =
-        week(Style::Polling, QueueKind::BinaryHeap, &schedule);
-    let (cur_wall, cur_useful, cur_steps, cur_sweeps) =
-        week(Style::Subscribed, QueueKind::Calendar, &schedule);
+    let (base_wall, base_useful, base_steps, _) = week(Style::Polling, &schedule);
+    let (cur_wall, cur_useful, cur_steps, cur_sweeps) = week(Style::Subscribed, &schedule);
     assert_eq!(base_useful, cur_useful, "same useful work in both designs");
     let base_rate = base_useful as f64 / base_wall;
     let cur_rate = cur_useful as f64 / cur_wall;
@@ -231,10 +221,8 @@ fn main() {
     let _infallible = write!(
         out,
         "  \"bench\": \"sim\",\n  \"cores\": {cores},\n  \
-         \"dense\": {{\"chains\": {CHAINS}, \"events\": {cal_events}, \
-         \"heap_wall_s\": {heap_wall:.4}, \"heap_events_per_sec\": {heap_rate:.0}, \
-         \"calendar_wall_s\": {cal_wall:.4}, \"calendar_events_per_sec\": {cal_rate:.0}, \
-         \"calendar_vs_heap\": {:.2}}},\n  \
+         \"dense\": {{\"chains\": {CHAINS}, \"events\": {dense_events}, \
+         \"wall_s\": {dense_wall:.4}, \"events_per_sec\": {dense_rate:.0}}},\n  \
          \"calendar_week\": {{\"sim_days\": {WEEK_DAYS}, \"servers\": {SERVERS}, \
          \"useful_events\": {cur_useful}, \
          \"baseline_total_steps\": {base_steps}, \"baseline_wall_s\": {base_wall:.4}, \
@@ -242,9 +230,7 @@ fn main() {
          \"current_total_steps\": {cur_steps}, \"current_sweeps\": {cur_sweeps}, \
          \"current_wall_s\": {cur_wall:.4}, \"current_useful_per_sec\": {cur_rate:.0}, \
          \"speedup\": {:.2}}},\n  \
-         \"floors\": {{\"calendar_week_speedup\": 5.0, \"dense_calendar_vs_heap\": 1.0, \
-         \"current_useful_per_sec\": 200000}}\n}}",
-        cal_rate / heap_rate,
+         \"floors\": {{\"calendar_week_speedup\": 5.0, \"current_useful_per_sec\": 200000}}\n}}",
         cur_rate / base_rate,
     );
     println!("{out}");

@@ -17,7 +17,7 @@
 //!   with the graceful protocol genuinely being aborted and retried.
 //!
 //! The headline number is `overload_ratio`: mean rounds-over-threshold
-//! (`overload_ticks`, each one `reshard_interval` spent with some shard
+//! (`overload_ticks`, each one 2 s reshard round spent with some shard
 //! over the split threshold) for static divided by adaptive — how much
 //! of the storm each design spends out of the per-shard load SLO.
 //! `scripts/bench.sh split` records the output as `BENCH_split.json`.
@@ -26,7 +26,6 @@
 
 use sm_apps::{run, run_split, Split, SplitConfig, SplitReport};
 use sm_sim::faults::FaultProfile;
-use sm_sim::QueueKind;
 use std::fmt::Write as _;
 
 /// Seed grid; small because each cell is a full 135s simulated run.
@@ -111,7 +110,7 @@ fn main() {
                 if chaos {
                     run_split(cfg)
                 } else {
-                    run::<Split>(cfg, Some(Vec::new()), QueueKind::default())
+                    run::<Split>(cfg, Some(Vec::new()))
                 }
             })
             .collect()

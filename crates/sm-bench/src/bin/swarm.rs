@@ -26,7 +26,6 @@
 use sm_apps::kit::{repro_from_json, repro_to_json, run, run_grid, shrink, Scenario};
 use sm_apps::{Chaos, Reconfig, Split};
 use sm_sim::faults::FaultProfile;
-use sm_sim::QueueKind;
 use std::fmt::Debug;
 use std::process::ExitCode;
 
@@ -87,7 +86,7 @@ fn replay_as<S: Scenario>(text: &str) -> Option<ExitCode> {
         S::params(&cfg).seed,
         plan.len()
     );
-    let report = run::<S>(cfg, Some(plan), QueueKind::default());
+    let report = run::<S>(cfg, Some(plan));
     print!("{}", report.verdict());
     Some(if report.failed() {
         ExitCode::FAILURE

@@ -1,8 +1,7 @@
 //! The discrete-event loop.
 //!
-//! A [`Simulation`] owns a user-defined [`World`] plus an event queue
-//! of timestamped events (a calendar queue by default — see
-//! [`QueueKind`]). `run_until` repeatedly pops the earliest event,
+//! A [`Simulation`] owns a user-defined [`World`] plus a calendar queue
+//! of timestamped events. `run_until` repeatedly pops the earliest event,
 //! advances the clock, and hands the event to the world, which may
 //! schedule more events through the [`Ctx`] it receives. Ties in time
 //! break by insertion order, so same-instant events are FIFO and runs
@@ -19,11 +18,9 @@
 //! cannot forget to arm the sweep, and the old fixed-poll blind spot —
 //! a violation that opens and closes between two polls — is gone.
 
-use crate::queue::{EventQueue, Scheduled};
+use crate::queue::{CalendarQueue, Scheduled};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-
-pub use crate::queue::QueueKind;
 
 /// The simulated system: owns all component state and reacts to events.
 pub trait World {
@@ -50,7 +47,7 @@ pub trait World {
 pub struct Ctx<'a, E> {
     now: SimTime,
     rng: &'a mut SimRng,
-    queue: &'a mut EventQueue<E>,
+    queue: &'a mut CalendarQueue<E>,
     seq: &'a mut u64,
     dirty: &'a mut bool,
 }
@@ -116,7 +113,9 @@ impl<'a, E> Ctx<'a, E> {
 /// ```
 pub struct Simulation<W: World> {
     world: W,
-    queue: EventQueue<W::Event>,
+    /// Boxed, so moving a `Simulation` stays cheap: the wheel header
+    /// (occupancy bitmap and bookkeeping) is a few hundred bytes.
+    queue: Box<CalendarQueue<W::Event>>,
     now: SimTime,
     seq: u64,
     rng: SimRng,
@@ -130,20 +129,12 @@ pub struct Simulation<W: World> {
 }
 
 impl<W: World> Simulation<W> {
-    /// Creates a simulation over `world` with the given RNG seed,
-    /// running on the default calendar queue.
+    /// Creates a simulation over `world` with the given RNG seed.
     pub fn new(world: W, seed: u64) -> Self {
-        Self::with_queue(world, seed, QueueKind::default())
-    }
-
-    /// Creates a simulation on an explicit queue implementation. Both
-    /// kinds produce byte-identical runs; non-default kinds exist for
-    /// differential tests.
-    pub fn with_queue(world: W, seed: u64, kind: QueueKind) -> Self {
         let sweep_every = world.sweep_interval();
         Self {
             world,
-            queue: EventQueue::new(kind),
+            queue: Box::new(CalendarQueue::new()),
             now: SimTime::ZERO,
             seq: 0,
             rng: SimRng::seeded(seed),
@@ -329,38 +320,28 @@ mod tests {
         Simulation::new(Recorder { seen: Vec::new() }, 1)
     }
 
-    fn sim_on(kind: QueueKind) -> Simulation<Recorder> {
-        Simulation::with_queue(Recorder { seen: Vec::new() }, 1, kind)
-    }
-
-    const BOTH: [QueueKind; 2] = [QueueKind::Calendar, QueueKind::BinaryHeap];
-
     #[test]
     fn events_fire_in_time_order() {
-        for kind in BOTH {
-            let mut s = sim_on(kind);
-            s.schedule_at(SimTime::from_secs(3), 3);
-            s.schedule_at(SimTime::from_secs(1), 1);
-            s.schedule_at(SimTime::from_secs(2), 2);
-            s.run();
-            let evs: Vec<u32> = s.world().seen.iter().map(|(_, e)| *e).collect();
-            assert_eq!(evs, vec![1, 2, 3]);
-            assert_eq!(s.now(), SimTime::from_secs(3));
-            assert_eq!(s.steps(), 3);
-        }
+        let mut s = sim();
+        s.schedule_at(SimTime::from_secs(3), 3);
+        s.schedule_at(SimTime::from_secs(1), 1);
+        s.schedule_at(SimTime::from_secs(2), 2);
+        s.run();
+        let evs: Vec<u32> = s.world().seen.iter().map(|(_, e)| *e).collect();
+        assert_eq!(evs, vec![1, 2, 3]);
+        assert_eq!(s.now(), SimTime::from_secs(3));
+        assert_eq!(s.steps(), 3);
     }
 
     #[test]
     fn same_instant_events_are_fifo() {
-        for kind in BOTH {
-            let mut s = sim_on(kind);
-            for i in 0..10 {
-                s.schedule_at(SimTime::from_secs(5), i);
-            }
-            s.run();
-            let evs: Vec<u32> = s.world().seen.iter().map(|(_, e)| *e).collect();
-            assert_eq!(evs, (0..10).collect::<Vec<_>>());
+        let mut s = sim();
+        for i in 0..10 {
+            s.schedule_at(SimTime::from_secs(5), i);
         }
+        s.run();
+        let evs: Vec<u32> = s.world().seen.iter().map(|(_, e)| *e).collect();
+        assert_eq!(evs, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -403,19 +384,18 @@ mod tests {
     }
 
     #[test]
-    fn both_queues_produce_identical_runs() {
-        let run = |kind| {
-            let mut s = sim_on(kind);
-            // A mix of ties, out-of-order pushes, and a fan-out chain.
-            s.schedule_at(SimTime::from_secs(7), 7);
-            s.schedule_at(SimTime::from_secs(1), 100);
-            for i in 0..5 {
-                s.schedule_at(SimTime::from_secs(2), i);
-            }
-            s.run();
-            s.world().seen.clone()
-        };
-        assert_eq!(run(QueueKind::Calendar), run(QueueKind::BinaryHeap));
+    fn mixed_schedules_run_in_at_seq_order() {
+        let mut s = sim();
+        // A mix of ties, out-of-order pushes, and a fan-out chain: the
+        // follow-ups 100 schedules at 2 s queue behind the earlier ties.
+        s.schedule_at(SimTime::from_secs(7), 7);
+        s.schedule_at(SimTime::from_secs(1), 100);
+        for i in 0..5 {
+            s.schedule_at(SimTime::from_secs(2), i);
+        }
+        s.run();
+        let evs: Vec<u32> = s.world().seen.iter().map(|(_, e)| *e).collect();
+        assert_eq!(evs, vec![100, 0, 1, 2, 3, 4, 101, 102, 7]);
     }
 
     /// A world with a sweep subscription: records each sweep instant

@@ -111,15 +111,10 @@ pub struct FaultPlanConfig {
     /// Bare session expiries to inject (process survives). At least
     /// 10% of servers is the chaos harness's acceptance floor.
     pub session_expiries: u32,
-    /// Mini-SM crashes to inject, in addition to the guarantee that
-    /// every mini-SM index crashes at least once.
-    pub extra_minism_crashes: u32,
     /// Symmetric partitions to inject (each paired with a heal).
     pub partitions: u32,
     /// Asymmetric (outbound-blocked) partitions to inject.
     pub asym_partitions: u32,
-    /// Largest partition island width; islands are 1..=this wide.
-    pub partition_max_len: u32,
     /// How long each partition stays up before its heal. Must exceed
     /// the embedding world's ZK session timeout for the partition to
     /// exercise the full expiry → failover → re-register cycle.
@@ -147,10 +142,8 @@ impl FaultPlanConfig {
             downtime: SimDuration::from_secs(25),
             server_crashes: (n_servers / 4).max(1),
             session_expiries: n_servers.div_ceil(10).max(1),
-            extra_minism_crashes: 0,
             partitions: 0,
             asym_partitions: 0,
-            partition_max_len: (n_servers / 4).max(1),
             partition_downtime: SimDuration::from_secs(18),
             degrade_windows: 0,
             drop_pct: 0,
@@ -232,10 +225,8 @@ impl FaultProfile {
             downtime: SimDuration::from_secs(15),
             server_crashes: (n_servers / 5).max(1),
             session_expiries: 1,
-            extra_minism_crashes: 0,
             partitions: 0,
             asym_partitions: 0,
-            partition_max_len: (n_servers / 4).max(1),
             partition_downtime: SimDuration::from_secs(18),
             degrade_windows: 0,
             drop_pct: 0,
@@ -312,20 +303,10 @@ pub fn fault_plan(cfg: &FaultPlanConfig) -> Vec<(SimTime, Fault)> {
         plan.push((at + cfg.downtime, heal));
     };
 
-    // Every mini-SM crashes at least once, in random order...
+    // Every mini-SM crashes once, in random order.
     let mut minisms: Vec<u32> = (0..cfg.n_minisms).collect();
     rng.shuffle(&mut minisms);
     for m in minisms {
-        inject(
-            &mut rng,
-            &mut plan,
-            Fault::MiniSmCrash(m),
-            Fault::MiniSmRestart(m),
-        );
-    }
-    // ...plus any extra crashes on random mini-SMs.
-    for _ in 0..cfg.extra_minism_crashes {
-        let m = rng.index(cfg.n_minisms.max(1) as usize) as u32;
         inject(
             &mut rng,
             &mut plan,
@@ -358,14 +339,15 @@ pub fn fault_plan(cfg: &FaultPlanConfig) -> Vec<(SimTime, Fault)> {
 
     // Partitions: the simulated net models one partition at a time, so
     // each gets its own time slot — windows of the same kind never
-    // overlap, and every start has a heal inside its slot.
+    // overlap, and every start has a heal inside its slot. Islands are
+    // 1 to a quarter of the fleet (at least 1) wide.
     let total_partitions = cfg.partitions + cfg.asym_partitions;
     if total_partitions > 0 && cfg.n_servers > 0 {
         let slot_ms = window_ms / f64::from(total_partitions);
         let free_ms = (slot_ms - cfg.partition_downtime.as_millis_f64()).max(0.0);
+        let widest = (cfg.n_servers / 4).max(1) as usize;
         for i in 0..total_partitions {
             let asym = i >= cfg.partitions;
-            let widest = cfg.partition_max_len.clamp(1, cfg.n_servers) as usize;
             let len = 1 + rng.index(widest) as u32;
             let lo = rng.index((cfg.n_servers - len + 1) as usize) as u32;
             let at = cfg.start

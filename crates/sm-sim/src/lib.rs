@@ -35,7 +35,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Ctx, QueueKind, Simulation, World};
+pub use engine::{Ctx, Simulation, World};
 pub use faults::{fault_plan, Fault, FaultPlanConfig, FaultProfile};
 pub use net::{CopySet, Endpoint, LatencyModel, NetStats, PartitionSpec, SimNet, Transmission};
 pub use oracle::{InvariantKind, Oracle, OracleViolation};

@@ -1,59 +1,29 @@
-//! Event-queue implementations behind the [`crate::Simulation`] loop.
-//!
-//! The default is a **calendar queue**: a near-future wheel of
-//! fixed-width time buckets plus a far-future overflow map. Pushes are
-//! O(1) appends, pops amortize to a small per-bucket sort, and empty
-//! stretches of virtual time are skipped with a bitmap scan (within the
-//! wheel) or a single ordered-map lookup (beyond it) instead of being
-//! stepped through poll by poll. The old binary heap is kept as an
-//! alternative implementation so differential tests can assert that
-//! both produce byte-identical runs.
+//! The event queue behind the [`crate::Simulation`] loop: a **calendar
+//! queue**, a near-future wheel of fixed-width time buckets plus a
+//! far-future overflow map. Pushes are O(1) appends, pops amortize to a
+//! small per-bucket sort, and empty stretches of virtual time are
+//! skipped with a bitmap scan (within the wheel) or a single
+//! ordered-map lookup (beyond it) instead of being stepped through poll
+//! by poll. Its reference model, a binary heap over `(at, seq)`, lives
+//! in `tests/queue_stress.rs`.
 //!
 //! # Tie-order contract
 //!
 //! Every scheduled event carries `(at, seq)` where `seq` is a global
-//! monotone insertion counter. Both queue implementations pop in strict
-//! `(at, seq)` order: same-instant events are FIFO by insertion, and a
-//! run's event order — and therefore its traces — is a pure function of
-//! the schedule, never of queue internals.
+//! monotone insertion counter. The queue pops in strict `(at, seq)`
+//! order: same-instant events are FIFO by insertion, and a run's event
+//! order — and therefore its traces — is a pure function of the
+//! schedule, never of queue internals.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-
-/// Which event-queue implementation a [`crate::Simulation`] runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum QueueKind {
-    /// The calendar queue (near-future wheel + far-future overflow).
-    #[default]
-    Calendar,
-    /// The original `BinaryHeap` — kept for differential testing; new
-    /// code has no reason to choose it.
-    BinaryHeap,
-}
+use std::collections::BTreeMap;
 
 /// A timestamped event with its insertion sequence number.
 pub(crate) struct Scheduled<E> {
     pub(crate) at: SimTime,
     pub(crate) seq: u64,
     pub(crate) event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Microseconds per wheel bucket, as a shift: 1024 µs ≈ 1 ms. Latency
@@ -129,11 +99,28 @@ impl<E> CalendarQueue<E> {
             self.cur.insert(pos, s);
         } else if b < self.cursor + WHEEL_SLOTS as u64 {
             let slot = (b % WHEEL_SLOTS as u64) as usize;
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.wheel[slot].push(s);
-            self.wheel_len += 1;
+            if let (Some(word), Some(bucket)) =
+                (self.occupied.get_mut(slot / 64), self.wheel.get_mut(slot))
+            {
+                *word |= 1 << (slot % 64);
+                bucket.push(s);
+                self.wheel_len += 1;
+            }
         } else {
             self.overflow.entry(b).or_default().push(s);
+        }
+    }
+
+    /// Sets or clears wheel slot `slot`'s occupancy bit. Every slot is
+    /// below `WHEEL_SLOTS` by construction, here and at each `get` below.
+    fn mark(&mut self, slot: usize, occupied: bool) {
+        if let Some(word) = self.occupied.get_mut(slot / 64) {
+            let bit = 1 << (slot % 64);
+            if occupied {
+                *word |= bit;
+            } else {
+                *word &= !bit;
+            }
         }
     }
 
@@ -145,7 +132,7 @@ impl<E> CalendarQueue<E> {
         while d < n {
             let slot = ((self.cursor + d) % n) as usize;
             let bit = slot % 64;
-            let w = self.occupied[slot / 64] >> bit;
+            let w = self.occupied.get(slot / 64).map_or(0, |w| w >> bit);
             if w != 0 {
                 let cand = d + u64::from(w.trailing_zeros());
                 return (cand < n).then_some(cand);
@@ -166,10 +153,12 @@ impl<E> CalendarQueue<E> {
             };
             if let Some(v) = self.overflow.remove(&k) {
                 let slot = (k % WHEEL_SLOTS as u64) as usize;
-                debug_assert!(self.wheel[slot].is_empty(), "slot not drained");
-                self.occupied[slot / 64] |= 1 << (slot % 64);
+                self.mark(slot, true);
                 self.wheel_len += v.len();
-                self.wheel[slot] = v;
+                if let Some(bucket) = self.wheel.get_mut(slot) {
+                    debug_assert!(bucket.is_empty(), "slot not drained");
+                    *bucket = v;
+                }
             }
         }
     }
@@ -180,8 +169,10 @@ impl<E> CalendarQueue<E> {
     fn stage_cursor_bucket(&mut self) {
         let slot = (self.cursor % WHEEL_SLOTS as u64) as usize;
         debug_assert!(self.cur.is_empty());
-        std::mem::swap(&mut self.cur, &mut self.wheel[slot]);
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        if let Some(bucket) = self.wheel.get_mut(slot) {
+            std::mem::swap(&mut self.cur, bucket);
+        }
+        self.mark(slot, false);
         self.wheel_len -= self.cur.len();
         self.cur.sort_unstable_by_key(|s| Reverse((s.at, s.seq)));
         self.staged = true;
@@ -230,7 +221,10 @@ impl<E> CalendarQueue<E> {
         if self.wheel_len > 0 {
             if let Some(d) = self.next_occupied_offset() {
                 let slot = ((self.cursor + d) % WHEEL_SLOTS as u64) as usize;
-                return self.wheel[slot].iter().map(|s| s.at).min();
+                return self
+                    .wheel
+                    .get(slot)
+                    .and_then(|v| v.iter().map(|s| s.at).min());
             }
         }
         // The first overflow bucket holds the globally earliest
@@ -238,52 +232,6 @@ impl<E> CalendarQueue<E> {
         self.overflow
             .first_key_value()
             .and_then(|(_, v)| v.iter().map(|s| s.at).min())
-    }
-}
-
-/// The queue a [`crate::Simulation`] actually drives: one of the two
-/// implementations behind a common face.
-pub(crate) enum EventQueue<E> {
-    /// Boxed: the wheel header (occupancy bitmap + bookkeeping) is a
-    /// few hundred bytes, far larger than the heap variant.
-    Calendar(Box<CalendarQueue<E>>),
-    Heap(BinaryHeap<Reverse<Scheduled<E>>>),
-}
-
-impl<E> EventQueue<E> {
-    pub(crate) fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Calendar => EventQueue::Calendar(Box::new(CalendarQueue::new())),
-            QueueKind::BinaryHeap => EventQueue::Heap(BinaryHeap::new()),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(q) => q.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, s: Scheduled<E>) {
-        match self {
-            EventQueue::Calendar(q) => q.push(s),
-            EventQueue::Heap(h) => h.push(Reverse(s)),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
-        match self {
-            EventQueue::Calendar(q) => q.pop(),
-            EventQueue::Heap(h) => h.pop().map(|Reverse(s)| s),
-        }
-    }
-
-    pub(crate) fn next_at(&self) -> Option<SimTime> {
-        match self {
-            EventQueue::Calendar(q) => q.next_at(),
-            EventQueue::Heap(h) => h.peek().map(|Reverse(s)| s.at),
-        }
     }
 }
 

@@ -1,14 +1,17 @@
-//! Seeded stress tests for the calendar event queue: the engine's two
-//! queue implementations must be observationally identical under
-//! randomized interleavings, bucket rollovers, far-future overflow, and
-//! multi-week idle gaps.
+//! Seeded stress tests for the calendar event queue: the engine must
+//! deliver in exact `(at, seq)` order under randomized interleavings,
+//! bucket rollovers, far-future overflow, and multi-week idle gaps.
 //!
 //! The model checks run *through the engine* (not against queue
 //! internals): a world that records `(now, event)` for every delivery
 //! is exactly the sorted-by-`(at, seq)` view of the schedule, so a
-//! stable-sorted vector is a complete reference model.
+//! stable-sorted vector is a complete reference model for a static
+//! schedule, and a binary heap over `(at, seq, event)` running the same
+//! rules is one for handler-time pushes.
 
-use sm_sim::{Ctx, QueueKind, SimDuration, SimRng, SimTime, Simulation, World};
+use sm_sim::{Ctx, SimDuration, SimRng, SimTime, Simulation, World};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Records every delivery; events optionally fan out follow-ups, so the
 /// stress runs also mix handler-time pushes with setup-time pushes.
@@ -34,20 +37,40 @@ impl World for Recorder {
     }
 }
 
-fn run(kind: QueueKind, schedule: &[(u64, u64)], spawns: Vec<(u64, u64)>) -> Vec<(SimTime, u64)> {
-    let mut sim = Simulation::with_queue(
+fn run(schedule: &[(u64, u64)], spawns: Vec<(u64, u64)>) -> Vec<(SimTime, u64)> {
+    let mut sim = Simulation::new(
         Recorder {
             seen: Vec::new(),
             spawns,
         },
         1,
-        kind,
     );
     for &(at, ev) in schedule {
         sim.schedule_at(SimTime(at), ev);
     }
     sim.run();
     sim.into_world().seen
+}
+
+/// The reference engine: a binary heap over `(at, seq, event)` applying
+/// [`Recorder`]'s rules, so handler-time pushes take the next `seq`.
+fn heap_model(schedule: &[(u64, u64)], mut spawns: Vec<(u64, u64)>) -> Vec<(SimTime, u64)> {
+    let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = (0..)
+        .zip(schedule)
+        .map(|(seq, &(at, ev))| Reverse((at, seq, ev)))
+        .collect();
+    let mut seq = schedule.len() as u64;
+    let mut seen = Vec::new();
+    while let Some(Reverse((now, _, ev))) = heap.pop() {
+        seen.push((SimTime(now), ev));
+        if ev >= SPAWN_BASE {
+            if let Some((delay, payload)) = spawns.pop() {
+                heap.push(Reverse((now + delay, seq, payload)));
+                seq += 1;
+            }
+        }
+    }
+    seen
 }
 
 /// The reference model for a static schedule: stable sort by time.
@@ -78,16 +101,10 @@ fn randomized_static_schedules_match_the_sorted_model() {
                 (at, i)
             })
             .collect();
-        let expect = model(&schedule);
         assert_eq!(
-            run(QueueKind::Calendar, &schedule, Vec::new()),
-            expect,
+            run(&schedule, Vec::new()),
+            model(&schedule),
             "calendar queue diverged from model at seed {seed}"
-        );
-        assert_eq!(
-            run(QueueKind::BinaryHeap, &schedule, Vec::new()),
-            expect,
-            "heap queue diverged from model at seed {seed}"
         );
     }
 }
@@ -95,7 +112,8 @@ fn randomized_static_schedules_match_the_sorted_model() {
 #[test]
 fn randomized_dynamic_interleavings_match_across_queues() {
     // Handler-time pushes interleave pops with inserts — the case a
-    // static model can't express. Both queues must still agree exactly.
+    // static model can't express. The engine and the heap must agree
+    // exactly.
     for seed in 0..16 {
         let mut rng = SimRng::seeded(0xD15C0 + seed);
         let schedule: Vec<(u64, u64)> = (0..400)
@@ -112,9 +130,9 @@ fn randomized_dynamic_interleavings_match_across_queues() {
                 (delay, i)
             })
             .collect();
-        let a = run(QueueKind::Calendar, &schedule, spawns.clone());
-        let b = run(QueueKind::BinaryHeap, &schedule, spawns);
-        assert_eq!(a, b, "queues diverged at seed {seed}");
+        let a = run(&schedule, spawns.clone());
+        let b = heap_model(&schedule, spawns);
+        assert_eq!(a, b, "engine and heap diverged at seed {seed}");
         assert_eq!(a.len(), 800);
     }
 }
@@ -154,9 +172,7 @@ fn bucket_rollover_and_overflow_edges() {
             }
         }
     }
-    let expect = model(&reversed);
-    assert_eq!(run(QueueKind::Calendar, &reversed, Vec::new()), expect);
-    assert_eq!(run(QueueKind::BinaryHeap, &reversed, Vec::new()), expect);
+    assert_eq!(run(&reversed, Vec::new()), model(&reversed));
 }
 
 #[test]
@@ -167,7 +183,7 @@ fn multi_week_idle_gaps_fast_forward_exactly() {
     let schedule: Vec<(u64, u64)> = (0..12)
         .map(|i| (i * 3 * 86_400_000_000 + i * 500_000_000 + 7, i))
         .collect();
-    let got = run(QueueKind::Calendar, &schedule, Vec::new());
+    let got = run(&schedule, Vec::new());
     assert_eq!(got, model(&schedule));
     assert_eq!(got.last().map(|&(t, _)| t), Some(SimTime(schedule[11].0)));
 }
@@ -179,17 +195,15 @@ fn run_until_across_idle_gap_parks_then_resumes() {
         type Event = u64;
         fn handle(&mut self, _ctx: &mut Ctx<'_, u64>, _ev: u64) {}
     }
-    for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let mut sim = Simulation::with_queue(Quiet, 3, kind);
-        sim.schedule_at(SimTime::from_days(20), 1);
-        // The deadline falls inside the 20-day idle gap.
-        sim.run_until(SimTime::from_days(13));
-        assert_eq!(sim.now(), SimTime::from_days(13), "clock parks at deadline");
-        assert_eq!(sim.steps(), 0);
-        // Late push into the gap must still come out first.
-        sim.schedule_at(SimTime::from_days(15), 2);
-        sim.run();
-        assert_eq!(sim.steps(), 2);
-        assert_eq!(sim.now(), SimTime::from_days(20));
-    }
+    let mut sim = Simulation::new(Quiet, 3);
+    sim.schedule_at(SimTime::from_days(20), 1);
+    // The deadline falls inside the 20-day idle gap.
+    sim.run_until(SimTime::from_days(13));
+    assert_eq!(sim.now(), SimTime::from_days(13), "clock parks at deadline");
+    assert_eq!(sim.steps(), 0);
+    // Late push into the gap must still come out first.
+    sim.schedule_at(SimTime::from_days(15), 2);
+    sim.run();
+    assert_eq!(sim.steps(), 2);
+    assert_eq!(sim.now(), SimTime::from_days(20));
 }

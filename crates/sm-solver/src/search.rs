@@ -47,15 +47,11 @@ pub struct SearchConfig {
     pub entities_per_bin: usize,
     /// Destination bins sampled per candidate entity.
     pub targets_per_entity: usize,
-    /// §5.3 optimization 4: sample targets across (region, utilization
-    /// band) groups instead of uniformly.
-    pub use_grouped_sampling: bool,
-    /// §5.3: skip equivalent entities when enumerating candidates.
-    pub use_equivalence: bool,
-    /// §5.3: evaluate large shards before small ones.
-    pub use_large_first: bool,
-    /// §5.3: attempt two-way swaps when single moves stall.
-    pub use_swaps: bool,
+    /// The §5.3 candidate optimizations, together: sample targets
+    /// across (region, utilization band) groups instead of uniformly,
+    /// skip equivalent entities, evaluate large shards before small
+    /// ones, and attempt two-way swaps when single moves stall.
+    pub use_optimizations: bool,
     /// §5.3: activate goals in priority batches.
     pub use_batching: bool,
     /// Record a timeline sample every this many applied moves.
@@ -75,10 +71,7 @@ impl Default for SearchConfig {
             hot_bins_per_round: 8,
             entities_per_bin: 8,
             targets_per_entity: 24,
-            use_grouped_sampling: true,
-            use_equivalence: true,
-            use_large_first: true,
-            use_swaps: true,
+            use_optimizations: true,
             use_batching: true,
             sample_every: 512,
             patience: 16,
@@ -93,10 +86,7 @@ impl SearchConfig {
     pub fn baseline(seed: u64) -> Self {
         Self {
             seed,
-            use_grouped_sampling: false,
-            use_equivalence: false,
-            use_large_first: false,
-            use_swaps: false,
+            use_optimizations: false,
             use_batching: false,
             ..Self::default()
         }
@@ -316,8 +306,8 @@ impl LocalSearch {
                 // does not prove convergence; retry with fresh samples
                 // (and swaps) up to the configured patience.
                 dry_rounds += 1;
-                let swapped =
-                    self.config.use_swaps && self.try_swaps(eval, rng, stats, n_bins, scratch);
+                let swapped = self.config.use_optimizations
+                    && self.try_swaps(eval, rng, stats, n_bins, scratch);
                 if swapped {
                     dry_rounds = 0;
                 } else if dry_rounds >= self.config.patience.max(1) {
@@ -374,7 +364,7 @@ impl LocalSearch {
             // Shuffle first so ties in the ranking rotate across rounds
             // — otherwise unfixable candidates can starve fixable ones.
             rng.shuffle(&mut scratch.on_bin);
-            if self.config.use_large_first {
+            if self.config.use_optimizations {
                 // Rank by how much the entity's own violations hurt the
                 // objective (affinity/drain misplacement), then by load
                 // (§5.3: evaluate large shards earlier). Keys are
@@ -396,7 +386,7 @@ impl LocalSearch {
                 scratch.on_bin.clear();
                 scratch.on_bin.extend(scratch.ranked.iter().map(|r| r.2));
             }
-            if self.config.use_equivalence {
+            if self.config.use_optimizations {
                 // Keep the first entity of each distinct load vector,
                 // stopping as soon as the per-bin quota is filled — the
                 // tail never needs its keys computed.
@@ -448,7 +438,7 @@ impl LocalSearch {
     ) {
         out.clear();
         let k = self.config.targets_per_entity.min(n_bins);
-        if !self.config.use_grouped_sampling {
+        if !self.config.use_optimizations {
             out.extend(rng.sample_indices(n_bins, k).into_iter().map(BinId));
             return;
         }
@@ -792,10 +782,7 @@ mod tests {
     #[test]
     fn baseline_config_disables_optimizations() {
         let cfg = SearchConfig::baseline(9);
-        assert!(!cfg.use_grouped_sampling);
-        assert!(!cfg.use_equivalence);
-        assert!(!cfg.use_large_first);
-        assert!(!cfg.use_swaps);
+        assert!(!cfg.use_optimizations);
         assert!(!cfg.use_batching);
     }
 

@@ -122,13 +122,9 @@ pub struct AppPolicy {
     pub max_concurrent_container_ops: u32,
     /// Per-shard cap on replicas that may be unavailable at once (§4.1).
     pub max_unavailable_replicas_per_shard: u32,
-    /// Preferred server utilization ceiling, e.g. 0.9 (§5.1 soft goal 4).
-    pub utilization_threshold: f64,
     /// Per-shard regional placement preferences with weights
     /// (§5.1 soft goal 1). Shards not listed have no preference.
     pub region_preferences: BTreeMap<ShardId, (RegionId, f64)>,
-    /// Whether the app needs storage (SSD/HDD) machines (§2.2.6).
-    pub needs_storage: bool,
     /// Data-persistency option (§2.4), for census reporting.
     pub persistency: DataPersistency,
 }
@@ -145,15 +141,13 @@ impl AppPolicy {
             load_balance: LoadBalancePolicy::ShardCount,
             max_concurrent_container_ops: 1,
             max_unavailable_replicas_per_shard: 0,
-            utilization_threshold: 0.9,
             region_preferences: BTreeMap::new(),
-            needs_storage: false,
             persistency: DataPersistency::SoftState,
         }
     }
 
-    /// A ZippyDB-like policy: one primary plus two secondaries, storage
-    /// machines, multi-metric LB (§2.5).
+    /// A ZippyDB-like policy: one primary plus `secondaries`
+    /// secondaries, multi-metric LB (§2.5).
     pub fn primary_secondary(secondaries: u32) -> Self {
         Self {
             replication: ReplicationMode::PrimarySecondary { secondaries },
@@ -167,9 +161,7 @@ impl AppPolicy {
             ]),
             max_concurrent_container_ops: 2,
             max_unavailable_replicas_per_shard: 1,
-            utilization_threshold: 0.9,
             region_preferences: BTreeMap::new(),
-            needs_storage: true,
             persistency: DataPersistency::Persistent,
         }
     }
@@ -184,9 +176,7 @@ impl AppPolicy {
             load_balance: LoadBalancePolicy::ShardCount,
             max_concurrent_container_ops: 2,
             max_unavailable_replicas_per_shard: 1,
-            utilization_threshold: 0.9,
             region_preferences: BTreeMap::new(),
-            needs_storage: false,
             persistency: DataPersistency::SoftState,
         }
     }
@@ -241,7 +231,6 @@ mod tests {
 
         let z = AppPolicy::primary_secondary(2);
         assert_eq!(z.replication.replicas_per_shard(), 3);
-        assert!(z.needs_storage);
         assert_eq!(z.persistency, DataPersistency::Persistent);
     }
 }

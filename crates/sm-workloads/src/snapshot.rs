@@ -158,8 +158,6 @@ impl ZippyDbSnapshot {
             .collect();
 
         let mut config = AllocConfig::new(metrics);
-        config.utilization_threshold = 0.9;
-        config.balance_tolerance = 0.1;
         config.search.seed = cfg.seed;
         if cfg.region_prefs {
             for s in 0..cfg.shards {

@@ -54,9 +54,6 @@ cargo test --test split -q
 step "bench gates (recorded router + simulator floors)"
 cargo test --test bench_router --test bench_sim -q
 
-step "queue differential gate (calendar vs heap, byte-identical runs)"
-cargo test --release --test sim_queue_diff -q
-
 step "tests"
 cargo test --workspace -q
 

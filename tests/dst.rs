@@ -24,11 +24,11 @@ use shard_manager::apps::kit::{repro_from_json, repro_to_json, run, run_grid, sh
 use shard_manager::apps::{run_chaos, Chaos, ChaosConfig, ChaosReport};
 use shard_manager::sim::faults::{Fault, FaultProfile};
 use shard_manager::sim::oracle::InvariantKind;
-use shard_manager::sim::{QueueKind, SimTime};
+use shard_manager::sim::SimTime;
 
 /// Replays a cell under an explicit (edited) fault plan.
 fn replay(cfg: ChaosConfig, plan: Vec<(SimTime, Fault)>) -> ChaosReport {
-    run::<Chaos>(cfg, Some(plan), QueueKind::default())
+    run::<Chaos>(cfg, Some(plan))
 }
 
 /// The fixed smoke grid: 8 seeds across symmetric-partition,

@@ -24,11 +24,11 @@ use shard_manager::apps::kit::{repro_from_json, repro_to_json, run, shrink};
 use shard_manager::apps::{run_reconfig, Reconfig, ReconfigConfig, ReconfigReport};
 use shard_manager::sim::faults::{Fault, FaultProfile};
 use shard_manager::sim::oracle::InvariantKind;
-use shard_manager::sim::{QueueKind, SimTime};
+use shard_manager::sim::SimTime;
 
 /// Replays a cell under an explicit (edited) fault plan.
 fn replay(cfg: ReconfigConfig, plan: Vec<(SimTime, Fault)>) -> ReconfigReport {
-    run::<Reconfig>(cfg, Some(plan), QueueKind::default())
+    run::<Reconfig>(cfg, Some(plan))
 }
 
 /// The fixed smoke grid: 8 seeds of the reconfiguration-chaos profile.

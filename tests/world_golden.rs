@@ -2,7 +2,7 @@
 //! and the figure world.
 //!
 //! Every chaos cell below — the same seeded cells `tests/{chaos,dst,
-//! reconfig,split}.rs` and `tests/sim_queue_diff.rs` run — is pinned to
+//! reconfig,split}.rs` run — is pinned to
 //! an FNV-1a-64 digest of its trace CSV, oracle verdict, `Debug`-
 //! rendered stats and net counters, and convergence outcome. The
 //! digests were recorded at the commit *before* the three worlds moved
@@ -18,7 +18,7 @@ use shard_manager::apps::harness::{AppKind, ExperimentConfig, SimWorld, WorldEve
 use shard_manager::apps::kit::{Report, Scenario};
 use shard_manager::apps::{run, Chaos, ChaosConfig, Reconfig, Split};
 use shard_manager::sim::faults::FaultProfile;
-use shard_manager::sim::{QueueKind, SimTime};
+use shard_manager::sim::SimTime;
 use shard_manager::types::{AppPolicy, RegionId, ServerId};
 use std::fmt::Debug;
 
@@ -52,7 +52,7 @@ where
 {
     let mut drifted = Vec::new();
     for (cfg, want) in cells {
-        let got = digest(&run::<S>(*cfg, None, QueueKind::default()));
+        let got = digest(&run::<S>(*cfg, None));
         if got != *want {
             println!("{family} {cfg:?}: recorded 0x{want:016x}, now 0x{got:016x}");
             drifted.push(format!("0x{want:016x} -> 0x{got:016x}"));
