@@ -3,8 +3,8 @@
 use crate::input::PlacementSource;
 use crate::plan::{AllocationPlan, ReplicaMove, Target};
 use sm_solver::{
-    AffinitySpec, Bin, BinId, CapacitySpec, DrainSpec, Entity, ExclusionSpec, LocalSearch,
-    ParallelSearch, Problem, Scope, Spec, SpecSet, UtilizationCapSpec,
+    AffinitySpec, Bin, BinId, CapacitySpec, DrainSpec, Entity, ExclusionSpec, ParallelSearch,
+    Problem, Scope, Spec, SpecSet, UtilizationCapSpec,
 };
 use sm_types::{FaultDomain, ServerId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -64,13 +64,8 @@ impl Allocator {
         // Drop the goals above the active priority so batching doesn't
         // schedule them at all (emergency mode).
         specs.goals.retain(|g| g.priority() <= max_priority);
-        // ParallelSearch falls back to the plain LocalSearch path when
-        // `threads <= 1`, so the single-threaded plan is unchanged.
-        let (assignment, stats) = if search.threads > 1 {
-            ParallelSearch::new(search).solve(&problem, &specs)
-        } else {
-            LocalSearch::new(search).solve(&problem, &specs)
-        };
+        // ParallelSearch is plain LocalSearch when `threads <= 1`.
+        let (assignment, stats) = ParallelSearch::new(search).solve(&problem, &specs);
 
         // Diff into moves and the target's slots: entities were minted
         // shard by shard, slot by slot, so one walk of the final and
@@ -352,11 +347,8 @@ mod tests {
             .flat_map(|(i, s)| (0..s.replicas.len()).map(move |slot| (i, slot)))
             .collect();
         specs.goals.retain(|g| g.priority() <= max_priority);
-        let (assignment, stats) = if input.config.search.threads > 1 {
-            ParallelSearch::new(input.config.search.clone()).solve(&problem, &specs)
-        } else {
-            LocalSearch::new(input.config.search.clone()).solve(&problem, &specs)
-        };
+        let (assignment, stats) =
+            ParallelSearch::new(input.config.search.clone()).solve(&problem, &specs);
         let mut moves = Vec::new();
         let mut target: Vec<(ShardId, Vec<Option<ServerId>>)> = input
             .shards

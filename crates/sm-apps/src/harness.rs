@@ -13,7 +13,7 @@ use crate::forwarding::AppResponse;
 use crate::kv::{ExternalStore, KvServer};
 use crate::queue::QueueServer;
 use sm_cluster::{ClusterManager, Machine, MaintenanceImpact, OpId, OpKind};
-use sm_core::ha::{ensure_base, paths, ZkLease};
+use sm_core::ha::{paths, ServerLease};
 use sm_core::{
     AvailabilityView, OrchCommand, Orchestrator, OrchestratorConfig, ServerRpc, ShardServer,
     TaskController,
@@ -24,7 +24,7 @@ use sm_types::{
     AppId, AppKey, AppPolicy, ContainerId, LoadVector, Location, MachineId, Metric, RegionId,
     ServerId, ShardId, ShardingSpec, SmError,
 };
-use sm_zk::{CreateMode, SessionId, WatchEvent, WatchKind, ZkStore};
+use sm_zk::{SessionId, WatchEvent, WatchKind, ZkStore};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -321,9 +321,6 @@ pub enum WorldEvent {
         /// The event's impact class.
         impact: MaintenanceImpact,
     },
-    /// The active control-plane replica dies; a standby takes over by
-    /// restoring the ZooKeeper-persisted state (§6.2).
-    ControlPlaneFailover,
     /// Record a trace sample of current success rate and move counts.
     Sample,
 }
@@ -380,11 +377,11 @@ impl AppLogic {
 struct Host {
     logic: AppLogic,
     region: RegionId,
-    location: Location,
-    capacity: LoadVector,
     serving: bool,
     down_since: Option<SimTime>,
-    zk_session: SessionId,
+    /// The server's liveness registration; `None` once its session
+    /// expired and until it re-registers.
+    lease: Option<ServerLease>,
 }
 
 /// One client process: the Service Router library's state (§3.3).
@@ -407,14 +404,11 @@ pub struct SimWorld {
     cms: BTreeMap<RegionId, ClusterManager>,
     tc: TaskController,
     orch: Orchestrator,
-    orch_cfg: OrchestratorConfig,
     discovery: DiscoveryService,
     zk: ZkStore,
-    /// Fenced writer for the control plane's durable state znode; its
-    /// session also holds the server liveness watches.
-    state_lease: ZkLease,
-    /// Fenced `/sm/state` writes refused (stale control plane).
-    pub fenced_writes: u64,
+    /// The control plane's session: it holds the exists watch on every
+    /// server's liveness node.
+    watcher: SessionId,
     servers: BTreeMap<ServerId, Host>,
     clients: Vec<Client>,
     /// Subscriber -> index into `clients`, so each map delivery is a
@@ -446,9 +440,7 @@ impl SimWorld {
         let spec = Rc::new(ShardingSpec::uniform_u64(cfg.shards));
         let external = Rc::new(RefCell::new(ExternalStore::new()));
         let mut zk = ZkStore::new();
-        let state_lease = ZkLease::new(&mut zk);
-        // Base-znode creation fires no watches yet (nobody is watching).
-        ensure_base(&mut zk, state_lease.session).expect("zk base znodes");
+        let watcher = zk.connect();
 
         // Orchestrator configuration.
         let mut alloc = sm_allocator_config(&cfg);
@@ -466,7 +458,7 @@ impl SimWorld {
             alloc,
             skip_cutover_ack: false,
         };
-        let mut orch = Orchestrator::new(app, cfg.policy.clone(), orch_cfg.clone());
+        let mut orch = Orchestrator::new(app, cfg.policy.clone(), orch_cfg);
         orch.register_shards((0..cfg.shards).map(ShardId));
 
         let mut cms = BTreeMap::new();
@@ -503,17 +495,12 @@ impl SimWorld {
                     .expect("deploy");
                 orch.register_server(ServerId(id), location, capacity);
 
-                let session = zk.connect();
-                zk.create(
-                    session,
-                    &paths::server_node(ServerId(id)),
-                    Vec::new(),
-                    CreateMode::Ephemeral,
-                )
-                .expect("ephemeral");
+                // Nobody watches the node yet, so registering fires nothing.
+                let (lease, _unwatched) =
+                    ServerLease::register(&mut zk, ServerId(id)).expect("server lease");
                 // Liveness is watch-driven: the control plane holds an
                 // exists watch on every server's ephemeral node.
-                zk.watch_exists(state_lease.session, &paths::server_node(ServerId(id)));
+                zk.watch_exists(watcher, &paths::server_node(ServerId(id)));
                 let logic = match cfg.app {
                     AppKind::Kv => {
                         AppLogic::Kv(KvServer::new(ServerId(id), spec.clone(), external.clone()))
@@ -525,11 +512,9 @@ impl SimWorld {
                     Host {
                         logic,
                         region,
-                        location,
-                        capacity,
                         serving: true,
                         down_since: None,
-                        zk_session: session,
+                        lease: Some(lease),
                     },
                 );
             }
@@ -568,11 +553,9 @@ impl SimWorld {
             cms,
             tc,
             orch,
-            orch_cfg,
             discovery,
             zk,
-            state_lease,
-            fenced_writes: 0,
+            watcher,
             servers,
             clients,
             client_by_subscriber,
@@ -742,19 +725,18 @@ impl SimWorld {
     }
 
     /// Reacts to a delivered watch notification. Only events addressed
-    /// to the current control-plane session count — a failed-over
-    /// predecessor's stragglers are ignored. Watches are one-shot and
+    /// to the control plane's session count. Watches are one-shot and
     /// advisory: re-arm first, then re-check actual state before
     /// acting, so a server that already re-registered is not marked
     /// down by stale news.
     fn handle_zk_event(&mut self, event: &WatchEvent, ctx: &mut Ctx<'_, WorldEvent>) {
-        if event.watcher != self.state_lease.session {
+        if event.watcher != self.watcher {
             return;
         }
         let Some(server) = paths::parse_server(&event.path) else {
             return;
         };
-        self.zk.watch_exists(self.state_lease.session, &event.path);
+        self.zk.watch_exists(self.watcher, &event.path);
         if event.kind == WatchKind::Deleted && !self.zk.exists(&event.path) {
             // A dead server's drain can never finish; discard it.
             self.tc.server_lost(server);
@@ -777,20 +759,12 @@ impl SimWorld {
         };
         host.serving = true;
         host.down_since = None;
-        let mut events = Vec::new();
-        if !self.zk.session_alive(host.zk_session) {
-            let session = self.zk.connect();
-            host.zk_session = session;
-            if let Ok((_, ev)) = self.zk.create(
-                session,
-                &paths::server_node(server),
-                Vec::new(),
-                CreateMode::Ephemeral,
-            ) {
-                events = ev;
+        if host.lease.is_none() {
+            if let Ok((lease, events)) = ServerLease::register(&mut self.zk, server) {
+                host.lease = Some(lease);
+                self.dispatch_zk_events(events, ctx);
             }
         }
-        self.dispatch_zk_events(events, ctx);
         if detected_down {
             self.orch.server_up(server);
             self.orch.run_emergency();
@@ -1104,16 +1078,6 @@ impl World for SimWorld {
             }
             WorldEvent::MapFlush => {
                 self.map_flush_scheduled = false;
-                // Persist the orchestrator's durable state to ZooKeeper
-                // (§3.2), fenced by the znode version (§6.2): a control
-                // plane that lost its session or was superseded gets an
-                // error and degrades instead of clobbering the new
-                // incumbent's state.
-                let snap = self.orch.snapshot();
-                match self.state_lease.write(&mut self.zk, "/sm/state", snap) {
-                    Ok(events) => self.dispatch_zk_events(events, ctx),
-                    Err(_) => self.fenced_writes += 1,
-                }
                 self.publish_current_map(ctx);
             }
             WorldEvent::Bootstrap => {
@@ -1136,18 +1100,19 @@ impl World for SimWorld {
                 }
             }
             WorldEvent::SessionCheck { server, down_since } => {
-                let still_down = self
+                // Only a server down ever since `down_since` loses its
+                // session.
+                let lease = self
                     .servers
-                    .get(&server)
-                    .map(|h| !h.serving && h.down_since == Some(down_since))
-                    .unwrap_or(false);
-                if still_down {
+                    .get_mut(&server)
+                    .filter(|h| !h.serving && h.down_since == Some(down_since))
+                    .and_then(|h| h.lease.take());
+                if let Some(lease) = lease {
                     // Expire the session; the ephemeral's deletion
                     // notifies the control plane's watch, and the
                     // delivered event — not this code — marks the
                     // server down.
-                    let session = self.servers[&server].zk_session;
-                    let events = self.zk.expire_session(session);
+                    let events = lease.expire(&mut self.zk);
                     self.dispatch_zk_events(events, ctx);
                 }
             }
@@ -1220,7 +1185,10 @@ impl World for SimWorld {
                     cm.recover_all_machines();
                 }
                 for s in affected {
-                    self.bring_server_up(s, true, ctx);
+                    // A server whose loss was never detected still holds
+                    // its shards in the orchestrator's view: reconcile.
+                    let detected = !self.orch.server_alive(s);
+                    self.bring_server_up(s, detected, ctx);
                 }
                 // Rebalance soon to move preferred shards home.
                 ctx.schedule_in(SimDuration::from_secs(5), WorldEvent::PeriodicAlloc);
@@ -1274,52 +1242,6 @@ impl World for SimWorld {
                     }
                 }
             }
-            WorldEvent::ControlPlaneFailover => {
-                // The incumbent dies: expire its session (dropping its
-                // watches — an expired control plane hears nothing) and
-                // start the standby on a fresh lease. The standby's
-                // first fenced write adopts the znode's current
-                // version, which permanently fences the incumbent.
-                let events = self.zk.expire_session(self.state_lease.session);
-                self.dispatch_zk_events(events, ctx);
-                self.state_lease = ZkLease::new(&mut self.zk);
-                let watch_session = self.state_lease.session;
-                for &sid in self.servers.keys() {
-                    self.zk
-                        .watch_exists(watch_session, &paths::server_node(sid));
-                }
-                let mut standby =
-                    Orchestrator::new(self.app, self.cfg.policy.clone(), self.orch_cfg.clone());
-                for (&sid, host) in &self.servers {
-                    standby.register_server(sid, host.location, host.capacity);
-                }
-                let restored = match self.zk.get("/sm/state") {
-                    Ok((snap, _)) => standby.restore(&snap).is_ok(),
-                    Err(_) => false,
-                };
-                if !restored {
-                    // Nothing (or garbage) persisted: rebuild the shard
-                    // list from configuration and re-place from scratch
-                    // rather than dying on a corrupt snapshot.
-                    standby.register_shards((0..self.cfg.shards).map(ShardId));
-                }
-                // Reconcile reality: servers that died while (or before)
-                // the takeover are processed like fresh failures.
-                let dead: Vec<ServerId> = self
-                    .servers
-                    .iter()
-                    .filter(|(_, h)| !h.serving)
-                    .map(|(&s, _)| s)
-                    .collect();
-                for s in dead {
-                    standby.server_down(s);
-                }
-                self.orch = standby;
-                // A fresh emergency run places anything the old
-                // incumbent still had in flight.
-                self.orch.run_emergency();
-                self.flush_orch(ctx);
-            }
             WorldEvent::Sample => {
                 let rate = if self.window_total == 0 {
                     1.0
@@ -1328,14 +1250,9 @@ impl World for SimWorld {
                 };
                 self.trace.record("success_rate", now, rate);
                 self.trace.record("err_rate", now, 1.0 - rate);
-                // A control-plane failover resets the counter, so the
-                // delta saturates rather than underflows.
                 let moves = self.orch.stats().completed_moves;
-                self.trace.record(
-                    "moves",
-                    now,
-                    moves.saturating_sub(self.moves_at_last_sample) as f64,
-                );
+                let delta = moves - self.moves_at_last_sample;
+                self.trace.record("moves", now, delta as f64);
                 self.moves_at_last_sample = moves;
                 self.window_ok = 0;
                 self.window_total = 0;

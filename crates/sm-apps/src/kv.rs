@@ -75,8 +75,6 @@ pub struct KvServer {
     host: ShardHost<Cache>,
     spec: Rc<ShardingSpec>,
     external: Rc<std::cell::RefCell<ExternalStore>>,
-    /// Requests served (for synthetic load reporting).
-    served: u64,
 }
 
 impl KvServer {
@@ -91,7 +89,6 @@ impl KvServer {
             host: ShardHost::default(),
             spec,
             external,
-            served: 0,
         }
     }
 
@@ -114,14 +111,12 @@ impl KvServer {
 
     /// Serves a get; the caller must have admitted the request.
     // sm-lint: hot-path
-    pub fn get(&mut self, shard: ShardId, key: &AppKey) -> Option<&[u8]> {
-        self.served += 1;
+    pub fn get(&self, shard: ShardId, key: &AppKey) -> Option<&[u8]> {
         self.host.data(shard)?.get(key).map(Vec::as_slice)
     }
 
     /// Serves a put: writes through to the external store and the cache.
     pub fn put(&mut self, shard: ShardId, key: AppKey, value: Vec<u8>) {
-        self.served += 1;
         self.external.borrow_mut().put(key.clone(), value.clone());
         match self.host.data_mut(shard) {
             Some(cache) => {
@@ -133,8 +128,7 @@ impl KvServer {
 
     /// Serves a prefix scan over one hosted shard, returning matching
     /// pairs in key order.
-    pub fn prefix_scan(&mut self, shard: ShardId, prefix: &[u8]) -> Vec<(AppKey, Vec<u8>)> {
-        self.served += 1;
+    pub fn prefix_scan(&self, shard: ShardId, prefix: &[u8]) -> Vec<(AppKey, Vec<u8>)> {
         // Keys with the prefix are contiguous, from the prefix itself on.
         self.host
             .data(shard)

@@ -229,60 +229,64 @@ impl PartitionRegistry {
         }
         out.into_bytes()
     }
-
-    /// Restores a registry from [`snapshot`](Self::snapshot) bytes,
-    /// replacing all current state. Per-mini-SM partition lists are
-    /// rebuilt from the `assign` lines.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SmError> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| SmError::InvalidArgument("registry snapshot is not UTF-8".into()))?;
-        let mut lines = text.lines();
-        if lines.next() != Some("smreg v1") {
-            return Err(SmError::InvalidArgument(
-                "registry snapshot missing 'smreg v1' header".into(),
-            ));
-        }
-        let bad =
-            |line: &str| SmError::InvalidArgument(format!("malformed registry line: {line:?}"));
-        let mut mini_sms: BTreeMap<MiniSmId, MiniSmInfo> = BTreeMap::new();
-        let mut assignment: BTreeMap<PartitionId, MiniSmId> = BTreeMap::new();
-        for line in lines {
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            match fields.as_slice() {
-                ["caps", srv, rep, next] => {
-                    self.max_servers_per_minism = srv.parse().map_err(|_| bad(line))?;
-                    self.max_replicas_per_minism = rep.parse().map_err(|_| bad(line))?;
-                    self.next_minism = next.parse().map_err(|_| bad(line))?;
-                }
-                ["minism", id, servers, replicas] => {
-                    let id = MiniSmId(id.parse().map_err(|_| bad(line))?);
-                    let info = mini_sms.entry(id).or_default();
-                    info.servers = servers.parse().map_err(|_| bad(line))?;
-                    info.replicas = replicas.parse().map_err(|_| bad(line))?;
-                }
-                ["assign", partition, minism] => {
-                    let partition = PartitionId(partition.parse().map_err(|_| bad(line))?);
-                    let minism = MiniSmId(minism.parse().map_err(|_| bad(line))?);
-                    mini_sms
-                        .entry(minism)
-                        .or_default()
-                        .partitions
-                        .push(partition);
-                    assignment.insert(partition, minism);
-                }
-                [] => {}
-                _ => return Err(bad(line)),
-            }
-        }
-        self.mini_sms = mini_sms;
-        self.assignment = assignment;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reader of [`PartitionRegistry::snapshot`]'s format, kept
+    /// to prove the format round-trips.
+    impl PartitionRegistry {
+        /// Restores a registry from [`snapshot`](Self::snapshot) bytes,
+        /// replacing all current state. Per-mini-SM partition lists are
+        /// rebuilt from the `assign` lines.
+        fn restore(&mut self, bytes: &[u8]) -> Result<(), SmError> {
+            let text = std::str::from_utf8(bytes)
+                .map_err(|_| SmError::InvalidArgument("registry snapshot is not UTF-8".into()))?;
+            let mut lines = text.lines();
+            if lines.next() != Some("smreg v1") {
+                return Err(SmError::InvalidArgument(
+                    "registry snapshot missing 'smreg v1' header".into(),
+                ));
+            }
+            let bad =
+                |line: &str| SmError::InvalidArgument(format!("malformed registry line: {line:?}"));
+            let mut mini_sms: BTreeMap<MiniSmId, MiniSmInfo> = BTreeMap::new();
+            let mut assignment: BTreeMap<PartitionId, MiniSmId> = BTreeMap::new();
+            for line in lines {
+                let fields: Vec<&str> = line.split_whitespace().collect();
+                match fields.as_slice() {
+                    ["caps", srv, rep, next] => {
+                        self.max_servers_per_minism = srv.parse().map_err(|_| bad(line))?;
+                        self.max_replicas_per_minism = rep.parse().map_err(|_| bad(line))?;
+                        self.next_minism = next.parse().map_err(|_| bad(line))?;
+                    }
+                    ["minism", id, servers, replicas] => {
+                        let id = MiniSmId(id.parse().map_err(|_| bad(line))?);
+                        let info = mini_sms.entry(id).or_default();
+                        info.servers = servers.parse().map_err(|_| bad(line))?;
+                        info.replicas = replicas.parse().map_err(|_| bad(line))?;
+                    }
+                    ["assign", partition, minism] => {
+                        let partition = PartitionId(partition.parse().map_err(|_| bad(line))?);
+                        let minism = MiniSmId(minism.parse().map_err(|_| bad(line))?);
+                        mini_sms
+                            .entry(minism)
+                            .or_default()
+                            .partitions
+                            .push(partition);
+                        assignment.insert(partition, minism);
+                    }
+                    [] => {}
+                    _ => return Err(bad(line)),
+                }
+            }
+            self.mini_sms = mini_sms;
+            self.assignment = assignment;
+            Ok(())
+        }
+    }
 
     fn servers(n: u32) -> Vec<ServerId> {
         (0..n).map(ServerId).collect()

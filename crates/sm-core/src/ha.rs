@@ -97,7 +97,10 @@ pub mod paths {
 
 /// Creates the persistent base directories if they do not exist yet,
 /// returning any watch events the creations fired.
-pub fn ensure_base(zk: &mut ZkStore, session: SessionId) -> Result<Vec<WatchEvent>, SmError> {
+pub(crate) fn ensure_base(
+    zk: &mut ZkStore,
+    session: SessionId,
+) -> Result<Vec<WatchEvent>, SmError> {
     let mut events = Vec::new();
     for path in [paths::SM, paths::PARTITIONS, paths::MINISMS, paths::SERVERS] {
         if !zk.exists(path) {
@@ -934,6 +937,34 @@ mod tests {
         for p in &r.partitions {
             assert_ne!(r.cp.registry.minism_of(p.id), Some(dead));
         }
+    }
+
+    #[test]
+    fn a_server_lost_after_a_takeover_is_repaired_by_the_new_owner() {
+        let mut r = rig(8, 32);
+        let victim = ServerId(3);
+        let part = r
+            .partitions
+            .iter()
+            .find(|p| p.servers.contains(&victim))
+            .map(|p| p.id)
+            .expect("victim's partition");
+        let owner = r.cp.registry.minism_of(part).expect("owned");
+        let events = r.cp.crash_minism(&mut r.zk, owner);
+        deliver(&mut r, events);
+        settle(&mut r);
+        assert_ne!(r.cp.registry.minism_of(part), Some(owner));
+        // The new owner, not the dead one, hears the server's loss.
+        let lease = r.servers.remove(&victim).expect("registered");
+        let events = lease.expire(&mut r.zk);
+        deliver(&mut r, events);
+        settle(&mut r);
+        assert!(r.cp.fully_placed(), "unplaced: {:?}", r.cp.unplaced());
+        let orch = r.cp.orchestrator(part).expect("new owner");
+        assert!(orch.shards_on(victim).is_empty(), "victim still assigned");
+        let s = r.cp.stats();
+        assert_eq!(s.failovers, 1, "{s:?}");
+        assert!(s.snapshot_restores > 0, "{s:?}");
     }
 
     #[test]

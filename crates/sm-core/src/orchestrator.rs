@@ -837,10 +837,10 @@ impl Orchestrator {
 
     /// Serializes the orchestrator's durable state — the assignment,
     /// desired replica counts, and map version — in a compact
-    /// line-oriented format. The production system stores this in
-    /// ZooKeeper so that a standby replica of the control plane can
-    /// take over ([`Self::restore`]) and application servers can
-    /// bootstrap their assignment without the control plane.
+    /// line-oriented format. [`crate::ha::HaControlPlane`] stores this
+    /// in ZooKeeper so that a standby mini-SM can take over, and
+    /// application servers can bootstrap their assignment without the
+    /// control plane.
     pub fn snapshot(&self) -> Vec<u8> {
         use std::fmt::Write as _;
         let mut out = String::from("smorch v1\n");
@@ -864,7 +864,7 @@ impl Orchestrator {
     /// freshly constructed orchestrator (servers must be registered by
     /// the caller, as in a normal start-up). Replaces the shard list
     /// and assignment wholesale and forgets everything in flight.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SmError> {
+    pub(crate) fn restore(&mut self, bytes: &[u8]) -> Result<(), SmError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|e| SmError::InvalidArgument(format!("snapshot not utf-8: {e}")))?;
         let mut lines = text.lines();

@@ -90,41 +90,42 @@ impl Fault {
     }
 }
 
-/// Shape of a chaos schedule.
+/// Shape of a chaos schedule, built by [`FaultPlanConfig::covering`] or
+/// [`FaultProfile::config`].
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPlanConfig {
     /// RNG seed; the plan is a pure function of this config.
-    pub seed: u64,
+    seed: u64,
     /// Number of application servers (indices `0..n_servers`).
-    pub n_servers: u32,
+    n_servers: u32,
     /// Number of mini-SMs (indices `0..n_minisms`).
-    pub n_minisms: u32,
+    n_minisms: u32,
     /// Faults start no earlier than this (let the world bootstrap).
-    pub start: SimTime,
+    start: SimTime,
     /// Faults are injected within `[start, start + window)`; recoveries
     /// may land up to one `downtime` past the window.
-    pub window: SimDuration,
+    window: SimDuration,
     /// How long a crashed/expired entity stays down before recovery.
-    pub downtime: SimDuration,
+    downtime: SimDuration,
     /// Server crashes to inject.
-    pub server_crashes: u32,
+    server_crashes: u32,
     /// Bare session expiries to inject (process survives). At least
     /// 10% of servers is the chaos harness's acceptance floor.
-    pub session_expiries: u32,
+    session_expiries: u32,
     /// Symmetric partitions to inject (each paired with a heal).
-    pub partitions: u32,
+    partitions: u32,
     /// Asymmetric (outbound-blocked) partitions to inject.
-    pub asym_partitions: u32,
+    asym_partitions: u32,
     /// How long each partition stays up before its heal. Must exceed
     /// the embedding world's ZK session timeout for the partition to
     /// exercise the full expiry → failover → re-register cycle.
-    pub partition_downtime: SimDuration,
+    partition_downtime: SimDuration,
     /// Degradation windows to inject (each paired with a heal).
-    pub degrade_windows: u32,
+    degrade_windows: u32,
     /// Message drop probability during a degradation window (percent).
-    pub drop_pct: u8,
+    drop_pct: u8,
     /// Message duplication probability during a window (percent).
-    pub dup_pct: u8,
+    dup_pct: u8,
 }
 
 impl FaultPlanConfig {

@@ -39,6 +39,9 @@ printf '%s\n' "$report" | grep -E '^ *"(unwaived|waived)":'
 step "world golden (seeded traces of every kit world and the figure world, byte-identical)"
 cargo test --release --test world_golden -q
 
+step "figure gates of the figure world (Figs 17-19, normally --ignored)"
+cargo test --release -q -p sm-bench --test figs -- --ignored fig17 fig18 fig19
+
 step "chaos gate (control-plane fault tolerance)"
 cargo test --test chaos -q
 

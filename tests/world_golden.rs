@@ -7,10 +7,11 @@
 //! rendered stats and net counters, and convergence outcome. The
 //! digests were recorded at the commit *before* the three worlds moved
 //! onto `sm_apps::kit`. The figure world (`SimWorld`, which Figs 17–20
-//! run) is pinned the same way over its trace CSV, its stats, the
-//! orchestrator's stats and its fenced writes, one cell per app. A
-//! refactor of the worlds, the kit or the apps must leave every digest
-//! unchanged. A deliberate behaviour change re-records them (run with
+//! run) is pinned the same way over its trace CSV, its stats and the
+//! orchestrator's stats: one upgrade cell per app, and one geo cell
+//! with a region outage shorter than failure detection and one longer.
+//! A refactor of the worlds, the kit or the apps must leave every
+//! digest unchanged. A deliberate behaviour change re-records them (run with
 //! `--nocapture`: each mismatch prints the new value) and says so in
 //! its PR.
 
@@ -137,9 +138,26 @@ fn split_smoke_grid_is_unchanged() {
     check::<Split>("split", &cells);
 }
 
-/// One figure-world run: a canary wave, a rolling upgrade and a crash
-/// on 8 servers × 96 shards.
-fn figure_world_digest(app: AppKind, policy: Option<AppPolicy>) -> u64 {
+/// One figure-world run of `script` (seconds, event) up to `until`
+/// seconds, digested over its trace CSV, its stats and the
+/// orchestrator's stats.
+fn figure_world_digest(cfg: ExperimentConfig, script: Vec<(u64, WorldEvent)>, until: u64) -> u64 {
+    let mut sim = SimWorld::primed(cfg);
+    for (secs, event) in script {
+        sim.schedule_at(SimTime::from_secs(secs), event);
+    }
+    sim.run_until(SimTime::from_secs(until));
+    let w = sim.world();
+    fnv1a64(&[
+        &w.trace.to_csv(10),
+        &format!("{:?}", w.stats),
+        &format!("{:?}", w.orchestrator().stats()),
+    ])
+}
+
+/// A canary wave, a rolling upgrade and a crash on 8 servers × 96
+/// shards.
+fn upgrade_digest(app: AppKind, policy: Option<AppPolicy>) -> u64 {
     let mut cfg = ExperimentConfig::single_region(8, 96);
     cfg.app = app;
     if let Some(policy) = policy {
@@ -147,41 +165,55 @@ fn figure_world_digest(app: AppKind, policy: Option<AppPolicy>) -> u64 {
     }
     cfg.clients_per_region = 3;
     cfg.policy.max_concurrent_container_ops = 2;
-    let mut sim = SimWorld::primed(cfg);
     let region = RegionId(0);
-    let script = [
+    let script = vec![
         (40, WorldEvent::CanaryRestart { region, count: 2 }),
         (100, WorldEvent::StartUpgrade { region, version: 2 }),
         (250, WorldEvent::ServerCrash(ServerId(5))),
     ];
-    for (secs, event) in script {
-        sim.schedule_at(SimTime::from_secs(secs), event);
-    }
-    sim.run_until(SimTime::from_secs(450));
-    let w = sim.world();
-    fnv1a64(&[
-        &w.trace.to_csv(10),
-        &format!("{:?}", w.stats),
-        &format!("{:?}", w.orchestrator().stats()),
-        &w.fenced_writes.to_string(),
-    ])
+    figure_world_digest(cfg, script, 450)
+}
+
+/// Three regions of 4 servers × 60 shards and 20 s failure detection.
+/// Region 0 is down for 5 s, so the control plane never sees the loss
+/// and reconciles its servers; region 1 is down for 200 s, so its loss
+/// is detected and repaired.
+fn geo_outages_digest() -> u64 {
+    let mut cfg = ExperimentConfig::three_region_geo(4, 60);
+    cfg.clients_per_region = 3;
+    cfg.request_rate = 4.0;
+    let script = vec![
+        (90, WorldEvent::RegionFail(RegionId(0))),
+        (95, WorldEvent::RegionRecover(RegionId(0))),
+        (200, WorldEvent::RegionFail(RegionId(1))),
+        (400, WorldEvent::RegionRecover(RegionId(1))),
+    ];
+    figure_world_digest(cfg, script, 600)
 }
 
 #[test]
 fn figure_world_cells_are_unchanged() {
+    let primary_secondary = Some(AppPolicy::primary_secondary(1));
     let cells = [
-        ("kv", AppKind::Kv, None, 0x9c9e_8cd5_ca0c_010a_u64),
-        ("queue", AppKind::Queue, None, 0xbfa4_8525_82ba_9615),
+        (
+            "kv",
+            upgrade_digest(AppKind::Kv, None),
+            0x74f9_636f_3451_33ca,
+        ),
+        (
+            "queue",
+            upgrade_digest(AppKind::Queue, None),
+            0xdfb1_e792_9ee3_453d,
+        ),
         (
             "queue primary-secondary",
-            AppKind::Queue,
-            Some(AppPolicy::primary_secondary(1)),
-            0xa8f1_bf67_64a0_e5d3,
+            upgrade_digest(AppKind::Queue, primary_secondary),
+            0x99fe_bb4c_e6bd_fcab,
         ),
+        ("geo outages", geo_outages_digest(), 0x56d8_d352_c4f3_3c46),
     ];
     let mut drifted = Vec::new();
-    for (name, app, policy, want) in cells {
-        let got = figure_world_digest(app, policy);
+    for (name, got, want) in cells {
         if got != want {
             println!("figure world {name}: recorded 0x{want:016x}, now 0x{got:016x}");
             drifted.push(format!("{name}: 0x{want:016x} -> 0x{got:016x}"));
