@@ -32,7 +32,7 @@
 //!   write-tag machinery (a lost write surfaces as a stale read).
 //!
 //! The documented mutation switch ([`ReconfigConfig::single_step`])
-//! replaces joint changes with unsafe single-step membership swaps;
+//! replaces joint changes with unsound single-step membership swaps;
 //! `tests/reconfig.rs` proves the oracle catches the corruption. The
 //! whole run is a pure function of `(config, plan)`: same seed and
 //! plan, identical verdict and stats.
@@ -85,7 +85,7 @@ pub struct ReconfigConfig {
     /// Fault-plan profile.
     pub profile: FaultProfile,
     /// DST mutation switch: replace joint membership changes with
-    /// unsafe single-step swaps. Never set outside `tests/reconfig.rs`
+    /// unsound single-step swaps. Never set outside `tests/reconfig.rs`
     /// and the swarm's `--mutate` — it exists to prove
     /// `ReplicaSetAgreement` has teeth.
     pub single_step: bool,

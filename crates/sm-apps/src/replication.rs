@@ -173,7 +173,7 @@ pub struct ReplicationGroup<Id: Ord + Copy> {
     /// log with no config entries implies.
     bootstrap: BTreeSet<Id>,
     /// DST mutation switch: when true, `begin_reconfig` swaps the voter
-    /// set in one unsafe step (no joint phase). Exists only to prove
+    /// set in one unsound step (no joint phase). Exists only to prove
     /// the oracle catches the resulting violations.
     single_step: bool,
     /// Entries shipped by `replicate_to` (perf regression counter: a
@@ -1222,7 +1222,7 @@ mod tests {
 
     #[test]
     fn single_step_mutation_loses_an_acked_write() {
-        // The documented unsafety the joint phase exists to prevent —
+        // The documented unsoundness the joint phase exists to prevent —
         // and the scenario the DST oracle must catch when the mutation
         // switch is on. 1,2,3 swaps straight to 3,4,5.
         let mut g = group3();

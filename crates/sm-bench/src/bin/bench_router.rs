@@ -8,10 +8,12 @@
 //! numbers (a conservative single-thread lookups/sec floor always, the
 //! multi-core speedup only when the recording host had ≥ 8 cores).
 //!
-//! Real threads, deliberately: the epoch-swap cell's read side is the
-//! thing being measured, and a deterministic scheduler cannot contend
-//! on it. No RNG is used — keys come from a Weyl sequence — so the
-//! workload itself is identical run to run; only the timings vary.
+//! Real threads, deliberately: each handle's cache check, and its
+//! refresh under the router's read lock while a writer stores new
+//! versions, are the things being measured, and a deterministic
+//! scheduler cannot contend on them. No RNG is used — keys come from a
+//! Weyl sequence — so the workload itself is identical run to run; only
+//! the timings vary.
 
 use sm_routing::ConcurrentRouter;
 use sm_types::{AppId, AppKey, Assignment, ReplicaRole, ServerId, ShardId, ShardMap, ShardingSpec};
@@ -61,7 +63,7 @@ fn routed_map() -> ShardMap {
 }
 
 /// One storm-app map version (small on purpose — the cost under test
-/// is the readers' epoch-swap refresh, not map construction).
+/// is the readers' cache refresh, not map construction).
 fn storm_map(version: u64) -> ShardMap {
     let mut a = Assignment::new();
     for s in 0..STORM_SHARDS {
@@ -89,7 +91,7 @@ fn router() -> Arc<ConcurrentRouter> {
 
 /// `lookups` routes on one handle; returns (wall seconds, xor sink).
 fn run_reader(router: &Arc<ConcurrentRouter>, keys: &[AppKey], lookups: u64) -> (f64, u64) {
-    let mut handle = router.handle().expect("reader slot");
+    let mut handle = router.handle().expect("a handle");
     let mut sink = 0u64;
     let start = Instant::now();
     for i in 0..lookups {
@@ -147,7 +149,7 @@ fn install_storm(router: &Arc<ConcurrentRouter>, keys: &[AppKey]) -> Vec<u64> {
         let mut readers = Vec::new();
         for _ in 0..STORM_READERS {
             readers.push(scope.spawn(|| {
-                let mut handle = router.handle().expect("reader slot");
+                let mut handle = router.handle().expect("a handle");
                 let mut local: Vec<u64> = Vec::with_capacity(65_536);
                 let mut sink = 0u64;
                 let mut i = 0u64;

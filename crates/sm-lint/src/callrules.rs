@@ -49,7 +49,8 @@ fn p1_root(f: &FnNode) -> bool {
 pub(crate) const D5_CRATES: [&str; 3] = ["sm-sim", "sm-solver", "sm-apps"];
 
 /// Crates whose `// sm-lint: hot-path` fns must not transitively
-/// acquire a lock (R4) — the request plane's lock-free read side.
+/// acquire a lock (R4) — the request plane's per-route work, which
+/// takes no lock while a handle's kernel is current.
 pub(crate) const R4_CRATES: [&str; 3] = ["sm-routing", "sm-types", "sm-apps"];
 
 /// Output of the graph rules.

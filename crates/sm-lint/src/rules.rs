@@ -64,9 +64,10 @@ pub enum RuleId {
     /// `// sm-lint: hot-path` in a request-plane crate (`sm-routing`,
     /// `sm-types`, `sm-apps`) must not reach a `Mutex`/`RwLock` acquisition
     /// (`.lock()` / `.read()` / `.write()`) through workspace calls —
-    /// the concurrent router's read side is advertised as lock-free,
-    /// and this rule is what keeps that claim honest as the code
-    /// evolves. The report prints the shortest marked-fn → lock chain.
+    /// a route takes no lock while its handle's kernel is current, and
+    /// this rule, over the kernel's and the hosts' marked fns, keeps
+    /// that claim honest as the code evolves. The report prints the
+    /// shortest marked-fn → lock chain.
     R4,
     /// Transitive wall-clock / entropy reach (call-graph rule): a
     /// non-test fn in a deterministic crate (`sm-sim`, `sm-solver`,

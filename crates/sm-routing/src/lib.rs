@@ -16,9 +16,10 @@
 //! allocation-free form of one app's spec + shard map, built once per
 //! published version; whoever holds a kernel routes by it (primary
 //! first, round robin over secondaries, or nearest replica). One
-//! front-end shares kernels: [`ConcurrentRouter`] / [`RouterHandle`]
-//! keep one epoch-swapped kernel set for N real threads with zero
-//! read-side locks (see DESIGN.md, "Request-plane throughput").
+//! front-end shares kernels: [`ConcurrentRouter`] keeps one kernel per
+//! app for N real threads, and each thread's [`RouterHandle`] routes
+//! from its own cache of them, taking no lock while its kernel is
+//! current (see DESIGN.md, "Request-plane throughput").
 
 pub mod concurrent;
 pub mod discovery;

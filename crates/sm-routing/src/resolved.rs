@@ -19,7 +19,7 @@
 //!
 //! Every route in the repository is this kernel's: the simulated
 //! clients of the DES worlds hold the kernel their publisher built, and
-//! [`crate::ConcurrentRouter`] (epoch-swapped, shared by N threads)
+//! [`crate::ConcurrentRouter`] (shared by N threads, cached per handle)
 //! hands its handles the same type, so the deterministic oracles
 //! exercise the exact code the throughput bench measures.
 
@@ -91,7 +91,7 @@ fn fuse(table: &DenseShardTable, ranges: impl Iterator<Item = (ShardId, bool)>) 
 }
 
 /// One app's sharding spec and shard map, resolved into flat sorted
-/// columns for allocation-free, lock-free-read routing.
+/// columns for allocation-free, lock-free routing.
 #[derive(Clone, Debug, Default)]
 pub struct ResolvedMap {
     /// The shard-map version this kernel was built from.

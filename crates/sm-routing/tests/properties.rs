@@ -217,7 +217,7 @@ fn router_always_agrees_with_latest_discovery_map() {
     discovery.subscribe();
     let shared = Arc::new(ConcurrentRouter::new());
     shared.register_app(APP, ShardingSpec::uniform_u64(n_shards));
-    let mut router = shared.handle().expect("slot");
+    let mut router = shared.handle().expect("a handle");
 
     let ks = keys(&mut rng, 200);
     let mut version = 0u64;
@@ -263,7 +263,7 @@ fn out_of_order_delivery_converges_to_latest() {
     let mut rng = SimRng::seeded(0x0000_00ff);
     let shared = Arc::new(ConcurrentRouter::new());
     shared.register_app(APP, ShardingSpec::uniform_u64(n_shards));
-    let mut router = shared.handle().expect("slot");
+    let mut router = shared.handle().expect("a handle");
     let mut versions: Vec<u64> = (1..=12).collect();
     // Seeded Fisher-Yates shuffle.
     for i in (1..versions.len()).rev() {

@@ -1,10 +1,12 @@
 //! Application policies and configuration.
 //!
-//! An [`AppPolicy`] captures everything an application owner configures
-//! when onboarding onto Shard Manager: the replication mode (§2.2.3),
-//! deployment mode (§2.2.2), drain policy for planned events (§2.2.5),
-//! load-balancing policy (§2.2.4), availability caps enforced by the
-//! TaskController (§4.1), and placement preferences (§5.1).
+//! An [`AppPolicy`] captures what Shard Manager reads of an application
+//! owner's configuration: the replication mode (§2.2.3), drain policy
+//! for planned events (§2.2.5), load-balancing policy (§2.2.4),
+//! availability caps enforced by the TaskController (§4.1), and
+//! placement preferences (§5.1). [`DeploymentMode`] (§2.2.2) and
+//! [`DataPersistency`] (§2.4) describe applications for the census; SM's
+//! behaviour branches on neither.
 
 use crate::ids::{RegionId, ShardId};
 use crate::load::{Metric, MetricId};
@@ -105,13 +107,11 @@ pub enum DataPersistency {
     Persistent,
 }
 
-/// Everything an application configures when adopting SM.
+/// What SM reads of an application's configuration.
 #[derive(Clone, Debug)]
 pub struct AppPolicy {
     /// Replication mode.
     pub replication: ReplicationMode,
-    /// Regional or geo-distributed deployment.
-    pub deployment: DeploymentMode,
     /// Drain policy for primary replicas on planned restarts.
     pub drain_primary: DrainPolicy,
     /// Drain policy for secondary replicas on planned restarts.
@@ -125,8 +125,6 @@ pub struct AppPolicy {
     /// Per-shard regional placement preferences with weights
     /// (§5.1 soft goal 1). Shards not listed have no preference.
     pub region_preferences: BTreeMap<ShardId, (RegionId, f64)>,
-    /// Data-persistency option (§2.4), for census reporting.
-    pub persistency: DataPersistency,
 }
 
 impl AppPolicy {
@@ -135,14 +133,12 @@ impl AppPolicy {
     pub fn primary_only() -> Self {
         Self {
             replication: ReplicationMode::PrimaryOnly,
-            deployment: DeploymentMode::GeoDistributed,
             drain_primary: DrainPolicy::Drain,
             drain_secondary: DrainPolicy::NoDrain,
             load_balance: LoadBalancePolicy::ShardCount,
             max_concurrent_container_ops: 1,
             max_unavailable_replicas_per_shard: 0,
             region_preferences: BTreeMap::new(),
-            persistency: DataPersistency::SoftState,
         }
     }
 
@@ -151,7 +147,6 @@ impl AppPolicy {
     pub fn primary_secondary(secondaries: u32) -> Self {
         Self {
             replication: ReplicationMode::PrimarySecondary { secondaries },
-            deployment: DeploymentMode::GeoDistributed,
             drain_primary: DrainPolicy::Drain,
             drain_secondary: DrainPolicy::NoDrain,
             load_balance: LoadBalancePolicy::MultiMetric(vec![
@@ -162,7 +157,6 @@ impl AppPolicy {
             max_concurrent_container_ops: 2,
             max_unavailable_replicas_per_shard: 1,
             region_preferences: BTreeMap::new(),
-            persistency: DataPersistency::Persistent,
         }
     }
 
@@ -170,14 +164,12 @@ impl AppPolicy {
     pub fn secondary_only(replicas: u32) -> Self {
         Self {
             replication: ReplicationMode::SecondaryOnly { replicas },
-            deployment: DeploymentMode::GeoDistributed,
             drain_primary: DrainPolicy::NoDrain,
             drain_secondary: DrainPolicy::NoDrain,
             load_balance: LoadBalancePolicy::ShardCount,
             max_concurrent_container_ops: 2,
             max_unavailable_replicas_per_shard: 1,
             region_preferences: BTreeMap::new(),
-            persistency: DataPersistency::SoftState,
         }
     }
 }
@@ -231,6 +223,5 @@ mod tests {
 
         let z = AppPolicy::primary_secondary(2);
         assert_eq!(z.replication.replicas_per_shard(), 3);
-        assert_eq!(z.persistency, DataPersistency::Persistent);
     }
 }

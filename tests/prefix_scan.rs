@@ -60,7 +60,7 @@ fn prefix_scan_spans_shards_and_returns_everything_in_order() {
     let shared = Arc::new(ConcurrentRouter::new());
     shared.register_app(APP, (*spec).clone());
     shared.install_map(APP, ShardMap::from_assignment(1, &assignment));
-    let mut router = shared.handle().expect("slot");
+    let mut router = shared.handle().expect("a handle");
 
     // Writes go to whichever server owns each key; "user:" keys span
     // the boundary between shards 1 and 2.
