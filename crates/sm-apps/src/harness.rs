@@ -748,12 +748,10 @@ impl SimWorld {
         // container comes back.
     }
 
-    fn bring_server_up(
-        &mut self,
-        server: ServerId,
-        detected_down: bool,
-        ctx: &mut Ctx<'_, WorldEvent>,
-    ) {
+    /// Serves from `server` again; whether the orchestrator saw it go
+    /// decides how it comes back.
+    fn bring_server_up(&mut self, server: ServerId, ctx: &mut Ctx<'_, WorldEvent>) {
+        let detected_down = !self.orch.server_alive(server);
         let Some(host) = self.servers.get_mut(&server) else {
             return;
         };
@@ -1090,10 +1088,9 @@ impl World for SimWorld {
                 if let Ok(ev) = cm.complete_op(op) {
                     if let sm_cluster::CmEvent::ContainerUp { container } = ev {
                         let server = ServerId(container.raw());
-                        let detected = !self.orch.server_alive(server);
                         self.orch.drain_finished(server);
                         self.tc.op_finished(region, op);
-                        self.bring_server_up(server, detected, ctx);
+                        self.bring_server_up(server, ctx);
                     } else {
                         self.tc.op_finished(region, op);
                     }
@@ -1185,10 +1182,7 @@ impl World for SimWorld {
                     cm.recover_all_machines();
                 }
                 for s in affected {
-                    // A server whose loss was never detected still holds
-                    // its shards in the orchestrator's view: reconcile.
-                    let detected = !self.orch.server_alive(s);
-                    self.bring_server_up(s, detected, ctx);
+                    self.bring_server_up(s, ctx);
                 }
                 // Rebalance soon to move preferred shards home.
                 ctx.schedule_in(SimDuration::from_secs(5), WorldEvent::PeriodicAlloc);
@@ -1237,8 +1231,7 @@ impl World for SimWorld {
                 }
                 if impact != MaintenanceImpact::FullMachineLoss {
                     for s in servers {
-                        let detected = !self.orch.server_alive(s);
-                        self.bring_server_up(s, detected, ctx);
+                        self.bring_server_up(s, ctx);
                     }
                 }
             }

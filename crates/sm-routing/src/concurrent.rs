@@ -18,9 +18,10 @@
 //! cache conservatively stale, never falsely fresh.
 //!
 //! What an install costs: a stale or duplicate version, a lock and a
-//! compare; a new one, one flat pass over the map and one over the
-//! ranges ([`ResolvedMap::with_map`]) — the spec's key columns stay, and
-//! the replaced map frees only the leaves nothing else reads. A full
+//! compare; a new one, one pass over the ranges beside the map's entries
+//! ([`ResolvedMap::with_map`]) — the spec's key columns stay, the kernel
+//! keeps the map itself (its spine, sharing every leaf), and the replaced
+//! map frees only the leaves nothing else reads. A full
 //! [`ResolvedMap::build`] is `register_app`'s and an app's first map's.
 //!
 //! Each handle also owns the per-thread route state the paper's client
@@ -37,7 +38,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 struct AppEntry {
     app: AppId,
     spec: Option<Arc<ShardingSpec>>,
-    raw: Option<Arc<ShardMap>>,
+    /// The kernel of the installed map, which holds that map.
     resolved: Option<Arc<ResolvedMap>>,
 }
 
@@ -88,9 +89,8 @@ impl ConcurrentRouter {
         let spec = Arc::new(spec);
         let mut entry = self.entry(app);
         entry.resolved = entry
-            .raw
-            .as_ref()
-            .map(|m| Arc::new(ResolvedMap::build(Some(&spec), m)));
+            .resolved
+            .map(|kernel| Arc::new(ResolvedMap::build(Some(&spec), kernel.map())));
         entry.spec = Some(spec);
         self.store(entry);
     }
@@ -98,8 +98,8 @@ impl ConcurrentRouter {
     /// Installs a shard map for `app`. An app that already has a kernel
     /// gets [`ResolvedMap::with_map`] of it — the kernel in place was
     /// resolved against `entry.spec`, which only `register_app` writes,
-    /// and that re-resolves — so an install re-reads the table and the
-    /// ranges' primaries and keeps the spec's key columns.
+    /// and that re-resolves — so an install re-reads the ranges'
+    /// primaries and keeps the spec's key columns.
     ///
     /// Returns `false` (and publishes nothing) when `app` already has a
     /// map at the same or a newer version — a stale or out-of-order
@@ -109,9 +109,9 @@ impl ConcurrentRouter {
         let _writer = self.writer_guard();
         let mut entry = self.entry(app);
         if entry
-            .raw
+            .resolved
             .as_ref()
-            .is_some_and(|held| map.version <= held.version)
+            .is_some_and(|held| map.version <= held.version())
         {
             return false;
         }
@@ -120,7 +120,6 @@ impl ConcurrentRouter {
             None => ResolvedMap::build(entry.spec.as_deref(), &map),
         };
         entry.resolved = Some(Arc::new(resolved));
-        entry.raw = Some(Arc::new(map));
         self.store(entry);
         true
     }
@@ -129,8 +128,8 @@ impl ConcurrentRouter {
     /// table — a convenience for tests and tooling, not the read path.
     pub fn map_version(&self, app: AppId) -> u64 {
         app_entry(&self.read_table(), app)
-            .and_then(|e| e.raw.as_ref())
-            .map_or(0, |m| m.version)
+            .and_then(|e| e.resolved.as_ref())
+            .map_or(0, |kernel| kernel.version())
     }
 
     /// Replaced kernels awaiting reclamation (diagnostics): always 0, as
@@ -157,7 +156,6 @@ impl ConcurrentRouter {
             .unwrap_or(AppEntry {
                 app,
                 spec: None,
-                raw: None,
                 resolved: None,
             })
     }

@@ -7,23 +7,27 @@
 //! what the search finds is one fused `RangeEntry` holding the
 //! range's shard and that shard's primary server. The common
 //! `route(key)` path is therefore **one** binary search plus one
-//! 16-byte read — no `BTreeMap` walk, no allocation, no locking. Only
-//! a shard without a primary goes on to the [`DenseShardTable`], which
-//! also serves shard → replica-set resolution.
+//! 16-byte read — no table walk, no allocation, no locking. Only a
+//! shard without a primary goes on to the [`ShardMap`] the kernel was
+//! resolved from, which also serves shard → replica-set resolution.
+//! The kernel holds that map itself: a copy of its spine, sharing every
+//! leaf with the publisher's.
 //!
 //! The start, prefix and end columns are the sharding spec's alone, so
 //! they are `Arc`s: [`ResolvedMap::build`] fills them when a spec is new,
 //! and [`ResolvedMap::with_map`] — every later version beside that spec
-//! — shares them and re-reads only the table (one flat pass over the
-//! map) and each range's 16-byte entry.
+//! — shares them and re-reads only each range's 16-byte entry.
 //!
-//! Every route in the repository is this kernel's: the simulated
+//! Every route in the repository but one is this kernel's: the simulated
 //! clients of the DES worlds hold the kernel their publisher built, and
 //! [`crate::ConcurrentRouter`] (shared by N threads, cached per handle)
 //! hands its handles the same type, so the deterministic oracles
-//! exercise the exact code the throughput bench measures.
+//! exercise the exact code the throughput bench measures. The one
+//! exception is the chaos world's `BTreeMap` of shard → primary: while a
+//! partition's mini-SM is down, its clients keep that partition's last
+//! entries, which no single map version holds.
 
-use sm_types::{AppKey, DenseShardTable, ServerId, ShardId, ShardMap, ShardingSpec, SmError};
+use sm_types::{AppKey, ServerId, ShardId, ShardMap, ShardMapEntry, ShardingSpec, SmError};
 use std::sync::Arc;
 
 /// Where a request should go.
@@ -39,7 +43,7 @@ pub struct RouteDecision {
 }
 
 /// Sentinel [`RangeEntry::primary`]: the map names no primary for the
-/// shard (or lacks the shard), so the route goes through the table. A
+/// shard (or lacks the shard), so the route goes through the map. A
 /// server with this very id takes that way too and gets the same answer.
 const NO_SERVER: u32 = u32::MAX;
 
@@ -69,18 +73,20 @@ fn prefix64(bytes: &[u8]) -> u64 {
     u64::from_be_bytes(out)
 }
 
-/// The fused entry of each `(shard, gap_after)` range against `table`.
-/// Ranges in key order mostly name shards in id order, so a range's slot
-/// is first looked for right after the previous one's.
-fn fuse(table: &DenseShardTable, ranges: impl Iterator<Item = (ShardId, bool)>) -> Vec<RangeEntry> {
-    let mut guess = 0;
+/// The fused entry of each `(shard, gap_after)` range against `map`.
+/// Ranges in key order mostly name shards in id order, so the map's
+/// entries are walked forward beside them; a range the walk does not
+/// meet is looked up. The walk decides what a range costs, never what
+/// its entry holds.
+fn fuse(map: &ShardMap, ranges: impl Iterator<Item = (ShardId, bool)>) -> Vec<RangeEntry> {
+    let mut walk = map.entries.iter().peekable();
     let fused = ranges.map(|(shard, gap_after)| {
-        let slot = match table.shard_at(guess) {
-            Some(at_guess) if at_guess == shard => Some(guess),
-            _ => table.slot_of(shard),
+        while walk.next_if(|(id, _)| **id < shard).is_some() {}
+        let entry = match walk.next_if(|(id, _)| **id == shard) {
+            Some((_, entry)) => Some(entry),
+            None => map.entry(shard),
         };
-        guess = slot.map_or(guess, |slot| slot + 1);
-        let primary = slot.and_then(|slot| table.primary_at(slot));
+        let primary = entry.and_then(ShardMapEntry::primary);
         RangeEntry {
             shard,
             primary: primary.map_or(NO_SERVER, ServerId::raw),
@@ -94,7 +100,8 @@ fn fuse(table: &DenseShardTable, ranges: impl Iterator<Item = (ShardId, bool)>) 
 /// columns for allocation-free, lock-free routing.
 #[derive(Clone, Debug, Default)]
 pub struct ResolvedMap {
-    /// The shard-map version this kernel was built from.
+    /// The shard-map version this kernel was built from: `map.version`,
+    /// kept beside the columns every route reads.
     version: u64,
     /// 8-byte big-endian prefixes of `starts`, the binary-search
     /// fast column. This and the next two columns are the spec's alone,
@@ -107,8 +114,9 @@ pub struct ResolvedMap {
     ends: Arc<[Option<AppKey>]>,
     /// The fused per-range entries, parallel to `starts`.
     ranges: Vec<RangeEntry>,
-    /// Shard → replica-set table.
-    table: DenseShardTable,
+    /// The map resolved: shard → replica set, for a shard without a
+    /// primary and for `route_shard` / `route_nearest`.
+    map: ShardMap,
 }
 
 impl ResolvedMap {
@@ -118,11 +126,10 @@ impl ResolvedMap {
     /// paid when an app's spec is new to the router. The next version
     /// beside the same spec is [`Self::with_map`]'s.
     pub fn build(spec: Option<&ShardingSpec>, map: &ShardMap) -> Self {
-        let table = DenseShardTable::from_map(map);
         let Some(spec) = spec else {
             return Self {
                 version: map.version,
-                table,
+                map: map.clone(),
                 ..Self::default()
             };
         };
@@ -139,30 +146,34 @@ impl ResolvedMap {
                 .collect(),
             starts: spec.iter().map(|(r, _)| r.start.clone()).collect(),
             ends: spec.iter().map(|(r, _)| r.end.clone()).collect(),
-            ranges: fuse(&table, spec.iter().map(|(_, shard)| *shard).zip(gaps)),
-            table,
+            ranges: fuse(map, spec.iter().map(|(_, shard)| *shard).zip(gaps)),
+            map: map.clone(),
         }
     }
 
     /// The kernel of `map` beside the spec `self` was resolved against:
-    /// the three spec columns are shared, and what is read again is the
-    /// table and each range's primary — no key is cloned or compared.
-    /// Only right while that spec stands; a new spec is a [`Self::build`].
+    /// the three spec columns are shared, and what is read again is each
+    /// range's primary — no key is cloned or compared. Only right while
+    /// that spec stands; a new spec is a [`Self::build`].
     pub fn with_map(&self, map: &ShardMap) -> Self {
-        let table = DenseShardTable::from_map(map);
         Self {
             version: map.version,
             starts_p64: self.starts_p64.clone(),
             starts: self.starts.clone(),
             ends: self.ends.clone(),
-            ranges: fuse(&table, self.ranges.iter().map(|r| (r.shard, r.gap_after))),
-            table,
+            ranges: fuse(map, self.ranges.iter().map(|r| (r.shard, r.gap_after))),
+            map: map.clone(),
         }
     }
 
     /// The shard-map version this kernel resolves.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// The shard map this kernel resolves.
+    pub(crate) fn map(&self) -> &ShardMap {
+        &self.map
     }
 
     /// The entry of the range containing `key`, or `None` when the key
@@ -212,7 +223,7 @@ impl ResolvedMap {
     /// shards round-robin across replicas via the caller-owned cursor.
     ///
     /// One binary search, then the range's fused entry — no allocation
-    /// on any path, and no table read when the shard has a primary.
+    /// on any path, and no map read when the shard has a primary.
     // sm-lint: hot-path
     pub fn route(&self, key: &AppKey, rr_cursor: &mut u64) -> Result<RouteDecision, SmError> {
         let Some(entry) = self.covering_range(key) else {
@@ -235,7 +246,7 @@ impl ResolvedMap {
         shard: ShardId,
         rr_cursor: &mut u64,
     ) -> Result<RouteDecision, SmError> {
-        self.decide(shard, self.slot_of(shard)?, rr_cursor)
+        self.decide(shard, self.entry(shard)?, rr_cursor)
     }
 
     /// Routes `key` to the replica of its shard that `distance` puts
@@ -252,10 +263,8 @@ impl ResolvedMap {
             .shard_for(key)
             .ok_or_else(|| SmError::not_found(format!("no shard covers key {key}")))?;
         let server = self
-            .table
-            .servers_at(self.slot_of(shard)?)
-            .iter()
-            .copied()
+            .entry(shard)?
+            .servers()
             .min_by(|a, b| {
                 // NaN (a corrupt latency table) degrades to an
                 // arbitrary-but-served replica instead of panicking.
@@ -271,34 +280,35 @@ impl ResolvedMap {
         })
     }
 
-    /// The table slot of `shard`, or the error a route to a shard the
-    /// map lacks ends in.
+    /// `shard`'s entry, or the error a route to a shard the map lacks
+    /// ends in.
     // sm-lint: hot-path
-    fn slot_of(&self, shard: ShardId) -> Result<usize, SmError> {
-        self.table
-            .slot_of(shard)
+    fn entry(&self, shard: ShardId) -> Result<&ShardMapEntry, SmError> {
+        self.map
+            .entry(shard)
             .ok_or_else(|| SmError::Unavailable(format!("{shard} not in map v{}", self.version)))
     }
 
-    /// Picks a server for an already-resolved `(shard, slot)` pair.
+    /// Picks a server for an already-resolved `(shard, entry)` pair: the
+    /// first primary in replica order, else the next replica round-robin.
     // sm-lint: hot-path
     fn decide(
         &self,
         shard: ShardId,
-        slot: usize,
+        entry: &ShardMapEntry,
         rr_cursor: &mut u64,
     ) -> Result<RouteDecision, SmError> {
-        let server = match self.table.primary_at(slot) {
+        let server = match entry.primary() {
             Some(primary) => primary,
             None => {
                 // Secondary-only: round-robin straight off the replica
-                // span — no intermediate Vec.
-                let replicas = self.table.servers_at(slot);
+                // list — no intermediate Vec.
+                let replicas = &entry.replicas;
                 *rr_cursor = rr_cursor.wrapping_add(1);
                 let n = replicas.len();
                 let picked = match n {
                     0 => None,
-                    _ => replicas.get((*rr_cursor as usize) % n).copied(),
+                    _ => replicas.get((*rr_cursor as usize) % n).map(|r| r.server),
                 };
                 picked.ok_or_else(|| SmError::Unavailable(format!("{shard} has no replicas")))?
             }
@@ -331,20 +341,18 @@ mod tests {
     }
 
     /// The kernel as it was before the fused entry: after the search
-    /// a route walked `ends`, `range_shards`, `range_slots` and the
-    /// table's span and server columns. `covering_range`, `route`,
-    /// `route_shard` and `decide` are kept verbatim as the model.
+    /// a route walked `ends`, `range_shards` and a by-shard lookup of the
+    /// shard's replicas. `covering_range`, `route`, `route_shard` and
+    /// `decide` are kept as the model, over a plain `BTreeMap` in the
+    /// place of the flat table the kernel of that day searched.
     struct ColumnWalk {
         version: u64,
         starts_p64: Vec<u64>,
         starts: Vec<AppKey>,
         ends: Vec<Option<AppKey>>,
         range_shards: Vec<ShardId>,
-        range_slots: Vec<u32>,
-        table: DenseShardTable,
+        table: BTreeMap<ShardId, ShardMapEntry>,
     }
-
-    const NO_SLOT: u32 = u32::MAX;
 
     impl ColumnWalk {
         fn build(spec: Option<&ShardingSpec>, map: &ShardMap) -> Self {
@@ -354,19 +362,13 @@ mod tests {
                 starts: Vec::new(),
                 ends: Vec::new(),
                 range_shards: Vec::new(),
-                range_slots: Vec::new(),
-                table: DenseShardTable::from_map(map),
+                table: map.entries.iter().map(|(s, e)| (*s, e.clone())).collect(),
             };
             for (range, shard) in spec.iter().flat_map(|s| s.iter()) {
                 out.starts_p64.push(prefix64(range.start.as_bytes()));
                 out.starts.push(range.start.clone());
                 out.ends.push(range.end.clone());
                 out.range_shards.push(*shard);
-                let slot = match out.table.slot_of(*shard) {
-                    Some(s) => s as u32,
-                    None => NO_SLOT,
-                };
-                out.range_slots.push(slot);
             }
             out
         }
@@ -415,14 +417,13 @@ mod tests {
                 self.range_shards.get(idx).copied().ok_or_else(|| {
                     SmError::Unavailable("resolved columns out of sync".to_string())
                 })?;
-            let slot = self.range_slots.get(idx).copied().unwrap_or(NO_SLOT);
-            if slot == NO_SLOT {
+            let Some(entry) = self.table.get(&shard) else {
                 return Err(SmError::Unavailable(format!(
                     "{shard} not in map v{}",
                     self.version
                 )));
-            }
-            self.decide(shard, slot as usize, rr_cursor)
+            };
+            self.decide(shard, entry, rr_cursor)
         }
 
         fn route_shard(
@@ -430,22 +431,26 @@ mod tests {
             shard: ShardId,
             rr_cursor: &mut u64,
         ) -> Result<RouteDecision, SmError> {
-            let slot = self.table.slot_of(shard).ok_or_else(|| {
+            let entry = self.table.get(&shard).ok_or_else(|| {
                 SmError::Unavailable(format!("{shard} not in map v{}", self.version))
             })?;
-            self.decide(shard, slot, rr_cursor)
+            self.decide(shard, entry, rr_cursor)
         }
 
         fn decide(
             &self,
             shard: ShardId,
-            slot: usize,
+            entry: &ShardMapEntry,
             rr_cursor: &mut u64,
         ) -> Result<RouteDecision, SmError> {
-            let server = match self.table.primary_at(slot) {
-                Some(primary) => primary,
+            let first_primary = entry
+                .replicas
+                .iter()
+                .find(|r| r.role == ReplicaRole::Primary);
+            let server = match first_primary {
+                Some(primary) => primary.server,
                 None => {
-                    let replicas = self.table.servers_at(slot);
+                    let replicas: Vec<ServerId> = entry.replicas.iter().map(|r| r.server).collect();
                     *rr_cursor = rr_cursor.wrapping_add(1);
                     let n = replicas.len();
                     let picked = match n {
@@ -607,12 +612,7 @@ mod tests {
                 assert_eq!(got, model.route(key, &mut rr_model), "case {case}: {key:?}");
                 assert_eq!(rr_fused, rr_model, "case {case}: {key:?}");
                 let kind = match &got {
-                    Ok(d)
-                        if fused
-                            .table
-                            .primary_at(fused.table.slot_of(d.shard).unwrap())
-                            == Some(d.server) =>
-                    {
+                    Ok(d) if fused.map.entry(d.shard).unwrap().primary() == Some(d.server) => {
                         "primary"
                     }
                     Ok(_) => "round robin",
@@ -635,6 +635,69 @@ mod tests {
         // Every way a route can end was taken, each many times.
         assert_eq!(routes.len(), 5, "{routes:?}");
         assert!(routes.values().all(|&n| n > 300), "{routes:?}");
+    }
+
+    /// A uniform spec some of whose shards split, a child sometimes
+    /// again: the children take the next ids past every shard so far, so
+    /// the ranges name shards out of id order. The parents stay among the
+    /// ids, as a map during a split still carries them.
+    fn split_spec(rng: &mut sm_sim::SimRng) -> (ShardingSpec, Vec<ShardId>) {
+        let n = 2 + rng.index(30) as u64;
+        let mut spec = ShardingSpec::uniform_u64(n);
+        let mut ids: Vec<ShardId> = (0..n).map(ShardId).collect();
+        for _ in 0..rng.index(4) {
+            let parent = ids[rng.index(ids.len())];
+            let Some(at) = spec.range_of(parent).and_then(KeyRange::midpoint) else {
+                continue;
+            };
+            let (left, right) = (ShardId(ids.len() as u64), ShardId(ids.len() as u64 + 1));
+            if let Ok(split) = spec.split_shard(parent, &at, left, right) {
+                spec = split;
+                ids.extend([left, right]);
+            }
+        }
+        (spec, ids)
+    }
+
+    #[test]
+    fn the_fuse_walk_equals_a_lookup_per_range() {
+        let mut rng = sm_sim::SimRng::seeded(0x5eed_0030);
+        let mut cases: BTreeMap<&str, u32> = BTreeMap::new();
+        for case in 0..400u64 {
+            let (spec, shard_ids) = match seeded_spec(&mut rng, case) {
+                (Some(spec), ids, _) if case % 2 == 0 => (spec, ids),
+                _ => split_spec(&mut rng),
+            };
+            let before = seeded_map(&mut rng, &shard_ids, 1);
+            let map = seeded_map(&mut rng, &shard_ids, 2);
+            let built = ResolvedMap::build(Some(&spec), &map);
+            let kept = ResolvedMap::build(Some(&spec), &before).with_map(&map);
+            let named: Vec<ShardId> = spec.shard_ids().collect();
+            for kernel in [&built, &kept] {
+                assert_eq!(kernel.ranges.len(), named.len(), "case {case}");
+                for (got, &shard) in kernel.ranges.iter().zip(&named) {
+                    let primary = map.entry(shard).and_then(ShardMapEntry::primary);
+                    let want = primary.map_or(NO_SERVER, ServerId::raw);
+                    assert_eq!((got.shard, got.primary), (shard, want), "case {case}");
+                }
+            }
+            let lacked = named.iter().any(|s| map.entry(*s).is_none());
+            let unnamed = map.entries.iter().any(|(s, _)| !named.contains(s));
+            let occurred = [
+                ("ranges in id order", named.windows(2).any(|p| p[0] < p[1])),
+                (
+                    "ranges out of id order",
+                    named.windows(2).any(|p| p[0] > p[1]),
+                ),
+                ("range shards the map lacks", lacked),
+                ("map shards no range names", unnamed),
+            ];
+            for (kind, occurred) in occurred {
+                *cases.entry(kind).or_insert(0) += u32::from(occurred);
+            }
+        }
+        assert_eq!(cases.len(), 4, "{cases:?}");
+        assert!(cases.values().all(|&n| n >= 50), "{cases:?}");
     }
 
     /// `got` answers as `want` does — decisions, error strings and the

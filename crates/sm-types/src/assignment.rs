@@ -303,122 +303,6 @@ impl ShardMap {
     }
 }
 
-/// Sentinel for "this span has no primary replica".
-pub(crate) const NO_PRIMARY: u32 = u32::MAX;
-
-/// One shard's replica span inside a [`DenseShardTable`]: a window into
-/// the flat server array plus the primary's offset within that window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct ReplicaSpan {
-    /// First replica's index in the flat server array.
-    pub start: u32,
-    /// Number of replicas.
-    pub len: u32,
-    /// Offset of the primary within the span, or [`NO_PRIMARY`].
-    pub primary: u32,
-}
-
-/// A dense, immutable, cache-friendly rendering of a [`ShardMap`]:
-/// shard ids in one sorted slice, replica sets packed into one flat
-/// server array addressed by per-shard `ReplicaSpan`s.
-///
-/// This is the request plane's working form. A `BTreeMap` walk per
-/// routed request costs pointer chases and branchy node comparisons;
-/// the dense table resolves `shard -> replica set` with one binary
-/// search over a contiguous `u64`-sized id slice and one span read,
-/// and replica iteration is a plain slice — no per-route allocation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DenseShardTable {
-    /// Shard ids, ascending (the search key column).
-    shard_ids: Vec<ShardId>,
-    /// Per-shard replica spans, parallel to `shard_ids`.
-    spans: Vec<ReplicaSpan>,
-    /// All replicas' servers, packed span-by-span.
-    servers: Vec<ServerId>,
-}
-
-impl DenseShardTable {
-    /// Flattens a [`ShardMap`] (ordered, so the id column comes out
-    /// sorted without an extra sort pass).
-    pub fn from_map(map: &ShardMap) -> Self {
-        let mut shard_ids = Vec::with_capacity(map.entries.len());
-        let mut spans = Vec::with_capacity(map.entries.len());
-        let mut servers = Vec::with_capacity(map.entries.len() * 2);
-        for (shard, entry) in &map.entries {
-            let start = servers.len() as u32;
-            let mut primary = NO_PRIMARY;
-            for (i, r) in entry.replicas.iter().enumerate() {
-                if r.role.is_primary() && primary == NO_PRIMARY {
-                    primary = i as u32;
-                }
-                servers.push(r.server);
-            }
-            shard_ids.push(*shard);
-            spans.push(ReplicaSpan {
-                start,
-                len: entry.replicas.len() as u32,
-                primary,
-            });
-        }
-        Self {
-            shard_ids,
-            spans,
-            servers,
-        }
-    }
-
-    /// Number of shards in the table.
-    pub fn len(&self) -> usize {
-        self.shard_ids.len()
-    }
-
-    /// True when the table holds no shards.
-    pub fn is_empty(&self) -> bool {
-        self.shard_ids.is_empty()
-    }
-
-    /// The dense slot of `shard`, if present (binary search).
-    // sm-lint: hot-path
-    pub fn slot_of(&self, shard: ShardId) -> Option<usize> {
-        self.shard_ids.binary_search(&shard).ok()
-    }
-
-    /// The shard occupying `slot`.
-    pub fn shard_at(&self, slot: usize) -> Option<ShardId> {
-        self.shard_ids.get(slot).copied()
-    }
-
-    /// The replica servers of `slot` as a contiguous slice (empty for
-    /// an out-of-range slot).
-    // sm-lint: hot-path
-    pub fn servers_at(&self, slot: usize) -> &[ServerId] {
-        match self.spans.get(slot) {
-            Some(span) => self
-                .servers
-                .get(span.start as usize..(span.start + span.len) as usize)
-                .unwrap_or(&[]),
-            None => &[],
-        }
-    }
-
-    /// The primary server of `slot`, if the shard has one.
-    // sm-lint: hot-path
-    pub fn primary_at(&self, slot: usize) -> Option<ServerId> {
-        let span = self.spans.get(slot)?;
-        if span.primary == NO_PRIMARY {
-            return None;
-        }
-        self.servers
-            .get((span.start + span.primary) as usize)
-            .copied()
-    }
-
-    /// Iterates `(shard, replica servers)` in shard order.
-    pub fn iter(&self) -> impl Iterator<Item = (ShardId, &[ServerId])> + '_ {
-        (0..self.len()).filter_map(move |slot| Some((self.shard_at(slot)?, self.servers_at(slot))))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

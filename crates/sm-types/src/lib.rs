@@ -20,7 +20,7 @@ pub mod policy;
 pub(crate) mod table;
 pub(crate) mod topology;
 
-pub use assignment::{Assignment, DenseShardTable, ReplicaAssignment, ShardMap, ShardMapEntry};
+pub use assignment::{Assignment, ReplicaAssignment, ShardMap, ShardMapEntry};
 pub use error::SmError;
 pub use ids::{
     AppId, ContainerId, MachineId, MiniSmId, PartitionId, RegionId, ReplicaRole, ServerId, ShardId,

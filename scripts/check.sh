@@ -42,22 +42,7 @@ cargo test --release --test world_golden -q
 step "figure gates of the figure world (Figs 17-19, normally --ignored)"
 cargo test --release -q -p sm-bench --test figs -- --ignored fig17 fig18 fig19
 
-step "chaos gate (control-plane fault tolerance)"
-cargo test --test chaos -q
-
-step "DST gate (fixed-seed smoke swarm + fencing-mutation shrink)"
-cargo test --test dst -q
-
-step "reconfig gate (joint-consensus membership changes under chaos)"
-cargo test --test reconfig -q
-
-step "split gate (adaptive splitting/merging under the skew storm)"
-cargo test --test split -q
-
-step "bench gates (recorded router + simulator floors)"
-cargo test --test bench_router --test bench_sim -q
-
-step "tests"
+step "tests (every target once, in debug: among them the chaos, DST, reconfig and split gates and the recorded router and simulator floors)"
 cargo test --workspace -q
 
 step "allocation budgets in a release build (a debug build re-solves to check every reused plan; here a reuse allocates per move)"

@@ -40,14 +40,15 @@
 //! | `route` + `admit` + `get`                   | 10,000         | 0      |
 //! | `AppKey::from_u64` + `key.clone()`          | 20,000         | 0      |
 //! | `key.clone()` + an overwriting `put`        | 30,000         | 10,000 |
-//! | one `ResolvedMap::build`, 16,384 ranges     | 32,774         | 7      |
+//! | one `ResolvedMap::build`, 16,384 ranges     | 32,774         | 6      |
 //!
 //! The put's one allocation is the external store's copy of the value;
-//! the build's seven are its columns.
+//! the build's six are its four columns and the spine of the map it
+//! holds.
 //!
 //! **One map version.** `Assignment` and `ShardMap` share one table of
 //! copy-on-write leaves, so taking, publishing and installing a version
-//! should cost its spine and a router's flat columns, and a write after
+//! should cost its spine and a router's range column, and a write after
 //! it the leaves it touches. The third test counts, on the first fleet
 //! and on a router that holds 16,384 ranges:
 //!
@@ -55,14 +56,14 @@
 //! |--------------------------------------------|-----------------|----------------|
 //! | `current_map()`, 4,096 shards              | 4,473           | 2 (the spine)  |
 //! | `server_down` + settle beside a held map   | as without one  | + 11 per leaf  |
-//! | `install_map`, next version, 16,384 ranges | 11              | 6              |
+//! | `install_map`, next version, 16,384 ranges | 11              | 4              |
 //!
 //! A leaf of eight copied is an `Arc`, a `Vec` and eight replica lists,
 //! and the list that then gains a replica grows (1,411 for 124 moves
-//! today; a table copied whole would be 5,120); an install's six are
-//! the table's three columns, `ranges` and the `Arc`s of the kernel and
-//! the map (nothing per range on either side: an install's saving is
-//! time).
+//! today; a table copied whole would be 5,120); an install's four are
+//! `ranges`, the kernel's `Arc` and the two columns of the spine of the
+//! map the kernel holds (nothing per range on either side: an install's
+//! saving is time).
 //!
 //! One test binary for all three: the counter is per thread, each test
 //! runs on its own, and nothing else may allocate on any.
