@@ -2,8 +2,14 @@
 //! through the public API of the facade crate.
 
 use shard_manager::apps::harness::{AppKind, ExperimentConfig, SimWorld, WorldEvent};
+use shard_manager::apps::kit::{default_orch_config, loc};
+use shard_manager::apps::{AppResponse, ShardHost};
+use shard_manager::core::{OrchCommand, Orchestrator, ServerRpc};
 use shard_manager::sim::{SimDuration, SimTime};
-use shard_manager::types::{AppId, AppPolicy, RegionId, ServerId, ShardId};
+use shard_manager::types::{
+    AppId, AppPolicy, LoadVector, Metric, RegionId, ReplicaRole, ServerId, ShardId,
+};
+use std::collections::{BTreeMap, VecDeque};
 
 #[test]
 fn upgrade_under_full_sm_is_lossless() {
@@ -244,4 +250,131 @@ fn a_region_back_before_detection_serves_its_shards_again() {
     assert!(w.stats.ok > before.ok, "{:?}", w.stats);
     assert_eq!(w.stats.failed, before.failed, "{:?}", w.stats);
     assert_eq!(w.stats.not_mine, before.not_mine, "{:?}", w.stats);
+}
+
+/// Applies one control-plane RPC to a host (`ShardHost` is the
+/// bookkeeping, not a `ShardServer`).
+fn apply(host: &mut ShardHost, rpc: ServerRpc) {
+    let applied = match rpc {
+        ServerRpc::AddShard { shard, role } => host.add_shard(shard, role),
+        ServerRpc::DropShard { shard } => host.drop_shard(shard),
+        ServerRpc::ChangeRole {
+            shard,
+            current,
+            new,
+        } => host.change_role(shard, current, new),
+        ServerRpc::PrepareAddShard {
+            shard,
+            current_owner,
+            role,
+        } => host.prepare_add_shard(shard, current_owner, role),
+        ServerRpc::PrepareDropShard {
+            shard,
+            new_owner,
+            role,
+        } => host.prepare_drop_shard(shard, new_owner, role),
+        ServerRpc::SplitForward { .. } | ServerRpc::MergeForward { .. } => {
+            panic!("no reshard in this world: {rpc:?}")
+        }
+    };
+    applied.unwrap_or_else(|e| panic!("{rpc:?}: {e}"));
+}
+
+/// One control-plane event `settle` saw.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Seen {
+    Sent(ServerId, ServerRpc),
+    Acked(ServerId, ServerRpc),
+}
+
+/// Delivers every command oldest first, applying and acking each, except
+/// the RPCs `fail` picks, which are answered with `rpc_failed` and never
+/// applied. Returns what was sent and acked, in order.
+fn settle(
+    cp: &mut Orchestrator,
+    hosts: &mut BTreeMap<ServerId, ShardHost>,
+    mut fail: impl FnMut(ServerId, ServerRpc) -> bool,
+) -> Vec<Seen> {
+    let (mut seen, mut queue) = (Vec::new(), VecDeque::new());
+    for _ in 0..1_000 {
+        for cmd in cp.take_commands() {
+            if let OrchCommand::Rpc { server, rpc } = cmd {
+                seen.push(Seen::Sent(server, rpc));
+                queue.push_back((server, rpc));
+            }
+        }
+        let Some((server, rpc)) = queue.pop_front() else {
+            return seen;
+        };
+        if fail(server, rpc) {
+            cp.rpc_failed(server, rpc);
+        } else {
+            apply(hosts.entry(server).or_default(), rpc);
+            cp.rpc_acked(server, rpc);
+            seen.push(Seen::Acked(server, rpc));
+        }
+    }
+    panic!("the orchestrator never went quiet");
+}
+
+/// §4.3: a graceful move whose step-3 `AddShard` fails is aborted, its
+/// target reclaimed, and — once that reclaim is acked, so the two never
+/// overlap as willing primaries (§3.2) — its source resumed: `srv0`
+/// serves `shard0` again instead of forwarding it into `srv1`'s
+/// `NotMine`, and there is nothing left to repair.
+#[test]
+fn an_aborted_graceful_move_hands_its_shard_back() {
+    let (srv0, srv1, srv2) = (ServerId(0), ServerId(1), ServerId(2));
+    let shard0 = ShardId(0);
+    let capacity = || LoadVector::single(Metric::ShardCount.id(), 1000.0);
+    let mut cp = Orchestrator::new(AppId(0), AppPolicy::primary_only(), default_orch_config());
+    let mut hosts = BTreeMap::new();
+
+    // srv0 alone takes all four shards.
+    cp.register_server(srv0, loc(0), capacity());
+    cp.register_shards((0..4).map(ShardId));
+    cp.run_emergency();
+    settle(&mut cp, &mut hosts, |_, _| false);
+    assert_eq!(cp.assignment().primary_of(shard0), Some(srv0));
+
+    // Two empty servers join; draining srv0 moves every shard off it
+    // gracefully. The first AddShard of shard0 (step 3, to srv1) fails.
+    cp.register_server(srv1, loc(1), capacity());
+    cp.register_server(srv2, loc(2), capacity());
+    assert!(cp.drain_server(srv0) > 0);
+    let mut failed = None;
+    let seen = settle(&mut cp, &mut hosts, |server, rpc| {
+        let first =
+            failed.is_none() && matches!(rpc, ServerRpc::AddShard { shard, .. } if shard == shard0);
+        if first {
+            failed = Some(server);
+        }
+        first
+    });
+    assert_eq!(failed, Some(srv1), "shard0's step 3 went to srv1");
+
+    // The control plane: srv0 is shard0's primary, nothing is in flight.
+    assert_eq!(cp.assignment().primary_of(shard0), Some(srv0));
+    assert_eq!(cp.in_flight_migrations(), 0);
+
+    // The resume is sent only after srv1 has acked dropping its copy.
+    let position = |event| seen.iter().position(|e| *e == event);
+    let reclaimed = position(Seen::Acked(srv1, ServerRpc::DropShard { shard: shard0 }));
+    let resume = ServerRpc::AddShard {
+        shard: shard0,
+        role: ReplicaRole::Primary,
+    };
+    let resumed = position(Seen::Sent(srv0, resume));
+    assert!(reclaimed.is_some() && resumed.is_some(), "{seen:?}");
+    assert!(resumed > reclaimed, "resumed before the reclaim was acked");
+
+    // The hosts agree: srv0 serves shard0 again, srv1 holds nothing.
+    for forwarded in [false, true] {
+        assert_eq!(hosts[&srv0].admit(shard0, forwarded), AppResponse::Serve);
+        assert_eq!(hosts[&srv1].admit(shard0, forwarded), AppResponse::NotMine);
+    }
+
+    // Nothing to repair: an emergency run plans nothing and sends nothing.
+    assert_eq!(cp.run_emergency(), 0);
+    assert!(cp.take_commands().is_empty());
 }

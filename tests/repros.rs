@@ -9,8 +9,11 @@
 //!   invariant kind it was shrunk for, and the same seed and plan are
 //!   clean and converged with the mutation off;
 //! - `chaos-lossy_net-809.json` is the full 16-event plan of the seed
-//!   that found the role-blind `admit` bug: it stays clean and
-//!   converged.
+//!   that found the role-blind `admit` bug, and `chaos-split_chaos-3.json`
+//!   a 16-event plan shrunk from the 24 of a seed where an aborted move
+//!   left its target's copy unreclaimed — two unfenced willing primaries
+//!   of one shard — until every aborted change reclaimed the targets it
+//!   had entered: both stay clean and converged.
 //!
 //! The documents were written before the kit worlds' configs lost
 //! their one-valued fields; that they still parse and replay is the
@@ -69,18 +72,30 @@ fn single_step_reconfig_reproducer_still_fails() {
 #[test]
 fn skipped_cutover_ack_reproducer_still_fails() {
     mutation_is_caught_and_its_fix_is_clean::<Split>(
-        include_str!("repros/split-split_chaos-3.json"),
+        include_str!("repros/split-split_chaos-13.json"),
         InvariantKind::LostRequest,
     );
+}
+
+/// Replays a chaos reproducer of `events` fault events that must stay
+/// clean and converged.
+fn stays_clean(doc: &str, seed: u64, profile: FaultProfile, events: usize) {
+    let (cfg, plan) = repro_from_json::<Chaos>(doc).expect("a reproducer document parses");
+    assert_eq!(cfg, Chaos::cell(seed, profile, false));
+    assert_eq!(plan.len(), events);
+    let r = run::<Chaos>(cfg, Some(plan));
+    assert_eq!(r.total_violations, 0, "{:?}", r.violations);
+    assert!(r.converged, "{} unplaced", r.unplaced);
 }
 
 #[test]
 fn lossy_net_seed_809_stays_clean() {
     let doc = include_str!("repros/chaos-lossy_net-809.json");
-    let (cfg, plan) = repro_from_json::<Chaos>(doc).expect("a reproducer document parses");
-    assert_eq!(cfg, Chaos::cell(809, FaultProfile::LossyNet, false));
-    assert_eq!(plan.len(), 16);
-    let r = run::<Chaos>(cfg, Some(plan));
-    assert_eq!(r.total_violations, 0, "{:?}", r.violations);
-    assert!(r.converged, "{} unplaced", r.unplaced);
+    stays_clean(doc, 809, FaultProfile::LossyNet, 16);
+}
+
+#[test]
+fn split_chaos_seed_3_stays_clean() {
+    let doc = include_str!("repros/chaos-split_chaos-3.json");
+    stays_clean(doc, 3, FaultProfile::SplitChaos, 16);
 }
