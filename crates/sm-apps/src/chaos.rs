@@ -34,12 +34,14 @@
 //! over to ids. The whole run is a pure function of `(config, plan)`:
 //! same seed and plan, byte-identical trace.
 
+use crate::client::{RetryPolicy, Step, Try};
 use crate::kit::{self, Outcome, Params, Plan, Report, Resolution, Scenario, Wire};
 use crate::kv::{ExternalStore, KvServer};
 use crate::AppResponse;
 use sm_core::exchange::Host as RpcHost;
 use sm_core::ha::{paths, HaControlPlane, HaStats, SelfFenceTimer, ServerLease};
 use sm_core::{ApplicationManager, OrchCommand, Partition, ServerRpc};
+use sm_routing::ResolvedMap;
 use sm_sim::faults::{fault_plan, Fault, FaultPlanConfig, FaultProfile};
 use sm_sim::net::Endpoint;
 use sm_sim::{SimDuration, SimTime};
@@ -53,11 +55,12 @@ use std::rc::Rc;
 
 /// Gap between one client's requests.
 const REQUEST_INTERVAL: SimDuration = SimDuration::from_millis(100);
-/// Client retry backoff (doubles as the request timeout when the net
-/// eats a message).
-const RETRY_DELAY: SimDuration = SimDuration::from_millis(500);
-/// Retry budget per request; must outlast the longest outage.
-const MAX_ATTEMPTS: u32 = 120;
+/// How clients retry: the tries must outlast the longest outage.
+pub(crate) const RETRY: RetryPolicy = RetryPolicy {
+    attempts: 120,
+    backoff: SimDuration::from_millis(500),
+    max_hops: 4,
+};
 /// How often each server heartbeats ZooKeeper.
 const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// §3.2: a server wipes itself after this long without a heartbeat ack.
@@ -149,8 +152,8 @@ pub struct Req {
     pub write: bool,
     /// Shard the key maps to.
     pub shard: ShardId,
-    /// Delivery attempts so far, this one included.
-    pub attempts: u32,
+    /// The try under way and the forwards it followed.
+    pub(crate) tries: Try,
     /// When the request was first issued.
     pub sent_at: SimTime,
 }
@@ -167,12 +170,10 @@ pub enum ChaosEvent {
         req: Req,
         /// Server this copy was addressed to.
         target: ServerId,
-        /// Forwarding hops on this attempt.
-        hops: u8,
     },
-    /// A failed attempt backs off and re-routes.
+    /// A failed try backs off and re-routes.
     Retry {
-        /// The request, attempts already incremented.
+        /// The request, on its next try.
         req: Req,
     },
     /// A ZooKeeper watch notification is delivered (ordered session
@@ -277,11 +278,11 @@ pub struct Chaos {
     spec: Rc<ShardingSpec>,
     hosts: BTreeMap<ServerId, Host>,
     partitions: Vec<Partition>,
-    /// Client-visible shard→primary map, refreshed periodically. Not a
-    /// routing front-end but dissemination policy: while a partition's
-    /// mini-SM is down (no orchestrator to ask) clients keep its last
-    /// entries, which a kernel rebuilt from "the current map" cannot say.
-    router: BTreeMap<ShardId, ServerId>,
+    /// The clients' routing kernel of each partition, parallel to
+    /// `partitions` and rebuilt on every refresh from the orchestrator
+    /// that runs it. While a partition's mini-SM is down, its clients
+    /// keep the kernel they last built.
+    kernels: Vec<ResolvedMap>,
     /// ZooKeeper's view of each server's last heartbeat.
     last_beat: BTreeMap<ServerId, SimTime>,
     next_req: u64,
@@ -315,35 +316,23 @@ fn dispatch_zk(events: Vec<WatchEvent>, cx: &mut Cx<'_, '_>) {
 }
 
 impl Chaos {
+    /// Rebuilds the kernel of every partition whose orchestrator runs.
+    /// Not gated on the map version: a map's content can change before
+    /// its version does.
     fn refresh_router(&mut self) {
-        for p in &self.partitions {
+        for (p, kernel) in self.partitions.iter().zip(&mut self.kernels) {
             if let Some(orch) = self.cp.orchestrator(p.id) {
-                for &shard in &p.shards {
-                    match orch.assignment().primary_of(shard) {
-                        Some(server) => {
-                            self.router.insert(shard, server);
-                        }
-                        None => {
-                            self.router.remove(&shard);
-                        }
-                    }
-                }
+                *kernel = ResolvedMap::build(None, &orch.current_map());
             }
         }
     }
 
-    /// Sends `event` from server `s` to ZooKeeper (or back) through the
-    /// net: one scheduled arrival per delivered copy.
-    fn beat(
-        cx: &mut Cx<'_, '_>,
-        src: Endpoint,
-        dst: Endpoint,
-        event: fn(u32) -> ChaosEvent,
-        s: u32,
-    ) {
-        for d in cx.net.transmit(src, dst).copies {
-            cx.schedule_in(d, event(s));
-        }
+    /// Where the clients route `shard`: the kernel of its partition.
+    /// The app is primary-only, so no route keeps a round-robin cursor.
+    fn route_shard(&self, shard: ShardId) -> Option<ServerId> {
+        let mut kernels = self.partitions.iter().zip(&self.kernels);
+        let (_, kernel) = kernels.find(|(p, _)| p.shards.contains(&shard))?;
+        kernel.route_shard(shard, &mut 0).ok().map(|d| d.server)
     }
 
     fn client_tick(&mut self, client: u32, cx: &mut Cx<'_, '_>) {
@@ -366,7 +355,7 @@ impl Chaos {
             key,
             write,
             shard,
-            attempts: 1,
+            tries: Try::default(),
             sent_at: cx.now(),
         };
         cx.oracle.request_issued(req.id);
@@ -380,45 +369,99 @@ impl Chaos {
         if cx.oracle.already_served(req.id) {
             return; // a duplicated copy already completed this request
         }
-        match self.router.get(&req.shard).copied() {
-            Some(target) => self.transmit(req, Endpoint::Client(req.client), target, 0, cx),
-            None => self.fail_or_retry(req, cx),
+        let src = Endpoint::Client(req.client);
+        match self.route_shard(req.shard) {
+            Some(target) => self.transmit(req, src, target, cx),
+            None => self.next_try(req, src, None, cx),
         }
     }
 
-    /// Puts one hop of `req` on the wire toward `target`.
-    fn transmit(
+    /// Puts one hop of `req` on the wire from `src` toward `target`.
+    fn transmit(&mut self, req: Req, src: Endpoint, target: ServerId, cx: &mut Cx<'_, '_>) {
+        let dst = Endpoint::Server(target.raw());
+        if !cx.send(src, dst, || ChaosEvent::Deliver { req, target }) {
+            self.next_try(req, src, None, cx);
+        }
+    }
+
+    /// Drains `pending` watch events synchronously, so every one-shot
+    /// watch is re-armed, then applies and acks every command until the
+    /// control plane goes quiet. Setup only: no one is running to race.
+    fn settle(&mut self, mut pending: Vec<WatchEvent>) {
+        let mut guard = 0;
+        let mut drain =
+            |pending: &mut Vec<WatchEvent>, cp: &mut HaControlPlane, zk: &mut ZkStore| {
+                while let Some(e) = pending.pop() {
+                    guard += 1;
+                    assert!(guard < 10_000, "setup watch storm");
+                    pending.extend(cp.handle_event(zk, &e));
+                }
+            };
+        drain(&mut pending, &mut self.cp, &mut self.zk);
+        for _round in 0..200 {
+            let cmds = self.cp.take_commands();
+            if cmds.is_empty() {
+                break;
+            }
+            for (_pid, cmd) in cmds {
+                if let OrchCommand::Rpc { server, rpc } = cmd {
+                    let host = self.hosts.get_mut(&server);
+                    let ok = host.is_some_and(|h| rpc.dispatch(&mut h.kv).is_ok());
+                    let acks = if ok {
+                        self.cp.rpc_acked(&mut self.zk, server, rpc)
+                    } else {
+                        self.cp.rpc_failed(&mut self.zk, server, rpc)
+                    };
+                    pending.extend(acks);
+                }
+            }
+            drain(&mut pending, &mut self.cp, &mut self.zk);
+        }
+    }
+
+    /// Shards of a partition whose orchestrator runs that its clients'
+    /// kernel routes elsewhere than to the assigned primary.
+    fn divergence(&mut self) -> usize {
+        let mut divergence = 0;
+        for (p, kernel) in self.partitions.iter().zip(&self.kernels) {
+            if let Some(orch) = self.cp.orchestrator(p.id) {
+                for &shard in &p.shards {
+                    let routed = kernel.route_shard(shard, &mut 0).map(|d| d.server);
+                    if orch.assignment().primary_of(shard) != routed.ok() {
+                        divergence += 1;
+                    }
+                }
+            }
+        }
+        divergence
+    }
+
+    /// Takes the client's next step for `req`, a try at `at` that was
+    /// not served; `forward` is where a `Forward` pointed.
+    fn next_try(
         &mut self,
-        req: Req,
-        src: Endpoint,
-        target: ServerId,
-        hops: u8,
+        mut req: Req,
+        at: Endpoint,
+        forward: Option<ServerId>,
         cx: &mut Cx<'_, '_>,
     ) {
-        let t = cx.net.transmit(src, Endpoint::Server(target.raw()));
-        if t.copies.is_empty() {
-            self.fail_or_retry(req, cx);
-        }
-        for d in t.copies {
-            cx.schedule_in(d, ChaosEvent::Deliver { req, target, hops });
-        }
-    }
-
-    fn fail_or_retry(&mut self, req: Req, cx: &mut Cx<'_, '_>) {
         if cx.oracle.already_served(req.id) {
             return;
         }
-        if req.attempts < MAX_ATTEMPTS {
-            self.stats.retries += 1;
-            let req = Req {
-                attempts: req.attempts + 1,
-                ..req
-            };
-            cx.schedule_in(RETRY_DELAY, ChaosEvent::Retry { req });
-        } else {
-            self.stats.dropped += 1;
-            let now = cx.now();
-            cx.oracle.request_dropped(now, req.id);
+        match req.tries.next(&RETRY, forward) {
+            Step::Send(next) => {
+                self.stats.forwards += 1;
+                self.transmit(req, at, next, cx);
+            }
+            Step::After(backoff) => {
+                self.stats.retries += 1;
+                cx.schedule_in(backoff, ChaosEvent::Retry { req });
+            }
+            Step::GiveUp => {
+                self.stats.dropped += 1;
+                let now = cx.now();
+                cx.oracle.request_dropped(now, req.id);
+            }
         }
     }
 
@@ -433,22 +476,19 @@ impl Chaos {
             .count()
     }
 
-    fn deliver(&mut self, req: Req, target: ServerId, hops: u8, cx: &mut Cx<'_, '_>) {
+    fn deliver(&mut self, req: Req, target: ServerId, cx: &mut Cx<'_, '_>) {
         if cx.oracle.already_served(req.id) {
             return;
         }
         let response = match self.hosts.get(&target) {
-            Some(h) if h.serving() => h.kv.admit(req.shard, hops > 0),
+            Some(h) if h.serving() => h.kv.admit(req.shard, req.tries.hops > 0),
             _ => AppResponse::NotMine,
         };
+        let at = Endpoint::Server(target.raw());
         match response {
             AppResponse::Serve => self.serve(req, target, cx),
-            AppResponse::Forward(next) if hops < 4 => {
-                self.stats.forwards += 1;
-                let src = Endpoint::Server(target.raw());
-                self.transmit(req, src, next, hops + 1, cx);
-            }
-            AppResponse::Forward(_) | AppResponse::NotMine => self.fail_or_retry(req, cx),
+            AppResponse::Forward(next) => self.next_try(req, at, Some(next), cx),
+            AppResponse::NotMine => self.next_try(req, at, None, cx),
         }
     }
 
@@ -519,7 +559,7 @@ impl Chaos {
             (true, true) => ChaosEvent::ResignArrive,
             (true, false) => ChaosEvent::RegisterArrive,
         };
-        Self::beat(cx, Endpoint::Server(s), Endpoint::Zk, arrival, s);
+        cx.send(Endpoint::Server(s), Endpoint::Zk, || arrival(s));
     }
 
     fn beat_arrive(&mut self, s: u32, cx: &mut Cx<'_, '_>) {
@@ -528,8 +568,7 @@ impl Chaos {
             return; // stale beat from a session ZK already expired
         }
         self.last_beat.insert(server, cx.now());
-        let ack = ChaosEvent::BeatAck;
-        Self::beat(cx, Endpoint::Zk, Endpoint::Server(s), ack, s);
+        cx.send(Endpoint::Zk, Endpoint::Server(s), || ChaosEvent::BeatAck(s));
     }
 
     /// Registers a fresh session for up-but-unleased server `s` and
@@ -646,40 +685,6 @@ impl Scenario for Chaos {
                 .expect("deploy on a healthy fleet");
             pending.extend(events);
         }
-        // Drain setup watches synchronously so every one-shot watch is
-        // re-armed before the event loop starts, then settle the
-        // initial placement (deploy completes before the experiment).
-        let mut guard = 0;
-        let mut drain =
-            |pending: &mut Vec<WatchEvent>, cp: &mut HaControlPlane, zk: &mut ZkStore| {
-                while let Some(e) = pending.pop() {
-                    guard += 1;
-                    assert!(guard < 10_000, "setup watch storm");
-                    pending.extend(cp.handle_event(zk, &e));
-                }
-            };
-        drain(&mut pending, &mut cp, &mut zk);
-        for _round in 0..200 {
-            let cmds = cp.take_commands();
-            if cmds.is_empty() {
-                break;
-            }
-            for (_pid, cmd) in cmds {
-                if let OrchCommand::Rpc { server, rpc } = cmd {
-                    let ok = hosts
-                        .get_mut(&server)
-                        .is_some_and(|h| rpc.dispatch(&mut h.kv).is_ok());
-                    let acks = if ok {
-                        cp.rpc_acked(&mut zk, server, rpc)
-                    } else {
-                        cp.rpc_failed(&mut zk, server, rpc)
-                    };
-                    pending.extend(acks);
-                }
-            }
-            drain(&mut pending, &mut cp, &mut zk);
-        }
-
         let last_beat = server_ids.iter().map(|&s| (s, SimTime::ZERO)).collect();
         let mut world = Self {
             cfg,
@@ -687,8 +692,8 @@ impl Scenario for Chaos {
             cp,
             spec,
             hosts,
+            kernels: vec![ResolvedMap::default(); partitions.len()],
             partitions,
-            router: BTreeMap::new(),
             last_beat,
             next_req: 0,
             write_tag: 0,
@@ -696,6 +701,8 @@ impl Scenario for Chaos {
             extra: ChaosExtra::default(),
             recovering_since: None,
         };
+        // Deploy completes before the experiment.
+        world.settle(pending);
         world.refresh_router();
         world
     }
@@ -728,7 +735,7 @@ impl Scenario for Chaos {
     fn handle(&mut self, cx: &mut Cx<'_, '_>, event: ChaosEvent) {
         match event {
             ChaosEvent::ClientTick(c) => self.client_tick(c, cx),
-            ChaosEvent::Deliver { req, target, hops } => self.deliver(req, target, hops, cx),
+            ChaosEvent::Deliver { req, target } => self.deliver(req, target, cx),
             ChaosEvent::Retry { req } => {
                 // Re-route via the freshest map the client can see.
                 self.refresh_router();
@@ -955,16 +962,7 @@ impl Scenario for Chaos {
             .quiescent_registry(at, &in_memory, durable.as_deref());
         let unplaced = self.cp.unplaced().len();
         let in_flight = self.cp.in_flight_total();
-        let mut divergence = 0usize;
-        for p in &self.partitions {
-            if let Some(orch) = self.cp.orchestrator(p.id) {
-                for &shard in &p.shards {
-                    if orch.assignment().primary_of(shard) != self.router.get(&shard).copied() {
-                        divergence += 1;
-                    }
-                }
-            }
-        }
+        let divergence = self.divergence();
         wire.oracle
             .convergence_check(at, unplaced, in_flight, divergence);
         wire.oracle.quiescent_drain_check(at);
@@ -996,7 +994,51 @@ mod tests {
         // are still in flight but every shard has an assignment.
         assert!(w.cp.fully_placed(), "unplaced: {:?}", w.cp.unplaced());
         assert!(w.cp.running_minisms().len() >= 2, "want several mini-SMs");
-        assert_eq!(w.router.len(), w.cfg.shards as usize);
+        assert!((0..w.cfg.shards).all(|s| w.route_shard(ShardId(s)).is_some()));
+    }
+
+    #[test]
+    fn a_partition_without_its_mini_sm_keeps_routing_by_its_last_kernel() {
+        let mut w = Chaos::build(ChaosConfig::covering(1));
+        let before: Vec<Option<ServerId>> = (0..w.cfg.shards)
+            .map(|s| w.route_shard(ShardId(s)))
+            .collect();
+        let minism = w.cp.running_minisms()[0];
+        let crashed = w.cp.crash_minism(&mut w.zk, minism);
+        let (dark, lit): (Vec<Partition>, Vec<Partition>) = w
+            .partitions
+            .clone()
+            .into_iter()
+            .partition(|p| w.cp.orchestrator(p.id).is_none());
+        assert!(!dark.is_empty() && !lit.is_empty(), "{minism:?} runs some");
+        // A server of a running partition fails: its shards there lose
+        // their primary at once.
+        let (p, shard) = (lit[0].id, lit[0].shards[0]);
+        let orch = w.cp.orchestrator(p).expect("running");
+        let lost = orch.assignment().primary_of(shard).expect("placed");
+        orch.server_down(lost);
+        w.refresh_router();
+        for &shard in dark.iter().flat_map(|p| &p.shards) {
+            let pre = before[shard.raw() as usize];
+            assert!(pre.is_some() && w.route_shard(shard) == pre, "{shard}");
+        }
+        for p in &lit {
+            for &shard in &p.shards {
+                let routed = w.route_shard(shard);
+                let orch = w.cp.orchestrator(p.id).expect("running");
+                assert_eq!(routed, orch.assignment().primary_of(shard), "{shard}");
+            }
+        }
+        assert_eq!(w.route_shard(shard), None);
+        assert_eq!(w.divergence(), 0);
+        // Failover, restart and placement settle; the clients follow.
+        w.settle(crashed);
+        let restarted = w.cp.restart_minism(&mut w.zk, minism).expect("expired");
+        w.settle(restarted);
+        w.refresh_router();
+        assert!(w.cp.fully_placed(), "unplaced: {:?}", w.cp.unplaced());
+        assert_ne!(w.route_shard(shard), Some(lost));
+        assert_eq!(w.divergence(), 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! this world: configure, inject events (rolling upgrades, region
 //! failures, preference changes), run, and read the trace.
 
+use crate::client::{RetryPolicy, Step, Try};
 use crate::forwarding::AppResponse;
 use crate::kv::{ExternalStore, KvServer};
 use crate::queue::QueueServer;
@@ -81,10 +82,12 @@ pub struct ExperimentConfig {
     pub client_regions: Option<Vec<RegionId>>,
 }
 
-/// Retries before a request counts as failed.
-const RETRIES: u32 = 5;
-/// Pause before a retry.
-const RETRY_DELAY: SimDuration = SimDuration::from_millis(150);
+/// How clients retry; a request that spends its tries counts as failed.
+pub(crate) const RETRY: RetryPolicy = RetryPolicy {
+    attempts: 6,
+    backoff: SimDuration::from_millis(150),
+    max_hops: 4,
+};
 /// Container restart downtime.
 const RESTART_DURATION: SimDuration = SimDuration::from_secs(30);
 /// TaskControl negotiation interval.
@@ -175,17 +178,14 @@ impl WorldStats {
     }
 }
 
-/// An in-flight client request.
+/// An in-flight client request: who sent it, for which key, since
+/// when, and how far its tries got.
 #[derive(Clone, Debug)]
 pub struct Request {
     client: usize,
     key: AppKey,
-    shard: ShardId,
-    target: ServerId,
-    forwarded_from: Option<ServerId>,
     sent_at: SimTime,
-    attempts: u32,
-    hops: u32,
+    tries: Try,
 }
 
 /// World events.
@@ -193,19 +193,17 @@ pub struct Request {
 pub enum WorldEvent {
     /// A client issues its next request.
     ClientTick(usize),
-    /// Retry a failed request.
-    Retry {
-        /// Issuing client index.
-        client: usize,
-        /// The key being retried.
-        key: AppKey,
-        /// Attempts so far.
-        attempts: u32,
-        /// Original send time (latency is end-to-end).
-        sent_at: SimTime,
-    },
+    /// Route a failed request afresh and try it again.
+    Retry(Request),
     /// A request arrives at a server.
-    Deliver(Request),
+    Deliver {
+        /// The request.
+        req: Request,
+        /// The shard its client routed it to.
+        shard: ShardId,
+        /// The server this hop was addressed to.
+        target: ServerId,
+    },
     /// A response (ok or not) arrives back at the client.
     Respond {
         /// The request being answered.
@@ -793,63 +791,45 @@ impl SimWorld {
         decision.map(|d| (d.shard, d.server))
     }
 
-    fn try_send(
-        &mut self,
-        client: usize,
-        key: AppKey,
-        attempts: u32,
-        sent_at: SimTime,
-        ctx: &mut Ctx<'_, WorldEvent>,
-    ) {
-        match self.route(client, &key) {
-            Ok((shard, server)) => {
-                let region = self.region_of_client(client);
-                let delay = self.client_server_latency(region, server, ctx);
-                ctx.schedule_in(
-                    delay,
-                    WorldEvent::Deliver(Request {
-                        client,
-                        key,
-                        shard,
-                        target: server,
-                        forwarded_from: None,
-                        sent_at,
-                        attempts,
-                        hops: 0,
-                    }),
-                );
+    fn try_send(&mut self, mut req: Request, ctx: &mut Ctx<'_, WorldEvent>) {
+        match self.route(req.client, &req.key) {
+            Ok((shard, target)) => {
+                let region = self.region_of_client(req.client);
+                let delay = self.client_server_latency(region, target, ctx);
+                ctx.schedule_in(delay, WorldEvent::Deliver { req, shard, target });
             }
             Err(_) => {
-                self.stats.failed_route += u64::from(attempts >= RETRIES);
-                self.fail_or_retry(client, key, attempts, sent_at, ctx)
+                if self.next_try(&mut req, None, ctx) == Step::GiveUp {
+                    self.stats.failed_route += 1;
+                }
             }
         }
     }
 
-    fn fail_or_retry(
+    /// Takes the client's next step for `req` after a try that was not
+    /// served, `forward` naming where a `Forward` pointed: schedules the
+    /// retry, or counts the request failed. A `Send` is the caller's to
+    /// deliver.
+    fn next_try(
         &mut self,
-        client: usize,
-        key: AppKey,
-        attempts: u32,
-        sent_at: SimTime,
+        req: &mut Request,
+        forward: Option<ServerId>,
         ctx: &mut Ctx<'_, WorldEvent>,
-    ) {
-        if attempts < RETRIES {
-            self.stats.retries += 1;
-            ctx.schedule_in(
-                RETRY_DELAY,
-                WorldEvent::Retry {
-                    client,
-                    key,
-                    attempts: attempts + 1,
-                    sent_at,
-                },
-            );
-        } else {
-            self.stats.failed += 1;
-            self.window_total += 1;
-            self.trace.record("success", ctx.now(), 0.0);
+    ) -> Step {
+        let step = req.tries.next(&RETRY, forward);
+        match step {
+            Step::Send(_) => {}
+            Step::After(backoff) => {
+                self.stats.retries += 1;
+                ctx.schedule_in(backoff, WorldEvent::Retry(req.clone()));
+            }
+            Step::GiveUp => {
+                self.stats.failed += 1;
+                self.window_total += 1;
+                self.trace.record("success", ctx.now(), 0.0);
+            }
         }
+        step
     }
 
     fn complete_ok(&mut self, req: &Request, ctx: &mut Ctx<'_, WorldEvent>) {
@@ -951,7 +931,13 @@ impl World for SimWorld {
                     }
                     None => AppKey::from_u64(ctx.rng().range_u64(0, u64::MAX)),
                 };
-                self.try_send(client, key, 0, now, ctx);
+                let req = Request {
+                    client,
+                    key,
+                    sent_at: now,
+                    tries: Try::default(),
+                };
+                self.try_send(req, ctx);
                 let mut rate = self.cfg.request_rate.max(1e-9);
                 if self.cfg.diurnal_amplitude > 0.0 {
                     let x = now.as_secs_f64() / 86_400.0;
@@ -965,67 +951,57 @@ impl World for SimWorld {
                     WorldEvent::ClientTick(client),
                 );
             }
-            WorldEvent::Retry {
-                client,
-                key,
-                attempts,
-                sent_at,
-            } => self.try_send(client, key, attempts, sent_at, ctx),
-            WorldEvent::Deliver(mut req) => {
-                if req.hops > 4 {
-                    let key = req.key.clone();
-                    self.stats.failed_hops += u64::from(req.attempts >= RETRIES);
-                    self.fail_or_retry(req.client, key, req.attempts, req.sent_at, ctx);
-                    return;
-                }
-                if !self.server_serving(req.target) {
+            WorldEvent::Retry(req) => self.try_send(req, ctx),
+            WorldEvent::Deliver {
+                mut req,
+                shard,
+                target,
+            } => {
+                if !self.server_serving(target) {
                     // Connection refused: the client learns after the RTT.
                     let region = self.region_of_client(req.client);
-                    let delay = self.client_server_latency(region, req.target, ctx);
+                    let delay = self.client_server_latency(region, target, ctx);
                     ctx.schedule_in(delay, WorldEvent::Respond { req, ok: false });
                     return;
                 }
-                let host = self.servers.get_mut(&req.target).expect("serving server");
+                let host = self.servers.get_mut(&target).expect("serving server");
                 let primary_type = self.cfg.policy.replication.has_primary();
-                match host
-                    .logic
-                    .admit(req.shard, req.forwarded_from.is_some(), primary_type)
-                {
+                match host.logic.admit(shard, req.tries.hops > 0, primary_type) {
                     AppResponse::Serve => {
-                        host.logic.serve(req.shard, &req.key);
+                        host.logic.serve(shard, &req.key);
                         let region = self.region_of_client(req.client);
-                        let delay = self.client_server_latency(region, req.target, ctx);
+                        let delay = self.client_server_latency(region, target, ctx);
                         ctx.schedule_in(delay, WorldEvent::Respond { req, ok: true });
                     }
-                    AppResponse::Forward(next) => {
-                        self.stats.forwarded += 1;
-                        let from_region = self.servers[&req.target].region;
-                        let to_region = self
-                            .servers
-                            .get(&next)
-                            .map(|h| h.region)
-                            .unwrap_or(from_region);
-                        let delay = self.cfg.latency.sample(from_region, to_region, ctx.rng());
-                        req.forwarded_from = Some(req.target);
-                        req.target = next;
-                        req.hops += 1;
-                        ctx.schedule_in(delay, WorldEvent::Deliver(req));
-                    }
+                    AppResponse::Forward(next) => match self.next_try(&mut req, Some(next), ctx) {
+                        Step::Send(next) => {
+                            self.stats.forwarded += 1;
+                            let from_region = self.servers[&target].region;
+                            let to_region = self
+                                .servers
+                                .get(&next)
+                                .map(|h| h.region)
+                                .unwrap_or(from_region);
+                            let delay = self.cfg.latency.sample(from_region, to_region, ctx.rng());
+                            let target = next;
+                            ctx.schedule_in(delay, WorldEvent::Deliver { req, shard, target });
+                        }
+                        Step::GiveUp => self.stats.failed_hops += 1,
+                        Step::After(_) => {}
+                    },
                     AppResponse::NotMine => {
                         self.stats.not_mine += 1;
                         let region = self.region_of_client(req.client);
-                        let delay = self.client_server_latency(region, req.target, ctx);
+                        let delay = self.client_server_latency(region, target, ctx);
                         ctx.schedule_in(delay, WorldEvent::Respond { req, ok: false });
                     }
                 }
             }
-            WorldEvent::Respond { req, ok } => {
+            WorldEvent::Respond { mut req, ok } => {
                 if ok {
                     self.complete_ok(&req, ctx);
-                } else {
-                    let key = req.key.clone();
-                    self.stats.failed_refused += u64::from(req.attempts >= RETRIES);
-                    self.fail_or_retry(req.client, key, req.attempts, req.sent_at, ctx);
+                } else if self.next_try(&mut req, None, ctx) == Step::GiveUp {
+                    self.stats.failed_refused += 1;
                 }
             }
             WorldEvent::OrchDeliver { server, rpc } => {

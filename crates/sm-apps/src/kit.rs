@@ -69,6 +69,17 @@ impl<A> Cx<'_, '_, A> {
         self.ctx.state_changed();
     }
 
+    /// Puts one message from `src` to `dst` on the wire: `event()` is
+    /// scheduled once per copy the net delivers. False when no copy
+    /// left.
+    pub(crate) fn send(&mut self, src: Endpoint, dst: Endpoint, event: impl Fn() -> A) -> bool {
+        let copies = self.wire.net.transmit(src, dst).copies;
+        for &d in copies.iter() {
+            self.ctx.schedule_in(d, Event::App(event()));
+        }
+        !copies.is_empty()
+    }
+
     /// Sends freshly minted orchestrator commands out as RPCs through
     /// the net, each with a correlation id and a give-up timer.
     pub fn flush(&mut self, commands: impl IntoIterator<Item = OrchCommand>) {

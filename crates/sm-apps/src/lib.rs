@@ -13,7 +13,8 @@
 //!   compact replicated log ([`replication`]).
 //!
 //! [`forwarding`] implements the server-side states of the graceful
-//! primary migration protocol (§4.3) shared by all of them, and
+//! primary migration protocol (§4.3) shared by all of them, `client`
+//! the one retry-and-forward step every simulated client takes, and
 //! [`harness`] wires applications, the cluster manager, ZooKeeper,
 //! the orchestrator, the TaskController, and service discovery into one
 //! deterministic simulation world.
@@ -37,6 +38,7 @@
 //!   the kit's `shrink` and codec build on.
 
 pub mod chaos;
+mod client;
 pub mod dst;
 pub mod forwarding;
 pub mod harness;

@@ -39,6 +39,7 @@
 //! requests. `tests/split.rs` proves the oracle catches it. The whole
 //! run is a pure function of `(config, plan)`.
 
+use crate::client::{RetryPolicy, Step, Try};
 use crate::forwarding::{AppResponse, ShardHost};
 use crate::kit::{
     self, Change, Fleet, FleetState, Outcome, Params, Plan, Report, Resolution, Scenario, Wire,
@@ -68,11 +69,13 @@ const SHARDS: u64 = 8;
 const CLIENTS: u32 = 3;
 /// Gap between one client's requests.
 const REQUEST_INTERVAL: SimDuration = SimDuration::from_millis(100);
-/// Backoff before a failed request re-routes and retries.
-const RETRY_DELAY: SimDuration = SimDuration::from_millis(500);
-/// Retry budget; exhausting it is a
+/// How clients retry; a request that spends its tries is a
 /// [`sm_sim::oracle::InvariantKind::LostRequest`].
-const MAX_ATTEMPTS: u32 = 40;
+pub(crate) const RETRY: RetryPolicy = RetryPolicy {
+    attempts: 40,
+    backoff: SimDuration::from_millis(500),
+    max_hops: 6,
+};
 /// Cadence of load collection + adaptive resharding decisions.
 const RESHARD_INTERVAL: SimDuration = SimDuration::from_secs(2);
 /// Cadence of client router refresh (spec + map pull).
@@ -151,8 +154,8 @@ pub struct Req {
     pub client: u32,
     /// Key being requested (as its u64 encoding).
     pub key: u64,
-    /// Delivery attempts so far, this one included.
-    pub attempts: u32,
+    /// The try under way and the forwards it followed.
+    pub(crate) tries: Try,
 }
 
 /// Event alphabet of the skew-storm scenario (the kit carries RPCs,
@@ -169,12 +172,10 @@ pub enum SplitEvent {
         shard: ShardId,
         /// Server this copy was addressed to.
         target: ServerId,
-        /// Forwarding hops on this attempt.
-        hops: u8,
     },
-    /// A failed attempt backs off and re-routes.
+    /// A failed try backs off and re-routes.
     Retry {
-        /// The request, attempts already incremented.
+        /// The request, on its next try.
         req: Req,
     },
     /// Retry pacemaker: re-issue nacked or timed-out control steps and
@@ -515,7 +516,7 @@ impl Split {
             id: self.next_req,
             client,
             key,
-            attempts: 1,
+            tries: Try::default(),
         };
         cx.oracle.request_issued(req.id);
         self.route(req, cx);
@@ -528,77 +529,72 @@ impl Split {
         if cx.oracle.already_served(req.id) {
             return; // a duplicated copy already completed this request
         }
-        match self
-            .router
-            .route(&AppKey::from_u64(req.key), &mut self.rr_cursor)
-        {
-            Ok(d) => {
-                let src = Endpoint::Client(req.client);
-                self.transmit(req, src, d.shard, d.server, 0, cx)
-            }
-            Err(_) => self.fail_or_retry(req, cx),
+        let src = Endpoint::Client(req.client);
+        let key = AppKey::from_u64(req.key);
+        match self.router.route(&key, &mut self.rr_cursor) {
+            Ok(d) => self.transmit(req, src, d.shard, d.server, cx),
+            Err(_) => self.next_try(req, src, None, cx),
         }
     }
 
-    /// Puts one hop of `req` on the wire toward `target`.
+    /// Puts one hop of `req` for `shard` on the wire from `src` toward
+    /// `target`.
     fn transmit(
         &mut self,
         req: Req,
         src: Endpoint,
         shard: ShardId,
         target: ServerId,
-        hops: u8,
         cx: &mut Cx<'_, '_>,
     ) {
-        let t = cx.net.transmit(src, Endpoint::Server(target.raw()));
-        if t.copies.is_empty() {
-            self.fail_or_retry(req, cx);
-        }
-        for d in t.copies {
-            let deliver = SplitEvent::Deliver {
-                req,
-                shard,
-                target,
-                hops,
-            };
-            cx.schedule_in(d, deliver);
+        let dst = Endpoint::Server(target.raw());
+        if !cx.send(src, dst, || SplitEvent::Deliver { req, shard, target }) {
+            self.next_try(req, src, None, cx);
         }
     }
 
-    fn fail_or_retry(&mut self, req: Req, cx: &mut Cx<'_, '_>) {
+    /// Takes the client's next step for `req`, a try at `at` that was
+    /// not served; `forward` is the shard and server a `Forward` named.
+    fn next_try(
+        &mut self,
+        mut req: Req,
+        at: Endpoint,
+        forward: Option<(ShardId, ServerId)>,
+        cx: &mut Cx<'_, '_>,
+    ) {
         if cx.oracle.already_served(req.id) {
             return;
         }
-        if req.attempts < MAX_ATTEMPTS {
-            self.stats.retries += 1;
-            let req = Req {
-                attempts: req.attempts + 1,
-                ..req
-            };
-            cx.schedule_in(RETRY_DELAY, SplitEvent::Retry { req });
-        } else {
-            self.stats.dropped += 1;
-            let now = cx.now();
-            cx.oracle.request_dropped(now, req.id);
+        match (req.tries.next(&RETRY, forward.map(|(_, to)| to)), forward) {
+            (Step::Send(to), Some((shard, _))) => {
+                self.stats.forwards += 1;
+                self.transmit(req, at, shard, to, cx);
+            }
+            (Step::After(backoff), _) => {
+                self.stats.retries += 1;
+                cx.schedule_in(backoff, SplitEvent::Retry { req });
+            }
+            // Spent (a `Send` answers only a forward).
+            _ => {
+                self.stats.dropped += 1;
+                let now = cx.now();
+                cx.oracle.request_dropped(now, req.id);
+            }
         }
     }
 
-    fn deliver(
-        &mut self,
-        req: Req,
-        shard: ShardId,
-        target: ServerId,
-        hops: u8,
-        cx: &mut Cx<'_, '_>,
-    ) {
+    fn deliver(&mut self, req: Req, shard: ShardId, target: ServerId, cx: &mut Cx<'_, '_>) {
         if cx.oracle.already_served(req.id) {
             return;
         }
         let key = AppKey::from_u64(req.key);
         let decision = match self.hosts.get(&target) {
-            Some(h) if self.fleet.is_up(target) => h.host.admit_key(shard, &key, hops > 0),
+            Some(h) if self.fleet.is_up(target) => {
+                h.host.admit_key(shard, &key, req.tries.hops > 0)
+            }
             _ => (shard, AppResponse::NotMine),
         };
+        let at = Endpoint::Server(target.raw());
         match decision {
             (_, AppResponse::Serve) => {
                 let now = cx.now();
@@ -617,12 +613,8 @@ impl Split {
                     *h.served.entry(shard).or_insert(0) += 1;
                 }
             }
-            (shard, AppResponse::Forward(to)) if hops < 6 => {
-                self.stats.forwards += 1;
-                let src = Endpoint::Server(target.raw());
-                self.transmit(req, src, shard, to, hops + 1, cx);
-            }
-            _ => self.fail_or_retry(req, cx),
+            (shard, AppResponse::Forward(to)) => self.next_try(req, at, Some((shard, to)), cx),
+            (_, AppResponse::NotMine) => self.next_try(req, at, None, cx),
         }
     }
 
@@ -828,12 +820,7 @@ impl Scenario for Split {
     fn handle(&mut self, cx: &mut Cx<'_, '_>, event: SplitEvent) {
         match event {
             SplitEvent::ClientTick(c) => self.client_tick(c, cx),
-            SplitEvent::Deliver {
-                req,
-                shard,
-                target,
-                hops,
-            } => self.deliver(req, shard, target, hops, cx),
+            SplitEvent::Deliver { req, shard, target } => self.deliver(req, shard, target, cx),
             SplitEvent::Retry { req } => self.route(req, cx),
             // Nacked and timed-out protocol steps leave here on a fixed
             // 500ms backoff (see [`kit::fleet_resolved`]), alongside
@@ -926,10 +913,10 @@ impl Scenario for Split {
         let divergence = self.router_divergence();
         wire.oracle
             .convergence_check(at, unplaced, in_flight, divergence);
-        // Every issued request must have resolved by now: the retry
-        // budget (MAX_ATTEMPTS × RETRY_DELAY) fits inside the post-
-        // traffic tail, so anything still outstanding was lost track
-        // of — a lost request.
+        // Every issued request must have resolved by now: the client's
+        // tries (`RETRY`: 40 × 500 ms) fit inside the post-traffic
+        // tail, so anything still outstanding was lost track of — a
+        // lost request.
         wire.oracle.quiescent_drain_check(at);
         Outcome {
             converged: self.converged(),

@@ -18,14 +18,13 @@
 //! and [`ResolvedMap::with_map`] — every later version beside that spec
 //! — shares them and re-reads only each range's 16-byte entry.
 //!
-//! Every route in the repository but one is this kernel's: the simulated
-//! clients of the DES worlds hold the kernel their publisher built, and
-//! [`crate::ConcurrentRouter`] (shared by N threads, cached per handle)
-//! hands its handles the same type, so the deterministic oracles
-//! exercise the exact code the throughput bench measures. The one
-//! exception is the chaos world's `BTreeMap` of shard → primary: while a
-//! partition's mini-SM is down, its clients keep that partition's last
-//! entries, which no single map version holds.
+//! Every route is this kernel's: the simulated clients of the DES
+//! worlds hold the kernels their publishers built (one per partition
+//! where a world runs several mini-SMs, each kept until its partition's
+//! next one), and [`crate::ConcurrentRouter`] (shared by N threads,
+//! cached per handle) hands its handles the same type, so the
+//! deterministic oracles exercise the exact code the throughput bench
+//! measures.
 
 use sm_types::{AppKey, ServerId, ShardId, ShardMap, ShardMapEntry, ShardingSpec, SmError};
 use std::sync::Arc;
