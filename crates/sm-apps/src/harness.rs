@@ -13,8 +13,8 @@ use crate::client::{RetryPolicy, Step, Try};
 use crate::forwarding::AppResponse;
 use crate::kv::{ExternalStore, KvServer};
 use crate::queue::QueueServer;
-use sm_cluster::{ClusterManager, Machine, MaintenanceImpact, OpId, OpKind};
-use sm_core::ha::{paths, ServerLease};
+use sm_cluster::{ClusterManager, CmEvent, Machine, MaintenanceImpact, OpId, OpKind};
+use sm_core::ha::{self, paths, ServerLease};
 use sm_core::{
     AvailabilityView, OrchCommand, Orchestrator, OrchestratorConfig, ServerRpc, ShardServer,
     TaskController,
@@ -25,7 +25,7 @@ use sm_types::{
     AppId, AppKey, AppPolicy, ContainerId, LoadVector, Location, MachineId, Metric, RegionId,
     ServerId, ShardId, ShardingSpec, SmError,
 };
-use sm_zk::{SessionId, WatchEvent, WatchKind, ZkStore};
+use sm_zk::{SessionId, WatchEvent, ZkStore};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -722,32 +722,25 @@ impl SimWorld {
         }
     }
 
-    /// Reacts to a delivered watch notification. Only events addressed
-    /// to the control plane's session count. Watches are one-shot and
-    /// advisory: re-arm first, then re-check actual state before
-    /// acting, so a server that already re-registered is not marked
-    /// down by stale news.
+    /// Reacts to a delivered watch notification, read by
+    /// [`ha::watched_server`]: a server whose node is gone *now* is
+    /// marked down, so one that already re-registered is not marked
+    /// down by stale news. A node that exists needs no action here: the
+    /// cluster manager reports the container back, and
+    /// [`Self::bring_server_up`] reconciles it.
     fn handle_zk_event(&mut self, event: &WatchEvent, ctx: &mut Ctx<'_, WorldEvent>) {
-        if event.watcher != self.watcher {
-            return;
-        }
-        let Some(server) = paths::parse_server(&event.path) else {
-            return;
-        };
-        self.zk.watch_exists(self.watcher, &event.path);
-        if event.kind == WatchKind::Deleted && !self.zk.exists(&event.path) {
+        if let Some((server, false)) = ha::watched_server(&mut self.zk, self.watcher, event) {
             // A dead server's drain can never finish; discard it.
             self.tc.server_lost(server);
             self.orch.server_down(server);
             self.flush_orch(ctx);
         }
-        // Created events need no orchestrator action here: the
-        // cluster-manager recovery path reconciles the server when the
-        // container comes back.
     }
 
-    /// Serves from `server` again; whether the orchestrator saw it go
-    /// decides how it comes back.
+    /// Serves from `server` again, a container the cluster manager
+    /// reported started. The orchestrator's `reconcile_server` decides
+    /// what it gets back; only what it lost to a detected failure needs
+    /// an emergency run.
     fn bring_server_up(&mut self, server: ServerId, ctx: &mut Ctx<'_, WorldEvent>) {
         let detected_down = !self.orch.server_alive(server);
         let Some(host) = self.servers.get_mut(&server) else {
@@ -761,13 +754,9 @@ impl SimWorld {
                 self.dispatch_zk_events(events, ctx);
             }
         }
+        self.orch.reconcile_server(server);
         if detected_down {
-            self.orch.server_up(server);
             self.orch.run_emergency();
-        } else {
-            // Restarted before detection: the orchestrator still thinks
-            // the shards are here — reconcile re-adds them.
-            self.orch.reconcile_server(server);
         }
         self.flush_orch(ctx);
     }
@@ -1062,7 +1051,7 @@ impl World for SimWorld {
             WorldEvent::OpDone { region, op } => {
                 let cm = self.cms.get_mut(&region).expect("region exists");
                 if let Ok(ev) = cm.complete_op(op) {
-                    if let sm_cluster::CmEvent::ContainerUp { container } = ev {
+                    if let CmEvent::ContainerUp { container } = ev {
                         let server = ServerId(container.raw());
                         self.orch.drain_finished(server);
                         self.tc.op_finished(region, op);
@@ -1134,43 +1123,29 @@ impl World for SimWorld {
                 }
             }
             WorldEvent::RegionFail(region) => {
-                let affected: Vec<ServerId> = self
-                    .servers
-                    .iter()
-                    .filter(|(_, h)| h.region == region)
-                    .map(|(&s, _)| s)
-                    .collect();
-                if let Some(cm) = self.cms.get_mut(&region) {
-                    cm.fail_all_machines();
-                }
-                for s in affected {
-                    self.take_server_down(s, now, ctx);
+                let failed = self.cms.get_mut(&region).map(|cm| cm.fail_all_machines());
+                for c in failed.unwrap_or_default() {
+                    self.take_server_down(ServerId(c.raw()), now, ctx);
                 }
             }
             WorldEvent::RegionRecover(region) => {
-                let affected: Vec<ServerId> = self
-                    .servers
-                    .iter()
-                    .filter(|(_, h)| h.region == region)
-                    .map(|(&s, _)| s)
-                    .collect();
-                if let Some(cm) = self.cms.get_mut(&region) {
-                    cm.recover_all_machines();
-                }
-                for s in affected {
-                    self.bring_server_up(s, ctx);
+                // A container still restarting stays down until its
+                // operation completes.
+                let cm = self.cms.get_mut(&region);
+                let recovered = cm.map(|cm| cm.recover_all_machines());
+                for c in recovered.unwrap_or_default() {
+                    self.bring_server_up(ServerId(c.raw()), ctx);
                 }
                 // Rebalance soon to move preferred shards home.
                 ctx.schedule_in(SimDuration::from_secs(5), WorldEvent::PeriodicAlloc);
             }
             WorldEvent::ServerCrash(server) => {
-                let region = self.servers.get(&server).map(|h| h.region);
-                if let Some(region) = region {
-                    if let Some(cm) = self.cms.get_mut(&region) {
-                        let _outcome = cm.crash_container(ContainerId(server.raw()));
-                    }
+                let region = self.server_region(server);
+                let cm = region.and_then(|r| self.cms.get_mut(&r));
+                let crash = cm.and_then(|cm| cm.crash_container(ContainerId(server.raw())).ok());
+                if let Some(CmEvent::ContainerDown { container, .. }) = crash {
+                    self.take_server_down(ServerId(container.raw()), now, ctx);
                 }
-                self.take_server_down(server, now, ctx);
             }
             WorldEvent::SetPreference {
                 shard,
@@ -1189,11 +1164,10 @@ impl World for SimWorld {
                 impact,
             } => {
                 let machines: Vec<MachineId> = servers.iter().map(|s| MachineId(s.raw())).collect();
-                if let Some(cm) = self.cms.get_mut(&region) {
-                    cm.begin_maintenance(&machines, impact);
-                }
-                for s in servers {
-                    self.take_server_down(s, now, ctx);
+                let cm = self.cms.get_mut(&region);
+                let stopped = cm.map(|cm| cm.begin_maintenance(&machines, impact));
+                for c in stopped.unwrap_or_default() {
+                    self.take_server_down(ServerId(c.raw()), now, ctx);
                 }
             }
             WorldEvent::MaintenanceEnd {
@@ -1202,13 +1176,10 @@ impl World for SimWorld {
                 impact,
             } => {
                 let machines: Vec<MachineId> = servers.iter().map(|s| MachineId(s.raw())).collect();
-                if let Some(cm) = self.cms.get_mut(&region) {
-                    cm.end_maintenance(&machines, impact);
-                }
-                if impact != MaintenanceImpact::FullMachineLoss {
-                    for s in servers {
-                        self.bring_server_up(s, ctx);
-                    }
+                let cm = self.cms.get_mut(&region);
+                let resumed = cm.map(|cm| cm.end_maintenance(&machines, impact));
+                for c in resumed.unwrap_or_default() {
+                    self.bring_server_up(ServerId(c.raw()), ctx);
                 }
             }
             WorldEvent::Sample => {

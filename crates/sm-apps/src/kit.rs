@@ -537,9 +537,7 @@ pub(crate) fn fleet_fault<S: Fleet>(s: &mut S, cx: &mut Cx<'_, '_, S::Event>, fa
                 return;
             }
             s.on(Change::Restarted(id));
-            let (_, cp) = s.fleet();
-            cp.server_up(id);
-            cp.reconcile_server(id);
+            s.fleet().1.reconcile_server(id);
         }
         Fault::PartitionStart(spec) => {
             s.fleet().0.net_partitions += 1;
@@ -554,7 +552,6 @@ pub(crate) fn fleet_fault<S: Fleet>(s: &mut S, cx: &mut Cx<'_, '_, S::Event>, fa
                 s.on(Change::Rejoined(id));
                 let (fleet, cp) = s.fleet();
                 if fleet.is_up(id) {
-                    cp.server_up(id);
                     cp.reconcile_server(id);
                 }
             }

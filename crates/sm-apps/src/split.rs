@@ -892,14 +892,14 @@ impl Scenario for Split {
         let (down, islanded) = self.fleet.revive_all();
         for (s, h) in self.hosts.iter_mut() {
             h.fenced = false;
-            self.cp.server_up(*s);
             if down.contains(s) {
                 h.wipe();
                 self.cp.reconcile_server(*s);
+            } else {
+                self.cp.server_up(*s);
             }
         }
         for s in islanded {
-            self.cp.server_up(s);
             self.cp.reconcile_server(s);
         }
         self.settle();

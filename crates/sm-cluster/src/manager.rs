@@ -216,7 +216,9 @@ impl ClusterManager {
 
     /// Completes an executing operation: restarted containers come back
     /// running at the app's target version; moved containers land on the
-    /// destination machine.
+    /// destination machine. One whose machine failed meanwhile stays
+    /// down there — `ContainerDown`, unplanned — until
+    /// [`Self::recover_machine`] brings it back.
     pub fn complete_op(&mut self, op_id: OpId) -> Result<CmEvent, SmError> {
         let op = self
             .executing
@@ -233,33 +235,30 @@ impl ClusterManager {
         match op.kind {
             OpKind::Stop => {
                 self.containers.remove(&op.container);
-                Ok(CmEvent::ContainerGone {
+                return Ok(CmEvent::ContainerGone {
                     container: op.container,
-                })
+                });
             }
             OpKind::Restart => {
-                container.state = ContainerState::Running;
                 if let Some(v) = target_version {
                     container.version = v;
                 }
-                Ok(CmEvent::ContainerUp {
-                    container: op.container,
-                })
             }
-            OpKind::Move { to } => {
-                container.machine = to;
-                container.state = ContainerState::Running;
-                Ok(CmEvent::ContainerUp {
-                    container: op.container,
-                })
-            }
-            OpKind::Start => {
-                container.state = ContainerState::Running;
-                Ok(CmEvent::ContainerUp {
-                    container: op.container,
-                })
-            }
+            OpKind::Move { to } => container.machine = to,
+            OpKind::Start => {}
         }
+        let machine = self.machines.get(&container.machine);
+        if machine.is_some_and(|m| m.state == MachineState::Failed) {
+            container.state = ContainerState::Failed;
+            return Ok(CmEvent::ContainerDown {
+                container: op.container,
+                planned: false,
+            });
+        }
+        container.state = ContainerState::Running;
+        Ok(CmEvent::ContainerUp {
+            container: op.container,
+        })
     }
 
     /// True when a rolling upgrade of `app` has fully converged: no
@@ -629,6 +628,42 @@ mod tests {
         let resumed = cm.end_maintenance(&[MachineId(0)], MaintenanceImpact::FullMachineLoss);
         assert!(resumed.is_empty());
         assert!(!serving(&cm, ContainerId(0)));
+    }
+
+    #[test]
+    fn an_operation_completing_on_a_failed_machine_leaves_its_container_down() {
+        let mut cm = cm_with(2);
+        cm.deploy(ContainerId(0), AppId(1), MachineId(0), 1)
+            .unwrap();
+        cm.deploy(ContainerId(1), AppId(1), MachineId(0), 1)
+            .unwrap();
+        let ops = cm.start_rolling_upgrade(AppId(1), 2);
+        let moved = cm
+            .request_op(
+                ContainerId(1),
+                OpKind::Move { to: MachineId(1) },
+                OpReason::Manual,
+            )
+            .unwrap();
+        cm.begin_op(ops[0], SimTime::ZERO).unwrap();
+        cm.begin_op(moved, SimTime::ZERO).unwrap();
+        // Restarting containers are not running: the failures list none.
+        assert!(cm.fail_machine(MachineId(0)).unwrap().is_empty());
+        assert!(cm.fail_machine(MachineId(1)).unwrap().is_empty());
+        for (op, container) in [(ops[0], ContainerId(0)), (moved, ContainerId(1))] {
+            let down = CmEvent::ContainerDown {
+                container,
+                planned: false,
+            };
+            assert_eq!(cm.complete_op(op).unwrap(), down);
+            assert!(!serving(&cm, container));
+        }
+        assert_eq!(cm.containers[&ContainerId(0)].version, 2);
+        assert_eq!(cm.containers[&ContainerId(1)].machine, MachineId(1));
+        // Each comes back with the machine it is on.
+        assert_eq!(cm.recover_machine(MachineId(0)).unwrap(), [ContainerId(0)]);
+        assert_eq!(cm.recover_machine(MachineId(1)).unwrap(), [ContainerId(1)]);
+        assert!(serving(&cm, ContainerId(0)) && serving(&cm, ContainerId(1)));
     }
 
     #[test]

@@ -89,10 +89,26 @@ pub mod paths {
     }
 
     /// Parses a `/servers/srv<N>` path back to its server id.
-    pub fn parse_server(path: &str) -> Option<ServerId> {
+    pub(crate) fn parse_server(path: &str) -> Option<ServerId> {
         let rest = path.strip_prefix(SERVERS)?.strip_prefix("/srv")?;
         rest.parse().ok().map(ServerId)
     }
+}
+
+/// Reads a notification of `session`'s exists watch on a server's
+/// liveness node: re-arms the one-shot watch and returns the server and
+/// whether its node exists *now*. Under a simulated (or real) network a
+/// `Deleted` event may arrive after the server already re-registered;
+/// the event is only a hint that the node changed, so its kind is never
+/// read. `None` for another session's event or another path.
+pub fn watched_server(
+    zk: &mut ZkStore,
+    session: SessionId,
+    event: &WatchEvent,
+) -> Option<(ServerId, bool)> {
+    let server = paths::parse_server(&event.path).filter(|_| event.watcher == session)?;
+    zk.watch_exists(session, &event.path);
+    Some((server, zk.exists(&event.path)))
 }
 
 /// Creates the persistent base directories if they do not exist yet,
@@ -497,31 +513,22 @@ impl HaControlPlane {
             }
             return events;
         }
-        if let Some(server) = paths::parse_server(&event.path) {
-            zk.watch_exists(self.session, &event.path);
-            // Under a simulated (or real) network, notifications can be
-            // delayed past further state changes: a `Deleted` event may
-            // arrive after the server already re-registered. The event
-            // is only a *hint* that the node changed — the current
-            // `exists()` state is authoritative, so re-check it rather
-            // than trusting `event.kind`.
-            return if zk.exists(&event.path) {
+        match watched_server(zk, self.session, event) {
+            Some((server, true)) => {
                 self.down_servers.remove(&server);
-                // The server may have restarted empty: mark it alive,
-                // re-send its assignment, and re-place what emergency
-                // placement moved away in the meantime.
+                // The server may have restarted empty: re-send its
+                // assignment, and re-place what emergency placement
+                // moved away in the meantime.
                 self.on_server(zk, server, false, |orch| {
-                    orch.server_up(server);
                     orch.reconcile_server(server);
                     orch.run_emergency();
                 })
-            } else if self.down_servers.insert(server) {
+            }
+            Some((server, false)) if self.down_servers.insert(server) => {
                 self.on_server(zk, server, false, |orch| orch.server_down(server))
-            } else {
-                Vec::new() // duplicate notification
-            };
+            }
+            _ => Vec::new(), // not a server, or a duplicate notification
         }
-        Vec::new()
     }
 
     /// Fails over every partition of a dead mini-SM to survivors (or

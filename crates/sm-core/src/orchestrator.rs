@@ -40,6 +40,15 @@
 //! compensation rules; this file holds membership, placement and
 //! persistence.
 //!
+//! Membership has one way out and one way back. A server whose lease
+//! expired leaves through [`Orchestrator::server_down`]; each primary
+//! it held is inherited through `ensure_primary_for`, which waits while
+//! a reclaim or a change of the shard is pending, so a new owner is
+//! enabled only after the old one is disabled. A server that restarted
+//! or was lost returns through [`Orchestrator::reconcile_server`]:
+//! alive, its drain ended, re-sent what the assignment still places on
+//! it.
+//!
 //! The orchestrator is a synchronous state machine: methods mutate state
 //! and append [`OrchCommand`]s to an outbox the embedding world drains,
 //! delivering RPCs to application servers and feeding acks back in.
@@ -445,9 +454,11 @@ impl Orchestrator {
     // ---- Failure handling ----
 
     /// Marks a server down (ZooKeeper ephemeral expired, §3.2): its
-    /// replicas are dropped from the assignment, surviving secondaries
-    /// are promoted where the primary was lost, a new map is published,
-    /// and the emergency allocator refills the missing replicas.
+    /// replicas are dropped from the assignment, a surviving secondary
+    /// is promoted where the primary was lost — by `ensure_primary_for`,
+    /// so only once no reclaim or change of that shard is pending — a
+    /// new map is published, and the emergency allocator refills the
+    /// missing replicas.
     pub fn server_down(&mut self, server: ServerId) {
         if !self.server_alive(server) {
             return;
@@ -459,16 +470,10 @@ impl Orchestrator {
         // those shards to be re-placed by the emergency run below.
         let freed = self.sweep(server, true);
         let lost = self.assignment.edit().drop_server(server);
-        // Promote a surviving secondary wherever a primary was lost.
-        for &(shard, role) in &lost {
-            if !role.is_primary() {
-                continue;
-            }
-            let mut survivors = self.assignment.replicas(shard).iter();
-            let survivor = survivors.find(|r| !r.role.is_primary() && self.server_alive(r.server));
-            if let Some(heir) = survivor.map(|r| r.server) {
-                self.request(shard, heir, Compensation::Promote);
-            }
+        // Before the refill below can make the shard busy: a deferred
+        // heir is promoted when the reclaim that held it back is acked.
+        for &(shard, _) in lost.iter().filter(|(_, role)| role.is_primary()) {
+            self.ensure_primary_for(shard);
         }
         self.publish_map();
         if !lost.is_empty() || freed {
@@ -478,8 +483,11 @@ impl Orchestrator {
         self.pump_scheduler();
     }
 
-    /// Marks a recovered server available again (it returns empty; the
-    /// next periodic run will use it).
+    /// Marks `server` available again and ends its drain, sending it
+    /// nothing: for a server that never lost what it held (a failover
+    /// standby's view of its fleet, the end of a drain). A server that
+    /// came back from a restart or a detected loss returns through
+    /// [`Self::reconcile_server`].
     pub fn server_up(&mut self, server: ServerId) {
         self.set_server(server, |e| (e.alive, e.draining) = (true, false));
     }
@@ -661,7 +669,9 @@ impl Orchestrator {
     }
 
     /// Per-shard variant of the role reconciliation, cheap enough for
-    /// hot paths like migration completion.
+    /// hot paths like migration completion, and the one choice of heir
+    /// for a primary lost with its server: the first live replica, once
+    /// nothing of the shard is in flight.
     pub(crate) fn ensure_primary_for(&mut self, shard: ShardId) {
         if !self.policy.replication.has_primary()
             || self.assignment.primary_of(shard).is_some()
@@ -919,12 +929,16 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// Re-sends `add_shard` for everything assigned to `server` — called
-    /// when a container restarted in place and came back empty (§3.2:
-    /// on start-up a server also reads its assignment from ZooKeeper;
-    /// this is the control-plane push side of that reconciliation).
+    /// The one way back for a server that restarted or was lost: marks
+    /// it alive and not draining, and re-sends `add_shard` for
+    /// everything the assignment still places on it (§3.2: on start-up
+    /// a server also reads its assignment from ZooKeeper; this is the
+    /// control-plane push side of that reconciliation). A server
+    /// restarted before detection gets its shards back; after a
+    /// detected loss the assignment places nothing there, so nothing is
+    /// sent and the caller's emergency run re-places what moved away.
     pub fn reconcile_server(&mut self, server: ServerId) {
-        self.set_server(server, |e| e.alive = true);
+        self.set_server(server, |e| (e.alive, e.draining) = (true, false));
         // An in-place restart silently discarded any split/merge
         // forwarding or prepared-child state the server held. Committing
         // such an op later would hand ownership to a child that no
@@ -1973,6 +1987,38 @@ mod tests {
         let published = o.stats().maps_published;
         o.server_down(ServerId(0));
         assert_eq!(o.stats().maps_published, published, "second call no-ops");
+    }
+
+    /// `reconcile_server` is the one way back: whatever happened to the
+    /// server, it ends alive and not draining, and it is re-sent what
+    /// the assignment still places on it — all it held while its loss
+    /// was never declared, nothing after a declared loss.
+    #[test]
+    fn reconcile_server_is_the_one_way_back() {
+        for (declared_down, draining) in
+            [(false, false), (false, true), (true, false), (true, true)]
+        {
+            let row = format!("declared down: {declared_down}, draining: {draining}");
+            let mut o = orch(AppPolicy::primary_only(), 3, 6);
+            o.run_emergency();
+            settle(&mut o);
+            let server = ServerId(0);
+            let held = o.shards_on(server);
+            assert!(!held.is_empty(), "{row}");
+            if draining {
+                assert!(o.drain_server(server) > 0, "{row}");
+            }
+            if declared_down {
+                o.server_down(server);
+            }
+            rpcs(&mut o);
+            o.reconcile_server(server);
+            let entry = o.servers[&server];
+            assert!(entry.alive && !entry.draining, "{row}");
+            let add = |&(shard, role)| (server, ServerRpc::AddShard { shard, role });
+            let resent: Vec<_> = held.iter().filter(|_| !declared_down).map(add).collect();
+            assert_eq!(rpcs(&mut o), resent, "{row}");
+        }
     }
 
     // ---- Adaptive resharding ----

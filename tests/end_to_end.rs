@@ -5,7 +5,7 @@ use shard_manager::apps::harness::{AppKind, ExperimentConfig, SimWorld, WorldEve
 use shard_manager::apps::kit::{default_orch_config, loc};
 use shard_manager::apps::{AppResponse, ShardHost};
 use shard_manager::core::{OrchCommand, Orchestrator, ServerRpc};
-use shard_manager::sim::{SimDuration, SimTime};
+use shard_manager::sim::{SimDuration, SimTime, Simulation};
 use shard_manager::types::{
     AppId, AppPolicy, LoadVector, Metric, RegionId, ReplicaRole, ServerId, ShardId,
 };
@@ -252,6 +252,39 @@ fn a_region_back_before_detection_serves_its_shards_again() {
     assert_eq!(w.stats.not_mine, before.not_mine, "{:?}", w.stats);
 }
 
+/// A container still restarting when its region comes back stays down
+/// until its restart completes: the region's recovery brings back only
+/// the containers the cluster manager recovered.
+#[test]
+fn a_container_still_restarting_stays_down_when_its_region_recovers() {
+    let mut cfg = ExperimentConfig::single_region(8, 96);
+    cfg.policy.max_concurrent_container_ops = 2;
+    let mut sim = SimWorld::primed(cfg);
+    sim.run_until(SimTime::from_secs(30));
+    sim.schedule_in(
+        SimDuration::ZERO,
+        WorldEvent::StartUpgrade {
+            region: RegionId(0),
+            version: 2,
+        },
+    );
+    let executing = |sim: &Simulation<SimWorld>| {
+        let cm = sim.world().cluster_manager(RegionId(0));
+        cm.map_or(0, |cm| cm.executing_count())
+    };
+    while executing(&sim) == 0 {
+        assert!(sim.step(), "the upgrade starts a restart");
+    }
+    let failed_at = sim.now();
+    sim.schedule_in(SimDuration::ZERO, WorldEvent::RegionFail(RegionId(0)));
+    let recover = WorldEvent::RegionRecover(RegionId(0));
+    sim.schedule_in(SimDuration::from_secs(2), recover);
+    sim.run_until(failed_at + SimDuration::from_secs(3));
+    let restarting = executing(&sim);
+    assert!(restarting > 0, "the restarts outlast the outage");
+    assert_eq!(sim.world().serving_count(), 8 - restarting);
+}
+
 /// Applies one control-plane RPC to a host (`ShardHost` is the
 /// bookkeeping, not a `ShardServer`).
 fn apply(host: &mut ShardHost, rpc: ServerRpc) {
@@ -377,4 +410,70 @@ fn an_aborted_graceful_move_hands_its_shard_back() {
     // Nothing to repair: an emergency run plans nothing and sends nothing.
     assert_eq!(cp.run_emergency(), 0);
     assert!(cp.take_commands().is_empty());
+}
+
+/// Drains `cp`'s outbox into its RPCs, dropping map notices.
+fn rpcs(cp: &mut Orchestrator) -> Vec<(ServerId, ServerRpc)> {
+    let cmds = cp.take_commands().into_iter();
+    let rpc = |cmd| match cmd {
+        OrchCommand::Rpc { server, rpc } => Some((server, rpc)),
+        _ => None,
+    };
+    cmds.filter_map(rpc).collect()
+}
+
+/// §3.2: a new owner is enabled only after the old one is disabled. A
+/// drain moves `shard0`'s primary to an empty server, and the source
+/// dies while the step-3 `AddShard` to that target is unacked: the
+/// target may hold a primary-willing copy, so the surviving secondary
+/// is promoted only once the target has acked dropping it.
+#[test]
+fn a_lost_primary_is_inherited_only_after_the_suspect_copy_is_dropped() {
+    let shard0 = ShardId(0);
+    let capacity = || LoadVector::single(Metric::ShardCount.id(), 1000.0);
+    let policy = AppPolicy::primary_secondary(1);
+    let mut cp = Orchestrator::new(AppId(0), policy, default_orch_config());
+    let mut hosts = BTreeMap::new();
+
+    // shard0 on srv0 and srv1; srv2 joins empty.
+    cp.register_server(ServerId(0), loc(0), capacity());
+    cp.register_server(ServerId(1), loc(1), capacity());
+    cp.register_shards([shard0]);
+    cp.run_emergency();
+    settle(&mut cp, &mut hosts, |_, _| false);
+    let primary = cp.assignment().primary_of(shard0).expect("placed");
+    let heir = ServerId(1 - primary.raw());
+    let target = ServerId(2);
+    cp.register_server(target, loc(2), capacity());
+
+    // Drain the primary; deliver in order until step 3 reaches srv2.
+    assert_eq!(cp.drain_server(primary), 1);
+    let mut queue = VecDeque::new();
+    loop {
+        queue.extend(rpcs(&mut cp));
+        let (server, rpc) = queue.pop_front().expect("the move reaches step 3");
+        if server == target && matches!(rpc, ServerRpc::AddShard { .. }) {
+            break; // held unacked
+        }
+        apply(hosts.entry(server).or_default(), rpc);
+        cp.rpc_acked(server, rpc);
+    }
+
+    // The primary dies: only the reclaim of the suspect copy is sent.
+    cp.server_down(primary);
+    let reclaim = ServerRpc::DropShard { shard: shard0 };
+    assert_eq!(rpcs(&mut cp), [(target, reclaim)], "no promotion yet");
+
+    // Its ack enables the heir.
+    apply(hosts.entry(target).or_default(), reclaim);
+    cp.rpc_acked(target, reclaim);
+    let promote = ServerRpc::ChangeRole {
+        shard: shard0,
+        current: ReplicaRole::Secondary,
+        new: ReplicaRole::Primary,
+    };
+    assert!(rpcs(&mut cp).contains(&(heir, promote)));
+    apply(hosts.entry(heir).or_default(), promote);
+    cp.rpc_acked(heir, promote);
+    assert_eq!(cp.assignment().primary_of(shard0), Some(heir));
 }
