@@ -20,7 +20,7 @@
 use crate::penalty_tree::PenaltyTree;
 use crate::problem::{BinId, Entity, EntityId, GroupId, Problem};
 use crate::specs::{Scope, Spec, SpecSet};
-use sm_types::{LoadVector, MetricId};
+use sm_types::{LoadVector, MetricId, METRIC_COUNT};
 use std::collections::{BTreeMap, BTreeSet};
 
 const UNPLACED: u32 = u32::MAX;
@@ -89,11 +89,11 @@ impl ExclusionGoal {
     }
 }
 
-/// The incremental evaluator over one problem and one active goal set.
+/// The incremental evaluator over one problem, carried through the
+/// priority batches of a solve: each batch activates more goals.
 pub struct Evaluator<'p> {
-    // -- static problem data: the entities borrowed (an evaluator is
-    // built per priority batch, and they are most of the problem), the
-    // few bins copied out for dense access --
+    // -- static problem data: the entities borrowed (they are most of
+    // the problem), the few bins copied out for dense access --
     entities: &'p [Entity],
     bin_capacity: Vec<LoadVector>,
     /// Per bin: domain id at [host, rack, dc, region].
@@ -103,8 +103,14 @@ pub struct Evaluator<'p> {
     /// `group_entities[group_start[g]..group_start[g + 1]]`.
     group_start: Vec<u32>,
     group_entities: Vec<EntityId>,
+    /// Average utilization per metric over the whole problem — constant
+    /// under moves since total load and capacity are fixed.
+    avg_util: LoadVector,
 
     // -- active specs, pre-resolved --
+    /// The goals of priority `<= active` are on; `None` before the first
+    /// batch.
+    active: Option<u8>,
     hard_metrics: Vec<MetricId>,
     forbid_group_colocation: bool,
     balance_goals: Vec<BalanceGoal>,
@@ -118,13 +124,13 @@ pub struct Evaluator<'p> {
     // -- mutable search state --
     assignment: Vec<u32>,
     bin_usage: Vec<LoadVector>,
-    bin_entity_count: Vec<u32>,
     /// Sum of affinity penalties of entities currently on each bin.
     bin_affinity: Vec<f64>,
     /// Entities currently on each bin, maintained incrementally under
     /// moves so [`Self::entities_on`] is O(1) instead of an
-    /// O(n_entities) scan. Within-bin order is move-history dependent
-    /// (swap-remove) but a pure function of the move sequence.
+    /// O(n_entities) scan. Ascending when a batch starts; within a batch
+    /// the order is move-history dependent (swap-remove) but a pure
+    /// function of the move sequence.
     bin_entities: Vec<Vec<EntityId>>,
     /// Position of each placed entity within its bin's entity list.
     entity_pos: Vec<u32>,
@@ -158,9 +164,9 @@ impl<'p> Evaluator<'p> {
         Self::with_assignment(problem, specs, max_priority, problem.initial_assignment())
     }
 
-    /// Like [`Self::new`] but seeded from an explicit assignment — used
-    /// by goal batching (§5.3) to carry the working assignment from one
-    /// priority batch into the next.
+    /// Like [`Self::new`] but seeded from an explicit assignment — the
+    /// working assignment a parallel worker or a polish pass starts
+    /// from.
     // sm-lint: allow(P1) — solver-internal dense ids index parallel vectors sized from the same Problem
     pub fn with_assignment(
         problem: &'p Problem,
@@ -206,8 +212,6 @@ impl<'p> Evaluator<'p> {
             }
         }
 
-        // Average utilization per metric over the whole problem —
-        // constant under moves since total load and capacity are fixed.
         let mut total_load = LoadVector::zero();
         for entity in entities {
             total_load += entity.load;
@@ -216,55 +220,11 @@ impl<'p> Evaluator<'p> {
         for cap in &bin_capacity {
             total_cap += *cap;
         }
-        let avg_util = |m: MetricId| -> f64 {
-            let cap = total_cap.get(m);
+        let mut avg_util = LoadVector::zero();
+        for m in 0..METRIC_COUNT {
+            let (m, cap) = (MetricId(m), total_cap.get(MetricId(m)));
             if cap > 0.0 {
-                total_load.get(m) / cap
-            } else {
-                0.0
-            }
-        };
-
-        let hard_metrics = specs.constraints.iter().map(|c| c.metric).collect();
-        let mut balance_goals = Vec::new();
-        let mut cap_goals = Vec::new();
-        let mut entity_prefs: Vec<Vec<(usize, u64, f64)>> = Vec::new();
-        let mut exclusion_goals = Vec::new();
-        let mut drain_weight = 0.0;
-
-        for goal in specs.goals_up_to(max_priority) {
-            match goal {
-                Spec::Balance(s) => balance_goals.push(BalanceGoal {
-                    metric: s.metric,
-                    weight: s.weight,
-                    limit_util: avg_util(s.metric) + s.tolerance,
-                }),
-                Spec::UtilizationCap(s) => cap_goals.push(CapGoal {
-                    metric: s.metric,
-                    weight: s.weight,
-                    threshold: s.threshold,
-                }),
-                Spec::Affinity(s) => {
-                    let si = scope_index(s.scope);
-                    entity_prefs.resize(n_entities, Vec::new());
-                    for (e, dom, w) in &s.affinities {
-                        entity_prefs[e.0].push((si, *dom, *w));
-                    }
-                }
-                Spec::Exclusion(s) => {
-                    let mut in_goal = vec![false; n_groups];
-                    for g in &s.groups {
-                        in_goal[g.0] = true;
-                    }
-                    exclusion_goals.push(ExclusionGoal {
-                        scope: s.scope,
-                        weight: s.weight,
-                        in_goal,
-                        placed: vec![0; n_groups],
-                        distinct: vec![0; n_groups],
-                    });
-                }
-                Spec::Drain(s) => drain_weight += s.weight,
+                avg_util.set(m, total_load.get(m) / cap);
             }
         }
 
@@ -275,16 +235,19 @@ impl<'p> Evaluator<'p> {
             bin_draining,
             group_start,
             group_entities,
-            hard_metrics,
+            avg_util,
+            active: None,
+            hard_metrics: specs.constraints.iter().map(|c| c.metric).collect(),
             forbid_group_colocation: specs.forbid_group_colocation,
-            balance_goals,
-            cap_goals,
-            entity_prefs,
-            exclusion_goals,
-            drain_weight,
-            assignment: vec![UNPLACED; n_entities],
+            balance_goals: Vec::new(),
+            cap_goals: Vec::new(),
+            entity_prefs: Vec::new(),
+            exclusion_goals: Vec::new(),
+            drain_weight: 0.0,
+            assignment: (assignment.iter())
+                .map(|bin| bin.map_or(UNPLACED, |b| b.0 as u32))
+                .collect(),
             bin_usage: vec![LoadVector::zero(); n_bins],
-            bin_entity_count: vec![0; n_bins],
             bin_affinity: vec![0.0; n_bins],
             bin_entities: vec![Vec::new(); n_bins],
             entity_pos: vec![0; n_entities],
@@ -294,26 +257,148 @@ impl<'p> Evaluator<'p> {
             tree: PenaltyTree::new(n_bins),
             exclusion_total: 0.0,
             violated_groups: BTreeSet::new(),
-            unplaced_count: n_entities,
+            unplaced_count: 0,
         };
-        // Bulk seeding: place every entity first without refreshing the
-        // per-bin penalty leaf or (region, band) key — then build both
-        // in one O(n_bins) pass. Per-entity refreshes would repeat the
-        // same penalty/key computation once per hosted entity.
-        for (i, maybe_bin) in assignment.iter().enumerate() {
-            if let Some(bin) = maybe_bin {
-                eval.seed_place(EntityId(i), *bin);
+        eval.enter_batch(specs, max_priority);
+        eval
+    }
+
+    /// Enters the §5.3 batch of the goals of priority `<= max_priority`
+    /// (at least those already active: batches only add goals), after
+    /// which the evaluator equals a fresh [`Self::with_assignment`] at
+    /// `max_priority` on the current assignment.
+    ///
+    /// Goal lists are rebuilt in spec order, the order of a bin's
+    /// penalty terms in their float sum. Spread counts and preferences
+    /// are history-free, so they are only set up when a goal of their
+    /// kind is admitted. [`Self::rebase`] re-sums the rest.
+    pub(crate) fn enter_batch(&mut self, specs: &SpecSet, max_priority: u8) {
+        let was = self.active.replace(max_priority);
+        let goals = specs.goals_up_to(max_priority);
+        let admits = |kind: fn(&Spec) -> bool| {
+            (goals.iter()).any(|g| kind(g) && was.is_none_or(|p| g.priority() > p))
+        };
+        let new_prefs = admits(|g| matches!(g, Spec::Affinity(_)));
+        let new_spread = admits(|g| matches!(g, Spec::Exclusion(_)));
+        self.balance_goals.clear();
+        self.cap_goals.clear();
+        self.drain_weight = 0.0;
+        if new_prefs {
+            self.entity_prefs.iter_mut().for_each(Vec::clear);
+            self.entity_prefs.resize(self.assignment.len(), Vec::new());
+        }
+        if new_spread {
+            self.exclusion_goals.clear();
+        }
+        let n_groups = self.group_start.len() - 1;
+        for goal in goals {
+            match goal {
+                Spec::Balance(s) => self.balance_goals.push(BalanceGoal {
+                    metric: s.metric,
+                    weight: s.weight,
+                    limit_util: self.avg_util.get(s.metric) + s.tolerance,
+                }),
+                Spec::UtilizationCap(s) => self.cap_goals.push(CapGoal {
+                    metric: s.metric,
+                    weight: s.weight,
+                    threshold: s.threshold,
+                }),
+                Spec::Affinity(s) if new_prefs => {
+                    let si = scope_index(s.scope);
+                    for (e, dom, w) in &s.affinities {
+                        self.entity_prefs[e.0].push((si, *dom, *w));
+                    }
+                }
+                Spec::Exclusion(s) if new_spread => {
+                    let mut in_goal = vec![false; n_groups];
+                    for g in &s.groups {
+                        in_goal[g.0] = true;
+                    }
+                    self.exclusion_goals.push(ExclusionGoal {
+                        scope: s.scope,
+                        weight: s.weight,
+                        in_goal,
+                        placed: vec![0; n_groups],
+                        distinct: vec![0; n_groups],
+                    });
+                }
+                Spec::Drain(s) => self.drain_weight += s.weight,
+                Spec::Affinity(_) | Spec::Exclusion(_) => {}
             }
         }
-        for b in 0..n_bins {
-            eval.refresh_leaf(b);
-            let key = eval.compute_group_key(b);
-            eval.bin_group_key[b] = key;
-            let group = eval.target_groups.entry(key).or_default();
-            eval.bin_group_pos[b] = group.len() as u32;
+        if new_spread {
+            self.count_spread();
+        }
+        self.rebase();
+    }
+
+    /// Counts each spread goal's placed members and distinct domains
+    /// group by group, in one pass over the members, and books the
+    /// groups that violate.
+    fn count_spread(&mut self) {
+        self.violated_groups.clear();
+        for (gi, goal) in self.exclusion_goals.iter_mut().enumerate() {
+            let si = scope_index(goal.scope);
+            for g in (0..goal.in_goal.len()).filter(|&g| goal.in_goal[g]) {
+                let members = &self.group_entities
+                    [self.group_start[g] as usize..self.group_start[g + 1] as usize];
+                let domain = |m: &EntityId| {
+                    let b = self.assignment[m.0];
+                    (b != UNPLACED).then(|| self.bin_domains[b as usize][si])
+                };
+                let (mut placed, mut distinct) = (0, 0);
+                for (i, dom) in members.iter().map(domain).enumerate() {
+                    if dom.is_some() {
+                        placed += 1;
+                        distinct += u32::from(!members[..i].iter().any(|m| domain(m) == dom));
+                    }
+                }
+                (goal.placed[g], goal.distinct[g]) = (placed, distinct);
+                if placed > distinct {
+                    self.violated_groups.insert((gi, GroupId(g)));
+                }
+            }
+        }
+    }
+
+    /// Re-sums the state a move history leaves path-dependent, the way a
+    /// fresh build sums it: usages and affinity penalties in entity
+    /// order (`a + b − b ≠ a`), each bin's entity list ascending, the
+    /// penalty leaves and target groups in bin order, and the spread
+    /// total from the counts.
+    fn rebase(&mut self) {
+        self.bin_usage.fill(LoadVector::zero());
+        self.bin_affinity.fill(0.0);
+        self.bin_entities.iter_mut().for_each(Vec::clear);
+        self.unplaced_count = 0;
+        for i in 0..self.assignment.len() {
+            let (e, b) = (EntityId(i), self.assignment[i]);
+            if b == UNPLACED {
+                self.unplaced_count += 1;
+                continue;
+            }
+            let b = b as usize;
+            self.bin_usage[b] += self.entities[i].load;
+            self.bin_affinity[b] += self.affinity_penalty(e, b);
+            self.index_add(e, b);
+        }
+        self.tree.reset();
+        self.target_groups.values_mut().for_each(Vec::clear);
+        for b in 0..self.bin_usage.len() {
+            self.refresh_leaf(b);
+            let key = self.compute_group_key(b);
+            self.bin_group_key[b] = key;
+            let group = self.target_groups.entry(key).or_default();
+            self.bin_group_pos[b] = group.len() as u32;
             group.push(b);
         }
-        eval
+        self.target_groups.retain(|_, group| !group.is_empty());
+        self.exclusion_total = 0.0;
+        for goal in &self.exclusion_goals {
+            for g in 0..goal.in_goal.len() {
+                self.exclusion_total += goal.group_penalty(g);
+            }
+        }
     }
 
     /// The affinity penalty entity `e` incurs when placed on `bin`.
@@ -347,7 +432,7 @@ impl<'p> Evaluator<'p> {
             }
         }
         if self.bin_draining[bin] {
-            pen += self.drain_weight * f64::from(self.bin_entity_count[bin]);
+            pen += self.drain_weight * self.bin_entities[bin].len() as f64;
         }
         pen + self.bin_affinity[bin]
     }
@@ -409,22 +494,6 @@ impl<'p> Evaluator<'p> {
             let displaced = list[pos];
             self.entity_pos[displaced.0] = pos as u32;
         }
-    }
-
-    /// Places an unplaced entity without checking hard constraints and
-    /// without the penalty-leaf and group-key refresh — bulk
-    /// construction refreshes every bin once at the end instead of once
-    /// per hosted entity.
-    fn seed_place(&mut self, e: EntityId, bin: BinId) {
-        debug_assert_eq!(self.assignment[e.0], UNPLACED);
-        let b = bin.0;
-        self.assignment[e.0] = b as u32;
-        self.bin_usage[b] += self.entities[e.0].load;
-        self.bin_entity_count[b] += 1;
-        self.bin_affinity[b] += self.affinity_penalty(e, b);
-        self.index_add(e, b);
-        self.unplaced_count -= 1;
-        self.exclusion_update(e, b, true);
     }
 
     /// The members of group `g`, ascending.
@@ -548,7 +617,7 @@ impl<'p> Evaluator<'p> {
         // Destination leaf after gaining the entity.
         let to_after = {
             let usage = self.bin_usage[to.0] + load;
-            let count = self.bin_entity_count[to.0] + 1;
+            let count = self.bin_entities[to.0].len() + 1;
             self.hypothetical_bin_penalty(to.0, &usage, count, self.bin_affinity[to.0] + aff_to)
         };
         let mut delta = to_after - self.tree.get(to.0);
@@ -559,7 +628,7 @@ impl<'p> Evaluator<'p> {
             let f = from as usize;
             let aff_from = self.affinity_penalty(e, f);
             let usage = self.bin_usage[f] - load;
-            let count = self.bin_entity_count[f] - 1;
+            let count = self.bin_entities[f].len() - 1;
             let from_after =
                 self.hypothetical_bin_penalty(f, &usage, count, self.bin_affinity[f] - aff_from);
             delta += from_after - self.tree.get(f);
@@ -574,7 +643,7 @@ impl<'p> Evaluator<'p> {
         &self,
         bin: usize,
         usage: &LoadVector,
-        count: u32,
+        count: usize,
         affinity: f64,
     ) -> f64 {
         let cap = &self.bin_capacity[bin];
@@ -594,7 +663,7 @@ impl<'p> Evaluator<'p> {
             }
         }
         if self.bin_draining[bin] {
-            pen += self.drain_weight * f64::from(count);
+            pen += self.drain_weight * count as f64;
         }
         pen + affinity
     }
@@ -609,7 +678,6 @@ impl<'p> Evaluator<'p> {
             self.exclusion_update(e, f, false);
             self.bin_usage[f] -= load;
             self.bin_usage[f].clamp_non_negative();
-            self.bin_entity_count[f] -= 1;
             self.bin_affinity[f] -= self.affinity_penalty(e, f);
             self.index_remove(e, f);
             self.refresh_leaf(f);
@@ -620,7 +688,6 @@ impl<'p> Evaluator<'p> {
         let b = to.0;
         self.assignment[e.0] = b as u32;
         self.bin_usage[b] += load;
-        self.bin_entity_count[b] += 1;
         self.bin_affinity[b] += self.affinity_penalty(e, b);
         self.index_add(e, b);
         self.exclusion_update(e, b, true);
@@ -644,9 +711,9 @@ impl<'p> Evaluator<'p> {
         &self.bin_usage[bin.0]
     }
 
-    /// The hottest `k` bins by attributed penalty.
-    pub(crate) fn hot_bins(&self, k: usize) -> Vec<BinId> {
-        self.tree.top_k(k).into_iter().map(BinId).collect()
+    /// The hottest `k` bins by attributed penalty, into `out`.
+    pub(crate) fn hot_bins(&self, k: usize, out: &mut Vec<usize>) {
+        self.tree.top_k_into(k, out);
     }
 
     /// Entities currently on `bin`, unordered (within-bin order is a
@@ -656,13 +723,10 @@ impl<'p> Evaluator<'p> {
         &self.bin_entities[bin.0]
     }
 
-    /// Groups with colocated replicas under some exclusion goal,
-    /// along with their member entities.
-    pub(crate) fn violated_groups(&self) -> Vec<(GroupId, &[EntityId])> {
-        self.violated_groups
-            .iter()
-            .map(|(_, g)| (*g, self.members(g.0)))
-            .collect()
+    /// The members of each group with colocated replicas, once per
+    /// exclusion goal it violates.
+    pub(crate) fn violated_groups(&self) -> impl Iterator<Item = &[EntityId]> {
+        self.violated_groups.iter().map(|(_, g)| self.members(g.0))
     }
 
     /// Load of one entity.
@@ -735,7 +799,7 @@ impl<'p> Evaluator<'p> {
                     stats.utilization += 1;
                 }
             }
-            if self.bin_draining[b] && self.bin_entity_count[b] > 0 {
+            if self.bin_draining[b] && !self.bin_entities[b].is_empty() {
                 stats.drain += 1;
             }
         }
@@ -785,11 +849,6 @@ mod tests {
         /// vector — the reference for the O(1) hot-path bookkeeping.
         fn assert_index_consistent(&self) {
             for (b, list) in self.bin_entities.iter().enumerate() {
-                assert_eq!(
-                    list.len() as u32,
-                    self.bin_entity_count[b],
-                    "bin {b}: entity list vs count"
-                );
                 for &e in list {
                     assert_eq!(
                         self.assignment[e.0], b as u32,
@@ -1032,13 +1091,13 @@ mod tests {
         // Both replicas in region 0 -> one colocated pair -> 4.0.
         assert!((eval.total_penalty() - 4.0).abs() < 1e-9);
         assert_eq!(eval.violations().exclusion, 1);
-        assert_eq!(eval.violated_groups().len(), 1);
+        assert_eq!(eval.violated_groups().count(), 1);
 
         let delta = eval.eval_move(e1, BinId(2)).unwrap();
         assert!((delta - (-4.0)).abs() < 1e-9);
         eval.apply_move(e1, BinId(2));
         assert!(eval.total_penalty().abs() < 1e-9);
-        assert!(eval.violated_groups().is_empty());
+        assert!(eval.violated_groups().next().is_none());
 
         // Moving it back recreates the violation.
         eval.apply_move(e1, BinId(1));
@@ -1418,6 +1477,118 @@ mod tests {
             0,
             "the walk placed every entity"
         );
+    }
+
+    /// Asserts that `carried` drives a search exactly as `fresh` would:
+    /// same objective bits, usages, counts, candidate lists, target
+    /// groups, hot bins and move deltas on every `(entity, bin)` pair.
+    fn assert_same_search_state(carried: &Evaluator, fresh: &Evaluator) {
+        assert_eq!(
+            carried.total_penalty().to_bits(),
+            fresh.total_penalty().to_bits()
+        );
+        assert_eq!(carried.violations(), fresh.violations());
+        for b in 0..fresh.bin_usage.len() {
+            assert_eq!(carried.entities_on(BinId(b)), fresh.entities_on(BinId(b)));
+            assert_eq!(carried.usage_of(BinId(b)), fresh.usage_of(BinId(b)));
+        }
+        assert_eq!(carried.target_groups(), fresh.target_groups());
+        let (mut hot, mut fresh_hot) = (Vec::new(), Vec::new());
+        carried.hot_bins(8, &mut hot);
+        fresh.hot_bins(8, &mut fresh_hot);
+        assert_eq!(hot, fresh_hot);
+        for e in (0..fresh.assignment.len()).map(EntityId) {
+            for b in (0..fresh.bin_usage.len()).map(BinId) {
+                let delta = |eval: &Evaluator| eval.eval_move(e, b).map(f64::to_bits);
+                assert_eq!(delta(carried), delta(fresh), "{e:?} -> {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_carried_evaluator_equals_a_fresh_build_at_each_batch() {
+        for seed in 0..16 {
+            let mut rng = sm_sim::SimRng::seeded(seed);
+            // Two regions of six bins; bin 3 drains.
+            let mut p = Problem::new();
+            for m in 0..12u32 {
+                p.add_bin(Bin {
+                    capacity: cpu(40.0),
+                    location: loc((m / 6) as u16, m),
+                    draining: m == 3,
+                });
+            }
+            // Loads that are not dyadic, so `a + b - b` drifts from `a`,
+            // in groups of up to three; some start unplaced.
+            let groups: Vec<GroupId> = (0..12).map(|_| p.new_group()).collect();
+            let mut prefs = Vec::new();
+            for i in 0..40 {
+                let group = (i % 4 != 0).then(|| groups[rng.index(groups.len())]);
+                let at = rng.chance(0.9).then(|| BinId(rng.index(4)));
+                let load = cpu(0.1 + 0.3 * rng.index(7) as f64);
+                let e = p.add_entity(Entity { load, group }, at);
+                if rng.chance(0.4) {
+                    prefs.push((e, rng.index(2) as u64, 0.7));
+                }
+            }
+            // Later batches first in spec order: the exclusion and the
+            // affinity goal of batch 1 are new when it starts.
+            let mut specs = SpecSet::new();
+            specs.add_constraint(CapacitySpec {
+                metric: Metric::Cpu.id(),
+            });
+            specs.add_goal(Spec::UtilizationCap(UtilizationCapSpec {
+                metric: Metric::Cpu.id(),
+                threshold: 0.3,
+                weight: 0.3,
+                priority: 2,
+            }));
+            specs.add_goal(Spec::Exclusion(ExclusionSpec {
+                scope: Scope::Region,
+                groups: groups.clone(),
+                weight: 4.0,
+                priority: 1,
+            }));
+            specs.add_goal(Spec::Affinity(AffinitySpec {
+                scope: Scope::Region,
+                affinities: prefs,
+                priority: 1,
+            }));
+            specs.add_goal(Spec::Drain(DrainSpec {
+                weight: 1.5,
+                priority: 1,
+            }));
+            specs.add_goal(Spec::Balance(BalanceSpec {
+                metric: Metric::Cpu.id(),
+                tolerance: 0.1,
+                weight: 1.0,
+                priority: 0,
+            }));
+            specs.add_goal(Spec::Exclusion(ExclusionSpec {
+                scope: Scope::Rack,
+                groups,
+                weight: 1.0,
+                priority: 0,
+            }));
+            let mut eval = Evaluator::new(&p, &specs, 0);
+            for priority in [1, 2] {
+                // A walk of vetted moves, with the spread and affinity
+                // bookkeeping of the goals still to come left idle.
+                let mut applied = 0;
+                for _ in 0..300 {
+                    let (e, to) = (EntityId(rng.index(40)), BinId(rng.index(12)));
+                    if eval.eval_move(e, to).is_some() {
+                        eval.apply_move(e, to);
+                        applied += 1;
+                    }
+                }
+                assert!(applied > 100, "seed {seed}: {applied} moves applied");
+                eval.enter_batch(&specs, priority);
+                eval.assert_index_consistent();
+                let fresh = Evaluator::with_assignment(&p, &specs, priority, &eval.assignment());
+                assert_same_search_state(&eval, &fresh);
+            }
+        }
     }
 
     #[test]

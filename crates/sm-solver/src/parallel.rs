@@ -106,8 +106,7 @@ impl ParallelSearch {
         // continuing the deterministic eval clock where the workers
         // stopped. The merged assignment is already near-feasible, so
         // the polish runs a single full-goal batch instead of the
-        // priority ladder — one evaluator build instead of one per
-        // priority level.
+        // priority ladder.
         let mut polish_cfg = self.config.clone();
         polish_cfg.use_batching = false;
         polish_cfg.eval_budget = self

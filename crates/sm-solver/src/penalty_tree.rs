@@ -55,20 +55,39 @@ impl PenaltyTree {
         self.total
     }
 
+    /// Sets every leaf and the total back to zero, as [`Self::new`]
+    /// makes them, keeping the allocation.
+    pub(crate) fn reset(&mut self) {
+        self.leaves.fill(0.0);
+        self.total = 0.0;
+    }
+
     /// Indices of the `k` largest leaves, descending by value, skipping
     /// zero-penalty leaves. O(n) scan — used once per search round, not
     /// per move evaluation.
     pub fn top_k(&self, k: usize) -> Vec<usize> {
-        let mut hot: Vec<usize> = (0..self.leaves.len())
-            .filter(|&i| self.leaves[i] > 0.0)
-            .collect();
-        hot.sort_by(|&a, &b| {
-            self.leaves[b]
-                .partial_cmp(&self.leaves[a])
-                .expect("penalties are finite")
-        });
-        hot.truncate(k);
+        let mut hot = Vec::new();
+        self.top_k_into(k, &mut hot);
         hot
+    }
+
+    /// [`Self::top_k`] into `out`: equal leaves rank by ascending index,
+    /// as a stable sort of the scan leaves them. Only the `k` kept are
+    /// sorted, and nothing is allocated once `out` has grown.
+    pub(crate) fn top_k_into(&self, k: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend((0..self.leaves.len()).filter(|&i| self.leaves[i] > 0.0));
+        let hotter = |a: &usize, b: &usize| {
+            let by_value = self.leaves[*b].partial_cmp(&self.leaves[*a]);
+            by_value.expect("penalties are finite").then(a.cmp(b))
+        };
+        if out.len() > k {
+            if k > 0 {
+                out.select_nth_unstable_by(k - 1, hotter);
+            }
+            out.truncate(k);
+        }
+        out.sort_unstable_by(hotter);
     }
 }
 
@@ -109,6 +128,22 @@ mod tests {
         }
         let expect: f64 = (96..100).map(|v| v as f64).sum();
         assert!((t.total() - expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn top_k_equals_a_stable_sort_of_the_scan() {
+        // Few distinct values, so most leaves tie with another.
+        let mut rng = sm_sim::SimRng::seeded(5);
+        let mut t = PenaltyTree::new(64);
+        for _ in 0..200 {
+            t.set(rng.index(64), rng.index(5) as f64);
+            let mut model: Vec<usize> = (0..64).filter(|&i| t.get(i) > 0.0).collect();
+            model.sort_by(|&a, &b| t.get(b).partial_cmp(&t.get(a)).unwrap());
+            for k in [0, 1, 3, 8, 64] {
+                let kept = model.iter().take(k).copied().collect::<Vec<_>>();
+                assert_eq!(t.top_k(k), kept, "k = {k}");
+            }
+        }
     }
 
     #[test]

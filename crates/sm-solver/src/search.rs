@@ -23,6 +23,7 @@ use crate::eval::{Evaluator, ViolationStats};
 use crate::problem::{BinId, EntityId, Problem};
 use crate::specs::SpecSet;
 use sm_types::METRIC_COUNT;
+use std::cmp::Ordering;
 
 use sm_sim::SimRng;
 
@@ -106,8 +107,9 @@ pub struct SearchStats {
     pub final_penalty: f64,
     /// Total violations after the run.
     pub final_violations: usize,
-    /// The violations after the run by category, counted on the last
-    /// batch's evaluator (every goal the run activated).
+    /// The violations after the run by category, counted on the
+    /// solve's evaluator after its last batch (every goal the run
+    /// activated).
     pub violations: ViolationStats,
     /// `(evaluations so far, total violations, penalty)` samples over
     /// the run — the series plotted in Figures 21 and 22. Evaluations
@@ -123,12 +125,18 @@ pub struct SearchStats {
 struct Scratch {
     candidates: Vec<EntityId>,
     targets: Vec<BinId>,
+    /// The round's hot bins.
+    hot: Vec<usize>,
     on_bin: Vec<EntityId>,
-    /// `(misplacement, load, entity)` ranking keys, computed once per
-    /// entity per round instead of once per sort comparison.
-    ranked: Vec<(f64, f64, EntityId)>,
+    /// `(misplacement, load, index into on_bin)` ranking keys, computed
+    /// once per entity per round instead of once per comparison.
+    ranked: Vec<(f64, f64, usize)>,
     /// Load keys of candidates kept so far (equivalence dedup).
     seen_keys: Vec<[u64; METRIC_COUNT]>,
+    /// Snapshots of the entity lists a swap reads, which its speculative
+    /// `apply_move` reorders.
+    swap_hot: Vec<EntityId>,
+    swap_other: Vec<EntityId>,
 }
 
 /// The local-search solver.
@@ -165,7 +173,6 @@ impl LocalSearch {
         rng: &mut SimRng,
     ) -> (Vec<Option<BinId>>, SearchStats) {
         let mut stats = SearchStats::default();
-        let mut assignment = initial;
         let mut scratch = Scratch::default();
 
         let batches: Vec<u8> = if self.config.use_batching {
@@ -180,11 +187,14 @@ impl LocalSearch {
         };
         let n_batches = batches.len() as u32;
 
+        // One evaluator for the whole solve: each batch after the first
+        // adds its goals to it (`enter_batch`).
+        let mut eval = Evaluator::with_assignment(problem, specs, batches[0], &initial);
+        stats.initial_penalty = eval.total_penalty();
+        self.place_unplaced(problem, &mut eval, rng, &mut stats, &mut scratch);
         for (bi, &prio) in batches.iter().enumerate() {
-            let mut eval = Evaluator::with_assignment(problem, specs, prio, &assignment);
-            if bi == 0 {
-                stats.initial_penalty = eval.total_penalty();
-                self.place_unplaced(problem, &mut eval, rng, &mut stats, &mut scratch);
+            if bi > 0 {
+                eval.enter_batch(specs, prio);
             }
             // Earlier batches get a larger share of the remaining
             // budget: batch k of n gets 1/(n-k) of what is left when
@@ -202,15 +212,14 @@ impl LocalSearch {
                 batch_deadline,
                 &mut scratch,
             );
-            assignment = eval.assignment();
-            stats.final_penalty = eval.total_penalty();
-            stats.violations = eval.violations();
-            stats.final_violations = stats.violations.total();
         }
+        stats.final_penalty = eval.total_penalty();
+        stats.violations = eval.violations();
+        stats.final_violations = stats.violations.total();
         stats
             .timeline
             .push((stats.evaluated, stats.final_violations, stats.final_penalty));
-        (assignment, stats)
+        (eval.assignment(), stats)
     }
 
     /// Emergency-style greedy placement of unplaced entities: sample
@@ -358,63 +367,63 @@ impl LocalSearch {
     /// spread groups. Fills `scratch.candidates`.
     fn candidate_entities(&self, eval: &Evaluator, rng: &mut SimRng, scratch: &mut Scratch) {
         scratch.candidates.clear();
-        for bin in eval.hot_bins(self.config.hot_bins_per_round) {
+        let quota = self.config.entities_per_bin;
+        eval.hot_bins(self.config.hot_bins_per_round, &mut scratch.hot);
+        for &bin in &scratch.hot {
             scratch.on_bin.clear();
-            scratch.on_bin.extend_from_slice(eval.entities_on(bin));
+            scratch
+                .on_bin
+                .extend_from_slice(eval.entities_on(BinId(bin)));
             // Shuffle first so ties in the ranking rotate across rounds
             // — otherwise unfixable candidates can starve fixable ones.
             rng.shuffle(&mut scratch.on_bin);
-            if self.config.use_optimizations {
-                // Rank by how much the entity's own violations hurt the
-                // objective (affinity/drain misplacement), then by load
-                // (§5.3: evaluate large shards earlier). Keys are
-                // computed once per entity; the stable sort over the
-                // shuffled order matches sorting with per-comparison
-                // key recomputation exactly.
-                scratch.ranked.clear();
-                scratch.ranked.extend(
-                    scratch
-                        .on_bin
-                        .iter()
-                        .map(|&e| (eval.entity_misplacement(e), sum_load(eval, e), e)),
-                );
-                scratch.ranked.sort_by(|a, b| {
-                    (b.0, b.1)
-                        .partial_cmp(&(a.0, a.1))
-                        .expect("loads are finite")
-                });
-                scratch.on_bin.clear();
-                scratch.on_bin.extend(scratch.ranked.iter().map(|r| r.2));
+            if !self.config.use_optimizations {
+                scratch.candidates.extend(scratch.on_bin.iter().take(quota));
+                continue;
             }
-            if self.config.use_optimizations {
-                // Keep the first entity of each distinct load vector,
-                // stopping as soon as the per-bin quota is filled — the
-                // tail never needs its keys computed.
-                scratch.seen_keys.clear();
-                let mut kept = 0usize;
-                for idx in 0..scratch.on_bin.len() {
-                    if kept == self.config.entities_per_bin {
-                        break;
-                    }
-                    let e = scratch.on_bin[idx];
-                    let key = load_key(eval, e);
-                    if scratch.seen_keys.contains(&key) {
-                        continue;
-                    }
-                    scratch.seen_keys.push(key);
-                    scratch.on_bin[kept] = e;
-                    kept += 1;
+            // Rank by how much the entity's own violations hurt the
+            // objective (affinity/drain misplacement), then by load
+            // (§5.3: evaluate large shards earlier), then by shuffled
+            // position: the order a stable sort of the shuffle gives.
+            let ranked = &mut scratch.ranked;
+            ranked.clear();
+            ranked.extend(
+                scratch
+                    .on_bin
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, &e)| (eval.entity_misplacement(e), sum_load(eval, e), pos)),
+            );
+            // Only the head the quota can reach is ordered; the tail is
+            // sorted only if equal loads in the head leave the quota
+            // short.
+            let mut sorted = quota.min(ranked.len());
+            if (1..ranked.len()).contains(&sorted) {
+                ranked.select_nth_unstable_by(sorted - 1, rank_order);
+            }
+            ranked[..sorted].sort_unstable_by(rank_order);
+            // Keep the first entity of each distinct load vector,
+            // stopping as soon as the per-bin quota is filled — the
+            // tail never needs its keys computed.
+            scratch.seen_keys.clear();
+            let mut idx = 0;
+            while scratch.seen_keys.len() < quota && idx < ranked.len() {
+                if idx == sorted {
+                    ranked[sorted..].sort_unstable_by(rank_order);
+                    sorted = ranked.len();
                 }
-                scratch.on_bin.truncate(kept);
-            } else {
-                scratch.on_bin.truncate(self.config.entities_per_bin);
+                let e = scratch.on_bin[ranked[idx].2];
+                idx += 1;
+                let key = load_key(eval, e);
+                if !scratch.seen_keys.contains(&key) {
+                    scratch.seen_keys.push(key);
+                    scratch.candidates.push(e);
+                }
             }
-            scratch.candidates.extend_from_slice(&scratch.on_bin);
         }
         // Replica groups violating a spread goal contribute their
         // members directly — their bins may not be hot.
-        let violated = eval.violated_groups();
-        for (_, members) in violated.iter().take(self.config.hot_bins_per_round) {
+        for members in eval.violated_groups().take(self.config.hot_bins_per_round) {
             scratch.candidates.extend(members.iter().copied());
         }
         scratch
@@ -461,24 +470,24 @@ impl LocalSearch {
         n_bins: usize,
         scratch: &mut Scratch,
     ) -> bool {
-        let hot = eval.hot_bins(4);
+        eval.hot_bins(4, &mut scratch.hot);
         self.sample_targets(eval, rng, n_bins, &mut scratch.targets);
-        // Snapshot buffers: `apply_move` below invalidates the
-        // evaluator's live entity lists.
-        let mut hot_entities: Vec<EntityId> = Vec::with_capacity(4);
-        let mut others: Vec<EntityId> = Vec::with_capacity(2);
-        for &hot_bin in &hot {
-            hot_entities.clear();
-            hot_entities.extend(eval.entities_on(hot_bin).iter().take(4));
-            for &e1 in &hot_entities {
-                for ti in 0..scratch.targets.len().min(8) {
-                    let other_bin = scratch.targets[ti];
+        for &hot_bin in &scratch.hot {
+            let hot_bin = BinId(hot_bin);
+            scratch.swap_hot.clear();
+            scratch
+                .swap_hot
+                .extend(eval.entities_on(hot_bin).iter().take(4));
+            for &e1 in &scratch.swap_hot {
+                for &other_bin in scratch.targets.iter().take(8) {
                     if other_bin == hot_bin {
                         continue;
                     }
-                    others.clear();
-                    others.extend(eval.entities_on(other_bin).iter().take(2));
-                    for &e2 in &others {
+                    scratch.swap_other.clear();
+                    scratch
+                        .swap_other
+                        .extend(eval.entities_on(other_bin).iter().take(2));
+                    for &e2 in &scratch.swap_other {
                         stats.evaluated += 2;
                         let Some(d1) = eval.eval_move(e1, other_bin) else {
                             continue;
@@ -502,6 +511,13 @@ impl LocalSearch {
         }
         false
     }
+}
+
+/// Candidate order on a hot bin: misplacement, then load, descending;
+/// ties by shuffled position.
+fn rank_order(a: &(f64, f64, usize), b: &(f64, f64, usize)) -> Ordering {
+    let by_keys = (b.0, b.1).partial_cmp(&(a.0, a.1));
+    by_keys.expect("loads are finite").then(a.2.cmp(&b.2))
 }
 
 fn sum_load(eval: &Evaluator, e: EntityId) -> f64 {
@@ -885,6 +901,326 @@ mod tests {
         let (_, final_viol, final_pen) = *stats.timeline.last().unwrap();
         assert_eq!(final_viol, stats.final_violations);
         assert!((final_pen - stats.final_penalty).abs() < 1e-9);
+    }
+
+    /// The search as it was with an evaluator built afresh for every
+    /// priority batch and every hot bin ranked by a full stable sort:
+    /// the reference `solve_from` must equal. Target sampling, swaps and
+    /// unplaced placement are shared, unchanged, with the solver.
+    struct Model<'a>(&'a LocalSearch);
+
+    impl Model<'_> {
+        fn solve_from(
+            &self,
+            problem: &Problem,
+            specs: &SpecSet,
+            initial: Vec<Option<BinId>>,
+            rng: &mut SimRng,
+        ) -> (Vec<Option<BinId>>, SearchStats) {
+            let search = self.0;
+            let mut stats = SearchStats::default();
+            let mut assignment = initial;
+            let mut scratch = Scratch::default();
+            let mut batches = vec![u8::MAX];
+            if search.config.use_batching && !specs.priorities().is_empty() {
+                batches = specs.priorities();
+            }
+            let n_batches = batches.len() as u32;
+            for (bi, &prio) in batches.iter().enumerate() {
+                let mut eval = Evaluator::with_assignment(problem, specs, prio, &assignment);
+                if bi == 0 {
+                    stats.initial_penalty = eval.total_penalty();
+                    search.place_unplaced(problem, &mut eval, rng, &mut stats, &mut scratch);
+                }
+                let deadline = search.config.eval_budget.map(|budget| {
+                    let remaining = budget.saturating_sub(stats.evaluated);
+                    stats.evaluated + remaining / u64::from(n_batches - bi as u32)
+                });
+                self.run_batch(problem, &mut eval, rng, &mut stats, deadline, &mut scratch);
+                assignment = eval.assignment();
+                stats.final_penalty = eval.total_penalty();
+                stats.violations = eval.violations();
+                stats.final_violations = stats.violations.total();
+            }
+            let last = (stats.evaluated, stats.final_violations, stats.final_penalty);
+            stats.timeline.push(last);
+            (assignment, stats)
+        }
+
+        fn run_batch(
+            &self,
+            problem: &Problem,
+            eval: &mut Evaluator,
+            rng: &mut SimRng,
+            stats: &mut SearchStats,
+            deadline: Option<u64>,
+            scratch: &mut Scratch,
+        ) {
+            let (config, n_bins) = (&self.0.config, problem.bin_count());
+            if n_bins < 2 {
+                return;
+            }
+            let (mut moves_since_sample, mut dry_rounds) = (0, 0);
+            while stats.moves < config.max_moves
+                && deadline.is_none_or(|d| stats.evaluated < d)
+                && eval.total_penalty() > 1e-9
+            {
+                let improved = self.one_round(eval, rng, stats, n_bins, scratch);
+                let every = config.sample_every.max(1);
+                if stats.moves / every != moves_since_sample / every {
+                    moves_since_sample = stats.moves;
+                    let violations = eval.violations().total();
+                    let sample = (stats.evaluated, violations, eval.total_penalty());
+                    stats.timeline.push(sample);
+                }
+                if improved {
+                    dry_rounds = 0;
+                } else {
+                    dry_rounds += 1;
+                    if config.use_optimizations
+                        && self.0.try_swaps(eval, rng, stats, n_bins, scratch)
+                    {
+                        dry_rounds = 0;
+                    } else if dry_rounds >= config.patience.max(1) {
+                        return;
+                    }
+                }
+            }
+        }
+
+        fn one_round(
+            &self,
+            eval: &mut Evaluator,
+            rng: &mut SimRng,
+            stats: &mut SearchStats,
+            n_bins: usize,
+            scratch: &mut Scratch,
+        ) -> bool {
+            let candidates = self.candidate_entities(eval, rng);
+            if candidates.is_empty() {
+                return false;
+            }
+            self.0
+                .sample_targets(eval, rng, n_bins, &mut scratch.targets);
+            let mut best: Option<(f64, EntityId, BinId)> = None;
+            for &e in &candidates {
+                for &t in &scratch.targets {
+                    stats.evaluated += 1;
+                    if let Some(delta) = eval.eval_move(e, t) {
+                        if delta < -1e-9 && best.is_none_or(|(d, _, _)| delta < d) {
+                            best = Some((delta, e, t));
+                        }
+                    }
+                }
+            }
+            let Some((_, e, t)) = best else {
+                return false;
+            };
+            eval.apply_move(e, t);
+            stats.moves += 1;
+            true
+        }
+
+        fn candidate_entities(&self, eval: &Evaluator, rng: &mut SimRng) -> Vec<EntityId> {
+            let config = &self.0.config;
+            let mut candidates = Vec::new();
+            let mut hot = Vec::new();
+            eval.hot_bins(config.hot_bins_per_round, &mut hot);
+            for bin in hot {
+                let mut on_bin = eval.entities_on(BinId(bin)).to_vec();
+                rng.shuffle(&mut on_bin);
+                if config.use_optimizations {
+                    let key = |e: &EntityId| (eval.entity_misplacement(*e), sum_load(eval, *e));
+                    on_bin.sort_by(|a, b| key(b).partial_cmp(&key(a)).unwrap());
+                    let mut seen = Vec::new();
+                    on_bin.retain(|&e| {
+                        let fresh = !seen.contains(&load_key(eval, e));
+                        if fresh {
+                            seen.push(load_key(eval, e));
+                        }
+                        fresh
+                    });
+                }
+                on_bin.truncate(config.entities_per_bin);
+                candidates.extend(on_bin);
+            }
+            for members in eval.violated_groups().take(config.hot_bins_per_round) {
+                candidates.extend_from_slice(members);
+            }
+            candidates.truncate(config.hot_bins_per_round * config.entities_per_bin * 2);
+            candidates
+        }
+    }
+
+    /// A seeded problem small enough to solve a few hundred times: one
+    /// to three regions, a draining bin now and then, replica groups
+    /// with unplaced members, loads from a short list so equal loads
+    /// meet on a hot bin, and every goal kind at a priority from 0 to 3
+    /// in shuffled spec order.
+    fn seeded_problem(rng: &mut SimRng) -> (Problem, SpecSet) {
+        let mut p = Problem::new();
+        let (regions, per_region) = (1 + rng.index(3) as u16, 2 + rng.index(5) as u32);
+        let mut machine = 0;
+        for r in 0..regions {
+            for _ in 0..per_region {
+                p.add_bin(Bin {
+                    capacity: cpu(100.0),
+                    location: loc(r, machine),
+                    draining: rng.chance(0.1),
+                });
+                machine += 1;
+            }
+        }
+        let n_bins = p.bin_count();
+        let loads = [1.0, 2.0, 2.0, 5.0, 0.1 + rng.f64() * 9.9];
+        let hot_bin = BinId(rng.index(n_bins));
+        let (mut groups, mut prefs) = (Vec::new(), Vec::new());
+        for _ in 0..10 + rng.index(50) {
+            let group = rng.chance(0.5).then(|| {
+                if groups.is_empty() || rng.chance(0.4) {
+                    groups.push(p.new_group());
+                }
+                groups[groups.len() - 1]
+            });
+            let at = match rng.index(10) {
+                0 => None,
+                1..=5 => Some(hot_bin),
+                _ => Some(BinId(rng.index(n_bins))),
+            };
+            let load = cpu(loads[rng.index(loads.len())]);
+            let e = p.add_entity(Entity { load, group }, at);
+            if rng.chance(0.3) {
+                prefs.push((e, rng.index(usize::from(regions)) as u64, 1.0 + rng.f64()));
+            }
+        }
+        let mut goals = vec![
+            Spec::Balance(BalanceSpec {
+                metric: Metric::Cpu.id(),
+                tolerance: 0.05 + rng.f64() * 0.2,
+                weight: 1.0,
+                priority: 0,
+            }),
+            Spec::UtilizationCap(UtilizationCapSpec {
+                metric: Metric::Cpu.id(),
+                threshold: 0.3 + rng.f64() * 0.6,
+                weight: 2.0,
+                priority: 0,
+            }),
+            Spec::Drain(crate::specs::DrainSpec {
+                weight: 3.0,
+                priority: 0,
+            }),
+            Spec::Affinity(AffinitySpec {
+                scope: Scope::Region,
+                affinities: prefs,
+                priority: 0,
+            }),
+            Spec::Exclusion(ExclusionSpec {
+                scope: Scope::Rack,
+                groups: groups.clone(),
+                weight: 1.0,
+                priority: 0,
+            }),
+            Spec::Exclusion(ExclusionSpec {
+                scope: Scope::Region,
+                groups,
+                weight: 4.0,
+                priority: 0,
+            }),
+        ];
+        rng.shuffle(&mut goals);
+        let mut specs = SpecSet::new();
+        specs.forbid_group_colocation = rng.chance(0.5);
+        if rng.chance(0.7) {
+            specs.add_constraint(CapacitySpec {
+                metric: Metric::Cpu.id(),
+            });
+        }
+        for mut goal in goals {
+            if rng.chance(0.2) {
+                continue;
+            }
+            let priority = rng.index(4) as u8;
+            match &mut goal {
+                Spec::Balance(s) => s.priority = priority,
+                Spec::UtilizationCap(s) => s.priority = priority,
+                Spec::Affinity(s) => s.priority = priority,
+                Spec::Exclusion(s) => s.priority = priority,
+                Spec::Drain(s) => s.priority = priority,
+            }
+            specs.add_goal(goal);
+        }
+        (p, specs)
+    }
+
+    #[test]
+    fn solve_from_equals_the_rebuilding_full_sort_model() {
+        let mut rng = SimRng::seeded(34);
+        let mut batched = 0;
+        for case in 0..240u64 {
+            let (p, specs) = seeded_problem(&mut rng);
+            let mut config = SearchConfig {
+                seed: case,
+                max_moves: [usize::MAX, 3, 40][rng.index(3)],
+                eval_budget: rng.chance(0.5).then(|| 200 + rng.index(5_000) as u64),
+                hot_bins_per_round: [1, 2, 8][rng.index(3)],
+                entities_per_bin: [1, 2, 3, 8][rng.index(4)],
+                targets_per_entity: [2, 8, 24][rng.index(3)],
+                use_optimizations: rng.chance(0.8),
+                use_batching: rng.chance(0.8),
+                sample_every: 1 + rng.index(8),
+                patience: 1 + rng.index(6),
+                ..SearchConfig::default()
+            };
+            let mut initial = p.initial_assignment().to_vec();
+            // One case in four is a polish pass: `ParallelSearch`'s
+            // call with `threads: 2`, on a merged assignment, one batch,
+            // and a stream seeded after its workers'.
+            let mut stream = SimRng::seeded(case);
+            if case % 4 == 3 {
+                config.threads = 2;
+                config.use_batching = false;
+                for slot in &mut initial {
+                    if rng.chance(0.5) {
+                        *slot = Some(BinId(rng.index(p.bin_count())));
+                    }
+                }
+                stream = SimRng::seed_from(case, 2);
+            }
+            batched += usize::from(config.use_batching && specs.priorities().len() > 1);
+            let search = LocalSearch::new(config);
+            let mut model_stream = stream.clone();
+            let (got, stats) = search.solve_from(&p, &specs, initial.clone(), &mut stream);
+            let (want, model) = Model(&search).solve_from(&p, &specs, initial, &mut model_stream);
+            let timeline = |s: &SearchStats| -> Vec<(u64, usize, u64)> {
+                let samples = s.timeline.iter();
+                samples.map(|&(e, v, pen)| (e, v, pen.to_bits())).collect()
+            };
+            assert_eq!(got, want, "case {case}: assignment");
+            assert_eq!(
+                (stats.evaluated, stats.moves, stats.violations),
+                (model.evaluated, model.moves, model.violations),
+                "case {case}: evaluations, moves, violations"
+            );
+            assert_eq!(
+                (
+                    stats.initial_penalty.to_bits(),
+                    stats.final_penalty.to_bits()
+                ),
+                (
+                    model.initial_penalty.to_bits(),
+                    model.final_penalty.to_bits()
+                ),
+                "case {case}: penalties"
+            );
+            assert_eq!(timeline(&stats), timeline(&model), "case {case}: timeline");
+            assert_eq!(
+                stream.next_u64(),
+                model_stream.next_u64(),
+                "case {case}: rng"
+            );
+        }
+        assert!(batched > 100, "{batched} cases ran more than one batch");
     }
 
     /// Exhaustively finds the minimum-penalty assignment for a tiny problem.

@@ -14,14 +14,19 @@
 //!
 //! | call                         | PR 16         | PR 17        | now         |
 //! |------------------------------|---------------|--------------|-------------|
-//! | `server_down`                | 29,993 (7.3)  | 8,935 (2.2)  | 728 (0.18)  |
-//! | `run_periodic`               | 42,961 (10.5) | 9,721 (2.4)  | 1,504 (0.37)|
+//! | `server_down`                | 29,993 (7.3)  | 8,935 (2.2)  | 726 (0.18)  |
+//! | `run_periodic`               | 42,961 (10.5) | 9,721 (2.4)  | 580 (0.14)  |
 //! | `run_emergency`, right after | as the first  | as the first | 57          |
 //!
 //! Nothing is left per shard: the orchestrator's books are read in
 //! place (no `AllocInput`, so no `replicas` `Vec` per `ShardPlacement`)
 //! and `AllocationPlan`'s target is three arrays. What is counted is flat
-//! (arrays sized once per evaluator, per-server lists) or per move. The
+//! (the arrays of the one evaluator a solve builds, per-server lists) or
+//! per move; a search round allocates only the target samples its
+//! (region, band) groups draw. `run_periodic` was 1,501 with one
+//! evaluator built per priority batch. It makes 28 rounds over three
+//! batches, so one more allocation per round (608) or an evaluator built
+//! again per batch (1,474) fails its bound. The
 //! third row is a plan reused: the moves of the run inside `server_down`
 //! are installed again without a second solve, since nothing a solve
 //! reads changed in between. A debug build re-solves on every reuse to
@@ -223,12 +228,14 @@ fn an_allocator_run_allocates_per_fleet_pass_not_per_shard() {
          run_periodic: {periodic}, {SHARDS} shards"
     );
     // Half an allocation per shard covers what is flat — per-server
-    // lists, the arrays of one evaluator per priority batch — and what
-    // is per move started, so that one allocation per shard anywhere on
-    // the path fails.
+    // lists, the arrays of the solve's one evaluator — and what is per
+    // move started, so that one allocation per shard anywhere on the
+    // path fails.
     let budget = SHARDS / 2;
     assert!(down <= budget, "server_down: {down} > {budget}");
-    assert!(periodic <= budget, "run_periodic: {periodic} > {budget}");
+    // 580 today over 28 search rounds: one allocation more per round, or
+    // a second evaluator build per batch, fails.
+    assert!(periodic <= 600, "run_periodic: {periodic} > 600");
     // A reused plan costs its copy and its install — the scheduler's
     // books of the moves it releases (124 today) — and nothing per
     // shard. A debug build solves again to check the reuse, within what
