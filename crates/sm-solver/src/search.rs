@@ -33,7 +33,9 @@ pub struct SearchConfig {
     /// RNG seed.
     pub seed: u64,
     /// Worker count for [`crate::ParallelSearch`]; `0` or `1` means
-    /// the plain single-threaded [`LocalSearch`] path.
+    /// the plain single-threaded [`LocalSearch`] path. The allocator
+    /// applies it to periodic solves: its emergency runs are
+    /// single-threaded.
     pub threads: usize,
     /// Maximum number of applied moves (the paper's "move budget").
     pub max_moves: usize,

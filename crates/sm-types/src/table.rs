@@ -120,6 +120,27 @@ impl ShardTable {
         Some(entry)
     }
 
+    /// The leaves of `self` that `other` does not hold (`Arc::ptr_eq`),
+    /// in id order, each as its entries. A shard whose entry in `self`
+    /// differs from its entry in `other`, or that only `self` holds, is
+    /// in one of them; every other shard of `self` sits in a leaf that
+    /// `other` holds too. One pass over both spines.
+    pub fn leaves_not_in<'a>(
+        &'a self,
+        other: &'a ShardTable,
+    ) -> impl Iterator<Item = &'a [(ShardId, ShardMapEntry)]> + 'a {
+        // A leaf both hold starts at the same id in both.
+        let mut at = 0;
+        let leaves = self.firsts.iter().zip(&self.leaves);
+        let unshared = leaves.filter(move |(first, leaf)| {
+            while other.firsts.get(at).is_some_and(|f| f < first) {
+                at += 1;
+            }
+            !other.leaves.get(at).is_some_and(|l| Arc::ptr_eq(l, leaf))
+        });
+        unshared.map(|(_, leaf)| leaf.as_slice())
+    }
+
     /// Iterates `(shard, entry)` in ascending shard order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
