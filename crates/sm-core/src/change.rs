@@ -791,9 +791,13 @@ impl Orchestrator {
 
     /// An aborted fresh add or a settled reclaim can leave `shard` with
     /// no replica at all and no move in flight to give it one: re-place
-    /// it now instead of waiting for the next periodic run.
+    /// it now instead of waiting for the next periodic run. A shard no
+    /// longer registered (a retired split/merge parent, a child of a
+    /// change that failed) has nothing to place, and a run would only
+    /// replace the plan still queued.
     fn refill_if_orphaned(&mut self, shard: ShardId) {
-        if self.assignment.replicas(shard).is_empty() && !self.moving(shard) {
+        let registered = self.desired_replicas.contains_key(&shard);
+        if registered && self.assignment.replicas(shard).is_empty() && !self.moving(shard) {
             self.run_emergency();
         }
     }
@@ -1183,14 +1187,14 @@ mod tests {
     fn seeded_transcripts_are_unchanged() {
         // (seed, graceful_migration, skip_cutover_ack, digest)
         let cells: [(u64, bool, bool, u64); 8] = [
-            (1, true, false, 0x13ba_74ea_0d92_c27a),
-            (2, true, false, 0x0db0_b36c_d617_8358),
-            (3, false, false, 0x09ce_1a69_0c85_e6df),
-            (4, false, false, 0x8c7a_aa0d_b0d9_b130),
-            (5, true, true, 0x1747_8c93_29a0_9356),
-            (6, true, true, 0xb558_5ac6_48d4_14f8),
-            (7, false, true, 0x88f1_9b5d_a34d_1343),
-            (8, false, true, 0xaf28_5d18_91cb_d72f),
+            (1, true, false, 0xa4a6_a9f0_53a0_ac32),
+            (2, true, false, 0x007e_6222_36c4_4caa),
+            (3, false, false, 0x5b33_0bd7_2b21_f5d1),
+            (4, false, false, 0x8fbc_4017_5ae7_a0e9),
+            (5, true, true, 0x8788_7add_efda_81b2),
+            (6, true, true, 0xbe42_9b37_1cde_07f2),
+            (7, false, true, 0x51c4_a295_685d_5b29),
+            (8, false, true, 0x9e64_b96b_1246_68f3),
         ];
         let mut drifted = Vec::new();
         let mut total = OrchStats::default();
@@ -1613,6 +1617,72 @@ mod tests {
 
     /// Nothing in flight, and every shard of the spec has at least one
     /// replica and exactly one primary.
+    #[test]
+    fn a_queued_plan_survives_the_reclaim_ack_of_a_split_parent() {
+        let caps = MoveCaps {
+            max_total: 1,
+            max_per_server: 1,
+            max_per_shard: 1,
+        };
+        let mut o = new_orch(4, 8.0, true, false, caps);
+        o.register_shards((0..8).map(ShardId));
+        o.register_spec(ShardingSpec::uniform_u64(8));
+        o.run_emergency();
+        settle(&mut o, Vec::new());
+        // Split shard 0 up to its commit, holding back the acks of the
+        // parent's reclaims.
+        o.start_split(SUBJECT).expect("split starts");
+        let mut held = Vec::new();
+        loop {
+            let round = rpcs(&mut o);
+            if round.is_empty() {
+                break;
+            }
+            for (server, rpc) in round {
+                match rpc {
+                    ServerRpc::DropShard { shard, .. } if shard == SUBJECT => {
+                        held.push((server, rpc))
+                    }
+                    _ => o.rpc_acked(server, rpc),
+                }
+            }
+        }
+        assert_eq!(o.stats().splits_completed, 1);
+        assert!(!held.is_empty(), "the parent's copies are reclaimed");
+        // Four empty servers: a rebalance, one move at a time.
+        for i in 4..8 {
+            let location = Location {
+                region: RegionId(0),
+                datacenter: 0,
+                rack: i,
+                machine: MachineId(i),
+            };
+            o.register_server(
+                ServerId(i),
+                location,
+                LoadVector::single(Metric::ShardCount.id(), 8.0),
+            );
+        }
+        let planned = o.run_periodic();
+        let queued = |o: &Orchestrator| o.scheduler.as_ref().map_or(0, |s| s.pending());
+        let waiting = queued(&o);
+        assert!(
+            planned > 1 && waiting > 0,
+            "{planned} planned, {waiting} queued"
+        );
+        for (server, rpc) in held {
+            o.rpc_acked(server, rpc);
+        }
+        assert_eq!(
+            queued(&o),
+            waiting,
+            "the retired parent's reclaim replaced the plan"
+        );
+        let completed = o.stats().completed_moves;
+        settle(&mut o, Vec::new());
+        assert_eq!(o.stats().completed_moves - completed, planned as u64);
+    }
+
     fn quiescent_and_whole(o: &Orchestrator, row: &str) {
         assert_eq!(o.in_flight_migrations(), 0, "{row}: moves in flight");
         assert_eq!(o.in_flight_reshards(), 0, "{row}: reshards in flight");
