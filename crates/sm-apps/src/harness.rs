@@ -642,7 +642,7 @@ impl SimWorld {
         let map = Rc::new(self.orch.current_map());
         if let Ok(deliveries) = self.discovery.publish(self.app, map.clone(), ctx.rng()) {
             let kernel = Rc::new(match &self.kernel {
-                Some(last) => last.with_map(&map),
+                Some(last) => last.with_map((*map).clone()),
                 None => ResolvedMap::build(Some(&self.spec), &map),
             });
             self.kernel = Some(kernel.clone());

@@ -18,10 +18,10 @@
 //! cache conservatively stale, never falsely fresh.
 //!
 //! What an install costs: a stale or duplicate version, a lock and a
-//! compare; a new one, one pass over the ranges beside the map's entries
-//! ([`ResolvedMap::with_map`]) — the spec's key columns stay, the kernel
-//! keeps the map itself (its spine, sharing every leaf), and the replaced
-//! map frees only the leaves nothing else reads. A full
+//! compare; a new one, the ranges of the shards in leaves the new map and
+//! the held one do not share ([`ResolvedMap::with_map`]) — the spec's
+//! columns stay, the kernel takes the map it is handed (sharing every
+//! leaf), and the replaced map frees only the leaves nothing else reads. A full
 //! [`ResolvedMap::build`] is `register_app`'s and an app's first map's.
 //!
 //! Each handle also owns the per-thread route state the paper's client
@@ -98,8 +98,8 @@ impl ConcurrentRouter {
     /// Installs a shard map for `app`. An app that already has a kernel
     /// gets [`ResolvedMap::with_map`] of it — the kernel in place was
     /// resolved against `entry.spec`, which only `register_app` writes,
-    /// and that re-resolves — so an install re-reads the ranges'
-    /// primaries and keeps the spec's key columns.
+    /// and that re-resolves — so an install re-reads the primaries of
+    /// the ranges whose shards changed and keeps the spec's columns.
     ///
     /// Returns `false` (and publishes nothing) when `app` already has a
     /// map at the same or a newer version — a stale or out-of-order
@@ -116,7 +116,7 @@ impl ConcurrentRouter {
             return false;
         }
         let resolved = match &entry.resolved {
-            Some(kernel) => kernel.with_map(&map),
+            Some(kernel) => kernel.with_map(map),
             None => ResolvedMap::build(entry.spec.as_deref(), &map),
         };
         entry.resolved = Some(Arc::new(resolved));
