@@ -15,6 +15,11 @@
 //!   of one shard — until every aborted change reclaimed the targets it
 //!   had entered: both stay clean and converged.
 //!
+//! - `reconfig-mixed-13.json` is a known gap (ROADMAP item 2): seed 13
+//!   of the reconfig world's `mixed` profile, shrunk to 4 fault events,
+//!   ends with two committed-config views of one shard with no mutation
+//!   on. Its test asserts that violation until the fix inverts it.
+//!
 //! The documents were written before the kit worlds' configs lost
 //! their one-valued fields; that they still parse and replay is the
 //! proof that a document names a cell, not a config.
@@ -98,4 +103,31 @@ fn lossy_net_seed_809_stays_clean() {
 fn split_chaos_seed_3_stays_clean() {
     let doc = include_str!("repros/chaos-split_chaos-3.json");
     stays_clean(doc, 3, FaultProfile::SplitChaos, 16);
+}
+
+/// Known gap: a one-server partition, 3% drop / 2% dup and the two
+/// heals leave shard 6 with 2 distinct committed-config views across its
+/// 4 replicas at 130 s — the oracle's quiescence check
+/// `ReplicaSetAgreement`, and nothing else. When `sm-apps::replication`
+/// stops losing the committed entry, this replay turns clean and the
+/// test becomes a `stays_clean` one.
+#[test]
+fn reconfig_mixed_seed_13_still_disagrees() {
+    let doc = include_str!("repros/reconfig-mixed-13.json");
+    let (cfg, plan) = repro_from_json::<Reconfig>(doc).expect("a reproducer document parses");
+    assert_eq!(cfg, Reconfig::cell(13, FaultProfile::Mixed, false));
+    assert_eq!(plan.len(), 4);
+    let r = run::<Reconfig>(cfg, Some(plan));
+    assert_eq!(
+        r.violated_kinds(),
+        BTreeSet::from([InvariantKind::ReplicaSetAgreement]),
+        "{:?}",
+        r.violations
+    );
+    let views = "shard 6: 2 distinct committed-config views across 4 replicas";
+    assert!(
+        r.violations.iter().any(|v| v.detail == views),
+        "{:?}",
+        r.violations
+    );
 }
