@@ -136,6 +136,10 @@ pub struct Orchestrator {
     pub(crate) desired_replicas: Rev<BTreeMap<ShardId, u32>>,
     pub(crate) assignment: Rev<Assignment>,
     pub(crate) loads: Rev<BTreeMap<ShardId, LoadVector>>,
+    /// Per server, the summed load of the replicas the assignment puts on
+    /// it. Written only by [`Self::rehost`] for host changes and by
+    /// [`Self::write_loads`] for load writes; `restore` rebuilds it.
+    usage: BTreeMap<ServerId, LoadVector>,
     /// The moves of the last allocator run and what it ran on: a run
     /// is a pure function of its mode and the `Rev` fields, so while
     /// their revision stands the moves are reused. One slot for both
@@ -179,6 +183,7 @@ impl Orchestrator {
             desired_replicas: Rev::default(),
             assignment: Rev::default(),
             loads: Rev::default(),
+            usage: BTreeMap::new(),
             solved: None,
             map_version: 0,
             outbox: Vec::new(),
@@ -317,7 +322,36 @@ impl Orchestrator {
 
     /// Stores a server's load report (pulled periodically in §3.2).
     pub fn report_load(&mut self, _server: ServerId, loads: Vec<(ShardId, LoadVector)>) {
-        self.loads.edit().extend(loads);
+        self.write_loads(loads);
+    }
+
+    /// The one writer of loads: sets each shard's load and moves the
+    /// difference in the usage of every server that hosts the shard.
+    /// (A load is only ever forgotten for a shard no server hosts.)
+    fn write_loads(&mut self, loads: impl IntoIterator<Item = (ShardId, LoadVector)>) {
+        let book = self.loads.edit();
+        for (shard, load) in loads {
+            let old = book.insert(shard, load).unwrap_or_else(unit_load);
+            if old != load {
+                for r in self.assignment.replicas(shard) {
+                    let usage = self.usage.entry(r.server).or_default();
+                    *usage = *usage - old + load;
+                }
+            }
+        }
+    }
+
+    /// The one writer of host changes: books `shard`'s load leaving
+    /// `from` and joining `to` in the usage, after the assignment edit
+    /// that moved it.
+    pub(crate) fn rehost(&mut self, shard: ShardId, from: Option<ServerId>, to: Option<ServerId>) {
+        let load = self.load_of(shard);
+        if let Some(from) = from {
+            *self.usage.entry(from).or_default() -= load;
+        }
+        if let Some(to) = to {
+            *self.usage.entry(to).or_default() += load;
+        }
     }
 
     /// The last reported load of `shard`, or one unit of shard count.
@@ -470,6 +504,9 @@ impl Orchestrator {
         // those shards to be re-placed by the emergency run below.
         let freed = self.sweep(server, true);
         let lost = self.assignment.edit().drop_server(server);
+        for &(shard, _) in &lost {
+            self.rehost(shard, Some(server), None);
+        }
         // Before the refill below can make the shard busy: a deferred
         // heir is promoted when the reclaim that held it back is acked.
         for &(shard, _) in lost.iter().filter(|(_, role)| role.is_primary()) {
@@ -507,7 +544,6 @@ impl Orchestrator {
     pub fn drain_server(&mut self, server: ServerId) -> usize {
         self.set_server(server, |e| e.draining = true);
         let mut moves = Vec::new();
-        let usage = self.usage_table();
         // Load already earmarked per target, so that the picks of one
         // drain spread instead of piling onto the coldest server.
         let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
@@ -518,7 +554,7 @@ impl Orchestrator {
             let load = self.load_of(shard);
             let hosts = self.assignment.replicas(shard).iter();
             let hosts: Vec<ServerId> = hosts.map(|r| r.server).collect();
-            let Some(target) = self.pick_target(&usage, &hosts, &extra, &load) else {
+            let Some(target) = self.pick_target(&hosts, &extra, &load) else {
                 continue;
             };
             *extra.entry(target).or_insert_with(LoadVector::zero) += load;
@@ -535,11 +571,10 @@ impl Orchestrator {
     }
 
     /// The live, non-draining server outside `exclude` least utilized by
-    /// its `usage` plus the `extra` already earmarked for it, among those
-    /// with room for `load` on top of both.
+    /// its kept usage plus the `extra` already earmarked for it, among
+    /// those with room for `load` on top of both.
     fn pick_target(
         &self,
-        usage: &BTreeMap<ServerId, LoadVector>,
         exclude: &[ServerId],
         extra: &BTreeMap<ServerId, LoadVector>,
         load: &LoadVector,
@@ -549,7 +584,7 @@ impl Orchestrator {
             .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
             .filter_map(|(id, e)| {
                 let earmarked = extra.get(id).copied().unwrap_or_default();
-                let committed = usage.get(id).copied().unwrap_or_default() + earmarked;
+                let committed = self.usage.get(id).copied().unwrap_or_default() + earmarked;
                 // Honor capacity where configured.
                 let fits = (committed + *load).fits_within(&e.capacity);
                 let room = fits || e.capacity == LoadVector::zero();
@@ -557,21 +592,6 @@ impl Orchestrator {
             })
             .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(id, _)| id)
-    }
-
-    /// Every server's usage — the summed load of the replicas it hosts
-    /// — from one pass over the assignment, for the target picks of one
-    /// drain, split or merge (none of which changes the assignment
-    /// before it has picked). Shards come in ascending order, so each
-    /// sum adds the loads a walk of `replicas_on(server)` would, in the
-    /// same order: the picks, f64 tie-breaks included, are those of
-    /// summing per server.
-    fn usage_table(&self) -> BTreeMap<ServerId, LoadVector> {
-        let mut usage: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
-        for (shard, replica) in self.assignment.iter() {
-            *usage.entry(replica.server).or_default() += self.load_of(shard);
-        }
-        usage
     }
 
     /// True once `server` hosts nothing and no change still involves
@@ -742,15 +762,14 @@ impl Orchestrator {
         // Each child inherits half the parent's observed load; targets
         // are picked like drain targets, spreading the two halves.
         let half = self.load_of(parent).scale(0.5);
-        let usage = self.usage_table();
         let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
         let no_target = || SmError::Unavailable("no server can host a split child".into());
         let left_to = self
-            .pick_target(&usage, &[owner], &extra, &half)
+            .pick_target(&[owner], &extra, &half)
             .ok_or_else(no_target)?;
         extra.insert(left_to, half);
         let right_to = self
-            .pick_target(&usage, &[owner], &extra, &half)
+            .pick_target(&[owner], &extra, &half)
             .ok_or_else(no_target)?;
         let children = [left_to, right_to].map(|to| (self.mint_shard(half), to));
         self.begin(Change::split((parent, owner), at, children));
@@ -782,7 +801,7 @@ impl Orchestrator {
         let mut combined = self.load_of(left);
         combined += self.load_of(right);
         let union_to = self
-            .pick_target(&self.usage_table(), &owners, &BTreeMap::new(), &combined)
+            .pick_target(&owners, &BTreeMap::new(), &combined)
             .ok_or_else(|| SmError::Unavailable("no server can host the merged shard".into()))?;
         let union = (self.mint_shard(combined), union_to);
         let [left_owner, right_owner] = owners;
@@ -804,7 +823,7 @@ impl Orchestrator {
     fn mint_shard(&mut self, load: LoadVector) -> ShardId {
         let id = ShardId(self.next_shard_id);
         self.next_shard_id += 1;
-        self.loads.edit().insert(id, load);
+        self.write_loads([(id, load)]);
         id
     }
 
@@ -922,6 +941,10 @@ impl Orchestrator {
         }
         *self.shards.edit() = desired.keys().copied().collect();
         *self.desired_replicas.edit() = desired;
+        self.usage.clear();
+        for (shard, replica) in assignment.iter() {
+            self.rehost(shard, None, Some(replica.server));
+        }
         *self.assignment.edit() = assignment;
         self.map_version = version;
         self.clear_in_flight();
@@ -1174,6 +1197,19 @@ mod tests {
             assert_eq!(self.fully_placed(), placed);
         }
 
+        /// The kept usage is, server by server, a fresh sum of the loads
+        /// of the replicas the assignment puts there.
+        pub(crate) fn check_usage(&self) {
+            let mut fresh: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
+            for (shard, replica) in self.assignment.iter() {
+                *fresh.entry(replica.server).or_default() += self.load_of(shard);
+            }
+            let kept = self.usage.iter().filter(|(_, u)| **u != LoadVector::zero());
+            let kept: BTreeMap<ServerId, LoadVector> = kept.map(|(s, u)| (*s, *u)).collect();
+            fresh.retain(|_, u| *u != LoadVector::zero());
+            assert_eq!(kept, fresh);
+        }
+
         /// Adjusts one shard's desired replica count. Takes effect on
         /// the next allocation run; shrinking drops excess secondaries
         /// immediately.
@@ -1190,7 +1226,9 @@ mod tests {
                     .collect();
                 victims.sort_by_key(|(_, role)| role.is_primary());
                 for (server, _) in victims.into_iter().take((current - n) as usize) {
-                    self.assignment.edit().remove_replica(shard, server);
+                    if self.assignment.edit().remove_replica(shard, server) {
+                        self.rehost(shard, Some(server), None);
+                    }
                     self.send_rpc(server, ServerRpc::DropShard { shard });
                 }
                 self.publish_map();
@@ -1543,7 +1581,7 @@ mod tests {
         assert!(!o.servers[&victim].draining);
     }
 
-    // ---- Reference model: the target picker before the usage table ----
+    // ---- Reference model: the target picker before the kept usage ----
 
     impl Orchestrator {
         /// `pick_target` with every candidate's usage summed from the
@@ -1628,6 +1666,7 @@ mod tests {
                     };
                     let host = ServerId(host as u32);
                     o.assignment.edit().add_replica(shard, host, role).unwrap();
+                    o.rehost(shard, None, Some(host));
                 }
                 // Non-integer loads on two metrics; the rest fall back
                 // to one unit of shard count.
@@ -1642,8 +1681,8 @@ mod tests {
             (entry.alive, entry.draining) = (true, true);
 
             // The drain loop over the scanning picker, each pick checked
-            // against the one table a drain builds.
-            let table = o.usage_table();
+            // against the one the kept usage makes.
+            o.check_usage();
             let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
             let mut want = Vec::new();
             for (shard, _) in o.shards_on(victim) {
@@ -1651,7 +1690,7 @@ mod tests {
                 let hosts = o.assignment.replicas(shard).iter();
                 let hosts: Vec<ServerId> = hosts.map(|r| r.server).collect();
                 let target = o.pick_target_scan(&hosts, &extra, &load);
-                assert_eq!(o.pick_target(&table, &hosts, &extra, &load), target);
+                assert_eq!(o.pick_target(&hosts, &extra, &load), target);
                 match target {
                     Some(target) => {
                         *extra.entry(target).or_insert_with(LoadVector::zero) += load;

@@ -20,7 +20,7 @@
 use crate::penalty_tree::PenaltyTree;
 use crate::problem::{BinId, Entity, EntityId, GroupId, Problem};
 use crate::specs::{Scope, Spec, SpecSet};
-use sm_types::{LoadVector, MetricId, METRIC_COUNT};
+use sm_types::{Fixed, LoadVector, MetricId, METRIC_COUNT};
 use std::collections::{BTreeMap, BTreeSet};
 
 const UNPLACED: u32 = u32::MAX;
@@ -103,13 +103,12 @@ pub struct Evaluator<'p> {
     /// `group_entities[group_start[g]..group_start[g + 1]]`.
     group_start: Vec<u32>,
     group_entities: Vec<EntityId>,
-    /// The problem's start sums (empty: none) and the initial assignment
-    /// they count the entities at.
-    start: &'p [(LoadVector, f64)],
-    initial: &'p [Option<BinId>],
-    /// Average utilization per metric over the whole problem — constant
-    /// under moves since total load and capacity are fixed.
-    avg_util: LoadVector,
+    /// The problem's start sums (empty: none).
+    start: &'p [(LoadVector, Fixed)],
+    /// Average utilization per metric over the whole problem and its
+    /// start — constant under moves since total load and capacity are
+    /// fixed.
+    avg_util: [f64; METRIC_COUNT],
 
     // -- active specs, pre-resolved --
     /// The goals of priority `<= active` are on; `None` before the first
@@ -121,15 +120,16 @@ pub struct Evaluator<'p> {
     cap_goals: Vec<CapGoal>,
     /// Per entity: `(scope index, preferred domain, weight)` preferences;
     /// empty when no affinity goal is active.
-    entity_prefs: Vec<Vec<(usize, u64, f64)>>,
+    entity_prefs: Vec<Vec<(usize, u64, Fixed)>>,
     exclusion_goals: Vec<ExclusionGoal>,
     drain_weight: f64,
 
     // -- mutable search state --
     assignment: Vec<u32>,
+    /// Per bin, the start's usage plus its entities' loads.
     bin_usage: Vec<LoadVector>,
-    /// Sum of affinity penalties of entities currently on each bin.
-    bin_affinity: Vec<f64>,
+    /// Per bin, the start's affinity penalty plus its entities'.
+    bin_affinity: Vec<Fixed>,
     /// Entities currently on each bin, maintained incrementally under
     /// moves so [`Self::entities_on`] is O(1) instead of an
     /// O(n_entities) scan. Ascending when a batch starts; within a batch
@@ -216,21 +216,29 @@ impl<'p> Evaluator<'p> {
             }
         }
 
-        let mut total_load = LoadVector::zero();
-        for entity in entities {
+        let start = problem.start();
+        let mut bin_usage = vec![LoadVector::zero(); n_bins];
+        for (b, &(usage, _)) in start.iter().enumerate() {
+            bin_usage[b] = usage;
+        }
+        let mut total_load = bin_usage.iter().fold(LoadVector::zero(), |sum, &u| sum + u);
+        for (entity, bin) in entities.iter().zip(assignment) {
             total_load += entity.load;
-        }
-        let mut total_cap = LoadVector::zero();
-        for cap in &bin_capacity {
-            total_cap += *cap;
-        }
-        let mut avg_util = LoadVector::zero();
-        for m in 0..METRIC_COUNT {
-            let (m, cap) = (MetricId(m), total_cap.get(MetricId(m)));
-            if cap > 0.0 {
-                avg_util.set(m, total_load.get(m) / cap);
+            if let Some(b) = bin {
+                bin_usage[b.0] += entity.load;
             }
         }
+        let total_cap = bin_capacity
+            .iter()
+            .fold(LoadVector::zero(), |sum, &c| sum + c);
+        let avg_util = std::array::from_fn(|m| {
+            let cap = total_cap.get(MetricId(m));
+            if cap > 0.0 {
+                total_load.get(MetricId(m)) / cap
+            } else {
+                0.0
+            }
+        });
 
         let mut eval = Self {
             entities,
@@ -239,8 +247,7 @@ impl<'p> Evaluator<'p> {
             bin_draining,
             group_start,
             group_entities,
-            start: problem.start(),
-            initial: problem.initial_assignment(),
+            start,
             avg_util,
             active: None,
             hard_metrics: specs.constraints.iter().map(|c| c.metric).collect(),
@@ -253,8 +260,8 @@ impl<'p> Evaluator<'p> {
             assignment: (assignment.iter())
                 .map(|bin| bin.map_or(UNPLACED, |b| b.0 as u32))
                 .collect(),
-            bin_usage: vec![LoadVector::zero(); n_bins],
-            bin_affinity: vec![0.0; n_bins],
+            bin_usage,
+            bin_affinity: vec![Fixed::default(); n_bins],
             bin_entities: vec![Vec::new(); n_bins],
             entity_pos: vec![0; n_entities],
             bin_group_key: vec![(0, 0); n_bins],
@@ -275,9 +282,10 @@ impl<'p> Evaluator<'p> {
     /// `max_priority` on the current assignment.
     ///
     /// Goal lists are rebuilt in spec order, the order of a bin's
-    /// penalty terms in their float sum. Spread counts and preferences
-    /// are history-free, so they are only set up when a goal of their
-    /// kind is admitted. [`Self::rebase`] re-sums the rest.
+    /// penalty terms in their float sum. Usages are carried from the
+    /// build; spread counts, preferences and the affinity sums are set up
+    /// when a goal of their kind is admitted. [`Self::rebase`] rebuilds
+    /// the indexes and the penalties.
     pub(crate) fn enter_batch(&mut self, specs: &SpecSet, max_priority: u8) {
         let was = self.active.replace(max_priority);
         let goals = specs.goals_up_to(max_priority);
@@ -296,17 +304,13 @@ impl<'p> Evaluator<'p> {
         if new_spread {
             self.exclusion_goals.clear();
         }
-        debug_assert!(
-            self.start.is_empty() || !goals.iter().any(|g| matches!(g, Spec::Balance(_))),
-            "a problem with a start takes no balance goal"
-        );
         let n_groups = self.group_start.len() - 1;
         for goal in goals {
             match goal {
                 Spec::Balance(s) => self.balance_goals.push(BalanceGoal {
                     metric: s.metric,
                     weight: s.weight,
-                    limit_util: self.avg_util.get(s.metric) + s.tolerance,
+                    limit_util: self.avg_util[s.metric.0] + s.tolerance,
                 }),
                 Spec::UtilizationCap(s) => self.cap_goals.push(CapGoal {
                     metric: s.metric,
@@ -315,8 +319,8 @@ impl<'p> Evaluator<'p> {
                 }),
                 Spec::Affinity(s) if new_prefs => {
                     let si = scope_index(s.scope);
-                    for (e, dom, w) in &s.affinities {
-                        self.entity_prefs[e.0].push((si, *dom, *w));
+                    for &(e, dom, w) in &s.affinities {
+                        self.entity_prefs[e.0].push((si, dom, w.into()));
                     }
                 }
                 Spec::Exclusion(s) if new_spread => {
@@ -339,7 +343,25 @@ impl<'p> Evaluator<'p> {
         if new_spread {
             self.count_spread();
         }
+        if new_prefs {
+            self.sum_affinity();
+        }
         self.rebase();
+    }
+
+    /// Sums each bin's affinity penalties: the start's, then those of
+    /// the entities placed on it.
+    fn sum_affinity(&mut self) {
+        self.bin_affinity.fill(Fixed::default());
+        for (b, &(_, affinity)) in self.start.iter().enumerate() {
+            self.bin_affinity[b] = affinity;
+        }
+        for i in 0..self.assignment.len() {
+            if let Some(b) = self.bin_of(EntityId(i)) {
+                self.bin_affinity[b.0] =
+                    self.bin_affinity[b.0] + self.affinity_penalty(EntityId(i), b.0);
+            }
+        }
     }
 
     /// Counts each spread goal's placed members and distinct domains
@@ -371,42 +393,18 @@ impl<'p> Evaluator<'p> {
         }
     }
 
-    /// Re-sums the state a move history leaves path-dependent, the way a
-    /// fresh build sums it: usages and affinity penalties in entity
-    /// order (`a + b − b ≠ a`) or from the problem's start, each bin's
-    /// entity list ascending, the penalty leaves and target groups in bin
-    /// order, and the spread total from the counts.
+    /// Rebuilds the state a move history leaves path-dependent the way a
+    /// fresh build makes it: each bin's entity list ascending, the
+    /// penalty leaves and target groups in bin order, and the spread
+    /// total from the counts.
     fn rebase(&mut self) {
-        self.bin_usage.fill(LoadVector::zero());
-        self.bin_affinity.fill(0.0);
-        for (b, &(usage, affinity)) in self.start.iter().enumerate() {
-            (self.bin_usage[b], self.bin_affinity[b]) = (usage, affinity);
-        }
         self.bin_entities.iter_mut().for_each(Vec::clear);
         self.unplaced_count = 0;
         for i in 0..self.assignment.len() {
-            let (e, b) = (EntityId(i), self.assignment[i]);
-            // A start counts each entity on its initial bin: one that
-            // has left it since is taken off there and added where it is.
-            let counted = match self.initial[i] {
-                Some(bin) if !self.start.is_empty() => bin.0 as u32,
-                _ => UNPLACED,
-            };
-            if counted != b && counted != UNPLACED {
-                let c = counted as usize;
-                self.bin_usage[c] -= self.entities[i].load;
-                self.bin_usage[c].clamp_non_negative();
-                self.bin_affinity[c] -= self.affinity_penalty(e, c);
+            match self.assignment[i] {
+                UNPLACED => self.unplaced_count += 1,
+                b => self.index_add(EntityId(i), b as usize),
             }
-            if b == UNPLACED {
-                self.unplaced_count += 1;
-                continue;
-            }
-            if counted != b {
-                self.bin_usage[b as usize] += self.entities[i].load;
-                self.bin_affinity[b as usize] += self.affinity_penalty(e, b as usize);
-            }
-            self.index_add(e, b as usize);
         }
         self.tree.reset();
         self.target_groups.values_mut().for_each(Vec::clear);
@@ -428,11 +426,11 @@ impl<'p> Evaluator<'p> {
     }
 
     /// The affinity penalty entity `e` incurs when placed on `bin`.
-    fn affinity_penalty(&self, e: EntityId, bin: usize) -> f64 {
-        let mut pen = 0.0;
+    fn affinity_penalty(&self, e: EntityId, bin: usize) -> Fixed {
+        let mut pen = Fixed::default();
         for &(si, dom, w) in self.entity_prefs.get(e.0).into_iter().flatten() {
             if self.bin_domains[bin][si] != dom {
-                pen += w;
+                pen = pen + w;
             }
         }
         pen
@@ -440,27 +438,8 @@ impl<'p> Evaluator<'p> {
 
     /// The bin-local penalty of `bin` from its current usage.
     fn bin_local_penalty(&self, bin: usize) -> f64 {
-        let usage = &self.bin_usage[bin];
-        let cap = &self.bin_capacity[bin];
-        let mut pen = 0.0;
-        for g in &self.balance_goals {
-            let limit = cap.get(g.metric) * g.limit_util;
-            let over = usage.get(g.metric) - limit;
-            if over > 0.0 {
-                pen += g.weight * over;
-            }
-        }
-        for g in &self.cap_goals {
-            let limit = cap.get(g.metric) * g.threshold;
-            let over = usage.get(g.metric) - limit;
-            if over > 0.0 {
-                pen += g.weight * over;
-            }
-        }
-        if self.bin_draining[bin] {
-            pen += self.drain_weight * self.bin_entities[bin].len() as f64;
-        }
-        pen + self.bin_affinity[bin]
+        let (usage, count) = (&self.bin_usage[bin], self.bin_entities[bin].len());
+        self.hypothetical_bin_penalty(bin, usage, count, self.bin_affinity[bin])
     }
 
     fn refresh_leaf(&mut self, bin: usize) {
@@ -670,7 +649,7 @@ impl<'p> Evaluator<'p> {
         bin: usize,
         usage: &LoadVector,
         count: usize,
-        affinity: f64,
+        affinity: Fixed,
     ) -> f64 {
         let cap = &self.bin_capacity[bin];
         let mut pen = 0.0;
@@ -691,7 +670,7 @@ impl<'p> Evaluator<'p> {
         if self.bin_draining[bin] {
             pen += self.drain_weight * count as f64;
         }
-        pen + affinity
+        pen + f64::from(affinity)
     }
 
     /// Applies a move previously vetted by [`Self::eval_move`].
@@ -703,8 +682,7 @@ impl<'p> Evaluator<'p> {
             let f = from as usize;
             self.exclusion_update(e, f, false);
             self.bin_usage[f] -= load;
-            self.bin_usage[f].clamp_non_negative();
-            self.bin_affinity[f] -= self.affinity_penalty(e, f);
+            self.bin_affinity[f] = self.bin_affinity[f] - self.affinity_penalty(e, f);
             self.index_remove(e, f);
             self.refresh_leaf(f);
             self.refresh_group_key(f);
@@ -714,7 +692,7 @@ impl<'p> Evaluator<'p> {
         let b = to.0;
         self.assignment[e.0] = b as u32;
         self.bin_usage[b] += load;
-        self.bin_affinity[b] += self.affinity_penalty(e, b);
+        self.bin_affinity[b] = self.bin_affinity[b] + self.affinity_penalty(e, b);
         self.index_add(e, b);
         self.exclusion_update(e, b, true);
         self.refresh_leaf(b);
@@ -769,7 +747,7 @@ impl<'p> Evaluator<'p> {
         if b == UNPLACED {
             return 0.0;
         }
-        let mut pen = self.affinity_penalty(e, b as usize);
+        let mut pen = f64::from(self.affinity_penalty(e, b as usize));
         if self.bin_draining[b as usize] {
             pen += self.drain_weight;
         }
@@ -810,11 +788,8 @@ impl<'p> Evaluator<'p> {
         for b in 0..self.bin_usage.len() {
             let usage = &self.bin_usage[b];
             let cap = &self.bin_capacity[b];
-            for &m in &self.hard_metrics {
-                if usage.get(m) > cap.get(m) + EPS {
-                    stats.capacity += 1;
-                }
-            }
+            let over = |&&m: &&MetricId| usage.get(m) > cap.get(m);
+            stats.capacity += self.hard_metrics.iter().filter(over).count();
             for g in &self.balance_goals {
                 if usage.get(g.metric) > cap.get(g.metric) * g.limit_util + EPS {
                     stats.balance += 1;
@@ -955,62 +930,6 @@ mod tests {
 
     fn cpu(v: f64) -> LoadVector {
         LoadVector::single(Metric::Cpu.id(), v)
-    }
-
-    /// A cut problem's bins start from the start sums, which count its
-    /// own entities at their initial bins; a re-base after moves, or a
-    /// build from another assignment, moves those entities' loads.
-    #[test]
-    fn a_start_counts_the_fleet_and_follows_the_moves() {
-        let mut p = two_region_problem();
-        let e0 = p.add_entity(
-            Entity {
-                load: cpu(1.1),
-                group: None,
-            },
-            Some(BinId(0)),
-        );
-        let e1 = p.add_entity(
-            Entity {
-                load: cpu(0.7),
-                group: None,
-            },
-            None,
-        );
-        // Load of entities outside the problem, and e0 where it starts.
-        let outside = [3.0, 1.5, 0.0, 2.25];
-        let start = outside.iter().enumerate();
-        let start = start.map(|(b, &u)| (cpu(u + if b == 0 { 1.1 } else { 0.0 }), 0.0));
-        p.set_start(start.collect());
-        let mut specs = SpecSet::new();
-        specs.add_constraint(CapacitySpec {
-            metric: Metric::Cpu.id(),
-        });
-        specs.add_goal(Spec::UtilizationCap(UtilizationCapSpec {
-            metric: Metric::Cpu.id(),
-            threshold: 0.5,
-            weight: 1.0,
-            priority: 1,
-        }));
-        let usages = |eval: &Evaluator| -> Vec<f64> {
-            (0..4)
-                .map(|b| eval.usage_of(BinId(b)).get(Metric::Cpu.id()))
-                .collect()
-        };
-        let mut eval = Evaluator::with_assignment(&p, &specs, 0, p.initial_assignment());
-        assert_eq!(usages(&eval), [4.1, 1.5, 0.0, 2.25]);
-        eval.apply_move(e0, BinId(2));
-        eval.apply_move(e1, BinId(3));
-        eval.enter_batch(&specs, 1);
-        let want = [3.0, 1.5, 1.1, 2.95];
-        let fresh = Evaluator::with_assignment(&p, &specs, 1, &eval.assignment());
-        for got in [usages(&eval), usages(&fresh)] {
-            assert!(
-                got.iter().zip(want).all(|(g, w)| (g - w).abs() < 1e-12),
-                "{got:?}"
-            );
-        }
-        assert_eq!(eval.violations(), fresh.violations());
     }
 
     #[test]
@@ -1600,7 +1519,7 @@ mod tests {
                     draining: m == 3,
                 });
             }
-            // Loads that are not dyadic, so `a + b - b` drifts from `a`,
+            // Loads that are not dyadic, so they round where they enter,
             // in groups of up to three; some start unplaced.
             let groups: Vec<GroupId> = (0..12).map(|_| p.new_group()).collect();
             let mut prefs = Vec::new();

@@ -1,6 +1,6 @@
 //! The optimization problem model: entities, bins, and the assignment.
 
-use sm_types::{LoadVector, Location};
+use sm_types::{Fixed, LoadVector, Location};
 
 /// Index of an entity (a shard replica) in a [`Problem`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -46,9 +46,9 @@ pub struct Problem {
     bins: Vec<Bin>,
     initial: Vec<Option<BinId>>,
     group_count: usize,
-    /// Per bin, the usage and affinity penalty an evaluator starts from;
-    /// empty when it sums them from the entities.
-    start: Vec<(LoadVector, f64)>,
+    /// Per bin, the usage and affinity penalty of what is outside the
+    /// problem; empty when nothing is.
+    start: Vec<(LoadVector, Fixed)>,
 }
 
 impl Problem {
@@ -91,18 +91,13 @@ impl Problem {
 
     /// Cuts this problem out of a larger placement whose other entities
     /// stay where they are: `start[b]` is bin `b`'s usage, and the sum of
-    /// the affinity penalties of the entities on it, at the larger
-    /// placement's initial assignment — this problem's entities among
-    /// them — summed in that placement's entity order. An evaluator
-    /// starts from these sums instead of summing its entities, so the few
-    /// entities that can move see the fleet's bin usages bit for bit
-    /// (`a + b − b ≠ a`). The penalties are the caller's, under the
-    /// affinity goal it passes. A balance goal's average utilization is
-    /// still this problem's entities', not the larger placement's, so a
-    /// problem with a start takes no balance goal.
-    /// [`crate::ParallelSearch`]'s partitions do not carry a start: a cut
-    /// problem is solved on one thread.
-    pub fn set_start(&mut self, start: Vec<(LoadVector, f64)>) {
+    /// the affinity penalties, of those other entities. An evaluator adds
+    /// its own entities to these sums, so the few entities that can move
+    /// see the larger placement's bin usages, and its average
+    /// utilization. The penalties are the caller's, under the affinity
+    /// goal it passes. [`crate::ParallelSearch`]'s partitions do not carry
+    /// a start: a cut problem is solved on one thread.
+    pub fn set_start(&mut self, start: Vec<(LoadVector, Fixed)>) {
         self.start = start;
     }
 
@@ -142,7 +137,7 @@ impl Problem {
     }
 
     /// [`Self::set_start`]'s sums, or nothing.
-    pub(crate) fn start(&self) -> &[(LoadVector, f64)] {
+    pub(crate) fn start(&self) -> &[(LoadVector, Fixed)] {
         &self.start
     }
 

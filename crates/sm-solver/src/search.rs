@@ -22,7 +22,7 @@
 use crate::eval::{Evaluator, ViolationStats};
 use crate::problem::{BinId, EntityId, Problem};
 use crate::specs::SpecSet;
-use sm_types::METRIC_COUNT;
+use sm_types::{LoadVector, METRIC_COUNT};
 use std::cmp::Ordering;
 
 use sm_sim::SimRng;
@@ -134,7 +134,7 @@ struct Scratch {
     /// once per entity per round instead of once per comparison.
     ranked: Vec<(f64, f64, usize)>,
     /// Load keys of candidates kept so far (equivalence dedup).
-    seen_keys: Vec<[u64; METRIC_COUNT]>,
+    seen_keys: Vec<LoadVector>,
     /// Snapshots of the entity lists a swap reads, which its speculative
     /// `apply_move` reorders.
     swap_hot: Vec<EntityId>,
@@ -416,7 +416,7 @@ impl LocalSearch {
                 }
                 let e = scratch.on_bin[ranked[idx].2];
                 idx += 1;
-                let key = load_key(eval, e);
+                let key = *eval.load_of(e);
                 if !scratch.seen_keys.contains(&key) {
                     scratch.seen_keys.push(key);
                     scratch.candidates.push(e);
@@ -529,23 +529,24 @@ fn sum_load(eval: &Evaluator, e: EntityId) -> f64 {
         .sum()
 }
 
-fn load_key(eval: &Evaluator, e: EntityId) -> [u64; METRIC_COUNT] {
-    let load = eval.load_of(e);
-    let mut key = [0u64; METRIC_COUNT];
-    for (m, slot) in key.iter_mut().enumerate() {
-        *slot = load.get(sm_types::MetricId(m)).to_bits();
-    }
-    key
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The key the model dedups candidates by: a load vector's bits.
+    fn load_key(eval: &Evaluator, e: EntityId) -> [u64; METRIC_COUNT] {
+        let load = eval.load_of(e);
+        let mut key = [0u64; METRIC_COUNT];
+        for (m, slot) in key.iter_mut().enumerate() {
+            *slot = load.get(sm_types::MetricId(m)).to_bits();
+        }
+        key
+    }
     use crate::problem::{Bin, Entity};
     use crate::specs::{
         AffinitySpec, BalanceSpec, CapacitySpec, ExclusionSpec, Scope, Spec, UtilizationCapSpec,
     };
-    use sm_types::{LoadVector, Location, MachineId, Metric, RegionId};
+    use sm_types::{Location, MachineId, Metric, RegionId};
 
     fn loc(region: u16, machine: u32) -> Location {
         Location {

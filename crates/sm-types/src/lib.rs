@@ -26,7 +26,7 @@ pub use ids::{
     AppId, ContainerId, MachineId, MiniSmId, PartitionId, RegionId, ReplicaRole, ServerId, ShardId,
 };
 pub use keys::{AppKey, KeyRange, ShardingSpec};
-pub use load::{LoadVector, Metric, MetricId, METRIC_COUNT};
+pub use load::{Fixed, LoadVector, Metric, MetricId, METRIC_COUNT};
 pub use policy::{
     AppPolicy, DataPersistency, DeploymentMode, DrainPolicy, LoadBalancePolicy, ReplicationMode,
 };
