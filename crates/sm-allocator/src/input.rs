@@ -1,7 +1,7 @@
 //! Allocator input: the placement state of one application partition.
 
 use sm_solver::SearchConfig;
-use sm_types::{LoadVector, Location, MetricId, RegionId, ServerId, ShardId};
+use sm_types::{Fixed, LoadVector, Location, MetricId, RegionId, ServerId, ShardId};
 use std::collections::BTreeMap;
 
 /// One application server available as a placement target.
@@ -95,6 +95,21 @@ pub trait PlacementSource {
     /// have in all. Sizes the problem: a wrong count costs a regrowth,
     /// not a wrong plan.
     fn size(&self) -> (usize, usize);
+
+    /// What an emergency run cuts out: calls `visit` as
+    /// [`Self::for_each_shard`] does, in its order, but only for the
+    /// shards with a slot that is not on an offered server. Returns, per
+    /// offered server in [`Self::servers`] order, the summed load of the
+    /// slots the other shards place on it and their summed weight under
+    /// a region preference its region does not meet; and the most slots
+    /// any shard has. The default walks every shard; a source that keeps
+    /// these sums can answer in what the cut costs.
+    fn cut(
+        &self,
+        visit: impl FnMut(ShardId, LoadVector, &[Option<ServerId>]),
+    ) -> (Vec<(LoadVector, Fixed)>, usize) {
+        crate::runner::cut_by_walk(self, visit)
+    }
 }
 
 impl PlacementSource for AllocInput {

@@ -1,12 +1,12 @@
 //! Problem construction and the two allocation modes.
 
-use crate::input::PlacementSource;
+use crate::input::{PlacementSource, ServerInfo};
 use crate::plan::{AllocationPlan, ReplicaMove, Target};
 use sm_solver::{
     AffinitySpec, Bin, BinId, CapacitySpec, DrainSpec, Entity, ExclusionSpec, ParallelSearch,
-    Problem, Scope, SearchConfig, Spec, SpecSet, UtilizationCapSpec, ViolationStats,
+    Problem, Scope, SearchConfig, Spec, SpecSet, UtilizationCapSpec,
 };
-use sm_types::{FaultDomain, Fixed, LoadVector, ServerId};
+use sm_types::{FaultDomain, Fixed, LoadVector, ServerId, ShardId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Goal priorities, matching the §5.1 ordering.
@@ -54,11 +54,13 @@ impl Allocator {
     ///
     /// Nothing placed can move in this mode, so the problem holds only
     /// the shards that lack a replica — every slot of each, so a spread
-    /// group is whole — over bins that start from the whole fleet's
-    /// usage. The run is single-threaded. Where its greedy placement
-    /// leaves a slot empty, it is run again over every shard, whose
-    /// search may then move placed replicas to make room. Either way
-    /// the plan is the whole problem's, but for its penalties.
+    /// group is whole — over bins that start from the usage of the
+    /// shards left out ([`PlacementSource::cut`]). The run is
+    /// single-threaded, and its plan's target and violations cover the
+    /// shards it rebuilt. Where its greedy placement leaves a slot
+    /// empty, it is run again over every shard, whose search may then
+    /// move placed replicas to make room; that plan is the whole
+    /// problem's.
     pub fn plan_emergency<S: PlacementSource>(source: &S) -> AllocationPlan {
         let mut search = source.config().search.clone();
         search.threads = 1;
@@ -78,10 +80,7 @@ fn solve(built: Built, mut search: SearchConfig, max_priority: u8) -> Allocation
         mut specs,
         server_ids,
         mut target,
-        rows,
         unplaced,
-        outside,
-        mut resident,
     } = built;
     if max_priority == PRIO_PLACEMENT {
         // The move budget covers exactly the unplaced replicas, so
@@ -92,23 +91,25 @@ fn solve(built: Built, mut search: SearchConfig, max_priority: u8) -> Allocation
     // schedule them at all (emergency mode).
     specs.goals.retain(|g| g.priority() <= max_priority);
     // ParallelSearch is plain LocalSearch when `threads <= 1`.
-    let (assignment, mut stats) = ParallelSearch::new(search).solve(&problem, &specs);
+    let (assignment, search) = ParallelSearch::new(search).solve(&problem, &specs);
 
     // Diff into moves and the target's slots: entities were minted
     // shard by shard, slot by slot, so one walk of the final and the
-    // initial assignment beside the problem's rows pairs them up.
+    // initial assignment beside the target's rows pairs them up.
     let server_of = |bin: &Option<BinId>| bin.and_then(|b| server_ids.get(b.0).copied());
     let mut entities = assignment.iter().zip(problem.initial_assignment());
     let mut moves = Vec::new();
-    for row in rows {
-        let start = row.checked_sub(1).and_then(|r| target.ends.get(r));
-        let (Some(&shard), Some(&end)) = (target.shards.get(row), target.ends.get(row)) else {
-            continue;
-        };
-        let slots = target.slots.get_mut(start.copied().unwrap_or(0)..end);
-        let slots = slots.unwrap_or_default();
-        let pairs = entities.by_ref().take(slots.len());
-        for (replica, (slot, (new, old))) in slots.iter_mut().zip(pairs).enumerate() {
+    let Target {
+        shards,
+        ends,
+        slots,
+    } = &mut target;
+    let mut start = 0;
+    for (&shard, &end) in shards.iter().zip(ends.iter()) {
+        let of_shard = slots.get_mut(start..end).unwrap_or_default();
+        start = end;
+        let pairs = entities.by_ref().take(of_shard.len());
+        for (replica, (slot, (new, old))) in of_shard.iter_mut().zip(pairs).enumerate() {
             *slot = server_of(new);
             // A source server that is no longer offered (failed) makes
             // this a fresh placement, not a graceful relocation. The
@@ -128,27 +129,13 @@ fn solve(built: Built, mut search: SearchConfig, max_priority: u8) -> Allocation
     }
     // Fresh placements first: restoring availability beats balance.
     moves.sort_by_key(|m| (m.from.is_some(), m.shard, m.replica));
-
-    // Counted by the solve's last evaluator, which had every goal up to
-    // `max_priority` active, and, for a cut problem, in the shards left
-    // out: a draining bin its entities left empty may host one of those.
-    let mut violations = stats.violations;
-    violations.affinity += outside.affinity;
-    violations.exclusion += outside.exclusion;
-    if !resident.is_empty() {
-        for bin in assignment.iter().flatten() {
-            if let Some(r) = resident.get_mut(bin.0) {
-                *r = false;
-            }
-        }
-        violations.drain += resident.iter().filter(|&&r| r).count();
-    }
-    (stats.violations, stats.final_violations) = (violations, violations.total());
     AllocationPlan {
         moves,
         target,
-        violations,
-        search: stats,
+        // Counted by the solve's last evaluator, which had every goal up
+        // to `max_priority` active.
+        violations: search.violations,
+        search,
     }
 }
 
@@ -162,17 +149,19 @@ enum ServerIndex {
 }
 
 impl ServerIndex {
+    /// The index of `servers`, bin `i` being `servers[i]`.
     // sm-lint: allow(P1) — table is sized max_raw + 1, every id is <= max_raw
-    fn build(servers: impl Iterator<Item = (ServerId, BinId)> + Clone, n: usize) -> Self {
-        let max_raw = servers.clone().map(|(s, _)| s.raw()).max().unwrap_or(0);
-        if (max_raw as usize) < 4 * n + 1024 {
+    fn of(servers: &[ServerInfo]) -> Self {
+        let bins = servers.iter().enumerate().map(|(i, s)| (s.id, BinId(i)));
+        let max_raw = servers.iter().map(|s| s.id.raw()).max().unwrap_or(0);
+        if (max_raw as usize) < 4 * servers.len() + 1024 {
             let mut table = vec![None; max_raw as usize + 1];
-            for (s, b) in servers {
+            for (s, b) in bins {
                 table[s.raw() as usize] = Some(b);
             }
             ServerIndex::Dense(table)
         } else {
-            ServerIndex::Sparse(servers.collect())
+            ServerIndex::Sparse(bins.collect())
         }
     }
 
@@ -190,32 +179,22 @@ struct Built {
     specs: SpecSet,
     /// Bin -> server.
     server_ids: Vec<ServerId>,
-    /// The plan's target: every shard, its slot ranges, and each slot's
-    /// live server, to be overwritten by the solve in the problem's rows.
+    /// The plan's target: the problem's shards, their slot ranges, and
+    /// each slot's live server, to be overwritten by the solve.
     target: Target,
-    /// The target rows of the shards in the problem, in entity order.
-    rows: Vec<usize>,
     /// Slots the source yielded as `None`.
     unplaced: usize,
-    /// Affinity and spread violations among the shards left out.
-    outside: ViolationStats,
-    /// Per bin of a cut problem: draining and hosting a replica of a
-    /// shard left out.
-    resident: Vec<bool>,
 }
 
 /// Builds the solver problem from one walk of `source`; entities are
 /// minted shard by shard, slot by slot. A `cut` problem holds only the
-/// shards with a slot that is not on a live server; the walk sums, per
-/// bin, the usage and affinity penalty of the replicas of the shards
-/// left out, which the cut's evaluator starts from.
-// sm-lint: allow(P1) — a bin is minted per server, each per-bin table has a row per server (the cut's only when `cut`), a scope index is < SPREAD.len()
+/// shards [`PlacementSource::cut`] visits, over bins that start from
+/// the usage it returns for the shards left out.
 fn build_problem<S: PlacementSource>(source: &S, cut: bool) -> Built {
     let config = source.config();
     let servers: Vec<_> = source.servers().collect();
-    let (shard_count, slot_count) = source.size();
-    let entities = if cut { 0 } else { slot_count };
-    let mut problem = Problem::with_capacity(servers.len(), entities);
+    let (shard_count, slot_count) = if cut { (0, 0) } else { source.size() };
+    let mut problem = Problem::with_capacity(servers.len(), slot_count);
     for s in &servers {
         problem.add_bin(Bin {
             capacity: s.capacity,
@@ -224,36 +203,24 @@ fn build_problem<S: PlacementSource>(source: &S, cut: bool) -> Built {
         });
     }
     let server_ids: Vec<ServerId> = servers.iter().map(|s| s.id).collect();
-    let bins = server_ids.iter().enumerate().map(|(i, &id)| (id, BinId(i)));
-    let server_index = ServerIndex::build(bins, servers.len());
-    // Per bin, its domain at each spread scope, widest first, and per
-    // scope the distinct domains.
-    let domains: Vec<[u64; SPREAD.len()]> = (servers.iter())
-        .map(|s| SPREAD.map(|(_, level, _)| s.location.domain(level)))
-        .collect();
-    let spread_domains: [usize; SPREAD.len()] =
-        std::array::from_fn(|k| domains.iter().map(|d| d[k]).collect::<BTreeSet<_>>().len());
+    let server_index = ServerIndex::of(&servers);
+    // Per spread scope, the distinct domains.
+    let spread_domains = SPREAD.map(|(_, level, _)| {
+        let domains = servers.iter().map(|s| s.location.domain(level));
+        domains.collect::<BTreeSet<_>>().len()
+    });
 
     let mut target = Target {
         shards: Vec::with_capacity(shard_count),
         ends: Vec::with_capacity(shard_count),
         slots: Vec::with_capacity(slot_count),
     };
-    let mut rows = Vec::with_capacity(if cut { 0 } else { shard_count });
-    let fleet = if cut { servers.len() } else { 0 };
-    let draining = servers.iter().any(|s| s.draining);
-    let mut start = vec![(LoadVector::zero(), Fixed::default()); fleet];
-    let mut resident = vec![false; fleet];
-    let mut outside = ViolationStats::default();
-    // Per spread scope, the shards left out with two replicas in one
-    // domain of it.
-    let mut colocated = [0; SPREAD.len()];
     let mut affinities = Vec::new();
     let mut spread_groups = Vec::new();
     let mut max_replicas = 1usize;
     let mut unplaced = 0;
     let mut initial = Vec::new();
-    source.for_each_shard(|shard, load, slots| {
+    let add = |shard, load, slots: &[Option<ServerId>]| {
         max_replicas = max_replicas.max(slots.len());
         target.shards.push(shard);
         initial.clear();
@@ -266,41 +233,22 @@ fn build_problem<S: PlacementSource>(source: &S, cut: bool) -> Built {
             target.slots.push(placed.filter(|_| bin.is_some()));
         }
         target.ends.push(target.slots.len());
-        let pref = config.region_preferences.get(&shard);
-        let lacking = initial.contains(&None);
-        if cut && !lacking {
-            for &b in initial.iter().flatten() {
-                start[b.0].0 += load;
-                resident[b.0] |= draining && servers[b.0].draining;
-                if let Some(&(want, weight)) = pref {
-                    if domains[b.0][0] != u64::from(want.raw()) {
-                        start[b.0].1 = start[b.0].1 + Fixed::from(weight);
-                        outside.affinity += 1;
-                    }
-                }
-            }
-            // Two replicas in one domain of a scope: only a scope with a
-            // domain for each replica can be a goal.
-            let scopes = (0..SPREAD.len()).filter(|&k| spread_domains[k] >= initial.len());
-            for k in scopes {
-                let domain = |i: usize| initial[i].map(|b| domains[b.0][k]);
-                let shared = (1..initial.len()).any(|i| (0..i).any(|j| domain(i) == domain(j)));
-                colocated[k] += usize::from(shared);
-            }
-            return;
-        }
-        rows.push(target.shards.len() - 1);
         let group = (slots.len() > 1).then(|| problem.new_group());
         spread_groups.extend(group);
+        let pref = config.region_preferences.get(&shard);
         for &bin in &initial {
             let e = problem.add_entity(Entity { load, group }, bin);
             if let Some(&(region, weight)) = pref {
                 affinities.push((e, u64::from(region.raw()), weight));
             }
         }
-    });
+    };
     if cut {
+        let (start, widest) = source.cut(add);
         problem.set_start(start);
+        max_replicas = max_replicas.max(widest);
+    } else {
+        source.for_each_shard(add);
     }
 
     let mut specs = SpecSet::new();
@@ -317,12 +265,8 @@ fn build_problem<S: PlacementSource>(source: &S, cut: bool) -> Built {
     }
     // Spread at every level with enough distinct domains to host each
     // replica separately.
-    for (k, &(scope, _, weight)) in SPREAD.iter().enumerate() {
-        if spread_domains[k] < max_replicas {
-            continue;
-        }
-        outside.exclusion += colocated[k];
-        if !spread_groups.is_empty() {
+    for (&(scope, _, weight), &domains) in SPREAD.iter().zip(&spread_domains) {
+        if domains >= max_replicas && !spread_groups.is_empty() {
             specs.add_goal(Spec::Exclusion(ExclusionSpec {
                 scope,
                 groups: spread_groups.clone(),
@@ -331,7 +275,7 @@ fn build_problem<S: PlacementSource>(source: &S, cut: bool) -> Built {
             }));
         }
     }
-    if draining {
+    if servers.iter().any(|s| s.draining) {
         specs.add_goal(Spec::Drain(DrainSpec {
             weight: WEIGHT_DRAIN,
             priority: PRIO_DRAIN,
@@ -356,11 +300,43 @@ fn build_problem<S: PlacementSource>(source: &S, cut: bool) -> Built {
         specs,
         server_ids,
         target,
-        rows,
         unplaced,
-        outside,
-        resident,
     }
+}
+
+/// [`PlacementSource::cut`] by one walk of every shard: a shard with
+/// every slot on an offered server adds its load, and its penalty under
+/// the region-preference goal, to the servers it is on; any other is
+/// visited.
+pub(crate) fn cut_by_walk<S: PlacementSource + ?Sized>(
+    source: &S,
+    mut visit: impl FnMut(ShardId, LoadVector, &[Option<ServerId>]),
+) -> (Vec<(LoadVector, Fixed)>, usize) {
+    let servers: Vec<_> = source.servers().collect();
+    let server_index = ServerIndex::of(&servers);
+    let preferences = &source.config().region_preferences;
+    let mut start = vec![(LoadVector::zero(), Fixed::default()); servers.len()];
+    let mut widest = 0;
+    let mut bins = Vec::new();
+    source.for_each_shard(|shard, load, slots| {
+        widest = widest.max(slots.len());
+        bins.clear();
+        bins.extend(slots.iter().map(|s| s.and_then(|s| server_index.get(s))));
+        if bins.contains(&None) {
+            return visit(shard, load, slots);
+        }
+        let pref = preferences.get(&shard);
+        for b in bins.iter().flatten() {
+            let (Some(at), Some(s)) = (start.get_mut(b.0), servers.get(b.0)) else {
+                continue;
+            };
+            at.0 += load;
+            if let Some(&(_, weight)) = pref.filter(|&&(want, _)| s.location.region != want) {
+                at.1 = at.1 + Fixed::from(weight);
+            }
+        }
+    });
+    (start, widest)
 }
 
 #[cfg(test)]
@@ -412,6 +388,21 @@ mod tests {
             evaluated: plan.search.evaluated,
             violations: plan.violations,
         }
+    }
+
+    /// `got` against the model's outcome for the whole input: a cut
+    /// plan, whose target holds only the shards it rebuilt, by its
+    /// moves, `evaluated` and those rows; any other plan whole.
+    fn assert_matches(got: AllocationPlan, want: &Outcome, context: &str) {
+        let got = outcome(got);
+        if got.target.len() == want.target.len() {
+            return assert_eq!(&got, want, "{context}");
+        }
+        assert_eq!(got.moves, want.moves, "{context}: moves");
+        assert_eq!(got.evaluated, want.evaluated, "{context}: evaluated");
+        let rebuilt: BTreeSet<ShardId> = got.target.iter().map(|(s, _)| *s).collect();
+        let rows = want.target.iter().filter(|(s, _)| rebuilt.contains(s));
+        assert_eq!(got.target, rows.cloned().collect::<Vec<_>>(), "{context}");
     }
 
     /// `plan` as it was before the target went flat, kept as the model:
@@ -574,8 +565,8 @@ mod tests {
                 with_violations += usize::from(got.violations.total() > 0);
                 unplaceable += usize::from(got.unplaced() > 0);
                 assert_eq!(got.target, through_books.target, "seed {seed} {mode}");
-                assert_eq!(outcome(through_books), want, "seed {seed} {mode}: books");
-                assert_eq!(outcome(got), want, "seed {seed} {mode}");
+                assert_matches(through_books, &want, &format!("seed {seed} {mode}: books"));
+                assert_matches(got, &want, &format!("seed {seed} {mode}"));
             }
         }
         println!("{with_moves} plans move, {with_violations} keep violations, {unplaceable} leave a replica unplaced");
@@ -662,7 +653,8 @@ mod tests {
             cut_plans += usize::from(!fell_back && !cut.moves.is_empty());
             let got = Allocator::plan_emergency(&input);
             assert_eq!(got.violations, got.search.violations, "seed {seed}");
-            assert_eq!(outcome(got), plan_emergency_model(&input), "seed {seed}");
+            let want = plan_emergency_model(&input);
+            assert_matches(got, &want, &format!("seed {seed}"));
         }
         println!("{cut_plans} cut plans, {fallbacks} whole-fleet fallbacks");
         assert!(
