@@ -29,5 +29,5 @@ pub(crate) mod throttle;
 
 pub use input::{AllocConfig, AllocInput, PlacementSource, ServerInfo, ShardPlacement};
 pub use plan::{AllocationPlan, ReplicaMove};
-pub use runner::Allocator;
+pub use runner::{Allocator, PeriodicProblem};
 pub use throttle::{MoveCaps, MoveScheduler};

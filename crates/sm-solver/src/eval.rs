@@ -734,7 +734,7 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Load of one entity.
-    pub fn load_of(&self, e: EntityId) -> &LoadVector {
+    pub(crate) fn load_of(&self, e: EntityId) -> &LoadVector {
         &self.entities[e.0].load
     }
 

@@ -72,11 +72,10 @@ impl ParallelSearch {
                     let cfg = narrow(&self.config, per_worker_budget);
                     scope.spawn(move || {
                         let mut rng = SimRng::seed_from(seed, i as u64);
-                        let initial = part.problem.initial_assignment().to_vec();
                         LocalSearch::new(cfg).solve_from(
                             &part.problem,
                             &part.specs,
-                            initial,
+                            part.problem.initial_assignment(),
                             &mut rng,
                         )
                     })
@@ -115,7 +114,7 @@ impl ParallelSearch {
             .map(|b| b.saturating_sub(worker_evaluated));
         let mut rng = SimRng::seed_from(seed, n as u64);
         let (assignment, polish_stats) =
-            LocalSearch::new(polish_cfg).solve_from(problem, specs, merged, &mut rng);
+            LocalSearch::new(polish_cfg).solve_from(problem, specs, &merged, &mut rng);
 
         let mut stats = polish_stats;
         // Partitions are bin-disjoint and group-disjoint, so every

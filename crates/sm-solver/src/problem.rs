@@ -89,6 +89,17 @@ impl Problem {
         EntityId(self.entities.len() - 1)
     }
 
+    /// Rewrites entity `id`'s load and initial placement; its group
+    /// stays. For a problem kept between solves and patched as the
+    /// placement it models changes. An unknown id is ignored.
+    pub fn set_entity(&mut self, id: EntityId, load: LoadVector, placed_on: Option<BinId>) {
+        let entity = self.entities.get_mut(id.0).zip(self.initial.get_mut(id.0));
+        if let Some((entity, initial)) = entity {
+            entity.load = load;
+            *initial = placed_on;
+        }
+    }
+
     /// Cuts this problem out of a larger placement whose other entities
     /// stay where they are: `start[b]` is bin `b`'s usage, and the sum of
     /// the affinity penalties, of those other entities. An evaluator adds

@@ -155,12 +155,7 @@ impl LocalSearch {
     /// Solves the problem: returns the final assignment and run stats.
     pub fn solve(&self, problem: &Problem, specs: &SpecSet) -> (Vec<Option<BinId>>, SearchStats) {
         let mut rng = SimRng::seeded(self.config.seed);
-        self.solve_from(
-            problem,
-            specs,
-            problem.initial_assignment().to_vec(),
-            &mut rng,
-        )
+        self.solve_from(problem, specs, problem.initial_assignment(), &mut rng)
     }
 
     /// Like [`Self::solve`] but starting from an explicit assignment
@@ -171,7 +166,7 @@ impl LocalSearch {
         &self,
         problem: &Problem,
         specs: &SpecSet,
-        initial: Vec<Option<BinId>>,
+        initial: &[Option<BinId>],
         rng: &mut SimRng,
     ) -> (Vec<Option<BinId>>, SearchStats) {
         let mut stats = SearchStats::default();
@@ -191,7 +186,7 @@ impl LocalSearch {
 
         // One evaluator for the whole solve: each batch after the first
         // adds its goals to it (`enter_batch`).
-        let mut eval = Evaluator::with_assignment(problem, specs, batches[0], &initial);
+        let mut eval = Evaluator::with_assignment(problem, specs, batches[0], initial);
         stats.initial_penalty = eval.total_penalty();
         self.place_unplaced(problem, &mut eval, rng, &mut stats, &mut scratch);
         for (bi, &prio) in batches.iter().enumerate() {
@@ -1193,7 +1188,7 @@ mod tests {
             batched += usize::from(config.use_batching && specs.priorities().len() > 1);
             let search = LocalSearch::new(config);
             let mut model_stream = stream.clone();
-            let (got, stats) = search.solve_from(&p, &specs, initial.clone(), &mut stream);
+            let (got, stats) = search.solve_from(&p, &specs, &initial, &mut stream);
             let (want, model) = Model(&search).solve_from(&p, &specs, initial, &mut model_stream);
             let timeline = |s: &SearchStats| -> Vec<(u64, usize, u64)> {
                 let samples = s.timeline.iter();

@@ -51,7 +51,7 @@ cargo test --release --test alloc_budget -q
 step "scripts/pairs.sh parses"
 bash -n scripts/pairs.sh
 
-step "repo benchmark (bench/ compiles against the crates' pub items; its own tests; a 2 s traced smoke run per workload, exit 1 = a failed in-run check; on control_failover the map stage is gated against server_down)"
+step "repo benchmark (bench/ compiles against the crates' pub items; its own tests; a 2 s traced smoke run per workload, exit 1 = a failed in-run check; on control_failover the map stage is gated against server_down, on control_rebalance the load report against run_periodic)"
 cargo test --offline -q --manifest-path bench/Cargo.toml
 workloads=(control_failover control_rebalance control_drain world_upgrade serve_steady)
 # On one core serve_churn exits 2: it cannot measure, which is not a failure.
@@ -77,6 +77,17 @@ stage = (m["sm-core.current_map_ms"] + m["sm-routing.discovery_publish_us"] / 10
 down = m["sm-core.server_down_ms"]
 print(f"map stage {stage:.3f} ms against server_down {down:.3f} ms ({stage / down:.2f}, gate 0.25)")
 sys.exit(stage >= 0.25 * down)'
+  fi
+  # A rebalance costs what changed and its search: the load report,
+  # one walk of the kept loads, stays under 0.15 of the periodic run it
+  # feeds. Both sides are this one run's, so a slow host moves both.
+  if [[ "$workload" == control_rebalance ]]; then
+    printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+m = {k: v["value"] for k, v in json.load(sys.stdin)["metrics"].items()}
+report, periodic = m["sm-core.report_load_ms"], m["sm-core.run_periodic_ms"]
+print(f"report_load {report:.3f} ms against run_periodic {periodic:.3f} ms ({report / periodic:.2f}, gate 0.15)")
+sys.exit(report >= 0.15 * periodic)'
   fi
 done
 
