@@ -417,15 +417,17 @@ impl Orchestrator {
         // periodic plan), so a released move may be stale by the time it
         // starts. Skip moves whose source no longer hosts the shard,
         // fresh adds of a shard that no longer lacks a slot, moves whose
-        // target already hosts the shard, and moves of held shards
-        // (moving a parent's primary mid-forward would strand the
+        // target already hosts the shard or is down (a server that held
+        // nothing plans nothing again when it goes), and moves of held
+        // shards (moving a parent's primary mid-forward would strand the
         // forwarding chain) — the next allocation run re-plans anything
         // still suboptimal.
         let stale_source = match mv.from {
             Some(from) => !self.hosts(shard, from),
             None => !self.lacks(shard),
         };
-        if stale_source || self.hosts(shard, mv.to) || self.held(shard) {
+        let stale_target = self.hosts(shard, mv.to) || !self.server_alive(mv.to);
+        if stale_source || stale_target || self.held(shard) {
             if let Some(s) = self.scheduler.as_mut() {
                 s.complete(&mv);
             }
