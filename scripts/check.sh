@@ -51,7 +51,7 @@ cargo test --release --test alloc_budget -q
 step "scripts/pairs.sh parses"
 bash -n scripts/pairs.sh
 
-step "repo benchmark (bench/ compiles against the crates' pub items; its own tests; a 2 s traced smoke run per workload, exit 1 = a failed in-run check; on control_failover the map stage is gated against server_down, on control_rebalance the load report against run_periodic)"
+step "repo benchmark (bench/ compiles against the crates' pub items; its own tests; a 2 s traced smoke run per workload, exit 1 = a failed in-run check; on control_failover the map stage is gated against server_down, on control_rebalance the load report against run_periodic and run_periodic against a fresh plan)"
 cargo test --offline -q --manifest-path bench/Cargo.toml
 workloads=(control_failover control_rebalance control_drain world_upgrade serve_steady)
 # On one core serve_churn exits 2: it cannot measure, which is not a failure.
@@ -88,6 +88,15 @@ m = {k: v["value"] for k, v in json.load(sys.stdin)["metrics"].items()}
 report, periodic = m["sm-core.report_load_ms"], m["sm-core.run_periodic_ms"]
 print(f"report_load {report:.3f} ms against run_periodic {periodic:.3f} ms ({report / periodic:.2f}, gate 0.15)")
 sys.exit(report >= 0.15 * periodic)'
+    # A second rebalance costs its search: the run on the problem and
+    # evaluator the orchestrator keeps stays under 0.75 of the plan of a
+    # fresh input, the same search of the same state, beside it.
+    printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+m = {k: v["value"] for k, v in json.load(sys.stdin)["metrics"].items()}
+periodic, fresh = m["sm-core.run_periodic_ms"], m["sm-allocator.plan_periodic_ms"]
+print(f"run_periodic {periodic:.3f} ms against a fresh plan_periodic {fresh:.3f} ms ({periodic / fresh:.2f}, gate 0.75)")
+sys.exit(periodic >= 0.75 * fresh)'
   fi
 done
 

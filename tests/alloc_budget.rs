@@ -14,8 +14,8 @@
 //!
 //! | call                         | PR 16         | PR 17        | now         |
 //! |------------------------------|---------------|--------------|-------------|
-//! | `server_down`                | 29,993 (7.3)  | 8,935 (2.2)  | 451 (0.11)  |
-//! | `run_periodic`               | 42,961 (10.5) | 9,721 (2.4)  | 586 (0.14)  |
+//! | `server_down`                | 29,993 (7.3)  | 8,935 (2.2)  | 463 (0.11)  |
+//! | `run_periodic`               | 42,961 (10.5) | 9,721 (2.4)  | 594 (0.15)  |
 //! | `run_emergency`, right after | as the first  | as the first | 72          |
 //!
 //! Nothing is left per shard: the orchestrator's books are read in
@@ -25,9 +25,9 @@
 //! per move; a search round allocates only the target samples its
 //! (region, band) groups draw. `run_periodic` was 1,501 with one
 //! evaluator built per priority batch. It makes 28 rounds over three
-//! batches, so one more allocation per round (612) or an evaluator built
+//! batches, so one more allocation per round (622) or an evaluator built
 //! again per batch fails its bound. `server_down` also counts the bytes
-//! it requests: 237,640 (58 a shard), none of them a row per shard. Its
+//! it requests: 241,831 (59 a shard), none of them a row per shard. Its
 //! emergency problem holds only the shards that lost a replica, and its
 //! plan's target only their rows; a problem and an evaluator over every
 //! slot request 1,625,216 (397 a shard), a target over every shard 32 a
@@ -48,9 +48,12 @@
 //! nothing beyond the report, at 4,096 × 64 and at 16,384 × 256 alike:
 //! the report is walked in step with the kept loads (written entry by
 //! entry after the walk, it buffers the table: 11 and 13). A second
-//! `run_periodic` after a one-load report solves the kept problem and
-//! requests 602,149 bytes, 73 an entity, bounded at 96; a problem built
-//! again per run requests 1,370,453 (167).
+//! `run_periodic` after a one-load report solves the kept problem from
+//! the evaluator it keeps, patched for what changed, and undoes its
+//! moves at the end: 10 allocations at either size and 8 bytes an
+//! entity, the plan's target slots, bounded at 16; an evaluator built
+//! again per solve requests 45 an entity, in 447 allocations and 1,684
+//! at 4x.
 //!
 //! **One request.** A read touches the router, the host and the shard's
 //! cache and should allocate nothing; a key is 24 bytes with its bytes
@@ -329,7 +332,7 @@ fn a_failover_costs_the_loss_not_the_fleet() {
     let most = small + large_held as u64;
     assert!(large <= most, "server_down at 4x: {large} > {most}");
     // Bytes grow by the per-server columns of the problem and its
-    // evaluator (1,557 a server today), not by a row per shard: a target
+    // evaluator (1,558 a server today), not by a row per shard: a target
     // over every shard requests 32 bytes a shard, 393,216 more here.
     let most = small_bytes + 1_700 * u64::from(3 * SERVERS);
     assert!(
@@ -374,27 +377,38 @@ fn a_load_report_costs_the_loads_that_changed() {
     assert!(small <= 2, "report_load: {small} > 2");
 }
 
+/// The allocations and bytes of a second `run_periodic` on a rebalanced
+/// `shards` × `servers` fleet, after a report in which one load changed.
+fn second_rebalance_at(shards: u64, servers: u32) -> (u64, u64) {
+    let (mut orch, hot) = rebalanced_at(shards, servers);
+    // One load changes: the hottest shard cools down.
+    let report = loads(shards, hot.get(1..shards as usize / 100));
+    orch.report_load(ServerId(3), report);
+    count_bytes(|| {
+        orch.run_periodic();
+    })
+}
+
 #[test]
 fn a_second_rebalance_solves_the_kept_problem() {
-    let (mut orch, hot) = rebalanced_at(SHARDS, SERVERS);
-    // One load changes: the hottest shard cools down.
-    let report = loads(SHARDS, hot.get(1..SHARDS as usize / 100));
-    orch.report_load(ServerId(3), report);
-    let (allocs, bytes) = count_bytes(|| {
-        orch.run_periodic();
-    });
-    let entities = 2 * SHARDS;
+    let (small, small_bytes) = second_rebalance_at(SHARDS, SERVERS);
+    let (large, large_bytes) = second_rebalance_at(4 * SHARDS, 4 * SERVERS);
     println!(
-        "run_periodic again: {allocs} allocations, {bytes} bytes ({} an entity)",
-        bytes / entities
+        "run_periodic again: {small} allocations, {small_bytes} bytes at {SHARDS} x {SERVERS}, \
+         {large}, {large_bytes} at 4x that"
     );
-    // What the solve itself requests — the evaluator's columns, the
-    // final assignment, the plan's slots — is 73 bytes an entity; a
-    // problem built again would request 64 more (48 of entity, 16 of
-    // initial bin), besides its rows and slots.
-    let most = 96 * entities;
-    assert!(bytes <= most, "run_periodic again: {bytes} bytes > {most}");
-    assert!(allocs <= 600, "run_periodic again: {allocs} > 600");
+    // The solve starts from the evaluator its problem keeps, patched for
+    // what changed, and undoes its moves when it ends: what it requests
+    // afresh is the plan's target slots, 8 bytes an entity, and its
+    // search's buffers, the same at either size. An evaluator built
+    // again per solve requests its columns, 37 bytes an entity more, in
+    // allocations that grow with the fleet (447, then 1,684 at 4x).
+    assert_eq!(small, large, "run_periodic again at 4x");
+    for (bytes, shards) in [(small_bytes, SHARDS), (large_bytes, 4 * SHARDS)] {
+        let most = 16 * 2 * shards;
+        assert!(bytes <= most, "run_periodic again: {bytes} bytes > {most}");
+    }
+    assert!(small <= 600, "run_periodic again: {small} > 600");
 }
 
 /// `shards` primaries dealt round-robin onto `servers`.
