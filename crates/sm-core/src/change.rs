@@ -675,7 +675,7 @@ impl Orchestrator {
         }
         self.shards.edit().retain(|&s| s != shard);
         self.set_desired(shard, None);
-        self.loads.edit().remove(&shard);
+        self.loads.edit().0.retain(|&(s, _)| s != shard);
     }
 
     /// The last step of the move `changes[idx]` is acked.
@@ -721,7 +721,7 @@ impl Orchestrator {
         for &(shard, server) in c.targets.iter().flatten() {
             // A target minted for this change was never registered.
             if !self.desired_replicas.contains_key(&shard) {
-                self.loads.edit().remove(&shard);
+                self.loads.edit().0.retain(|&(s, _)| s != shard);
             }
             if entered && Some(server) != dead {
                 self.request(shard, server, Compensation::Reclaim);

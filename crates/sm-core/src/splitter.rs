@@ -17,7 +17,7 @@
 //! testable.
 
 use sm_types::{LoadVector, MetricId, ShardId, ShardingSpec};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Split-scaler tuning.
 #[derive(Clone, Copy, Debug)]
@@ -124,12 +124,12 @@ impl SplitScaler {
     pub(crate) fn evaluate(
         &self,
         spec: &ShardingSpec,
-        loads: &BTreeMap<ShardId, LoadVector>,
+        loads: impl Fn(ShardId) -> Option<LoadVector>,
         busy: &BTreeSet<ShardId>,
     ) -> Vec<ReshardOp> {
         let mut out = Vec::new();
         let count = spec.shard_count();
-        let load_of = |s: ShardId| loads.get(&s).map(|l| l.get(self.config.metric));
+        let load_of = |s: ShardId| loads(s).map(|l| l.get(self.config.metric));
 
         // Splits: hottest first. Each split nets +1 shard.
         let mut hot: Vec<(f64, ShardId)> = spec
@@ -200,16 +200,18 @@ impl SplitScaler {
 mod tests {
     use super::*;
     use sm_types::Metric;
+    use std::collections::BTreeMap;
 
     fn cfg() -> SplitScalerConfig {
         SplitScalerConfig::new(Metric::Synthetic.id(), 100.0, 30.0, 2, 8).with_max_concurrent(4)
     }
 
-    fn loads(pairs: &[(u64, f64)]) -> BTreeMap<ShardId, LoadVector> {
-        pairs
+    fn loads(pairs: &[(u64, f64)]) -> impl Fn(ShardId) -> Option<LoadVector> {
+        let loads: BTreeMap<ShardId, LoadVector> = pairs
             .iter()
             .map(|&(s, l)| (ShardId(s), LoadVector::single(Metric::Synthetic.id(), l)))
-            .collect()
+            .collect();
+        move |s| loads.get(&s).copied()
     }
 
     #[test]
@@ -218,7 +220,7 @@ mod tests {
         let scaler = SplitScaler::new(cfg());
         let ops = scaler.evaluate(
             &spec,
-            &loads(&[(0, 50.0), (1, 250.0), (2, 150.0), (3, 50.0)]),
+            loads(&[(0, 50.0), (1, 250.0), (2, 150.0), (3, 50.0)]),
             &BTreeSet::new(),
         );
         assert_eq!(
@@ -239,7 +241,7 @@ mod tests {
         // (0,1); (1,2) then conflicts, (2,3) still fits.
         let ops = scaler.evaluate(
             &spec,
-            &loads(&[(0, 1.0), (1, 3.0), (2, 9.0), (3, 9.0)]),
+            loads(&[(0, 1.0), (1, 3.0), (2, 9.0), (3, 9.0)]),
             &BTreeSet::new(),
         );
         assert_eq!(
@@ -263,15 +265,15 @@ mod tests {
         let scaler = SplitScaler::new(cfg());
         // Hot but busy: nothing.
         let busy: BTreeSet<ShardId> = [ShardId(0)].into_iter().collect();
-        let ops = scaler.evaluate(&spec, &loads(&[(0, 500.0), (1, 1.0)]), &busy);
+        let ops = scaler.evaluate(&spec, loads(&[(0, 500.0), (1, 1.0)]), &busy);
         assert!(ops.is_empty());
         // At min_shards=2, a cold pair must not merge.
-        let ops = scaler.evaluate(&spec, &loads(&[(0, 1.0), (1, 1.0)]), &BTreeSet::new());
+        let ops = scaler.evaluate(&spec, loads(&[(0, 1.0), (1, 1.0)]), &BTreeSet::new());
         assert!(ops.is_empty(), "merge would go below min_shards");
         // At max_shards, a hot shard must not split.
         let spec8 = ShardingSpec::uniform_u64(8);
         let all_hot: Vec<(u64, f64)> = (0..8).map(|s| (s, 500.0)).collect();
-        let ops = scaler.evaluate(&spec8, &loads(&all_hot), &BTreeSet::new());
+        let ops = scaler.evaluate(&spec8, loads(&all_hot), &BTreeSet::new());
         assert!(ops.is_empty(), "split would go above max_shards");
     }
 
@@ -279,7 +281,7 @@ mod tests {
     fn shards_without_load_reports_are_left_alone() {
         let spec = ShardingSpec::uniform_u64(3);
         let scaler = SplitScaler::new(cfg());
-        let ops = scaler.evaluate(&spec, &loads(&[(1, 1.0)]), &BTreeSet::new());
+        let ops = scaler.evaluate(&spec, loads(&[(1, 1.0)]), &BTreeSet::new());
         assert!(ops.is_empty(), "no report, no decision");
     }
 
@@ -300,7 +302,7 @@ mod tests {
         ])
         .unwrap();
         let scaler = SplitScaler::new(cfg());
-        let ops = scaler.evaluate(&spec, &loads(&[(1, 500.0)]), &BTreeSet::new());
+        let ops = scaler.evaluate(&spec, loads(&[(1, 500.0)]), &BTreeSet::new());
         assert!(ops.is_empty(), "hot but unsplittable");
     }
 

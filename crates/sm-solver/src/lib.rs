@@ -30,12 +30,12 @@
 //! - **Large-shards-first** — entities on a hot bin are evaluated in
 //!   decreasing load order.
 
-pub mod eval;
+pub(crate) mod eval;
 pub(crate) mod parallel;
 pub mod penalty_tree;
-pub mod problem;
-pub mod search;
-pub mod specs;
+pub(crate) mod problem;
+pub(crate) mod search;
+pub(crate) mod specs;
 
 pub use eval::{Evaluator, ViolationStats};
 pub use parallel::ParallelSearch;

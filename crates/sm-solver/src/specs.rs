@@ -28,7 +28,7 @@ pub enum Scope {
 /// Hard constraint: per-host usage of `metric` must not exceed capacity
 /// (§5.1 hard constraint 2). Moves that would violate it are rejected
 /// outright rather than penalized.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CapacitySpec {
     /// The constrained metric.
     pub metric: MetricId,
@@ -39,7 +39,7 @@ pub struct CapacitySpec {
 ///
 /// The penalty for a bin is the load excess above
 /// `capacity x (avg_util + tolerance)`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BalanceSpec {
     /// The balanced metric.
     pub metric: MetricId,
@@ -53,7 +53,7 @@ pub struct BalanceSpec {
 
 /// Soft goal: keep per-host utilization of `metric` below `threshold`
 /// (§5.1 soft goal 4, e.g. 90%).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct UtilizationCapSpec {
     /// The capped metric.
     pub metric: MetricId,
@@ -67,7 +67,7 @@ pub struct UtilizationCapSpec {
 
 /// Soft goal: place specific entities in specific domains (§5.1 soft
 /// goal 1 — per-shard regional placement preference).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AffinitySpec {
     /// The domain level of the preference (normally [`Scope::Region`]).
     pub scope: Scope,
@@ -83,7 +83,7 @@ pub struct AffinitySpec {
 ///
 /// The penalty for a group is `weight x (placed_members - distinct
 /// domains)`: zero when every replica sits in its own domain.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExclusionSpec {
     /// The domain level to spread across.
     pub scope: Scope,
@@ -97,7 +97,7 @@ pub struct ExclusionSpec {
 
 /// Soft goal: move entities off draining bins (§5.1 soft goal 3 —
 /// planned maintenance preparation).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DrainSpec {
     /// Penalty weight per entity sitting on a draining bin.
     pub weight: f64,
@@ -106,7 +106,7 @@ pub struct DrainSpec {
 }
 
 /// Any soft goal.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Spec {
     /// Balance load across hosts.
     Balance(BalanceSpec),
@@ -134,7 +134,7 @@ impl Spec {
 }
 
 /// A full problem specification: hard constraints plus soft goals.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SpecSet {
     /// Hard capacity constraints.
     pub constraints: Vec<CapacitySpec>,
