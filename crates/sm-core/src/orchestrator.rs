@@ -133,13 +133,14 @@ pub struct Orchestrator {
     // their joint state exactly.
     pub(crate) config: Rev<OrchestratorConfig>,
     servers: Rev<BTreeMap<ServerId, ServerEntry>>,
-    pub(crate) shards: Rev<Vec<ShardId>>,
+    pub(crate) shards: Rev<ShardList>,
     pub(crate) desired_replicas: Rev<BTreeMap<ShardId, u32>>,
     pub(crate) assignment: Rev<Assignment>,
     pub(crate) loads: Rev<Loads>,
     /// Per server, the summed load of the replicas the assignment puts on
-    /// it. Written only by [`Self::rehost`] for host changes and by
-    /// [`Self::write_loads`] for load writes; `restore` rebuilds it.
+    /// it. Written only by [`Self::rehost`] for host changes, by
+    /// [`Self::write_loads`] for load writes and by [`Self::server_down`],
+    /// which drops a failed server's whole; `restore` rebuilds it.
     usage: BTreeMap<ServerId, LoadVector>,
     /// The registered shards whose first `desired` replicas are not
     /// `desired` replicas on live servers: what an emergency run places.
@@ -394,8 +395,7 @@ impl Orchestrator {
         }
         let mut fresh = BTreeMap::new();
         for (shard, load) in rest.into_iter().chain(loads) {
-            let at = book.0.binary_search_by_key(&shard, |&(s, _)| s).ok();
-            let held = match at.and_then(|at| book.0.get_mut(at)) {
+            let held = match book.find(shard).and_then(|at| book.0.get_mut(at)) {
                 Some((_, held)) => held,
                 None => fresh.entry(shard).or_insert_with(unit_load),
             };
@@ -645,15 +645,25 @@ impl Orchestrator {
         if !self.server_alive(server) {
             return;
         }
-        self.set_server(server, |e| e.alive = false);
+        // No shard is booked here: each one the server held is booked
+        // once it is dropped, below, and `sweep` reads no books.
+        if let Some(e) = self.servers.edit().get_mut(&server) {
+            e.alive = false;
+        }
         // Lease expiry fences the dead server (§3.2: it wiped itself or
         // will refuse traffic): every change touching it aborts, and any
         // unacked copy it held is gone — its reclaims lapse, freeing
         // those shards to be re-placed by the emergency run below.
         let freed = self.sweep(server, true);
         let lost = self.assignment.edit().drop_server(server);
+        // A server that holds nothing uses nothing (loads are exact): its
+        // usage goes whole, and no lost replica's load is looked up.
+        let used = self.usage.remove(&server).unwrap_or_default();
+        let held = || lost.iter().map(|&(shard, _)| self.load_of(shard));
+        let held = || held().fold(LoadVector::zero(), |sum, load| sum + load);
+        debug_assert_eq!(used, held(), "the kept usage of {server} went stale");
         for &(shard, _) in &lost {
-            self.rehost(shard, Some(server), None);
+            self.book(shard);
         }
         // Before the refill below can make the shard busy: a deferred
         // heir is promoted when the reclaim that held it back is acked.
@@ -824,18 +834,20 @@ impl Orchestrator {
         if !self.policy.replication.has_primary() {
             return;
         }
-        // One ordered pass finds the shards without a primary (ascending,
+        // The assignment keeps the shards without a primary (ascending,
         // and no promotion below changes the assignment); only those are
         // visited, in `shards` order.
-        let by_shard = self.assignment.by_shard();
-        let lacking: Vec<ShardId> = by_shard
-            .filter(|(_, replicas)| !replicas.iter().any(|r| r.role.is_primary()))
-            .map(|(shard, _)| shard)
-            .collect();
+        let lacking: Vec<ShardId> = self.assignment.primaryless().collect();
+        let led = |rs: &[ReplicaAssignment]| rs.iter().any(|r| r.role.is_primary());
+        let scan = || self.assignment.by_shard().filter(move |(_, rs)| !led(rs));
+        debug_assert!(
+            scan().map(|(s, _)| s).eq(lacking.clone()),
+            "stale primary-less set"
+        );
         if lacking.is_empty() {
             return;
         }
-        for shard in in_order_of(&self.shards, lacking) {
+        for shard in self.shards.in_order_of(lacking) {
             self.ensure_primary_for(shard);
         }
     }
@@ -845,9 +857,10 @@ impl Orchestrator {
     /// for a primary lost with its server: the first live replica, once
     /// nothing of the shard is in flight.
     pub(crate) fn ensure_primary_for(&mut self, shard: ShardId) {
+        let replicas = self.assignment.replicas(shard);
         if !self.policy.replication.has_primary()
-            || self.assignment.primary_of(shard).is_some()
-            || self.assignment.replicas(shard).is_empty()
+            || replicas.iter().any(|r| r.role.is_primary())
+            || replicas.is_empty()
             // Busy covers a suspect unacked copy, which may still be
             // primary-willing; promoting a survivor before the reclaim
             // resolves would make two (§3.2).
@@ -855,9 +868,9 @@ impl Orchestrator {
         {
             return;
         }
-        let mut replicas = self.assignment.replicas(shard).iter();
-        if let Some(r) = replicas.find(|r| self.server_alive(r.server)) {
-            self.request(shard, r.server, Compensation::Promote);
+        let heir = replicas.iter().find(|r| self.server_alive(r.server));
+        if let Some(server) = heir.map(|r| r.server) {
+            self.request(shard, server, Compensation::Promote);
         }
     }
 
@@ -1091,7 +1104,9 @@ impl Orchestrator {
         if let Some(max) = desired.keys().next_back() {
             self.next_shard_id = self.next_shard_id.max(max.raw() + 1);
         }
-        *self.shards.edit() = desired.keys().copied().collect();
+        let shards = self.shards.edit();
+        *shards = ShardList::default();
+        desired.keys().for_each(|&shard| shards.push(shard));
         *self.assignment.edit() = assignment;
         self.desired_replicas.edit().clear();
         (self.usage, self.lacking, self.surplus, self.widths) = Default::default();
@@ -1203,38 +1218,39 @@ impl PlacementSource for Books<'_> {
         let usage = |s: &ServerInfo| o.usage.get(&s.id).copied().unwrap_or_default();
         let mut start: Vec<_> = live.iter().map(|s| (usage(s), Fixed::default())).collect();
         let bin = |server: ServerId| live.binary_search_by_key(&server, |s| s.id).ok();
-        // A shard's offered replicas: its first `desired`.
+        // A shard's desired count, and its replicas split at it: the
+        // offered ones, its first `desired`, and the rest.
         let offered = |shard: ShardId| {
             let held = o.assignment.replicas(shard);
-            let desired = o.desired_replicas.get(&shard).map_or(0, |&n| n as usize);
-            held.split_at(desired.min(held.len()))
+            let desired = o.desired_replicas.get(&shard).map(|&n| n as usize);
+            let (offered, rest) = held.split_at(desired.unwrap_or(0).min(held.len()));
+            (desired, offered, rest)
         };
-        let mut take = |shard: ShardId, held: &[ReplicaAssignment]| {
+        let mut take = |load: LoadVector, held: &[ReplicaAssignment]| {
             for b in held.iter().filter_map(|r| bin(r.server)) {
                 if let Some(at) = start.get_mut(b) {
-                    at.0 -= o.load_of(shard);
+                    at.0 -= load;
                 }
             }
         };
         for &shard in &o.surplus {
-            take(shard, offered(shard).1);
+            take(o.load_of(shard), offered(shard).2);
         }
         let mut slots = Vec::new();
-        for shard in in_order_of(&o.shards, o.lacking.iter().copied().collect()) {
+        for shard in o.shards.in_order_of(o.lacking.iter().copied().collect()) {
             let load = o.load_of(shard);
-            let desired = o.desired_replicas.get(&shard).map_or(1, |&n| n as usize);
-            let held = offered(shard).0;
-            take(shard, held);
+            let (desired, held, _) = offered(shard);
+            take(load, held);
             slots.clear();
             slots.extend(held.iter().map(|r| Some(r.server)));
-            slots.resize(desired, None);
+            slots.resize(desired.unwrap_or(1), None);
             visit(shard, load, &slots);
         }
         for (&shard, &(want, weight)) in &o.config.alloc.region_preferences {
             if o.lacking.contains(&shard) {
                 continue;
             }
-            for b in offered(shard).0.iter().filter_map(|r| bin(r.server)) {
+            for b in offered(shard).1.iter().filter_map(|r| bin(r.server)) {
                 let elsewhere = live.get(b).is_some_and(|s| s.location.region != want);
                 if let Some(at) = start.get_mut(b).filter(|_| elsewhere) {
                     at.1 = at.1 + Fixed::from(weight);
@@ -1246,32 +1262,70 @@ impl PlacementSource for Books<'_> {
     }
 }
 
-/// Those of the ascending `some` that are in `shards`, in the order of
-/// `shards`: where that is ascending too (it is commit order, so
-/// wherever no splits overlapped) `some` is already in it.
-fn in_order_of(shards: &[ShardId], mut some: Vec<ShardId>) -> Vec<ShardId> {
-    if shards.is_sorted_by(|a, b| a < b) {
-        some.retain(|shard| shards.binary_search(shard).is_ok());
-        return some;
+/// The registered shards in commit order, which is ascending by id
+/// except where splits overlapped, and whether it is ascending now:
+/// written only through `push` and `retain`, which keep that flag, so no
+/// reader walks the list to learn it.
+#[derive(Debug, Default)]
+pub(crate) struct ShardList {
+    ids: Vec<ShardId>,
+    unordered: bool,
+}
+
+impl ShardList {
+    /// Lists `shard` last.
+    pub(crate) fn push(&mut self, shard: ShardId) {
+        self.unordered |= self.ids.last() >= Some(&shard);
+        self.ids.push(shard);
     }
-    let shards = shards.iter().copied();
-    shards
-        .filter(|shard| some.binary_search(shard).is_ok())
-        .collect()
+
+    /// Keeps the shards `keep` accepts, in their order.
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&ShardId) -> bool) {
+        self.ids.retain(keep);
+        self.unordered &= !self.ids.is_sorted();
+    }
+
+    /// Those of the ascending `some` that are listed, in list order:
+    /// while the list ascends, `some` is already in it.
+    fn in_order_of(&self, mut some: Vec<ShardId>) -> Vec<ShardId> {
+        if self.unordered {
+            let listed = self.ids.iter().copied();
+            return listed.filter(|s| some.binary_search(s).is_ok()).collect();
+        }
+        some.retain(|shard| self.ids.binary_search(shard).is_ok());
+        some
+    }
+}
+
+impl std::ops::Deref for ShardList {
+    type Target = [ShardId];
+
+    fn deref(&self) -> &[ShardId] {
+        &self.ids
+    }
 }
 
 /// Each shard's last reported load, in one run ascending by shard: a
-/// large report walks it in step, streaming, and a lookup is a binary
-/// search. Kept ascending by every writer: `write_loads`, and the
-/// `retain` that forgets a shard.
+/// large report walks it in step, streaming, and a lookup reads one
+/// place or binary-searches (`find`). Kept ascending by every writer:
+/// `write_loads`, and the `retain` that forgets a shard.
 #[derive(Debug, Default)]
 pub(crate) struct Loads(pub(crate) Vec<(ShardId, LoadVector)>);
 
 impl Loads {
     /// The last load reported for `shard`.
     pub(crate) fn get(&self, shard: &ShardId) -> Option<&LoadVector> {
-        let at = self.0.binary_search_by_key(shard, |&(s, _)| s).ok()?;
-        self.0.get(at).map(|(_, load)| load)
+        self.0.get(self.find(*shard)?).map(|(_, load)| load)
+    }
+
+    /// Where `shard`'s load sits. Ids are minted densely, so it is looked
+    /// for first at its id's offset from the first id: one read where no
+    /// id below it is missing, a binary search where one is.
+    fn find(&self, shard: ShardId) -> Option<usize> {
+        let first = self.0.first().map_or(0, |(s, _)| s.raw());
+        let guess = shard.raw().checked_sub(first).map(|at| at as usize);
+        let hit = guess.filter(|&at| self.0.get(at).is_some_and(|(s, _)| *s == shard));
+        hit.or_else(|| self.0.binary_search_by_key(&shard, |&(s, _)| s).ok())
     }
 }
 
@@ -1588,11 +1642,19 @@ mod tests {
             }
             // Ascending ids, some of them (a retired parent still being
             // reclaimed) in the assignment but no longer in `shards`.
+            let mut list = ShardList::default();
+            shards.iter().for_each(|&shard| list.push(shard));
+            // A retired parent leaves the list, which may ascend again.
+            if seed % 4 >= 2 && !shards.is_empty() {
+                let gone = shards.remove(rng.index(shards.len()));
+                list.retain(|&s| s != gone);
+            }
             let some = (0..70).filter(|_| rng.chance(0.3));
             let some: Vec<ShardId> = some.map(ShardId).collect();
             let all = shards.iter().copied();
             let want: Vec<ShardId> = all.filter(|s| some.binary_search(s).is_ok()).collect();
-            assert_eq!(in_order_of(&shards, some), want, "seed {seed}");
+            assert_eq!(list.in_order_of(some), want, "seed {seed}");
+            assert_eq!(list.unordered, !shards.is_sorted(), "seed {seed}");
             if shards.is_sorted() {
                 ascending += 1;
             } else {
@@ -1600,6 +1662,24 @@ mod tests {
             }
         }
         assert!(ascending > 150 && overlapped > 150);
+    }
+
+    #[test]
+    fn a_load_is_found_where_a_scan_finds_it() {
+        use sm_sim::SimRng;
+        for seed in 0..200 {
+            let mut rng = SimRng::seeded(seed);
+            let (first, minted) = (rng.index(50) as u64, rng.index(4) as u64);
+            // Ids minted densely, a few retired (holes) and a few minted
+            // far above (split children).
+            let dense = (first..first + 60).filter(|_| !rng.chance(0.1));
+            let ids = dense.chain((0..minted).map(|i| 1_000 + 7 * i));
+            let loads = Loads(ids.map(|id| (ShardId(id), cap(id as f64))).collect());
+            for id in 0..1_100 {
+                let want = loads.0.iter().find(|(s, _)| s.raw() == id).map(|(_, l)| l);
+                assert_eq!(loads.get(&ShardId(id)), want, "seed {seed} id {id}");
+            }
+        }
     }
 
     /// Drives all outstanding RPCs to acked completion, like a perfectly

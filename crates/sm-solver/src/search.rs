@@ -139,6 +139,8 @@ struct Scratch {
     /// `apply_move` reorders.
     swap_hot: Vec<EntityId>,
     swap_other: Vec<EntityId>,
+    /// The identity `0..len` between draws: what `sample_into` shuffles.
+    pool: Vec<usize>,
 }
 
 /// The local-search solver.
@@ -265,7 +267,7 @@ impl LocalSearch {
             if eval.bin_of(e).is_some() {
                 continue;
             }
-            self.sample_targets(eval, rng, n_bins, &mut scratch.targets);
+            self.sample_targets(eval, rng, n_bins, scratch);
             let mut best: Option<(f64, BinId)> = None;
             for &t in &scratch.targets {
                 stats.evaluated += 1;
@@ -364,7 +366,7 @@ impl LocalSearch {
         if scratch.candidates.is_empty() {
             return false;
         }
-        self.sample_targets(eval, rng, n_bins, &mut scratch.targets);
+        self.sample_targets(eval, rng, n_bins, scratch);
         let mut best: Option<(f64, EntityId, BinId)> = None;
         for &e in &scratch.candidates {
             for &t in &scratch.targets {
@@ -467,20 +469,20 @@ impl LocalSearch {
         eval: &Evaluator,
         rng: &mut SimRng,
         n_bins: usize,
-        out: &mut Vec<BinId>,
+        scratch: &mut Scratch,
     ) {
+        let (out, pool) = (&mut scratch.targets, &mut scratch.pool);
         out.clear();
         let k = self.config.targets_per_entity.min(n_bins);
         if !self.config.use_optimizations {
-            out.extend(rng.sample_indices(n_bins, k).into_iter().map(BinId));
+            sample_into(rng, n_bins, k, pool, |idx| out.push(BinId(idx)));
             return;
         }
         let groups = eval.target_groups();
         let per_group = (k / groups.len().max(1)).max(1);
         for bins in groups.values() {
-            for idx in rng.sample_indices(bins.len(), per_group) {
-                out.push(BinId(bins[idx]));
-            }
+            let mut take = |idx| out.extend(bins.get(idx).map(|&bin| BinId(bin)));
+            sample_into(rng, bins.len(), per_group, pool, &mut take);
         }
     }
 
@@ -495,7 +497,7 @@ impl LocalSearch {
         scratch: &mut Scratch,
     ) -> bool {
         eval.hot_bins(4, &mut scratch.hot);
-        self.sample_targets(eval, rng, n_bins, &mut scratch.targets);
+        self.sample_targets(eval, rng, n_bins, scratch);
         for &hot_bin in &scratch.hot {
             let hot_bin = BinId(hot_bin);
             scratch.swap_hot.clear();
@@ -549,6 +551,37 @@ fn sum_load(eval: &Evaluator, e: EntityId) -> f64 {
     (0..METRIC_COUNT)
         .map(|m| load.get(sm_types::MetricId(m)))
         .sum()
+}
+
+/// `SimRng::sample_indices(n, k)` handed to `take` index by index: the
+/// same draws and the same indices in the same order, drawn by a partial
+/// Fisher–Yates on `pool`, the identity `0..len` (grown to `n` here),
+/// whose swaps are undone after: O(k), and nothing is allocated once the
+/// pool is as large as the largest `n`.
+fn sample_into(
+    rng: &mut SimRng,
+    n: usize,
+    k: usize,
+    pool: &mut Vec<usize>,
+    mut take: impl FnMut(usize),
+) {
+    if k >= n {
+        return (0..n).for_each(take);
+    }
+    pool.extend(pool.len()..n);
+    for i in 0..k {
+        pool.swap(i, i + rng.index(n - i));
+    }
+    pool.iter().take(k).for_each(|&idx| take(idx));
+    // Every swap is with a place at `i` or past it, so a value that left
+    // a place past `k` sits in the first `k` now: putting those places
+    // and the first `k` back undoes every swap.
+    for i in 0..k {
+        let idx = pool.get_mut(i).map_or(i, |at| std::mem::replace(at, i));
+        if let Some(at) = pool.get_mut(idx).filter(|_| idx >= k) {
+            *at = idx;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1025,8 +1058,7 @@ mod tests {
             if candidates.is_empty() {
                 return false;
             }
-            self.0
-                .sample_targets(eval, rng, n_bins, &mut scratch.targets);
+            self.0.sample_targets(eval, rng, n_bins, scratch);
             let mut best: Option<(f64, EntityId, BinId)> = None;
             for &e in &candidates {
                 for &t in &scratch.targets {
@@ -1176,6 +1208,28 @@ mod tests {
             specs.add_goal(goal);
         }
         (p, specs)
+    }
+
+    #[test]
+    fn the_kept_pool_draws_what_sample_indices_draws() {
+        let mut pool = Vec::new();
+        let mut cases = 0;
+        for n in 0..40usize {
+            for k in [0, 1, 2, 3, n / 2, n.saturating_sub(1), n, n + 1, n + 5] {
+                for seed in 0..8 {
+                    let seed = (n * 1_000 + k) as u64 * 16 + seed;
+                    let (mut kept, mut fresh) = (SimRng::seeded(seed), SimRng::seeded(seed));
+                    let mut drawn = Vec::new();
+                    sample_into(&mut kept, n, k, &mut pool, |idx| drawn.push(idx));
+                    assert_eq!(drawn, fresh.sample_indices(n, k), "n {n} k {k}");
+                    assert_eq!(kept.next_u64(), fresh.next_u64(), "n {n} k {k}");
+                    assert!(pool.iter().enumerate().all(|(i, &v)| i == v), "n {n} k {k}");
+                    cases += 1;
+                }
+            }
+        }
+        // The pool only grew: a draw from a smaller `n` left it whole.
+        assert_eq!((pool.len(), cases), (39, 40 * 9 * 8));
     }
 
     #[test]

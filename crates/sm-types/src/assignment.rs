@@ -11,8 +11,8 @@
 //! to a router's `install_map`, and not the fleet.
 
 use crate::ids::{ReplicaRole, ServerId, ShardId};
-use crate::table::ShardTable;
-use std::collections::BTreeMap;
+use crate::table::{ShardTable, Slot};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One replica's placement: which server hosts it and in which role.
@@ -29,17 +29,23 @@ pub struct ReplicaAssignment {
 /// Invariants maintained by the mutating methods:
 /// - a shard has at most one [`ReplicaRole::Primary`] replica;
 /// - a server hosts at most one replica of a given shard;
-/// - `by_server` is `shards` projected by server.
+/// - `by_server` is `shards` projected by server;
+/// - `primaryless` is the shards of `shards` with no primary.
 #[derive(Clone, Default)]
 pub struct Assignment {
     /// The table a [`ShardMap`] taken from here shares, leaf by leaf.
     shards: ShardTable,
     /// Reverse index: the shards each server hosts, ascending; no entry
     /// for a server that hosts nothing. Derived state, so `Debug` and
-    /// `==` leave it out. Written only by [`Self::add_replica`] and
-    /// [`Self::remove_replica`], which the other mutators that change a
-    /// host go through.
+    /// `==` leave it out. Written only by `host` and `unhost`, which the
+    /// mutators that change a host go through, and by
+    /// [`Self::drop_server`], which takes a server's entry whole.
     by_server: BTreeMap<ServerId, Vec<ShardId>>,
+    /// The shards that hold replicas but no primary. Derived state like
+    /// `by_server`; written only by [`Self::add_replica`],
+    /// [`Self::change_role`] and `take_replica`, where a shard's roles
+    /// change (a move keeps them).
+    primaryless: BTreeSet<ShardId>,
 }
 
 impl fmt::Debug for Assignment {
@@ -94,6 +100,12 @@ impl Assignment {
             .map(|r| r.server)
     }
 
+    /// The shards that hold replicas but no primary, ascending. Costs
+    /// those shards, not the whole assignment.
+    pub fn primaryless(&self) -> impl Iterator<Item = ShardId> + '_ {
+        self.primaryless.iter().copied()
+    }
+
     /// Iterates over all `(shard, replica)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ShardId, &ReplicaAssignment)> {
         self.by_shard()
@@ -129,6 +141,17 @@ impl Assignment {
         self.replicas_on(server).collect()
     }
 
+    /// `shard`'s entry and the replicas it holds, empty if unknown: the
+    /// one search of a mutator, which decides a refusal on this read so
+    /// that a refused call copies no leaf.
+    fn find(&self, shard: ShardId) -> (Option<Slot>, &[ReplicaAssignment]) {
+        let found = self.shards.slot(shard);
+        (
+            found.map(|(slot, _)| slot),
+            found.map_or(&[], |(_, e)| &e.replicas),
+        )
+    }
+
     /// Adds a replica.
     ///
     /// Returns an error string if the server already hosts this shard or
@@ -139,8 +162,7 @@ impl Assignment {
         server: ServerId,
         role: ReplicaRole,
     ) -> Result<(), String> {
-        // Refusals are decided on a read: a refused call copies no leaf.
-        let replicas = self.replicas(shard);
+        let (slot, replicas) = self.find(shard);
         if replicas.iter().any(|r| r.server == server) {
             return Err(format!("{server} already hosts {shard}"));
         }
@@ -148,62 +170,50 @@ impl Assignment {
             return Err(format!("{shard} already has a primary"));
         }
         let replica = ReplicaAssignment { server, role };
-        match self.shards.get_mut(&shard) {
-            Some(entry) => entry.replicas.push(replica),
+        match slot.and_then(|slot| self.shards.at_mut(slot)) {
+            Some(entry) => {
+                entry.replicas.push(replica);
+                book_primary(&mut self.primaryless, shard, &entry.replicas);
+            }
             None => {
+                book_primary(&mut self.primaryless, shard, &[replica]);
                 let replicas = vec![replica];
                 self.shards.insert(shard, ShardMapEntry { replicas });
             }
         }
-        let hosted = self.by_server.entry(server).or_default();
-        if let Err(at) = hosted.binary_search(&shard) {
-            hosted.insert(at, shard);
-        }
+        self.host(shard, server);
         Ok(())
     }
 
     /// Removes the replica of `shard` on `server`; returns whether one
     /// was removed.
     pub fn remove_replica(&mut self, shard: ShardId, server: ServerId) -> bool {
-        let replicas = self.replicas(shard);
-        if !replicas.iter().any(|r| r.server == server) {
-            return false;
-        }
-        // A shard whose last replica goes leaves the table.
-        if replicas.len() == 1 {
-            self.shards.remove(&shard);
-        } else if let Some(entry) = self.shards.get_mut(&shard) {
-            entry.replicas.retain(|r| r.server != server);
-        }
-        if let Some(hosted) = self.by_server.get_mut(&server) {
-            if let Ok(at) = hosted.binary_search(&shard) {
-                hosted.remove(at);
-            }
-            if hosted.is_empty() {
-                self.by_server.remove(&server);
-            }
-        }
-        true
+        let taken = self.take_replica(shard, server);
+        taken.map(|_| self.unhost(shard, server)).is_some()
     }
 
-    /// Moves the replica of `shard` from `from` to `to`, keeping its role.
+    /// Moves the replica of `shard` from `from` to `to`, keeping its role:
+    /// it leaves its place among the shard's replicas for the last.
     pub fn move_replica(
         &mut self,
         shard: ShardId,
         from: ServerId,
         to: ServerId,
     ) -> Result<(), String> {
-        let role = self
-            .replicas(shard)
-            .iter()
-            .find(|r| r.server == from)
-            .map(|r| r.role)
-            .ok_or_else(|| format!("{from} does not host {shard}"))?;
-        if self.replicas(shard).iter().any(|r| r.server == to) {
+        let (slot, replicas) = self.find(shard);
+        let at = replicas.iter().position(|r| r.server == from);
+        let at = at.ok_or_else(|| format!("{from} does not host {shard}"))?;
+        if replicas.iter().any(|r| r.server == to) {
             return Err(format!("{to} already hosts {shard}"));
         }
-        self.remove_replica(shard, from);
-        self.add_replica(shard, to, role)
+        if let Some(entry) = slot.and_then(|slot| self.shards.at_mut(slot)) {
+            let mut replica = entry.replicas.remove(at);
+            replica.server = to;
+            entry.replicas.push(replica);
+        }
+        self.unhost(shard, from);
+        self.host(shard, to);
+        Ok(())
     }
 
     /// Changes the role of the replica of `shard` on `server`.
@@ -216,15 +226,14 @@ impl Assignment {
         server: ServerId,
         new_role: ReplicaRole,
     ) -> Result<(), String> {
+        let (slot, replicas) = self.find(shard);
         if new_role.is_primary()
-            && self
-                .replicas(shard)
+            && replicas
                 .iter()
                 .any(|r| r.role.is_primary() && r.server != server)
         {
             return Err(format!("{shard} already has a primary elsewhere"));
         }
-        let replicas = self.replicas(shard);
         if replicas.is_empty() {
             return Err(format!("unknown shard {shard}"));
         }
@@ -232,22 +241,68 @@ impl Assignment {
             .iter()
             .position(|r| r.server == server)
             .ok_or_else(|| format!("{server} does not host {shard}"))?;
-        let entry = self.shards.get_mut(&shard);
-        if let Some(rep) = entry.and_then(|e| e.replicas.get_mut(at)) {
-            rep.role = new_role;
+        if let Some(entry) = slot.and_then(|slot| self.shards.at_mut(slot)) {
+            if let Some(rep) = entry.replicas.get_mut(at) {
+                rep.role = new_role;
+            }
+            book_primary(&mut self.primaryless, shard, &entry.replicas);
         }
         Ok(())
     }
 
     /// Drops every replica hosted by `server`, returning the shards (and
     /// roles) that lost a replica — the input to emergency re-placement.
+    /// One search per replica dropped.
     pub fn drop_server(&mut self, server: ServerId) -> Vec<(ShardId, ReplicaRole)> {
-        let lost = self.shards_on(server);
-        // Highest shard first: each removal pops the index's tail.
-        for (shard, _) in lost.iter().rev() {
-            self.remove_replica(*shard, server);
+        let hosted = self.by_server.remove(&server).unwrap_or_default();
+        let take = |shard| Some((shard, self.take_replica(shard, server)?));
+        hosted.into_iter().filter_map(take).collect()
+    }
+
+    /// Takes the replica of `shard` on `server` out of the table, and the
+    /// shard with it if that was its last, and books the shard in
+    /// `primaryless`; the caller updates `by_server`. Returns the role
+    /// the replica held, or `None` if there was none.
+    fn take_replica(&mut self, shard: ShardId, server: ServerId) -> Option<ReplicaRole> {
+        let (slot, replicas) = self.find(shard);
+        let (slot, at) = (slot?, replicas.iter().position(|r| r.server == server)?);
+        let entry = self.shards.at_mut(slot)?;
+        let role = entry.replicas.remove(at).role;
+        book_primary(&mut self.primaryless, shard, &entry.replicas);
+        if entry.replicas.is_empty() {
+            self.shards.remove_at(slot);
         }
-        lost
+        Some(role)
+    }
+
+    /// Records `server` as hosting `shard` in `by_server`.
+    fn host(&mut self, shard: ShardId, server: ServerId) {
+        let hosted = self.by_server.entry(server).or_default();
+        if let Err(at) = hosted.binary_search(&shard) {
+            hosted.insert(at, shard);
+        }
+    }
+
+    /// Records `server` as no longer hosting `shard` in `by_server`.
+    fn unhost(&mut self, shard: ShardId, server: ServerId) {
+        if let Some(hosted) = self.by_server.get_mut(&server) {
+            if let Ok(at) = hosted.binary_search(&shard) {
+                hosted.remove(at);
+            }
+            if hosted.is_empty() {
+                self.by_server.remove(&server);
+            }
+        }
+    }
+}
+
+/// Books `shard` in the primary-less `set` by the `replicas` it now
+/// holds: in it while they are some and none is the primary.
+fn book_primary(set: &mut BTreeSet<ShardId>, shard: ShardId, replicas: &[ReplicaAssignment]) {
+    if replicas.is_empty() || replicas.iter().any(|r| r.role.is_primary()) {
+        set.remove(&shard);
+    } else {
+        set.insert(shard);
     }
 }
 
@@ -451,6 +506,65 @@ mod tests {
         // add and by promotion), missing host, unknown shard, and a
         // remove that finds nothing.
         assert_eq!(refused.len(), 6, "{refused:?}");
+    }
+
+    /// The shards with replicas and no primary, by a walk of them all:
+    /// the model the kept index is checked against.
+    fn primaryless_scan(a: &Assignment) -> Vec<ShardId> {
+        let lacking = a
+            .by_shard()
+            .filter(|(_, rs)| !rs.iter().any(|r| r.role.is_primary()));
+        lacking.map(|(shard, _)| shard).collect()
+    }
+
+    #[test]
+    fn the_primaryless_index_follows_its_scan() {
+        const SERVERS: u64 = 6;
+        let mut below = crate::table::tests::seeded(0x5eed_0040);
+        let mut a = Assignment::new();
+        // Steps that ended with the index empty, and with it not.
+        let mut seen = [0; 2];
+        for step in 0..20_000 {
+            let (shard, server) = (s(below(4)), srv(below(SERVERS) as u32));
+            let other = srv(below(SERVERS) as u32);
+            let role = if below(2) == 0 {
+                ReplicaRole::Primary
+            } else {
+                ReplicaRole::Secondary
+            };
+            let before = a.clone();
+            let done = match below(100) {
+                0..=39 => a.add_replica(shard, server, role).is_ok(),
+                40..=59 => a.remove_replica(shard, server),
+                60..=74 => {
+                    let done = a.move_replica(shard, server, other).is_ok();
+                    // The moved replica goes last, its role kept.
+                    let mut want = before.replicas(shard).to_vec();
+                    if let Some(at) = want
+                        .iter()
+                        .position(|r| r.server == server)
+                        .filter(|_| done)
+                    {
+                        let moved = want.remove(at);
+                        want.push(ReplicaAssignment {
+                            server: other,
+                            ..moved
+                        });
+                    }
+                    assert_eq!(a.replicas(shard), want, "step {step}");
+                    done
+                }
+                75..=97 => a.change_role(shard, server, role).is_ok(),
+                _ => !a.drop_server(server).is_empty(),
+            };
+            if !done {
+                assert_eq!(a.primaryless, before.primaryless, "step {step}");
+            }
+            let kept: Vec<ShardId> = a.primaryless().collect();
+            assert_eq!(kept, primaryless_scan(&a), "step {step}");
+            seen[usize::from(!kept.is_empty())] += 1;
+        }
+        assert!(seen.iter().all(|&steps| steps > 1_000), "{seen:?}");
     }
 
     #[test]

@@ -26,6 +26,14 @@ const LEAF_SPLIT: usize = 2 * LEAF_FILL;
 
 type Leaf = Vec<(ShardId, ShardMapEntry)>;
 
+/// Where one shard's entry sits, as [`ShardTable::slot`] found it; it
+/// holds until the table's next insert or remove.
+#[derive(Clone, Copy)]
+pub(crate) struct Slot {
+    leaf: usize,
+    at: usize,
+}
+
 /// An ordered map from shard to its replicas. Iteration is ascending by
 /// id; `==` and `Debug` read content alone, never what is shared.
 #[derive(Clone, Default)]
@@ -61,10 +69,24 @@ impl ShardTable {
 
     /// One shard's entry, to write. A miss copies nothing.
     pub fn get_mut(&mut self, id: &ShardId) -> Option<&mut ShardMapEntry> {
-        let (i, at) = self.find(*id);
+        let slot = self.slot(*id)?.0;
+        self.at_mut(slot)
+    }
+
+    /// `id`'s entry and where it sits: one search serves a read and the
+    /// write at that slot that follows it.
+    pub(crate) fn slot(&self, id: ShardId) -> Option<(Slot, &ShardMapEntry)> {
+        let (leaf, at) = self.find(id);
         let at = at.ok()?;
-        let leaf = Arc::make_mut(self.leaves.get_mut(i)?);
-        leaf.get_mut(at).map(|e| &mut e.1)
+        let entry = &self.leaves.get(leaf)?.get(at)?.1;
+        Some((Slot { leaf, at }, entry))
+    }
+
+    /// The entry at `slot`, to write: the first write after a copy was
+    /// taken copies its leaf.
+    pub(crate) fn at_mut(&mut self, slot: Slot) -> Option<&mut ShardMapEntry> {
+        let leaf = Arc::make_mut(self.leaves.get_mut(slot.leaf)?);
+        leaf.get_mut(slot.at).map(|e| &mut e.1)
     }
 
     /// Sets `id`'s entry, returning the one it replaces.
@@ -103,11 +125,10 @@ impl ShardTable {
         None
     }
 
-    /// Takes `id` out of the table; a leaf that empties goes with it.
-    pub(crate) fn remove(&mut self, id: &ShardId) -> Option<ShardMapEntry> {
-        let (i, at) = self.find(*id);
-        let at = at.ok()?;
-        let leaf = Arc::make_mut(self.leaves.get_mut(i)?);
+    /// Takes the entry at `slot` out of the table; a leaf that empties
+    /// goes with it.
+    pub(crate) fn remove_at(&mut self, Slot { leaf: i, at }: Slot) -> Option<ShardMapEntry> {
+        let leaf = Arc::make_mut(self.leaves.get_mut(i).filter(|leaf| at < leaf.len())?);
         let (_, entry) = leaf.remove(at);
         self.len -= 1;
         match (leaf.first(), self.firsts.get_mut(i)) {
@@ -257,7 +278,11 @@ pub(crate) mod tests {
                     let new = entry(&[below(9) as u32]);
                     assert_eq!(table.insert(id, new.clone()), model.insert(id, new));
                 }
-                0..=59 => assert_eq!(table.remove(&id), model.remove(&id), "step {step}"),
+                0..=59 => {
+                    let slot = table.slot(id).map(|(slot, _)| slot);
+                    let removed = slot.and_then(|slot| table.remove_at(slot));
+                    assert_eq!(removed, model.remove(&id), "step {step}");
+                }
                 60..=84 => {
                     let (got, want) = (table.get_mut(&id), model.get_mut(&id));
                     assert_eq!(got.is_some(), want.is_some(), "step {step}");

@@ -14,20 +14,22 @@
 //!
 //! | call                         | PR 16         | PR 17        | now         |
 //! |------------------------------|---------------|--------------|-------------|
-//! | `server_down`                | 29,993 (7.3)  | 8,935 (2.2)  | 463 (0.11)  |
-//! | `run_periodic`               | 42,961 (10.5) | 9,721 (2.4)  | 594 (0.15)  |
+//! | `server_down`                | 29,993 (7.3)  | 8,935 (2.2)  | 343 (0.08)  |
+//! | `run_periodic`               | 42,961 (10.5) | 9,721 (2.4)  | 544 (0.13)  |
 //! | `run_emergency`, right after | as the first  | as the first | 72          |
 //!
 //! Nothing is left per shard: the orchestrator's books are read in
 //! place (no `AllocInput`, so no `replicas` `Vec` per `ShardPlacement`)
 //! and `AllocationPlan`'s target is a slot array. What is counted is flat
 //! (the arrays of the one evaluator a solve builds, per-server lists) or
-//! per move; a search round allocates only the target samples its
-//! (region, band) groups draw. `run_periodic` was 1,501 with one
-//! evaluator built per priority batch. It makes 28 rounds over three
-//! batches, so one more allocation per round (622) or an evaluator built
-//! again per batch fails its bound. `server_down` also counts the bytes
-//! it requests: 241,831 (59 a shard), none of them a row per shard. Its
+//! per move; a search round draws its target samples on a pool the
+//! search keeps, so it allocates none (a `Vec` a (region, band) group
+//! drawn made `server_down` 463 and `run_periodic` 594). `run_periodic`
+//! was 1,501 with one evaluator built per priority batch. It makes 28
+//! rounds over three batches, so three more allocations a round (628)
+//! or an evaluator built again per batch fails its bound. `server_down`
+//! also counts the bytes it requests: 176,631 (43 a shard), none of
+//! them a row per shard. Its
 //! emergency problem holds only the shards that lost a replica, and its
 //! plan's target only their rows; a problem and an evaluator over every
 //! slot request 1,625,216 (397 a shard), a target over every shard 32 a
@@ -279,7 +281,7 @@ fn an_allocator_run_allocates_per_fleet_pass_not_per_shard() {
     // path fails.
     let budget = SHARDS / 2;
     assert!(down <= budget, "server_down: {down} > {budget}");
-    // 580 today over 28 search rounds: one allocation more per round, or
+    // 544 today over 28 search rounds: three allocations more a round, or
     // a second evaluator build per batch, fails.
     assert!(periodic <= 600, "run_periodic: {periodic} > 600");
     // A reused plan costs its copy and its install — the scheduler's
@@ -294,7 +296,7 @@ fn an_allocator_run_allocates_per_fleet_pass_not_per_shard() {
     assert!(again <= reuse, "run_emergency again: {again} > {reuse}");
     assert_eq!(measure().0, [down, again, periodic], "a second fleet");
     // An emergency problem over every slot requests 397 bytes a shard;
-    // the cut requests 58, none of them a row per shard, and a target
+    // the cut requests 43, none of them a row per shard, and a target
     // over every shard would add 32.
     let bytes = 64 * SHARDS;
     assert!(
@@ -332,7 +334,7 @@ fn a_failover_costs_the_loss_not_the_fleet() {
     let most = small + large_held as u64;
     assert!(large <= most, "server_down at 4x: {large} > {most}");
     // Bytes grow by the per-server columns of the problem and its
-    // evaluator (1,558 a server today), not by a row per shard: a target
+    // evaluator (563 a server today), not by a row per shard: a target
     // over every shard requests 32 bytes a shard, 393,216 more here.
     let most = small_bytes + 1_700 * u64::from(3 * SERVERS);
     assert!(
