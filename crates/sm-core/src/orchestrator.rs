@@ -65,7 +65,8 @@ use sm_types::{
     AppId, AppPolicy, Assignment, Fixed, LoadVector, Location, ReplicaAssignment, ReplicaRole,
     ServerId, ShardId, ShardMap, ShardingSpec, SmError,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Orchestrator tuning and ablation switches.
 #[derive(Clone, Debug)]
@@ -706,20 +707,18 @@ impl Orchestrator {
     pub fn drain_server(&mut self, server: ServerId) -> usize {
         self.set_server(server, |e| e.draining = true);
         let mut moves = Vec::new();
-        // Load already earmarked per target, so that the picks of one
-        // drain spread instead of piling onto the coldest server.
-        let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
+        // Each pick earmarks its load, so that the picks of one drain
+        // spread instead of piling onto the coldest server.
+        let mut ranked = self.ranked();
         for (shard, _) in self.assignment.replicas_on(server) {
             if self.moving(shard) {
                 continue;
             }
-            let load = self.load_of(shard);
-            let hosts = self.assignment.replicas(shard).iter();
-            let hosts: Vec<ServerId> = hosts.map(|r| r.server).collect();
-            let Some(target) = self.pick_target(&hosts, &extra, &load) else {
+            let hosts = self.assignment.replicas(shard);
+            let hosting = |id| hosts.iter().any(|r| r.server == id);
+            let Some(target) = ranked.pick(hosting, self.load_of(shard)) else {
                 continue;
             };
-            *extra.entry(target).or_insert_with(LoadVector::zero) += load;
             moves.push(ReplicaMove {
                 shard,
                 replica: 0,
@@ -732,28 +731,21 @@ impl Orchestrator {
         n
     }
 
-    /// The live, non-draining server outside `exclude` least utilized by
-    /// its kept usage plus the `extra` already earmarked for it, among
-    /// those with room for `load` on top of both.
-    fn pick_target(
-        &self,
-        exclude: &[ServerId],
-        extra: &BTreeMap<ServerId, LoadVector>,
-        load: &LoadVector,
-    ) -> Option<ServerId> {
-        self.servers
-            .iter()
-            .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
-            .filter_map(|(id, e)| {
-                let earmarked = extra.get(id).copied().unwrap_or_default();
-                let committed = self.usage.get(id).copied().unwrap_or_default() + earmarked;
-                // Honor capacity where configured.
-                let fits = (committed + *load).fits_within(&e.capacity);
-                let room = fits || e.capacity == LoadVector::zero();
-                room.then(|| (*id, committed.max_utilization(&e.capacity)))
-            })
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(id, _)| id)
+    /// The live, non-draining servers, ranked by their kept usage for the
+    /// picks of one drain, split or merge.
+    fn ranked(&self) -> Ranked {
+        let n = self.servers.len();
+        let (mut walk, mut books) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (&id, e) in self.servers.iter().filter(|(_, e)| e.alive && !e.draining) {
+            let used = self.usage.get(&id).copied().unwrap_or_default();
+            walk.push(Reverse((rank(used, e.capacity), id, books.len())));
+            books.push((used, e.capacity));
+        }
+        Ranked {
+            walk: walk.into(),
+            books,
+            passed: Vec::new(),
+        }
     }
 
     /// True once `server` hosts nothing and no change still involves
@@ -836,14 +828,16 @@ impl Orchestrator {
         }
         // The assignment keeps the shards without a primary (ascending,
         // and no promotion below changes the assignment); only those are
-        // visited, in `shards` order.
-        let lacking: Vec<ShardId> = self.assignment.primaryless().collect();
+        // visited, in `shards` order, but for the ones whose promotion is
+        // pending: busy, `ensure_primary_for` would skip them.
         let led = |rs: &[ReplicaAssignment]| rs.iter().any(|r| r.role.is_primary());
         let scan = || self.assignment.by_shard().filter(move |(_, rs)| !led(rs));
         debug_assert!(
-            scan().map(|(s, _)| s).eq(lacking.clone()),
+            scan().map(|(s, _)| s).eq(self.assignment.primaryless()),
             "stale primary-less set"
         );
+        let unpromoted = |s: &ShardId| !self.promoting(*s);
+        let lacking: Vec<ShardId> = self.assignment.primaryless().filter(unpromoted).collect();
         if lacking.is_empty() {
             return;
         }
@@ -927,15 +921,12 @@ impl Orchestrator {
         // Each child inherits half the parent's observed load; targets
         // are picked like drain targets, spreading the two halves.
         let half = self.load_of(parent).scale(0.5);
-        let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
-        let no_target = || SmError::Unavailable("no server can host a split child".into());
-        let left_to = self
-            .pick_target(&[owner], &extra, &half)
-            .ok_or_else(no_target)?;
-        extra.insert(left_to, half);
-        let right_to = self
-            .pick_target(&[owner], &extra, &half)
-            .ok_or_else(no_target)?;
+        let mut ranked = self.ranked();
+        let mut pick = || {
+            let to = ranked.pick(|id| id == owner, half);
+            to.ok_or_else(|| SmError::Unavailable("no server can host a split child".into()))
+        };
+        let (left_to, right_to) = (pick()?, pick()?);
         let children = [left_to, right_to].map(|to| (self.mint_shard(half), to));
         self.begin(Change::split((parent, owner), at, children));
         Ok(())
@@ -966,7 +957,8 @@ impl Orchestrator {
         let mut combined = self.load_of(left);
         combined += self.load_of(right);
         let union_to = self
-            .pick_target(&owners, &BTreeMap::new(), &combined)
+            .ranked()
+            .pick(|id| owners.contains(&id), combined)
             .ok_or_else(|| SmError::Unavailable("no server can host the merged shard".into()))?;
         let union = (self.mint_shard(combined), union_to);
         let [left_owner, right_owner] = owners;
@@ -1342,6 +1334,52 @@ fn next_at<V>(
 ) -> Option<V> {
     while iter.next_if(|(s, _)| *s < shard).is_some() {}
     iter.next_if(|(s, _)| *s == shard).map(|(_, v)| v)
+}
+
+/// A server's `(rank, id, book)` entry in [`Ranked`]'s walk.
+type Candidate = Reverse<(u64, ServerId, usize)>;
+
+/// The candidate targets of one drain, split or merge, walked least
+/// utilized first and, among equals, lowest id first: the order in which
+/// a scan of the servers meets its first minimum. A pick earmarks its
+/// load on its target and re-ranks that server alone, so it reads the
+/// servers it walks past, not the fleet.
+struct Ranked {
+    walk: BinaryHeap<Candidate>,
+    /// Per server, its kept usage plus the loads earmarked on it, and its
+    /// capacity.
+    books: Vec<(LoadVector, LoadVector)>,
+    /// The servers the current pick walked past; kept for its capacity.
+    passed: Vec<Candidate>,
+}
+
+impl Ranked {
+    /// The first server in the walk that is not `excluded` and has room
+    /// for `load` (or no capacity configured); `load` is earmarked on it.
+    fn pick(&mut self, excluded: impl Fn(ServerId) -> bool, load: LoadVector) -> Option<ServerId> {
+        let mut picked = None;
+        while let Some(Reverse(next @ (_, id, book))) = self.walk.pop() {
+            let with_room = self.books.get_mut(book).filter(|(used, capacity)| {
+                (*used + load).fits_within(capacity) || *capacity == LoadVector::zero()
+            });
+            if let Some((used, capacity)) = with_room.filter(|_| !excluded(id)) {
+                *used += load;
+                self.walk.push(Reverse((rank(*used, *capacity), id, book)));
+                picked = Some(id);
+                break;
+            }
+            self.passed.push(Reverse(next));
+        }
+        self.walk.extend(self.passed.drain(..));
+        picked
+    }
+}
+
+/// A server's utilization as a key that orders as the `f64` does: one
+/// folded by `f64::max` from 0.0 is never NaN nor negative, and such
+/// floats order as their bits.
+fn rank(used: LoadVector, capacity: LoadVector) -> u64 {
+    used.max_utilization(&capacity).to_bits()
 }
 
 #[cfg(test)]
@@ -2017,43 +2055,63 @@ mod tests {
         assert!(!o.servers[&victim].draining);
     }
 
-    // ---- Reference model: the target picker before the kept usage ----
+    // ---- Reference model: the target picker before the ranked walk ----
 
     impl Orchestrator {
-        /// `pick_target` with every candidate's usage summed from the
-        /// assignment on every look, and each candidate ranked by that
-        /// usage plus its `extra`.
+        /// The servers a pick may choose, in id order, each with its
+        /// utilization: live, non-draining, outside `exclude`, and with
+        /// room for `load` on its usage plus its `extra` — the usage
+        /// summed from the assignment on every look.
+        fn candidates_scan(
+            &self,
+            exclude: &[ServerId],
+            extra: &BTreeMap<ServerId, LoadVector>,
+            load: &LoadVector,
+        ) -> Vec<(ServerId, f64)> {
+            self.servers
+                .iter()
+                .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
+                .filter_map(|(id, e)| {
+                    let mut usage = self.usage_of(*id);
+                    if let Some(x) = extra.get(id) {
+                        usage += *x;
+                    }
+                    // Honor capacity where configured.
+                    let room = (usage + *load).fits_within(&e.capacity)
+                        || e.capacity == LoadVector::zero();
+                    room.then(|| (*id, usage.max_utilization(&e.capacity)))
+                })
+                .collect()
+        }
+
+        /// The picker before the ranked walk: the first candidate of
+        /// least utilization, as `min_by` over the scan meets it.
         fn pick_target_scan(
             &self,
             exclude: &[ServerId],
             extra: &BTreeMap<ServerId, LoadVector>,
             load: &LoadVector,
         ) -> Option<ServerId> {
-            self.servers
+            let candidates = self.candidates_scan(exclude, extra, load).into_iter();
+            candidates
+                .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+                .map(|(id, _)| id)
+        }
+
+        /// True when more than one candidate has the least utilization:
+        /// the pick is then decided by the id tie-break.
+        fn pick_is_tied(
+            &self,
+            exclude: &[ServerId],
+            extra: &BTreeMap<ServerId, LoadVector>,
+            load: &LoadVector,
+        ) -> bool {
+            let candidates = self.candidates_scan(exclude, extra, load);
+            let least = candidates
                 .iter()
-                .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
-                .filter(|(id, e)| {
-                    // Honor capacity where configured.
-                    let mut usage = self.usage_of(**id);
-                    if let Some(x) = extra.get(id) {
-                        usage += *x;
-                    }
-                    usage += *load;
-                    usage.fits_within(&e.capacity) || e.capacity == LoadVector::zero()
-                })
-                .min_by(|(a, ea), (b, eb)| {
-                    let committed = |id: ServerId| {
-                        let mut usage = self.usage_of(id);
-                        if let Some(x) = extra.get(&id) {
-                            usage += *x;
-                        }
-                        usage
-                    };
-                    let ua = committed(**a).max_utilization(&ea.capacity);
-                    let ub = committed(**b).max_utilization(&eb.capacity);
-                    ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(id, _)| *id)
+                .map(|&(_, u)| u)
+                .fold(f64::INFINITY, f64::min);
+            candidates.iter().filter(|&&(_, u)| u == least).count() > 1
         }
 
         /// One server's usage by a filter over the whole assignment.
@@ -2066,59 +2124,87 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drain_picks_the_targets_the_scanning_picker_picked() {
-        use sm_sim::SimRng;
-        let (mut picked, mut refused, mut fleets) = (BTreeSet::new(), 0, 0);
-        for seed in 0..240 {
-            let mut rng = SimRng::seeded(seed);
-            let mut o = Orchestrator::new(AppId(1), AppPolicy::primary_secondary(1), config());
-            let servers = 3 + rng.index(14) as u32;
-            let shards = 10 + rng.index(110) as u64;
-            // Capacities from none at all through binding to ample, per
-            // metric; some servers dead, some already draining.
-            let room = shards as f64 * 6.0 / f64::from(servers);
-            for i in 0..servers {
-                let mut capacity = LoadVector::zero();
+    /// A seeded fleet for the picker tests: 3 to 16 servers, some dead,
+    /// some draining, and 10 to 119 shards of one to three replicas. Its
+    /// capacities run from none at all through binding to ample, per
+    /// metric, and most loads are non-integer on two metrics. With `ties`
+    /// the fleet is built for the id tie-break to decide most picks:
+    /// every load is one unit, every server has one integer capacity or
+    /// none, and the servers past the first two thirds hold nothing.
+    /// Returns the fleet, its generator and how many servers may host.
+    fn picker_fleet(seed: u64, ties: bool) -> (Orchestrator, sm_sim::SimRng, usize) {
+        let mut rng = sm_sim::SimRng::seeded(seed);
+        let mut o = Orchestrator::new(AppId(1), AppPolicy::primary_secondary(1), config());
+        let servers = 3 + rng.index(14) as u32;
+        let shards = 10 + rng.index(110) as u64;
+        let room = shards as f64 * 6.0 / f64::from(servers);
+        let per_server = 2 * shards as usize / servers as usize;
+        let shared = ties.then(|| cap((1 + rng.index(per_server + 2)) as f64));
+        for i in 0..servers {
+            let mut capacity = LoadVector::zero();
+            if let Some(shared) = shared {
+                capacity = if rng.chance(0.15) { capacity } else { shared };
+            } else {
                 for metric in [Metric::Cpu, Metric::ShardCount] {
                     if !rng.chance(0.2) {
                         capacity.set(metric.id(), rng.f64_range(0.4, 3.0) * room);
                     }
                 }
-                o.register_server(ServerId(i), loc(0, i), capacity);
-                let entry = o.servers.edit().get_mut(&ServerId(i)).unwrap();
-                entry.alive = !rng.chance(0.15);
-                entry.draining = rng.chance(0.15);
             }
-            o.register_shards((0..shards).map(ShardId));
-            for shard in (0..shards).map(ShardId) {
-                let copies = 1 + rng.index(3.min(servers as usize));
-                let hosts = rng.sample_indices(servers as usize, copies);
-                for (nth, host) in hosts.into_iter().enumerate() {
-                    let role = if nth == 0 {
-                        ReplicaRole::Primary
-                    } else {
-                        ReplicaRole::Secondary
-                    };
-                    let host = ServerId(host as u32);
-                    o.assignment.edit().add_replica(shard, host, role).unwrap();
-                    o.rehost(shard, None, Some(host));
-                }
-                // Non-integer loads on two metrics; the rest fall back
-                // to one unit of shard count.
-                if rng.chance(0.8) {
-                    let mut load = cap(rng.f64_range(0.3, 1.7));
-                    load.set(Metric::Cpu.id(), rng.f64_range(0.05, 9.0));
-                    o.report_load(ServerId(0), vec![(shard, load)]);
-                }
+            o.register_server(ServerId(i), loc(0, i), capacity);
+            let entry = o.servers.edit().get_mut(&ServerId(i)).unwrap();
+            entry.alive = !rng.chance(0.15);
+            entry.draining = rng.chance(0.15);
+        }
+        let hosting = if ties {
+            (servers as usize * 2 / 3).max(3)
+        } else {
+            servers as usize
+        };
+        o.register_shards((0..shards).map(ShardId));
+        for shard in (0..shards).map(ShardId) {
+            let copies = 1 + rng.index(3.min(hosting));
+            let hosts = rng.sample_indices(hosting, copies);
+            for (nth, host) in hosts.into_iter().enumerate() {
+                let role = if nth == 0 {
+                    ReplicaRole::Primary
+                } else {
+                    ReplicaRole::Secondary
+                };
+                let host = ServerId(host as u32);
+                o.assignment.edit().add_replica(shard, host, role).unwrap();
+                o.rehost(shard, None, Some(host));
             }
-            let victim = ServerId(rng.index(servers as usize) as u32);
+            // Non-integer loads on two metrics; the rest fall back to one
+            // unit of shard count.
+            if !ties && rng.chance(0.8) {
+                let mut load = cap(rng.f64_range(0.3, 1.7));
+                load.set(Metric::Cpu.id(), rng.f64_range(0.05, 9.0));
+                o.report_load(ServerId(0), vec![(shard, load)]);
+            }
+        }
+        o.check_usage();
+        (o, rng, hosting)
+    }
+
+    #[test]
+    fn drain_picks_the_targets_the_scanning_picker_picked() {
+        let (mut picked, mut refused, mut fleets) = (BTreeSet::new(), 0, 0);
+        // Per kind of fleet, the picks made and those the id tie-break
+        // decided.
+        let (mut picks, mut tied) = ([0, 0], [0, 0]);
+        for seed in 0..480 {
+            // Half the fleets with varied loads and capacities, half
+            // with ties.
+            let ties = seed >= 240;
+            let (mut o, mut rng, hosting) = picker_fleet(seed, ties);
+            let victim = ServerId(rng.index(hosting) as u32);
             let entry = o.servers.edit().get_mut(&victim).unwrap();
             (entry.alive, entry.draining) = (true, true);
 
             // The drain loop over the scanning picker, each pick checked
-            // against the one the kept usage makes.
-            o.check_usage();
+            // against the ranked walk's.
+            let mut ranked = o.ranked();
             let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
             let mut want = Vec::new();
             for (shard, _) in o.shards_on(victim) {
@@ -2126,9 +2212,13 @@ mod tests {
                 let hosts = o.assignment.replicas(shard).iter();
                 let hosts: Vec<ServerId> = hosts.map(|r| r.server).collect();
                 let target = o.pick_target_scan(&hosts, &extra, &load);
-                assert_eq!(o.pick_target(&hosts, &extra, &load), target);
+                let walked = ranked.pick(|id| hosts.contains(&id), load);
+                assert_eq!(walked, target, "seed {seed}, {shard}");
                 match target {
                     Some(target) => {
+                        picks[usize::from(ties)] += 1;
+                        tied[usize::from(ties)] +=
+                            usize::from(o.pick_is_tied(&hosts, &extra, &load));
                         *extra.entry(target).or_insert_with(LoadVector::zero) += load;
                         want.push((shard, target));
                         picked.insert(target);
@@ -2143,9 +2233,94 @@ mod tests {
             assert_eq!(started.collect::<Vec<_>>(), want, "seed {seed}");
             fleets += usize::from(!want.is_empty());
         }
+        println!("{fleets} fleets drained, {refused} replicas refused, {tied:?} of {picks:?} tied");
         // Non-vacuous: most fleets moved something, the capacity filter
-        // refused some replicas, and the picks were spread.
-        assert!(fleets >= 200 && refused > 100 && picked.len() > 10);
+        // refused some replicas, the picks were spread, and in the tie
+        // fleets the id tie-break decided most picks.
+        assert!(fleets >= 400 && refused > 100 && picked.len() > 10);
+        assert!(2 * tied[1] > picks[1], "{tied:?} of {picks:?} tied");
+    }
+
+    #[test]
+    fn splits_and_merges_pick_the_targets_the_scanning_picker_picked() {
+        let (mut started, mut refused, mut tied) = ([0, 0], [0, 0], 0);
+        for seed in 0..480 {
+            let ties = seed % 2 == 1;
+            let fleet = || {
+                let (mut o, rng, _) = picker_fleet(seed, ties);
+                o.register_spec(ShardingSpec::uniform_u64(o.shards.len() as u64));
+                let led = o.shards.iter().copied();
+                let led: Vec<ShardId> = led.filter(|&s| o.live_primary(s).is_ok()).collect();
+                (o, rng, led)
+            };
+
+            // A split: two children of half the parent's load each, off
+            // its primary, the right one picked after the left one's
+            // earmark.
+            let (mut o, mut rng, led) = fleet();
+            if led.is_empty() {
+                continue;
+            }
+            let parent = led[rng.index(led.len())];
+            let owner = [o.live_primary(parent).unwrap()];
+            let half = o.load_of(parent).scale(0.5);
+            let mut extra = BTreeMap::new();
+            tied += usize::from(o.pick_is_tied(&owner, &extra, &half));
+            let left = o.pick_target_scan(&owner, &extra, &half);
+            let right = left.and_then(|left| {
+                extra.insert(left, half);
+                o.pick_target_scan(&owner, &extra, &half)
+            });
+            let split = o.start_split(parent);
+            match (left, right) {
+                (Some(left), Some(right)) => {
+                    assert!(split.is_ok(), "seed {seed}: {split:?}");
+                    let targets = rpcs(&mut o).into_iter().map(|(to, _)| to);
+                    assert_eq!(targets.collect::<Vec<_>>(), [left, right], "seed {seed}");
+                    started[0] += 1;
+                }
+                _ => {
+                    let unavailable = matches!(split, Err(SmError::Unavailable(_)));
+                    assert!(unavailable, "seed {seed}: {split:?}");
+                    refused[0] += 1;
+                }
+            }
+
+            // A merge of two adjacent shards with live primaries, into one
+            // server off both.
+            let (mut o, mut rng, led) = fleet();
+            let pairs: Vec<_> = led
+                .windows(2)
+                .filter(|w| w[0].raw() + 1 == w[1].raw())
+                .collect();
+            let Some(&&[left, right]) = pairs.get(rng.index(pairs.len().max(1))) else {
+                continue;
+            };
+            let owners = [left, right].map(|s| o.live_primary(s).unwrap());
+            let combined = o.load_of(left) + o.load_of(right);
+            tied += usize::from(o.pick_is_tied(&owners, &BTreeMap::new(), &combined));
+            let target = o.pick_target_scan(&owners, &BTreeMap::new(), &combined);
+            let merge = o.start_merge(left, right);
+            match target {
+                Some(target) => {
+                    assert!(merge.is_ok(), "seed {seed}: {merge:?}");
+                    let targets = rpcs(&mut o).into_iter().map(|(to, _)| to);
+                    assert_eq!(targets.collect::<Vec<_>>(), [target], "seed {seed}");
+                    started[1] += 1;
+                }
+                None => {
+                    let unavailable = matches!(merge, Err(SmError::Unavailable(_)));
+                    assert!(unavailable, "seed {seed}: {merge:?}");
+                    refused[1] += 1;
+                }
+            }
+        }
+        println!("splits, merges: {started:?} started, {refused:?} refused, {tied} tied");
+        assert!(started[0] > 400 && started[1] > 400, "{started:?}");
+        assert!(
+            refused[0] > 20 && refused[1] > 20 && tied > 300,
+            "{refused:?}, {tied}"
+        );
     }
 
     #[test]

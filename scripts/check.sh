@@ -51,64 +51,67 @@ cargo test --release --test alloc_budget -q
 step "scripts/pairs.sh parses"
 bash -n scripts/pairs.sh
 
-step "repo benchmark (bench/ compiles against the crates' pub items; its own tests; a 2 s traced smoke run per workload, exit 1 = a failed in-run check; on control_failover the map stage is gated against server_down, on control_rebalance, as the median of three runs, the load report against run_periodic and run_periodic against a fresh plan)"
+step "repo benchmark (bench/ compiles against the crates' pub items; its own tests; a 2 s traced smoke run per workload, exit 1 = a failed in-run check; where a time ratio is gated, the median of three runs: on control_failover the map stage against server_down, on control_rebalance the load report against run_periodic and run_periodic against a fresh plan, on control_drain drain_server against settle)"
 cargo test --offline -q --manifest-path bench/Cargo.toml
 workloads=(control_failover control_rebalance control_drain world_upgrade serve_steady)
 # On one core serve_churn exits 2: it cannot measure, which is not a failure.
 if [[ "$(nproc)" -ge 2 ]]; then
   workloads+=(serve_churn)
 fi
-for workload in "${workloads[@]}"; do
+# One traced smoke run of a workload; prints its metrics line.
+smoke() {
+  local out
   if ! out="$(cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 2 --trace 1 2>&1)"; then
+    --workload "$1" --seed 1 --seconds 2 --trace 1 2>&1)"; then
     printf '%s\n' "$out" | grep -v '^{' >&2
-    echo "bench smoke run of $workload failed" >&2
-    exit 1
+    echo "bench smoke run of $1 failed" >&2
+    return 1
   fi
-  # A map version costs what moved, not the fleet: taking, publishing and
-  # installing one stays under a quarter of the failover that caused it.
-  # Both sides are this one run's, so a slow host moves both.
-  if [[ "$workload" == control_failover ]]; then
-    printf '%s\n' "$out" | tail -n 1 | python3 -c '
-import json, sys
-m = {k: v["value"] for k, v in json.load(sys.stdin)["metrics"].items()}
-stage = (m["sm-core.current_map_ms"] + m["sm-routing.discovery_publish_us"] / 1000
-         + m["sm-routing.install_map_ms"])
-down = m["sm-core.server_down_ms"]
-print(f"map stage {stage:.3f} ms against server_down {down:.3f} ms ({stage / down:.2f}, gate 0.25)")
-sys.exit(stage >= 0.25 * down)'
-  fi
-  # A rebalance costs what changed and its search: the load report,
-  # one walk of the kept loads, stays under 0.15 of the periodic run it
-  # feeds, and the run on the problem and evaluator the orchestrator
-  # keeps stays under 0.75 of the plan of a fresh input, the same search
-  # of the same state, beside it. Both sides of a ratio are one run's, so
-  # a slow host moves both; the gate reads the median ratio of three
-  # runs, so that one run disturbed by a busy host does not decide it.
-  if [[ "$workload" == control_rebalance ]]; then
-    runs="$(printf '%s\n' "$out" | tail -n 1)"
-    for _ in 2 3; do
-      if ! more="$(cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 2 --trace 1 2>&1)"; then
-        printf '%s\n' "$more" | grep -v '^{' >&2
-        echo "bench smoke run of $workload failed" >&2
-        exit 1
-      fi
-      runs+=$'\n'"$(printf '%s\n' "$more" | tail -n 1)"
-    done
-    printf '%s\n' "$runs" | python3 -c '
+  printf '%s\n' "$out" | tail -n 1
+}
+for workload in "${workloads[@]}"; do
+  runs="$(smoke "$workload")"
+  case "$workload" in
+    control_failover | control_rebalance | control_drain) ;;
+    *) continue ;;
+  esac
+  # Both sides of a ratio are one run's, so a slow host moves both; the
+  # gate reads the median ratio of three runs, so that one run disturbed
+  # by a busy host does not decide it.
+  for _ in 2 3; do
+    runs+=$'\n'"$(smoke "$workload")"
+  done
+  printf '%s\n' "$runs" | python3 -c '
 import json, statistics, sys
 runs = [{k: v["value"] for k, v in json.loads(line)["metrics"].items()} for line in sys.stdin]
-def gate(part, whole, bound):
-    ratios = [m[part] / m[whole] for m in runs]
+def gate(part, whole, bound, name=None):
+    ratios = [(part(m) if callable(part) else m[part]) / m[whole] for m in runs]
     ratio = statistics.median(ratios)
     each = ", ".join("%.2f" % r for r in ratios)
-    print(f"{part} against {whole}: median {ratio:.2f} of {each} (gate {bound})")
+    print(f"{name or part} against {whole}: median {ratio:.2f} of {each} (gate {bound})")
     return ratio < bound
-report = gate("sm-core.report_load_ms", "sm-core.run_periodic_ms", 0.15)
-periodic = gate("sm-core.run_periodic_ms", "sm-allocator.plan_periodic_ms", 0.75)
-sys.exit(not (report and periodic))'
-  fi
+def map_stage(m):
+    return (m["sm-core.current_map_ms"] + m["sm-routing.discovery_publish_us"] / 1000
+            + m["sm-routing.install_map_ms"])
+gates = {
+    # A map version costs what moved, not the fleet: taking, publishing
+    # and installing one stays under a quarter of the failover that
+    # caused it.
+    "control_failover": lambda: gate(map_stage, "sm-core.server_down_ms", 0.25, "map stage"),
+    # A rebalance costs what changed and its search: the load report,
+    # one walk of the kept loads, stays under 0.15 of the periodic run it
+    # feeds, and the run on the problem and evaluator the orchestrator
+    # keeps stays under 0.75 of the plan of a fresh input, the same
+    # search of the same state, beside it.
+    "control_rebalance": lambda: all([
+        gate("sm-core.report_load_ms", "sm-core.run_periodic_ms", 0.15),
+        gate("sm-core.run_periodic_ms", "sm-allocator.plan_periodic_ms", 0.75)]),
+    # Choosing a drain'"'"'s targets costs less than moving them:
+    # drain_server, one ranked walk of the fleet for all its picks,
+    # stays under 0.4 of settling the moves it starts.
+    "control_drain": lambda: gate("sm-core.drain_server_ms", "sm-core.settle_ms", 0.4),
+}
+sys.exit(not gates[sys.argv[1]]())' "$workload"
 done
 
 step "size ledger (non-test Rust LOC + pub items per crate; must match the last row of BENCH_size.json)"

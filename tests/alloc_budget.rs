@@ -57,6 +57,16 @@
 //! again per solve requests 45 an entity, in 447 allocations and 1,684
 //! at 4x.
 //!
+//! **One drain.** A drain should cost its replicas and one pass over
+//! the servers. `a_drain_allocates_per_server_not_per_replica` counts
+//! one `drain_server` at 4,096 × 64 and at 16,384 × 256, where the
+//! drained server holds 124 and 125 replicas: 34 and 35 allocations.
+//! The walk makes a few of them: its heap, its books and the list of
+//! the servers a pick passed. The rest are the move list and the install
+//! of the plan. The picker that scanned the fleet for each replica allocated a
+//! list of the replica's hosts per pick, plus a map of the earmarks:
+//! 160 and 163. The bound is 40 plus one per 16 servers.
+//!
 //! **One request.** A read touches the router, the host and the shard's
 //! cache and should allocate nothing; a key is 24 bytes with its bytes
 //! inside, so making or cloning one should not either. The second test
@@ -99,7 +109,7 @@
 //! every range again requests the column for it too, so that bound is
 //! 1 KiB.
 //!
-//! One test binary for all six: the counter is per thread, each test
+//! One test binary for all seven: the counter is per thread, each test
 //! runs on its own, and nothing else may allocate on any.
 
 // The counting allocator implements `GlobalAlloc`, an unsafe trait; it
@@ -122,6 +132,8 @@ use std::sync::Arc;
 
 const SHARDS: u64 = 4_096;
 const SERVERS: u32 = 64;
+/// What a drain may allocate besides one per 16 servers (see "One drain").
+const DRAIN_FLAT: u64 = 40;
 
 thread_local! {
     /// Const-initialised and without a destructor, so reading it inside
@@ -411,6 +423,38 @@ fn a_second_rebalance_solves_the_kept_problem() {
         assert!(bytes <= most, "run_periodic again: {bytes} bytes > {most}");
     }
     assert!(small <= 600, "run_periodic again: {small} > 600");
+}
+
+/// One `drain_server` on a bootstrapped `shards` × `servers` fleet: its
+/// allocations and the replicas the drained server held.
+fn drain_at(shards: u64, servers: u32) -> (u64, usize) {
+    let mut orch = fleet_of(shards, servers);
+    let held = orch.shards_on(ServerId(7)).len();
+    let mut started = 0;
+    let allocs = count_allocs(|| started = orch.drain_server(ServerId(7)));
+    assert_eq!(started, held, "a move per replica held");
+    (allocs, held)
+}
+
+#[test]
+fn a_drain_allocates_per_server_not_per_replica() {
+    let (small, small_held) = drain_at(SHARDS, SERVERS);
+    let (large, large_held) = drain_at(4 * SHARDS, 4 * SERVERS);
+    println!(
+        "drain_server of {small_held} replicas: {small} allocations at {SHARDS} x {SERVERS}, \
+         of {large_held}: {large} at 4x that"
+    );
+    assert!(
+        small_held >= 120 && small_held.abs_diff(large_held) <= 4,
+        "{small_held} and {large_held} held"
+    );
+    for (allocs, servers) in [(small, SERVERS), (large, 4 * SERVERS)] {
+        let most = DRAIN_FLAT + u64::from(servers) / 16;
+        assert!(
+            allocs <= most,
+            "drain_server at {servers} servers: {allocs} > {most}"
+        );
+    }
 }
 
 /// `shards` primaries dealt round-robin onto `servers`.
