@@ -9,6 +9,9 @@
 //!   assignment, the five-step graceful primary migration (§4.3),
 //!   failure-driven emergency re-placement, load collection, periodic
 //!   load balancing, and drain execution.
+//! - `books` — the orchestrator's authoritative state and every index
+//!   derived from it, written by four event calls and rebuilt on
+//!   restore.
 //! - `taskcontroller` — the TaskControl endpoint (§4.1): reviews
 //!   pending container operations from *all* regional cluster managers
 //!   and approves the maximal subset that keeps every shard within its
@@ -32,6 +35,7 @@
 //!   generalized (1→2, 2→1) graceful migration.
 
 pub(crate) mod api;
+mod books;
 mod change;
 pub mod control_plane;
 pub mod exchange;

@@ -54,8 +54,8 @@
 //! delivering RPCs to application servers and feeding acks back in.
 
 use crate::api::{OrchCommand, ServerRpc};
+use crate::books::{Books, State};
 use crate::change::{demotion, Change, Compensation};
-use crate::rev::Rev;
 use crate::splitter::{ReshardOp, SplitScaler};
 use sm_allocator::{
     AllocConfig, Allocator, MoveCaps, MoveScheduler, PeriodicProblem, PlacementSource, ReplicaMove,
@@ -65,8 +65,7 @@ use sm_types::{
     AppId, AppPolicy, Assignment, Fixed, LoadVector, Location, ReplicaAssignment, ReplicaRole,
     ServerId, ShardId, ShardMap, ShardingSpec, SmError,
 };
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Orchestrator tuning and ablation switches.
 #[derive(Clone, Debug)]
@@ -129,42 +128,16 @@ pub struct OrchStats {
 /// The per-partition orchestrator.
 pub struct Orchestrator {
     pub(crate) policy: AppPolicy,
-    // The six fields an allocator run reads are `Rev`s: each can only
-    // be written through a call that counts, so `revision()` names
-    // their joint state exactly.
-    pub(crate) config: Rev<OrchestratorConfig>,
-    servers: Rev<BTreeMap<ServerId, ServerEntry>>,
-    pub(crate) shards: Rev<ShardList>,
-    pub(crate) desired_replicas: Rev<BTreeMap<ShardId, u32>>,
-    pub(crate) assignment: Rev<Assignment>,
-    pub(crate) loads: Rev<Loads>,
-    /// Per server, the summed load of the replicas the assignment puts on
-    /// it. Written only by [`Self::rehost`] for host changes, by
-    /// [`Self::write_loads`] for load writes and by [`Self::server_down`],
-    /// which drops a failed server's whole; `restore` rebuilds it.
-    usage: BTreeMap<ServerId, LoadVector>,
-    /// The registered shards whose first `desired` replicas are not
-    /// `desired` replicas on live servers: what an emergency run places.
-    /// Booked by [`Self::book`] wherever a shard's replicas, its desired
-    /// count or the liveness of a server it is on change.
-    lacking: BTreeSet<ShardId>,
-    /// The shards holding replicas no allocator run is offered: a
-    /// registered shard's beyond its first `desired`, every one of an
-    /// unregistered shard's. Booked beside `lacking`.
-    surplus: BTreeSet<ShardId>,
-    /// How many registered shards desire each replica count.
-    widths: BTreeMap<u32, usize>,
+    /// The authoritative state, which an allocator run reads.
+    pub(crate) state: State,
+    /// Everything derived from `state` (`books.rs`).
+    pub(crate) books: Books,
     /// The moves of the last allocator run and what it ran on: a run
     /// is a pure function of its mode and the `Rev` fields, so while
     /// their revision stands the moves are reused. One slot for both
     /// modes, emptied before any run begins — a plan is up to a move
     /// per replica, and nothing that size may outlive its use.
     solved: Option<(SolveKey, Vec<ReplicaMove>)>,
-    /// The problem of the last periodic run and the [`Self::shape`] it
-    /// was built at. [`Self::write_loads`] and [`Self::book`] patch it
-    /// for what they write; once the shape moves it is stale, dropped
-    /// where it is next met, and the next periodic run builds it again.
-    periodic: Option<([u64; 4], PeriodicProblem)>,
     map_version: u64,
     outbox: Vec<OrchCommand>,
     /// In-flight ownership changes: the first `reshards` are the
@@ -196,18 +169,9 @@ impl Orchestrator {
     pub fn new(_app: AppId, policy: AppPolicy, config: OrchestratorConfig) -> Self {
         Self {
             policy,
-            config: config.into(),
-            servers: Rev::default(),
-            shards: Rev::default(),
-            desired_replicas: Rev::default(),
-            assignment: Rev::default(),
-            loads: Rev::default(),
-            usage: BTreeMap::new(),
-            lacking: BTreeSet::new(),
-            surplus: BTreeSet::new(),
-            widths: BTreeMap::new(),
+            state: State::new(config),
+            books: Books::default(),
             solved: None,
-            periodic: None,
             map_version: 0,
             outbox: Vec::new(),
             changes: Vec::new(),
@@ -224,7 +188,7 @@ impl Orchestrator {
 
     /// Current desired assignment.
     pub fn assignment(&self) -> &Assignment {
-        &self.assignment
+        &self.state.assignment
     }
 
     /// Counters.
@@ -242,30 +206,24 @@ impl Orchestrator {
         region: sm_types::RegionId,
         weight: f64,
     ) {
-        let preferences = &mut self.config.edit().alloc.region_preferences;
+        let preferences = &mut self.state.config.edit().alloc.region_preferences;
         preferences.insert(shard, (region, weight));
     }
 
     /// True if `server` is registered and alive.
     pub fn server_alive(&self, server: ServerId) -> bool {
-        self.servers.get(&server).map(|e| e.alive).unwrap_or(false)
-    }
-
-    /// True if `shard` is registered and lacks a slot an allocator run
-    /// offers it.
-    pub(crate) fn lacks(&self, shard: ShardId) -> bool {
-        self.lacking.contains(&shard)
+        self.state.alive(server)
     }
 
     /// True if the assignment places a replica of `shard` on `server`.
     pub(crate) fn hosts(&self, shard: ShardId, server: ServerId) -> bool {
-        let mut replicas = self.assignment.replicas(shard).iter();
+        let mut replicas = self.state.assignment.replicas(shard).iter();
         replicas.any(|r| r.server == server)
     }
 
     /// Registers an application server.
     pub fn register_server(&mut self, id: ServerId, location: Location, capacity: LoadVector) {
-        self.servers.edit().insert(
+        self.state.servers.edit().insert(
             id,
             ServerEntry {
                 location,
@@ -274,15 +232,19 @@ impl Orchestrator {
                 draining: false,
             },
         );
-        self.book_server(id);
+        self.books.server_changed(&self.state, id, &[]);
     }
 
     /// Registers the application's shards (app-defined, §3.1), each with
-    /// the policy's default replica count.
+    /// the policy's default replica count; one already registered is
+    /// skipped.
     pub fn register_shards(&mut self, shards: impl IntoIterator<Item = ShardId>) {
         let n = self.policy.replication.replicas_per_shard();
         for s in shards {
-            self.shards.edit().push(s);
+            if self.state.desired_replicas.contains_key(&s) {
+                continue;
+            }
+            self.state.shards.edit().push(s);
             self.set_desired(s, Some(n));
             self.next_shard_id = self.next_shard_id.max(s.raw() + 1);
         }
@@ -346,7 +308,7 @@ impl Orchestrator {
     /// the assignment's table — O(leaves), no shard copied; the next
     /// writes to the assignment copy the leaves they touch.
     pub fn current_map(&self) -> ShardMap {
-        ShardMap::from_assignment(self.map_version, &self.assignment)
+        ShardMap::from_assignment(self.map_version, &self.state.assignment)
     }
 
     /// Stores a server's load report (pulled periodically in §3.2).
@@ -354,30 +316,25 @@ impl Orchestrator {
         self.write_loads(loads);
     }
 
-    /// The one writer of loads: sets each shard's load and, where it
-    /// changed, moves the difference in the usage of every server that
-    /// hosts the shard and patches the kept periodic problem. A report
-    /// of a tenth of the loads kept or more walks them in step with its
-    /// ascending run, as `placements` walks them: a shard above every
-    /// shard walked so far is read off the walk; one out of order or
-    /// repeated is looked up after it, in the order given, as is every
-    /// shard of a smaller report (one server's). Shards with no load
-    /// kept join the loads in one merge at the end. (A load is only ever
-    /// forgotten for a shard no server hosts.)
+    /// The one writer of loads: sets each shard's load and books each
+    /// change. A report of a tenth of the loads kept or more walks them
+    /// in step with its ascending run, as `placements` walks them: a
+    /// shard above every shard walked so far is read off the walk; one
+    /// out of order or repeated is looked up after it, in the order
+    /// given, as is every shard of a smaller report (one server's).
+    /// Shards with no load kept join the loads in one merge at the end —
+    /// only those registered or minted for a change in flight: a host
+    /// still holding a retired parent or an aborted child reports it
+    /// until its reclaim is acked. (A load is forgotten where its shard
+    /// stops being either.)
     fn write_loads(&mut self, loads: impl IntoIterator<Item = (ShardId, LoadVector)>) {
-        self.drop_stale_periodic();
-        let book = self.loads.edit();
+        let shape = self.state.shape();
+        let book = self.state.loads.edit();
         let mut moved = |shard: ShardId, held: &mut LoadVector, load: LoadVector| {
-            if *held == load {
-                return;
-            }
-            let old = std::mem::replace(held, load);
-            for r in self.assignment.replicas(shard) {
-                let usage = self.usage.entry(r.server).or_default();
-                *usage = *usage - old + load;
-            }
-            if let Some((_, periodic)) = &mut self.periodic {
-                periodic.set_shard(shard, load, []);
+            if *held != load {
+                let old = std::mem::replace(held, load);
+                let hosts = self.state.assignment.replicas(shard);
+                self.books.load_changed(shape, hosts, shard, old, load);
             }
         };
         let mut loads = loads.into_iter();
@@ -396,9 +353,12 @@ impl Orchestrator {
         }
         let mut fresh = BTreeMap::new();
         for (shard, load) in rest.into_iter().chain(loads) {
+            let kept =
+                |s| self.state.desired_replicas.contains_key(s) || self.change_of.contains_key(s);
             let held = match book.find(shard).and_then(|at| book.0.get_mut(at)) {
                 Some((_, held)) => held,
-                None => fresh.entry(shard).or_insert_with(unit_load),
+                None if kept(&shard) => fresh.entry(shard).or_insert_with(unit_load),
+                None => continue,
             };
             moved(shard, held, load);
         }
@@ -408,84 +368,46 @@ impl Orchestrator {
         }
     }
 
-    /// The one writer of host changes: books `shard`'s load leaving
-    /// `from` and joining `to` in the usage, after the assignment edit
-    /// that moved it.
-    pub(crate) fn rehost(&mut self, shard: ShardId, from: Option<ServerId>, to: Option<ServerId>) {
-        let load = self.load_of(shard);
-        if let Some(from) = from {
-            *self.usage.entry(from).or_default() -= load;
+    // ---- Host changes: each writer edits the assignment and books it ----
+
+    /// Adds a replica of `shard` on `to`.
+    pub(crate) fn add_replica(
+        &mut self,
+        shard: ShardId,
+        to: ServerId,
+        role: ReplicaRole,
+    ) -> Result<(), String> {
+        self.state.assignment.edit().add_replica(shard, to, role)?;
+        self.books.hosts_changed(&self.state, shard, None, Some(to));
+        Ok(())
+    }
+
+    /// Removes the replica of `shard` on `from`, if there is one.
+    pub(crate) fn remove_replica(&mut self, shard: ShardId, from: ServerId) {
+        if self.state.assignment.edit().remove_replica(shard, from) {
+            self.books
+                .hosts_changed(&self.state, shard, Some(from), None);
         }
-        if let Some(to) = to {
-            *self.usage.entry(to).or_default() += load;
+    }
+
+    /// Moves the replica of `shard` on `from` to `to`, if it can.
+    pub(crate) fn move_replica(&mut self, shard: ShardId, from: ServerId, to: ServerId) {
+        let held = self.state.assignment.edit();
+        if held.move_replica(shard, from, to).is_ok() {
+            self.books
+                .hosts_changed(&self.state, shard, Some(from), Some(to));
         }
-        self.book(shard);
     }
 
     /// The one writer of desired counts: `shard` wants `n` replicas, or,
     /// with `None`, is no longer registered.
     pub(crate) fn set_desired(&mut self, shard: ShardId, n: Option<u32>) {
-        let desired = self.desired_replicas.edit();
+        let desired = self.state.desired_replicas.edit();
         let old = match n {
             Some(n) => desired.insert(shard, n),
             None => desired.remove(&shard),
         };
-        if let Some(width) = old.and_then(|old| self.widths.get_mut(&old)) {
-            *width -= 1;
-        }
-        self.widths.retain(|_, shards| *shards > 0);
-        if let Some(n) = n {
-            *self.widths.entry(n).or_default() += 1;
-        }
-        self.book(shard);
-    }
-
-    /// Books whether `shard` lacks a slot an allocator run offers it, and
-    /// whether it holds a replica no run is offered; rewrites the slots
-    /// it is offered, as [`Books`] visits them, in the kept periodic
-    /// problem.
-    fn book(&mut self, shard: ShardId) {
-        self.drop_stale_periodic();
-        let held = self.assignment.replicas(shard);
-        let desired = self.desired_replicas.get(&shard).map(|&n| n as usize);
-        let lacking = desired.is_some_and(|n| {
-            let offered = held.get(..n);
-            !offered.is_some_and(|slots| slots.iter().all(|r| self.server_alive(r.server)))
-        });
-        let surplus = held.len() > desired.unwrap_or(0);
-        for (set, member) in [(&mut self.lacking, lacking), (&mut self.surplus, surplus)] {
-            if member {
-                set.insert(shard);
-            } else {
-                set.remove(&shard);
-            }
-        }
-        if let Some((_, periodic)) = &mut self.periodic {
-            let load = self.loads.get(&shard).copied().unwrap_or_else(unit_load);
-            let offered = held.iter().map(|r| Some(r.server));
-            let slots = offered.chain(std::iter::repeat(None));
-            periodic.set_shard(shard, load, slots.take(desired.unwrap_or(1)));
-        }
-    }
-
-    /// Drops the kept periodic problem if it is stale: built at another
-    /// [`Self::shape`].
-    fn drop_stale_periodic(&mut self) {
-        let shape = self.shape();
-        if self.periodic.as_ref().is_some_and(|(at, _)| *at != shape) {
-            self.periodic = None;
-        }
-    }
-
-    /// Books every shard `server` hosts, after its liveness changed.
-    fn book_server(&mut self, server: ServerId) {
-        let hosted: Vec<_> = self.assignment.replicas_on(server).collect();
-        hosted.into_iter().for_each(|(shard, _)| self.book(shard));
-    }
-
-    /// The last reported load of `shard`, or one unit of shard count.
-    fn load_of(&self, shard: ShardId) -> LoadVector {
-        self.loads.get(&shard).copied().unwrap_or_else(unit_load)
+        self.books.desired_changed(&self.state, shard, old);
     }
 
     // ---- Allocation ----
@@ -505,14 +427,15 @@ impl Orchestrator {
         &self,
     ) -> impl Iterator<Item = (ShardId, LoadVector, usize, &[ReplicaAssignment])> {
         let mut desired = self
+            .state
             .desired_replicas
             .iter()
             .map(|(s, n)| (*s, *n))
             .peekable();
-        let mut loads = self.loads.0.iter().copied().peekable();
-        let mut held = self.assignment.by_shard().peekable();
+        let mut loads = self.state.loads.0.iter().copied().peekable();
+        let mut held = self.state.assignment.by_shard().peekable();
         let mut largest = None;
-        self.shards.iter().map(move |&shard| {
+        self.state.shards.iter().map(move |&shard| {
             let (desired, load, held) = if largest < Some(shard) {
                 largest = Some(shard);
                 (
@@ -522,9 +445,9 @@ impl Orchestrator {
                 )
             } else {
                 (
-                    self.desired_replicas.get(&shard).copied(),
-                    self.loads.get(&shard).copied(),
-                    Some(self.assignment.replicas(shard)),
+                    self.state.desired_replicas.get(&shard).copied(),
+                    self.state.loads.get(&shard).copied(),
+                    Some(self.state.assignment.replicas(shard)),
                 )
             };
             let desired = desired.unwrap_or(1) as usize;
@@ -535,20 +458,9 @@ impl Orchestrator {
 
     /// The state of the six `Rev` fields, by which a solve is reused.
     fn revision(&self) -> [u64; 6] {
-        let [config, servers, shards, desired] = self.shape();
-        let (assignment, loads) = (self.assignment.rev(), self.loads.rev());
+        let [config, servers, shards, desired] = self.state.shape();
+        let (assignment, loads) = (self.state.assignment.rev(), self.state.loads.rev());
         [config, servers, shards, desired, assignment, loads]
-    }
-
-    /// The state of the four `Rev` fields a periodic problem is built of
-    /// and cannot be patched for: it is built again when they move.
-    fn shape(&self) -> [u64; 4] {
-        [
-            self.config.rev(),
-            self.servers.rev(),
-            self.shards.rev(),
-            self.desired_replicas.rev(),
-        ]
     }
 
     /// The moves an allocator run in `mode` plans for the state as it
@@ -556,18 +468,19 @@ impl Orchestrator {
     /// last run's while the state it ran on stands, a fresh run's
     /// otherwise.
     fn solve(&mut self, mode: Mode) -> Vec<ReplicaMove> {
-        if mode == Mode::Emergency && self.fully_placed() {
-            debug_assert!(plan(&Books(self), mode).is_empty(), "placed, yet a move");
+        let fresh = |o: &Self| plan(&Placements(o), mode);
+        if mode == Mode::Emergency && self.books.fully_placed() {
+            debug_assert!(fresh(self).is_empty(), "placed, yet a move");
             return Vec::new();
         }
         let key = (mode, self.revision());
         let moves = match self.solved.take() {
             Some((solved, moves)) if solved == key => {
-                debug_assert_eq!(moves, plan(&Books(self), mode), "a reused plan went stale");
+                debug_assert_eq!(moves, fresh(self), "a reused plan went stale");
                 moves
             }
             _ if mode == Mode::Periodic => self.plan_periodic(),
-            _ => plan(&Books(self), mode),
+            _ => fresh(self),
         };
         self.solved = Some((key, moves.clone()));
         moves
@@ -576,21 +489,12 @@ impl Orchestrator {
     /// The moves of a periodic run: the kept problem's plan, the problem
     /// built first where none is kept.
     fn plan_periodic(&mut self) -> Vec<ReplicaMove> {
-        self.drop_stale_periodic();
-        let shape = self.shape();
-        let periodic = self.periodic.take();
-        let mut periodic = periodic.unwrap_or_else(|| (shape, PeriodicProblem::from(&Books(self))));
-        let moves = periodic.1.plan().moves;
-        self.periodic = Some(periodic);
+        let shape = self.state.shape();
+        let kept = self.books.take_periodic(shape);
+        let mut periodic = kept.unwrap_or_else(|| PeriodicProblem::from(&Placements(self)));
+        let moves = periodic.plan().moves;
+        self.books.keep_periodic(shape, periodic);
         moves
-    }
-
-    /// True when every slot an allocator run would be offered holds a
-    /// replica on a live server. An emergency run then has no move to
-    /// make: nothing is unplaced, and its move budget — the unplaced
-    /// slots — is zero.
-    fn fully_placed(&self) -> bool {
-        self.lacking.is_empty()
     }
 
     /// Runs the periodic allocation (§5.1 periodic mode) and begins
@@ -618,7 +522,7 @@ impl Orchestrator {
     /// their slots in the new scheduler, so a re-plan cannot start more
     /// moves on a server than its cap allows.
     fn install_plan(&mut self, moves: Vec<ReplicaMove>) {
-        let scheduler = MoveScheduler::new(moves, self.config.move_caps);
+        let scheduler = MoveScheduler::new(moves, self.state.config.move_caps);
         self.scheduler = Some(scheduler.carrying(self.moves_in_flight()));
         self.pump_scheduler();
     }
@@ -648,7 +552,7 @@ impl Orchestrator {
         }
         // No shard is booked here: each one the server held is booked
         // once it is dropped, below, and `sweep` reads no books.
-        if let Some(e) = self.servers.edit().get_mut(&server) {
+        if let Some(e) = self.state.servers.edit().get_mut(&server) {
             e.alive = false;
         }
         // Lease expiry fences the dead server (§3.2: it wiped itself or
@@ -656,16 +560,8 @@ impl Orchestrator {
         // unacked copy it held is gone — its reclaims lapse, freeing
         // those shards to be re-placed by the emergency run below.
         let freed = self.sweep(server, true);
-        let lost = self.assignment.edit().drop_server(server);
-        // A server that holds nothing uses nothing (loads are exact): its
-        // usage goes whole, and no lost replica's load is looked up.
-        let used = self.usage.remove(&server).unwrap_or_default();
-        let held = || lost.iter().map(|&(shard, _)| self.load_of(shard));
-        let held = || held().fold(LoadVector::zero(), |sum, load| sum + load);
-        debug_assert_eq!(used, held(), "the kept usage of {server} went stale");
-        for &(shard, _) in &lost {
-            self.book(shard);
-        }
+        let lost = self.state.assignment.edit().drop_server(server);
+        self.books.server_changed(&self.state, server, &lost);
         // Before the refill below can make the shard busy: a deferred
         // heir is promoted when the reclaim that held it back is acked.
         for &(shard, _) in lost.iter().filter(|(_, role)| role.is_primary()) {
@@ -690,11 +586,11 @@ impl Orchestrator {
 
     /// Changes the entry of `server`, if it is registered.
     fn set_server(&mut self, server: ServerId, change: impl FnOnce(&mut ServerEntry)) {
-        if let Some(e) = self.servers.edit().get_mut(&server) {
+        if let Some(e) = self.state.servers.edit().get_mut(&server) {
             let alive = e.alive;
             change(e);
             if e.alive != alive {
-                self.book_server(server);
+                self.books.server_changed(&self.state, server, &[]);
             }
         }
     }
@@ -709,14 +605,14 @@ impl Orchestrator {
         let mut moves = Vec::new();
         // Each pick earmarks its load, so that the picks of one drain
         // spread instead of piling onto the coldest server.
-        let mut ranked = self.ranked();
-        for (shard, _) in self.assignment.replicas_on(server) {
+        let mut ranked = self.books.ranked(&self.state);
+        for (shard, _) in self.state.assignment.replicas_on(server) {
             if self.moving(shard) {
                 continue;
             }
-            let hosts = self.assignment.replicas(shard);
+            let hosts = self.state.assignment.replicas(shard);
             let hosting = |id| hosts.iter().any(|r| r.server == id);
-            let Some(target) = ranked.pick(hosting, self.load_of(shard)) else {
+            let Some(target) = ranked.pick(hosting, self.state.loads.of(shard)) else {
                 continue;
             };
             moves.push(ReplicaMove {
@@ -731,28 +627,11 @@ impl Orchestrator {
         n
     }
 
-    /// The live, non-draining servers, ranked by their kept usage for the
-    /// picks of one drain, split or merge.
-    fn ranked(&self) -> Ranked {
-        let n = self.servers.len();
-        let (mut walk, mut books) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for (&id, e) in self.servers.iter().filter(|(_, e)| e.alive && !e.draining) {
-            let used = self.usage.get(&id).copied().unwrap_or_default();
-            walk.push(Reverse((rank(used, e.capacity), id, books.len())));
-            books.push((used, e.capacity));
-        }
-        Ranked {
-            walk: walk.into(),
-            books,
-            passed: Vec::new(),
-        }
-    }
-
     /// True once `server` hosts nothing and no change still involves
     /// it — the signal the TaskController waits for before approving the
     /// container operation.
     pub fn is_drained(&self, server: ServerId) -> bool {
-        self.assignment.replicas_on(server).next().is_none() && !self.involves(server)
+        self.state.assignment.replicas_on(server).next().is_none() && !self.involves(server)
     }
 
     /// Clears the draining mark after the container operation completes.
@@ -775,15 +654,16 @@ impl Orchestrator {
     pub fn prepare_for_maintenance(&mut self, servers: &[ServerId]) -> usize {
         let affected: BTreeSet<ServerId> = servers.iter().copied().collect();
         let mut swaps = 0;
-        let shard_list: Vec<ShardId> = self.shards.to_vec();
+        let shard_list: Vec<ShardId> = self.state.shards.to_vec();
         for shard in shard_list {
-            let Some(primary) = self.assignment.primary_of(shard) else {
+            let Some(primary) = self.state.assignment.primary_of(shard) else {
                 continue;
             };
             if !affected.contains(&primary) {
                 continue;
             }
             let successor = self
+                .state
                 .assignment
                 .replicas(shard)
                 .iter()
@@ -798,7 +678,7 @@ impl Orchestrator {
             };
             // Demote in place, then promote through the normal
             // promotion path (ack-driven, publishes the map).
-            let demoted = self.assignment.edit();
+            let demoted = self.state.assignment.edit();
             let _outcome = demoted.change_role(shard, primary, ReplicaRole::Secondary);
             self.send_rpc(primary, demotion(shard));
             self.request(shard, new_primary, Compensation::Promote);
@@ -813,7 +693,7 @@ impl Orchestrator {
     /// Replicas currently hosted per server (for the TaskController's
     /// availability view).
     pub fn shards_on(&self, server: ServerId) -> Vec<(ShardId, ReplicaRole)> {
-        self.assignment.shards_on(server)
+        self.state.assignment.shards_on(server)
     }
 
     /// Role reconciliation: promotes a live secondary wherever a shard
@@ -830,18 +710,13 @@ impl Orchestrator {
         // and no promotion below changes the assignment); only those are
         // visited, in `shards` order, but for the ones whose promotion is
         // pending: busy, `ensure_primary_for` would skip them.
-        let led = |rs: &[ReplicaAssignment]| rs.iter().any(|r| r.role.is_primary());
-        let scan = || self.assignment.by_shard().filter(move |(_, rs)| !led(rs));
-        debug_assert!(
-            scan().map(|(s, _)| s).eq(self.assignment.primaryless()),
-            "stale primary-less set"
-        );
         let unpromoted = |s: &ShardId| !self.promoting(*s);
-        let lacking: Vec<ShardId> = self.assignment.primaryless().filter(unpromoted).collect();
+        let primaryless = self.state.assignment.primaryless();
+        let lacking: Vec<ShardId> = primaryless.filter(unpromoted).collect();
         if lacking.is_empty() {
             return;
         }
-        for shard in self.shards.in_order_of(lacking) {
+        for shard in self.state.shards.in_order_of(lacking) {
             self.ensure_primary_for(shard);
         }
     }
@@ -851,7 +726,7 @@ impl Orchestrator {
     /// for a primary lost with its server: the first live replica, once
     /// nothing of the shard is in flight.
     pub(crate) fn ensure_primary_for(&mut self, shard: ShardId) {
-        let replicas = self.assignment.replicas(shard);
+        let replicas = self.state.assignment.replicas(shard);
         if !self.policy.replication.has_primary()
             || replicas.iter().any(|r| r.role.is_primary())
             || replicas.is_empty()
@@ -879,6 +754,7 @@ impl Orchestrator {
             return;
         }
         let mut candidates: Vec<ServerId> = self
+            .state
             .assignment
             .replicas(shard)
             .iter()
@@ -920,15 +796,16 @@ impl Orchestrator {
         let owner = self.live_primary(parent)?;
         // Each child inherits half the parent's observed load; targets
         // are picked like drain targets, spreading the two halves.
-        let half = self.load_of(parent).scale(0.5);
-        let mut ranked = self.ranked();
+        let half = self.state.loads.of(parent).scale(0.5);
+        let mut ranked = self.books.ranked(&self.state);
         let mut pick = || {
             let to = ranked.pick(|id| id == owner, half);
             to.ok_or_else(|| SmError::Unavailable("no server can host a split child".into()))
         };
         let (left_to, right_to) = (pick()?, pick()?);
-        let children = [left_to, right_to].map(|to| (self.mint_shard(half), to));
+        let children = [left_to, right_to].map(|to| (self.mint_shard(), to));
         self.begin(Change::split((parent, owner), at, children));
+        self.write_loads(children.map(|(child, _)| (child, half)));
         Ok(())
     }
 
@@ -954,33 +831,35 @@ impl Orchestrator {
             return Err(SmError::conflict(format!("{left} or {right} is busy")));
         }
         let owners = [self.live_primary(left)?, self.live_primary(right)?];
-        let mut combined = self.load_of(left);
-        combined += self.load_of(right);
+        let mut combined = self.state.loads.of(left);
+        combined += self.state.loads.of(right);
         let union_to = self
-            .ranked()
+            .books
+            .ranked(&self.state)
             .pick(|id| owners.contains(&id), combined)
             .ok_or_else(|| SmError::Unavailable("no server can host the merged shard".into()))?;
-        let union = (self.mint_shard(combined), union_to);
+        let union = (self.mint_shard(), union_to);
         let [left_owner, right_owner] = owners;
         self.begin(Change::merge(
             [(left, left_owner), (right, right_owner)],
             union,
         ));
+        self.write_loads([(union.0, combined)]);
         Ok(())
     }
 
     fn live_primary(&self, shard: ShardId) -> Result<ServerId, SmError> {
-        self.assignment
+        self.state
+            .assignment
             .primary_of(shard)
             .filter(|&p| self.server_alive(p))
             .ok_or_else(|| SmError::Unavailable(format!("{shard} has no live primary")))
     }
 
-    /// Mints a never-used shard id, expected to carry `load`.
-    fn mint_shard(&mut self, load: LoadVector) -> ShardId {
+    /// Mints a never-used shard id.
+    fn mint_shard(&mut self) -> ShardId {
         let id = ShardId(self.next_shard_id);
         self.next_shard_id += 1;
-        self.write_loads([(id, load)]);
         id
     }
 
@@ -995,9 +874,9 @@ impl Orchestrator {
         if slots == 0 {
             return 0;
         }
-        let shards = self.shards.iter().copied();
+        let shards = self.state.shards.iter().copied();
         let busy: BTreeSet<ShardId> = shards.filter(|&s| self.busy(s)).collect();
-        let ops = scaler.evaluate(&spec, |s| self.loads.get(&s).copied(), &busy);
+        let ops = scaler.evaluate(&spec, |s| self.state.loads.get(&s).copied(), &busy);
         let mut started = 0;
         for op in ops.into_iter().take(slots) {
             let outcome = match op {
@@ -1025,10 +904,10 @@ impl Orchestrator {
         use std::fmt::Write as _;
         let mut out = String::from("smorch v1\n");
         let _infallible = writeln!(out, "version {}", self.map_version);
-        for (shard, n) in self.desired_replicas.iter() {
+        for (shard, n) in self.state.desired_replicas.iter() {
             let _infallible = writeln!(out, "desired {} {}", shard.raw(), n);
         }
-        for (shard, replica) in self.assignment.iter() {
+        for (shard, replica) in self.state.assignment.iter() {
             let _infallible = writeln!(
                 out,
                 "replica {} {} {}",
@@ -1055,40 +934,26 @@ impl Orchestrator {
         let mut desired = BTreeMap::new();
         let mut version = 0u64;
         for line in lines {
+            let bad = || SmError::InvalidArgument(format!("bad line: {line}"));
+            let num = |v: &str| v.parse::<u64>().map_err(|_| bad());
             let mut parts = line.split_whitespace();
-            let parse = |v: Option<&str>| -> Result<u64, SmError> {
-                v.and_then(|x| x.parse().ok())
-                    .ok_or_else(|| SmError::InvalidArgument(format!("bad line: {line}")))
-            };
-            match parts.next() {
-                Some("version") => version = parse(parts.next())?,
-                Some("desired") => {
-                    let shard = ShardId(parse(parts.next())?);
-                    let n = parse(parts.next())? as u32;
-                    desired.insert(shard, n);
+            match [(); 5].map(|()| parts.next()) {
+                [Some("version"), Some(v), None, ..] => version = num(v)?,
+                [Some("desired"), Some(shard), Some(n), None, _] => {
+                    desired.insert(ShardId(num(shard)?), num(n)? as u32);
                 }
-                Some("replica") => {
-                    let shard = ShardId(parse(parts.next())?);
-                    let server = ServerId(parse(parts.next())? as u32);
-                    let role = match parts.next() {
-                        Some("P") => ReplicaRole::Primary,
-                        Some("S") => ReplicaRole::Secondary,
-                        other => {
-                            return Err(SmError::InvalidArgument(format!(
-                                "bad role {other:?} in line: {line}"
-                            )))
-                        }
+                [Some("replica"), Some(shard), Some(server), Some(role), None] => {
+                    let role = match role {
+                        "P" => ReplicaRole::Primary,
+                        "S" => ReplicaRole::Secondary,
+                        _ => return Err(bad()),
                     };
-                    assignment
-                        .add_replica(shard, server, role)
-                        .map_err(SmError::InvalidArgument)?;
+                    let (shard, server) = (ShardId(num(shard)?), ServerId(num(server)? as u32));
+                    let added = assignment.add_replica(shard, server, role);
+                    added.map_err(SmError::InvalidArgument)?;
                 }
-                Some(other) => {
-                    return Err(SmError::InvalidArgument(format!(
-                        "unknown record {other:?}"
-                    )))
-                }
-                None => {}
+                [None, ..] => {}
+                _ => return Err(bad()),
             }
         }
         // Restored ids above the registered spec's maximum (the children
@@ -1096,20 +961,16 @@ impl Orchestrator {
         if let Some(max) = desired.keys().next_back() {
             self.next_shard_id = self.next_shard_id.max(max.raw() + 1);
         }
-        let shards = self.shards.edit();
+        let shards = self.state.shards.edit();
         *shards = ShardList::default();
         desired.keys().for_each(|&shard| shards.push(shard));
-        *self.assignment.edit() = assignment;
-        self.desired_replicas.edit().clear();
-        (self.usage, self.lacking, self.surplus, self.widths) = Default::default();
-        self.periodic = None;
-        let held: Vec<_> = self.assignment.iter().map(|(s, r)| (s, r.server)).collect();
-        for (shard, server) in held {
-            self.rehost(shard, None, Some(server));
-        }
-        for (shard, n) in desired {
-            self.set_desired(shard, Some(n));
-        }
+        *self.state.assignment.edit() = assignment;
+        // Nothing is in flight after a restore, so only the registered
+        // shards keep their loads.
+        let loads = self.state.loads.edit();
+        loads.0.retain(|(shard, _)| desired.contains_key(shard));
+        *self.state.desired_replicas.edit() = desired;
+        self.books = Books::rebuild(&self.state);
         self.map_version = version;
         self.clear_in_flight();
         self.scheduler = None;
@@ -1132,7 +993,7 @@ impl Orchestrator {
         // longer exists, or leave a "forwarding" parent serving
         // directly — abort now and let the scaler retry once quiescent.
         self.sweep(server, false);
-        for (shard, role) in self.assignment.shards_on(server) {
+        for (shard, role) in self.state.assignment.shards_on(server) {
             self.send_rpc(server, ServerRpc::AddShard { shard, role });
         }
     }
@@ -1162,17 +1023,17 @@ fn plan(source: &impl PlacementSource, mode: Mode) -> Vec<ReplicaMove> {
     }
 }
 
-/// The orchestrator's books as the allocator's source: read in place,
-/// no copy of them made for the run.
-struct Books<'a>(&'a Orchestrator);
+/// The orchestrator's state and books as the allocator's source: read
+/// in place, no copy of them made for the run.
+struct Placements<'a>(&'a Orchestrator);
 
-impl PlacementSource for Books<'_> {
+impl PlacementSource for Placements<'_> {
     fn config(&self) -> &AllocConfig {
-        &self.0.config.alloc
+        &self.0.state.config.alloc
     }
 
     fn servers(&self) -> impl Iterator<Item = ServerInfo> {
-        let live = self.0.servers.iter().filter(|(_, e)| e.alive);
+        let live = self.0.state.servers.iter().filter(|(_, e)| e.alive);
         live.map(|(id, e)| ServerInfo {
             id: *id,
             location: e.location,
@@ -1192,65 +1053,18 @@ impl PlacementSource for Books<'_> {
     }
 
     fn size(&self) -> (usize, usize) {
-        let shards = self.0.shards.len();
+        let shards = self.0.state.shards.len();
         let replicas = self.0.policy.replication.replicas_per_shard();
         (shards, shards * replicas as usize)
     }
 
-    /// Read from the kept books: the start is each live server's kept
-    /// usage, less the replicas no run is offered (`surplus`) and the
-    /// offered ones of the shards visited (`lacking`); the preference
-    /// penalties are summed over the preferring shards alone.
+    /// Read from the kept books ([`Books::cut`]).
     fn cut(
         &self,
-        mut visit: impl FnMut(ShardId, LoadVector, &[Option<ServerId>]),
+        visit: impl FnMut(ShardId, LoadVector, &[Option<ServerId>]),
     ) -> (Vec<(LoadVector, Fixed)>, usize) {
-        let o = self.0;
         let live: Vec<ServerInfo> = self.servers().collect();
-        let usage = |s: &ServerInfo| o.usage.get(&s.id).copied().unwrap_or_default();
-        let mut start: Vec<_> = live.iter().map(|s| (usage(s), Fixed::default())).collect();
-        let bin = |server: ServerId| live.binary_search_by_key(&server, |s| s.id).ok();
-        // A shard's desired count, and its replicas split at it: the
-        // offered ones, its first `desired`, and the rest.
-        let offered = |shard: ShardId| {
-            let held = o.assignment.replicas(shard);
-            let desired = o.desired_replicas.get(&shard).map(|&n| n as usize);
-            let (offered, rest) = held.split_at(desired.unwrap_or(0).min(held.len()));
-            (desired, offered, rest)
-        };
-        let mut take = |load: LoadVector, held: &[ReplicaAssignment]| {
-            for b in held.iter().filter_map(|r| bin(r.server)) {
-                if let Some(at) = start.get_mut(b) {
-                    at.0 -= load;
-                }
-            }
-        };
-        for &shard in &o.surplus {
-            take(o.load_of(shard), offered(shard).2);
-        }
-        let mut slots = Vec::new();
-        for shard in o.shards.in_order_of(o.lacking.iter().copied().collect()) {
-            let load = o.load_of(shard);
-            let (desired, held, _) = offered(shard);
-            take(load, held);
-            slots.clear();
-            slots.extend(held.iter().map(|r| Some(r.server)));
-            slots.resize(desired.unwrap_or(1), None);
-            visit(shard, load, &slots);
-        }
-        for (&shard, &(want, weight)) in &o.config.alloc.region_preferences {
-            if o.lacking.contains(&shard) {
-                continue;
-            }
-            for b in offered(shard).1.iter().filter_map(|r| bin(r.server)) {
-                let elsewhere = live.get(b).is_some_and(|s| s.location.region != want);
-                if let Some(at) = start.get_mut(b).filter(|_| elsewhere) {
-                    at.1 = at.1 + Fixed::from(weight);
-                }
-            }
-        }
-        let widest = o.widths.keys().next_back().map_or(0, |&n| n as usize);
-        (start, widest)
+        self.0.books.cut(&self.0.state, &live, visit)
     }
 }
 
@@ -1279,7 +1093,7 @@ impl ShardList {
 
     /// Those of the ascending `some` that are listed, in list order:
     /// while the list ascends, `some` is already in it.
-    fn in_order_of(&self, mut some: Vec<ShardId>) -> Vec<ShardId> {
+    pub(crate) fn in_order_of(&self, mut some: Vec<ShardId>) -> Vec<ShardId> {
         if self.unordered {
             let listed = self.ids.iter().copied();
             return listed.filter(|s| some.binary_search(s).is_ok()).collect();
@@ -1310,6 +1124,11 @@ impl Loads {
         self.0.get(self.find(*shard)?).map(|(_, load)| load)
     }
 
+    /// The last load reported for `shard`, or one unit of shard count.
+    pub(crate) fn of(&self, shard: ShardId) -> LoadVector {
+        self.get(&shard).copied().unwrap_or_else(unit_load)
+    }
+
     /// Where `shard`'s load sits. Ids are minted densely, so it is looked
     /// for first at its id's offset from the first id: one read where no
     /// id below it is missing, a binary search where one is.
@@ -1334,52 +1153,6 @@ fn next_at<V>(
 ) -> Option<V> {
     while iter.next_if(|(s, _)| *s < shard).is_some() {}
     iter.next_if(|(s, _)| *s == shard).map(|(_, v)| v)
-}
-
-/// A server's `(rank, id, book)` entry in [`Ranked`]'s walk.
-type Candidate = Reverse<(u64, ServerId, usize)>;
-
-/// The candidate targets of one drain, split or merge, walked least
-/// utilized first and, among equals, lowest id first: the order in which
-/// a scan of the servers meets its first minimum. A pick earmarks its
-/// load on its target and re-ranks that server alone, so it reads the
-/// servers it walks past, not the fleet.
-struct Ranked {
-    walk: BinaryHeap<Candidate>,
-    /// Per server, its kept usage plus the loads earmarked on it, and its
-    /// capacity.
-    books: Vec<(LoadVector, LoadVector)>,
-    /// The servers the current pick walked past; kept for its capacity.
-    passed: Vec<Candidate>,
-}
-
-impl Ranked {
-    /// The first server in the walk that is not `excluded` and has room
-    /// for `load` (or no capacity configured); `load` is earmarked on it.
-    fn pick(&mut self, excluded: impl Fn(ServerId) -> bool, load: LoadVector) -> Option<ServerId> {
-        let mut picked = None;
-        while let Some(Reverse(next @ (_, id, book))) = self.walk.pop() {
-            let with_room = self.books.get_mut(book).filter(|(used, capacity)| {
-                (*used + load).fits_within(capacity) || *capacity == LoadVector::zero()
-            });
-            if let Some((used, capacity)) = with_room.filter(|_| !excluded(id)) {
-                *used += load;
-                self.walk.push(Reverse((rank(*used, *capacity), id, book)));
-                picked = Some(id);
-                break;
-            }
-            self.passed.push(Reverse(next));
-        }
-        self.walk.extend(self.passed.drain(..));
-        picked
-    }
-}
-
-/// A server's utilization as a key that orders as the `f64` does: one
-/// folded by `f64::max` from 0.0 is never NaN nor negative, and such
-/// floats order as their bits.
-fn rank(used: LoadVector, capacity: LoadVector) -> u64 {
-    used.max_utilization(&capacity).to_bits()
 }
 
 #[cfg(test)]
@@ -1428,10 +1201,11 @@ mod tests {
 
     impl Orchestrator {
         /// The allocator's input as a copy of the books, three map
-        /// lookups per shard: the model for [`Books`], which is read in
+        /// lookups per shard: the model for [`Placements`], which is read in
         /// place by a walk in step.
         pub(crate) fn build_input(&self) -> AllocInput {
             let servers: Vec<ServerInfo> = self
+                .state
                 .servers
                 .iter()
                 .filter(|(_, e)| e.alive)
@@ -1443,11 +1217,13 @@ mod tests {
                 })
                 .collect();
             let shards: Vec<ShardPlacement> = self
+                .state
                 .shards
                 .iter()
                 .map(|&shard| {
-                    let desired = *self.desired_replicas.get(&shard).unwrap_or(&1) as usize;
+                    let desired = *self.state.desired_replicas.get(&shard).unwrap_or(&1) as usize;
                     let mut replicas: Vec<Option<ServerId>> = self
+                        .state
                         .assignment
                         .replicas(shard)
                         .iter()
@@ -1457,7 +1233,7 @@ mod tests {
                     replicas.truncate(desired.max(replicas.len()));
                     ShardPlacement {
                         shard,
-                        load_per_replica: self.load_of(shard),
+                        load_per_replica: self.state.loads.of(shard),
                         replicas,
                     }
                 })
@@ -1465,7 +1241,7 @@ mod tests {
             AllocInput {
                 servers,
                 shards,
-                config: self.config.alloc.clone(),
+                config: self.state.config.alloc.clone(),
             }
         }
 
@@ -1476,16 +1252,16 @@ mod tests {
             let want = plan(&self.build_input(), mode);
             let key = (mode, self.revision());
             let kept = self.solved.as_ref().map(|(solved, _)| *solved) == Some(key);
-            let solves = mode == Mode::Periodic || !self.fully_placed();
+            let solves = mode == Mode::Periodic || !self.books.fully_placed();
             let got = self.solve(mode);
             assert_eq!(got, want, "{mode:?}, reusing: {}", kept && solves);
             self.install_plan(got);
             kept && solves
         }
 
-        /// What the allocator reads through [`Books`], copied out.
+        /// What the allocator reads through [`Placements`], copied out.
         fn books_read(&self) -> AllocInput {
-            let books = Books(self);
+            let books = Placements(self);
             let mut shards = Vec::new();
             books.for_each_shard(|shard, load_per_replica, slots| {
                 shards.push(ShardPlacement {
@@ -1501,50 +1277,58 @@ mod tests {
             }
         }
 
-        /// [`Books`] reads as `build_input` copies; a mismatch names
+        /// [`Placements`] reads as `build_input` copies; a mismatch names
         /// the first shard that differs. `fully_placed` says what the
-        /// copy shows, the kept sets are a fresh scan's, and the cut of
-        /// the books visits what a walk of the copy visits and starts
-        /// where it starts. A kept periodic problem is a fresh build's,
-        /// and so is the evaluator its solver keeps, reset at its initial
-        /// assignment.
+        /// copy shows, and the cut of the books visits what a walk of the
+        /// copy visits and starts where it starts.
         pub(crate) fn check_build_input(&self) {
             let (got, want) = (self.books_read(), self.build_input());
             for (got, want) in got.shards.iter().zip(&want.shards) {
                 let (got, want) = (format!("{got:?}"), format!("{want:?}"));
-                assert_eq!(got, want, "shards are {:?}", *self.shards);
+                assert_eq!(got, want, "shards are {:?}", *self.state.shards);
             }
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
             let mut slots = want.shards.iter().flat_map(|s| &s.replicas);
             let placed = slots.all(|slot| slot.is_some_and(|on| self.server_alive(on)));
-            assert_eq!(self.fully_placed(), placed);
+            assert_eq!(self.books.fully_placed(), placed);
 
-            let registered: BTreeSet<ShardId> = self.shards.iter().copied().collect();
-            assert_eq!(registered.len(), self.shards.len(), "a shard listed twice");
+            let registered: BTreeSet<ShardId> = self.state.shards.iter().copied().collect();
+            assert_eq!(
+                registered.len(),
+                self.state.shards.len(),
+                "a shard listed twice"
+            );
             assert!(
-                registered.iter().eq(self.desired_replicas.keys()),
+                registered.iter().eq(self.state.desired_replicas.keys()),
                 "listed, not desired"
             );
-            let lacking = want.shards.iter().filter(|s| {
-                let mut slots = s.replicas.iter();
-                !slots.all(|slot| slot.is_some_and(|on| self.server_alive(on)))
-            });
-            let lacking: BTreeSet<ShardId> = lacking.map(|s| s.shard).collect();
-            let surplus = self.assignment.by_shard().filter(|(shard, held)| {
-                held.len() > self.desired_replicas.get(shard).map_or(0, |&n| n as usize)
-            });
-            let surplus: BTreeSet<ShardId> = surplus.map(|(shard, _)| shard).collect();
-            let mut widths = BTreeMap::new();
-            for &n in self.desired_replicas.values() {
-                *widths.entry(n).or_insert(0) += 1;
+            assert_eq!(cut_of(&Placements(self)), cut_of(&want), "the kept cut");
+        }
+
+        /// The books are a scan of the state, and so is their rebuild
+        /// (`Books::check`); the assignment's primary-less shards are a
+        /// scan's; every load kept is a registered shard's or a target's
+        /// in flight; and a kept periodic problem is a fresh build's, and
+        /// so is the evaluator its solver keeps, reset at its initial
+        /// assignment.
+        pub(crate) fn check_books(&self) {
+            self.books.check(&self.state);
+            let led = |rs: &[ReplicaAssignment]| rs.iter().any(|r| r.role.is_primary());
+            let scan = self.state.assignment.by_shard().filter(|(_, rs)| !led(rs));
+            let scan: Vec<ShardId> = scan.map(|(shard, _)| shard).collect();
+            let kept: Vec<ShardId> = self.state.assignment.primaryless().collect();
+            assert_eq!(kept, scan, "the primary-less shards");
+            for (shard, _) in &self.state.loads.0 {
+                let kept = self.state.desired_replicas.contains_key(shard)
+                    || self.change_of.contains_key(shard);
+                assert!(
+                    kept,
+                    "a load kept for {shard}, neither registered nor in flight"
+                );
             }
-            assert_eq!((&self.lacking, &self.surplus), (&lacking, &surplus));
-            assert_eq!(self.widths, widths);
-            assert_eq!(cut_of(&Books(self)), cut_of(&want), "the kept cut");
-            if let Some((shape, kept)) =
-                self.periodic.as_ref().filter(|(at, _)| *at == self.shape())
-            {
-                let fresh = PeriodicProblem::from(&Books(self));
+            let shape = self.state.shape();
+            if let Some(kept) = self.books.kept_periodic(shape) {
+                let fresh = PeriodicProblem::from(&Placements(self));
                 assert_eq!(
                     format!("{kept:?}"),
                     format!("{fresh:?}"),
@@ -1557,31 +1341,19 @@ mod tests {
             }
         }
 
-        /// The kept usage is, server by server, a fresh sum of the loads
-        /// of the replicas the assignment puts there.
-        pub(crate) fn check_usage(&self) {
-            let mut fresh: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
-            for (shard, replica) in self.assignment.iter() {
-                *fresh.entry(replica.server).or_default() += self.load_of(shard);
-            }
-            let kept = self.usage.iter().filter(|(_, u)| **u != LoadVector::zero());
-            let kept: BTreeMap<ServerId, LoadVector> = kept.map(|(s, u)| (*s, *u)).collect();
-            fresh.retain(|_, u| *u != LoadVector::zero());
-            assert_eq!(kept, fresh);
-        }
-
         /// Adjusts one registered shard's desired replica count. Takes
         /// effect on the next allocation run; shrinking drops excess
         /// secondaries immediately.
         pub(crate) fn set_desired_replicas(&mut self, shard: ShardId, n: u32) {
-            if !self.desired_replicas.contains_key(&shard) {
+            if !self.state.desired_replicas.contains_key(&shard) {
                 return;
             }
             self.set_desired(shard, Some(n.max(1)));
-            let current = self.assignment.replicas(shard).len() as u32;
+            let current = self.state.assignment.replicas(shard).len() as u32;
             if current > n {
                 // Drop excess replicas, secondaries first.
                 let mut victims: Vec<(ServerId, ReplicaRole)> = self
+                    .state
                     .assignment
                     .replicas(shard)
                     .iter()
@@ -1589,9 +1361,7 @@ mod tests {
                     .collect();
                 victims.sort_by_key(|(_, role)| role.is_primary());
                 for (server, _) in victims.into_iter().take((current - n) as usize) {
-                    if self.assignment.edit().remove_replica(shard, server) {
-                        self.rehost(shard, Some(server), None);
-                    }
+                    self.remove_replica(shard, server);
                     self.send_rpc(server, ServerRpc::DropShard { shard });
                 }
                 self.publish_map();
@@ -1619,10 +1389,8 @@ mod tests {
         let mut o = orch(AppPolicy::primary_secondary(1), 4, 3);
         let add = |o: &mut Orchestrator, shard: u64, server: u32| {
             let (shard, server) = (ShardId(shard), ServerId(server));
-            let held = o.assignment.edit();
-            let added = held.add_replica(shard, server, ReplicaRole::Secondary);
+            let added = o.add_replica(shard, server, ReplicaRole::Secondary);
             added.expect("a free server");
-            o.rehost(shard, None, Some(server));
         };
         // Shard 0 holds three replicas of its desired two, shard 1 one of
         // two, shard 2 none; only shard 1 has reported a load.
@@ -1639,6 +1407,7 @@ mod tests {
         let loads: Vec<_> = input.shards.iter().map(|s| s.load_per_replica).collect();
         assert_eq!(loads, [unit, cap(7.0), unit]);
         o.check_build_input();
+        o.check_books();
     }
 
     #[test]
@@ -1652,10 +1421,9 @@ mod tests {
             o.set_desired(shard, Some(1 + i as u32));
             o.report_load(ServerId(0), vec![(shard, cap(shard.raw() as f64))]);
             let (server, role) = (ServerId(i as u32 % 4), ReplicaRole::Secondary);
-            let added = o.assignment.edit().add_replica(shard, server, role);
-            added.expect("a free server");
-            o.rehost(shard, None, Some(server));
+            o.add_replica(shard, server, role).expect("a free server");
             o.check_build_input();
+            o.check_books();
         }
         let read = o.books_read();
         let order: Vec<_> = read.shards.iter().map(|s| s.shard.raw()).collect();
@@ -1987,15 +1755,15 @@ mod tests {
             from: None,
             to: idle,
         };
-        o.scheduler = Some(MoveScheduler::new(vec![add], o.config.move_caps));
+        o.scheduler = Some(MoveScheduler::new(vec![add], o.state.config.move_caps));
         o.server_down(idle);
         settle(&mut o);
         o.run_emergency();
         settle(&mut o);
-        let held = o.assignment.replicas(shard);
+        let held = o.state.assignment.replicas(shard);
         let dead = held.iter().filter(|r| !o.server_alive(r.server)).count();
         assert_eq!((held.len(), dead), (3, 0), "{held:?}");
-        assert!(!o.lacks(shard));
+        assert!(!o.books.lacks(shard));
     }
 
     #[test]
@@ -2052,7 +1820,7 @@ mod tests {
         assert_eq!(o.assignment().shard_count(), 12, "nothing lost");
         // Cleared for reuse after the planned event.
         o.drain_finished(victim);
-        assert!(!o.servers[&victim].draining);
+        assert!(!o.state.servers[&victim].draining);
     }
 
     // ---- Reference model: the target picker before the ranked walk ----
@@ -2068,7 +1836,8 @@ mod tests {
             extra: &BTreeMap<ServerId, LoadVector>,
             load: &LoadVector,
         ) -> Vec<(ServerId, f64)> {
-            self.servers
+            self.state
+                .servers
                 .iter()
                 .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
                 .filter_map(|(id, e)| {
@@ -2117,8 +1886,13 @@ mod tests {
         /// One server's usage by a filter over the whole assignment.
         fn usage_of(&self, server: ServerId) -> LoadVector {
             let mut usage = LoadVector::zero();
-            for (shard, _) in self.assignment.iter().filter(|(_, r)| r.server == server) {
-                usage += self.load_of(shard);
+            for (shard, _) in self
+                .state
+                .assignment
+                .iter()
+                .filter(|(_, r)| r.server == server)
+            {
+                usage += self.state.loads.of(shard);
             }
             usage
         }
@@ -2152,7 +1926,7 @@ mod tests {
                 }
             }
             o.register_server(ServerId(i), loc(0, i), capacity);
-            let entry = o.servers.edit().get_mut(&ServerId(i)).unwrap();
+            let entry = o.state.servers.edit().get_mut(&ServerId(i)).unwrap();
             entry.alive = !rng.chance(0.15);
             entry.draining = rng.chance(0.15);
         }
@@ -2171,9 +1945,7 @@ mod tests {
                 } else {
                     ReplicaRole::Secondary
                 };
-                let host = ServerId(host as u32);
-                o.assignment.edit().add_replica(shard, host, role).unwrap();
-                o.rehost(shard, None, Some(host));
+                o.add_replica(shard, ServerId(host as u32), role).unwrap();
             }
             // Non-integer loads on two metrics; the rest fall back to one
             // unit of shard count.
@@ -2183,7 +1955,7 @@ mod tests {
                 o.report_load(ServerId(0), vec![(shard, load)]);
             }
         }
-        o.check_usage();
+        o.check_books();
         (o, rng, hosting)
     }
 
@@ -2199,17 +1971,17 @@ mod tests {
             let ties = seed >= 240;
             let (mut o, mut rng, hosting) = picker_fleet(seed, ties);
             let victim = ServerId(rng.index(hosting) as u32);
-            let entry = o.servers.edit().get_mut(&victim).unwrap();
+            let entry = o.state.servers.edit().get_mut(&victim).unwrap();
             (entry.alive, entry.draining) = (true, true);
 
             // The drain loop over the scanning picker, each pick checked
             // against the ranked walk's.
-            let mut ranked = o.ranked();
+            let mut ranked = o.books.ranked(&o.state);
             let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
             let mut want = Vec::new();
             for (shard, _) in o.shards_on(victim) {
-                let load = o.load_of(shard);
-                let hosts = o.assignment.replicas(shard).iter();
+                let load = o.state.loads.of(shard);
+                let hosts = o.state.assignment.replicas(shard).iter();
                 let hosts: Vec<ServerId> = hosts.map(|r| r.server).collect();
                 let target = o.pick_target_scan(&hosts, &extra, &load);
                 let walked = ranked.pick(|id| hosts.contains(&id), load);
@@ -2248,8 +2020,8 @@ mod tests {
             let ties = seed % 2 == 1;
             let fleet = || {
                 let (mut o, rng, _) = picker_fleet(seed, ties);
-                o.register_spec(ShardingSpec::uniform_u64(o.shards.len() as u64));
-                let led = o.shards.iter().copied();
+                o.register_spec(ShardingSpec::uniform_u64(o.state.shards.len() as u64));
+                let led = o.state.shards.iter().copied();
                 let led: Vec<ShardId> = led.filter(|&s| o.live_primary(s).is_ok()).collect();
                 (o, rng, led)
             };
@@ -2263,7 +2035,7 @@ mod tests {
             }
             let parent = led[rng.index(led.len())];
             let owner = [o.live_primary(parent).unwrap()];
-            let half = o.load_of(parent).scale(0.5);
+            let half = o.state.loads.of(parent).scale(0.5);
             let mut extra = BTreeMap::new();
             tied += usize::from(o.pick_is_tied(&owner, &extra, &half));
             let left = o.pick_target_scan(&owner, &extra, &half);
@@ -2297,7 +2069,7 @@ mod tests {
                 continue;
             };
             let owners = [left, right].map(|s| o.live_primary(s).unwrap());
-            let combined = o.load_of(left) + o.load_of(right);
+            let combined = o.state.loads.of(left) + o.state.loads.of(right);
             tied += usize::from(o.pick_is_tied(&owners, &BTreeMap::new(), &combined));
             let target = o.pick_target_scan(&owners, &BTreeMap::new(), &combined);
             let merge = o.start_merge(left, right);
@@ -2663,7 +2435,7 @@ mod tests {
             }
             rpcs(&mut o);
             o.reconcile_server(server);
-            let entry = o.servers[&server];
+            let entry = o.state.servers[&server];
             assert!(entry.alive && !entry.draining, "{row}");
             let add = |&(shard, role)| (server, ServerRpc::AddShard { shard, role });
             let resent: Vec<_> = held.iter().filter(|_| !declared_down).map(add).collect();
@@ -2945,6 +2717,85 @@ mod tests {
         assert!(o.drain_errors().is_empty(), "drained");
         settle(&mut o);
         assert!(o.assignment().primary_of(shard).is_some(), "re-elected");
+    }
+
+    #[test]
+    fn a_shard_registered_twice_plans_the_moves_of_registering_it_once() {
+        let run = |twice: bool| {
+            let mut o = orch(AppPolicy::primary_secondary(1), 4, 3);
+            if twice {
+                o.register_shards([ShardId(1)]);
+            }
+            o.check_build_input();
+            (o.run_emergency(), o.take_commands())
+        };
+        let once = run(false);
+        assert_eq!(once.0, 6, "two replicas of each of three shards");
+        assert_eq!(run(true), once);
+    }
+
+    /// A host still holding a shard that is neither registered nor a
+    /// target in flight — a retired split parent, an aborted child —
+    /// reports its load until its reclaim is acked; that load is not
+    /// kept, nor one of a shard never heard of.
+    #[test]
+    fn a_load_is_kept_only_for_a_registered_shard_or_a_target_in_flight() {
+        let mut o = reshard_orch(3);
+        let parent = ShardId(0);
+        let host = o.state.assignment.primary_of(parent).expect("bootstrapped");
+        let kept = |o: &Orchestrator, shard: u64| o.state.loads.get(&ShardId(shard)).copied();
+        // Splitting shard 0 mints 2 and 3; a nack of the first prepare
+        // aborts the split, and its children are reclaimed.
+        o.start_split(parent).expect("a split starts");
+        o.report_load(host, vec![(ShardId(2), cap(3.0)), (ShardId(7), cap(1.0))]);
+        o.check_books();
+        assert_eq!((kept(&o, 2), kept(&o, 7)), (Some(cap(3.0)), None));
+        let (to, prepare) = rpcs(&mut o)[0];
+        o.rpc_failed(to, prepare);
+        o.report_load(to, vec![(ShardId(2), cap(2.0))]);
+        o.check_books();
+        assert_eq!(kept(&o, 2), None, "an aborted child");
+        settle(&mut o);
+        // The next split (of 4 and 5) commits while the parent's
+        // reclaims are held back.
+        o.start_split(parent).expect("a split starts again");
+        let mut held = Vec::new();
+        while let commands @ [_, ..] = &rpcs(&mut o)[..] {
+            for &(server, rpc) in commands {
+                match rpc {
+                    ServerRpc::DropShard { shard } if shard == parent => held.push(server),
+                    _ => o.rpc_acked(server, rpc),
+                }
+            }
+        }
+        assert_eq!((o.stats().splits_completed, held.len()), (1, 1));
+        o.report_load(host, vec![(parent, cap(5.0)), (ShardId(4), cap(4.0))]);
+        o.check_books();
+        assert_eq!((kept(&o, 0), kept(&o, 4)), (None, Some(cap(4.0))));
+    }
+
+    /// A standby that marked a server down restores a snapshot placing
+    /// replicas there, and then sees the server registered again or back
+    /// up: every shard it hosts is booked again.
+    #[test]
+    fn a_server_back_alive_books_what_it_hosts() {
+        let mut o = orch(AppPolicy::primary_secondary(1), 4, 8);
+        o.run_emergency();
+        settle(&mut o);
+        for registered in [true, false] {
+            let mut standby = orch(AppPolicy::primary_secondary(1), 4, 0);
+            standby.server_down(ServerId(0));
+            standby.restore(&o.snapshot()).expect("restore");
+            standby.check_books();
+            assert!(!standby.books.fully_placed(), "server 0 hosted a shard");
+            if registered {
+                standby.register_server(ServerId(0), loc(0, 0), cap(1000.0));
+            } else {
+                standby.server_up(ServerId(0));
+            }
+            standby.check_books();
+            assert!(standby.books.fully_placed(), "registered: {registered}");
+        }
     }
 
     #[test]

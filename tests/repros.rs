@@ -19,6 +19,11 @@
 //!   of the reconfig world's `mixed` profile, shrunk to 4 fault events,
 //!   ends with two committed-config views of one shard with no mutation
 //!   on. Its test asserts that violation until the fix inverts it.
+//!   `reconfig-mixed-8.json` is a second one, of another shape: seed 8
+//!   of the same profile, which ddmin cannot shrink below its 10 fault
+//!   events (two partitions, a crash and restart, a session expiry and
+//!   restore, and a degraded net), ends with two committed-config views
+//!   of another shard.
 //!
 //! The documents were written before the kit worlds' configs lost
 //! their one-valued fields; that they still parse and replay is the
@@ -125,6 +130,35 @@ fn reconfig_mixed_seed_13_still_disagrees() {
         r.violations
     );
     let views = "shard 6: 2 distinct committed-config views across 4 replicas";
+    assert!(
+        r.violations.iter().any(|v| v.detail == views),
+        "{:?}",
+        r.violations
+    );
+}
+
+/// Known gap, of another shape than seed 13's: all 10 fault events of
+/// seed 8 are needed (ddmin removes none) — a one-server partition, a
+/// crash and restart of server 0, an asymmetric partition, a session
+/// expiry and its restore, and 3% drop / 2% dup — and they leave shard 1
+/// with 2 distinct committed-config views across 4 replicas at 130 s,
+/// the oracle's `ReplicaSetAgreement` and nothing else. When
+/// `sm-apps::replication` stops losing the committed entry, this replay
+/// turns clean and the test becomes a `stays_clean` one.
+#[test]
+fn reconfig_mixed_seed_8_still_disagrees() {
+    let doc = include_str!("repros/reconfig-mixed-8.json");
+    let (cfg, plan) = repro_from_json::<Reconfig>(doc).expect("a reproducer document parses");
+    assert_eq!(cfg, Reconfig::cell(8, FaultProfile::Mixed, false));
+    assert_eq!(plan.len(), 10);
+    let r = run::<Reconfig>(cfg, Some(plan));
+    assert_eq!(
+        r.violated_kinds(),
+        BTreeSet::from([InvariantKind::ReplicaSetAgreement]),
+        "{:?}",
+        r.violations
+    );
+    let views = "shard 1: 2 distinct committed-config views across 4 replicas";
     assert!(
         r.violations.iter().any(|v| v.detail == views),
         "{:?}",
