@@ -4,7 +4,7 @@ use crate::input::{PlacementSource, ServerInfo};
 use crate::plan::{AllocationPlan, ReplicaMove, Rows, Target};
 use sm_solver::{
     AffinitySpec, Bin, BinId, CapacitySpec, DrainSpec, Entity, EntityId, ExclusionSpec,
-    ParallelSearch, Problem, Scope, SearchConfig, Spec, SpecSet, UtilizationCapSpec,
+    ParallelSearch, Problem, Scope, SearchConfig, SearchStats, Spec, SpecSet, UtilizationCapSpec,
 };
 use sm_types::{FaultDomain, Fixed, LoadVector, ServerId, ShardId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -110,13 +110,14 @@ impl PeriodicProblem {
     /// Rewrites `shard`'s row as the source now visits it: `load` on each
     /// replica, and where each of the `slots` given is placed (`None`
     /// needs placement), from the row's first slot on; a slot not given
-    /// stays where it is. A shard the problem does not hold is ignored.
+    /// stays where it is. Returns the row's slots as it now holds them;
+    /// a shard the problem does not hold is ignored, and `None`.
     pub fn set_shard(
         &mut self,
         shard: ShardId,
         load: LoadVector,
         slots: impl IntoIterator<Item = Option<ServerId>>,
-    ) {
+    ) -> Option<&[Option<ServerId>]> {
         let Built {
             problem,
             server_index,
@@ -136,21 +137,42 @@ impl PeriodicProblem {
                 .binary_search_by(|&row| rows.shards.get(row).cmp(&Some(&shard)));
             at.ok().and_then(|at| self.by_id.get(at).copied())
         };
-        let Some(span) = row.map(|row| rows.span(row)) else {
-            return;
-        };
+        let span = row.map(|row| rows.span(row))?;
         let kept = kept.get_mut(span.clone()).unwrap_or_default();
         let mut slots = slots.into_iter();
-        for (e, kept) in span.map(EntityId).zip(kept) {
-            *kept = slots.next().unwrap_or(*kept);
-            problem.set_entity(e, load, kept.and_then(|s| server_index.get(s)));
+        for (e, kept) in span.map(EntityId).zip(kept.iter_mut()) {
+            let bin = match slots.next() {
+                Some(slot) => {
+                    *kept = slot;
+                    slot.and_then(|s| server_index.get(s))
+                }
+                // The slot's bin as the problem holds it.
+                None => problem.initial_assignment().get(e.0).copied().flatten(),
+            };
+            problem.set_entity(e, load, bin);
         }
+        Some(kept)
     }
 
     /// The plan of a periodic run over the source the problem is kept
     /// in step with.
     pub fn plan(&mut self) -> AllocationPlan {
-        solve(&mut self.built, &self.search)
+        let (moved, search) = self.solve();
+        plan_of(&self.built, &moved, search)
+    }
+
+    /// The moves of [`Self::plan`], diffed from the entities that moved
+    /// alone: no target over every slot is built.
+    pub fn moves(&mut self) -> Vec<ReplicaMove> {
+        let (moved, _) = self.solve();
+        moves_of(&self.built, &moved)
+    }
+
+    /// The kept problem solved: the entities whose bin changes, with the
+    /// bin each ends on.
+    fn solve(&mut self) -> (Vec<(EntityId, Option<BinId>)>, SearchStats) {
+        let Built { problem, specs, .. } = &mut self.built;
+        ParallelSearch::new(self.search.clone()).solve_moves(problem, specs)
     }
 
     /// The solver's problem, with what its plans keep.
@@ -171,35 +193,66 @@ fn solve_placement(mut built: Built, search: &SearchConfig) -> AllocationPlan {
         max_moves: unplaced,
         ..search.clone()
     };
-    solve(&mut built, &search)
+    // Nothing keeps this problem, so the solve moves nothing back: the
+    // entities that moved are read off the assignment it ends on.
+    let (problem, specs) = (&built.problem, &built.specs);
+    let (assignment, search) = ParallelSearch::new(search).solve(problem, specs);
+    let changed = assignment.into_iter().zip(problem.initial_assignment());
+    let moved = changed.enumerate().filter(|(_, (to, from))| to != *from);
+    let moved: Vec<_> = moved.map(|(e, (to, _))| (EntityId(e), to)).collect();
+    plan_of(&built, &moved, search)
 }
 
-/// Solves what [`build_problem`] made and diffs the entities that move
-/// into a plan.
-fn solve(built: &mut Built, search: &SearchConfig) -> AllocationPlan {
+/// The plan of a solve of what [`build_problem`] made, in which the
+/// entities in `moved` end on the bins given: its moves, and its target
+/// over every slot.
+fn plan_of(
+    built: &Built,
+    moved: &[(EntityId, Option<BinId>)],
+    search: SearchStats,
+) -> AllocationPlan {
+    let server_of = |bin: Option<BinId>| bin.and_then(|b| built.server_ids.get(b.0).copied());
+    let initial = built.problem.initial_assignment().iter();
+    let mut slots: Vec<Option<ServerId>> = initial.map(|&bin| server_of(bin)).collect();
+    for &(e, to) in moved {
+        if let Some(slot) = slots.get_mut(e.0) {
+            *slot = server_of(to);
+        }
+    }
+    AllocationPlan {
+        moves: moves_of(built, moved),
+        target: Target {
+            rows: built.rows.clone(),
+            slots,
+        },
+        // Counted by the solve's last evaluator, which had every goal
+        // the problem's specs hold active.
+        violations: search.violations,
+        search,
+    }
+}
+
+/// The moves of the entities in `moved`, each ending on the bin given,
+/// fresh placements first.
+fn moves_of(built: &Built, moved: &[(EntityId, Option<BinId>)]) -> Vec<ReplicaMove> {
     let Built {
         problem,
-        specs,
         server_ids,
         rows,
         ..
     } = built;
-    let (moved, search) = ParallelSearch::new(search.clone()).solve_moves(problem, specs);
-
     // Entities were minted shard by shard, slot by slot, so entity `e`
     // is slot `e` of the target, in the row whose span holds it. A slot
     // on a server that is no longer offered (failed) was resolved to no
     // bin in the initial assignment, so its move is a fresh placement,
     // not a graceful relocation.
     let server_of = |bin: Option<BinId>| bin.and_then(|b| server_ids.get(b.0).copied());
-    let initial = problem.initial_assignment().iter();
-    let mut slots: Vec<Option<ServerId>> = initial.map(|&bin| server_of(bin)).collect();
     let mut moves = Vec::new();
-    for (e, to) in moved {
-        let (Some(slot), to) = (slots.get_mut(e.0), server_of(to)) else {
+    for &(e, to) in moved {
+        let Some(&from) = problem.initial_assignment().get(e.0) else {
             continue;
         };
-        let from = std::mem::replace(slot, to);
+        let (from, to) = (server_of(from), server_of(to));
         let row = rows.ends.partition_point(|&end| end <= e.0);
         if let (Some(to), Some(&shard)) = (to.filter(|&to| from != Some(to)), rows.shards.get(row))
         {
@@ -214,17 +267,7 @@ fn solve(built: &mut Built, search: &SearchConfig) -> AllocationPlan {
     }
     // Fresh placements first: restoring availability beats balance.
     moves.sort_by_key(|m| (m.from.is_some(), m.shard, m.replica));
-    AllocationPlan {
-        moves,
-        target: Target {
-            rows: rows.clone(),
-            slots,
-        },
-        // Counted by the solve's last evaluator, which had every goal
-        // the problem's specs hold active.
-        violations: search.violations,
-        search,
-    }
+    moves
 }
 
 /// Server-id -> bin lookup: a dense table when the raw ids are compact

@@ -72,7 +72,7 @@ impl State {
 pub(crate) struct Books {
     /// Per server, the summed load of the replicas the assignment puts
     /// on it.
-    usage: BTreeMap<ServerId, LoadVector>,
+    usage: Usage,
     /// The registered shards whose first `desired` replicas are not
     /// `desired` replicas on live servers: what an emergency run places.
     lacking: BTreeSet<ShardId>,
@@ -112,31 +112,39 @@ impl Books {
     ) {
         let load = state.loads.of(shard);
         if let Some(from) = from {
-            *self.usage.entry(from).or_default() -= load;
+            self.usage.book(from, |used| used - load);
         }
         if let Some(to) = to {
-            *self.usage.entry(to).or_default() += load;
+            self.usage.book(to, |used| used + load);
         }
         self.book(state, shard);
     }
 
-    /// `shard`'s load went from `old` to `load`; `hosts` are its replicas
-    /// and `shape` the state's (the loads are being written, so the rest
-    /// of the state is passed in parts).
+    /// `shard`'s load went from `old` to `load`; `assignment` and `shape`
+    /// are the state's (the loads are being written, so the rest of the
+    /// state is passed in parts). Its hosts are read off the kept
+    /// periodic problem's row, which it patches, where that row holds
+    /// every replica (the shard has none beyond its offered slots), and
+    /// are looked up in the assignment only where it does not.
     pub(crate) fn load_changed(
         &mut self,
         shape: [u64; 4],
-        hosts: &[ReplicaAssignment],
+        assignment: &Assignment,
         shard: ShardId,
         old: LoadVector,
         load: LoadVector,
     ) {
-        for r in hosts {
-            let usage = self.usage.entry(r.server).or_default();
-            *usage = *usage - old + load;
-        }
-        if let Some(periodic) = self.periodic_at(shape) {
-            periodic.set_shard(shard, load, []);
+        let Self {
+            usage,
+            surplus,
+            periodic,
+            ..
+        } = self;
+        let row = kept_at(periodic, shape).and_then(|p| p.set_shard(shard, load, []));
+        let mut book = |server| usage.book(server, |used| used - old + load);
+        match row.filter(|_| !surplus.contains(&shard)) {
+            Some(slots) => slots.iter().flatten().for_each(|&server| book(server)),
+            None => (assignment.replicas(shard).iter()).for_each(|r| book(r.server)),
         }
     }
 
@@ -151,7 +159,7 @@ impl Books {
         lost: &[(ShardId, ReplicaRole)],
     ) {
         if !state.alive(server) {
-            self.usage.remove(&server);
+            self.usage.remove(server);
         }
         let hosted = state.assignment.replicas_on(server).map(|(shard, _)| shard);
         for shard in hosted.chain(lost.iter().map(|&(shard, _)| shard)) {
@@ -191,7 +199,7 @@ impl Books {
                 set.remove(&shard);
             }
         }
-        if let Some(periodic) = self.periodic_at(state.shape()) {
+        if let Some(periodic) = kept_at(&mut self.periodic, state.shape()) {
             let offered = held.iter().map(|r| Some(r.server));
             let slots = offered
                 .chain(std::iter::repeat(None))
@@ -200,19 +208,10 @@ impl Books {
         }
     }
 
-    /// The kept periodic problem, if it was built at `shape`; a stale one
-    /// is dropped.
-    fn periodic_at(&mut self, shape: [u64; 4]) -> Option<&mut PeriodicProblem> {
-        if self.periodic.as_ref().is_some_and(|(at, _)| *at != shape) {
-            self.periodic = None;
-        }
-        self.periodic.as_mut().map(|(_, periodic)| periodic)
-    }
-
     /// Takes the kept periodic problem out for a run, if it was built at
     /// `shape`; [`Self::keep_periodic`] puts it back.
     pub(crate) fn take_periodic(&mut self, shape: [u64; 4]) -> Option<PeriodicProblem> {
-        self.periodic_at(shape)?;
+        kept_at(&mut self.periodic, shape)?;
         self.periodic.take().map(|(_, periodic)| periodic)
     }
 
@@ -241,7 +240,7 @@ impl Books {
         let n = state.servers.len();
         let (mut walk, mut books) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for (&id, e) in state.servers.iter().filter(|(_, e)| e.alive && !e.draining) {
-            let used = self.usage.get(&id).copied().unwrap_or_default();
+            let used = self.usage.get(id);
             walk.push(Reverse((rank(used, e.capacity), id, books.len())));
             books.push((used, e.capacity));
         }
@@ -263,7 +262,7 @@ impl Books {
         live: &[ServerInfo],
         mut visit: impl FnMut(ShardId, LoadVector, &[Option<ServerId>]),
     ) -> (Vec<(LoadVector, Fixed)>, usize) {
-        let usage = |s: &ServerInfo| self.usage.get(&s.id).copied().unwrap_or_default();
+        let usage = |s: &ServerInfo| self.usage.get(s.id);
         let mut start: Vec<_> = live.iter().map(|s| (usage(s), Fixed::default())).collect();
         let bin = |server: ServerId| live.binary_search_by_key(&server, |s| s.id).ok();
         // A shard's desired count, and its replicas split at it: the
@@ -308,6 +307,61 @@ impl Books {
         }
         let widest = self.widths.keys().next_back().map_or(0, |&n| n as usize);
         (start, widest)
+    }
+}
+
+/// The kept periodic problem, if it was built at `shape`; a stale one is
+/// dropped.
+fn kept_at(
+    periodic: &mut Option<([u64; 4], PeriodicProblem)>,
+    shape: [u64; 4],
+) -> Option<&mut PeriodicProblem> {
+    if periodic.as_ref().is_some_and(|(at, _)| *at != shape) {
+        *periodic = None;
+    }
+    periodic.as_mut().map(|(_, periodic)| periodic)
+}
+
+/// Per server, its usage, ascending by server: ids are minted densely,
+/// so a server is looked for first at its id's offset from the first
+/// id, then by a binary search.
+#[derive(Default)]
+struct Usage(Vec<(ServerId, LoadVector)>);
+
+impl Usage {
+    /// Where `server`'s usage sits, or where it would be inserted.
+    fn find(&self, server: ServerId) -> Result<usize, usize> {
+        let first = self.0.first().map_or(0, |(s, _)| s.raw());
+        let guess = server.raw().checked_sub(first).map(|at| at as usize);
+        match guess.filter(|&at| self.0.get(at).is_some_and(|(s, _)| *s == server)) {
+            Some(at) => Ok(at),
+            None => self.0.binary_search_by_key(&server, |&(s, _)| s),
+        }
+    }
+
+    /// `server`'s usage; zero where none is booked.
+    fn get(&self, server: ServerId) -> LoadVector {
+        let at = self.find(server).ok().and_then(|at| self.0.get(at));
+        at.map_or_else(LoadVector::zero, |&(_, used)| used)
+    }
+
+    /// Books `server`'s usage as `change` makes it, from zero where
+    /// none is booked.
+    fn book(&mut self, server: ServerId, change: impl FnOnce(LoadVector) -> LoadVector) {
+        let at = self.find(server).unwrap_or_else(|at| {
+            self.0.insert(at, (server, LoadVector::zero()));
+            at
+        });
+        if let Some((_, used)) = self.0.get_mut(at) {
+            *used = change(*used);
+        }
+    }
+
+    /// Forgets `server`'s usage.
+    fn remove(&mut self, server: ServerId) {
+        if let Ok(at) = self.find(server) {
+            self.0.remove(at);
+        }
     }
 }
 
@@ -402,8 +456,10 @@ mod tests {
     impl Books {
         /// The books as [`scan`] reads them.
         fn scanned(&self) -> Scanned {
-            let mut usage = self.usage.clone();
-            usage.retain(|_, used| *used != LoadVector::zero());
+            let usage = self.usage.0.iter().copied();
+            let usage = usage
+                .filter(|(_, used)| *used != LoadVector::zero())
+                .collect();
             let (lacking, surplus) = (self.lacking.clone(), self.surplus.clone());
             (usage, lacking, surplus, self.widths.clone())
         }

@@ -333,8 +333,8 @@ impl Orchestrator {
         let mut moved = |shard: ShardId, held: &mut LoadVector, load: LoadVector| {
             if *held != load {
                 let old = std::mem::replace(held, load);
-                let hosts = self.state.assignment.replicas(shard);
-                self.books.load_changed(shape, hosts, shard, old, load);
+                let assignment = &self.state.assignment;
+                self.books.load_changed(shape, assignment, shard, old, load);
             }
         };
         let mut loads = loads.into_iter();
@@ -492,7 +492,7 @@ impl Orchestrator {
         let shape = self.state.shape();
         let kept = self.books.take_periodic(shape);
         let mut periodic = kept.unwrap_or_else(|| PeriodicProblem::from(&Placements(self)));
-        let moves = periodic.plan().moves;
+        let moves = periodic.moves();
         self.books.keep_periodic(shape, periodic);
         moves
     }
@@ -1013,7 +1013,7 @@ pub(crate) enum Mode {
 /// The moves of one allocator run in `mode` over `source`.
 fn plan(source: &impl PlacementSource, mode: Mode) -> Vec<ReplicaMove> {
     match mode {
-        Mode::Periodic => Allocator::plan_periodic(source).moves,
+        Mode::Periodic => PeriodicProblem::from(source).moves(),
         // Emergency placements are fresh adds only.
         Mode::Emergency => {
             let mut moves = Allocator::plan_emergency(source).moves;

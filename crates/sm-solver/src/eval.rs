@@ -22,7 +22,7 @@
 //! the problem patches them as it is patched, and the next solve's first
 //! batch starts from them instead of from a build over every entity.
 
-use crate::penalty_tree::PenaltyTree;
+use crate::penalty_tree::{rank_key, PenaltyTree};
 use crate::problem::{BinId, Entity, EntityId, GroupId, Members, Problem};
 use crate::specs::{Scope, Spec, SpecSet};
 use sm_types::{Fixed, LoadVector, MetricId, METRIC_COUNT};
@@ -94,6 +94,22 @@ impl ExclusionGoal {
     }
 }
 
+/// The source side of a move of entity `e`, as [`Evaluator::source`]
+/// computes it for a search round's targets.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Source {
+    e: EntityId,
+    from: Option<usize>,
+    change: Option<f64>,
+}
+
+/// An entity's summed load over every metric, the search's second rank
+/// value, as a negated [`rank_key`].
+fn load_rank(load: &LoadVector) -> u64 {
+    let sum: f64 = (0..METRIC_COUNT).map(|m| load.get(MetricId(m))).sum();
+    !rank_key(sum)
+}
+
 /// The incremental evaluator over one problem, carried through the
 /// priority batches of a solve: each batch activates more goals.
 #[derive(Debug)]
@@ -149,15 +165,29 @@ pub(crate) struct Columns {
     bin_affinity: Vec<Fixed>,
     /// Entities currently on each bin, maintained incrementally under
     /// moves so [`Evaluator::entities_on`] is O(1) instead of an
-    /// O(n_entities) scan. Ascending when a batch starts; within a batch
-    /// the order is move-history dependent (swap-remove) but a pure
-    /// function of the move sequence.
+    /// O(n_entities) scan. Ascending when a batch starts and between
+    /// solves; within a batch the order is move-history dependent
+    /// (swap-remove) but a pure function of the move sequence.
     bin_entities: Vec<Vec<EntityId>>,
-    /// Position of each placed entity within its bin's entity list.
+    /// Position of each placed entity within its bin's entity list;
+    /// stale past a patch's edit in a list until the next batch entry.
     entity_pos: Vec<u32>,
-    /// Per bin, whether a move has reordered its entity list since a
-    /// batch last started.
+    /// Per bin, whether a move or a patch has edited its entity list
+    /// since a batch last started.
     touched: Vec<bool>,
+    /// Per entity, the rank key of its summed load (see [`rank_key`]).
+    rank_load: Vec<u64>,
+    /// Whether a search move saves a bin's list before its first edit
+    /// in the solve: set where something reads the saved lists, an undo
+    /// or a later batch's entry.
+    saving: bool,
+    /// The lists saved this solve, back to back, each ascending, as the
+    /// solve found it; bin `b`'s is `saved[range]` for `saved_at[b]`.
+    saved: Vec<EntityId>,
+    saved_at: Vec<Option<(u32, u32)>>,
+    /// `(bin, entity)` for each entity moved onto a saved bin it was not
+    /// saved on: a batch entry's scratch.
+    arrivals: Vec<(usize, EntityId)>,
     /// Cached (region, utilization band) key of each bin.
     bin_group_key: Vec<(u64, u8)>,
     /// Bins grouped by their key, maintained incrementally: a bin moves
@@ -212,6 +242,11 @@ impl Columns {
             bin_entities: vec![Vec::new(); n_bins],
             entity_pos: vec![0; problem.entity_count()],
             touched: vec![false; n_bins],
+            rank_load: Vec::with_capacity(problem.entity_count()),
+            saving: false,
+            saved: Vec::new(),
+            saved_at: vec![None; n_bins],
+            arrivals: Vec::new(),
             bin_group_key: vec![(0, 0); n_bins],
             target_groups: BTreeMap::new(),
             bin_group_pos: vec![0; n_bins],
@@ -223,10 +258,11 @@ impl Columns {
         };
         for (i, entity) in problem.entities().iter().enumerate() {
             columns.total_load += entity.load;
+            columns.rank_load.push(load_rank(&entity.load));
             match columns.bin_of(EntityId(i)) {
                 Some(b) => {
                     columns.bin_usage[b] += entity.load;
-                    columns.index_add(EntityId(i), b);
+                    columns.index_add(EntityId(i), b, false);
                 }
                 None => columns.unplaced_count += 1,
             }
@@ -252,24 +288,102 @@ impl Columns {
         pen
     }
 
-    /// Adds `e` to `bin`'s entity list.
-    fn index_add(&mut self, e: EntityId, bin: usize) {
-        self.entity_pos[e.0] = self.bin_entities[bin].len() as u32;
-        self.bin_entities[bin].push(e);
+    /// Adds `e` to `bin`'s entity list: at the end, or, for a patch
+    /// (`ascending`), in its place in the ascending list, leaving the
+    /// positions past it stale.
+    fn index_add(&mut self, e: EntityId, bin: usize, ascending: bool) {
+        let list = &mut self.bin_entities[bin];
+        let pos = match ascending {
+            true => list.binary_search(&e).unwrap_or_else(|pos| pos),
+            false => list.len(),
+        };
+        list.insert(pos, e);
+        self.entity_pos[e.0] = pos as u32;
         self.touched[bin] = true;
     }
 
-    /// Removes `e` from `bin`'s entity list by swap-remove.
-    fn index_remove(&mut self, e: EntityId, bin: usize) {
-        let pos = self.entity_pos[e.0] as usize;
+    /// Removes `e` from `bin`'s entity list: by swap-remove, or, for a
+    /// patch (`ascending`), keeping the ascending list in order and the
+    /// positions past it stale.
+    fn index_remove(&mut self, e: EntityId, bin: usize, ascending: bool) {
         let list = &mut self.bin_entities[bin];
-        debug_assert_eq!(list[pos], e, "entity index out of sync");
-        list.swap_remove(pos);
-        if pos < list.len() {
-            let displaced = list[pos];
-            self.entity_pos[displaced.0] = pos as u32;
+        if ascending {
+            debug_assert!(list.is_sorted(), "a patched list out of order");
+            if let Ok(pos) = list.binary_search(&e) {
+                list.remove(pos);
+            }
+        } else {
+            let pos = self.entity_pos[e.0] as usize;
+            debug_assert_eq!(list[pos], e, "entity index out of sync");
+            list.swap_remove(pos);
+            if pos < list.len() {
+                let displaced = list[pos];
+                self.entity_pos[displaced.0] = pos as u32;
+            }
         }
         self.touched[bin] = true;
+    }
+
+    /// Copies `bin`'s list, as the solve found it, before its first edit
+    /// in a solve that saves.
+    fn save(&mut self, bin: usize) {
+        if self.saving && self.saved_at[bin].is_none() {
+            let start = self.saved.len() as u32;
+            self.saved.extend_from_slice(&self.bin_entities[bin]);
+            self.saved_at[bin] = Some((start, self.saved.len() as u32));
+        }
+    }
+
+    /// Makes each list edited since the last batch entry ascending again,
+    /// with its positions: a saved one by merging what stayed of its
+    /// saved list with what arrived since, a patched one as it is (a
+    /// patch keeps it ascending), and any other by a sort.
+    fn order_lists(&mut self) {
+        self.arrivals.clear();
+        for &e in &self.moved {
+            let b = self.assignment[e.0];
+            let Some(&Some((start, end))) = self.saved_at.get(b as usize) else {
+                continue;
+            };
+            let saved = &self.saved[start as usize..end as usize];
+            if saved.binary_search(&e).is_err() {
+                self.arrivals.push((b as usize, e));
+            }
+        }
+        self.arrivals.sort_unstable();
+        self.arrivals.dedup();
+        let mut arrivals = self.arrivals.as_slice();
+        for (b, list) in self.bin_entities.iter_mut().enumerate() {
+            if !std::mem::take(&mut self.touched[b]) {
+                continue;
+            }
+            // Arrivals on a bin not edited since the last entry are in
+            // its list already.
+            let skip = arrivals.partition_point(|&(bin, _)| bin < b);
+            let here = arrivals.partition_point(|&(bin, _)| bin <= b);
+            let came = &arrivals[skip..here];
+            arrivals = &arrivals[here..];
+            match self.saved_at[b] {
+                Some((start, end)) => {
+                    let saved = &self.saved[start as usize..end as usize];
+                    let stayed = saved.iter().filter(|e| self.assignment[e.0] == b as u32);
+                    let mut came = came.iter().map(|&(_, e)| e).peekable();
+                    list.clear();
+                    for &e in stayed {
+                        while let Some(arrived) = came.next_if(|&arrived| arrived < e) {
+                            list.push(arrived);
+                        }
+                        list.push(e);
+                    }
+                    list.extend(came);
+                }
+                None if list.is_sorted() => {}
+                None => list.sort_unstable(),
+            }
+            for (pos, e) in list.iter().enumerate() {
+                self.entity_pos[e.0] = pos as u32;
+            }
+        }
     }
 
     /// True if a member of group `g` other than `e` sits in domain `dom`
@@ -323,20 +437,22 @@ impl Columns {
     }
 
     /// Moves `e` off its bin (or out of the unplaced count) as `old` is,
-    /// and onto `to` (or among the unplaced) as `new` is.
+    /// and onto `to` (or among the unplaced) as `new` is; a patch keeps
+    /// the lists it edits `ascending`.
     fn shift(
         &mut self,
         members: &Members,
         e: EntityId,
         [old, new]: [Entity; 2],
         to: Option<usize>,
+        ascending: bool,
     ) {
         match self.bin_of(e) {
             Some(f) => {
                 self.exclusion_update(members, e, old.group, f, false);
                 self.bin_usage[f] -= old.load;
                 self.bin_affinity[f] = self.bin_affinity[f] - self.affinity_penalty(e, f);
-                self.index_remove(e, f);
+                self.index_remove(e, f, ascending);
             }
             None => self.unplaced_count -= 1,
         }
@@ -348,26 +464,33 @@ impl Columns {
         self.assignment[e.0] = b as u32;
         self.bin_usage[b] += new.load;
         self.bin_affinity[b] = self.bin_affinity[b] + self.affinity_penalty(e, b);
-        self.index_add(e, b);
+        self.index_add(e, b, ascending);
         self.exclusion_update(members, e, new.group, b, true);
     }
 
     /// Patches the columns for [`Problem::set_entity`]: `e`, which was
-    /// `old`, is now `new` on `to`. A load change on the same bin moves
-    /// its usage by the exact difference; any other change is a move.
+    /// `old` on `from` (the columns are at the initial assignment), is
+    /// now `new` on `to`. A load change on the same bin moves its usage
+    /// by the exact difference; any other change is a move, which keeps
+    /// the lists ascending.
     pub(crate) fn set_entity(
         &mut self,
         members: &Members,
         e: EntityId,
         [old, new]: [Entity; 2],
-        to: Option<BinId>,
+        [from, to]: [Option<BinId>; 2],
     ) {
+        debug_assert_eq!(
+            self.bin_of(e),
+            from.map(|b| b.0),
+            "columns off the initial bins"
+        );
         self.total_load -= old.load;
         self.total_load += new.load;
-        let to = to.map(|b| b.0);
-        match self.bin_of(e) {
-            Some(b) if Some(b) == to => self.bin_usage[b] += new.load - old.load,
-            _ => self.shift(members, e, [old, new], to),
+        self.rank_load[e.0] = load_rank(&new.load);
+        match (from, to) {
+            (Some(b), Some(to)) if b == to => self.bin_usage[b.0] += new.load - old.load,
+            _ => self.shift(members, e, [old, new], to.map(|b| b.0), true),
         }
     }
 }
@@ -553,20 +676,13 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Rebuilds the state a move history leaves path-dependent the way a
-    /// fresh build makes it: each entity list a move reordered sorted
+    /// fresh build makes it: each entity list a move or a patch edited
     /// ascending again, the penalty leaves and target groups in bin
     /// order, and the spread total summed over the violated groups,
     /// which is the sum over every group: each other group adds +0.0.
     fn rebase(&mut self) {
+        self.c.order_lists();
         let c = &mut self.c;
-        for (list, touched) in c.bin_entities.iter_mut().zip(&mut c.touched) {
-            if std::mem::take(touched) {
-                list.sort_unstable();
-                for (pos, e) in list.iter().enumerate() {
-                    c.entity_pos[e.0] = pos as u32;
-                }
-            }
-        }
         c.tree.reset();
         c.target_groups.values_mut().for_each(Vec::clear);
         for b in 0..self.c.bin_usage.len() {
@@ -585,10 +701,18 @@ impl<'p> Evaluator<'p> {
         }
     }
 
+    /// Saves each bin's list before a search move first edits it in
+    /// this solve if `on`: for a solve whose lists an undo or a later
+    /// batch's entry reads back.
+    pub(crate) fn save_lists(&mut self, on: bool) {
+        self.c.saving = on;
+    }
+
     /// Ends a kept solve: moves each entity the search moved back to its
-    /// bin in `initial`, the problem's initial assignment. Returns the
-    /// columns there, and the entities whose bin differed, ascending,
-    /// with the bin each had.
+    /// bin in `initial`, the problem's initial assignment, and puts each
+    /// list it edited back as it was saved. Returns the columns there,
+    /// and the entities whose bin differed, ascending, with the bin each
+    /// had.
     pub(crate) fn undo(
         self,
         initial: &[Option<BinId>],
@@ -602,11 +726,24 @@ impl<'p> Evaluator<'p> {
             let (back, at) = (initial[e.0].map(|b| b.0), c.bin_of(e));
             if at != back {
                 moved.push((e, at.map(BinId)));
-                c.shift(members, e, [entities[e.0]; 2], back);
+                c.shift(members, e, [entities[e.0]; 2], back, false);
             }
         }
         log.clear();
         c.moved = log;
+        for (b, list) in c.bin_entities.iter_mut().enumerate() {
+            if let Some((start, end)) = c.saved_at[b].take() {
+                list.clear();
+                list.extend_from_slice(&c.saved[start as usize..end as usize]);
+                for (pos, e) in list.iter().enumerate() {
+                    c.entity_pos[e.0] = pos as u32;
+                }
+                c.touched[b] = false;
+            }
+        }
+        debug_assert!(!c.touched.contains(&true), "a list edited but not saved");
+        c.saved.clear();
+        c.saving = false;
         (c, moved)
     }
 
@@ -718,38 +855,44 @@ impl<'p> Evaluator<'p> {
     /// `None` if the move is a no-op or breaks a hard constraint.
     /// Negative deltas are improvements.
     pub fn eval_move(&self, e: EntityId, to: BinId) -> Option<f64> {
-        let from = self.c.assignment[e.0];
-        if from == to.0 as u32 {
-            return None;
-        }
-        if self.violates_hard(e, to) {
-            return None;
-        }
-        let load = self.entities[e.0].load;
-        let aff_to = self.c.affinity_penalty(e, to.0);
+        self.eval_from(&self.source(e), to)
+    }
 
+    /// The source side of moving `e`, the same for every target: the
+    /// change of its bin's leaf on losing it, `None` while unplaced.
+    pub(crate) fn source(&self, e: EntityId) -> Source {
+        let from = self.c.bin_of(e);
+        let change = from.map(|f| {
+            let aff_from = self.c.affinity_penalty(e, f);
+            let usage = self.c.bin_usage[f] - self.entities[e.0].load;
+            let count = self.c.bin_entities[f].len() - 1;
+            let affinity = self.c.bin_affinity[f] - aff_from;
+            let from_after = self.hypothetical_bin_penalty(f, &usage, count, affinity);
+            from_after - self.c.tree.get(f)
+        });
+        Source { e, from, change }
+    }
+
+    /// [`Self::eval_move`] of the entity whose source side is `source`:
+    /// the destination leaf's change, the source's, then the spread
+    /// delta, summed in that order.
+    pub(crate) fn eval_from(&self, source: &Source, to: BinId) -> Option<f64> {
+        let e = source.e;
+        if source.from == Some(to.0) || self.violates_hard(e, to) {
+            return None;
+        }
+        let aff_to = self.c.affinity_penalty(e, to.0);
         // Destination leaf after gaining the entity.
         let to_after = {
-            let usage = self.c.bin_usage[to.0] + load;
+            let usage = self.c.bin_usage[to.0] + self.entities[e.0].load;
             let count = self.c.bin_entities[to.0].len() + 1;
             self.hypothetical_bin_penalty(to.0, &usage, count, self.c.bin_affinity[to.0] + aff_to)
         };
         let mut delta = to_after - self.c.tree.get(to.0);
-
-        let from_bin = if from == UNPLACED {
-            None
-        } else {
-            let f = from as usize;
-            let aff_from = self.c.affinity_penalty(e, f);
-            let usage = self.c.bin_usage[f] - load;
-            let count = self.c.bin_entities[f].len() - 1;
-            let affinity = self.c.bin_affinity[f] - aff_from;
-            let from_after = self.hypothetical_bin_penalty(f, &usage, count, affinity);
-            delta += from_after - self.c.tree.get(f);
-            Some(f)
-        };
-
-        delta += self.exclusion_delta(e, from_bin, to.0);
+        if let Some(change) = source.change {
+            delta += change;
+        }
+        delta += self.exclusion_delta(e, source.from, to.0);
         Some(delta)
     }
 
@@ -787,8 +930,9 @@ impl<'p> Evaluator<'p> {
         let from = self.c.bin_of(e);
         debug_assert_ne!(from, Some(to.0), "no-op move");
         self.c.moved.push(e);
-        self.c
-            .shift(self.members, e, [self.entities[e.0]; 2], Some(to.0));
+        from.into_iter().chain([to.0]).for_each(|b| self.c.save(b));
+        let c = &mut self.c;
+        c.shift(self.members, e, [self.entities[e.0]; 2], Some(to.0), false);
         if let Some(f) = from {
             self.refresh_leaf(f);
             self.refresh_group_key(f);
@@ -853,6 +997,16 @@ impl<'p> Evaluator<'p> {
             pen += self.drain_weight;
         }
         pen
+    }
+
+    /// The keys the search ranks `e` by among the entities on its bin:
+    /// its misplacement, then its summed load, each a [`rank_key`]
+    /// negated, so ascending keys are descending values.
+    pub(crate) fn rank_of(&self, e: EntityId) -> (u64, u64) {
+        (
+            !rank_key(self.entity_misplacement(e)),
+            self.c.rank_load[e.0],
+        )
     }
 
     /// Grouping key for grouped target sampling (§5.3 optimization 4):
@@ -1776,6 +1930,148 @@ mod tests {
         assert!(
             moved > 600 && patched > 100,
             "{moved} moved, {patched} patched"
+        );
+    }
+
+    /// `eval_move` as one pass per `(entity, target)`, the source side
+    /// computed for each target: the model for the source side computed
+    /// once per candidate.
+    fn eval_move_model(eval: &Evaluator, e: EntityId, to: BinId) -> Option<f64> {
+        let from = eval.c.assignment[e.0];
+        if from == to.0 as u32 || eval.violates_hard(e, to) {
+            return None;
+        }
+        let load = eval.entities[e.0].load;
+        let aff_to = eval.c.affinity_penalty(e, to.0);
+        let to_after = {
+            let usage = eval.c.bin_usage[to.0] + load;
+            let count = eval.c.bin_entities[to.0].len() + 1;
+            let affinity = eval.c.bin_affinity[to.0] + aff_to;
+            eval.hypothetical_bin_penalty(to.0, &usage, count, affinity)
+        };
+        let mut delta = to_after - eval.c.tree.get(to.0);
+        let from_bin = (from != UNPLACED).then(|| {
+            let f = from as usize;
+            let aff_from = eval.c.affinity_penalty(e, f);
+            let usage = eval.c.bin_usage[f] - load;
+            let count = eval.c.bin_entities[f].len() - 1;
+            let affinity = eval.c.bin_affinity[f] - aff_from;
+            let from_after = eval.hypothetical_bin_penalty(f, &usage, count, affinity);
+            delta += from_after - eval.c.tree.get(f);
+            f
+        });
+        delta += eval.exclusion_delta(e, from_bin, to.0);
+        Some(delta)
+    }
+
+    /// The source side once per candidate, then the per-target pass, is
+    /// `eval_move`'s model bit for bit on every `(entity, bin)` pair of
+    /// seeded fleets (unplaced entities, a draining bin, affinity and
+    /// spread goals), at each batch along a walk of vetted moves.
+    #[test]
+    fn the_source_side_once_per_candidate_is_eval_move_bitwise() {
+        let (mut unplaced, mut draining, mut preferring) = (0, 0, 0);
+        for seed in 0..12 {
+            let mut rng = sm_sim::SimRng::seeded(0x50c + seed);
+            let (p, specs) = seeded_fleet(&mut rng, (seed % 3) as u8);
+            let mut eval = Evaluator::new(&p, &specs, 0);
+            for priority in specs.priorities() {
+                eval.enter_batch(&specs, priority);
+                for _ in 0..12 {
+                    for e in (0..p.entity_count()).map(EntityId) {
+                        let source = eval.source(e);
+                        unplaced += usize::from(eval.bin_of(e).is_none());
+                        draining += usize::from(eval.bin_of(e) == Some(BinId(3)));
+                        preferring += usize::from(eval.entity_misplacement(e) != 0.0);
+                        for b in (0..p.bin_count()).map(BinId) {
+                            let bits = |delta: Option<f64>| delta.map(f64::to_bits);
+                            let want = bits(eval_move_model(&eval, e, b));
+                            assert_eq!(bits(eval.eval_from(&source, b)), want, "{e:?} -> {b:?}");
+                            assert_eq!(bits(eval.eval_move(e, b)), want, "{e:?} -> {b:?}");
+                        }
+                    }
+                    for _ in 0..8 {
+                        let (e, to) = (EntityId(rng.index(40)), BinId(rng.index(12)));
+                        if eval.eval_move(e, to).is_some() {
+                            eval.apply_move(e, to);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            unplaced > 100 && draining > 100 && preferring > 1_000,
+            "{unplaced} unplaced, {draining} draining, {preferring} preferring"
+        );
+    }
+
+    /// At rest between solves each bin's list is ascending, holds the
+    /// entities the assignment puts on the bin, and agrees with
+    /// `entity_pos` unless a patch since the last batch entry left the
+    /// positions past its edit stale (`touched`).
+    fn assert_lists_at_rest(c: &Columns) {
+        let mut placed = 0;
+        for (b, list) in c.bin_entities.iter().enumerate() {
+            assert!(list.is_sorted(), "bin {b}: {list:?}");
+            for (pos, e) in list.iter().enumerate() {
+                assert_eq!(c.assignment[e.0], b as u32, "bin {b}: {e:?} not on it");
+                if !c.touched[b] {
+                    assert_eq!(c.entity_pos[e.0], pos as u32, "bin {b}: {e:?} position");
+                }
+            }
+            placed += list.len();
+        }
+        let on_bins = c.assignment.iter().filter(|&&b| b != UNPLACED).count();
+        assert_eq!(placed, on_bins, "entities on bins vs in lists");
+        assert!(c.saved.is_empty() && c.saved_at.iter().all(Option::is_none));
+    }
+
+    /// After any mix of kept solves and patches, the kept lists are at
+    /// rest: ascending, right after a solve with every position agreeing.
+    /// Solves of one to three batches, narrow and wide, and patches that
+    /// move, empty, put back and reload entities.
+    #[test]
+    fn kept_solves_and_patches_leave_every_list_ascending() {
+        use crate::search::{LocalSearch, SearchConfig};
+        let (mut solves, mut patches) = (0, 0);
+        for seed in 0..10u64 {
+            let mut rng = sm_sim::SimRng::seeded(0xa5c + seed);
+            let (mut p, specs) = seeded_fleet(&mut rng, (seed % 3) as u8);
+            for round in 0..6 {
+                let search = LocalSearch::new(SearchConfig {
+                    seed: seed * 8 + round,
+                    hot_bins_per_round: 1 + rng.index(8),
+                    entities_per_bin: 1 + rng.index(8),
+                    targets_per_entity: 2 + rng.index(12),
+                    ..SearchConfig::default()
+                });
+                search.solve_moves(&mut p, &specs);
+                solves += 1;
+                let columns = p.derived.columns.as_ref().map(|(_, c)| c);
+                let columns = columns.expect("a solve on one thread keeps its columns");
+                assert!(
+                    !columns.touched.contains(&true),
+                    "seed {seed}: a list left unordered"
+                );
+                assert_lists_at_rest(columns);
+                for _ in 0..rng.index(12) {
+                    let e = EntityId(rng.index(p.entity_count()));
+                    let load = cpu(0.1 + 0.3 * rng.index(7) as f64);
+                    let to = match rng.index(4) {
+                        0 => None,
+                        1 => p.initial_assignment()[e.0],
+                        _ => Some(BinId(rng.index(12))),
+                    };
+                    p.set_entity(e, load, to);
+                    patches += 1;
+                    let columns = p.derived.columns.as_ref().map(|(_, c)| c);
+                    assert_lists_at_rest(columns.expect("kept columns"));
+                }
+            }
+        }
+        assert!(
+            solves == 60 && patches > 250,
+            "{solves} solves, {patches} patches"
         );
     }
 

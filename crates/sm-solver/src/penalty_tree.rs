@@ -9,6 +9,19 @@
 //! O(1) — no move re-sums all n bins, and nothing ever asks for the sum
 //! of a sub-range, which is all that interior nodes would buy.
 
+/// A total-order key of `x`: keys compare as the values do, `-0.0`
+/// ranking as `+0.0`, for every value `partial_cmp` orders; a NaN gets a
+/// key too, so a ranking by keys has no panic path.
+pub(crate) fn rank_key(x: f64) -> u64 {
+    // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// `f64` penalty leaves with a cached total.
 #[derive(Clone, Debug)]
 pub struct PenaltyTree {
@@ -77,17 +90,14 @@ impl PenaltyTree {
     pub(crate) fn top_k_into(&self, k: usize, out: &mut Vec<usize>) {
         out.clear();
         out.extend((0..self.leaves.len()).filter(|&i| self.leaves[i] > 0.0));
-        let hotter = |a: &usize, b: &usize| {
-            let by_value = self.leaves[*b].partial_cmp(&self.leaves[*a]);
-            by_value.expect("penalties are finite").then(a.cmp(b))
-        };
+        let hotter = |&i: &usize| (!rank_key(self.leaves[i]), i);
         if out.len() > k {
             if k > 0 {
-                out.select_nth_unstable_by(k - 1, hotter);
+                out.select_nth_unstable_by_key(k - 1, hotter);
             }
             out.truncate(k);
         }
-        out.sort_unstable_by(hotter);
+        out.sort_unstable_by_key(hotter);
     }
 }
 

@@ -159,11 +159,13 @@ impl Problem {
             return;
         };
         let old = *entity;
-        (entity.load, *initial) = (load, placed_on);
+        entity.load = load;
+        let from = std::mem::replace(initial, placed_on);
         let Derived { members, columns } = &mut self.derived;
         if let Some((_, columns)) = columns {
             let members = members.get_or_init(|| Members::of(&self.entities, self.group_count));
-            columns.set_entity(members, id, [old, Entity { load, ..old }], placed_on);
+            let new = Entity { load, ..old };
+            columns.set_entity(members, id, [old, new], [from, placed_on]);
         }
     }
 

@@ -22,8 +22,7 @@
 use crate::eval::{Columns, Evaluator, ViolationStats};
 use crate::problem::{BinId, EntityId, Problem};
 use crate::specs::SpecSet;
-use sm_types::{LoadVector, METRIC_COUNT};
-use std::cmp::Ordering;
+use sm_types::LoadVector;
 
 use sm_sim::SimRng;
 
@@ -132,7 +131,7 @@ struct Scratch {
     on_bin: Vec<EntityId>,
     /// `(misplacement, load, index into on_bin)` ranking keys, computed
     /// once per entity per round instead of once per comparison.
-    ranked: Vec<(f64, f64, usize)>,
+    ranked: Vec<(u64, u64, u32)>,
     /// Load keys of candidates kept so far (equivalence dedup).
     seen_keys: Vec<LoadVector>,
     /// Snapshots of the entity lists a swap reads, which its speculative
@@ -171,7 +170,8 @@ impl LocalSearch {
         initial: &[Option<BinId>],
         rng: &mut SimRng,
     ) -> (Vec<Option<BinId>>, SearchStats) {
-        let (eval, stats) = self.search(problem, specs, Columns::new(problem, initial), rng);
+        let columns = Columns::new(problem, initial);
+        let (eval, stats) = self.search(problem, specs, columns, rng, false);
         (eval.assignment(), stats)
     }
 
@@ -192,7 +192,7 @@ impl LocalSearch {
         let at = problem.initial_assignment();
         let (kept, columns) = kept.unwrap_or_else(|| (specs.clone(), Columns::new(problem, at)));
         let mut rng = SimRng::seeded(self.config.seed);
-        let (eval, stats) = self.search(problem, specs, columns, &mut rng);
+        let (eval, stats) = self.search(problem, specs, columns, &mut rng, true);
         let (columns, moved) = eval.undo(at);
         problem.derived.columns = Some((kept, columns));
         (moved, stats)
@@ -201,18 +201,22 @@ impl LocalSearch {
     /// The search over `columns`, through the priority batches: one of
     /// every goal without batching. One evaluator for the whole solve:
     /// each batch after the first adds its goals to it (`enter_batch`).
+    /// A `kept` solve's moves are undone after it, so it saves the lists
+    /// they edit; so does one with a later batch, whose entry reads them.
     fn search<'p>(
         &self,
         problem: &'p Problem,
         specs: &SpecSet,
         columns: Columns,
         rng: &mut SimRng,
+        kept: bool,
     ) -> (Evaluator<'p>, SearchStats) {
         let mut batches = specs.priorities();
         if !self.config.use_batching || batches.is_empty() {
             batches = vec![u8::MAX];
         }
         let mut eval = Evaluator::with_columns(problem, specs, batches[0], columns);
+        eval.save_lists(kept || batches.len() > 1);
         let mut stats = SearchStats::default();
         let mut scratch = Scratch::default();
         let n_batches = batches.len() as u32;
@@ -369,9 +373,10 @@ impl LocalSearch {
         self.sample_targets(eval, rng, n_bins, scratch);
         let mut best: Option<(f64, EntityId, BinId)> = None;
         for &e in &scratch.candidates {
+            let source = eval.source(e);
             for &t in &scratch.targets {
                 stats.evaluated += 1;
-                if let Some(delta) = eval.eval_move(e, t) {
+                if let Some(delta) = eval.eval_from(&source, t) {
                     if delta < -1e-9 && best.map(|(d, _, _)| delta < d).unwrap_or(true) {
                         best = Some((delta, e, t));
                     }
@@ -410,42 +415,25 @@ impl LocalSearch {
             // Rank by how much the entity's own violations hurt the
             // objective (affinity/drain misplacement), then by load
             // (§5.3: evaluate large shards earlier), then by shuffled
-            // position: the order a stable sort of the shuffle gives.
+            // position: the order a stable sort of the shuffle gives, in
+            // integer keys.
             let ranked = &mut scratch.ranked;
             ranked.clear();
-            ranked.extend(
-                scratch
-                    .on_bin
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &e)| (eval.entity_misplacement(e), sum_load(eval, e), pos)),
-            );
-            // Only the head the quota can reach is ordered; the tail is
-            // sorted only if equal loads in the head leave the quota
-            // short.
-            let mut sorted = quota.min(ranked.len());
-            if (1..ranked.len()).contains(&sorted) {
-                ranked.select_nth_unstable_by(sorted - 1, rank_order);
-            }
-            ranked[..sorted].sort_unstable_by(rank_order);
+            let keys = scratch.on_bin.iter().map(|&e| eval.rank_of(e));
+            ranked.extend((0..).zip(keys).map(|(pos, (mis, load))| (mis, load, pos)));
             // Keep the first entity of each distinct load vector,
-            // stopping as soon as the per-bin quota is filled — the
-            // tail never needs its keys computed.
-            scratch.seen_keys.clear();
-            let mut idx = 0;
-            while scratch.seen_keys.len() < quota && idx < ranked.len() {
-                if idx == sorted {
-                    ranked[sorted..].sort_unstable_by(rank_order);
-                    sorted = ranked.len();
+            // stopping as soon as the per-bin quota is filled.
+            let (seen, candidates) = (&mut scratch.seen_keys, &mut scratch.candidates);
+            seen.clear();
+            take_ranked(ranked, quota, |pos| {
+                let e = scratch.on_bin[pos];
+                let fresh = !seen.contains(eval.load_of(e));
+                if fresh {
+                    seen.push(*eval.load_of(e));
+                    candidates.push(e);
                 }
-                let e = scratch.on_bin[ranked[idx].2];
-                idx += 1;
-                let key = *eval.load_of(e);
-                if !scratch.seen_keys.contains(&key) {
-                    scratch.seen_keys.push(key);
-                    scratch.candidates.push(e);
-                }
-            }
+                fresh
+            });
         }
         // Replica groups violating a spread goal contribute their
         // members directly — their bins may not be hot.
@@ -539,18 +527,28 @@ impl LocalSearch {
     }
 }
 
-/// Candidate order on a hot bin: misplacement, then load, descending;
-/// ties by shuffled position.
-fn rank_order(a: &(f64, f64, usize), b: &(f64, f64, usize)) -> Ordering {
-    let by_keys = (b.0, b.1).partial_cmp(&(a.0, a.1));
-    by_keys.expect("loads are finite").then(a.2.cmp(&b.2))
-}
-
-fn sum_load(eval: &Evaluator, e: EntityId) -> f64 {
-    let load = eval.load_of(e);
-    (0..METRIC_COUNT)
-        .map(|m| load.get(sm_types::MetricId(m)))
-        .sum()
+/// Hands `take` the positions in `ranked`, a hot bin's `(misplacement,
+/// load, shuffled position)` keys, in ascending order — misplacement,
+/// then load, descending, then position — until it has taken `quota` of
+/// them. Only the head the quota can reach is ordered; the tail is
+/// sorted only if `take` passes over some of the head.
+fn take_ranked(ranked: &mut [(u64, u64, u32)], quota: usize, mut take: impl FnMut(usize) -> bool) {
+    let mut sorted = quota.min(ranked.len());
+    if (1..ranked.len()).contains(&sorted) {
+        ranked.select_nth_unstable(sorted - 1);
+    }
+    ranked[..sorted].sort_unstable();
+    let mut taken = 0;
+    for idx in 0..ranked.len() {
+        if taken == quota {
+            return;
+        }
+        if idx == sorted {
+            ranked[sorted..].sort_unstable();
+            sorted = ranked.len();
+        }
+        taken += usize::from(take(ranked[idx].2 as usize));
+    }
 }
 
 /// `SimRng::sample_indices(n, k)` handed to `take` index by index: the
@@ -587,6 +585,22 @@ fn sample_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_types::METRIC_COUNT;
+    use std::cmp::Ordering;
+
+    /// The rank order the integer keys replace, the model for them:
+    /// misplacement, then load, descending; ties by shuffled position.
+    fn rank_order(a: &(f64, f64, usize), b: &(f64, f64, usize)) -> Ordering {
+        let by_keys = (b.0, b.1).partial_cmp(&(a.0, a.1));
+        by_keys.expect("loads are finite").then(a.2.cmp(&b.2))
+    }
+
+    fn sum_load(eval: &Evaluator, e: EntityId) -> f64 {
+        let load = eval.load_of(e);
+        (0..METRIC_COUNT)
+            .map(|m| load.get(sm_types::MetricId(m)))
+            .sum()
+    }
 
     /// The key the model dedups candidates by: a load vector's bits.
     fn load_key(eval: &Evaluator, e: EntityId) -> [u64; METRIC_COUNT] {
@@ -1208,6 +1222,82 @@ mod tests {
             specs.add_goal(goal);
         }
         (p, specs)
+    }
+
+    /// The integer keys pick what `rank_order` picks: on bins of up to 40
+    /// entities whose misplacements and loads come from a short list, so
+    /// most tie and the shuffled position decides (unit loads among them),
+    /// with -0.0 beside +0.0 and negative sums; each entity of one of four
+    /// load classes, the first of each class taken, up to the quota.
+    #[test]
+    fn the_integer_keys_pick_what_rank_order_picks() {
+        let values = [-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 1.0, 1.0, 2.0, 1e300];
+        let mut rng = SimRng::seeded(43);
+        let (mut ties, mut signed_zeros) = (0, 0);
+        for case in 0..4_000 {
+            let n = 1 + rng.index(40);
+            let unit = rng.chance(0.25);
+            let value = |rng: &mut SimRng| values[rng.index(values.len())];
+            let bin: Vec<(f64, f64, usize)> = (0..n)
+                .map(|pos| {
+                    let misplacement = if rng.chance(0.5) {
+                        0.0
+                    } else {
+                        value(&mut rng)
+                    };
+                    let load = if unit { 1.0 } else { value(&mut rng) };
+                    (misplacement, load, pos)
+                })
+                .collect();
+            let class: Vec<usize> = (0..n).map(|_| rng.index(4)).collect();
+            let quota = rng.index(9);
+            let first_of_each = |order: &mut dyn Iterator<Item = usize>| {
+                let mut seen = Vec::new();
+                let mut picked = Vec::new();
+                for pos in order {
+                    if picked.len() == quota {
+                        break;
+                    }
+                    if !seen.contains(&class[pos]) {
+                        seen.push(class[pos]);
+                        picked.push(pos);
+                    }
+                }
+                picked
+            };
+            let mut model = bin.clone();
+            model.sort_by(rank_order);
+            let want = first_of_each(&mut model.iter().map(|&(_, _, pos)| pos));
+            let key = |x: f64| !crate::penalty_tree::rank_key(x);
+            let mut ranked: Vec<_> = (bin.iter())
+                .map(|&(mis, load, pos)| (key(mis), key(load), pos as u32))
+                .collect();
+            let (mut seen, mut got) = (Vec::new(), Vec::new());
+            take_ranked(&mut ranked, quota, |pos| {
+                let fresh = !seen.contains(&class[pos]);
+                if fresh {
+                    seen.push(class[pos]);
+                    got.push(pos);
+                }
+                fresh
+            });
+            assert_eq!(got, want, "case {case}: {bin:?}, classes {class:?}");
+            let same = |(a, b): (&(f64, f64, usize), &(f64, f64, usize))| (a.0, a.1) == (b.0, b.1);
+            ties += model
+                .iter()
+                .zip(&model[1..])
+                .filter(|&pair| same(pair))
+                .count();
+            let zeros = |x: f64| x == 0.0;
+            signed_zeros += usize::from(
+                bin.iter().any(|m| zeros(m.1) && m.1.is_sign_negative())
+                    && bin.iter().any(|m| zeros(m.1) && m.1.is_sign_positive()),
+            );
+        }
+        assert!(
+            ties > 10_000 && signed_zeros > 300,
+            "{ties} ties, {signed_zeros} signed zeros"
+        );
     }
 
     #[test]
